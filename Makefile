@@ -6,7 +6,7 @@ GO ?= go
 BENCH_BASELINE_DIR ?= bench/baselines
 BENCH_FRESH_DIR ?= /tmp/advnet-bench
 
-.PHONY: all build test vet race bench swarm-bench serve-race faults verify bench-short bench-diff bench-baseline
+.PHONY: all build test vet race bench swarm-bench serve-race faults verify bench-short bench-diff bench-baseline bench-e2e-check
 
 all: verify
 
@@ -19,8 +19,9 @@ test:
 vet:
 	$(GO) vet ./...
 
-# The concurrent code lives in the rollout worker pool (internal/rl/vec.go)
-# and the evaluation fan-outs (internal/rl/evaluate.go, the EvaluateABR*
+# The concurrent code lives in the rollout lanes (internal/rl/lane.go, fanned
+# out by VecRunner.TrainIteration in internal/rl/vec.go) and the evaluation
+# fan-outs (internal/rl/evaluate.go, the EvaluateABR*
 # helpers in internal/core); the race detector over the full test suite —
 # which includes the W>1 golden tests — is the check that keeps them honest.
 race:
@@ -100,5 +101,13 @@ bench-baseline:
 	$(call bench_short,$(BENCH_BASELINE_DIR))
 	@rm -f $(BENCH_BASELINE_DIR)/adversary.json
 
-# Tier-1 verification: build + tests, plus vet and the race detector.
-verify: build vet test race
+# The repository benchmark (bench/e2e, BENCHMARK.json) is a module of its own
+# that `go build ./... && go test ./...` never compiles; vet it and run its
+# harness tests so a signature change in a package it calls cannot break it
+# unnoticed.
+bench-e2e-check:
+	cd bench/e2e && $(GO) vet . && $(GO) test .
+
+# Tier-1 verification: build + tests, plus vet, the race detector, and the
+# benchmark module's compile check.
+verify: build vet test race bench-e2e-check

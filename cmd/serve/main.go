@@ -14,7 +14,7 @@
 //	serve -deadline 500us -overstorm 256      # overload-phase knobs
 //
 // The -policy file may be any format the repository writes: a standalone
-// policy envelope, a full PPO/A2C trainer checkpoint, or bare MLP JSON.
+// policy envelope, a full PPO trainer checkpoint, or bare MLP JSON.
 package main
 
 import (

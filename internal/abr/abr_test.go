@@ -581,32 +581,6 @@ func TestBOLARespectsWindowOptimalBound(t *testing.T) {
 	}
 }
 
-func TestPensieveA2CTrains(t *testing.T) {
-	if testing.Short() {
-		t.Skip("training test")
-	}
-	rng := mathx.NewRNG(55)
-	v := testVideo(0)
-	ds := trace.GenerateFCCLikeDataset(rng, trace.DefaultFCCLike(), 15, "fcc")
-	agent, _, err := TrainPensieveA2C(v, ds, 20, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if agent.Name() != "pensieve-a2c" {
-		t.Fatal("name")
-	}
-	q := RunSession(v, &TraceLink{Trace: ds.Traces[0], RTTSeconds: 0.08},
-		DefaultSessionConfig(), agent).MeanQoE()
-	if math.IsNaN(q) {
-		t.Fatal("NaN QoE")
-	}
-	// A2C after 20 iterations should at least beat always-lowest-level
-	// behaviour on a benign broadband trace.
-	if q < 0.29 {
-		t.Fatalf("A2C-trained Pensieve QoE %v on a benign trace", q)
-	}
-}
-
 func TestMPCHorizonAtVideoEnd(t *testing.T) {
 	// With two chunks left the search horizon must clip to 2 and still
 	// pick sensible levels.

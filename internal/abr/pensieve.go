@@ -257,39 +257,25 @@ func (e *TrainEnv) ActionSpec() rl.ActionSpec {
 // trainer (so training can be resumed, e.g. to inject adversarial traces as
 // in §2.3 of the paper).
 func TrainPensieve(video *Video, dataset *trace.Dataset, iterations int, rng *mathx.RNG) (*Pensieve, *rl.PPO, error) {
-	levels := video.Levels()
-	policy := rl.NewCategoricalPolicy(NewPensieveNet(rng, levels))
-	value := NewPensieveValueNet(rng, levels)
-	cfg := rl.DefaultPPOConfig()
-	cfg.RolloutSteps = 1024
-	cfg.LR = 1e-3
-	ppo, err := rl.NewPPO(policy, value, cfg, rng)
-	if err != nil {
-		return nil, nil, err
-	}
-	env := NewTrainEnv(video, dataset, DefaultSessionConfig(), 0.08, rng.Split())
-	ppo.Train(env, iterations)
-	return NewPensieve(policy), ppo, nil
+	return trainPensieveVec(video, dataset, iterations, 1, false, rng)
 }
 
 // TrainPensieveParallel is TrainPensieve with parallel rollout collection:
 // workers independent TrainEnv instances (each sampling traces with its own
 // RNG stream split deterministically from rng) collect every rollout via
-// rl.VecRunner. workers ≤ 1 falls back to the single-threaded TrainPensieve
-// path, which is bit-for-bit the historical behaviour.
+// rl.VecRunner. workers ≤ 1 is the single-lane runner, bit-for-bit
+// TrainPensieve.
 func TrainPensieveParallel(video *Video, dataset *trace.Dataset, iterations, workers int, rng *mathx.RNG) (*Pensieve, *rl.PPO, error) {
 	return trainPensieveVec(video, dataset, iterations, workers, false, rng)
 }
 
-// trainPensieveVec is the shared body of TrainPensieveParallel and
-// TrainPensieveSharded. The RNG consumption sequence (policy net, value net,
-// PPO, then one Split per worker in worker order) is identical on both paths;
-// sharded envs additionally draw their cursor seed from their own private
-// worker stream, never from the parent rng.
+// trainPensieveVec is the one Pensieve training body. The RNG consumption
+// sequence is policy net, value net, PPO, then one Split per worker in
+// worker order; sharded envs additionally draw their cursor seed from their
+// own private worker stream, never from the parent rng. A one-worker shard
+// set is the identity, so workers ≤ 1 trains on the whole dataset either way.
 func trainPensieveVec(video *Video, dataset *trace.Dataset, iterations, workers int, sharded bool, rng *mathx.RNG) (*Pensieve, *rl.PPO, error) {
-	if workers <= 1 {
-		return TrainPensieve(video, dataset, iterations, rng)
-	}
+	workers = max(1, workers)
 	var shards *trace.ShardedDataset
 	if sharded {
 		var err error
@@ -321,26 +307,4 @@ func trainPensieveVec(video *Video, dataset *trace.Dataset, iterations, workers 
 		return nil, nil, err
 	}
 	return NewPensieve(policy), ppo, nil
-}
-
-// TrainPensieveA2C trains a Pensieve agent with synchronous advantage
-// actor-critic — the single-worker equivalent of the A3C algorithm the
-// original Pensieve [17] used — instead of PPO. Useful as a training-regime
-// ablation; the adversarial framework treats the resulting protocol
-// identically.
-func TrainPensieveA2C(video *Video, dataset *trace.Dataset, iterations int, rng *mathx.RNG) (*Pensieve, *rl.A2C, error) {
-	levels := video.Levels()
-	policy := rl.NewCategoricalPolicy(NewPensieveNet(rng, levels))
-	value := NewPensieveValueNet(rng, levels)
-	cfg := rl.DefaultA2CConfig()
-	cfg.RolloutSteps = 1024
-	a2c, err := rl.NewA2C(policy, value, cfg, rng)
-	if err != nil {
-		return nil, nil, err
-	}
-	env := NewTrainEnv(video, dataset, DefaultSessionConfig(), 0.08, rng.Split())
-	a2c.Train(env, iterations)
-	agent := NewPensieve(policy)
-	agent.SetName("pensieve-a2c")
-	return agent, a2c, nil
 }

@@ -79,8 +79,8 @@ func (e *TrainEnv) SetTraceSampler(s TraceSampler) { e.sampler = s }
 // deterministic epoch-reshuffled order, instead of every worker sampling the
 // full dataset. The union of the shards covers every trace exactly once per
 // epoch, and for a fixed worker count the run is reproducible run-to-run.
-// workers ≤ 1 falls back to the single-threaded TrainPensieve path, which is
-// bit-for-bit the historical behaviour.
+// workers ≤ 1 is the single-lane runner over the whole dataset (a one-shard
+// partition is the identity), bit-for-bit TrainPensieve.
 func TrainPensieveSharded(video *Video, dataset *trace.Dataset, iterations, workers int, rng *mathx.RNG) (*Pensieve, *rl.PPO, error) {
 	return trainPensieveVec(video, dataset, iterations, workers, true, rng)
 }

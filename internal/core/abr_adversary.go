@@ -275,11 +275,11 @@ type ABRTrainOptions struct {
 	// to weak local attacks); restart selection makes the generated
 	// traces reliably strong.
 	Restarts int
-	// Workers > 1 collects each rollout with that many parallel
-	// environment instances (rl.VecRunner); RolloutSteps are split across
-	// workers, so the data volume per iteration is unchanged. Workers ≤ 1
-	// keeps the single-threaded path, which is bit-for-bit the historical
-	// behaviour.
+	// Workers is the number of parallel environment instances collecting
+	// each rollout (rl.VecRunner lanes); RolloutSteps are split across
+	// them, so the data volume per iteration is unchanged. Workers ≤ 1 is
+	// one lane on the calling goroutine, bit-for-bit the historical
+	// single-threaded behaviour.
 	Workers int
 	// GEMM routes PPO's minibatch updates through the blocked
 	// matrix–matrix kernels (rl.PPOConfig.GEMM). Faster on large
@@ -367,23 +367,16 @@ func trainABRAdversaryOnce(video *abr.Video, target abr.Protocol, cfg ABRAdversa
 		return nil, nil, err
 	}
 	ppo.SetMetrics(opt.Metrics)
-	if opt.Workers > 1 {
-		factory, err := ABREnvFactory(video, target, cfg, opt.Workers)
-		if err != nil {
-			return nil, nil, err
-		}
-		v, err := rl.NewVecRunner(ppo, factory, opt.Workers)
-		if err != nil {
-			return nil, nil, err
-		}
-		stats, err := v.TrainCheckpointed(opt.Iterations, opt.Checkpoint)
-		if err != nil {
-			return nil, nil, err
-		}
-		return adv, stats, nil
+	workers := max(1, opt.Workers)
+	factory, err := ABREnvFactory(video, target, cfg, workers)
+	if err != nil {
+		return nil, nil, err
 	}
-	env := NewABREnv(video, target, cfg)
-	stats, err := ppo.TrainCheckpointed(env, opt.Iterations, opt.Checkpoint)
+	v, err := rl.NewVecRunner(ppo, factory, workers)
+	if err != nil {
+		return nil, nil, err
+	}
+	stats, err := v.TrainCheckpointed(opt.Iterations, opt.Checkpoint)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -247,13 +247,13 @@ type CCTrainOptions struct {
 	LR           float64
 	Gamma        float64 // discount; the attack's payoff arrives ~10 BBR
 	Lambda       float64 // round trips after the action, so long horizons help
-	// Workers > 1 collects each rollout with that many parallel emulator
-	// instances (rl.VecRunner); RolloutSteps are split across workers, so
+	// Workers is the number of parallel emulator instances collecting each
+	// rollout (rl.VecRunner lanes); RolloutSteps are split across them, so
 	// the data volume per iteration is unchanged. Each worker's emulator
 	// gets its own RNG stream split deterministically from the training
 	// RNG, and newCC must be safe to call from multiple goroutines.
-	// Workers ≤ 1 keeps the single-threaded path, which is bit-for-bit
-	// the historical behaviour.
+	// Workers ≤ 1 is one lane on the calling goroutine, bit-for-bit the
+	// historical single-threaded behaviour.
 	Workers int
 	// GEMM routes PPO's minibatch updates through the blocked
 	// matrix–matrix kernels (rl.PPOConfig.GEMM). Faster on large
@@ -301,20 +301,12 @@ func TrainCCAdversary(newCC func() netem.CongestionController, cfg CCAdversaryCo
 		return nil, nil, err
 	}
 	ppo.SetMetrics(opt.Metrics)
-	if opt.Workers > 1 {
-		factory := CCEnvFactory(newCC, cfg, rng, opt.Workers)
-		v, err := rl.NewVecRunner(ppo, factory, opt.Workers)
-		if err != nil {
-			return nil, nil, err
-		}
-		stats, err := v.TrainCheckpointed(opt.Iterations, opt.Checkpoint)
-		if err != nil {
-			return nil, nil, err
-		}
-		return adv, stats, nil
+	workers := max(1, opt.Workers)
+	v, err := rl.NewVecRunner(ppo, CCEnvFactory(newCC, cfg, rng, workers), workers)
+	if err != nil {
+		return nil, nil, err
 	}
-	env := NewCCEnv(newCC, cfg, rng.Split())
-	stats, err := ppo.TrainCheckpointed(env, opt.Iterations, opt.Checkpoint)
+	stats, err := v.TrainCheckpointed(opt.Iterations, opt.Checkpoint)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -33,11 +33,12 @@ type RobustTrainConfig struct {
 	RolloutSteps int
 	LR           float64
 	RTTSeconds   float64
-	// Workers > 1 collects the protocol's training rollouts (phases 1 and
-	// 4) with that many parallel sessions, each replaying traces with its
-	// own RNG stream. The adversary of step (2) parallelizes separately
-	// via AdvOpt.Workers. Workers ≤ 1 is the historical single-threaded
-	// path.
+	// Workers is the number of parallel sessions (rl.VecRunner lanes)
+	// collecting the protocol's training rollouts (phases 1 and 4), each
+	// replaying traces with its own RNG stream. The adversary of step (2)
+	// parallelizes separately via AdvOpt.Workers. Workers ≤ 1 is one lane
+	// on the calling goroutine, bit-for-bit the historical single-threaded
+	// behaviour.
 	Workers int
 	// ShardTraces partitions the training dataset round-robin across the
 	// rollout workers (trace.NewShardedDataset): worker w streams only
@@ -47,7 +48,8 @@ type RobustTrainConfig struct {
 	// a fixed worker count, and shard cursors ride along in checkpoints
 	// (DESIGN.md §8.3). Requires Workers ≤ len(dataset.Traces) in every
 	// phase (phase 2 trains on the merged, therefore larger, dataset).
-	// Ignored when Workers ≤ 1.
+	// With Workers ≤ 1 the one shard is the whole dataset, sampled as if
+	// unsharded.
 	ShardTraces bool
 	// GEMM routes the protocol PPO's minibatch updates through the
 	// blocked matrix–matrix kernels (rl.PPOConfig.GEMM); the adversary of
@@ -138,37 +140,35 @@ func TrainRobustPensieve(video *abr.Video, dataset *trace.Dataset, cfg RobustTra
 	}
 
 	// trainPhase runs one protocol-training phase on the given dataset until
-	// the trainer has completed `target` total iterations, parallelizing
-	// rollout collection when cfg.Workers > 1. Each worker replays traces
+	// the trainer has completed `target` total iterations, collecting
+	// rollouts on max(1, cfg.Workers) lanes. Each worker replays traces
 	// with its own deterministic RNG stream; on resume, every stream split
 	// off here is overwritten by the state restored from the checkpoint.
+	workers := max(1, cfg.Workers)
 	trainPhase := func(ds *trace.Dataset, target int, pck rl.CheckpointConfig) ([]rl.IterStats, error) {
-		if cfg.Workers > 1 {
-			var shards *trace.ShardedDataset
-			if cfg.ShardTraces {
-				var err error
-				shards, err = trace.NewShardedDataset(ds, cfg.Workers)
-				if err != nil {
-					return nil, err
-				}
-			}
-			rngs := make([]*mathx.RNG, cfg.Workers)
-			for i := range rngs {
-				rngs[i] = rng.Split()
-			}
-			v, err := rl.NewVecRunner(ppo, func(worker int) rl.Env {
-				if shards != nil {
-					return abr.NewTrainEnvSharded(video, ds, abr.DefaultSessionConfig(), cfg.RTTSeconds, rngs[worker], shards.Shard(worker))
-				}
-				return abr.NewTrainEnv(video, ds, abr.DefaultSessionConfig(), cfg.RTTSeconds, rngs[worker])
-			}, cfg.Workers)
+		// A one-worker shard set is the identity: the whole dataset.
+		var shards *trace.ShardedDataset
+		if cfg.ShardTraces {
+			var err error
+			shards, err = trace.NewShardedDataset(ds, workers)
 			if err != nil {
 				return nil, err
 			}
-			return v.TrainCheckpointed(target, pck)
 		}
-		env := abr.NewTrainEnv(video, ds, abr.DefaultSessionConfig(), cfg.RTTSeconds, rng.Split())
-		return ppo.TrainCheckpointed(env, target, pck)
+		rngs := make([]*mathx.RNG, workers)
+		for i := range rngs {
+			rngs[i] = rng.Split()
+		}
+		v, err := rl.NewVecRunner(ppo, func(worker int) rl.Env {
+			if shards != nil {
+				return abr.NewTrainEnvSharded(video, ds, abr.DefaultSessionConfig(), cfg.RTTSeconds, rngs[worker], shards.Shard(worker))
+			}
+			return abr.NewTrainEnv(video, ds, abr.DefaultSessionConfig(), cfg.RTTSeconds, rngs[worker])
+		}, workers)
+		if err != nil {
+			return nil, err
+		}
+		return v.TrainCheckpointed(target, pck)
 	}
 
 	// A phase-2 checkpoint supersedes everything phase 1 trained: loading it

@@ -164,21 +164,16 @@ func TrainRoutingAdversary(top *routing.Topology, scheme routing.Scheme, cfg Rou
 	if err != nil {
 		return nil, nil, err
 	}
-	if opt.Workers > 1 {
-		// Each worker gets its own RoutingEnv (private round state and
-		// oracle); the scheme itself is shared, which is safe for the
-		// stateless built-ins (SPF, ECMP, Oracle) — a stateful custom
-		// scheme must have a concurrency-safe Route.
-		stats, perr := ppo.TrainParallel(func(worker int) rl.Env {
-			return NewRoutingEnv(top, scheme, cfg)
-		}, opt.Workers, opt.Iterations)
-		if perr != nil {
-			return nil, nil, perr
-		}
-		return adv, stats, nil
+	// Each worker gets its own RoutingEnv (private round state and oracle);
+	// the scheme itself is shared, which is safe for the stateless built-ins
+	// (SPF, ECMP, Oracle) — a stateful custom scheme must have a
+	// concurrency-safe Route.
+	stats, err := ppo.TrainParallel(func(worker int) rl.Env {
+		return NewRoutingEnv(top, scheme, cfg)
+	}, max(1, opt.Workers), opt.Iterations)
+	if err != nil {
+		return nil, nil, err
 	}
-	env := NewRoutingEnv(top, scheme, cfg)
-	stats := ppo.Train(env, opt.Iterations)
 	return adv, stats, nil
 }
 

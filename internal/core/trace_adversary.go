@@ -116,11 +116,12 @@ type TraceTrainOptions struct {
 	Iterations   int
 	RolloutSteps int // whole traces evaluated per iteration
 	LR           float64
-	// Workers > 1 evaluates the per-iteration traces with that many
-	// parallel sessions (rl.VecRunner), each driving its own clone of the
-	// target protocol. Trace evaluation dominates training cost here (§2.1
-	// calls this approach slow), so it parallelizes well. Workers ≤ 1 is
-	// the historical single-threaded path.
+	// Workers is the number of parallel sessions (rl.VecRunner lanes)
+	// evaluating the per-iteration traces, each beyond the first driving
+	// its own clone of the target protocol. Trace evaluation dominates
+	// training cost here (§2.1 calls this approach slow), so it
+	// parallelizes well. Workers ≤ 1 is one lane on the calling goroutine,
+	// bit-for-bit the historical single-threaded behaviour.
 	Workers int
 }
 
@@ -144,29 +145,23 @@ func TrainTraceAdversary(video *abr.Video, target abr.Protocol, cfg TraceAdversa
 	if err != nil {
 		return nil, nil, err
 	}
-	if opt.Workers > 1 {
-		// Each worker drives its own protocol clone: targets with
-		// per-session state (MPC's error window, Pensieve's evaluation
-		// scratch) must not be shared across goroutines.
-		targets := make([]abr.Protocol, opt.Workers)
-		targets[0] = target
-		for i := 1; i < opt.Workers; i++ {
-			clone, cerr := abr.CloneProtocol(target)
-			if cerr != nil {
-				return nil, nil, cerr
-			}
-			targets[i] = clone
+	// Each worker beyond the first drives its own protocol clone: targets
+	// with per-session state (MPC's error window, Pensieve's evaluation
+	// scratch) must not be shared across goroutines.
+	targets := []abr.Protocol{target}
+	for i := 1; i < opt.Workers; i++ {
+		clone, err := abr.CloneProtocol(target)
+		if err != nil {
+			return nil, nil, err
 		}
-		stats, perr := ppo.TrainParallel(func(worker int) rl.Env {
-			return &traceEnv{adv: adv, video: video, target: targets[worker]}
-		}, opt.Workers, opt.Iterations)
-		if perr != nil {
-			return nil, nil, perr
-		}
-		return adv, stats, nil
+		targets = append(targets, clone)
 	}
-	env := &traceEnv{adv: adv, video: video, target: target}
-	stats := ppo.Train(env, opt.Iterations)
+	stats, err := ppo.TrainParallel(func(worker int) rl.Env {
+		return &traceEnv{adv: adv, video: video, target: targets[worker]}
+	}, len(targets), opt.Iterations)
+	if err != nil {
+		return nil, nil, err
+	}
 	return adv, stats, nil
 }
 

@@ -5,13 +5,15 @@ import (
 	"time"
 
 	"advnet/internal/mathx"
+	"advnet/internal/retry"
 )
 
 // TestBackoffSchedule: delays double from Base, cap at Max, and every
-// jittered sample lands in [50%, 100%] of the nominal delay — the same
-// contract as the serving layer's reload retry.
+// jittered sample lands in [50%, 100%] of the nominal delay. Pinned here
+// because the documented bounds on waiting for workers and on redialing
+// (DefaultWaitRounds, DefaultMaxDialAttempts) are sums over this schedule.
 func TestBackoffSchedule(t *testing.T) {
-	b := Backoff{Base: 40 * time.Millisecond, Max: 300 * time.Millisecond}
+	b := retry.Backoff{Base: 40 * time.Millisecond, Max: 300 * time.Millisecond}
 	rng := mathx.NewRNG(11)
 	nominal := []time.Duration{
 		40 * time.Millisecond, 80 * time.Millisecond, 160 * time.Millisecond,
@@ -33,12 +35,12 @@ func TestBackoffSchedule(t *testing.T) {
 
 // TestBackoffDefaults: the zero value uses the documented defaults.
 func TestBackoffDefaults(t *testing.T) {
-	var b Backoff
+	var b retry.Backoff
 	rng := mathx.NewRNG(3)
-	if d := b.Delay(0, rng); d < DefaultBackoffBase/2 || d > DefaultBackoffBase {
-		t.Fatalf("zero-value first delay %v outside [%v, %v]", d, DefaultBackoffBase/2, DefaultBackoffBase)
+	if d := b.Delay(0, rng); d < retry.DefaultBase/2 || d > retry.DefaultBase {
+		t.Fatalf("zero-value first delay %v outside [%v, %v]", d, retry.DefaultBase/2, retry.DefaultBase)
 	}
-	if d := b.Delay(63, rng); d > DefaultBackoffMax {
-		t.Fatalf("zero-value capped delay %v exceeds %v", d, DefaultBackoffMax)
+	if d := b.Delay(63, rng); d > retry.DefaultMax {
+		t.Fatalf("zero-value capped delay %v exceeds %v", d, retry.DefaultMax)
 	}
 }

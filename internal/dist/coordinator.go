@@ -13,6 +13,7 @@ import (
 	"advnet/internal/faults"
 	"advnet/internal/mathx"
 	"advnet/internal/metrics"
+	"advnet/internal/retry"
 	"advnet/internal/rl"
 )
 
@@ -33,7 +34,7 @@ type Config struct {
 	// Backoff paces the wait for a live worker when none is connected;
 	// after WaitRounds sleeps Run fails with a typed *NoWorkersError.
 	// WaitRounds <= 0 means DefaultWaitRounds.
-	Backoff    Backoff
+	Backoff    retry.Backoff
 	WaitRounds int
 
 	// OnIteration, when set, observes each completed iteration. The kill
@@ -181,17 +182,7 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		}
 		if cfg.Resume {
 			if _, _, err := c.ckpt.Latest(); err == nil {
-				if _, err := c.ckpt.LoadLatest(func(path string) error {
-					restored, err := ppo.LoadDistCheckpoint(path)
-					if err != nil {
-						return err
-					}
-					if len(restored) != cfg.Lanes {
-						return fmt.Errorf("dist: checkpoint carries %d lanes, coordinator configured for %d", len(restored), cfg.Lanes)
-					}
-					c.state = restored
-					return nil
-				}); err != nil {
+				if _, err := c.ckpt.LoadLatest(c.loadCheckpoint); err != nil {
 					c.ckpt.Release()
 					return nil, err
 				}
@@ -522,13 +513,27 @@ func (c *Coordinator) runIteration() (rl.IterStats, error) {
 	return stats, nil
 }
 
+// loadCheckpoint restores the trainer and the lane states from a checkpoint
+// (resume, and the divergence watchdog's rollback).
+func (c *Coordinator) loadCheckpoint(path string) error {
+	restored, err := c.ppo.LoadLaneCheckpoint(path)
+	if err != nil {
+		return err
+	}
+	if len(restored) != c.cfg.Lanes {
+		return fmt.Errorf("dist: checkpoint carries %d lanes, coordinator configured for %d", len(restored), c.cfg.Lanes)
+	}
+	c.state = restored
+	return nil
+}
+
 // Run drives the configured number of training iterations (continuing from
-// the restored iteration when resuming) and returns the per-iteration
-// stats. On success every worker is sent a shutdown frame. Run may be
-// called once; Close releases everything it held.
+// the restored iteration when resuming) through the trainer's crash-safe
+// loop — periodic checkpoints, and the NaN/Inf watchdog with rollback — and
+// returns the per-iteration stats. On success every worker is sent a
+// shutdown frame. Run may be called once; Close releases everything it held.
 func (c *Coordinator) Run() ([]rl.IterStats, error) {
 	start := time.Now()
-	var out []rl.IterStats
 	var iterTimer *metrics.Timer
 	if c.cfg.Registry != nil {
 		c.cfg.Registry.SetConfig("domain", c.cfg.Domain)
@@ -536,33 +541,25 @@ func (c *Coordinator) Run() ([]rl.IterStats, error) {
 		c.cfg.Registry.SetConfig("iterations", c.cfg.Iterations)
 		iterTimer = c.cfg.Registry.Timer("iteration", metrics.LowerIsBetter("s"))
 	}
-	for c.ppo.Iteration() < c.cfg.Iterations {
+	step := func() (rl.IterStats, error) {
 		c.bumpParams()
 		t0 := time.Now()
 		stats, err := c.runIteration()
 		if err != nil {
-			return out, err
+			return stats, err
 		}
 		if iterTimer != nil {
 			iterTimer.Observe(time.Since(t0))
 		}
-		out = append(out, stats)
 		if c.cfg.OnIteration != nil {
 			c.cfg.OnIteration(stats.Iteration, stats)
 		}
-		if c.ckpt != nil {
-			every := c.cfg.Checkpoint.Every
-			if every <= 0 {
-				every = 1
-			}
-			if c.ppo.Iteration()%every == 0 || c.ppo.Iteration() == c.cfg.Iterations {
-				if err := c.ckpt.Save(c.ppo.Iteration(), func(path string) error {
-					return c.ppo.SaveDistCheckpoint(path, c.state)
-				}); err != nil {
-					return out, err
-				}
-			}
-		}
+		return stats, nil
+	}
+	save := func(path string) error { return c.ppo.SaveLaneCheckpoint(path, c.state) }
+	out, err := c.ppo.TrainLoop(c.cfg.Iterations, c.ckpt, c.cfg.Checkpoint.Every, step, save, c.loadCheckpoint)
+	if err != nil {
+		return out, err
 	}
 	c.shutdownWorkers()
 	if c.cfg.Registry != nil {

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"advnet/internal/retry"
 	"advnet/internal/rl"
 )
 
@@ -22,7 +23,7 @@ func TestDistWorkerProcessHelper(t *testing.T) {
 	}
 	err := RunWorker(WorkerConfig{
 		Addr:    addr,
-		Backoff: Backoff{Base: 5 * time.Millisecond, Max: 100 * time.Millisecond},
+		Backoff: retry.Backoff{Base: 5 * time.Millisecond, Max: 100 * time.Millisecond},
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dist worker helper:", err)

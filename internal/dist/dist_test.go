@@ -13,6 +13,7 @@ import (
 	"advnet/internal/faults"
 	"advnet/internal/mathx"
 	"advnet/internal/nn"
+	"advnet/internal/retry"
 	"advnet/internal/rl"
 )
 
@@ -23,8 +24,8 @@ func testSpec() PensieveSpec {
 	return PensieveSpec{Seed: 5, DatasetSeed: 21, Traces: 8, RolloutSteps: 64}
 }
 
-func testBackoff() Backoff {
-	return Backoff{Base: 2 * time.Millisecond, Max: 40 * time.Millisecond}
+func testBackoff() retry.Backoff {
+	return retry.Backoff{Base: 2 * time.Millisecond, Max: 40 * time.Millisecond}
 }
 
 // paramsFingerprint hashes the trainer's full parameter vector bitwise.
@@ -281,13 +282,16 @@ func TestDistNoWorkersTypedError(t *testing.T) {
 // --- mini domain: deterministic lane-failure coverage ----------------------
 
 // miniEnv is a trivial continuous-control environment whose whole state is
-// one counter; panicAt >= 0 makes Step panic at that step index, modelling
-// a deterministic environment bug.
+// two counters; panicAt >= 0 makes Step panic at that step index, modelling
+// a deterministic environment bug, and nanAt > 0 makes the reward of that
+// lifetime step NaN, modelling a numerically broken one.
 type miniEnv struct {
 	step    int
+	total   int // lifetime steps, across episodes
 	live    bool
 	horizon int
 	panicAt int
+	nanAt   int
 }
 
 func (e *miniEnv) obs() []float64 { return []float64{float64(e.step) / float64(e.horizon)} }
@@ -303,7 +307,11 @@ func (e *miniEnv) Step(action []float64) ([]float64, float64, bool) {
 		panic("mini env: injected deterministic failure")
 	}
 	e.step++
+	e.total++
 	d := action[0] - 1.2
+	if e.total == e.nanAt {
+		d = math.NaN()
+	}
 	return e.obs(), -d * d, e.step >= e.horizon
 }
 
@@ -311,12 +319,13 @@ func (e *miniEnv) ObservationSize() int      { return 1 }
 func (e *miniEnv) ActionSpec() rl.ActionSpec { return rl.ActionSpec{Dim: 1} }
 
 type miniEnvState struct {
-	Step int  `json:"step"`
-	Live bool `json:"live"`
+	Step  int  `json:"step"`
+	Total int  `json:"total"`
+	Live  bool `json:"live"`
 }
 
 func (e *miniEnv) EnvState() ([]byte, error) {
-	return json.Marshal(miniEnvState{Step: e.step, Live: e.live})
+	return json.Marshal(miniEnvState{Step: e.step, Total: e.total, Live: e.live})
 }
 
 func (e *miniEnv) SetEnvState(data []byte) error {
@@ -324,7 +333,7 @@ func (e *miniEnv) SetEnvState(data []byte) error {
 	if err := json.Unmarshal(data, &st); err != nil {
 		return err
 	}
-	e.step, e.live = st.Step, st.Live
+	e.step, e.total, e.live = st.Step, st.Total, st.Live
 	return nil
 }
 
@@ -333,6 +342,11 @@ type miniSpec struct {
 	Seed         uint64 `json:"seed"`
 	RolloutSteps int    `json:"rollout_steps"`
 	PanicAt      int    `json:"panic_at"` // -1 = healthy
+	NaNAt        int    `json:"nan_at"`   // 0 = healthy
+}
+
+func (s miniSpec) env() *miniEnv {
+	return &miniEnv{horizon: 9, panicAt: s.PanicAt, nanAt: s.NaNAt}
 }
 
 type miniDomain struct{}
@@ -360,9 +374,7 @@ func (d miniDomain) NewTrainer(raw json.RawMessage, lanes int) (*rl.PPO, rl.EnvF
 	if err != nil {
 		return nil, nil, err
 	}
-	return ppo, func(int) rl.Env {
-		return &miniEnv{horizon: 9, panicAt: spec.PanicAt}
-	}, nil
+	return ppo, func(int) rl.Env { return spec.env() }, nil
 }
 
 func (d miniDomain) NewLane(raw json.RawMessage, lane, lanes int) (*rl.Lane, error) {
@@ -371,7 +383,7 @@ func (d miniDomain) NewLane(raw json.RawMessage, lane, lanes int) (*rl.Lane, err
 		return nil, err
 	}
 	policy, value, cfg, _ := d.model(spec)
-	return rl.NewLane(policy, value, &miniEnv{horizon: 9, panicAt: spec.PanicAt}, cfg.Gamma, cfg.Lambda)
+	return rl.NewLane(policy, value, spec.env(), cfg.Gamma, cfg.Lambda)
 }
 
 // TestDistMiniDomainGolden: the registry's second domain trains bitwise
@@ -432,6 +444,55 @@ func TestDistLaneErrorAborts(t *testing.T) {
 		t.Fatalf("got %v, want *LaneError", err)
 	}
 	c.Close() // closes the worker's conn; the worker must exit via its dial cap
+	select {
+	case <-worker:
+	case <-time.After(30 * time.Second):
+		t.Fatal("worker did not exit after coordinator close")
+	}
+}
+
+// TestDistDivergenceRollsBack: the coordinator runs the trainer's crash-safe
+// loop, so a lane whose rewards go NaN in iteration 2 aborts the run with a
+// typed *rl.DivergenceError instead of training on (and checkpointing) NaN
+// parameters: the trainer and lane states are rolled back to the iteration-2
+// checkpoint, and no checkpoint of the poisoned iteration exists.
+func TestDistDivergenceRollsBack(t *testing.T) {
+	dir := t.TempDir()
+	// 2 lanes x 20 steps per iteration: a lane's 47th step is in iteration 2,
+	// inside an episode (steps 46-54) that ends before the iteration does.
+	raw, _ := json.Marshal(miniSpec{Seed: 77, RolloutSteps: 40, PanicAt: -1, NaNAt: 47})
+	c, err := NewCoordinator(Config{
+		Domain: "mini", Spec: raw, Lanes: 2, Iterations: 5, Backoff: testBackoff(),
+		Checkpoint: rl.CheckpointConfig{Dir: dir, Every: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	worker := startWorker(t, c.Addr())
+	stats, err := c.Run()
+	var de *rl.DivergenceError
+	if !errors.As(err, &de) {
+		t.Fatalf("got %v, want *rl.DivergenceError", err)
+	}
+	if de.Iteration != 2 || !de.RolledBack {
+		t.Fatalf("divergence at iteration %d (rolled back: %v), want 2 rolled back", de.Iteration, de.RolledBack)
+	}
+	if len(stats) != 2 || c.Iteration() != 2 {
+		t.Fatalf("%d healthy iterations returned, trainer at %d, want 2 and 2", len(stats), c.Iteration())
+	}
+	for _, params := range [][][]float64{c.Trainer().Policy.Params(), c.Trainer().Value.Params()} {
+		for _, g := range params {
+			for _, v := range g {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Fatal("non-finite parameter survived the rollback")
+				}
+			}
+		}
+	}
+	if _, iter, err := (&rl.CheckpointDir{Dir: dir}).Latest(); err != nil || iter != 2 {
+		t.Fatalf("newest checkpoint is iteration %d (%v), want 2: the poisoned iteration must not be saved", iter, err)
+	}
+	c.Close()
 	select {
 	case <-worker:
 	case <-time.After(30 * time.Second):

@@ -333,6 +333,12 @@ func decodeParams(data []byte) (version uint64, policy, value [][]float64, err e
 	out := [2][][]float64{}
 	for k := range out {
 		n := int(r.u32("params group count"))
+		// Every group costs at least its 4-byte length prefix, so a count
+		// the remaining bytes cannot hold is hostile or corrupt; refuse it
+		// before it sizes an allocation.
+		if r.err == nil && n > (len(r.buf)-r.off)/4 {
+			return 0, nil, nil, &FrameError{Op: "decode", Reason: fmt.Sprintf("params group count %d exceeds the %d remaining bytes", n, len(r.buf)-r.off)}
+		}
 		if r.err == nil && n > 0 {
 			out[k] = make([][]float64, n)
 			for i := range out[k] {

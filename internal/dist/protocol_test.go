@@ -120,11 +120,13 @@ func TestBatchCodecRoundTrip(t *testing.T) {
 		Dones:    []bool{false, true, false},
 		Episodes: 1, EpRewardSum: 1.25, RewardSum: 1.25, LastValue: 0.33,
 		End: rl.LaneState{
-			RNG:      mathx.NewRNG(9).State(),
-			PendLive: true,
-			PendObs:  []float64{0.7, -0.7},
-			EpReward: 2.5,
-			Env:      json.RawMessage(`{"k":1}`),
+			RNG: mathx.NewRNG(9).State(),
+			Episode: rl.Episode{
+				PendLive: true,
+				PendObs:  []float64{0.7, -0.7},
+				EpReward: 2.5,
+				Env:      json.RawMessage(`{"k":1}`),
+			},
 		},
 	}
 	data, err := encodeBatch(b)
@@ -156,4 +158,66 @@ func TestBatchCodecRoundTrip(t *testing.T) {
 	if _, err := decodeBatch(data); !errors.As(err, &fe) {
 		t.Fatalf("inconsistent batch: got %v, want *FrameError", err)
 	}
+}
+
+// TestDecodeParamsHostileGroupCount: a params payload whose group count is
+// 0xFFFFFFFF (correctly framed and digested, so the frame layer passes it)
+// must be refused by the bound on the count, not by an attempt to allocate
+// four billion slice headers.
+func TestDecodeParamsHostileGroupCount(t *testing.T) {
+	var w wireWriter
+	w.u64(1)
+	w.u32(0xFFFFFFFF)
+	var fe *FrameError
+	if _, _, _, err := decodeParams(w.buf); !errors.As(err, &fe) {
+		t.Fatalf("got %v, want *FrameError", err)
+	}
+	// One past what the remaining bytes can hold is refused as well.
+	data := encodeParams(1, [][]float64{{1}, {2}}, nil)
+	data[8+3]++ // policy group count 2 -> 3
+	if _, _, _, err := decodeParams(data); !errors.As(err, &fe) {
+		t.Fatalf("count beyond remaining bytes: got %v, want *FrameError", err)
+	}
+}
+
+// FuzzDecodeParams: arbitrary bytes never panic or over-allocate, and
+// whatever decodes re-encodes to the same bytes (the encoding is canonical).
+func FuzzDecodeParams(f *testing.F) {
+	f.Add(encodeParams(42, [][]float64{{1.5, math.Inf(1)}, {}, {5e-324}}, [][]float64{{math.Pi}}))
+	f.Add(encodeParams(0, nil, nil))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		version, policy, value, err := decodeParams(data)
+		if err != nil {
+			return
+		}
+		if again := encodeParams(version, policy, value); !bytes.Equal(again, data) {
+			t.Fatalf("decode/encode not canonical: %x -> %x", data, again)
+		}
+	})
+}
+
+// FuzzDecodeBatch: arbitrary bytes never panic, and a batch that decodes is
+// internally consistent — safe to hand to the trainer.
+func FuzzDecodeBatch(f *testing.F) {
+	seed, err := encodeBatch(&rl.RolloutBatch{
+		Lane: 1, Steps: 2, ObsDim: 2, ActDim: 1,
+		Obs: []float64{1, 2, 3, 4}, Act: []float64{0, 1},
+		Rewards: []float64{1, -1}, Values: []float64{0, 0}, LogProbs: []float64{-1, -1},
+		Advs: []float64{0.5, -0.5}, Rets: []float64{1, 2}, Dones: []bool{false, true},
+		Episodes: 1, End: rl.LaneState{RNG: mathx.NewRNG(3).State(), Episode: rl.Episode{Env: json.RawMessage(`{"k":1}`)}},
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
+	f.Add(seed[:len(seed)/2])
+	f.Fuzz(func(t *testing.T, data []byte) {
+		b, err := decodeBatch(data)
+		if err != nil {
+			return
+		}
+		if err := b.Validate(); err != nil {
+			t.Fatalf("decoded batch fails validation: %v", err)
+		}
+	})
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"advnet/internal/mathx"
+	"advnet/internal/retry"
 	"advnet/internal/rl"
 )
 
@@ -19,7 +20,7 @@ type WorkerConfig struct {
 	// losses; after MaxDialAttempts consecutive failed dials RunWorker
 	// returns a typed *DialError. MaxDialAttempts <= 0 means
 	// DefaultMaxDialAttempts.
-	Backoff         Backoff
+	Backoff         retry.Backoff
 	MaxDialAttempts int
 }
 
@@ -236,6 +237,11 @@ func (s *workerSession) collect(conn net.Conn, req *collectMsg) error {
 	}
 	if err := l.SetParams(s.policy, s.value); err != nil {
 		return laneFail(err.Error())
+	}
+	if len(req.State.Env) == 0 {
+		// rl.Lane.Restore would start a fresh episode; a remote lane's
+		// episode must continue exactly where the last collect left it.
+		return laneFail("collect request without env state")
 	}
 	if err := l.Restore(req.State); err != nil {
 		return laneFail(err.Error())

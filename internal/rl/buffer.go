@@ -93,8 +93,12 @@ func (b *rolloutBuffer) push(obs, action []float64, reward float64, done bool, l
 }
 
 // pushFrom appends every transition of src, including computed advantages and
-// returns, copying vectors into b's arenas.
+// returns, copying vectors into b's arenas (grown first to hold them).
 func (b *rolloutBuffer) pushFrom(src *rolloutBuffer) {
+	if src.len() == 0 {
+		return
+	}
+	b.ensureCap(b.len()+src.len(), len(src.steps[0].obs), len(src.steps[0].action))
 	for i := range src.steps {
 		s := &src.steps[i]
 		b.steps = append(b.steps, transition{

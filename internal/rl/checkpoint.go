@@ -16,11 +16,13 @@ import (
 	"advnet/internal/nn"
 )
 
-// This file implements full trainer checkpoints: everything a PPO/A2C run
-// needs to resume bit-for-bit after a crash — policy and value parameters,
-// Adam moments and step counters, the trainer RNG (including the Box-Muller
-// spare), the iteration counter, the collector's pending-episode state, and
-// (for parallel runs) every worker's private RNG stream and episode state.
+// This file implements full trainer checkpoints: everything a PPO run needs
+// to resume bit-for-bit after a crash — policy and value parameters, Adam
+// moments and step counters, the trainer RNG (including the Box-Muller
+// spare), the iteration counter, and every lane's state (RNG stream,
+// pending episode, environment). There is one writer and one reader; the
+// sequential trainer, VecRunner and the dist coordinator all save
+// "trainer + []LaneState".
 //
 // Determinism-on-resume contract: a run that is checkpointed at iteration k,
 // reloaded into a fresh process, and continued produces the same IterStats
@@ -63,24 +65,6 @@ type checkpointEnvelope struct {
 	Payload json.RawMessage `json:"payload"`
 }
 
-// collectorState is the serializable cross-iteration episode state of one
-// collector, plus the state of its environment when available.
-type collectorState struct {
-	PendLive bool            `json:"pend_live"`
-	PendObs  []float64       `json:"pend_obs,omitempty"`
-	EpReward float64         `json:"ep_reward"`
-	Env      json.RawMessage `json:"env,omitempty"`
-}
-
-// workerState is one VecRunner worker's private stochastic state. Worker 0
-// shares the trainer's RNG, policy, and value net, so only workers >= 1
-// carry an RNG here; parameters are never stored per worker because weight
-// sync makes every clone identical to the trainer at iteration boundaries.
-type workerState struct {
-	Col collectorState  `json:"collector"`
-	RNG *mathx.RNGState `json:"rng,omitempty"`
-}
-
 // policySnapshot serializes a Policy. Bounds are pointers so that presence
 // is explicit: nil means unbounded (±Inf, which JSON cannot represent), and
 // a present value — including zero — is authoritative on load.
@@ -92,8 +76,20 @@ type policySnapshot struct {
 	MaxLogStd *float64        `json:"max_log_std,omitempty"`
 }
 
-// ppoSnapshot is the checkpoint payload shared by PPO (Workers nil) and
-// VecRunner (one entry per worker) checkpoints; a2cSnapshot mirrors it.
+// trainerKind is the envelope kind of a trainer checkpoint. The name is
+// historical: it was VecRunner's, and its layout — trainer state plus one
+// entry per lane — is now the only one written.
+const trainerKind = "ppo-vec"
+
+// legacyKind is the envelope kind the sequential trainer wrote before the
+// layouts were unified: the same payload with its one lane's state inline
+// ("collector" at top level, its RNG being the trainer's "rng") instead of
+// under "workers". Still readable.
+const legacyKind = "ppo"
+
+// ppoSnapshot is the trainer checkpoint payload. Lane 0's RNG is the trainer
+// RNG: RNG is authoritative and Workers[0].RNG a copy of it (absent from
+// files written before the layouts were unified).
 type ppoSnapshot struct {
 	Cfg     PPOConfig       `json:"cfg"`
 	Iter    int             `json:"iter"`
@@ -102,19 +98,8 @@ type ppoSnapshot struct {
 	PolOpt  nn.AdamState    `json:"pol_opt"`
 	ValOpt  nn.AdamState    `json:"val_opt"`
 	RNG     mathx.RNGState  `json:"rng"`
-	Col     collectorState  `json:"collector"`
-	Workers []workerState   `json:"workers,omitempty"`
-}
-
-type a2cSnapshot struct {
-	Cfg    A2CConfig       `json:"cfg"`
-	Iter   int             `json:"iter"`
-	Policy policySnapshot  `json:"policy"`
-	Value  json.RawMessage `json:"value"`
-	PolOpt nn.AdamState    `json:"pol_opt"`
-	ValOpt nn.AdamState    `json:"val_opt"`
-	RNG    mathx.RNGState  `json:"rng"`
-	Col    collectorState  `json:"collector"`
+	Col     Episode         `json:"collector"` // always zero; the legacy kind's one lane
+	Workers []LaneState     `json:"workers,omitempty"`
 }
 
 // snapshotPolicy captures a policy's parameters and hyperparameters.
@@ -151,7 +136,7 @@ func snapshotPolicy(p Policy) (policySnapshot, error) {
 }
 
 // restorePolicy loads a snapshot into an existing policy in place (the
-// policy object is shared with collectors and callers, so its identity must
+// policy object is shared with lanes and callers, so its identity must
 // be preserved). The snapshot's architecture must match the policy's.
 func restorePolicy(p Policy, s policySnapshot) error {
 	loadNet := func(dst *nn.MLP) error {
@@ -193,51 +178,6 @@ func restorePolicy(p Policy, s policySnapshot) error {
 	default:
 		return fmt.Errorf("rl: policy type %T does not support checkpointing", p)
 	}
-}
-
-// collectorStateOf captures col's episode state plus env's state when env
-// implements EnvCheckpointer.
-func collectorStateOf(col *collector, env Env) (collectorState, error) {
-	st := col.state()
-	if ec, ok := env.(EnvCheckpointer); ok {
-		data, err := ec.EnvState()
-		if err != nil {
-			return collectorState{}, fmt.Errorf("rl: checkpoint env state: %w", err)
-		}
-		st.Env = data
-	}
-	return st, nil
-}
-
-// restoreCollectorState restores col and env from st. When st carries env
-// state, env must implement EnvCheckpointer; when it does not (the env was
-// not checkpointable at save time), the pending episode is abandoned so the
-// next rollout starts from a fresh reset.
-func restoreCollectorState(col *collector, env Env, st collectorState) error {
-	if len(st.Env) > 0 {
-		ec, ok := env.(EnvCheckpointer)
-		if !ok {
-			return fmt.Errorf("rl: checkpoint has env state but env type %T does not implement EnvCheckpointer", env)
-		}
-		if err := ec.SetEnvState(st.Env); err != nil {
-			return fmt.Errorf("rl: restore env state: %w", err)
-		}
-		col.setState(st)
-		// Bind the pending episode to the restored env now, not lazily at
-		// the next collect: a resumed phase may run zero iterations (the
-		// crash landed exactly on its final checkpoint), and the next
-		// collect can then be against a different environment entirely,
-		// which must abandon the episode rather than adopt the wrong env.
-		col.pendEnv = env
-		return nil
-	}
-	// No env state captured: a live pending episode cannot be resumed
-	// faithfully, so drop it (documented resume semantic for
-	// non-checkpointable environments).
-	st.PendLive = false
-	st.PendObs = nil
-	col.setState(st)
-	return nil
 }
 
 // validateAdamState checks an optimizer state against the parameter groups
@@ -283,58 +223,79 @@ func writeCheckpoint(path, kind string, payload any) error {
 	return fsx.WriteFileAtomic(path, out, 0o644)
 }
 
-// readCheckpoint reads an envelope, verifies version, kind, and integrity,
-// and returns the payload bytes.
-func readCheckpoint(path, kind string) ([]byte, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
+// SaveLaneCheckpoint writes the trainer checkpoint (atomically, with an
+// integrity digest): the trainer's state plus every lane's, in lane order.
+// lanes[0].RNG is ignored — lane 0's stream is the trainer RNG, which may
+// have advanced (in the update) since the lane reported it. Call only at
+// iteration boundaries. This is the one writer: PPO.SaveCheckpoint and
+// VecRunner.SaveCheckpoint capture their in-process lanes' states and call
+// it, the dist coordinator passes the states its workers reported, and the
+// bytes are the same for the same run whichever transport collected it.
+func (p *PPO) SaveLaneCheckpoint(path string, lanes []LaneState) error {
+	if len(lanes) == 0 {
+		return fmt.Errorf("rl: SaveLaneCheckpoint with no lanes")
 	}
-	var env checkpointEnvelope
-	if err := json.Unmarshal(data, &env); err != nil {
-		return nil, fmt.Errorf("rl: checkpoint %s: %w", path, err)
-	}
-	if env.Version != CheckpointVersion {
-		return nil, fmt.Errorf("rl: checkpoint %s: version %d, want %d", path, env.Version, CheckpointVersion)
-	}
-	if env.Kind != kind {
-		return nil, fmt.Errorf("rl: checkpoint %s: kind %q, want %q", path, env.Kind, kind)
-	}
-	if envelopeDigest(env.Payload) != env.SHA256 {
-		return nil, fmt.Errorf("rl: checkpoint %s: integrity check failed (corrupt or truncated payload)", path)
-	}
-	return env.Payload, nil
-}
-
-// snapshot builds the PPO checkpoint payload. env may be nil (no pending
-// environment state is captured then).
-func (p *PPO) snapshot(env Env) (*ppoSnapshot, error) {
 	pol, err := snapshotPolicy(p.Policy)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	val, err := json.Marshal(p.Value)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	col, err := collectorStateOf(&p.col, env)
+	rng := p.rng.State()
+	workers := append([]LaneState(nil), lanes...)
+	workers[0].RNG = rng
+	return writeCheckpoint(path, trainerKind, &ppoSnapshot{
+		Cfg:     p.cfg,
+		Iter:    p.iter,
+		Policy:  pol,
+		Value:   val,
+		PolOpt:  p.polOpt.State(),
+		ValOpt:  p.valOpt.State(),
+		RNG:     rng,
+		Workers: workers,
+	})
+}
+
+// LoadLaneCheckpoint restores a trainer checkpoint into the trainer in place
+// and returns the per-lane states for the caller to hand to its lanes
+// (lanes[0].RNG is the restored trainer RNG). The trainer must have been
+// constructed with the same configuration and architectures; everything
+// stochastic is overwritten from the checkpoint. This is the one reader; it
+// also accepts the legacy sequential kind as a one-lane checkpoint.
+func (p *PPO) LoadLaneCheckpoint(path string) ([]LaneState, error) {
+	payload, kind, err := readEnvelope(path)
 	if err != nil {
 		return nil, err
 	}
-	return &ppoSnapshot{
-		Cfg:    p.cfg,
-		Iter:   p.iter,
-		Policy: pol,
-		Value:  val,
-		PolOpt: p.polOpt.State(),
-		ValOpt: p.valOpt.State(),
-		RNG:    p.rng.State(),
-		Col:    col,
-	}, nil
+	if kind != trainerKind && kind != legacyKind {
+		return nil, fmt.Errorf("rl: checkpoint %s: kind %q is not a PPO trainer checkpoint", path, kind)
+	}
+	var snap ppoSnapshot
+	if err := json.Unmarshal(payload, &snap); err != nil {
+		return nil, fmt.Errorf("rl: checkpoint %s: %w", path, err)
+	}
+	if kind == legacyKind {
+		snap.Workers = []LaneState{{Episode: snap.Col}}
+	}
+	if len(snap.Workers) == 0 {
+		return nil, fmt.Errorf("rl: checkpoint %s carries no lane states", path)
+	}
+	for i, ls := range snap.Workers[1:] {
+		if ls.RNG == (mathx.RNGState{}) {
+			return nil, fmt.Errorf("rl: checkpoint %s lane %d missing RNG state", path, i+1)
+		}
+	}
+	if err := p.restore(&snap); err != nil {
+		return nil, err
+	}
+	snap.Workers[0].RNG = snap.RNG
+	return snap.Workers, nil
 }
 
-// restore loads a payload into the trainer in place.
-func (p *PPO) restore(snap *ppoSnapshot, env Env) error {
+// restore loads a payload's trainer state into the trainer in place.
+func (p *PPO) restore(snap *ppoSnapshot) error {
 	if snap.Cfg != p.cfg {
 		return fmt.Errorf("rl: checkpoint PPO config %+v differs from trainer config %+v", snap.Cfg, p.cfg)
 	}
@@ -363,203 +324,32 @@ func (p *PPO) restore(snap *ppoSnapshot, env Env) error {
 	p.rng.SetState(snap.RNG)
 	p.iter = snap.Iter
 	p.buf.reset()
-	return restoreCollectorState(&p.col, env, snap.Col)
+	return nil
 }
 
-// SaveCheckpoint writes a full trainer checkpoint to path (atomically, with
-// an integrity digest). env is the training environment; pass nil when no
+// SaveCheckpoint writes the sequential trainer's checkpoint: the trainer plus
+// its one lane. env is the training environment; pass nil when no
 // environment state should be captured. Call only at iteration boundaries
 // (between TrainIteration calls).
 func (p *PPO) SaveCheckpoint(path string, env Env) error {
-	snap, err := p.snapshot(env)
+	st, err := p.seq.lanes[0].stateWith(env)
 	if err != nil {
 		return err
 	}
-	return writeCheckpoint(path, "ppo", snap)
+	return p.SaveLaneCheckpoint(path, []LaneState{st})
 }
 
-// LoadCheckpoint restores a checkpoint written by SaveCheckpoint into the
-// trainer in place. The trainer must have been constructed with the same
-// configuration and network architectures; env must be the reconstructed
-// training environment (its mid-episode state is restored when the
-// checkpoint carries one). A corrupt, truncated, or mismatched checkpoint
-// returns an error and leaves no partial state guarantee — callers should
-// fall back to an older checkpoint (see CheckpointDir.LoadLatest).
+// LoadCheckpoint restores a one-lane checkpoint into the sequential trainer
+// (see VecRunner.LoadCheckpoint). env must be the reconstructed training
+// environment; its mid-episode state is restored when the checkpoint carries
+// one.
 func (p *PPO) LoadCheckpoint(path string, env Env) error {
-	payload, err := readCheckpoint(path, "ppo")
-	if err != nil {
-		return err
-	}
-	var snap ppoSnapshot
-	if err := json.Unmarshal(payload, &snap); err != nil {
-		return fmt.Errorf("rl: checkpoint %s: %w", path, err)
-	}
-	if len(snap.Workers) > 0 {
-		return fmt.Errorf("rl: checkpoint %s was written by a VecRunner (%d workers); load it through VecRunner.LoadCheckpoint", path, len(snap.Workers))
-	}
-	return p.restore(&snap, env)
+	return p.sequential(env).LoadCheckpoint(path)
 }
 
 // Iteration returns the number of completed training iterations (the next
 // TrainIteration call is iteration Iteration()).
 func (p *PPO) Iteration() int { return p.iter }
-
-// SaveCheckpoint writes a full checkpoint of the runner and its underlying
-// trainer: trainer state plus every worker's private RNG stream and
-// pending-episode state (worker clones' parameters are not stored — weight
-// sync makes them identical to the trainer's at iteration boundaries).
-func (v *VecRunner) SaveCheckpoint(path string) error {
-	p := v.ppo
-	snap, err := p.snapshot(nil)
-	if err != nil {
-		return err
-	}
-	snap.Col = collectorState{} // superseded by Workers[0]
-	for i, w := range v.workers {
-		ws := workerState{}
-		ws.Col, err = collectorStateOf(w.col, w.env)
-		if err != nil {
-			return fmt.Errorf("rl: checkpoint worker %d: %w", i, err)
-		}
-		if i > 0 {
-			st := w.col.rng.State()
-			ws.RNG = &st
-		}
-		snap.Workers = append(snap.Workers, ws)
-	}
-	return writeCheckpoint(path, "ppo-vec", snap)
-}
-
-// LoadCheckpoint restores a checkpoint written by VecRunner.SaveCheckpoint.
-// The runner must have been freshly constructed with the same worker count,
-// configuration, and environment factory as the one that saved it; every
-// piece of stochastic state (trainer RNG, worker RNGs, env states, Adam
-// moments, parameters) is then overwritten from the checkpoint, so whatever
-// randomness construction consumed is irrelevant to the resumed run.
-func (v *VecRunner) LoadCheckpoint(path string) error {
-	p := v.ppo
-	payload, err := readCheckpoint(path, "ppo-vec")
-	if err != nil {
-		return err
-	}
-	var snap ppoSnapshot
-	if err := json.Unmarshal(payload, &snap); err != nil {
-		return fmt.Errorf("rl: checkpoint %s: %w", path, err)
-	}
-	if len(snap.Workers) != len(v.workers) {
-		return fmt.Errorf("rl: checkpoint %s has %d workers, runner has %d", path, len(snap.Workers), len(v.workers))
-	}
-	// Restore trainer state first (worker 0's collector state rides in
-	// Workers[0], not snap.Col).
-	snap.Col = collectorState{}
-	if err := p.restore(&snap, nil); err != nil {
-		return err
-	}
-	for i, w := range v.workers {
-		ws := snap.Workers[i]
-		if i > 0 {
-			if ws.RNG == nil {
-				return fmt.Errorf("rl: checkpoint %s worker %d missing RNG state", path, i)
-			}
-			w.col.rng.SetState(*ws.RNG)
-			// Sync the trainer's freshly-restored weights into the
-			// worker clones, exactly as the end of a TrainIteration
-			// would have.
-			if err := CopyParams(w.col.policy, p.Policy); err != nil {
-				return fmt.Errorf("rl: checkpoint weight sync worker %d: %w", i, err)
-			}
-			if err := w.col.value.CopyParamsFrom(p.Value); err != nil {
-				return fmt.Errorf("rl: checkpoint weight sync worker %d: %w", i, err)
-			}
-			w.buf.reset()
-		}
-		if err := restoreCollectorState(w.col, w.env, ws.Col); err != nil {
-			return fmt.Errorf("rl: checkpoint worker %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// snapshot/restore for A2C mirror the PPO implementations.
-
-func (a *A2C) snapshot(env Env) (*a2cSnapshot, error) {
-	pol, err := snapshotPolicy(a.Policy)
-	if err != nil {
-		return nil, err
-	}
-	val, err := json.Marshal(a.Value)
-	if err != nil {
-		return nil, err
-	}
-	col, err := collectorStateOf(&a.col, env)
-	if err != nil {
-		return nil, err
-	}
-	return &a2cSnapshot{
-		Cfg:    a.cfg,
-		Iter:   a.iter,
-		Policy: pol,
-		Value:  val,
-		PolOpt: a.polOpt.State(),
-		ValOpt: a.valOpt.State(),
-		RNG:    a.rng.State(),
-		Col:    col,
-	}, nil
-}
-
-// SaveCheckpoint writes a full A2C trainer checkpoint (see PPO.SaveCheckpoint).
-func (a *A2C) SaveCheckpoint(path string, env Env) error {
-	snap, err := a.snapshot(env)
-	if err != nil {
-		return err
-	}
-	return writeCheckpoint(path, "a2c", snap)
-}
-
-// LoadCheckpoint restores a checkpoint written by A2C.SaveCheckpoint (see
-// PPO.LoadCheckpoint for the contract).
-func (a *A2C) LoadCheckpoint(path string, env Env) error {
-	payload, err := readCheckpoint(path, "a2c")
-	if err != nil {
-		return err
-	}
-	var snap a2cSnapshot
-	if err := json.Unmarshal(payload, &snap); err != nil {
-		return fmt.Errorf("rl: checkpoint %s: %w", path, err)
-	}
-	if snap.Cfg != a.cfg {
-		return fmt.Errorf("rl: checkpoint A2C config %+v differs from trainer config %+v", snap.Cfg, a.cfg)
-	}
-	if err := restorePolicy(a.Policy, snap.Policy); err != nil {
-		return err
-	}
-	tmp := new(nn.MLP)
-	if err := json.Unmarshal(snap.Value, tmp); err != nil {
-		return fmt.Errorf("rl: checkpoint value net: %w", err)
-	}
-	if err := a.Value.CopyParamsFrom(tmp); err != nil {
-		return fmt.Errorf("rl: checkpoint value net: %w", err)
-	}
-	if err := validateAdamState(snap.PolOpt, a.Policy.Params(), "policy"); err != nil {
-		return err
-	}
-	if err := validateAdamState(snap.ValOpt, a.Value.Params(), "value"); err != nil {
-		return err
-	}
-	if err := a.polOpt.SetState(snap.PolOpt); err != nil {
-		return err
-	}
-	if err := a.valOpt.SetState(snap.ValOpt); err != nil {
-		return err
-	}
-	a.rng.SetState(snap.RNG)
-	a.iter = snap.Iter
-	a.buf.reset()
-	return restoreCollectorState(&a.col, env, snap.Col)
-}
-
-// Iteration returns the number of completed training iterations.
-func (a *A2C) Iteration() int { return a.iter }
 
 // CheckpointDir manages a directory of rolling checkpoints: numbered files,
 // a manifest, keep-last-K retention, and fallback loading. All writes are

@@ -109,6 +109,93 @@ func TestPPOResumeBitwise(t *testing.T) {
 	}
 }
 
+// legacyGoldenFP is the uninterrupted 6-iteration fingerprint of
+// newCkptFixture(seed 50, 50 steps) on newCkptEnv, captured — like
+// testdata/legacy_ppo_iter3.json, that run's iteration-3 checkpoint — at the
+// last commit whose sequential trainer wrote envelope kind "ppo".
+const legacyGoldenFP = 0x21edd5e8653139b9
+
+// TestLegacyPPOCheckpointResumes: files outlive processes. A kind-"ppo"
+// checkpoint written before the layouts were unified loads through the one
+// reader as a one-lane checkpoint — into the sequential trainer, into a
+// one-lane VecRunner, and into the policy loader — and the resumed run lands
+// on the golden of the run that wrote it. So does a four-lane "ppo-vec"
+// file of that vintage.
+func TestLegacyPPOCheckpointResumes(t *testing.T) {
+	const path = "testdata/legacy_ppo_iter3.json"
+	full, fullPol, fullVal := newCkptFixture(t, 50, 50)
+	fullStats := full.Train(newCkptEnv(), 6)
+	if got := fingerprint(append(fullPol.Params(), fullVal.Params()...), fullStats); got != legacyGoldenFP {
+		t.Fatalf("uninterrupted fingerprint %#x, want %#x (sequential arithmetic drifted)", got, uint64(legacyGoldenFP))
+	}
+	resume := map[string]func(*PPO) ([]IterStats, error){
+		"sequential": func(p *PPO) ([]IterStats, error) {
+			env := newCkptEnv()
+			if err := p.LoadCheckpoint(path, env); err != nil {
+				return nil, err
+			}
+			return p.Train(env, 3), nil
+		},
+		"one-lane runner": func(p *PPO) ([]IterStats, error) {
+			v, err := NewVecRunner(p, func(int) Env { return newCkptEnv() }, 1)
+			if err != nil {
+				return nil, err
+			}
+			if err := v.LoadCheckpoint(path); err != nil {
+				return nil, err
+			}
+			return v.Train(3)
+		},
+	}
+	for name, run := range resume {
+		b, bPol, bVal := newCkptFixture(t, 999, 50) // different seed: the file must be authoritative
+		tail, err := run(b)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		combined := append(append([]IterStats(nil), fullStats[:3]...), tail...)
+		if got := fingerprint(append(bPol.Params(), bVal.Params()...), combined); got != legacyGoldenFP {
+			t.Fatalf("%s: resumed fingerprint %#x, want %#x", name, got, uint64(legacyGoldenFP))
+		}
+	}
+	if _, err := LoadPolicyNet(path); err != nil {
+		t.Fatalf("LoadPolicyNet on the legacy kind: %v", err)
+	}
+	c, _, _ := newCkptFixture(t, 50, 50)
+	v2, err := NewVecRunner(c, func(int) Env { return newCkptEnv() }, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := v2.LoadCheckpoint(path); err == nil {
+		t.Fatal("two-lane runner loaded a one-lane legacy checkpoint")
+	}
+
+	// A four-lane "ppo-vec" file from the same commit: its workers[0] has
+	// no rng entry (lane 0's stream was stored only as the trainer RNG).
+	factory := func(int) Env { return newCkptEnv() }
+	full4, full4Pol, full4Val := newCkptFixture(t, 50, 50)
+	full4Stats, err := full4.TrainParallel(factory, 4, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, dPol, dVal := newCkptFixture(t, 999, 50)
+	v4, err := NewVecRunner(d, factory, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := v4.LoadCheckpoint("testdata/ppo_vec_w4_iter3_pr14.json"); err != nil {
+		t.Fatal(err)
+	}
+	tail4, err := v4.Train(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	combined4 := append(append([]IterStats(nil), full4Stats[:3]...), tail4...)
+	if got, want := fingerprint(append(dPol.Params(), dVal.Params()...), combined4), fingerprint(append(full4Pol.Params(), full4Val.Params()...), full4Stats); got != want {
+		t.Fatalf("resumed from the older four-lane file: fingerprint %#x, uninterrupted %#x", got, want)
+	}
+}
+
 // TestVecResumeBitwise is the parallel counterpart for W ∈ {1, 4}: a
 // VecRunner checkpoint captures every worker's RNG stream and pending
 // episode, so the resumed run matches the uninterrupted one bitwise.
@@ -166,52 +253,6 @@ func TestVecResumeBitwise(t *testing.T) {
 				t.Fatalf("resumed W=%d fingerprint %#x, uninterrupted %#x", workers, resFP, fullFP)
 			}
 		})
-	}
-}
-
-// TestA2CResumeBitwise: the A2C checkpoint round-trips the same way.
-func TestA2CResumeBitwise(t *testing.T) {
-	build := func(seed uint64) (*A2C, *GaussianPolicy, *nn.MLP) {
-		rng := mathx.NewRNG(seed)
-		policy := NewGaussianPolicy(nn.NewMLP(rng, []int{1, 8, 1}, nn.Tanh), -0.5)
-		value := nn.NewMLP(rng, []int{1, 8, 1}, nn.Tanh)
-		cfg := DefaultA2CConfig()
-		cfg.RolloutSteps = 50
-		a, err := NewA2C(policy, value, cfg, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return a, policy, value
-	}
-
-	full, fullPol, fullVal := build(89)
-	fullStats := full.Train(newCkptEnv(), 4)
-	fullFP := fingerprint(append(fullPol.Params(), fullVal.Params()...), fullStats)
-
-	a, _, _ := build(89)
-	envA := newCkptEnv()
-	headStats := a.Train(envA, 2)
-	path := filepath.Join(t.TempDir(), "ckpt.json")
-	if err := a.SaveCheckpoint(path, envA); err != nil {
-		t.Fatal(err)
-	}
-
-	b, bPol, bVal := build(1234)
-	envB := newCkptEnv()
-	if err := b.LoadCheckpoint(path, envB); err != nil {
-		t.Fatal(err)
-	}
-	tailStats := b.Train(envB, 2)
-
-	combined := append(append([]IterStats(nil), headStats...), tailStats...)
-	for i := range fullStats {
-		if fullStats[i] != combined[i] {
-			t.Fatalf("iter %d stats diverge after resume:\nfull    %+v\nresumed %+v", i, fullStats[i], combined[i])
-		}
-	}
-	resFP := fingerprint(append(bPol.Params(), bVal.Params()...), combined)
-	if fullFP != resFP {
-		t.Fatalf("resumed A2C fingerprint %#x, uninterrupted %#x", resFP, fullFP)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"advnet/internal/mathx"
@@ -141,7 +142,7 @@ func TestDistCheckpointBytesMatchVecRunner(t *testing.T) {
 	}
 	runDistSim(t, p, lanes, states, steps, iters)
 	distPath := filepath.Join(dir, "dist.json")
-	if err := p.SaveDistCheckpoint(distPath, states); err != nil {
+	if err := p.SaveLaneCheckpoint(distPath, states); err != nil {
 		t.Fatal(err)
 	}
 
@@ -188,12 +189,12 @@ func TestDistCheckpointResumeBitwise(t *testing.T) {
 	}
 	headStats := runDistSim(t, a, newLanes(a), aStates, steps, head)
 	path := filepath.Join(t.TempDir(), "ckpt.json")
-	if err := a.SaveDistCheckpoint(path, aStates); err != nil {
+	if err := a.SaveLaneCheckpoint(path, aStates); err != nil {
 		t.Fatal(err)
 	}
 
 	b, bPol, bVal := newCkptFixture(t, 999, 50) // different seed
-	bStates, err := b.LoadDistCheckpoint(path)
+	bStates, err := b.LoadLaneCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,5 +215,83 @@ func TestDistCheckpointResumeBitwise(t *testing.T) {
 	resFP := fingerprint(append(bPol.Params(), bVal.Params()...), combined)
 	if fullFP != resFP {
 		t.Fatalf("resumed fingerprint %#x, uninterrupted %#x", resFP, fullFP)
+	}
+}
+
+// TestApplyRemoteRolloutsRejectsForeignDims: every batch is self-consistent,
+// but one has row widths that are not the trainer's networks' (or lane 0's).
+// It must be refused before anything is imported — the update gathers rows
+// at the first step's width — with the iteration counter, the trainer RNG
+// and the parameters untouched.
+func TestApplyRemoteRolloutsRejectsForeignDims(t *testing.T) {
+	const W = 2
+	p, pol, val := newCkptFixture(t, 50, 50)
+	states, err := p.NewLaneStates(func(int) Env { return newCkptEnv() }, W)
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps, _ := p.LaneSteps(W)
+	collect := func() []*RolloutBatch {
+		states[0].RNG = p.RNGState()
+		batches := make([]*RolloutBatch, W)
+		for i := range batches {
+			l := newSimLane(t, p.Config().Gamma, p.Config().Lambda)
+			if err := l.SetParams(p.Policy.Params(), p.Value.Params()); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Restore(states[i]); err != nil {
+				t.Fatal(err)
+			}
+			if batches[i], err = l.Collect(i, steps[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return batches
+	}
+	widen := func(b *RolloutBatch, obs, act int) {
+		b.ObsDim, b.ActDim = obs, act
+		b.Obs, b.Act = make([]float64, b.Steps*obs), make([]float64, b.Steps*act)
+	}
+	before := fingerprint(append(pol.Params(), val.Params()...), nil)
+	rng := p.RNGState()
+	for name, mutate := range map[string]func([]*RolloutBatch){
+		"obs width differs from the value net": func(b []*RolloutBatch) { widen(b[1], 2, 1) },
+		"act width differs from lane 0":        func(b []*RolloutBatch) { widen(b[1], 1, 2) },
+		"lane 0 itself is foreign":             func(b []*RolloutBatch) { widen(b[0], 3, 1) },
+	} {
+		batches := collect()
+		mutate(batches)
+		for _, b := range batches {
+			if err := b.Validate(); err != nil {
+				t.Fatalf("%s: fixture batch is not self-consistent: %v", name, err)
+			}
+		}
+		if _, err := p.ApplyRemoteRollouts(batches); err == nil {
+			t.Fatalf("%s: accepted", name)
+		}
+		if p.Iteration() != 0 || p.buf.len() != 0 || p.RNGState() != rng {
+			t.Fatalf("%s: refused batch left iteration %d, %d buffered steps, rng moved: %v", name, p.Iteration(), p.buf.len(), p.RNGState() != rng)
+		}
+	}
+	if after := fingerprint(append(pol.Params(), val.Params()...), nil); after != before {
+		t.Fatal("a refused batch changed the parameters")
+	}
+	if _, err := p.ApplyRemoteRollouts(collect()); err != nil {
+		t.Fatalf("healthy batches after the refusals: %v", err)
+	}
+}
+
+// TestRolloutBatchValidateDeterministic: with several arrays short at once,
+// the error names the first in field order, every time.
+func TestRolloutBatchValidateDeterministic(t *testing.T) {
+	b := &RolloutBatch{Steps: 2, ObsDim: 1, ActDim: 1, Obs: make([]float64, 2), Act: make([]float64, 2), Rewards: make([]float64, 2)}
+	want := b.Validate()
+	if want == nil || !strings.Contains(want.Error(), "values") {
+		t.Fatalf("got %v, want the first short array (values) named", want)
+	}
+	for i := 0; i < 32; i++ {
+		if err := b.Validate(); err.Error() != want.Error() {
+			t.Fatalf("error text changed between calls: %q vs %q", err, want)
+		}
 	}
 }

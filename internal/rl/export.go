@@ -57,9 +57,9 @@ func readEnvelope(path string) (payload []byte, kind string, err error) {
 // writes:
 //
 //   - a standalone "policy" envelope (SavePolicyNet),
-//   - a full trainer checkpoint ("ppo", "ppo-vec", or "a2c" envelopes from
-//     the SaveCheckpoint family) — the policy net is extracted, optimizer
-//     and collector state ignored,
+//   - a full trainer checkpoint ("ppo-vec", or the legacy "ppo", envelopes
+//     from the SaveCheckpoint family) — the policy net is extracted,
+//     optimizer and lane state ignored,
 //   - a bare nn.MLP JSON file (the legacy robustify/advtrain -o output).
 //
 // Envelope formats are sha256-verified before any decoding; the bare-MLP
@@ -73,14 +73,8 @@ func LoadPolicyNet(path string) (*nn.MLP, error) {
 	switch kind {
 	case "", PolicyKind:
 		netJSON = payload
-	case "ppo", "ppo-vec":
+	case trainerKind, legacyKind:
 		var snap ppoSnapshot
-		if err := json.Unmarshal(payload, &snap); err != nil {
-			return nil, fmt.Errorf("rl: checkpoint %s: %w", path, err)
-		}
-		netJSON = snap.Policy.Net
-	case "a2c":
-		var snap a2cSnapshot
 		if err := json.Unmarshal(payload, &snap); err != nil {
 			return nil, fmt.Errorf("rl: checkpoint %s: %w", path, err)
 		}

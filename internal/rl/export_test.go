@@ -3,6 +3,7 @@ package rl
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"advnet/internal/mathx"
@@ -123,26 +124,27 @@ func TestLoadPolicyNetFromTrainerCheckpoints(t *testing.T) {
 		}
 	})
 
+	// The A2C trainer and its checkpoint kind are gone: a file of that kind
+	// (a well-formed envelope, as an old run left it) must be refused with
+	// an error naming the kind, by the policy loader and the trainer alike.
 	t.Run("a2c", func(t *testing.T) {
 		policy, value, rng := build(19)
-		cfg := DefaultA2CConfig()
-		cfg.RolloutSteps = 64
-		a2c, err := NewA2C(policy, value, cfg, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		env := &banditEnv{rewards: []float64{1, 0}}
-		a2c.TrainIteration(env)
 		path := filepath.Join(dir, "a2c.json")
-		if err := a2c.SaveCheckpoint(path, nil); err != nil {
+		if err := writeCheckpoint(path, "a2c", map[string]any{"iter": 1, "policy": map[string]any{"kind": "categorical", "net": policy.Net()}}); err != nil {
 			t.Fatal(err)
 		}
-		got, err := LoadPolicyNet(path)
+		if _, err := LoadPolicyNet(path); err == nil || !strings.Contains(err.Error(), `kind "a2c"`) {
+			t.Fatalf("LoadPolicyNet err = %v, want a refusal naming the kind", err)
+		}
+		ppo, err := NewPPO(policy, value, DefaultPPOConfig(), rng)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !netsEqual(policy.Net(), got) {
-			t.Fatal("extracted A2C policy net differs from trainer's")
+		if err := ppo.LoadCheckpoint(path, nil); err == nil || !strings.Contains(err.Error(), `kind "a2c"`) {
+			t.Fatalf("LoadCheckpoint err = %v, want a refusal naming the kind", err)
+		}
+		if ppo.Iteration() != 0 {
+			t.Fatalf("refused checkpoint advanced the trainer to iteration %d", ppo.Iteration())
 		}
 	})
 }

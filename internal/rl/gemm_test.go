@@ -163,43 +163,6 @@ func TestPPOGEMMCloseToDefault(t *testing.T) {
 	checkParamsClose(t, refVal.Params(), gVal.Params(), 1e-7, "value param")
 }
 
-// TestA2CGEMMCloseToDefault: same single-iteration equivalence for the A2C
-// fused batched update.
-func TestA2CGEMMCloseToDefault(t *testing.T) {
-	build := func(gemm bool) (*A2C, *CategoricalPolicy, *nn.MLP) {
-		rng := mathx.NewRNG(222)
-		policy := NewCategoricalPolicy(nn.NewMLP(rng, []int{1, 6, 3}, nn.Tanh))
-		value := nn.NewMLP(rng, []int{1, 6, 1}, nn.Tanh)
-		cfg := DefaultA2CConfig()
-		cfg.RolloutSteps = 64
-		cfg.GEMM = gemm
-		a, err := NewA2C(policy, value, cfg, rng)
-		if err != nil {
-			panic(err)
-		}
-		return a, policy, value
-	}
-	ref, refPol, refVal := build(false)
-	g, gPol, gVal := build(true)
-	env1 := &banditEnv{rewards: []float64{0, 1, 0.5}}
-	env2 := &banditEnv{rewards: []float64{0, 1, 0.5}}
-
-	s1 := ref.TrainIteration(env1)
-	s2 := g.TrainIteration(env2)
-
-	for _, c := range [][3]float64{
-		{s1.PolicyLoss, s2.PolicyLoss, 1e-6},
-		{s1.ValueLoss, s2.ValueLoss, 1e-6},
-		{s1.Entropy, s2.Entropy, 1e-6},
-	} {
-		if e := gemmRelErr(c[0], c[1]); e > c[2] {
-			t.Fatalf("stat diverges: %v vs %v (rel err %v)", c[0], c[1], e)
-		}
-	}
-	checkParamsClose(t, refPol.Params(), gPol.Params(), 1e-7, "policy param")
-	checkParamsClose(t, refVal.Params(), gVal.Params(), 1e-7, "value param")
-}
-
 // TestPPOGEMMLearnsBandit: the GEMM path must actually train, not just match
 // one step.
 func TestPPOGEMMLearnsBandit(t *testing.T) {

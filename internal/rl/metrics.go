@@ -32,6 +32,3 @@ func NewTrainMetrics(reg *metrics.Registry) *TrainMetrics {
 
 // SetMetrics attaches (or, with nil, detaches) training telemetry.
 func (p *PPO) SetMetrics(m *TrainMetrics) { p.met = m }
-
-// SetMetrics attaches (or, with nil, detaches) training telemetry.
-func (a *A2C) SetMetrics(m *TrainMetrics) { a.met = m }

@@ -95,7 +95,7 @@ type PPO struct {
 	rng    *mathx.RNG
 	buf    rolloutBuffer
 	iter   int
-	col    collector // sequential-path rollout state (also vec worker 0)
+	seq    *VecRunner // the one-lane runner behind Train; its lane is lane 0 of every VecRunner
 
 	met *TrainMetrics // optional training telemetry (nil = off)
 
@@ -131,68 +131,124 @@ func NewPPO(policy Policy, value *nn.MLP, cfg PPOConfig, rng *mathx.RNG) (*PPO, 
 			g.SetBatchGEMM(true)
 		}
 	}
-	p.col = newCollector(policy, value, rng, &p.buf)
+	p.seq = &VecRunner{ppo: p, lanes: []*Lane{newLane(policy, value, rng, &p.buf, cfg.Gamma, cfg.Lambda)}}
 	return p, nil
 }
 
 // Config returns the trainer's configuration.
 func (p *PPO) Config() PPOConfig { return p.cfg }
 
+// sequential binds the trainer's own lane to env: the sequential trainer is
+// the one-lane runner.
+func (p *PPO) sequential(env Env) *VecRunner {
+	p.seq.lanes[0].env, p.seq.lanes[0].steps = env, p.cfg.RolloutSteps
+	return p.seq
+}
+
 // TrainIteration collects one rollout from env and performs the PPO update,
-// returning iteration statistics.
+// returning iteration statistics. A panic inside the environment or policy
+// propagates (as the *WorkerPanicError the lane contained it in).
 func (p *PPO) TrainIteration(env Env) IterStats {
-	stats := IterStats{Iteration: p.iter}
-	p.iter++
-
-	var t0 time.Time
-	if p.met != nil {
-		t0 = time.Now()
+	stats, err := p.sequential(env).TrainIteration()
+	if err != nil {
+		panic(err)
 	}
-	p.collectRollout(env, &stats)
-	if p.met != nil {
-		p.met.Rollout.Observe(time.Since(t0))
-		t0 = time.Now()
-	}
-
-	// Bootstrap value for the trailing partial episode.
-	p.buf.computeGAE(p.cfg.Gamma, p.cfg.Lambda, p.col.bootstrap())
-	p.buf.normalizeAdvantages()
-	p.update(&stats)
-	if p.met != nil {
-		p.met.Update.Observe(time.Since(t0))
-		p.met.Iterations.Inc()
-	}
-	p.buf.reset()
 	return stats
 }
 
-// Train runs iterations training iterations and returns their statistics.
+// Train runs iterations training iterations and returns their statistics
+// (see TrainIteration).
 func (p *PPO) Train(env Env, iterations int) []IterStats {
-	out := make([]IterStats, 0, iterations)
-	for i := 0; i < iterations; i++ {
-		out = append(out, p.TrainIteration(env))
+	out, err := p.sequential(env).Train(iterations)
+	if err != nil {
+		panic(err)
 	}
 	return out
 }
 
-func (p *PPO) collectRollout(env Env, stats *IterStats) {
-	cs := p.col.collect(env, p.cfg.RolloutSteps)
-	mergeCollectStats(stats, cs, p.buf.len())
+// TrainCheckpointed is VecRunner.TrainCheckpointed for the sequential trainer.
+func (p *PPO) TrainCheckpointed(env Env, iterations int, ckpt CheckpointConfig) ([]IterStats, error) {
+	return p.sequential(env).TrainCheckpointed(iterations, ckpt)
 }
 
-// mergeCollectStats folds collection totals into the iteration statistics,
-// guarding the per-step mean against zero-step rollouts (reachable when a
-// parallel run splits fewer rollout steps than workers).
-func mergeCollectStats(stats *IterStats, cs collectStats, bufLen int) {
-	stats.Steps = bufLen
+// applyRollout is the one iteration tail, shared by every lane transport:
+// the trainer buffer holds the lanes' rollouts (GAE applied) merged in lane
+// order and cs their summed totals; normalize advantages over the merged
+// buffer, update, reset, observe.
+func (p *PPO) applyRollout(cs collectStats) IterStats {
+	stats := IterStats{Iteration: p.iter}
+	p.iter++
+	var t0 time.Time
+	if p.met != nil {
+		t0 = time.Now()
+	}
+	// The zero-step guard is reachable when a run splits fewer rollout
+	// steps than lanes.
+	stats.Steps = p.buf.len()
 	stats.Episodes = cs.episodes
-	if bufLen > 0 {
-		stats.MeanStepRew = cs.rewardSum / float64(bufLen)
+	if stats.Steps > 0 {
+		stats.MeanStepRew = cs.rewardSum / float64(stats.Steps)
 	}
 	stats.MeanEpReward = cs.epRewardSum
 	if cs.episodes > 0 {
 		stats.MeanEpReward = cs.epRewardSum / float64(cs.episodes)
 	}
+	p.buf.normalizeAdvantages()
+	p.update(&stats)
+	p.buf.reset()
+	if p.met != nil {
+		p.met.Update.Observe(time.Since(t0))
+		p.met.Iterations.Inc()
+	}
+	return stats
+}
+
+// RNGState exposes the trainer RNG, which is lane 0's stream: a remote
+// lane 0's collect request carries it out, and ApplyRemoteRollouts adopts
+// the post-collect state back.
+func (p *PPO) RNGState() mathx.RNGState { return p.rng.State() }
+
+// ApplyRemoteRollouts performs the trainer half of an iteration whose lanes
+// ran in other processes: lane batches merged in lane order, lane 0's
+// post-collect RNG adopted as the trainer RNG (the counterpart of the
+// in-process lane 0 sharing p.rng), then the update. batches must hold
+// exactly one batch per lane, in lane order, with the row widths of the
+// trainer's networks. On a validation error nothing is imported and the
+// iteration counter is not advanced.
+func (p *PPO) ApplyRemoteRollouts(batches []*RolloutBatch) (IterStats, error) {
+	stats := IterStats{Iteration: p.iter}
+	if len(batches) == 0 {
+		return stats, fmt.Errorf("rl: ApplyRemoteRollouts with no batches")
+	}
+	actDim := 0
+	for i, b := range batches {
+		if b == nil {
+			return stats, fmt.Errorf("rl: ApplyRemoteRollouts missing batch for lane %d", i)
+		}
+		if b.Lane != i {
+			return stats, fmt.Errorf("rl: ApplyRemoteRollouts batch %d is for lane %d", i, b.Lane)
+		}
+		if err := b.Validate(); err != nil {
+			return stats, err
+		}
+		if b.Steps == 0 {
+			continue
+		}
+		if actDim == 0 {
+			actDim = b.ActDim
+		}
+		if b.ObsDim != p.Value.InputSize() || b.ActDim != actDim {
+			return stats, fmt.Errorf("rl: batch lane %d has dims %dx%d, trainer expects %dx%d", i, b.ObsDim, b.ActDim, p.Value.InputSize(), actDim)
+		}
+	}
+	p.buf.reset()
+	var cs collectStats
+	for _, b := range batches {
+		importBatch(&p.buf, b)
+		cs.add(collectStats{episodes: b.Episodes, epRewardSum: b.EpRewardSum, rewardSum: b.RewardSum})
+	}
+	p.rng.SetState(batches[0].End.RNG)
+	return p.applyRollout(cs), nil
 }
 
 // ensureUpdateScratch sizes the minibatch gather buffers and the value net's

@@ -233,76 +233,37 @@ func TestPPODeterministicGivenSeed(t *testing.T) {
 	}
 }
 
-func TestA2CLearnsBandit(t *testing.T) {
-	rng := mathx.NewRNG(88)
-	env := &banditEnv{rewards: []float64{0, 1, 0.2}}
-	policy := NewCategoricalPolicy(nn.NewMLP(rng, []int{1, 8, 3}, nn.Tanh))
-	value := nn.NewMLP(rng, []int{1, 8, 1}, nn.Tanh)
-	cfg := DefaultA2CConfig()
-	cfg.RolloutSteps = 128
-	cfg.LR = 0.01
-	a, err := NewA2C(policy, value, cfg, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats := a.Train(env, 40)
-	last := stats[len(stats)-1]
-	if last.MeanEpReward < 0.85 {
-		t.Fatalf("A2C failed bandit: mean episode reward %v", last.MeanEpReward)
-	}
-	if int(policy.Mode([]float64{1})[0]) != 1 {
-		t.Fatal("mode action is not the best arm")
-	}
+// resetCountEnv counts resets, to observe where a lane abandons an episode.
+type resetCountEnv struct {
+	targetEnv
+	resets int
 }
 
-func TestA2CLearnsContinuousTarget(t *testing.T) {
-	rng := mathx.NewRNG(89)
-	env := &targetEnv{target: -0.8, horizon: 8}
-	policy := NewGaussianPolicy(nn.NewMLP(rng, []int{1, 8, 1}, nn.Tanh), -0.5)
-	value := nn.NewMLP(rng, []int{1, 8, 1}, nn.Tanh)
-	cfg := DefaultA2CConfig()
-	cfg.RolloutSteps = 256
-	cfg.LR = 0.005
-	cfg.EntropyCoef = 0
-	a, err := NewA2C(policy, value, cfg, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.Train(env, 80)
-	mode := policy.Mode([]float64{1})[0]
-	if math.Abs(mode-(-0.8)) > 0.4 {
-		t.Fatalf("A2C learned mean %v, want ~-0.8", mode)
-	}
-}
+func (e *resetCountEnv) Reset() []float64 { e.resets++; return e.targetEnv.Reset() }
 
-func TestA2CConfigValidation(t *testing.T) {
-	rng := mathx.NewRNG(90)
-	policy := NewCategoricalPolicy(nn.NewMLP(rng, []int{1, 2}, nn.Tanh))
-	value := nn.NewMLP(rng, []int{1, 1}, nn.Tanh)
-	bad := DefaultA2CConfig()
-	bad.RolloutSteps = 0
-	if _, err := NewA2C(policy, value, bad, rng); err == nil {
-		t.Fatal("accepted zero rollout")
+// TestPPOEnvSwitchResets: an iteration boundary leaves an episode pending
+// (50 steps of horizon-8 episodes), and the pending episode belongs to the
+// env it was collected from. Continuing on the same env resumes it; a
+// different env — and coming back to the first one later — starts from a
+// fresh reset instead of adopting the other env's observation.
+func TestPPOEnvSwitchResets(t *testing.T) {
+	p, _, _ := newCkptFixture(t, 91, 50)
+	envA := &resetCountEnv{targetEnv: targetEnv{target: 1.5, horizon: 8}}
+	envB := &resetCountEnv{targetEnv: targetEnv{target: -1, horizon: 8}}
+	// Resets in one iteration: one per completed episode, plus one up front
+	// unless a pending episode is resumed.
+	for i, c := range []struct {
+		env     *resetCountEnv
+		resumes bool
+	}{{envA, false}, {envA, true}, {envB, false}, {envA, false}} {
+		before := c.env.resets
+		stats := p.TrainIteration(c.env)
+		want := stats.Episodes + 1
+		if c.resumes {
+			want = stats.Episodes
+		}
+		if got := c.env.resets - before; got != want {
+			t.Fatalf("iteration %d: %d resets for %d completed episodes, want %d", i, got, stats.Episodes, want)
+		}
 	}
-	wrongValue := nn.NewMLP(rng, []int{1, 2}, nn.Tanh)
-	if _, err := NewA2C(policy, wrongValue, DefaultA2CConfig(), rng); err == nil {
-		t.Fatal("accepted non-scalar value net")
-	}
-}
-
-func TestA2CEnvSwitchResets(t *testing.T) {
-	rng := mathx.NewRNG(91)
-	policy := NewCategoricalPolicy(nn.NewMLP(rng, []int{1, 4, 2}, nn.Tanh))
-	value := nn.NewMLP(rng, []int{1, 4, 1}, nn.Tanh)
-	cfg := DefaultA2CConfig()
-	cfg.RolloutSteps = 16
-	a, err := NewA2C(policy, value, cfg, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	envA := &banditEnv{rewards: []float64{0, 1}}
-	envB := &banditEnv{rewards: []float64{1, 0}}
-	a.TrainIteration(envA)
-	// Switching envs must not panic or reuse envA's carried state.
-	a.TrainIteration(envB)
 }

@@ -7,10 +7,10 @@ import (
 	"advnet/internal/faults"
 )
 
-// This file holds the crash-safe training loops: periodic checkpointing with
+// This file holds the crash-safe training loop: periodic checkpointing with
 // keep-last-K retention, a divergence watchdog that aborts (and rolls the
 // trainer back to the last good checkpoint) when a loss or parameter goes
-// NaN/Inf, and typed errors for worker-panic containment.
+// NaN/Inf, and typed errors for lane-panic containment.
 
 // WorkerPanicError reports a panic recovered inside one parallel rollout
 // worker or evaluation shard. The process survives: the panic is converted
@@ -45,26 +45,12 @@ func (e *DivergenceError) Error() string {
 	return msg
 }
 
-// CheckpointConfig controls periodic checkpointing in the TrainCheckpointed
-// loops. A zero value disables checkpointing (the loops still run the
-// divergence watchdog).
+// CheckpointConfig controls periodic checkpointing in TrainCheckpointed. A
+// zero value disables checkpointing (the divergence watchdog still runs).
 type CheckpointConfig struct {
 	Dir   string // checkpoint directory; empty disables checkpointing
 	Every int    // save every N iterations; <= 0 means every iteration
 	Keep  int    // checkpoints retained; <= 0 means DefaultKeep
-}
-
-func (c CheckpointConfig) enabled() bool { return c.Dir != "" }
-
-func (c CheckpointConfig) every() int {
-	if c.Every <= 0 {
-		return 1
-	}
-	return c.Every
-}
-
-func (c CheckpointConfig) dir() *CheckpointDir {
-	return &CheckpointDir{Dir: c.Dir, Keep: c.Keep}
 }
 
 // checkFinite returns a description of the first non-finite value found in
@@ -96,34 +82,32 @@ func checkFinite(stats IterStats, groups ...[][]float64) string {
 	return ""
 }
 
-// trainLoop is the shared crash-safe loop body. step runs one iteration;
-// save writes a checkpoint for the *completed* iteration count; load
-// restores from a checkpoint path (used for rollback on divergence); params
-// supplies the parameter sets the watchdog scans.
-func trainLoop(
-	start, iterations int,
-	ckpt CheckpointConfig,
-	step func() (IterStats, error),
-	save func(path string) error,
-	load func(path string) error,
-	params func() [][][]float64,
-) ([]IterStats, error) {
-	var cd *CheckpointDir
-	if ckpt.enabled() {
-		cd = ckpt.dir()
+// TrainLoop is the one crash-safe training loop, shared by every lane
+// transport (in-process runners and the internal/dist coordinator): it runs
+// step until the trainer has completed `iterations` total iterations,
+// checks each iteration's losses and the parameters for NaN/Inf, and — with
+// a checkpoint directory — saves every `every` iterations (<= 0: every one)
+// and after the last. step runs one iteration; save writes a checkpoint of
+// the state step left behind; load restores one. On divergence the loop
+// rolls the trainer back to the newest loadable checkpoint through load and
+// returns a *DivergenceError, leaving no checkpoint of the poisoned
+// iteration. It returns the stats of the iterations this call executed.
+func (p *PPO) TrainLoop(iterations int, cd *CheckpointDir, every int, step func() (IterStats, error), save, load func(path string) error) ([]IterStats, error) {
+	if every <= 0 {
+		every = 1
 	}
-	out := make([]IterStats, 0, iterations-start)
-	for i := start; i < iterations; i++ {
+	out := make([]IterStats, 0, max(0, iterations-p.iter))
+	for p.iter < iterations {
 		// Crash-simulation point for resume tests: an injected error here
 		// models the process dying between iterations.
-		if err := faults.Fire("rl.train.iter", i); err != nil {
+		if err := faults.Fire("rl.train.iter", p.iter); err != nil {
 			return out, err
 		}
 		stats, err := step()
 		if err != nil {
 			return out, err
 		}
-		if detail := checkFinite(stats, params()...); detail != "" {
+		if detail := checkFinite(stats, p.Policy.Params(), p.Value.Params()); detail != "" {
 			derr := &DivergenceError{Iteration: stats.Iteration, Detail: detail}
 			if cd != nil {
 				if _, err := cd.LoadLatest(load); err == nil {
@@ -133,80 +117,11 @@ func trainLoop(
 			return out, derr
 		}
 		out = append(out, stats)
-		done := i + 1
-		if cd != nil && (done%ckpt.every() == 0 || done == iterations) {
-			if err := cd.Save(done, save); err != nil {
-				return out, fmt.Errorf("rl: checkpoint at iteration %d: %w", done, err)
+		if cd != nil && (p.iter%every == 0 || p.iter == iterations) {
+			if err := cd.Save(p.iter, save); err != nil {
+				return out, fmt.Errorf("rl: checkpoint at iteration %d: %w", p.iter, err)
 			}
 		}
 	}
 	return out, nil
-}
-
-// TrainCheckpointed runs sequential PPO training with periodic atomic
-// checkpoints and a divergence watchdog. It resumes from the newest loadable
-// checkpoint in ckpt.Dir when one exists (falling back past corrupt files),
-// runs until the trainer has completed `iterations` total iterations, and
-// returns the stats of the iterations executed by this call. On divergence
-// the trainer is rolled back to the last checkpoint and a *DivergenceError
-// is returned.
-func (p *PPO) TrainCheckpointed(env Env, iterations int, ckpt CheckpointConfig) ([]IterStats, error) {
-	if ckpt.enabled() {
-		cd := ckpt.dir()
-		if _, _, err := cd.Latest(); err == nil {
-			if _, err := cd.LoadLatest(func(path string) error {
-				return p.LoadCheckpoint(path, env)
-			}); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return trainLoop(p.iter, iterations, ckpt,
-		func() (IterStats, error) { return p.TrainIteration(env), nil },
-		func(path string) error { return p.SaveCheckpoint(path, env) },
-		func(path string) error { return p.LoadCheckpoint(path, env) },
-		func() [][][]float64 { return [][][]float64{p.Policy.Params(), p.Value.Params()} },
-	)
-}
-
-// TrainCheckpointed is the A2C counterpart of PPO.TrainCheckpointed.
-func (a *A2C) TrainCheckpointed(env Env, iterations int, ckpt CheckpointConfig) ([]IterStats, error) {
-	if ckpt.enabled() {
-		cd := ckpt.dir()
-		if _, _, err := cd.Latest(); err == nil {
-			if _, err := cd.LoadLatest(func(path string) error {
-				return a.LoadCheckpoint(path, env)
-			}); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return trainLoop(a.iter, iterations, ckpt,
-		func() (IterStats, error) { return a.TrainIteration(env), nil },
-		func(path string) error { return a.SaveCheckpoint(path, env) },
-		func(path string) error { return a.LoadCheckpoint(path, env) },
-		func() [][][]float64 { return [][][]float64{a.Policy.Params(), a.Value.Params()} },
-	)
-}
-
-// TrainCheckpointed runs parallel training with periodic checkpoints, resume,
-// and the divergence watchdog (see PPO.TrainCheckpointed). A recovered
-// worker panic surfaces as a *WorkerPanicError; the runner's rollout state
-// is reset so the caller may reload a checkpoint and continue in-process.
-func (v *VecRunner) TrainCheckpointed(iterations int, ckpt CheckpointConfig) ([]IterStats, error) {
-	if ckpt.enabled() {
-		cd := ckpt.dir()
-		if _, _, err := cd.Latest(); err == nil {
-			if _, err := cd.LoadLatest(v.LoadCheckpoint); err != nil {
-				return nil, err
-			}
-		}
-	}
-	p := v.ppo
-	return trainLoop(p.iter, iterations, ckpt,
-		v.TrainIteration,
-		v.SaveCheckpoint,
-		v.LoadCheckpoint,
-		func() [][][]float64 { return [][][]float64{p.Policy.Params(), p.Value.Params()} },
-	)
 }

@@ -2,60 +2,62 @@ package rl
 
 import (
 	"fmt"
-	"runtime/debug"
 	"sync"
 	"time"
-
-	"advnet/internal/faults"
 )
 
-// EnvFactory builds the environment instance for one rollout worker. It is
-// called once per worker, in worker order, at VecRunner construction time.
-// Worker 0 always exists; factories that need per-worker randomness should
-// derive it deterministically from the worker index so runs are reproducible.
+// EnvFactory builds the environment instance for one rollout lane. It is
+// called once per lane, in lane order, at VecRunner construction time.
+// Lane 0 always exists; factories that need per-lane randomness should
+// derive it deterministically from the lane index so runs are reproducible.
 type EnvFactory func(worker int) Env
 
-// VecRunner drives W independent environment instances in parallel to
-// collect one PPO rollout per iteration, then performs the standard
-// synchronized PPO update on the merged data.
+// VecRunner drives W in-process lanes to collect one PPO rollout per
+// iteration, then performs the synchronized PPO update on the merged data.
 //
 // Determinism contract:
 //
-//   - Worker 0 *is* the sequential trainer: it shares the PPO's policy,
-//     value network, RNG, rollout buffer, and pending-episode state. With
-//     workers=1 a VecRunner iteration is bit-for-bit identical to
-//     PPO.TrainIteration against the same environment.
-//   - Workers ≥ 1 hold policy/value clones and RNG streams split from the
-//     trainer RNG at construction, in worker order. For any fixed W, two
-//     runs with the same seed produce identical trajectories and IterStats
-//     regardless of goroutine scheduling: each worker's stream is private,
-//     and buffers/stats are merged in worker order after all workers join.
-//   - GAE is computed per worker buffer with that worker's own bootstrap
-//     value before merging, so advantages never leak across workers.
+//   - Lane 0 *is* the sequential trainer's lane: it shares the PPO's policy,
+//     value network, RNG, rollout buffer, and pending-episode state. The
+//     sequential trainer is the W=1 runner; binding lane 0 to an env (here
+//     or through PPO.Train) rebinds it for every holder.
+//   - Lanes ≥ 1 hold policy/value clones and RNG streams split from the
+//     trainer RNG at construction, in lane order. For any fixed W, two runs
+//     with the same seed produce identical trajectories and IterStats
+//     regardless of goroutine scheduling: each lane's stream is private,
+//     and buffers/stats are merged in lane order after all lanes join.
 //
-// After each update the new weights are copied back to every worker clone
-// via CopyParams / nn.MLP.CopyParamsFrom.
+// After each update the new weights are copied back to every clone.
 type VecRunner struct {
-	ppo     *PPO
-	workers []*vecWorker
+	ppo   *PPO
+	lanes []*Lane
 }
 
-// vecWorker is one rollout lane: an env, a collector (worker 0 shares the
-// trainer's, others own clones), and a private rollout buffer.
-type vecWorker struct {
-	col   *collector
-	env   Env
-	buf   *rolloutBuffer
-	steps int // rollout share per iteration
-
-	cs        collectStats // collection results, read after join
-	lastValue float64
+// laneSteps divides RolloutSteps across lanes (earlier lanes take the
+// remainder), so the data volume per iteration is independent of the lane
+// count.
+func (p *PPO) laneSteps(lanes int) []int {
+	steps := make([]int, lanes)
+	for i := range steps {
+		steps[i] = p.cfg.RolloutSteps / lanes
+		if i < p.cfg.RolloutSteps%lanes {
+			steps[i]++
+		}
+	}
+	return steps
 }
 
-// NewVecRunner builds a worker pool around an existing PPO trainer. The
-// factory is invoked once per worker, in order. RolloutSteps is divided
-// across workers (earlier workers take the remainder), so the data volume
-// per iteration is identical to the sequential trainer's.
+// LaneSteps returns each lane's rollout share per iteration.
+func (p *PPO) LaneSteps(lanes int) ([]int, error) {
+	if lanes <= 0 {
+		return nil, fmt.Errorf("rl: LaneSteps lanes=%d", lanes)
+	}
+	return p.laneSteps(lanes), nil
+}
+
+// NewVecRunner builds W lanes around an existing PPO trainer. The factory is
+// invoked once per lane, in order, and the trainer RNG is split once per
+// lane beyond the first.
 func NewVecRunner(p *PPO, factory EnvFactory, workers int) (*VecRunner, error) {
 	if workers <= 0 {
 		return nil, fmt.Errorf("rl: NewVecRunner workers=%d", workers)
@@ -64,183 +66,135 @@ func NewVecRunner(p *PPO, factory EnvFactory, workers int) (*VecRunner, error) {
 		return nil, fmt.Errorf("rl: NewVecRunner nil factory")
 	}
 	v := &VecRunner{ppo: p}
-	base := p.cfg.RolloutSteps / workers
-	rem := p.cfg.RolloutSteps % workers
-	for i := 0; i < workers; i++ {
-		w := &vecWorker{steps: base}
-		if i < rem {
-			w.steps++
-		}
-		w.env = factory(i)
-		if w.env == nil {
+	for i, steps := range p.laneSteps(workers) {
+		env := factory(i)
+		if env == nil {
 			return nil, fmt.Errorf("rl: EnvFactory returned nil env for worker %d", i)
 		}
-		if i == 0 {
-			// Worker 0 shares the trainer's state wholesale — same
-			// policy, value net, RNG stream, buffer, and pending
-			// episode — which is what makes W=1 exactly the
-			// sequential path.
-			w.buf = &p.buf
-			w.col = &p.col
-		} else {
+		l := p.seq.lanes[0]
+		if i > 0 {
 			policy, err := ClonePolicy(p.Policy)
 			if err != nil {
 				return nil, err
 			}
-			w.buf = &rolloutBuffer{}
-			col := newCollector(policy, p.Value.Clone(), p.rng.Split(), w.buf)
-			w.col = &col
+			l = newLane(policy, p.Value.Clone(), p.rng.Split(), &rolloutBuffer{}, p.cfg.Gamma, p.cfg.Lambda)
 		}
-		v.workers = append(v.workers, w)
+		l.env, l.steps = env, steps
+		v.lanes = append(v.lanes, l)
 	}
 	return v, nil
 }
 
-// Workers returns the pool width.
-func (v *VecRunner) Workers() int { return len(v.workers) }
-
-// collectWorker runs worker i's rollout share with panic containment: a
-// panic anywhere in the worker's collection (environment step, policy
-// forward pass, buffer append) is recovered into a *WorkerPanicError that
-// names the worker and carries the stack, instead of killing the process.
-// Workers >= 1 also compute their GAE here, off the trainer goroutine.
-func (v *VecRunner) collectWorker(i int, w *vecWorker) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = &WorkerPanicError{Worker: i, Value: r, Stack: debug.Stack()}
+// NewLaneStates builds the initial lane states for a run whose lanes live in
+// other processes, consuming the trainer RNG exactly as NewVecRunner does
+// (one Split per lane beyond the first, in lane order) so that the two are
+// bitwise interchangeable — without NewVecRunner's network clones, which a
+// coordinator has no use for. The factory's environments must implement
+// EnvCheckpointer and are used only to capture initial state — worker
+// processes rebuild their own from the domain configuration.
+func (p *PPO) NewLaneStates(factory EnvFactory, lanes int) ([]LaneState, error) {
+	if lanes <= 0 {
+		return nil, fmt.Errorf("rl: NewLaneStates lanes=%d", lanes)
+	}
+	if factory == nil {
+		return nil, fmt.Errorf("rl: NewLaneStates nil factory")
+	}
+	states := make([]LaneState, lanes)
+	for i := range states {
+		env := factory(i)
+		ec, ok := env.(EnvCheckpointer)
+		if !ok {
+			return nil, fmt.Errorf("rl: lane %d env type %T does not implement EnvCheckpointer (required for distributed training)", i, env)
 		}
-	}()
-	if ferr := faults.Fire("rl.vec.collect", i); ferr != nil {
-		return ferr
+		data, err := ec.EnvState()
+		if err != nil {
+			return nil, fmt.Errorf("rl: lane %d initial env state: %w", i, err)
+		}
+		states[i].Env = data
+		if i > 0 {
+			states[i].RNG = p.rng.Split().State()
+		}
 	}
-	w.cs = w.col.collect(w.env, w.steps)
-	w.lastValue = w.col.bootstrap()
-	if i > 0 {
-		w.buf.computeGAE(v.ppo.cfg.Gamma, v.ppo.cfg.Lambda, w.lastValue)
-	}
-	return nil
+	// Lane 0 shares the trainer RNG; its state is re-sent fresh every
+	// iteration, but seed it with the post-split trainer state so a
+	// zero-iteration run still checkpoints coherently.
+	states[0].RNG = p.rng.State()
+	return states, nil
 }
 
-// resetAfterFault discards every worker's partially-collected rollout and
-// pending episode. After a worker fault the merged buffer contents and
-// cross-iteration episode state are untrustworthy; dropping them leaves the
-// runner in a state from which training can continue (the next iteration
-// resets every environment) or a checkpoint can be reloaded.
-func (v *VecRunner) resetAfterFault() {
-	for _, w := range v.workers {
-		w.buf.reset()
-		w.col.abandonEpisode()
-	}
-}
+// Workers returns the lane count.
+func (v *VecRunner) Workers() int { return len(v.lanes) }
 
-// TrainIteration collects one parallel rollout and performs the PPO update.
-// A panic inside a rollout worker is contained: it surfaces as a
-// *WorkerPanicError naming the worker, the iteration's partial data is
-// discarded, and the iteration counter is not advanced.
+// TrainIteration collects one rollout across the lanes and performs the PPO
+// update. A panic inside a lane is contained: it surfaces as a
+// *WorkerPanicError naming the lane, every lane's partial rollout and pending
+// episode are discarded (the next iteration resets every environment), and
+// the iteration counter is not advanced.
 func (v *VecRunner) TrainIteration() (IterStats, error) {
 	p := v.ppo
-	stats := IterStats{Iteration: p.iter}
-	p.iter++
-
 	var t0 time.Time
 	if p.met != nil {
 		t0 = time.Now()
 	}
-	errs := make([]error, len(v.workers))
-	if len(v.workers) == 1 {
-		// Inline: identical to the sequential trainer, no goroutines.
-		errs[0] = v.collectWorker(0, v.workers[0])
-	} else {
-		var wg sync.WaitGroup
-		for i, w := range v.workers {
-			if i == 0 {
-				continue
-			}
-			wg.Add(1)
-			go func(i int, w *vecWorker) {
-				defer wg.Done()
-				errs[i] = v.collectWorker(i, w)
-			}(i, w)
-		}
-		errs[0] = v.collectWorker(0, v.workers[0])
-		wg.Wait()
+	// Lane 0 runs inline — with W=1 there are no goroutines at all.
+	var wg sync.WaitGroup
+	for i, l := range v.lanes[1:] {
+		wg.Add(1)
+		go func(i int, l *Lane) {
+			defer wg.Done()
+			l.err = l.collect(i, l.steps)
+		}(i+1, l)
 	}
-	for _, err := range errs {
-		if err != nil {
-			v.resetAfterFault()
-			p.iter-- // the iteration did not complete
-			return stats, err
+	v.lanes[0].err = v.lanes[0].collect(0, v.lanes[0].steps)
+	wg.Wait()
+	for _, failed := range v.lanes {
+		if failed.err != nil {
+			for _, l := range v.lanes {
+				l.abandon()
+			}
+			return IterStats{Iteration: p.iter}, failed.err
 		}
 	}
 	// The faulted path above skips observation: an aborted iteration has no
 	// well-defined phase split and must not skew the timer distributions.
 	if p.met != nil {
 		p.met.Rollout.Observe(time.Since(t0))
-		t0 = time.Now()
 	}
 
-	// Worker 0's transitions are already in p.buf (aliased). Compute its
-	// GAE over exactly its own steps, then append the other workers'
-	// finished buffers in worker order.
-	p.buf.computeGAE(p.cfg.Gamma, p.cfg.Lambda, v.workers[0].lastValue)
+	// Lane 0's transitions are already in p.buf; append the other lanes'
+	// finished buffers in lane order.
 	var cs collectStats
-	for i, w := range v.workers {
-		if i > 0 {
-			p.buf.ensureCap(p.buf.len()+w.buf.len(), obsDimOf(w.buf), actDimOf(w.buf))
-			p.buf.pushFrom(w.buf)
-			w.buf.reset()
+	for _, l := range v.lanes {
+		if l.buf != &p.buf {
+			p.buf.pushFrom(l.buf)
+			l.buf.reset()
 		}
-		cs.steps += w.cs.steps
-		cs.episodes += w.cs.episodes
-		cs.epRewardSum += w.cs.epRewardSum
-		cs.rewardSum += w.cs.rewardSum
+		cs.add(l.cs)
 	}
-	mergeCollectStats(&stats, cs, p.buf.len())
-
-	p.buf.normalizeAdvantages()
-	p.update(&stats)
-	p.buf.reset()
-	if p.met != nil {
-		p.met.Update.Observe(time.Since(t0))
-		p.met.Iterations.Inc()
-	}
-
-	// Sync updated weights back to the worker clones (worker 0 already
-	// shares the trainer's parameters). A sync failure means the clones no
-	// longer mirror the trainer, so the runner must not continue collecting.
-	for i, w := range v.workers {
-		if i == 0 {
-			continue
-		}
-		if err := CopyParams(w.col.policy, p.Policy); err != nil {
-			return stats, fmt.Errorf("rl: weight sync worker %d: %w", i, err)
-		}
-		if err := w.col.value.CopyParamsFrom(p.Value); err != nil {
-			return stats, fmt.Errorf("rl: weight sync worker %d: %w", i, err)
-		}
-	}
-	return stats, nil
+	stats := p.applyRollout(cs)
+	// A sync failure means the clones no longer mirror the trainer, so the
+	// runner must not continue collecting.
+	return stats, v.syncParams()
 }
 
-// obsDimOf/actDimOf report the row widths of a non-empty buffer (0 if empty,
-// in which case pushFrom copies nothing anyway).
-func obsDimOf(b *rolloutBuffer) int {
-	if b.len() == 0 {
-		return 0
+// syncParams copies the trainer's weights into the clone lanes (lane 0
+// already shares them).
+func (v *VecRunner) syncParams() error {
+	if len(v.lanes) == 1 {
+		return nil
 	}
-	return len(b.steps[0].obs)
+	policy, value := v.ppo.Policy.Params(), v.ppo.Value.Params()
+	for i, l := range v.lanes[1:] {
+		if err := l.SetParams(policy, value); err != nil {
+			return fmt.Errorf("rl: weight sync worker %d: %w", i+1, err)
+		}
+	}
+	return nil
 }
 
-func actDimOf(b *rolloutBuffer) int {
-	if b.len() == 0 {
-		return 0
-	}
-	return len(b.steps[0].action)
-}
-
-// Train runs the given number of parallel iterations, stopping at the first
-// iteration error (worker panic, weight-sync failure) and returning the
-// stats collected so far alongside it.
+// Train runs the given number of iterations, stopping at the first iteration
+// error (lane panic, weight-sync failure) and returning the stats collected
+// so far alongside it.
 func (v *VecRunner) Train(iterations int) ([]IterStats, error) {
 	out := make([]IterStats, 0, iterations)
 	for i := 0; i < iterations; i++ {
@@ -253,9 +207,77 @@ func (v *VecRunner) Train(iterations int) ([]IterStats, error) {
 	return out, nil
 }
 
-// TrainParallel is the parallel counterpart of Train: it builds a VecRunner
-// with the given worker count and runs it for the given iterations. With
-// workers=1 the result is bit-for-bit identical to Train against factory(0).
+// TrainCheckpointed runs training with periodic atomic checkpoints and the
+// divergence watchdog (see TrainLoop). It resumes from the newest loadable
+// checkpoint in ckpt.Dir when one exists (falling back past corrupt files),
+// runs until the trainer has completed `iterations` total iterations, and
+// returns the stats of the iterations executed by this call.
+func (v *VecRunner) TrainCheckpointed(iterations int, ckpt CheckpointConfig) ([]IterStats, error) {
+	var cd *CheckpointDir
+	if ckpt.Dir != "" {
+		cd = &CheckpointDir{Dir: ckpt.Dir, Keep: ckpt.Keep}
+		if _, _, err := cd.Latest(); err == nil {
+			if _, err := cd.LoadLatest(v.LoadCheckpoint); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return v.ppo.TrainLoop(iterations, cd, ckpt.Every, v.TrainIteration, v.SaveCheckpoint, v.LoadCheckpoint)
+}
+
+// laneStates captures every lane's current state.
+func (v *VecRunner) laneStates() ([]LaneState, error) {
+	states := make([]LaneState, len(v.lanes))
+	for i, l := range v.lanes {
+		var err error
+		if states[i], err = l.State(); err != nil {
+			return nil, fmt.Errorf("rl: checkpoint worker %d: %w", i, err)
+		}
+	}
+	return states, nil
+}
+
+// SaveCheckpoint writes a full checkpoint of the runner and its underlying
+// trainer (see PPO.SaveLaneCheckpoint). Call only at iteration boundaries.
+func (v *VecRunner) SaveCheckpoint(path string) error {
+	states, err := v.laneStates()
+	if err != nil {
+		return err
+	}
+	return v.ppo.SaveLaneCheckpoint(path, states)
+}
+
+// LoadCheckpoint restores a trainer checkpoint into the runner. The runner
+// must have been constructed with the same lane count, configuration, and
+// environment factory as the one that saved it; every piece of stochastic
+// state (trainer RNG, lane RNGs, env states, Adam moments, parameters) is
+// then overwritten from the checkpoint, so whatever randomness construction
+// consumed is irrelevant to the resumed run. A corrupt, truncated, or
+// mismatched checkpoint returns an error and leaves no partial state
+// guarantee — callers should fall back to an older checkpoint (see
+// CheckpointDir.LoadLatest).
+func (v *VecRunner) LoadCheckpoint(path string) error {
+	states, err := v.ppo.LoadLaneCheckpoint(path)
+	if err != nil {
+		return err
+	}
+	if len(states) != len(v.lanes) {
+		return fmt.Errorf("rl: checkpoint %s has %d lanes, runner has %d", path, len(states), len(v.lanes))
+	}
+	if err := v.syncParams(); err != nil {
+		return err
+	}
+	for i, l := range v.lanes {
+		if err := l.Restore(states[i]); err != nil {
+			return fmt.Errorf("rl: checkpoint worker %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
+// TrainParallel builds a VecRunner with the given lane count and runs it for
+// the given iterations. With workers=1 the result is bit-for-bit identical
+// to Train against factory(0).
 func (p *PPO) TrainParallel(factory EnvFactory, workers, iterations int) ([]IterStats, error) {
 	v, err := NewVecRunner(p, factory, workers)
 	if err != nil {

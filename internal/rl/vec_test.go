@@ -167,8 +167,8 @@ func TestVecWeightSync(t *testing.T) {
 		t.Fatal(err)
 	}
 	main := p.Policy.Params()
-	for wi, w := range v.workers {
-		for gi, g := range w.col.policy.Params() {
+	for wi, w := range v.lanes {
+		for gi, g := range w.policy.Params() {
 			for i := range g {
 				if g[i] != main[gi][i] {
 					t.Fatalf("worker %d param group %d idx %d out of sync after update", wi, gi, i)

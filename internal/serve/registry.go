@@ -125,8 +125,8 @@ func (r *Registry) Publish(net *nn.MLP, source string) (*Snapshot, error) {
 }
 
 // ReloadFile hot-reloads the snapshot from any policy format the repository
-// writes (standalone policy envelopes, full PPO/A2C/VecRunner trainer
-// checkpoints, bare MLP JSON — see rl.LoadPolicyNet). Envelope formats are
+// writes (standalone policy envelopes, full PPO trainer checkpoints, bare
+// MLP JSON — see rl.LoadPolicyNet). Envelope formats are
 // sha256-verified before any weight reaches the serving path. On any error —
 // unreadable file, corrupt payload, architecture mismatch — the old snapshot
 // keeps serving.

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"advnet/internal/mathx"
+	"advnet/internal/retry"
 )
 
 // BreakerState is the reload circuit breaker's typed state.
@@ -61,12 +62,11 @@ type ReloadConfig struct {
 	// MaxAttempts is the number of load attempts per Reload call while the
 	// breaker is closed (default 4). Half-open probes always get exactly 1.
 	MaxAttempts int
-	// BackoffBase is the pre-jitter sleep after the first failed attempt
-	// (default 50ms); attempt k sleeps min(BackoffBase<<k, BackoffMax),
-	// jittered to [50%, 100%] by the Reloader's RNG.
+	// BackoffBase and BackoffMax parameterize the retry.Backoff schedule
+	// slept between failed attempts (defaults 50ms and 2s), jittered by the
+	// Reloader's RNG.
 	BackoffBase time.Duration
-	// BackoffMax caps the pre-jitter backoff (default 2s).
-	BackoffMax time.Duration
+	BackoffMax  time.Duration
 	// TripAfter is the number of consecutive failed Reload calls (each one
 	// MaxAttempts deep) that opens the breaker (default 3).
 	TripAfter int
@@ -82,12 +82,6 @@ type ReloadConfig struct {
 func (c ReloadConfig) withDefaults() ReloadConfig {
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 4
-	}
-	if c.BackoffBase <= 0 {
-		c.BackoffBase = 50 * time.Millisecond
-	}
-	if c.BackoffMax <= 0 {
-		c.BackoffMax = 2 * time.Second
 	}
 	if c.TripAfter <= 0 {
 		c.TripAfter = 3
@@ -157,14 +151,9 @@ func NewReloader(reg *Registry, rng *mathx.RNG, cfg ReloadConfig) *Reloader {
 	}
 }
 
-// backoff returns the jittered sleep before retry k (0-based): the capped
-// exponential min(Base<<k, Max) scaled to [50%, 100%] by the RNG.
+// backoff returns the jittered sleep before retry k (0-based).
 func (l *Reloader) backoff(k int) time.Duration {
-	d := l.cfg.BackoffBase << k
-	if d > l.cfg.BackoffMax || d <= 0 { // <<k overflow guards too
-		d = l.cfg.BackoffMax
-	}
-	return time.Duration((0.5 + 0.5*l.rng.Float64()) * float64(d))
+	return retry.Backoff{Base: l.cfg.BackoffBase, Max: l.cfg.BackoffMax}.Delay(k, l.rng)
 }
 
 // permanent reports whether err cannot succeed on retry: an architecture
