@@ -6,7 +6,7 @@ GO ?= go
 BENCH_BASELINE_DIR ?= bench/baselines
 BENCH_FRESH_DIR ?= /tmp/advnet-bench
 
-.PHONY: all build test vet race bench swarm-bench serve-race faults verify bench-short bench-diff bench-baseline bench-e2e-check
+.PHONY: all build test vet race bench swarm-bench serve-race faults verify bench-short bench-diff bench-baseline bench-e2e-check seam-check
 
 all: verify
 
@@ -108,6 +108,18 @@ bench-baseline:
 bench-e2e-check:
 	cd bench/e2e && $(GO) vet . && $(GO) test .
 
-# Tier-1 verification: build + tests, plus vet, the race detector, and the
-# benchmark module's compile check.
-verify: build vet test race bench-e2e-check
+# One trainer assembly (internal/rl/problem.go): every PPO trainer is built by
+# rl.NewTrainer under the one rl.TrainOptions. Outside tests and the frozen
+# benchmark module, NewPPO may be named on at most two lines (its definition
+# and the seam's call), and internal/ declares exactly one TrainOptions
+# struct — a tenth hand-assembled trainer or a fourth options struct fails
+# here instead of in review.
+seam-check:
+	@n=$$(grep -rn 'NewPPO(' --include='*.go' . | grep -v '_test\.go:' | grep -vc '^\./bench/e2e/'); \
+	if [ $$n -gt 2 ]; then echo "seam-check: NewPPO( on $$n non-test lines, want <= 2 (build trainers with rl.NewTrainer)"; exit 1; fi
+	@n=$$(grep -rn 'TrainOptions struct' --include='*.go' internal | wc -l); \
+	if [ $$n -ne 1 ]; then echo "seam-check: $$n TrainOptions structs under internal/, want exactly 1 (rl.TrainOptions)"; exit 1; fi
+
+# Tier-1 verification: build + tests, plus vet, the race detector, the
+# benchmark module's compile check, and the structural seam check.
+verify: build vet test race bench-e2e-check seam-check

@@ -8,11 +8,9 @@
 //	advtrain -domain cc  -target bbr|cubic|reno -o adversary.json
 //
 // The pensieve target is trained from scratch on a synthetic FCC-like corpus
-// before the adversary attacks it; with -workers > 1 that pretraining streams
-// the corpus sharded across workers unless -no-shard restores the legacy
-// full-dataset sampling. The adversary environments themselves are
-// dataset-free (the adversary emits the bandwidths), so -shard affects only
-// the pensieve pretraining.
+// before the adversary attacks it; with -workers > 1 worker w streams shard w
+// of that corpus. The adversary environments themselves are dataset-free (the
+// adversary emits the bandwidths).
 package main
 
 import (
@@ -42,8 +40,6 @@ func main() {
 	iters := flag.Int("iters", 0, "PPO iterations (0 = domain default)")
 	seed := flag.Uint64("seed", 1, "training seed")
 	workers := flag.Int("workers", 1, "parallel rollout workers (1 = historical single-threaded path)")
-	shard := flag.Bool("shard", true, "with -target pensieve and -workers > 1, shard the pretraining corpus round-robin across workers")
-	noShard := flag.Bool("no-shard", false, "force legacy full-dataset sampling during pensieve pretraining (overrides -shard)")
 	pretrainIters := flag.Int("pretrain-iters", 20, "PPO iterations for pretraining the pensieve target")
 	gemm := flag.Bool("gemm", false, "blocked GEMM minibatch updates (faster; matches the default path to rounding, not bitwise)")
 	ckptDir := flag.String("checkpoint-dir", "", "directory for periodic crash-safe training checkpoints (empty = disabled)")
@@ -71,6 +67,19 @@ func main() {
 		reg.SetConfig("gemm", *gemm)
 	}
 
+	// The domain supplies the defaults; the flags fill the rest, once.
+	opt := core.DefaultABRTrainOptions()
+	if *domain == "cc" {
+		opt = core.DefaultCCTrainOptions()
+	}
+	if *iters > 0 {
+		opt.Iterations = *iters
+	}
+	opt.Workers = *workers
+	opt.GEMM = *gemm
+	opt.Checkpoint = ckpt
+	opt.Metrics = tm
+
 	rng := mathx.NewRNG(*seed)
 	switch *domain {
 	case "abr":
@@ -87,15 +96,9 @@ func main() {
 			proto = abr.NewBOLA()
 		case "pensieve":
 			corpus := trace.GenerateFCCLikeDataset(rng.Split(), trace.DefaultFCCLike(), 40, "fcc")
-			mode := "full-dataset"
-			train := abr.TrainPensieveParallel
-			if *shard && !*noShard && *workers > 1 {
-				mode = "sharded"
-				train = abr.TrainPensieveSharded
-			}
-			log.Printf("pretraining pensieve target on %d traces (%s sampling, %d workers, %d iterations)...",
-				len(corpus.Traces), mode, *workers, *pretrainIters)
-			agent, _, err := train(video, corpus, *pretrainIters, *workers, rng.Split())
+			log.Printf("pretraining pensieve target on %d traces (%d workers, %d iterations)...",
+				len(corpus.Traces), *workers, *pretrainIters)
+			agent, _, err := abr.TrainPensieveSharded(video, corpus, *pretrainIters, *workers, rng.Split())
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -103,14 +106,6 @@ func main() {
 		default:
 			log.Fatalf("unknown abr target %q", *target)
 		}
-		opt := core.DefaultABRTrainOptions()
-		if *iters > 0 {
-			opt.Iterations = *iters
-		}
-		opt.Workers = *workers
-		opt.GEMM = *gemm
-		opt.Checkpoint = ckpt
-		opt.Metrics = tm
 		log.Printf("training ABR adversary against %s for %d iterations (%d workers)...", proto.Name(), opt.Iterations, *workers)
 		t0 := time.Now()
 		adv, stats, err := core.TrainABRAdversary(video, proto, core.DefaultABRAdversaryConfig(), opt, rng)
@@ -149,14 +144,6 @@ func main() {
 		default:
 			log.Fatalf("unknown cc target %q", *target)
 		}
-		opt := core.DefaultCCTrainOptions()
-		if *iters > 0 {
-			opt.Iterations = *iters
-		}
-		opt.Workers = *workers
-		opt.GEMM = *gemm
-		opt.Checkpoint = ckpt
-		opt.Metrics = tm
 		log.Printf("training CC adversary against %s for %d iterations (%d workers)...", *target, opt.Iterations, *workers)
 		t0 := time.Now()
 		adv, stats, err := core.TrainCCAdversary(newCC, core.DefaultCCAdversaryConfig(), opt, rng)

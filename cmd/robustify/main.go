@@ -30,9 +30,7 @@ func main() {
 	advIters := flag.Int("adv-iters", 80, "adversary PPO iterations")
 	nTraces := flag.Int("n", 25, "adversarial traces to inject")
 	seed := flag.Uint64("seed", 1, "training seed")
-	workers := flag.Int("workers", 1, "parallel rollout workers for both the protocol and the adversary (1 = single-threaded)")
-	shard := flag.Bool("shard", true, "with -workers > 1, partition the training dataset round-robin across workers; each worker streams its shard in deterministic epoch-reshuffled order covering the dataset once per epoch")
-	noShard := flag.Bool("no-shard", false, "force the legacy full-dataset uniform sampling in every worker (overrides -shard)")
+	workers := flag.Int("workers", 1, "parallel rollout workers for both the protocol and the adversary (1 = single-threaded); protocol worker w streams shard w of the training dataset in deterministic epoch-reshuffled order")
 	gemm := flag.Bool("gemm", false, "blocked GEMM minibatch updates for both PPO runs (faster; matches the default path to rounding, not bitwise)")
 	ckptDir := flag.String("checkpoint-dir", "", "directory for periodic crash-safe training checkpoints (empty = disabled)")
 	ckptEvery := flag.Int("checkpoint-every", 1, "save a checkpoint every N protocol-training iterations")
@@ -65,17 +63,12 @@ func main() {
 	cfg.TotalIterations = *iters
 	cfg.InjectAtFrac = *inject
 	cfg.AdversarialTraces = *nTraces
-	cfg.AdvOpt = core.ABRTrainOptions{Iterations: *advIters, RolloutSteps: 1536, LR: 1e-3, Workers: *workers, GEMM: *gemm}
+	cfg.AdvOpt = core.TrainOptions{Iterations: *advIters, RolloutSteps: 1536, LR: 1e-3, Workers: *workers, GEMM: *gemm}
 	cfg.Workers = *workers
-	cfg.ShardTraces = *shard && !*noShard
 	cfg.GEMM = *gemm
 	cfg.Checkpoint = ckpt
 
-	mode := "sharded"
-	if !cfg.ShardTraces || *workers <= 1 {
-		mode = "full-dataset"
-	}
-	log.Printf("training on %q (%d traces, %s sampling), injecting at %.0f%%, %d workers...", ds.Name, len(ds.Traces), mode, 100**inject, *workers)
+	log.Printf("training on %q (%d traces), injecting at %.0f%%, %d workers...", ds.Name, len(ds.Traces), 100**inject, *workers)
 	res, err := core.TrainRobustPensieve(video, ds, cfg, rng.Split())
 	if err != nil {
 		log.Fatal(err)
@@ -94,7 +87,7 @@ func main() {
 	}
 
 	// Quick self-evaluation on the training distribution.
-	q, err := core.EvaluateABR(video, ds, res.Protocol, 0.08, *workers)
+	q, err := core.EvaluateABR(video, ds, res.Protocol, cfg.RTTSeconds, *workers)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -45,7 +45,7 @@ func main() {
 
 	fmt.Println("training adversary against MPC...")
 	acfg := core.DefaultABRAdversaryConfig()
-	opt := core.ABRTrainOptions{Iterations: *iters, RolloutSteps: 1536, LR: 1e-3}
+	opt := core.TrainOptions{Iterations: *iters, RolloutSteps: 1536, LR: 1e-3}
 	adv, _, err := core.TrainABRAdversary(video, mpc, acfg, opt, mathx.NewRNG(9))
 	if err != nil {
 		panic(err)

@@ -30,7 +30,7 @@ func main() {
 	//    r_opt - r_protocol - p_smoothing.
 	fmt.Println("training adversary against BB (a few seconds)...")
 	cfg := core.DefaultABRAdversaryConfig()
-	opt := core.ABRTrainOptions{Iterations: 20, RolloutSteps: 1024, LR: 1e-3}
+	opt := core.TrainOptions{Iterations: 20, RolloutSteps: 1024, LR: 1e-3}
 	adv, stats, err := core.TrainABRAdversary(video, target, cfg, opt, rng)
 	if err != nil {
 		panic(err)

@@ -41,7 +41,7 @@ func main() {
 		cfg.TotalIterations = *iters
 		cfg.InjectAtFrac = frac
 		cfg.AdversarialTraces = 25
-		cfg.AdvOpt = core.ABRTrainOptions{Iterations: 80, RolloutSteps: 1536, LR: 1e-3, Restarts: 2}
+		cfg.AdvOpt = core.TrainOptions{Iterations: 80, RolloutSteps: 1536, LR: 1e-3, Restarts: 2}
 		res, err := core.TrainRobustPensieve(video, fccTrain, cfg, mathx.NewRNG(6))
 		if err != nil {
 			panic(err)

@@ -35,7 +35,7 @@ func main() {
 	fmt.Printf("adversary controls %d commodities, rate 0-%.1f each\n\n", len(pairs), cfg.MaxRate)
 
 	fmt.Println("training adversary against SPF...")
-	opt := core.ABRTrainOptions{Iterations: *iters, RolloutSteps: 512, LR: 1e-3}
+	opt := core.TrainOptions{Iterations: *iters, RolloutSteps: 512, LR: 1e-3}
 	adv, stats, err := core.TrainRoutingAdversary(top, routing.SPF{}, cfg, opt, mathx.NewRNG(7))
 	if err != nil {
 		panic(err)

@@ -449,30 +449,6 @@ func TestPensieveTrainingImproves(t *testing.T) {
 	}
 }
 
-// TestTrainPensieveParallelReproducible: parallel Pensieve training must be
-// deterministic for a fixed seed and worker count.
-func TestTrainPensieveParallelReproducible(t *testing.T) {
-	if testing.Short() {
-		t.Skip("training test")
-	}
-	run := func() []float64 {
-		rng := mathx.NewRNG(23)
-		v := testVideo(0)
-		ds := trace.GenerateFCCLikeDataset(rng, trace.DefaultFCCLike(), 8, "fcc")
-		agent, _, err := TrainPensieveParallel(v, ds, 2, 2, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return agent.Policy.Params()[0]
-	}
-	p1, p2 := run(), run()
-	for i := range p1 {
-		if p1[i] != p2[i] {
-			t.Fatalf("param %d differs across W=2 runs: %v vs %v", i, p1[i], p2[i])
-		}
-	}
-}
-
 func TestTrainEnvEpisodeShape(t *testing.T) {
 	rng := mathx.NewRNG(19)
 	v := testVideo(0)

@@ -116,7 +116,7 @@ type TrainEnv struct {
 	RTTSeconds float64
 
 	rng      *mathx.RNG
-	sampler  TraceSampler // nil → historical uniform rng draw
+	sampler  *ShardTraceSampler // nil on the identity shard: uniform rng draw
 	session  *Session
 	traceIdx int // dataset index of the current session's trace; -1 when none
 }
@@ -130,15 +130,12 @@ func NewTrainEnv(video *Video, dataset *trace.Dataset, cfg SessionConfig, rttS f
 	return &TrainEnv{Video: video, Dataset: dataset, Cfg: cfg, RTTSeconds: rttS, rng: rng, traceIdx: -1}
 }
 
-// Reset implements rl.Env. With a sampler installed the next trace comes from
-// it; otherwise the env draws uniformly from the full dataset with its own
-// RNG — the historical path, preserved bit-for-bit for unsharded training.
+// Reset implements rl.Env. An env streaming a shard takes the next trace from
+// its sampler; the identity-shard env draws uniformly from the whole dataset
+// with its own RNG — the one-lane path, preserved bit-for-bit.
 func (e *TrainEnv) Reset() []float64 {
 	if e.sampler != nil {
 		e.traceIdx = e.sampler.NextTrace()
-		if e.traceIdx < 0 || e.traceIdx >= len(e.Dataset.Traces) {
-			panic(fmt.Sprintf("abr: trace sampler returned index %d outside dataset [0,%d)", e.traceIdx, len(e.Dataset.Traces)))
-		}
 	} else {
 		e.traceIdx = e.rng.Intn(len(e.Dataset.Traces))
 	}
@@ -162,12 +159,8 @@ type trainEnvState struct {
 // session so a resumed trainer replays bit-for-bit.
 func (e *TrainEnv) EnvState() ([]byte, error) {
 	st := trainEnvState{RNG: e.rng.State(), TraceIdx: -1}
-	switch s := e.sampler.(type) {
-	case nil:
-	case *ShardTraceSampler:
+	if s := e.sampler; s != nil {
 		st.Shard = &shardSamplerState{Index: s.shard.Index(), Count: s.shard.Count(), Cursor: s.cursor.State()}
-	default:
-		return nil, fmt.Errorf("abr: trace sampler %T does not support checkpointing", e.sampler)
 	}
 	if e.session != nil && !e.session.Done() {
 		ss := e.session.State()
@@ -187,7 +180,7 @@ func (e *TrainEnv) SetEnvState(data []byte) error {
 	if err := json.Unmarshal(data, &st); err != nil {
 		return fmt.Errorf("abr: decode env state: %w", err)
 	}
-	sampler, isSharded := e.sampler.(*ShardTraceSampler)
+	sampler, isSharded := e.sampler, e.sampler != nil
 	var restored *trace.Cursor
 	if st.Shard != nil {
 		if !isSharded {
@@ -252,59 +245,56 @@ func (e *TrainEnv) ActionSpec() rl.ActionSpec {
 	return rl.ActionSpec{Discrete: true, N: e.Video.Levels()}
 }
 
+// PensieveProblem is the one Pensieve training problem: a categorical policy
+// over the bitrate ladder, PPO at the canonical rollout size and learning
+// rate, and one TrainEnv per lane with its own sampling stream, lane w of W
+// streaming shard w of the dataset's W-way round-robin partition in
+// deterministic epoch-reshuffled order (a one-lane partition is the whole
+// dataset, sampled uniformly). TrainPensieve, both phases of
+// core.TrainRobustPensieve and internal/dist's "pensieve" domain are all
+// built from it. Envs fails when lanes exceeds the dataset size (every
+// shard must own a trace).
+func PensieveProblem(video *Video, dataset *trace.Dataset, rttS float64) rl.Problem {
+	cfg := rl.DefaultPPOConfig()
+	cfg.RolloutSteps = 1024
+	cfg.LR = 1e-3
+	levels := video.Levels()
+	return rl.Problem{
+		Nets: func(rng *mathx.RNG) (rl.Policy, *nn.MLP) {
+			return rl.NewCategoricalPolicy(NewPensieveNet(rng, levels)), NewPensieveValueNet(rng, levels)
+		},
+		Config: cfg,
+		Envs: func(lanes int, rng *mathx.RNG) (rl.EnvFactory, error) {
+			shards, err := trace.NewShardedDataset(dataset, lanes)
+			if err != nil {
+				return nil, err
+			}
+			rngs := make([]*mathx.RNG, lanes)
+			for i := range rngs {
+				rngs[i] = rng.Split()
+			}
+			return func(lane int) rl.Env {
+				return NewTrainEnvSharded(video, dataset, DefaultSessionConfig(), rttS, rngs[lane], shards.Shard(lane))
+			}, nil
+		},
+	}
+}
+
 // TrainPensieve trains a fresh Pensieve agent on the dataset for the given
 // number of PPO iterations and returns the protocol together with the
 // trainer (so training can be resumed, e.g. to inject adversarial traces as
 // in §2.3 of the paper).
 func TrainPensieve(video *Video, dataset *trace.Dataset, iterations int, rng *mathx.RNG) (*Pensieve, *rl.PPO, error) {
-	return trainPensieveVec(video, dataset, iterations, 1, false, rng)
+	return TrainPensieveSharded(video, dataset, iterations, 1, rng)
 }
 
-// TrainPensieveParallel is TrainPensieve with parallel rollout collection:
-// workers independent TrainEnv instances (each sampling traces with its own
-// RNG stream split deterministically from rng) collect every rollout via
-// rl.VecRunner. workers ≤ 1 is the single-lane runner, bit-for-bit
-// TrainPensieve.
-func TrainPensieveParallel(video *Video, dataset *trace.Dataset, iterations, workers int, rng *mathx.RNG) (*Pensieve, *rl.PPO, error) {
-	return trainPensieveVec(video, dataset, iterations, workers, false, rng)
-}
-
-// trainPensieveVec is the one Pensieve training body. The RNG consumption
-// sequence is policy net, value net, PPO, then one Split per worker in
-// worker order; sharded envs additionally draw their cursor seed from their
-// own private worker stream, never from the parent rng. A one-worker shard
-// set is the identity, so workers ≤ 1 trains on the whole dataset either way.
-func trainPensieveVec(video *Video, dataset *trace.Dataset, iterations, workers int, sharded bool, rng *mathx.RNG) (*Pensieve, *rl.PPO, error) {
-	workers = max(1, workers)
-	var shards *trace.ShardedDataset
-	if sharded {
-		var err error
-		shards, err = trace.NewShardedDataset(dataset, workers)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	levels := video.Levels()
-	policy := rl.NewCategoricalPolicy(NewPensieveNet(rng, levels))
-	value := NewPensieveValueNet(rng, levels)
-	cfg := rl.DefaultPPOConfig()
-	cfg.RolloutSteps = 1024
-	cfg.LR = 1e-3
-	ppo, err := rl.NewPPO(policy, value, cfg, rng)
+// TrainPensieveSharded is TrainPensieve on `workers` rollout lanes (see
+// PensieveProblem for what each lane streams). For a fixed worker count the
+// run is reproducible run-to-run; workers ≤ 1 is TrainPensieve.
+func TrainPensieveSharded(video *Video, dataset *trace.Dataset, iterations, workers int, rng *mathx.RNG) (*Pensieve, *rl.PPO, error) {
+	ppo, _, err := rl.Train(PensieveProblem(video, dataset, 0.08), rl.TrainOptions{Iterations: iterations, Workers: workers}, rng)
 	if err != nil {
 		return nil, nil, err
 	}
-	rngs := make([]*mathx.RNG, workers)
-	for i := range rngs {
-		rngs[i] = rng.Split()
-	}
-	if _, err := ppo.TrainParallel(func(worker int) rl.Env {
-		if shards != nil {
-			return NewTrainEnvSharded(video, dataset, DefaultSessionConfig(), 0.08, rngs[worker], shards.Shard(worker))
-		}
-		return NewTrainEnv(video, dataset, DefaultSessionConfig(), 0.08, rngs[worker])
-	}, workers, iterations); err != nil {
-		return nil, nil, err
-	}
-	return NewPensieve(policy), ppo, nil
+	return NewPensieve(ppo.Policy.(*rl.CategoricalPolicy)), ppo, nil
 }

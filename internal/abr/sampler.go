@@ -4,20 +4,8 @@ import (
 	"fmt"
 
 	"advnet/internal/mathx"
-	"advnet/internal/rl"
 	"advnet/internal/trace"
 )
-
-// TraceSampler picks which dataset trace the next training episode streams.
-// TrainEnv.Reset consults its sampler when one is installed; with no sampler
-// it falls back to the historical uniform draw from the env's own RNG — the
-// path under which pre-sharding training runs reproduce bit-for-bit
-// (DESIGN.md §8.3).
-type TraceSampler interface {
-	// NextTrace returns the parent-dataset index of the trace for the next
-	// episode and advances the sampler.
-	NextTrace() int
-}
 
 // ShardTraceSampler streams one shard of a dataset in deterministic
 // epoch-reshuffled order: within an epoch every trace of the shard is visited
@@ -40,7 +28,8 @@ func NewShardTraceSampler(shard *trace.Shard, seed uint64) *ShardTraceSampler {
 	return &ShardTraceSampler{shard: shard, cursor: trace.NewCursor(shard.Len(), seed)}
 }
 
-// NextTrace implements TraceSampler.
+// NextTrace returns the parent-dataset index of the trace for the next
+// episode and advances the sampler.
 func (s *ShardTraceSampler) NextTrace() int { return s.shard.ParentIndex(s.cursor.Next()) }
 
 // Shard returns the shard the sampler streams.
@@ -67,22 +56,6 @@ func NewTrainEnvSharded(video *Video, dataset *trace.Dataset, cfg SessionConfig,
 	e := NewTrainEnv(video, dataset, cfg, rttS, rng)
 	e.sampler = NewShardTraceSampler(shard, rng.Uint64())
 	return e
-}
-
-// SetTraceSampler installs (or, with nil, removes) the env's trace sampler.
-// Checkpointing via EnvState supports the built-in ShardTraceSampler only;
-// envs with other sampler types refuse to serialize.
-func (e *TrainEnv) SetTraceSampler(s TraceSampler) { e.sampler = s }
-
-// TrainPensieveSharded is TrainPensieveParallel with the dataset partitioned
-// round-robin across the workers: worker w streams only shard w of W, in
-// deterministic epoch-reshuffled order, instead of every worker sampling the
-// full dataset. The union of the shards covers every trace exactly once per
-// epoch, and for a fixed worker count the run is reproducible run-to-run.
-// workers ≤ 1 is the single-lane runner over the whole dataset (a one-shard
-// partition is the identity), bit-for-bit TrainPensieve.
-func TrainPensieveSharded(video *Video, dataset *trace.Dataset, iterations, workers int, rng *mathx.RNG) (*Pensieve, *rl.PPO, error) {
-	return trainPensieveVec(video, dataset, iterations, workers, true, rng)
 }
 
 // shardSamplerState rides in trainEnvState when the env streams a shard: the

@@ -9,7 +9,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"advnet/internal/abr"
 	"advnet/internal/mathx"
@@ -258,149 +257,73 @@ type ABRAdversary struct {
 
 // NewABRAdversary builds an untrained adversary for the given video ladder.
 func NewABRAdversary(rng *mathx.RNG, levels int, cfg ABRAdversaryConfig) *ABRAdversary {
-	sizes := append([]int{cfg.stateSize(levels)}, cfg.Hidden...)
-	sizes = append(sizes, 1)
-	net := nn.NewMLP(rng, sizes, nn.Tanh)
+	net := nn.NewMLP(rng, mlpSizes(cfg.stateSize(levels), cfg.Hidden, 1), nn.Tanh)
 	return &ABRAdversary{Policy: rl.NewGaussianPolicy(net, cfg.InitLogStd), Cfg: cfg}
 }
 
-// ABRTrainOptions controls adversary training.
-type ABRTrainOptions struct {
-	Iterations   int // PPO iterations
-	RolloutSteps int // env steps per iteration
-	LR           float64
-	// Restarts > 1 trains that many adversaries from independent
-	// initializations and keeps the one with the highest final reward.
-	// PPO on adversarial objectives is seed-sensitive (some runs converge
-	// to weak local attacks); restart selection makes the generated
-	// traces reliably strong.
-	Restarts int
-	// Workers is the number of parallel environment instances collecting
-	// each rollout (rl.VecRunner lanes); RolloutSteps are split across
-	// them, so the data volume per iteration is unchanged. Workers ≤ 1 is
-	// one lane on the calling goroutine, bit-for-bit the historical
-	// single-threaded behaviour.
-	Workers int
-	// GEMM routes PPO's minibatch updates through the blocked
-	// matrix–matrix kernels (rl.PPOConfig.GEMM). Faster on large
-	// rollouts; results match the default path to rounding rather than
-	// bitwise.
-	GEMM bool
-	// Checkpoint enables crash-safe adversary training: periodic atomic
-	// trainer checkpoints under Checkpoint.Dir with automatic resume (see
-	// rl.CheckpointConfig). ABREnv does not checkpoint its own state, so a
-	// resumed run abandons any half-collected episode — valid training,
-	// though not bit-for-bit an uninterrupted run. Incompatible with
-	// Restarts > 1 (one directory cannot hold several independent runs).
-	Checkpoint rl.CheckpointConfig
-	// Metrics, when non-nil, attaches training telemetry (iteration
-	// counter, rollout/update timers) to the trainer. With Restarts > 1
-	// every restart observes into the same instruments, so the timers
-	// aggregate across the whole selection run.
-	Metrics *rl.TrainMetrics
+// mlpSizes returns the layer sizes of an MLP with the given hidden layers.
+func mlpSizes(in int, hidden []int, out int) []int {
+	return append(append([]int{in}, hidden...), out)
 }
+
+// TrainOptions controls the training of every adversary in this package (and
+// of the adversary inside TrainRobustPensieve): it is the rl seam's one
+// options struct, and every trainer honours every field.
+type TrainOptions = rl.TrainOptions
 
 // DefaultABRTrainOptions returns settings sized for the repository's
 // experiments (the paper trains for 600k steps; the defaults here train for
 // Iterations×RolloutSteps steps and can be scaled up).
-func DefaultABRTrainOptions() ABRTrainOptions {
-	return ABRTrainOptions{Iterations: 80, RolloutSteps: 1536, LR: 1e-3}
+func DefaultABRTrainOptions() TrainOptions {
+	return TrainOptions{Iterations: 80, RolloutSteps: 1536, LR: 1e-3}
 }
 
 // TrainABRAdversary trains a fresh adversary against the target protocol on
-// the given video and returns it with the per-iteration statistics. With
-// opt.Restarts > 1 it returns the best of several independent runs (judged
-// by mean episode reward over the final quarter of training).
-func TrainABRAdversary(video *abr.Video, target abr.Protocol, cfg ABRAdversaryConfig, opt ABRTrainOptions, rng *mathx.RNG) (*ABRAdversary, []rl.IterStats, error) {
-	restarts := opt.Restarts
-	if restarts > 1 && opt.Checkpoint.Dir != "" {
-		return nil, nil, fmt.Errorf("core: Restarts=%d is incompatible with checkpointing (one directory cannot hold several independent runs)", restarts)
+// the given video and returns it with the per-iteration statistics. ABREnv
+// does not checkpoint its own state, so a resumed run abandons any
+// half-collected episode.
+func TrainABRAdversary(video *abr.Video, target abr.Protocol, cfg ABRAdversaryConfig, opt TrainOptions, rng *mathx.RNG) (*ABRAdversary, []rl.IterStats, error) {
+	levels := video.Levels()
+	ppo, stats, err := rl.Train(rl.Problem{
+		Nets: func(rng *mathx.RNG) (rl.Policy, *nn.MLP) {
+			return NewABRAdversary(rng, levels, cfg).Policy, nn.NewMLP(rng, mlpSizes(cfg.stateSize(levels), cfg.Hidden, 1), nn.Tanh)
+		},
+		Config: rl.DefaultPPOConfig(),
+		Envs: func(lanes int, _ *mathx.RNG) (rl.EnvFactory, error) {
+			return ABREnvFactory(video, target, cfg, lanes)
+		},
+	}, opt, rng)
+	if err != nil {
+		return nil, nil, err
 	}
-	if restarts <= 1 {
-		return trainABRAdversaryOnce(video, target, cfg, opt, rng)
-	}
-	var (
-		bestAdv   *ABRAdversary
-		bestStats []rl.IterStats
-	)
-	bestScore := math.Inf(-1)
-	for i := 0; i < restarts; i++ {
-		adv, stats, err := trainABRAdversaryOnce(video, target, cfg, opt, rng.Split())
-		if err != nil {
-			return nil, nil, err
-		}
-		score := finalReward(stats)
-		if score > bestScore {
-			bestScore = score
-			bestAdv = adv
-			bestStats = stats
-		}
-	}
-	return bestAdv, bestStats, nil
+	return &ABRAdversary{Policy: ppo.Policy.(*rl.GaussianPolicy), Cfg: cfg}, stats, nil
 }
 
-// finalReward scores a training run by its tail performance.
-func finalReward(stats []rl.IterStats) float64 {
-	if len(stats) == 0 {
-		return math.Inf(-1)
-	}
-	tail := stats[len(stats)*3/4:]
-	var sum float64
-	for _, s := range tail {
-		sum += s.MeanEpReward
-	}
-	return sum / float64(len(tail))
-}
-
-func trainABRAdversaryOnce(video *abr.Video, target abr.Protocol, cfg ABRAdversaryConfig, opt ABRTrainOptions, rng *mathx.RNG) (*ABRAdversary, []rl.IterStats, error) {
-	adv := NewABRAdversary(rng, video.Levels(), cfg)
-	valueSizes := append([]int{cfg.stateSize(video.Levels())}, cfg.Hidden...)
-	valueSizes = append(valueSizes, 1)
-	value := nn.NewMLP(rng, valueSizes, nn.Tanh)
-
-	pcfg := rl.DefaultPPOConfig()
-	pcfg.RolloutSteps = opt.RolloutSteps
-	pcfg.LR = opt.LR
-	pcfg.GEMM = opt.GEMM
-	ppo, err := rl.NewPPO(adv.Policy, value, pcfg, rng)
-	if err != nil {
-		return nil, nil, err
-	}
-	ppo.SetMetrics(opt.Metrics)
-	workers := max(1, opt.Workers)
-	factory, err := ABREnvFactory(video, target, cfg, workers)
-	if err != nil {
-		return nil, nil, err
-	}
-	v, err := rl.NewVecRunner(ppo, factory, workers)
-	if err != nil {
-		return nil, nil, err
-	}
-	stats, err := v.TrainCheckpointed(opt.Iterations, opt.Checkpoint)
-	if err != nil {
-		return nil, nil, err
-	}
-	return adv, stats, nil
-}
-
-// ABREnvFactory returns an rl.EnvFactory producing one independent adversary
-// environment per rollout worker. Worker 0 drives the original target
-// protocol; higher workers drive clones (protocols carry per-session state
-// and evaluation scratch, so instances must not be shared across
-// goroutines). The target must implement abr.CloneableProtocol when workers
-// > 1. The worker index is the shard slot of the sharding contract (DESIGN.md
-// §8.3), but ABREnv streams no trace dataset — the adversary emits the
-// bandwidths itself — so there is nothing to shard here; dataset-backed
-// factories (abr.TrainPensieveSharded, core.TrainRobustPensieve with
-// ShardTraces) assign trace shard w to worker w under the same convention.
-func ABREnvFactory(video *abr.Video, target abr.Protocol, cfg ABRAdversaryConfig, workers int) (rl.EnvFactory, error) {
+// cloneTargets returns one protocol instance per rollout lane: lane 0 drives
+// the original target, higher lanes drive clones (protocols carry per-session
+// state and evaluation scratch, so instances must not be shared across
+// goroutines). The target must implement abr.CloneableProtocol when lanes > 1.
+func cloneTargets(target abr.Protocol, lanes int) ([]abr.Protocol, error) {
 	targets := []abr.Protocol{target}
-	for i := 1; i < workers; i++ {
+	for i := 1; i < lanes; i++ {
 		c, err := abr.CloneProtocol(target)
 		if err != nil {
 			return nil, err
 		}
 		targets = append(targets, c)
+	}
+	return targets, nil
+}
+
+// ABREnvFactory returns an rl.EnvFactory producing one independent adversary
+// environment per rollout worker, each over its own protocol instance (see
+// cloneTargets). ABREnv streams no trace dataset — the adversary emits the
+// bandwidths itself — so the lane ↔ shard rule of DESIGN.md §8.3 has nothing
+// to shard here.
+func ABREnvFactory(video *abr.Video, target abr.Protocol, cfg ABRAdversaryConfig, workers int) (rl.EnvFactory, error) {
+	targets, err := cloneTargets(target, workers)
+	if err != nil {
+		return nil, err
 	}
 	return func(worker int) rl.Env {
 		return NewABREnv(video, targets[worker], cfg)
@@ -409,7 +332,7 @@ func ABREnvFactory(video *abr.Video, target abr.Protocol, cfg ABRAdversaryConfig
 
 // TrainABRAdversaryNaive trains an adversary with the naive −r_protocol
 // reward (no optimum baseline), used by the reward-definition ablation.
-func TrainABRAdversaryNaive(video *abr.Video, target abr.Protocol, cfg ABRAdversaryConfig, opt ABRTrainOptions, rng *mathx.RNG) (*ABRAdversary, []rl.IterStats, error) {
+func TrainABRAdversaryNaive(video *abr.Video, target abr.Protocol, cfg ABRAdversaryConfig, opt TrainOptions, rng *mathx.RNG) (*ABRAdversary, []rl.IterStats, error) {
 	cfg.NaiveReward = true
 	return TrainABRAdversary(video, target, cfg, opt, rng)
 }
@@ -420,28 +343,23 @@ func TrainABRAdversaryNaive(video *abr.Video, target abr.Protocol, cfg ABRAdvers
 // performance ... without having to re-run the adversary"). With stochastic
 // false the policy acts deterministically (its mode).
 func (a *ABRAdversary) GenerateTrace(video *abr.Video, target abr.Protocol, rng *mathx.RNG, stochastic bool, name string) *trace.Trace {
-	env := NewABREnv(video, target, a.Cfg)
-	obs := env.Reset()
-	for {
-		var action []float64
-		if stochastic {
-			action, _ = a.Policy.Sample(rng, obs)
-		} else {
-			action = a.Policy.Mode(obs)
-		}
-		next, _, done := env.Step(action)
-		obs = next
-		if done {
-			break
-		}
-	}
+	return episodeTrace(a.Policy, NewABREnv(video, target, a.Cfg), rng, stochastic, name, video.ChunkSeconds, a.Cfg.RTTSeconds)
+}
+
+// bandwidthEnv is an adversary environment that records the bandwidth it set
+// for each chunk of the episode.
+type bandwidthEnv interface {
+	rl.Env
+	BandwidthHistory() []float64
+}
+
+// episodeTrace plays one episode of policy on env and returns the bandwidths
+// it chose as a replayable trace.
+func episodeTrace(policy rl.Policy, env bandwidthEnv, rng *mathx.RNG, stochastic bool, name string, chunkS, rttS float64) *trace.Trace {
+	rl.RunEpisode(policy, env, rng, stochastic, nil)
 	tr := &trace.Trace{Name: name}
 	for _, bw := range env.BandwidthHistory() {
-		tr.Points = append(tr.Points, trace.Point{
-			Duration:      video.ChunkSeconds,
-			BandwidthMbps: bw,
-			LatencyMs:     a.Cfg.RTTSeconds * 1000 / 2,
-		})
+		tr.Points = append(tr.Points, trace.Point{Duration: chunkS, BandwidthMbps: bw, LatencyMs: rttS * 1000 / 2})
 	}
 	return tr
 }

@@ -230,104 +230,69 @@ type CCAdversary struct {
 
 // NewCCAdversary builds an untrained adversary.
 func NewCCAdversary(rng *mathx.RNG, cfg CCAdversaryConfig) *CCAdversary {
-	sizes := append([]int{2}, cfg.Hidden...)
-	sizes = append(sizes, 3)
-	net := nn.NewMLP(rng, sizes, nn.Tanh)
-	pol := rl.NewGaussianPolicy(net, cfg.InitLogStd)
+	return &CCAdversary{Policy: newCCPolicy(rng, 2, cfg), Cfg: cfg}
+}
+
+// newCCPolicy builds the three-output (bandwidth, latency, loss) Gaussian
+// policy over obsSize observations.
+func newCCPolicy(rng *mathx.RNG, obsSize int, cfg CCAdversaryConfig) *rl.GaussianPolicy {
+	pol := rl.NewGaussianPolicy(nn.NewMLP(rng, mlpSizes(obsSize, cfg.Hidden, 3), nn.Tanh), cfg.InitLogStd)
 	if cfg.MaxLogStd != 0 {
 		pol.MaxLogStd = cfg.MaxLogStd
 	}
-	return &CCAdversary{Policy: pol, Cfg: cfg}
+	return pol
 }
 
-// CCTrainOptions controls adversary training.
-type CCTrainOptions struct {
-	Iterations   int
-	RolloutSteps int
-	LR           float64
-	Gamma        float64 // discount; the attack's payoff arrives ~10 BBR
-	Lambda       float64 // round trips after the action, so long horizons help
-	// Workers is the number of parallel emulator instances collecting each
-	// rollout (rl.VecRunner lanes); RolloutSteps are split across them, so
-	// the data volume per iteration is unchanged. Each worker's emulator
-	// gets its own RNG stream split deterministically from the training
-	// RNG, and newCC must be safe to call from multiple goroutines.
-	// Workers ≤ 1 is one lane on the calling goroutine, bit-for-bit the
-	// historical single-threaded behaviour.
-	Workers int
-	// GEMM routes PPO's minibatch updates through the blocked
-	// matrix–matrix kernels (rl.PPOConfig.GEMM). Faster on large
-	// rollouts; results match the default path to rounding rather than
-	// bitwise.
-	GEMM bool
-	// Checkpoint enables crash-safe adversary training: periodic atomic
-	// trainer checkpoints under Checkpoint.Dir with automatic resume (see
-	// rl.CheckpointConfig). CCEnv does not checkpoint its emulator state,
-	// so a resumed run abandons any half-collected episode — valid
-	// training, though not bit-for-bit an uninterrupted run.
-	Checkpoint rl.CheckpointConfig
-	// Metrics, when non-nil, attaches training telemetry (iteration
-	// counter, rollout/update timers) to the trainer.
-	Metrics *rl.TrainMetrics
-}
+// CCTrainOptions is TrainOptions under the name the congestion-control
+// callers know.
+type CCTrainOptions = TrainOptions
 
 // DefaultCCTrainOptions returns settings sized for the repository's
 // experiments (the paper: ~600k 30 ms action/observation pairs over 200
-// iterations — Iterations 300 at RolloutSteps 2000 matches that budget).
-func DefaultCCTrainOptions() CCTrainOptions {
-	return CCTrainOptions{Iterations: 150, RolloutSteps: 2000, LR: 3e-4, Gamma: 0.995, Lambda: 0.97}
+// iterations — Iterations 300 at RolloutSteps 2000 matches that budget). The
+// long horizon is deliberate: the attack's payoff arrives ~10 BBR round
+// trips after the action.
+func DefaultCCTrainOptions() TrainOptions {
+	return TrainOptions{Iterations: 150, RolloutSteps: 2000, LR: 3e-4, Gamma: 0.995, Lambda: 0.97}
+}
+
+// ccProblem is the training problem shared by the congestion-control
+// adversaries: a policy over obsSize observations, and one emulator stream
+// per lane, split from the training RNG in lane order. The value net is
+// deliberately larger than the paper's tiny policy: it only aids training
+// and does not constrain the learned adversary.
+func ccProblem(obsSize int, cfg CCAdversaryConfig, newEnv func(rng *mathx.RNG) rl.Env) rl.Problem {
+	return rl.Problem{
+		Nets: func(rng *mathx.RNG) (rl.Policy, *nn.MLP) {
+			return newCCPolicy(rng, obsSize, cfg), nn.NewMLP(rng, []int{obsSize, 16, 1}, nn.Tanh)
+		},
+		Config: rl.DefaultPPOConfig(),
+		Envs: func(lanes int, rng *mathx.RNG) (rl.EnvFactory, error) {
+			rngs := make([]*mathx.RNG, lanes)
+			for i := range rngs {
+				rngs[i] = rng.Split()
+			}
+			return func(lane int) rl.Env { return newEnv(rngs[lane]) }, nil
+		},
+	}
+}
+
+// trainCC runs a ccProblem and wraps the trained policy.
+func trainCC(pr rl.Problem, cfg CCAdversaryConfig, opt TrainOptions, rng *mathx.RNG) (*CCAdversary, []rl.IterStats, error) {
+	ppo, stats, err := rl.Train(pr, opt, rng)
+	if err != nil {
+		return nil, nil, err
+	}
+	return &CCAdversary{Policy: ppo.Policy.(*rl.GaussianPolicy), Cfg: cfg}, stats, nil
 }
 
 // TrainCCAdversary trains a fresh adversary against the protocol produced by
-// newCC and returns it with per-iteration statistics.
-func TrainCCAdversary(newCC func() netem.CongestionController, cfg CCAdversaryConfig, opt CCTrainOptions, rng *mathx.RNG) (*CCAdversary, []rl.IterStats, error) {
-	adv := NewCCAdversary(rng, cfg)
-	// The value net is deliberately larger than the paper's tiny policy:
-	// it only aids training and does not constrain the learned adversary.
-	value := nn.NewMLP(rng, []int{2, 16, 1}, nn.Tanh)
-
-	pcfg := rl.DefaultPPOConfig()
-	pcfg.RolloutSteps = opt.RolloutSteps
-	pcfg.LR = opt.LR
-	if opt.Gamma > 0 {
-		pcfg.Gamma = opt.Gamma
-	}
-	if opt.Lambda > 0 {
-		pcfg.Lambda = opt.Lambda
-	}
-	pcfg.GEMM = opt.GEMM
-	ppo, err := rl.NewPPO(adv.Policy, value, pcfg, rng)
-	if err != nil {
-		return nil, nil, err
-	}
-	ppo.SetMetrics(opt.Metrics)
-	workers := max(1, opt.Workers)
-	v, err := rl.NewVecRunner(ppo, CCEnvFactory(newCC, cfg, rng, workers), workers)
-	if err != nil {
-		return nil, nil, err
-	}
-	stats, err := v.TrainCheckpointed(opt.Iterations, opt.Checkpoint)
-	if err != nil {
-		return nil, nil, err
-	}
-	return adv, stats, nil
-}
-
-// CCEnvFactory returns an rl.EnvFactory producing one CCEnv per rollout
-// worker. The per-worker emulator RNG streams are split from rng up front, in
-// worker order, so the resulting environments are deterministic for a fixed
-// worker count regardless of when the factory is invoked. Like ABREnvFactory,
-// the worker index is the shard slot of the sharding contract (DESIGN.md
-// §8.3), but CCEnv is dataset-free — the adversary drives the emulated link
-// directly — so trace sharding does not apply.
-func CCEnvFactory(newCC func() netem.CongestionController, cfg CCAdversaryConfig, rng *mathx.RNG, workers int) rl.EnvFactory {
-	rngs := make([]*mathx.RNG, workers)
-	for i := range rngs {
-		rngs[i] = rng.Split()
-	}
-	return func(worker int) rl.Env {
-		return NewCCEnv(newCC, cfg, rngs[worker])
-	}
+// newCC and returns it with per-iteration statistics. With opt.Workers > 1
+// newCC must be safe to call from multiple goroutines. CCEnv does not
+// checkpoint its emulator state, so a resumed run abandons any
+// half-collected episode.
+func TrainCCAdversary(newCC func() netem.CongestionController, cfg CCAdversaryConfig, opt TrainOptions, rng *mathx.RNG) (*CCAdversary, []rl.IterStats, error) {
+	return trainCC(ccProblem(2, cfg, func(rng *mathx.RNG) rl.Env { return NewCCEnv(newCC, cfg, rng) }), cfg, opt, rng)
 }
 
 // RunEpisode plays the adversary online against a fresh target for one
@@ -335,20 +300,7 @@ func CCEnvFactory(newCC func() netem.CongestionController, cfg CCAdversaryConfig
 // stochastic is false — the Figure 6 setting, "without training noise").
 func (a *CCAdversary) RunEpisode(newCC func() netem.CongestionController, rng *mathx.RNG, stochastic bool) []CCStepRecord {
 	env := NewCCEnv(newCC, a.Cfg, rng)
-	obs := env.Reset()
-	for {
-		var action []float64
-		if stochastic {
-			action, _ = a.Policy.Sample(rng, obs)
-		} else {
-			action = a.Policy.Mode(obs)
-		}
-		next, _, done := env.Step(action)
-		obs = next
-		if done {
-			break
-		}
-	}
+	rl.RunEpisode(a.Policy, env, rng, stochastic, nil)
 	out := make([]CCStepRecord, len(env.Records()))
 	copy(out, env.Records())
 	return out

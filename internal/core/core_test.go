@@ -355,7 +355,7 @@ func TestTrainABRAdversaryImproves(t *testing.T) {
 	}
 	v := testVideo()
 	cfg := DefaultABRAdversaryConfig()
-	opt := ABRTrainOptions{Iterations: 12, RolloutSteps: 768, LR: 1e-3}
+	opt := TrainOptions{Iterations: 12, RolloutSteps: 768, LR: 1e-3}
 	_, stats, err := TrainABRAdversary(v, abr.NewBB(), cfg, opt, mathx.NewRNG(13))
 	if err != nil {
 		t.Fatal(err)
@@ -408,7 +408,7 @@ func TestTrainCCAdversaryDeterministicGivenSeed(t *testing.T) {
 	run := func() float64 {
 		cfg := DefaultCCAdversaryConfig()
 		cfg.EpisodeSteps = 200
-		opt := CCTrainOptions{Iterations: 2, RolloutSteps: 400, LR: 1e-3}
+		opt := TrainOptions{Iterations: 2, RolloutSteps: 400, LR: 1e-3}
 		_, stats, err := TrainCCAdversary(func() netem.CongestionController { return cc.NewBBR() },
 			cfg, opt, mathx.NewRNG(21))
 		if err != nil {
@@ -432,7 +432,7 @@ func TestRobustPensievePipeline(t *testing.T) {
 	cfg.TotalIterations = 6
 	cfg.InjectAtFrac = 0.5
 	cfg.AdversarialTraces = 5
-	cfg.AdvOpt = ABRTrainOptions{Iterations: 3, RolloutSteps: 512, LR: 1e-3}
+	cfg.AdvOpt = TrainOptions{Iterations: 3, RolloutSteps: 512, LR: 1e-3}
 	res, err := TrainRobustPensieve(v, ds, cfg, rng)
 	if err != nil {
 		t.Fatal(err)

@@ -135,7 +135,7 @@ func TestTrainPerturbAdversaryAndValidate(t *testing.T) {
 	v := testVideo()
 	base := trace.GenerateFCCLike(mathx.NewRNG(35), trace.DefaultFCCLike(), "base")
 	cfg := DefaultPerturbConfig()
-	opt := ABRTrainOptions{Iterations: 4, RolloutSteps: 512, LR: 1e-3}
+	opt := TrainOptions{Iterations: 4, RolloutSteps: 512, LR: 1e-3}
 	adv, stats, err := TrainPerturbAdversary(v, abr.NewBB(), base, cfg, opt, mathx.NewRNG(36))
 	if err != nil {
 		t.Fatal(err)
@@ -178,7 +178,7 @@ func TestTrainTraceAdversaryImproves(t *testing.T) {
 		t.Skip("training test")
 	}
 	v := testVideo()
-	opt := TraceTrainOptions{Iterations: 15, RolloutSteps: 48, LR: 5e-3}
+	opt := TrainOptions{Iterations: 15, RolloutSteps: 48, LR: 5e-3}
 	_, stats, err := TrainTraceAdversary(v, abr.NewBB(), DefaultTraceAdversaryConfig(), opt, mathx.NewRNG(44))
 	if err != nil {
 		t.Fatal(err)
@@ -369,7 +369,7 @@ func TestTrainFairnessAdversaryRuns(t *testing.T) {
 	}
 	cfg := DefaultCCAdversaryConfig()
 	cfg.EpisodeSteps = 200
-	opt := CCTrainOptions{Iterations: 3, RolloutSteps: 400, LR: 1e-3}
+	opt := TrainOptions{Iterations: 3, RolloutSteps: 400, LR: 1e-3}
 	adv, stats, err := TrainFairnessAdversary(
 		[]func() netem.CongestionController{newBBRf, newCubicf}, cfg, opt, mathx.NewRNG(75))
 	if err != nil {

@@ -3,7 +3,6 @@ package core
 import (
 	"advnet/internal/mathx"
 	"advnet/internal/netem"
-	"advnet/internal/nn"
 	"advnet/internal/rl"
 )
 
@@ -147,34 +146,11 @@ func (e *FairnessEnv) ActionSpec() rl.ActionSpec {
 func (e *FairnessEnv) Records() []FairnessRecord { return e.records }
 
 // TrainFairnessAdversary trains an adversary to drive the given flows apart.
-func TrainFairnessAdversary(newCCs []func() netem.CongestionController, cfg CCAdversaryConfig, opt CCTrainOptions, rng *mathx.RNG) (*CCAdversary, []rl.IterStats, error) {
-	adv := &CCAdversary{Cfg: cfg}
-	sizes := append([]int{len(newCCs) + 1}, cfg.Hidden...)
-	sizes = append(sizes, 3)
-	pol := rl.NewGaussianPolicy(nn.NewMLP(rng, sizes, nn.Tanh), cfg.InitLogStd)
-	if cfg.MaxLogStd != 0 {
-		pol.MaxLogStd = cfg.MaxLogStd
-	}
-	adv.Policy = pol
-	value := nn.NewMLP(rng, []int{len(newCCs) + 1, 16, 1}, nn.Tanh)
-
-	pcfg := rl.DefaultPPOConfig()
-	pcfg.RolloutSteps = opt.RolloutSteps
-	pcfg.LR = opt.LR
-	if opt.Gamma > 0 {
-		pcfg.Gamma = opt.Gamma
-	}
-	if opt.Lambda > 0 {
-		pcfg.Lambda = opt.Lambda
-	}
-	pcfg.GEMM = opt.GEMM
-	ppo, err := rl.NewPPO(adv.Policy, value, pcfg, rng)
-	if err != nil {
-		return nil, nil, err
-	}
-	env := NewFairnessEnv(newCCs, cfg, rng.Split())
-	stats := ppo.Train(env, opt.Iterations)
-	return adv, stats, nil
+// Each lane's emulator draws from its own stream, split in lane order; with
+// opt.Workers > 1 the newCCs constructors must be safe to call from multiple
+// goroutines.
+func TrainFairnessAdversary(newCCs []func() netem.CongestionController, cfg CCAdversaryConfig, opt TrainOptions, rng *mathx.RNG) (*CCAdversary, []rl.IterStats, error) {
+	return trainCC(ccProblem(len(newCCs)+1, cfg, func(rng *mathx.RNG) rl.Env { return NewFairnessEnv(newCCs, cfg, rng) }), cfg, opt, rng)
 }
 
 func mapRange(x, lo, hi float64) float64 {

@@ -8,8 +8,11 @@ import (
 	"advnet/internal/abr"
 	"advnet/internal/cc"
 	"advnet/internal/mathx"
+	"advnet/internal/metrics"
 	"advnet/internal/netem"
 	"advnet/internal/rl"
+	"advnet/internal/routing"
+	"advnet/internal/trace"
 )
 
 // trainFingerprint hashes trained parameters and the iteration statistics
@@ -40,53 +43,100 @@ func trainFingerprint(params [][]float64, stats []rl.IterStats) uint64 {
 	return h.Sum64()
 }
 
-// TestTrainersOneLanePath: the training entry points no longer fork on
-// Workers — every worker count goes through the one lane runner. The
-// fingerprints were captured at the last commit that still had the forks:
-// sequential is its `Workers ≤ 1` branch (PPO.Train / PPO.TrainCheckpointed),
-// w4 its VecRunner branch. Workers 0 and 1 must land on the former, 4 on the
-// latter, bitwise.
+// advTrainer is one of the six adversary trainers behind a uniform call, with
+// the small base options its rows train under.
+type advTrainer struct {
+	name  string
+	opt   TrainOptions
+	train func(opt TrainOptions) (params [][]float64, stats []rl.IterStats, err error)
+}
+
+func adversaryTrainers() []advTrainer {
+	v := testVideo()
+	return []advTrainer{
+		{"TrainABRAdversary", TrainOptions{Iterations: 2, RolloutSteps: 96, LR: 1e-3}, func(opt TrainOptions) ([][]float64, []rl.IterStats, error) {
+			adv, stats, err := TrainABRAdversary(v, abr.NewBB(), DefaultABRAdversaryConfig(), opt, mathx.NewRNG(51))
+			if err != nil {
+				return nil, nil, err
+			}
+			return adv.Policy.Params(), stats, nil
+		}},
+		{"TrainCCAdversary", TrainOptions{Iterations: 2, RolloutSteps: 200, LR: 1e-3}, func(opt TrainOptions) ([][]float64, []rl.IterStats, error) {
+			cfg := DefaultCCAdversaryConfig()
+			cfg.EpisodeSteps = 100
+			adv, stats, err := TrainCCAdversary(func() netem.CongestionController { return cc.NewBBR() }, cfg, opt, mathx.NewRNG(52))
+			if err != nil {
+				return nil, nil, err
+			}
+			return adv.Policy.Params(), stats, nil
+		}},
+		{"TrainTraceAdversary", TrainOptions{Iterations: 2, RolloutSteps: 8, LR: 3e-3}, func(opt TrainOptions) ([][]float64, []rl.IterStats, error) {
+			adv, stats, err := TrainTraceAdversary(v, abr.NewMPC(), DefaultTraceAdversaryConfig(), opt, mathx.NewRNG(53))
+			if err != nil {
+				return nil, nil, err
+			}
+			return adv.Policy.Params(), stats, nil
+		}},
+		{"TrainRoutingAdversary", TrainOptions{Iterations: 2, RolloutSteps: 96, LR: 1e-3}, func(opt TrainOptions) ([][]float64, []rl.IterStats, error) {
+			adv, stats, err := TrainRoutingAdversary(routing.Abilene(), routing.SPF{}, abileneEnvConfig(), opt, mathx.NewRNG(54))
+			if err != nil {
+				return nil, nil, err
+			}
+			return adv.Policy.Params(), stats, nil
+		}},
+		{"TrainPerturbAdversary", TrainOptions{Iterations: 2, RolloutSteps: 96, LR: 1e-3}, func(opt TrainOptions) ([][]float64, []rl.IterStats, error) {
+			base := trace.GenerateFCCLike(mathx.NewRNG(35), trace.DefaultFCCLike(), "base")
+			adv, stats, err := TrainPerturbAdversary(v, abr.NewBB(), base, DefaultPerturbConfig(), opt, mathx.NewRNG(55))
+			if err != nil {
+				return nil, nil, err
+			}
+			return adv.Policy.Params(), stats, nil
+		}},
+		{"TrainFairnessAdversary", TrainOptions{Iterations: 2, RolloutSteps: 200, LR: 1e-3}, func(opt TrainOptions) ([][]float64, []rl.IterStats, error) {
+			cfg := DefaultCCAdversaryConfig()
+			cfg.EpisodeSteps = 100
+			adv, stats, err := TrainFairnessAdversary([]func() netem.CongestionController{newBBRf, newCubicf}, cfg, opt, mathx.NewRNG(56))
+			if err != nil {
+				return nil, nil, err
+			}
+			return adv.Policy.Params(), stats, nil
+		}},
+	}
+}
+
+// TestTrainersOneLanePath: the training entry points do not fork on Workers —
+// every worker count goes through the one lane runner. The fingerprints of
+// the first three adversary trainers and of the robust pipeline were captured
+// at the last commit that still had the forks: sequential is its
+// `Workers ≤ 1` branch (PPO.Train / PPO.TrainCheckpointed), w4 its VecRunner
+// branch. Those of the routing, perturb and fairness trainers were captured
+// at the last commit before they moved onto the rl seam: routing already ran
+// Workers lanes there; perturb and fairness ignored Workers, so they have no
+// w4 to pin (0; TestAdversaryTrainersHonourEveryOption covers their lanes).
+// Workers 0 and 1 must land on sequential, 4 on w4, bitwise.
 func TestTrainersOneLanePath(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training test")
 	}
-	v := testVideo()
-	trainers := []struct {
-		name           string
-		sequential, w4 uint64
-		train          func(workers int) (uint64, error)
-	}{
-		{"TrainABRAdversary", 0xa5c577e88f1a5587, 0x38e607565c845217, func(workers int) (uint64, error) {
-			opt := ABRTrainOptions{Iterations: 2, RolloutSteps: 96, LR: 1e-3, Workers: workers}
-			adv, stats, err := TrainABRAdversary(v, abr.NewBB(), DefaultABRAdversaryConfig(), opt, mathx.NewRNG(51))
-			if err != nil {
-				return 0, err
-			}
-			return trainFingerprint(adv.Policy.Params(), stats), nil
-		}},
-		{"TrainCCAdversary", 0x6aab3fe8f1bac54a, 0xaf63dc25eba45c0d, func(workers int) (uint64, error) {
-			cfg := DefaultCCAdversaryConfig()
-			cfg.EpisodeSteps = 100
-			opt := CCTrainOptions{Iterations: 2, RolloutSteps: 200, LR: 1e-3, Workers: workers}
-			adv, stats, err := TrainCCAdversary(func() netem.CongestionController { return cc.NewBBR() }, cfg, opt, mathx.NewRNG(52))
-			if err != nil {
-				return 0, err
-			}
-			return trainFingerprint(adv.Policy.Params(), stats), nil
-		}},
-		{"TrainTraceAdversary", 0x622ebf96dc5ade04, 0x252fb0892ad2754d, func(workers int) (uint64, error) {
-			opt := TraceTrainOptions{Iterations: 2, RolloutSteps: 8, LR: 3e-3, Workers: workers}
-			adv, stats, err := TrainTraceAdversary(v, abr.NewMPC(), DefaultTraceAdversaryConfig(), opt, mathx.NewRNG(53))
-			if err != nil {
-				return 0, err
-			}
-			return trainFingerprint(adv.Policy.Params(), stats), nil
-		}},
-		{"TrainRobustPensieve", 0x3a43f7b0ecb8403f, 0x44524169af7331ec, func(workers int) (uint64, error) {
-			_, ds := resumeTestData()
+	type golden struct{ sequential, w4 uint64 }
+	goldens := map[string]golden{
+		"TrainABRAdversary":      {0xa5c577e88f1a5587, 0x38e607565c845217},
+		"TrainCCAdversary":       {0x6aab3fe8f1bac54a, 0xaf63dc25eba45c0d},
+		"TrainTraceAdversary":    {0x622ebf96dc5ade04, 0x252fb0892ad2754d},
+		"TrainRobustPensieve":    {0x3a43f7b0ecb8403f, 0x44524169af7331ec},
+		"TrainRoutingAdversary":  {0xc65d83936da5c6d1, 0x823068c8589bd320},
+		"TrainPerturbAdversary":  {0x9bf4e16d0396b9d8, 0},
+		"TrainFairnessAdversary": {0xd0ff611a0c1103ca, 0},
+	}
+	type row struct {
+		name  string
+		train func(workers int) (uint64, error)
+	}
+	trainers := []row{
+		{"TrainRobustPensieve", func(workers int) (uint64, error) {
+			v, ds := resumeTestData()
 			cfg := resumeTestCfg()
 			cfg.Workers = workers
-			cfg.ShardTraces = true
 			res, err := TrainRobustPensieve(v, ds, cfg, mathx.NewRNG(77))
 			if err != nil {
 				return 0, err
@@ -94,11 +144,24 @@ func TestTrainersOneLanePath(t *testing.T) {
 			return trainFingerprint(res.Protocol.Policy.Params(), res.Stats), nil
 		}},
 	}
+	for _, tr := range adversaryTrainers() {
+		tr := tr
+		trainers = append(trainers, row{tr.name, func(workers int) (uint64, error) {
+			opt := tr.opt
+			opt.Workers = workers
+			params, stats, err := tr.train(opt)
+			return trainFingerprint(params, stats), err
+		}})
+	}
 	for _, tr := range trainers {
+		g := goldens[tr.name]
 		for _, c := range []struct {
 			workers int
 			want    uint64
-		}{{0, tr.sequential}, {1, tr.sequential}, {4, tr.w4}} {
+		}{{0, g.sequential}, {1, g.sequential}, {4, g.w4}} {
+			if c.want == 0 {
+				continue
+			}
 			got, err := tr.train(c.workers)
 			if err != nil {
 				t.Fatalf("%s Workers=%d: %v", tr.name, c.workers, err)
@@ -106,6 +169,57 @@ func TestTrainersOneLanePath(t *testing.T) {
 			if got != c.want {
 				t.Errorf("%s Workers=%d: fingerprint %#016x, want %#016x", tr.name, c.workers, got, c.want)
 			}
+		}
+	}
+}
+
+// TestAdversaryTrainersHonourEveryOption: all six adversary trainers are the
+// one rl.Train, so none can drop a TrainOptions field: more lanes change the
+// run reproducibly, a checkpoint directory is written and resumed from,
+// attached metrics count the iterations, and restart selection refuses to
+// share one checkpoint directory.
+func TestAdversaryTrainersHonourEveryOption(t *testing.T) {
+	if testing.Short() {
+		t.Skip("training test")
+	}
+	for _, tr := range adversaryTrainers() {
+		fingerprint := func(opt TrainOptions) uint64 {
+			t.Helper()
+			params, stats, err := tr.train(opt)
+			if err != nil {
+				t.Fatalf("%s %+v: %v", tr.name, opt, err)
+			}
+			return trainFingerprint(params, stats)
+		}
+		w1, w4 := tr.opt, tr.opt
+		w1.Workers, w4.Workers = 1, 4
+		if a, b := fingerprint(w4), fingerprint(w4); a != b {
+			t.Errorf("%s: Workers=4 is not reproducible (%#x vs %#x)", tr.name, a, b)
+		} else if a == fingerprint(w1) {
+			t.Errorf("%s: Workers=4 trained exactly as Workers=1 — Workers ignored", tr.name)
+		}
+
+		// One iteration, then a second call resuming towards two: it must
+		// execute only the second.
+		ck := tr.opt
+		ck.Checkpoint = rl.CheckpointConfig{Dir: t.TempDir()}
+		ck.Metrics = rl.NewTrainMetrics(metrics.NewRegistry("train"))
+		ck.Iterations = 1
+		fingerprint(ck)
+		if _, _, err := (&rl.CheckpointDir{Dir: ck.Checkpoint.Dir}).Latest(); err != nil {
+			t.Errorf("%s: no checkpoint written: %v", tr.name, err)
+		}
+		ck.Iterations = 2
+		if _, stats, err := tr.train(ck); err != nil || len(stats) != 1 || stats[0].Iteration != 1 {
+			t.Errorf("%s: resumed run executed %d iterations (err %v), want only iteration 1", tr.name, len(stats), err)
+		}
+		if n := ck.Metrics.Iterations.Value(); n != 2 {
+			t.Errorf("%s: metrics counted %d iterations, want 2", tr.name, n)
+		}
+
+		ck.Restarts = 2
+		if _, _, err := tr.train(ck); err == nil {
+			t.Errorf("%s: Restarts=2 with a checkpoint directory accepted", tr.name)
 		}
 	}
 }

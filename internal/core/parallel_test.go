@@ -19,7 +19,7 @@ func TestTrainABRAdversaryParallelReproducible(t *testing.T) {
 	}
 	run := func() []rl.IterStats {
 		v := testVideo()
-		opt := ABRTrainOptions{Iterations: 2, RolloutSteps: 96, LR: 1e-3, Workers: 2}
+		opt := TrainOptions{Iterations: 2, RolloutSteps: 96, LR: 1e-3, Workers: 2}
 		_, stats, err := TrainABRAdversary(v, abr.NewBB(), DefaultABRAdversaryConfig(), opt, mathx.NewRNG(51))
 		if err != nil {
 			t.Fatal(err)
@@ -47,7 +47,7 @@ func TestTrainCCAdversaryParallelReproducible(t *testing.T) {
 	run := func() []rl.IterStats {
 		cfg := DefaultCCAdversaryConfig()
 		cfg.EpisodeSteps = 100
-		opt := CCTrainOptions{Iterations: 2, RolloutSteps: 200, LR: 1e-3, Workers: 2}
+		opt := TrainOptions{Iterations: 2, RolloutSteps: 200, LR: 1e-3, Workers: 2}
 		_, stats, err := TrainCCAdversary(func() netem.CongestionController { return cc.NewBBR() },
 			cfg, opt, mathx.NewRNG(52))
 		if err != nil {
@@ -71,7 +71,7 @@ func TestTrainTraceAdversaryParallel(t *testing.T) {
 		t.Skip("training test")
 	}
 	v := testVideo()
-	opt := TraceTrainOptions{Iterations: 2, RolloutSteps: 8, LR: 3e-3, Workers: 2}
+	opt := TrainOptions{Iterations: 2, RolloutSteps: 8, LR: 3e-3, Workers: 2}
 	_, stats, err := TrainTraceAdversary(v, abr.NewMPC(), DefaultTraceAdversaryConfig(), opt, mathx.NewRNG(53))
 	if err != nil {
 		t.Fatal(err)

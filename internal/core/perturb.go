@@ -131,56 +131,34 @@ type PerturbAdversary struct {
 }
 
 // TrainPerturbAdversary trains a constrained adversary against target on the
-// base trace.
-func TrainPerturbAdversary(video *abr.Video, target abr.Protocol, base *trace.Trace, cfg PerturbConfig, opt ABRTrainOptions, rng *mathx.RNG) (*PerturbAdversary, []rl.IterStats, error) {
+// base trace. Each lane beyond the first drives its own clone of the target.
+func TrainPerturbAdversary(video *abr.Video, target abr.Protocol, base *trace.Trace, cfg PerturbConfig, opt TrainOptions, rng *mathx.RNG) (*PerturbAdversary, []rl.IterStats, error) {
 	icfg := DefaultABRAdversaryConfig()
 	icfg.HistoryLen = cfg.HistoryLen
-	sizes := append([]int{icfg.stateSize(video.Levels())}, cfg.Hidden...)
-	sizes = append(sizes, 1)
-	policy := rl.NewGaussianPolicy(nn.NewMLP(rng, sizes, nn.Tanh), cfg.InitLogStd)
-	valueSizes := append([]int{icfg.stateSize(video.Levels())}, cfg.Hidden...)
-	valueSizes = append(valueSizes, 1)
-	value := nn.NewMLP(rng, valueSizes, nn.Tanh)
-
-	pcfg := rl.DefaultPPOConfig()
-	pcfg.RolloutSteps = opt.RolloutSteps
-	pcfg.LR = opt.LR
-	ppo, err := rl.NewPPO(policy, value, pcfg, rng)
+	sizes := mlpSizes(icfg.stateSize(video.Levels()), cfg.Hidden, 1)
+	ppo, stats, err := rl.Train(rl.Problem{
+		Nets: func(rng *mathx.RNG) (rl.Policy, *nn.MLP) {
+			return rl.NewGaussianPolicy(nn.NewMLP(rng, sizes, nn.Tanh), cfg.InitLogStd), nn.NewMLP(rng, sizes, nn.Tanh)
+		},
+		Config: rl.DefaultPPOConfig(),
+		Envs: func(lanes int, _ *mathx.RNG) (rl.EnvFactory, error) {
+			targets, err := cloneTargets(target, lanes)
+			if err != nil {
+				return nil, err
+			}
+			return func(lane int) rl.Env { return NewPerturbEnv(video, targets[lane], base, cfg) }, nil
+		},
+	}, opt, rng)
 	if err != nil {
 		return nil, nil, err
 	}
-	env := NewPerturbEnv(video, target, base, cfg)
-	stats := ppo.Train(env, opt.Iterations)
-	return &PerturbAdversary{Policy: policy, Cfg: cfg}, stats, nil
+	return &PerturbAdversary{Policy: ppo.Policy.(*rl.GaussianPolicy), Cfg: cfg}, stats, nil
 }
 
 // GenerateTrace runs the constrained adversary for one episode against the
 // target and returns the perturbed trace.
 func (a *PerturbAdversary) GenerateTrace(video *abr.Video, target abr.Protocol, base *trace.Trace, rng *mathx.RNG, stochastic bool, name string) *trace.Trace {
-	env := NewPerturbEnv(video, target, base, a.Cfg)
-	obs := env.Reset()
-	for {
-		var action []float64
-		if stochastic {
-			action, _ = a.Policy.Sample(rng, obs)
-		} else {
-			action = a.Policy.Mode(obs)
-		}
-		next, _, done := env.Step(action)
-		obs = next
-		if done {
-			break
-		}
-	}
-	tr := &trace.Trace{Name: name}
-	for _, bw := range env.BandwidthHistory() {
-		tr.Points = append(tr.Points, trace.Point{
-			Duration:      video.ChunkSeconds,
-			BandwidthMbps: bw,
-			LatencyMs:     a.Cfg.RTTSeconds * 1000 / 2,
-		})
-	}
-	return tr
+	return episodeTrace(a.Policy, NewPerturbEnv(video, target, base, a.Cfg), rng, stochastic, name, video.ChunkSeconds, a.Cfg.RTTSeconds)
 }
 
 // Validate reports whether perturbed stays within the configured deviation

@@ -17,7 +17,7 @@ func resumeTestCfg() RobustTrainConfig {
 	cfg.TotalIterations = 4
 	cfg.InjectAtFrac = 0.5
 	cfg.AdversarialTraces = 3
-	cfg.AdvOpt = ABRTrainOptions{Iterations: 2, RolloutSteps: 256, LR: 1e-3}
+	cfg.AdvOpt = TrainOptions{Iterations: 2, RolloutSteps: 256, LR: 1e-3}
 	cfg.RolloutSteps = 256
 	return cfg
 }
@@ -32,13 +32,12 @@ func resumeTestData() (*abr.Video, *trace.Dataset) {
 // "fresh process" (same arguments, fresh RNG object from the same seed), and
 // requires the resumed run to finish bit-for-bit equal to the uninterrupted
 // one.
-func crashResumeMatchesFull(t *testing.T, workers int, shard bool, crash func(iter int) bool, wantResumedStats int) {
+func crashResumeMatchesFull(t *testing.T, workers int, crash func(iter int) bool, wantResumedStats int) {
 	t.Helper()
 	v, ds := resumeTestData()
 
 	cfg := resumeTestCfg()
 	cfg.Workers = workers
-	cfg.ShardTraces = shard
 	full, err := TrainRobustPensieve(v, ds, cfg, mathx.NewRNG(77))
 	if err != nil {
 		t.Fatalf("uninterrupted run: %v", err)
@@ -49,7 +48,6 @@ func crashResumeMatchesFull(t *testing.T, workers int, shard bool, crash func(it
 
 	cfg = resumeTestCfg()
 	cfg.Workers = workers
-	cfg.ShardTraces = shard
 	cfg.Checkpoint = rl.CheckpointConfig{Dir: t.TempDir(), Every: 1}
 	errCrash := errors.New("injected crash")
 	faults.Set("rl.train.iter", faults.FailN(errCrash, func(args ...any) bool {
@@ -88,7 +86,7 @@ func TestRobustResumeAfterPhase2Crash(t *testing.T) {
 	}
 	// Global iteration 3 is the second phase-2 iteration (phase 1 covers
 	// iterations 0–1); only iteration 3 remains for the resumed process.
-	crashResumeMatchesFull(t, 0, false, func(iter int) bool { return iter == 3 }, 1)
+	crashResumeMatchesFull(t, 0, func(iter int) bool { return iter == 3 }, 1)
 }
 
 // TestRobustResumeAfterPhase1Crash kills training mid-phase-1, before any
@@ -100,7 +98,7 @@ func TestRobustResumeAfterPhase1Crash(t *testing.T) {
 		t.Skip("training test")
 	}
 	// Crash at global iteration 1: iterations 1, 2 and 3 remain.
-	crashResumeMatchesFull(t, 0, false, func(iter int) bool { return iter == 1 }, 3)
+	crashResumeMatchesFull(t, 0, func(iter int) bool { return iter == 1 }, 3)
 }
 
 // TestRobustResumeAtPhaseBoundary crashes at the first adversary-training
@@ -118,7 +116,7 @@ func TestRobustResumeAtPhaseBoundary(t *testing.T) {
 	// The hook sees iteration 0 twice: phase 1's first iteration, then the
 	// adversary trainer's own first iteration. Crash on the second.
 	zeros := 0
-	crashResumeMatchesFull(t, 0, false, func(iter int) bool {
+	crashResumeMatchesFull(t, 0, func(iter int) bool {
 		if iter == 0 {
 			zeros++
 			return zeros == 2
@@ -139,19 +137,19 @@ func TestRobustResumeAtPhaseBoundaryParallel(t *testing.T) {
 	}
 	// Iteration 2 only ever occurs in phase 2 (phase 1 and the adversary
 	// trainer both run iterations 0–1), so this fires at the phase-2 start.
-	crashResumeMatchesFull(t, 2, false, func(iter int) bool { return iter == 2 }, 2)
+	crashResumeMatchesFull(t, 2, func(iter int) bool { return iter == 2 }, 2)
 }
 
-// TestRobustShardedResumeParallel is the ShardTraces=true variant: each of
-// the two workers streams its own shard with an epoch-reshuffled cursor, the
-// crash lands mid-phase-1 (cursors mid-epoch), and the resumed run — phase-1
+// TestRobustShardedResumeParallel: each of the two workers streams its own
+// shard with an epoch-reshuffled cursor, the crash lands mid-phase-1 (cursors
+// mid-epoch), and the resumed run — phase-1
 // tail, adversary, then phase 2 re-sharded over the merged dataset — must
 // still be bit-for-bit the uninterrupted sharded run.
 func TestRobustShardedResumeParallel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training test")
 	}
-	crashResumeMatchesFull(t, 2, true, func(iter int) bool { return iter == 1 }, 3)
+	crashResumeMatchesFull(t, 2, func(iter int) bool { return iter == 1 }, 3)
 }
 
 // TestEvaluateABRShardPanicContained injects a panic into one evaluation

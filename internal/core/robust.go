@@ -28,29 +28,19 @@ type RobustTrainConfig struct {
 	AdversarialTraces int
 	// AdvCfg and AdvOpt configure the adversary trained in step (2).
 	AdvCfg ABRAdversaryConfig
-	AdvOpt ABRTrainOptions
+	AdvOpt TrainOptions
 	// RolloutSteps / LR configure the protocol's PPO.
 	RolloutSteps int
 	LR           float64
 	RTTSeconds   float64
-	// Workers is the number of parallel sessions (rl.VecRunner lanes)
-	// collecting the protocol's training rollouts (phases 1 and 4), each
-	// replaying traces with its own RNG stream. The adversary of step (2)
-	// parallelizes separately via AdvOpt.Workers. Workers ≤ 1 is one lane
-	// on the calling goroutine, bit-for-bit the historical single-threaded
-	// behaviour.
+	// Workers is the number of rollout lanes collecting the protocol's
+	// training rollouts (phases 1 and 4); lane w streams shard w of the
+	// phase's dataset (abr.PensieveProblem), and shard cursors ride along
+	// in checkpoints (DESIGN.md §8.3), so Workers must not exceed
+	// len(dataset.Traces). The adversary of step (2) parallelizes
+	// separately via AdvOpt.Workers. Workers ≤ 1 is one lane on the calling
+	// goroutine over the whole dataset.
 	Workers int
-	// ShardTraces partitions the training dataset round-robin across the
-	// rollout workers (trace.NewShardedDataset): worker w streams only
-	// shard w of Workers, in deterministic epoch-reshuffled order, instead
-	// of every worker sampling the full dataset. The union of the shards
-	// covers every trace exactly once per epoch, runs are reproducible for
-	// a fixed worker count, and shard cursors ride along in checkpoints
-	// (DESIGN.md §8.3). Requires Workers ≤ len(dataset.Traces) in every
-	// phase (phase 2 trains on the merged, therefore larger, dataset).
-	// With Workers ≤ 1 the one shard is the whole dataset, sampled as if
-	// unsharded.
-	ShardTraces bool
 	// GEMM routes the protocol PPO's minibatch updates through the
 	// blocked matrix–matrix kernels (rl.PPOConfig.GEMM); the adversary of
 	// step (2) opts in separately via AdvOpt.GEMM. Results match the
@@ -104,14 +94,17 @@ func TrainRobustPensieve(video *abr.Video, dataset *trace.Dataset, cfg RobustTra
 	if cfg.TotalIterations <= 0 {
 		return nil, fmt.Errorf("core: TotalIterations=%d", cfg.TotalIterations)
 	}
-	levels := video.Levels()
-	policy := rl.NewCategoricalPolicy(abr.NewPensieveNet(rng, levels))
-	value := abr.NewPensieveValueNet(rng, levels)
-	pcfg := rl.DefaultPPOConfig()
-	pcfg.RolloutSteps = cfg.RolloutSteps
-	pcfg.LR = cfg.LR
-	pcfg.GEMM = cfg.GEMM
-	ppo, err := rl.NewPPO(policy, value, pcfg, rng)
+	// Both protocol phases are the one Pensieve problem, over the original
+	// dataset and then the merged one, trained by the same trainer.
+	workers := max(1, cfg.Workers)
+	problem := func(ds *trace.Dataset) rl.Problem {
+		pr := abr.PensieveProblem(video, ds, cfg.RTTSeconds)
+		pr.Config.RolloutSteps = cfg.RolloutSteps
+		pr.Config.LR = cfg.LR
+		pr.Config.GEMM = cfg.GEMM
+		return pr
+	}
+	ppo, envs, err := rl.NewTrainer(problem(dataset), workers, rng)
 	if err != nil {
 		return nil, err
 	}
@@ -139,32 +132,12 @@ func TrainRobustPensieve(video *abr.Video, dataset *trace.Dataset, cfg RobustTra
 		tracesPath = filepath.Join(ck.Dir, "adversarial-traces.json")
 	}
 
-	// trainPhase runs one protocol-training phase on the given dataset until
-	// the trainer has completed `target` total iterations, collecting
-	// rollouts on max(1, cfg.Workers) lanes. Each worker replays traces
-	// with its own deterministic RNG stream; on resume, every stream split
-	// off here is overwritten by the state restored from the checkpoint.
-	workers := max(1, cfg.Workers)
-	trainPhase := func(ds *trace.Dataset, target int, pck rl.CheckpointConfig) ([]rl.IterStats, error) {
-		// A one-worker shard set is the identity: the whole dataset.
-		var shards *trace.ShardedDataset
-		if cfg.ShardTraces {
-			var err error
-			shards, err = trace.NewShardedDataset(ds, workers)
-			if err != nil {
-				return nil, err
-			}
-		}
-		rngs := make([]*mathx.RNG, workers)
-		for i := range rngs {
-			rngs[i] = rng.Split()
-		}
-		v, err := rl.NewVecRunner(ppo, func(worker int) rl.Env {
-			if shards != nil {
-				return abr.NewTrainEnvSharded(video, ds, abr.DefaultSessionConfig(), cfg.RTTSeconds, rngs[worker], shards.Shard(worker))
-			}
-			return abr.NewTrainEnv(video, ds, abr.DefaultSessionConfig(), cfg.RTTSeconds, rngs[worker])
-		}, workers)
+	// trainPhase runs one protocol-training phase on the given environments
+	// until the trainer has completed `target` total iterations. On resume,
+	// every stream the problem split off for them is overwritten by the
+	// state restored from the checkpoint.
+	trainPhase := func(envs rl.EnvFactory, target int, pck rl.CheckpointConfig) ([]rl.IterStats, error) {
+		v, err := rl.NewVecRunner(ppo, envs, workers)
 		if err != nil {
 			return nil, err
 		}
@@ -185,13 +158,13 @@ func TrainRobustPensieve(video *abr.Video, dataset *trace.Dataset, cfg RobustTra
 
 	// Step 1: train the protocol of interest.
 	if !resumePhase2 {
-		stats, err := trainPhase(dataset, phase1, ck1)
+		stats, err := trainPhase(envs, phase1, ck1)
 		res.Stats = append(res.Stats, stats...)
 		if err != nil {
 			return nil, err
 		}
 	}
-	agent := abr.NewPensieve(policy)
+	agent := abr.NewPensieve(ppo.Policy.(*rl.CategoricalPolicy))
 	res.Protocol = agent
 	if !adversarial {
 		return res, nil
@@ -238,9 +211,12 @@ func TrainRobustPensieve(video *abr.Video, dataset *trace.Dataset, cfg RobustTra
 
 	// Step 4: continue training with the adversarial traces in the
 	// training dataset.
-	merged := dataset.Merge(advTraces)
+	envs, err = problem(dataset.Merge(advTraces)).Envs(workers, rng)
+	if err != nil {
+		return nil, err
+	}
 	res.Phase2Iterations = cfg.TotalIterations - phase1
-	stats, err := trainPhase(merged, cfg.TotalIterations, ck2)
+	stats, err := trainPhase(envs, cfg.TotalIterations, ck2)
 	res.Stats = append(res.Stats, stats...)
 	if err != nil {
 		return nil, err

@@ -144,54 +144,38 @@ type RoutingAdversary struct {
 
 // NewRoutingAdversary builds an untrained adversary for a topology.
 func NewRoutingAdversary(rng *mathx.RNG, top *routing.Topology, cfg RoutingAdversaryConfig) *RoutingAdversary {
-	sizes := append([]int{len(top.Edges)}, cfg.Hidden...)
-	sizes = append(sizes, len(cfg.Pairs))
-	net := nn.NewMLP(rng, sizes, nn.Tanh)
+	net := nn.NewMLP(rng, mlpSizes(len(top.Edges), cfg.Hidden, len(cfg.Pairs)), nn.Tanh)
 	return &RoutingAdversary{Policy: rl.NewGaussianPolicy(net, cfg.InitLogStd), Cfg: cfg}
 }
 
-// TrainRoutingAdversary trains an adversary against a routing scheme.
-func TrainRoutingAdversary(top *routing.Topology, scheme routing.Scheme, cfg RoutingAdversaryConfig, opt ABRTrainOptions, rng *mathx.RNG) (*RoutingAdversary, []rl.IterStats, error) {
-	adv := NewRoutingAdversary(rng, top, cfg)
-	valueSizes := append([]int{len(top.Edges)}, cfg.Hidden...)
-	valueSizes = append(valueSizes, 1)
-	value := nn.NewMLP(rng, valueSizes, nn.Tanh)
-
-	pcfg := rl.DefaultPPOConfig()
-	pcfg.RolloutSteps = opt.RolloutSteps
-	pcfg.LR = opt.LR
-	ppo, err := rl.NewPPO(adv.Policy, value, pcfg, rng)
+// TrainRoutingAdversary trains an adversary against a routing scheme. Each
+// lane gets its own RoutingEnv (private round state and oracle); the scheme
+// itself is shared, which is safe for the stateless built-ins (SPF, ECMP,
+// Oracle) — a stateful custom scheme must have a concurrency-safe Route.
+func TrainRoutingAdversary(top *routing.Topology, scheme routing.Scheme, cfg RoutingAdversaryConfig, opt TrainOptions, rng *mathx.RNG) (*RoutingAdversary, []rl.IterStats, error) {
+	ppo, stats, err := rl.Train(rl.Problem{
+		Nets: func(rng *mathx.RNG) (rl.Policy, *nn.MLP) {
+			return NewRoutingAdversary(rng, top, cfg).Policy, nn.NewMLP(rng, mlpSizes(len(top.Edges), cfg.Hidden, 1), nn.Tanh)
+		},
+		Config: rl.DefaultPPOConfig(),
+		Envs: func(int, *mathx.RNG) (rl.EnvFactory, error) {
+			return func(int) rl.Env { return NewRoutingEnv(top, scheme, cfg) }, nil
+		},
+	}, opt, rng)
 	if err != nil {
 		return nil, nil, err
 	}
-	// Each worker gets its own RoutingEnv (private round state and oracle);
-	// the scheme itself is shared, which is safe for the stateless built-ins
-	// (SPF, ECMP, Oracle) — a stateful custom scheme must have a
-	// concurrency-safe Route.
-	stats, err := ppo.TrainParallel(func(worker int) rl.Env {
-		return NewRoutingEnv(top, scheme, cfg)
-	}, max(1, opt.Workers), opt.Iterations)
-	if err != nil {
-		return nil, nil, err
-	}
-	return adv, stats, nil
+	return &RoutingAdversary{Policy: ppo.Policy.(*rl.GaussianPolicy), Cfg: cfg}, stats, nil
 }
 
 // GenerateDemands runs one deterministic episode against the scheme and
 // returns the sequence of demand matrices the adversary emitted.
 func (a *RoutingAdversary) GenerateDemands(top *routing.Topology, scheme routing.Scheme) []routing.DemandMatrix {
 	env := NewRoutingEnv(top, scheme, a.Cfg)
-	obs := env.Reset()
 	var out []routing.DemandMatrix
-	for {
-		action := a.Policy.Mode(obs)
+	rl.RunEpisode(a.Policy, env, nil, false, func(action []float64) {
 		out = append(out, env.DecodeAction(action))
-		next, _, done := env.Step(action)
-		obs = next
-		if done {
-			break
-		}
-	}
+	})
 	return out
 }
 

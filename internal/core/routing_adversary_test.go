@@ -106,7 +106,7 @@ func TestTrainRoutingAdversaryFindsSPFGap(t *testing.T) {
 	}
 	top := routing.Abilene()
 	cfg := abileneEnvConfig()
-	opt := ABRTrainOptions{Iterations: 15, RolloutSteps: 512, LR: 1e-3}
+	opt := TrainOptions{Iterations: 15, RolloutSteps: 512, LR: 1e-3}
 	adv, stats, err := TrainRoutingAdversary(top, routing.SPF{}, cfg, opt, mathx.NewRNG(7))
 	if err != nil {
 		t.Fatal(err)
@@ -139,7 +139,7 @@ func TestRoutingAdversaryTargetsScheme(t *testing.T) {
 	// "other protocol" in this domain.
 	top := routing.Abilene()
 	cfg := abileneEnvConfig()
-	opt := ABRTrainOptions{Iterations: 15, RolloutSteps: 512, LR: 1e-3}
+	opt := TrainOptions{Iterations: 15, RolloutSteps: 512, LR: 1e-3}
 	adv, _, err := TrainRoutingAdversary(top, routing.SPF{}, cfg, opt, mathx.NewRNG(9))
 	if err != nil {
 		t.Fatal(err)

@@ -64,15 +64,16 @@ func NewTraceAdversary(rng *mathx.RNG, chunks int, cfg TraceAdversaryConfig) *Tr
 }
 
 // mapBandwidth converts one raw action coordinate to Mbps.
-func (a *TraceAdversary) mapBandwidth(raw float64) float64 {
+func (c TraceAdversaryConfig) mapBandwidth(raw float64) float64 {
 	x := mathx.Clamp(raw, -1, 1)
-	return a.Cfg.BandwidthLo + (a.Cfg.BandwidthHi-a.Cfg.BandwidthLo)*(x+1)/2
+	return c.BandwidthLo + (c.BandwidthHi-c.BandwidthLo)*(x+1)/2
 }
 
 // traceEnv is the one-step episode: the action is the whole trace; the
 // reward is total regret minus total smoothing penalty.
 type traceEnv struct {
-	adv    *TraceAdversary
+	cfg    TraceAdversaryConfig
+	chunks int
 	video  *abr.Video
 	target abr.Protocol
 }
@@ -80,89 +81,71 @@ type traceEnv struct {
 func (e *traceEnv) Reset() []float64 { return []float64{1} }
 
 func (e *traceEnv) Step(action []float64) ([]float64, float64, bool) {
-	bw := make([]float64, e.adv.Chunks)
+	bw := make([]float64, e.chunks)
 	for i := range bw {
-		bw[i] = e.adv.mapBandwidth(action[i])
+		bw[i] = e.cfg.mapBandwidth(action[i])
 	}
 	// Run the target over the trace (chunk-indexed semantics).
-	link := &abr.ChunkLink{Bandwidths: bw, RTTSeconds: e.adv.Cfg.RTTSeconds}
+	link := &abr.ChunkLink{Bandwidths: bw, RTTSeconds: e.cfg.RTTSeconds}
 	session := abr.RunSession(e.video, link, abr.DefaultSessionConfig(), e.target)
 
 	oracle := abr.NewOfflineOptimal()
-	oracle.RTTSeconds = e.adv.Cfg.RTTSeconds
+	oracle.RTTSeconds = e.cfg.RTTSeconds
 	_, optQoE := oracle.Solve(e.video, bw)
 
 	smooth := 0.0
 	for i := 1; i < len(bw); i++ {
 		smooth += math.Abs(bw[i] - bw[i-1])
 	}
-	reward := optQoE - session.TotalQoE() - e.adv.Cfg.SmoothWeight*smooth
+	reward := optQoE - session.TotalQoE() - e.cfg.SmoothWeight*smooth
 	return []float64{1}, reward, true
 }
 
 func (e *traceEnv) ObservationSize() int { return 1 }
 
 func (e *traceEnv) ActionSpec() rl.ActionSpec {
-	low := make([]float64, e.adv.Chunks)
-	high := make([]float64, e.adv.Chunks)
+	low := make([]float64, e.chunks)
+	high := make([]float64, e.chunks)
 	for i := range low {
 		low[i], high[i] = -1, 1
 	}
-	return rl.ActionSpec{Dim: e.adv.Chunks, Low: low, High: high}
+	return rl.ActionSpec{Dim: e.chunks, Low: low, High: high}
 }
 
-// TraceTrainOptions controls trace-based adversary training.
-type TraceTrainOptions struct {
-	Iterations   int
-	RolloutSteps int // whole traces evaluated per iteration
-	LR           float64
-	// Workers is the number of parallel sessions (rl.VecRunner lanes)
-	// evaluating the per-iteration traces, each beyond the first driving
-	// its own clone of the target protocol. Trace evaluation dominates
-	// training cost here (§2.1 calls this approach slow), so it
-	// parallelizes well. Workers ≤ 1 is one lane on the calling goroutine,
-	// bit-for-bit the historical single-threaded behaviour.
-	Workers int
-}
-
-// DefaultTraceTrainOptions returns defaults; note each rollout step costs a
-// full video simulation plus an offline-optimal solve, which is why §2.1
-// calls this approach slow.
-func DefaultTraceTrainOptions() TraceTrainOptions {
-	return TraceTrainOptions{Iterations: 40, RolloutSteps: 64, LR: 3e-3}
+// DefaultTraceTrainOptions returns defaults; RolloutSteps counts whole traces
+// evaluated per iteration, and each costs a full video simulation plus an
+// offline-optimal solve, which is why §2.1 calls this approach slow — and
+// why it parallelizes well over opt.Workers.
+func DefaultTraceTrainOptions() TrainOptions {
+	return TrainOptions{Iterations: 40, RolloutSteps: 64, LR: 3e-3}
 }
 
 // TrainTraceAdversary trains a trace-based adversary against the target and
-// returns it with the training statistics.
-func TrainTraceAdversary(video *abr.Video, target abr.Protocol, cfg TraceAdversaryConfig, opt TraceTrainOptions, rng *mathx.RNG) (*TraceAdversary, []rl.IterStats, error) {
-	adv := NewTraceAdversary(rng, video.NumChunks(), cfg)
-	value := nn.NewMLP(rng, []int{1, 4, 1}, nn.Tanh)
+// returns it with the training statistics. Each lane beyond the first drives
+// its own clone of the target.
+func TrainTraceAdversary(video *abr.Video, target abr.Protocol, cfg TraceAdversaryConfig, opt TrainOptions, rng *mathx.RNG) (*TraceAdversary, []rl.IterStats, error) {
+	chunks := video.NumChunks()
 	pcfg := rl.DefaultPPOConfig()
-	pcfg.RolloutSteps = opt.RolloutSteps
-	pcfg.MinibatchSize = 16
-	pcfg.LR = opt.LR
-	ppo, err := rl.NewPPO(adv.Policy, value, pcfg, rng)
+	pcfg.MinibatchSize = 16 // a rollout is tens of whole traces, not thousands of steps
+	ppo, stats, err := rl.Train(rl.Problem{
+		Nets: func(rng *mathx.RNG) (rl.Policy, *nn.MLP) {
+			return NewTraceAdversary(rng, chunks, cfg).Policy, nn.NewMLP(rng, []int{1, 4, 1}, nn.Tanh)
+		},
+		Config: pcfg,
+		Envs: func(lanes int, _ *mathx.RNG) (rl.EnvFactory, error) {
+			targets, err := cloneTargets(target, lanes)
+			if err != nil {
+				return nil, err
+			}
+			return func(lane int) rl.Env {
+				return &traceEnv{cfg: cfg, chunks: chunks, video: video, target: targets[lane]}
+			}, nil
+		},
+	}, opt, rng)
 	if err != nil {
 		return nil, nil, err
 	}
-	// Each worker beyond the first drives its own protocol clone: targets
-	// with per-session state (MPC's error window, Pensieve's evaluation
-	// scratch) must not be shared across goroutines.
-	targets := []abr.Protocol{target}
-	for i := 1; i < opt.Workers; i++ {
-		clone, err := abr.CloneProtocol(target)
-		if err != nil {
-			return nil, nil, err
-		}
-		targets = append(targets, clone)
-	}
-	stats, err := ppo.TrainParallel(func(worker int) rl.Env {
-		return &traceEnv{adv: adv, video: video, target: targets[worker]}
-	}, len(targets), opt.Iterations)
-	if err != nil {
-		return nil, nil, err
-	}
-	return adv, stats, nil
+	return &TraceAdversary{Policy: ppo.Policy.(*rl.GaussianPolicy), Cfg: cfg, Chunks: chunks}, stats, nil
 }
 
 // GenerateTrace samples one trace (stochastic) or emits the mean trace
@@ -179,7 +162,7 @@ func (a *TraceAdversary) GenerateTrace(rng *mathx.RNG, stochastic bool, name str
 	for i := 0; i < a.Chunks; i++ {
 		tr.Points = append(tr.Points, trace.Point{
 			Duration:      4,
-			BandwidthMbps: a.mapBandwidth(action[i]),
+			BandwidthMbps: a.Cfg.mapBandwidth(action[i]),
 			LatencyMs:     a.Cfg.RTTSeconds * 1000 / 2,
 		})
 	}

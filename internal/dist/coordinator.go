@@ -109,7 +109,6 @@ type workerConn struct {
 // Close.
 type Coordinator struct {
 	cfg   Config
-	dom   Domain
 	ppo   *rl.PPO
 	state []rl.LaneState
 	steps []int
@@ -166,7 +165,6 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	}
 	c := &Coordinator{
 		cfg:       cfg,
-		dom:       dom,
 		ppo:       ppo,
 		state:     state,
 		steps:     steps,

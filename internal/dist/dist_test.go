@@ -10,11 +10,13 @@ import (
 	"testing"
 	"time"
 
+	"advnet/internal/abr"
 	"advnet/internal/faults"
 	"advnet/internal/mathx"
 	"advnet/internal/nn"
 	"advnet/internal/retry"
 	"advnet/internal/rl"
+	"advnet/internal/trace"
 )
 
 // testSpec is the shared small pensieve workload: big enough to exercise
@@ -67,6 +69,28 @@ func localRun(t *testing.T, spec PensieveSpec, lanes, iters int) (*rl.PPO, []rl.
 		t.Fatal(err)
 	}
 	return ppo, stats
+}
+
+// TestDistPensieveDomainMatchesInProcessTrainer: the "pensieve" domain's
+// trainer is the trainer abr.TrainPensieveSharded builds over the video and
+// corpus the spec describes — not a look-alike of it. Every other identity
+// test in this package compares the coordinator against dom.NewTrainer, so
+// this is the one that fails if the domain and the in-process entry point
+// are ever assembled separately again.
+func TestDistPensieveDomainMatchesInProcessTrainer(t *testing.T) {
+	spec := PensieveSpec{Seed: 5, DatasetSeed: 21, Traces: 16}
+	video := abr.NewVideo(mathx.NewRNG(1), abr.DefaultVideoConfig())
+	ds := trace.GenerateFCCLikeDataset(mathx.NewRNG(spec.DatasetSeed), trace.DefaultFCCLike(), spec.Traces, "fcc-like")
+	for _, W := range []int{1, 4} {
+		_, inProcess, err := abr.TrainPensieveSharded(video, ds, 2, W, mathx.NewRNG(spec.Seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		domain, _ := localRun(t, spec, W, 2)
+		if got, want := paramsFingerprint(domain), paramsFingerprint(inProcess); got != want {
+			t.Errorf("W=%d: domain trainer fingerprint %#x, abr.TrainPensieveSharded %#x", W, got, want)
+		}
+	}
 }
 
 // newTestCoordinator builds a coordinator for the shared workload on an
@@ -349,41 +373,29 @@ func (s miniSpec) env() *miniEnv {
 	return &miniEnv{horizon: 9, panicAt: s.PanicAt, nanAt: s.NaNAt}
 }
 
-type miniDomain struct{}
+func init() { Register("mini", miniProblem) }
 
-func init() { Register("mini", miniDomain{}) }
-
-func (miniDomain) model(spec miniSpec) (*rl.GaussianPolicy, *nn.MLP, rl.PPOConfig, *mathx.RNG) {
-	rng := mathx.NewRNG(spec.Seed)
-	policy := rl.NewGaussianPolicy(nn.NewMLP(rng, []int{1, 8, 1}, nn.Tanh), -0.5)
-	policy.MaxLogStd = 0
-	value := nn.NewMLP(rng, []int{1, 8, 1}, nn.Tanh)
+// miniProblem is the test-only "mini" domain: a spec decoder, like every
+// domain.
+func miniProblem(raw json.RawMessage) (rl.Problem, uint64, error) {
+	var spec miniSpec
+	if err := json.Unmarshal(raw, &spec); err != nil {
+		return rl.Problem{}, 0, err
+	}
 	cfg := rl.DefaultPPOConfig()
 	cfg.RolloutSteps = spec.RolloutSteps
 	cfg.MinibatchSize = 16
-	return policy, value, cfg, rng
-}
-
-func (d miniDomain) NewTrainer(raw json.RawMessage, lanes int) (*rl.PPO, rl.EnvFactory, error) {
-	var spec miniSpec
-	if err := json.Unmarshal(raw, &spec); err != nil {
-		return nil, nil, err
-	}
-	policy, value, cfg, rng := d.model(spec)
-	ppo, err := rl.NewPPO(policy, value, cfg, rng)
-	if err != nil {
-		return nil, nil, err
-	}
-	return ppo, func(int) rl.Env { return spec.env() }, nil
-}
-
-func (d miniDomain) NewLane(raw json.RawMessage, lane, lanes int) (*rl.Lane, error) {
-	var spec miniSpec
-	if err := json.Unmarshal(raw, &spec); err != nil {
-		return nil, err
-	}
-	policy, value, cfg, _ := d.model(spec)
-	return rl.NewLane(policy, value, spec.env(), cfg.Gamma, cfg.Lambda)
+	return rl.Problem{
+		Nets: func(rng *mathx.RNG) (rl.Policy, *nn.MLP) {
+			policy := rl.NewGaussianPolicy(nn.NewMLP(rng, []int{1, 8, 1}, nn.Tanh), -0.5)
+			policy.MaxLogStd = 0
+			return policy, nn.NewMLP(rng, []int{1, 8, 1}, nn.Tanh)
+		},
+		Config: cfg,
+		Envs: func(int, *mathx.RNG) (rl.EnvFactory, error) {
+			return func(int) rl.Env { return spec.env() }, nil
+		},
+	}, spec.Seed, nil
 }
 
 // TestDistMiniDomainGolden: the registry's second domain trains bitwise

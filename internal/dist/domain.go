@@ -6,27 +6,38 @@ import (
 	"sort"
 	"sync"
 
+	"advnet/internal/mathx"
 	"advnet/internal/rl"
 )
 
-// Domain adapts one training problem to distributed execution. The spec is
-// an opaque JSON document the coordinator ships to every worker verbatim;
-// both sides must derive identical immutable inputs (corpora, videos, shard
-// assignments) from it, because only the mutable lane state crosses the
-// wire afterwards.
-type Domain interface {
-	// NewTrainer builds the coordinator-side trainer and the environment
-	// factory used to capture the canonical initial lane states. It must
-	// consume the domain's root RNG in exactly the order the in-process
-	// training path does — that ordering is what makes the distributed run
-	// bitwise-identical to the domain's VecRunner run.
-	NewTrainer(spec json.RawMessage, lanes int) (*rl.PPO, rl.EnvFactory, error)
-	// NewLane builds the worker-side lane for one lane slot: policy/value
-	// clones with the trainer's architecture and hyperparameters (the
-	// parameter values are irrelevant — every collect is preceded by a
-	// broadcast) plus an environment over the same immutable inputs and
-	// shard assignment the trainer's factory used.
-	NewLane(spec json.RawMessage, lane, lanes int) (*rl.Lane, error)
+// Domain is one training problem made distributable: a decoder from the
+// opaque JSON spec the coordinator ships to every worker verbatim to the
+// rl.Problem it describes and the seed of the run's root RNG. Both sides
+// must derive identical immutable inputs (corpora, videos) from the spec,
+// because only the mutable lane state crosses the wire afterwards. That is
+// all a domain has to get right: coordinator and workers are assembled from
+// the Problem by rl.NewTrainer and rl.Problem.Lane, exactly as an in-process
+// rl.Train of the same Problem is, so the distributed run is bitwise the
+// VecRunner run by construction.
+type Domain func(spec json.RawMessage) (rl.Problem, uint64, error)
+
+// NewTrainer builds the coordinator-side trainer and the environment factory
+// used to capture the canonical initial lane states.
+func (d Domain) NewTrainer(spec json.RawMessage, lanes int) (*rl.PPO, rl.EnvFactory, error) {
+	pr, seed, err := d(spec)
+	if err != nil {
+		return nil, nil, err
+	}
+	return rl.NewTrainer(pr, lanes, mathx.NewRNG(seed))
+}
+
+// NewLane builds the worker-side lane for one lane slot.
+func (d Domain) NewLane(spec json.RawMessage, lane, lanes int) (*rl.Lane, error) {
+	pr, _, err := d(spec)
+	if err != nil {
+		return nil, err
+	}
+	return pr.Lane(lane, lanes)
 }
 
 // UnknownDomainError names a domain the receiving process has not

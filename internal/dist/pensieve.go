@@ -11,11 +11,10 @@ import (
 )
 
 // PensieveSpec parameterizes the "pensieve" domain: PPO training of the
-// Pensieve ABR agent on a synthetic FCC-like corpus, sharded round-robin
-// across lanes exactly as abr.TrainPensieveSharded shards it across
-// VecRunner workers. The corpus is regenerated deterministically from
-// DatasetSeed on every process — a few thousand floats of config crosses
-// the wire instead of the corpus itself.
+// Pensieve ABR agent on a synthetic FCC-like corpus (abr.PensieveProblem, the
+// problem abr.TrainPensieveSharded trains in process). The corpus is
+// regenerated deterministically from DatasetSeed on every process — a few
+// thousand floats of config crosses the wire instead of the corpus itself.
 type PensieveSpec struct {
 	Seed        uint64 `json:"seed"`         // model/trainer seed
 	DatasetSeed uint64 `json:"dataset_seed"` // corpus generation seed
@@ -26,83 +25,21 @@ type PensieveSpec struct {
 	RolloutSteps int `json:"rollout_steps,omitempty"`
 }
 
-// pensieveDomain implements Domain for the Pensieve ABR trainer. Determinism
-// note: NewTrainer consumes the root RNG in the exact order of
-// abr.trainPensieveVec — policy net, value net, NewPPO, then one Split per
-// lane in lane order for the environment RNGs — and rl.(*PPO).NewLaneStates
-// then performs the collector Splits in NewVecRunner's order. That is the
-// whole proof obligation for the golden-fingerprint equivalence; everything
-// downstream is the lane substrate's contract.
-type pensieveDomain struct{}
+func init() { Register("pensieve", pensieveProblem) }
 
-func init() { Register("pensieve", pensieveDomain{}) }
-
-// pensieveInputs derives the immutable training inputs from a spec. Both
-// sides of the wire call it; the video RNG is pinned (seed 1, as
+// pensieveProblem decodes a PensieveSpec into abr.PensieveProblem over the
+// video and corpus it describes. The video RNG is pinned (seed 1, as
 // cmd/advtrain pins it) so coordinator and workers agree on chunk sizes.
-func pensieveInputs(raw json.RawMessage, lanes int) (spec PensieveSpec, video *abr.Video, dataset *trace.Dataset, shards *trace.ShardedDataset, cfg rl.PPOConfig, err error) {
-	if err = json.Unmarshal(raw, &spec); err != nil {
-		err = fmt.Errorf("dist: pensieve spec: %w", err)
-		return
+func pensieveProblem(raw json.RawMessage) (rl.Problem, uint64, error) {
+	var spec PensieveSpec
+	if err := json.Unmarshal(raw, &spec); err != nil {
+		return rl.Problem{}, 0, fmt.Errorf("dist: pensieve spec: %w", err)
 	}
-	if spec.Traces < lanes {
-		err = fmt.Errorf("dist: pensieve spec has %d traces for %d lanes (every lane's shard needs at least one)", spec.Traces, lanes)
-		return
-	}
-	video = abr.NewVideo(mathx.NewRNG(1), abr.DefaultVideoConfig())
-	dataset = trace.GenerateFCCLikeDataset(mathx.NewRNG(spec.DatasetSeed), trace.DefaultFCCLike(), spec.Traces, "fcc-like")
-	shards, err = trace.NewShardedDataset(dataset, lanes)
-	if err != nil {
-		return
-	}
-	cfg = rl.DefaultPPOConfig()
-	cfg.RolloutSteps = 1024
-	cfg.LR = 1e-3
+	video := abr.NewVideo(mathx.NewRNG(1), abr.DefaultVideoConfig())
+	dataset := trace.GenerateFCCLikeDataset(mathx.NewRNG(spec.DatasetSeed), trace.DefaultFCCLike(), spec.Traces, "fcc-like")
+	pr := abr.PensieveProblem(video, dataset, 0.08)
 	if spec.RolloutSteps > 0 {
-		cfg.RolloutSteps = spec.RolloutSteps
+		pr.Config.RolloutSteps = spec.RolloutSteps
 	}
-	return
-}
-
-func (pensieveDomain) NewTrainer(raw json.RawMessage, lanes int) (*rl.PPO, rl.EnvFactory, error) {
-	spec, video, dataset, shards, cfg, err := pensieveInputs(raw, lanes)
-	if err != nil {
-		return nil, nil, err
-	}
-	rng := mathx.NewRNG(spec.Seed)
-	levels := video.Levels()
-	policy := rl.NewCategoricalPolicy(abr.NewPensieveNet(rng, levels))
-	value := abr.NewPensieveValueNet(rng, levels)
-	ppo, err := rl.NewPPO(policy, value, cfg, rng)
-	if err != nil {
-		return nil, nil, err
-	}
-	rngs := make([]*mathx.RNG, lanes)
-	for i := range rngs {
-		rngs[i] = rng.Split()
-	}
-	factory := func(lane int) rl.Env {
-		return abr.NewTrainEnvSharded(video, dataset, abr.DefaultSessionConfig(), 0.08, rngs[lane], shards.Shard(lane))
-	}
-	return ppo, factory, nil
-}
-
-func (pensieveDomain) NewLane(raw json.RawMessage, lane, lanes int) (*rl.Lane, error) {
-	if lane < 0 || lane >= lanes {
-		return nil, fmt.Errorf("dist: pensieve lane %d out of range [0,%d)", lane, lanes)
-	}
-	_, video, dataset, shards, cfg, err := pensieveInputs(raw, lanes)
-	if err != nil {
-		return nil, err
-	}
-	// Construction RNGs are arbitrary: parameters are overwritten by every
-	// broadcast, and the environment's sampling RNG and shard cursor are
-	// overwritten by every lane-state restore. Only the architecture,
-	// hyperparameters, and shard assignment must match the trainer's.
-	rng := mathx.NewRNG(1)
-	levels := video.Levels()
-	policy := rl.NewCategoricalPolicy(abr.NewPensieveNet(rng, levels))
-	value := abr.NewPensieveValueNet(rng, levels)
-	env := abr.NewTrainEnvSharded(video, dataset, abr.DefaultSessionConfig(), 0.08, mathx.NewRNG(2), shards.Shard(lane))
-	return rl.NewLane(policy, value, env, cfg.Gamma, cfg.Lambda)
+	return pr, spec.Seed, nil
 }

@@ -27,7 +27,7 @@ type SmoothingAblation struct {
 // AblationSmoothing runs the smoothing-penalty ablation against BB.
 func AblationSmoothing(cfg Config) (*SmoothingAblation, error) {
 	video := cfg.video()
-	opt := core.ABRTrainOptions{Iterations: cfg.ABRAdvIters, RolloutSteps: 1536, LR: 1e-3}
+	opt := core.TrainOptions{Iterations: cfg.ABRAdvIters, RolloutSteps: 1536, LR: 1e-3}
 
 	run := func(weight float64) (float64, float64, error) {
 		acfg := core.DefaultABRAdversaryConfig()
@@ -92,7 +92,7 @@ type OptBaselineAblation struct {
 // AblationOptBaseline runs the reward-definition ablation against MPC.
 func AblationOptBaseline(cfg Config) (*OptBaselineAblation, error) {
 	video := cfg.video()
-	opt := core.ABRTrainOptions{Iterations: cfg.ABRAdvIters, RolloutSteps: 1536, LR: 1e-3}
+	opt := core.TrainOptions{Iterations: cfg.ABRAdvIters, RolloutSteps: 1536, LR: 1e-3}
 
 	measure := func(useOpt bool) (headroom, optQoE float64, err error) {
 		acfg := core.DefaultABRAdversaryConfig()
@@ -200,7 +200,7 @@ type NetSizeRow struct {
 // AblationNetSize trains ABR adversaries of several sizes against BB.
 func AblationNetSize(cfg Config) (*NetSizeAblation, error) {
 	video := cfg.video()
-	opt := core.ABRTrainOptions{Iterations: cfg.ABRAdvIters, RolloutSteps: 1536, LR: 1e-3}
+	opt := core.TrainOptions{Iterations: cfg.ABRAdvIters, RolloutSteps: 1536, LR: 1e-3}
 	archs := []struct {
 		name   string
 		hidden []int
@@ -257,7 +257,7 @@ func AblationOnlineVsTraceBased(cfg Config) (*OnlineVsTraceAblation, error) {
 	chunks := video.NumChunks()
 
 	// Budget: what the online adversary consumes.
-	onlineOpt := core.ABRTrainOptions{Iterations: cfg.ABRAdvIters, RolloutSteps: 1536, LR: 1e-3}
+	onlineOpt := core.TrainOptions{Iterations: cfg.ABRAdvIters, RolloutSteps: 1536, LR: 1e-3}
 	budget := onlineOpt.Iterations * onlineOpt.RolloutSteps
 
 	res := &OnlineVsTraceAblation{ChunkBudget: budget}

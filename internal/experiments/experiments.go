@@ -224,7 +224,7 @@ func Figure1And2(cfg Config) (*Fig12Result, error) {
 	bb := abr.NewBB()
 	protocols := []abr.Protocol{pensieve, mpc, bb}
 
-	advOpt := core.ABRTrainOptions{Iterations: cfg.ABRAdvIters, RolloutSteps: 1536, LR: 1e-3, Restarts: cfg.Restarts, Workers: cfg.Workers}
+	advOpt := core.TrainOptions{Iterations: cfg.ABRAdvIters, RolloutSteps: 1536, LR: 1e-3, Restarts: cfg.Restarts, Workers: cfg.Workers}
 	acfg := core.DefaultABRAdversaryConfig()
 
 	gen := func(target abr.Protocol, seed uint64, name string) (*trace.Dataset, error) {

@@ -29,7 +29,7 @@ func ExtensionRouting(cfg Config) (*RoutingExtensionResult, error) {
 	if iters < 10 {
 		iters = 10
 	}
-	opt := core.ABRTrainOptions{Iterations: iters, RolloutSteps: 512, LR: 1e-3, Workers: cfg.Workers}
+	opt := core.TrainOptions{Iterations: iters, RolloutSteps: 512, LR: 1e-3, Workers: cfg.Workers}
 	adv, stats, err := core.TrainRoutingAdversary(top, routing.SPF{}, acfg, opt, mathx.NewRNG(cfg.Seed+900))
 	if err != nil {
 		return nil, err

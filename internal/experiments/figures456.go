@@ -50,7 +50,7 @@ func Figure4(cfg Config) (*Fig4Result, error) {
 		rcfg.TotalIterations = cfg.RobustIters
 		rcfg.InjectAtFrac = frac
 		rcfg.AdversarialTraces = cfg.RobustTraces
-		rcfg.AdvOpt = core.ABRTrainOptions{Iterations: cfg.ABRAdvIters, RolloutSteps: 1536, LR: 1e-3, Restarts: cfg.Restarts, Workers: cfg.Workers}
+		rcfg.AdvOpt = core.TrainOptions{Iterations: cfg.ABRAdvIters, RolloutSteps: 1536, LR: 1e-3, Restarts: cfg.Restarts, Workers: cfg.Workers}
 		rcfg.RTTSeconds = cfg.RTTSeconds
 		res, err := core.TrainRobustPensieve(video, ds, rcfg, mathx.NewRNG(seed))
 		if err != nil {

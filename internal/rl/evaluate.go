@@ -18,12 +18,23 @@ type EvalStats struct {
 	RewardPerStep float64
 }
 
-// runEvalEpisode plays one episode with deterministic (Mode) actions and
-// returns the total reward and the episode length in steps.
-func runEvalEpisode(policy Policy, env Env) (total float64, length int) {
+// RunEpisode is the one episode driver: reset, then act (a sample drawn from
+// rng when stochastic, the policy's mode otherwise — rng may then be nil)
+// and step until the environment reports done. onStep, when non-nil, sees
+// every action before the environment applies it. It returns the total
+// reward and the episode length in steps.
+func RunEpisode(policy Policy, env Env, rng *mathx.RNG, stochastic bool, onStep func(action []float64)) (total float64, length int) {
 	obs := env.Reset()
 	for {
-		action := policy.Mode(obs)
+		var action []float64
+		if stochastic {
+			action, _ = policy.Sample(rng, obs)
+		} else {
+			action = policy.Mode(obs)
+		}
+		if onStep != nil {
+			onStep(action)
+		}
 		next, reward, done := env.Step(action)
 		total += reward
 		length++
@@ -62,7 +73,7 @@ func Evaluate(policy Policy, env Env, episodes int) EvalStats {
 	totals := make([]float64, episodes)
 	lengths := make([]float64, episodes)
 	for ep := 0; ep < episodes; ep++ {
-		total, length := runEvalEpisode(policy, env)
+		total, length := RunEpisode(policy, env, nil, false, nil)
 		totals[ep] = total
 		lengths[ep] = float64(length)
 	}
@@ -135,7 +146,7 @@ func ParallelEvaluate(policy Policy, envs []Env, episodes, workers int) (EvalSta
 			if ferr := faults.Fire("rl.eval.episode", w, ep); ferr != nil {
 				return ferr
 			}
-			total, length := runEvalEpisode(policies[w], envs[w])
+			total, length := RunEpisode(policies[w], envs[w], nil, false, nil)
 			totals[ep] = total
 			lengths[ep] = float64(length)
 		}
