@@ -6,7 +6,7 @@ GO ?= go
 BENCH_BASELINE_DIR ?= bench/baselines
 BENCH_FRESH_DIR ?= /tmp/advnet-bench
 
-.PHONY: all build test vet race bench swarm-bench serve-race faults verify bench-short bench-diff bench-baseline bench-e2e-check seam-check
+.PHONY: all build test vet race bench swarm-bench serve-race faults verify bench-short bench-diff bench-baseline bench-e2e-check bench-e2e-smoke seam-check
 
 all: verify
 
@@ -28,7 +28,8 @@ race:
 	$(GO) test -race ./...
 
 # Micro-benchmarks for the NN hot path (must report 0 allocs/op), the
-# batched minibatch kernels (row loops vs blocked GEMM), the parallel PPO
+# batched passes (the one bitwise kernel every trainer runs vs the FMA
+# inference forward behind NewBatchCacheGEMM), the parallel PPO
 # iteration (W=1 vs W=4), the parallel dataset evaluation (W=1 vs W=4), and
 # the indexed trace-link download (prefix-sum vs historical linear rescan).
 # Results are recorded in EXPERIMENTS.md.
@@ -108,6 +109,19 @@ bench-baseline:
 bench-e2e-check:
 	cd bench/e2e && $(GO) vet . && $(GO) test .
 
+# The two workloads that run the training arithmetic, end to end for three
+# seconds each: fails unless the run's last line reports "correct":true and
+# "failed":0, i.e. on a per-unit digest that drifts, NaN/Inf in parameters or
+# QoE, or dist parameters that are not bit-for-bit the in-process VecRunner's.
+# No timing is judged here.
+bench-e2e-smoke:
+	@for w in robustify_abr dist_loopback; do \
+		out=$$(bash bench/e2e/run.sh --workload $$w --seconds 3 | tail -n 1); \
+		echo "$$w: $$out"; \
+		echo "$$out" | grep -q '"correct":true' && echo "$$out" | grep -q '"failed":0[,}]' \
+			|| { echo "bench-e2e-smoke: $$w did not report correct:true with failed:0"; exit 1; }; \
+	done
+
 # One trainer assembly (internal/rl/problem.go): every PPO trainer is built by
 # rl.NewTrainer under the one rl.TrainOptions. Outside tests and the frozen
 # benchmark module, NewPPO may be named on at most two lines (its definition
@@ -121,5 +135,6 @@ seam-check:
 	if [ $$n -ne 1 ]; then echo "seam-check: $$n TrainOptions structs under internal/, want exactly 1 (rl.TrainOptions)"; exit 1; fi
 
 # Tier-1 verification: build + tests, plus vet, the race detector, the
-# benchmark module's compile check, and the structural seam check.
-verify: build vet test race bench-e2e-check seam-check
+# benchmark module's compile check and correctness smoke run, and the
+# structural seam check.
+verify: build vet test race bench-e2e-check bench-e2e-smoke seam-check

@@ -293,13 +293,14 @@ func BenchmarkMLPBackward(b *testing.B) {
 	}
 }
 
-// BenchmarkForwardBatch compares the two BatchCache execution modes on a
-// Pensieve-sized MLP (the robustification pipeline's policy shape) at a
-// PPO-minibatch batch size: the default row-at-a-time loops (bit-for-bit
-// identical to per-sample passes) versus the blocked GEMM kernels (same
-// arithmetic, reordered summation, higher throughput). Each iteration runs
-// one forward and one backward pass over the minibatch; both modes must be
-// allocation-free. Results are recorded in EXPERIMENTS.md.
+// BenchmarkForwardBatch measures one forward and one backward pass over a
+// PPO-sized minibatch of a Pensieve-sized MLP (the robustification
+// pipeline's policy shape). "rows" is the one bitwise kernel every trainer
+// runs (bit-for-bit identical to per-sample passes); "gemm" swaps in the
+// inference forward of NewBatchCacheGEMM (FMA assembly where the hardware has
+// it, rounding not pinned — what internal/serve uses) in front of the same
+// backward. Both must be allocation-free. Results are recorded in
+// EXPERIMENTS.md.
 func BenchmarkForwardBatch(b *testing.B) {
 	const levels = 6
 	const batch = 64

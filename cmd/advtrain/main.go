@@ -41,7 +41,6 @@ func main() {
 	seed := flag.Uint64("seed", 1, "training seed")
 	workers := flag.Int("workers", 1, "parallel rollout workers (1 = historical single-threaded path)")
 	pretrainIters := flag.Int("pretrain-iters", 20, "PPO iterations for pretraining the pensieve target")
-	gemm := flag.Bool("gemm", false, "blocked GEMM minibatch updates (faster; matches the default path to rounding, not bitwise)")
 	ckptDir := flag.String("checkpoint-dir", "", "directory for periodic crash-safe training checkpoints (empty = disabled)")
 	ckptEvery := flag.Int("checkpoint-every", 1, "save a checkpoint every N training iterations")
 	resume := flag.Bool("resume", false, "continue from the checkpoints in -checkpoint-dir (required when it is not empty)")
@@ -64,7 +63,6 @@ func main() {
 		reg.SetConfig("target", *target)
 		reg.SetConfig("seed", *seed)
 		reg.SetConfig("workers", *workers)
-		reg.SetConfig("gemm", *gemm)
 	}
 
 	// The domain supplies the defaults; the flags fill the rest, once.
@@ -76,7 +74,6 @@ func main() {
 		opt.Iterations = *iters
 	}
 	opt.Workers = *workers
-	opt.GEMM = *gemm
 	opt.Checkpoint = ckpt
 	opt.Metrics = tm
 

@@ -31,7 +31,6 @@ func main() {
 	nTraces := flag.Int("n", 25, "adversarial traces to inject")
 	seed := flag.Uint64("seed", 1, "training seed")
 	workers := flag.Int("workers", 1, "parallel rollout workers for both the protocol and the adversary (1 = single-threaded); protocol worker w streams shard w of the training dataset in deterministic epoch-reshuffled order")
-	gemm := flag.Bool("gemm", false, "blocked GEMM minibatch updates for both PPO runs (faster; matches the default path to rounding, not bitwise)")
 	ckptDir := flag.String("checkpoint-dir", "", "directory for periodic crash-safe training checkpoints (empty = disabled)")
 	ckptEvery := flag.Int("checkpoint-every", 1, "save a checkpoint every N protocol-training iterations")
 	resume := flag.Bool("resume", false, "continue from the checkpoints in -checkpoint-dir (required when it is not empty)")
@@ -63,9 +62,8 @@ func main() {
 	cfg.TotalIterations = *iters
 	cfg.InjectAtFrac = *inject
 	cfg.AdversarialTraces = *nTraces
-	cfg.AdvOpt = core.TrainOptions{Iterations: *advIters, RolloutSteps: 1536, LR: 1e-3, Workers: *workers, GEMM: *gemm}
+	cfg.AdvOpt = core.TrainOptions{Iterations: *advIters, RolloutSteps: 1536, LR: 1e-3, Workers: *workers}
 	cfg.Workers = *workers
-	cfg.GEMM = *gemm
 	cfg.Checkpoint = ckpt
 
 	log.Printf("training on %q (%d traces), injecting at %.0f%%, %d workers...", ds.Name, len(ds.Traces), 100**inject, *workers)

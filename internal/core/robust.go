@@ -41,11 +41,6 @@ type RobustTrainConfig struct {
 	// separately via AdvOpt.Workers. Workers ≤ 1 is one lane on the calling
 	// goroutine over the whole dataset.
 	Workers int
-	// GEMM routes the protocol PPO's minibatch updates through the
-	// blocked matrix–matrix kernels (rl.PPOConfig.GEMM); the adversary of
-	// step (2) opts in separately via AdvOpt.GEMM. Results match the
-	// default path to rounding rather than bitwise.
-	GEMM bool
 	// Checkpoint enables crash-safe training: the protocol phases save
 	// periodic atomic checkpoints under Checkpoint.Dir (in phase1/ and
 	// phase2/ subdirectories — the phases use different datasets, so their
@@ -101,7 +96,6 @@ func TrainRobustPensieve(video *abr.Video, dataset *trace.Dataset, cfg RobustTra
 		pr := abr.PensieveProblem(video, ds, cfg.RTTSeconds)
 		pr.Config.RolloutSteps = cfg.RolloutSteps
 		pr.Config.LR = cfg.LR
-		pr.Config.GEMM = cfg.GEMM
 		return pr
 	}
 	ppo, envs, err := rl.NewTrainer(problem(dataset), workers, rng)

@@ -3,21 +3,20 @@ package nn
 import "fmt"
 
 // BatchCache holds row-major activations for a multi-sample forward pass and
-// the scratch needed to run the matching backward pass. It is sized for a
-// maximum batch size and reused across minibatches, so the PPO update loop
-// performs no per-step allocations.
+// the gradient matrices of the matching backward pass. It is sized for a
+// maximum batch size when built and reused across minibatches, so the PPO
+// update loop performs no per-step allocations.
 //
-// In the default mode, ForwardBatch/BackwardBatch are exact batched
-// transcriptions of the per-sample ForwardInto/BackwardInto: every sample is
-// processed with the same instruction sequence, and BackwardBatch
-// accumulates each sample's parameter gradients in sample order. A batched
-// pass is therefore bit-for-bit identical to the equivalent sequence of
-// per-sample passes.
+// ForwardBatch/BackwardBatch run the one dense kernel (kernel.go), whose
+// per-output operation order does not depend on the batch: a batched pass is
+// bit-for-bit identical to the same samples passed one at a time through
+// ForwardInto/BackwardInto, with parameter gradients accumulated in sample
+// order.
 //
-// A cache built with NewBatchCacheGEMM instead routes both passes through
-// blocked matrix–matrix kernels (see gemm.go): same arithmetic, higher
-// throughput, but a different floating-point summation order, so results
-// agree with the per-sample path only to rounding (~1e-12 relative).
+// A cache built with NewBatchCacheGEMM is the inference variant: on AVX2+FMA
+// hardware its ForwardBatch runs the fused-multiply-add assembly instead (see
+// gemm.go), which agrees with the kernel only to rounding (~1e-12 relative).
+// Nothing that trains uses it; internal/serve does, over static weights.
 //
 // Like Cache, a BatchCache is single-goroutine state: ForwardBatch and
 // BackwardBatch scribble over its activation matrices, so a cache must never
@@ -27,19 +26,19 @@ import "fmt"
 type BatchCache struct {
 	capacity int
 	n        int  // rows in the last ForwardBatch
-	gemm     bool // route through the blocked GEMM kernels
+	gemm     bool // inference variant: FMA forward where the hardware has it
 	// acts[0] is the input matrix; acts[i] the (post-activation) output of
 	// layer i-1. Each is capacity×width_i, row-major.
 	acts [][]float64
-	// drow[i] is a single-row backward scratch of width_i.
-	drow [][]float64
-	// GEMM-mode scratch (nil otherwise): wt[l] holds layer l's weights
-	// transposed (In×Out, refreshed each forward pass unless staticW); dmat
-	// mirrors acts and holds the full backward gradient matrices.
-	wt   [][]float64
-	dmat [][]float64
+	// dacts[i] is the backward pass's gradient w.r.t. acts[i], same shape,
+	// for i ≥ 1; dacts[0] stays nil because no caller reads a minibatch's
+	// input gradient.
+	dacts [][]float64
+	// wt[l] (GEMM variant only) holds layer l's weights transposed (In×Out),
+	// refreshed each forward pass unless staticW.
+	wt [][]float64
 	// staticW promises the network's weights do not change between forward
-	// passes, letting the GEMM mode reuse wt across passes; wtReady tracks
+	// passes, letting the GEMM variant reuse wt across passes; wtReady tracks
 	// whether wt currently holds the serving weights.
 	staticW bool
 	wtReady bool
@@ -70,18 +69,20 @@ func (m *MLP) NewBatchCache(capacity int) *BatchCache {
 	c := &BatchCache{capacity: capacity}
 	widths := m.Sizes()
 	c.acts = make([][]float64, len(widths))
-	c.drow = make([][]float64, len(widths))
+	c.dacts = make([][]float64, len(widths))
 	for i, w := range widths {
 		c.acts[i] = make([]float64, capacity*w)
-		c.drow[i] = make([]float64, w)
+		if i > 0 {
+			c.dacts[i] = make([]float64, capacity*w)
+		}
 	}
 	return c
 }
 
-// NewBatchCacheGEMM returns a cache whose ForwardBatch/BackwardBatch run the
-// blocked GEMM kernels instead of the row-at-a-time loops. Opt-in: the
-// kernels reorder floating-point summation, so batched results match the
-// per-sample path to rounding rather than bitwise.
+// NewBatchCacheGEMM returns the inference variant of the cache: on AVX2+FMA
+// hardware ForwardBatch runs the assembly kernel, which reorders and fuses
+// the floating-point summation, so outputs match the per-sample path to
+// rounding rather than bitwise. BackwardBatch is the same as for every cache.
 func (m *MLP) NewBatchCacheGEMM(capacity int) *BatchCache {
 	c := m.NewBatchCache(capacity)
 	c.gemm = true
@@ -89,17 +90,13 @@ func (m *MLP) NewBatchCacheGEMM(capacity int) *BatchCache {
 	for i, l := range m.layers {
 		c.wt[i] = make([]float64, l.In*l.Out)
 	}
-	c.dmat = make([][]float64, len(c.acts))
-	for i, a := range c.acts {
-		c.dmat[i] = make([]float64, len(a))
-	}
 	return c
 }
 
 // Capacity returns the maximum batch size the cache can hold.
 func (c *BatchCache) Capacity() int { return c.capacity }
 
-// GEMM reports whether the cache routes through the blocked GEMM kernels.
+// GEMM reports whether the cache is the inference variant.
 func (c *BatchCache) GEMM() bool { return c.gemm }
 
 // ForwardBatch runs the network on n samples stored row-major in xs
@@ -118,24 +115,10 @@ func (m *MLP) ForwardBatch(c *BatchCache, xs []float64, n int) []float64 {
 	}
 	c.n = n
 	copy(c.acts[0][:n*in], xs[:n*in])
-	if c.gemm {
-		return m.forwardBatchGEMM(c, n)
+	if c.gemm && useFMA {
+		return m.forwardBatchFMA(c, n)
 	}
-	for i, l := range m.layers {
-		xm := c.acts[i]
-		ym := c.acts[i+1]
-		for r := 0; r < n; r++ {
-			x := xm[r*l.In : (r+1)*l.In]
-			y := ym[r*l.Out : (r+1)*l.Out]
-			l.forward(x, y)
-			if i < len(m.layers)-1 {
-				for j := range y {
-					y[j] = m.hidden.apply(y[j])
-				}
-			}
-		}
-	}
-	return c.acts[len(m.layers)][:n*m.OutputSize()]
+	return m.forwardLayers(c.acts, n)
 }
 
 // BackwardBatch accumulates parameter gradients for every sample of the last
@@ -149,25 +132,6 @@ func (m *MLP) BackwardBatch(c *BatchCache, dOut []float64) {
 	if len(dOut) < n*out {
 		panic(fmt.Sprintf("nn: BackwardBatch gradient has %d values, want %d", len(dOut), n*out))
 	}
-	if c.gemm {
-		m.backwardBatchGEMM(c, dOut)
-		return
-	}
-	last := len(m.layers) - 1
-	for r := 0; r < n; r++ {
-		grad := c.drow[last+1]
-		copy(grad, dOut[r*out:(r+1)*out])
-		for i := last; i >= 0; i-- {
-			l := m.layers[i]
-			if i < last {
-				y := c.acts[i+1][r*l.Out : (r+1)*l.Out]
-				for j := range grad {
-					grad[j] *= m.hidden.derivFromOutput(y[j])
-				}
-			}
-			dX := c.drow[i]
-			l.backward(c.acts[i][r*l.In:(r+1)*l.In], grad, dX)
-			grad = dX
-		}
-	}
+	copy(c.dacts[len(m.layers)][:n*out], dOut[:n*out])
+	m.backwardLayers(c.acts, c.dacts, n)
 }

@@ -62,45 +62,27 @@ func TestBackwardIntoMatchesBackward(t *testing.T) {
 	}
 }
 
-// TestBatchMatchesPerSampleBitwise: a batched forward/backward pass must be
-// bit-for-bit identical to the same samples processed one at a time — the
-// invariant the PPO minibatch update relies on for reproducibility.
+// TestBatchMatchesPerSampleBitwise: the tiled kernel, batched or one row at a
+// time, must be bit-for-bit the scalar per-sample loops it replaced — the
+// invariant every golden fingerprint in the repository rests on. Layer 0 is
+// in×out and layer 1 out×out, so both the forward tiles (2 rows × 4 outputs)
+// and the backward sweeps (4 rows for gradW, 4 outputs for dX) meet every
+// remainder.
 func TestBatchMatchesPerSampleBitwise(t *testing.T) {
 	rng := mathx.NewRNG(47)
 	for _, hidden := range []Activation{Tanh, ReLU, Identity} {
-		a := NewMLP(rng, []int{5, 7, 4, 2}, hidden)
-		b := a.Clone()
-		const n = 9
-		xs := makeBatch(rng, n, 5)
-		douts := makeBatch(rng, n, 2)
-
-		// Per-sample reference on a.
-		a.ZeroGrad()
-		seqOut := make([]float64, n*2)
-		ca := a.NewCache()
-		for r := 0; r < n; r++ {
-			out := a.ForwardInto(ca, xs[r*5:(r+1)*5])
-			copy(seqOut[r*2:], out)
-			a.BackwardInto(ca, douts[r*2:(r+1)*2])
-		}
-
-		// Batched on b.
-		b.ZeroGrad()
-		cb := b.NewBatchCache(n)
-		batchOut := b.ForwardBatch(cb, xs, n)
-		b.BackwardBatch(cb, douts)
-
-		for i := range seqOut {
-			if seqOut[i] != batchOut[i] {
-				t.Fatalf("hidden=%v out[%d]: per-sample %v, batch %v", hidden, i, seqOut[i], batchOut[i])
+		for _, in := range []int{1, 2, 25, 64} {
+			for _, out := range []int{1, 3, 4, 5, 6, 64} {
+				for _, n := range []int{1, 2, 3, 4, 5, 63, 64, 65} {
+					checkKernelMatchesReference(t, rng, []int{in, out, out}, hidden, n, false)
+				}
 			}
 		}
-		ga, gb := a.Grads(), b.Grads()
-		for pi := range ga {
-			for i := range ga[pi] {
-				if ga[pi][i] != gb[pi][i] {
-					t.Fatalf("hidden=%v grad[%d][%d]: per-sample %v, batch %v", hidden, pi, i, ga[pi][i], gb[pi][i])
-				}
+		// ±0, subnormals, ±Inf, NaN and overflow in inputs, gradients and
+		// weights, on the two network shapes the paper trains.
+		for _, sizes := range [][]int{{25, 64, 32, 6}, {2, 4, 1}} {
+			for _, n := range []int{1, 5, 64} {
+				checkKernelMatchesReference(t, rng, sizes, hidden, n, true)
 			}
 		}
 	}
@@ -161,6 +143,61 @@ func TestBatchZeroAllocs(t *testing.T) {
 		m.BackwardBatch(c, douts)
 	}); a != 0 {
 		t.Fatalf("batched fwd+bwd allocates %v per run, want 0", a)
+	}
+}
+
+// TestOptimizerRoundZeroAllocs: the per-minibatch gradient bookkeeping —
+// ZeroGrad, ScaleGrads, ClipGradNorm, Adam.Step over Params/Grads — must not
+// allocate on a warm net: the views are built once per architecture, not
+// rebuilt by every call.
+func TestOptimizerRoundZeroAllocs(t *testing.T) {
+	rng := mathx.NewRNG(69)
+	m := NewMLP(rng, []int{6, 16, 8, 3}, Tanh)
+	adam := NewAdam(1e-3)
+	round := func() {
+		m.ZeroGrad()
+		for _, g := range m.Grads() {
+			mathx.Fill(g, 0.25)
+		}
+		m.ScaleGrads(0.5)
+		m.ClipGradNorm(0.5)
+		adam.Step(m.Params(), m.Grads())
+	}
+	round() // sizes Adam's moment buffers
+	if a := testing.AllocsPerRun(50, round); a != 0 {
+		t.Fatalf("optimizer round allocates %v per run, want 0", a)
+	}
+}
+
+// TestParamViewsSurviveAppend: Params/Grads hand out the same outer slice on
+// every call, so appending to it (GaussianPolicy adds its log-std vector)
+// must copy rather than write into the shared backing array — after Clone
+// and UnmarshalJSON too, which rebuild the views.
+func TestParamViewsSurviveAppend(t *testing.T) {
+	rng := mathx.NewRNG(70)
+	m := NewMLP(rng, []int{3, 4, 2}, Tanh)
+	data, err := m.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded := new(MLP)
+	if err := loaded.UnmarshalJSON(data); err != nil {
+		t.Fatal(err)
+	}
+	for name, net := range map[string]*MLP{"new": m, "clone": m.Clone(), "loaded": loaded} {
+		for _, views := range [][][]float64{net.Params(), net.Grads()} {
+			if len(views) != 4 || len(views) != cap(views) {
+				t.Fatalf("%s: views len %d cap %d, want 4 and 4", name, len(views), cap(views))
+			}
+		}
+		a := append(net.Params(), []float64{1})
+		b := append(net.Params(), []float64{2})
+		if a[4][0] != 1 || b[4][0] != 2 {
+			t.Fatalf("%s: two appends to Params share a backing array", name)
+		}
+		if &net.Params()[0][0] != &net.layers[0].W[0] || &net.Grads()[3][0] != &net.layers[1].gradB[0] {
+			t.Fatalf("%s: views do not alias the layers' slices", name)
+		}
 	}
 }
 

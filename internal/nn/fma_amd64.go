@@ -16,7 +16,7 @@ func xgetbvAsm() (eax, edx uint32)
 func gemmKernelAsm(y, init, x, m *float64, k, o int)
 
 // useFMA gates the assembly GEMM kernel. It is a variable (not a constant)
-// so tests can force the portable path on FMA hardware; nothing else may
+// so tests can force the one dense kernel on FMA hardware; nothing else may
 // write it after init.
 var useFMA = cpuSupportsAVX2FMA()
 

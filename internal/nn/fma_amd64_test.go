@@ -9,10 +9,11 @@ import (
 	"advnet/internal/mathx"
 )
 
-// TestFMAKernelMatchesPortable runs the same batches through the assembly
-// FMA path and the portable blocked loops and checks they agree to the GEMM
-// mode's documented tolerance. Shapes cover every output-tile width the
-// kernel dispatches on (32/8/4/2/1 doubles) plus odd tails.
+// TestFMAKernelMatchesPortable runs the same batches through an inference
+// cache with the assembly FMA forward and with it switched off (the one dense
+// kernel, as on hardware without AVX2+FMA) and checks they agree to the
+// documented tolerance. Shapes cover every output-tile width the assembly
+// dispatches on (32/8/4/2/1 doubles) plus odd tails.
 func TestFMAKernelMatchesPortable(t *testing.T) {
 	if !cpuSupportsAVX2FMA() {
 		t.Skip("no AVX2+FMA on this machine")

@@ -2,8 +2,8 @@
 
 package nn
 
-// useFMA is always false without the amd64 assembly kernel; every GEMM pass
-// runs the portable blocked loops.
+// useFMA is always false without the amd64 assembly kernel; a GEMM cache's
+// forward pass runs the one dense kernel.
 const useFMA = false
 
 // gemmRowFMA is never called when useFMA is false.

@@ -1,82 +1,16 @@
 package nn
 
-import (
-	"math"
-
-	"advnet/internal/mathx"
-)
-
-// Blocked matrix–matrix kernels for the BatchCache GEMM mode. The row-at-a-
-// time ForwardBatch/BackwardBatch repeat a latency-bound dot product per
-// output neuron per sample; the kernels here restructure the same arithmetic
-// as cache-blocked GEMMs whose inner loops run over contiguous output slices
-// with no loop-carried dependence, so the CPU can overlap the multiply-adds.
-// On amd64 with AVX2+FMA the inner product additionally runs through the
-// fused-multiply-add assembly kernel in fma_amd64.s (register-tiled output
-// columns, one rounding per multiply-add). The price is a different
-// floating-point summation order — and, with the assembly kernel, one that
-// depends on the hardware: results match the per-sample path to ~1e-12
-// relative error, not bitwise (see TestGEMMMatchesPerSample), which is why
-// the mode is opt-in.
-
-// Block sizes for the GEMM kernels: rows of the batch per block and
-// reduction-dimension slice per block. Sized so one block's operands (a
-// gemmBlockR×gemmBlockK input tile plus a gemmBlockK-row stripe of the
-// transposed weights) stay resident in L1 across the inner loops even for
-// the widest layers in the repository.
-const (
-	gemmBlockR = 32
-	gemmBlockK = 128
-)
-
-// gemmAdd computes Y += X·M for row-major X (n×k), M (k×o) and Y (n×o). On
-// FMA hardware each row runs through the assembly kernel; the portable path
-// is blocked over rows and the reduction dimension, with the reduction
-// unrolled four-wide so the inner loop keeps four independent accumulation
-// streams.
-func gemmAdd(x, m, y []float64, n, k, o int) {
-	if useFMA && k > 0 && o > 0 {
-		for r := 0; r < n; r++ {
-			yrow := y[r*o : (r+1)*o]
-			gemmRowFMA(yrow, yrow, x[r*k:(r+1)*k], m, k, o)
-		}
-		return
-	}
-	for r0 := 0; r0 < n; r0 += gemmBlockR {
-		r1 := r0 + gemmBlockR
-		if r1 > n {
-			r1 = n
-		}
-		for k0 := 0; k0 < k; k0 += gemmBlockK {
-			k1 := k0 + gemmBlockK
-			if k1 > k {
-				k1 = k
-			}
-			for r := r0; r < r1; r++ {
-				xrow := x[r*k : (r+1)*k]
-				yrow := y[r*o : (r+1)*o]
-				i := k0
-				for ; i+4 <= k1; i += 4 {
-					a0, a1, a2, a3 := xrow[i], xrow[i+1], xrow[i+2], xrow[i+3]
-					m0 := m[i*o : (i+1)*o]
-					m1 := m[(i+1)*o : (i+2)*o]
-					m2 := m[(i+2)*o : (i+3)*o]
-					m3 := m[(i+3)*o : (i+4)*o]
-					for j := range yrow {
-						yrow[j] += a0*m0[j] + a1*m1[j] + a2*m2[j] + a3*m3[j]
-					}
-				}
-				for ; i < k1; i++ {
-					a := xrow[i]
-					mi := m[i*o : (i+1)*o]
-					for j := range yrow {
-						yrow[j] += a * mi[j]
-					}
-				}
-			}
-		}
-	}
-}
+// The inference forward behind NewBatchCacheGEMM. On amd64 with AVX2+FMA each
+// batch row runs through the fused-multiply-add assembly kernel in
+// fma_amd64.s (register-tiled output columns over a transposed weight matrix,
+// one rounding per multiply-add) and hidden tanh layers through the vector
+// tanh in vtanh_amd64.s. The price is a floating-point summation order that
+// differs from the one dense kernel's and depends on the hardware: outputs
+// match the per-sample path to ~1e-12 relative error, not bitwise (see
+// TestGEMMMatchesPerSample). That is fine for serving a fixed policy — an
+// argmax over logits — and never acceptable for training, whose goldens pin
+// every bit, so nothing in internal/rl builds this cache. Without the
+// hardware, a GEMM cache runs the one kernel like any other.
 
 // transposeInto writes the Out×In row-major matrix w as an In×Out row-major
 // matrix into wt.
@@ -89,128 +23,31 @@ func transposeInto(w, wt []float64, out, in int) {
 	}
 }
 
-// forwardBatchGEMM is the matrix-matrix form of ForwardBatch's layer loop:
-// for each layer it materializes Wᵀ into the cache's scratch (weights change
-// between minibatches, so the transpose is refreshed per pass — O(In·Out)
-// against the O(n·In·Out) multiply it unlocks — unless the cache has been
-// marked static, see SetStaticWeights) and computes Y = X·Wᵀ + B, then
-// applies the hidden activation in place. On FMA hardware the bias
-// initialization rides inside the assembly kernel; the portable path
-// materializes bias rows first and adds with the blocked kernel.
-func (m *MLP) forwardBatchGEMM(c *BatchCache, n int) []float64 {
+// forwardBatchFMA is the matrix-matrix form of the forward pass: for each
+// layer it materializes Wᵀ into the cache's scratch (refreshed per pass —
+// O(In·Out) against the O(n·In·Out) multiply it unlocks — unless the cache
+// has been marked static, see SetStaticWeights) and computes Y = X·Wᵀ + B
+// with the bias initialization riding inside the assembly kernel, then
+// applies the hidden activation in place. Callers must have checked useFMA.
+func (m *MLP) forwardBatchFMA(c *BatchCache, n int) []float64 {
 	refresh := !c.staticW || !c.wtReady
 	for li, l := range m.layers {
 		if refresh {
 			transposeInto(l.W, c.wt[li], l.Out, l.In)
 		}
 		xm, ym := c.acts[li], c.acts[li+1]
-		if useFMA && l.In > 0 && l.Out > 0 {
-			for r := 0; r < n; r++ {
-				gemmRowFMA(ym[r*l.Out:(r+1)*l.Out], l.B, xm[r*l.In:(r+1)*l.In], c.wt[li], l.In, l.Out)
-			}
-		} else {
-			for r := 0; r < n; r++ {
-				copy(ym[r*l.Out:(r+1)*l.Out], l.B)
-			}
-			gemmAdd(xm, c.wt[li], ym, n, l.In, l.Out)
+		for r := 0; r < n; r++ {
+			gemmRowFMA(ym[r*l.Out:(r+1)*l.Out], l.B, xm[r*l.In:(r+1)*l.In], c.wt[li], l.In, l.Out)
 		}
 		if li < len(m.layers)-1 {
-			applyActivation(m.hidden, ym[:n*l.Out])
+			if m.hidden == Tanh {
+				// Agrees with math.Tanh to a few ulps, not bitwise.
+				vtanh(ym[:n*l.Out])
+			} else {
+				applyActivation(m.hidden, ym[:n*l.Out])
+			}
 		}
 	}
 	c.wtReady = true
 	return c.acts[len(m.layers)][:n*m.OutputSize()]
-}
-
-// applyActivation applies act elementwise with the per-element switch
-// dispatch hoisted out of the loop. On AVX2+FMA hardware the Tanh case uses
-// the vectorized kernel, which agrees with math.Tanh to a few ulps — like
-// the FMA GEMM kernel, within the GEMM mode's documented 1e-9 tolerance but
-// not bitwise. Every other case is bitwise identical to act.apply.
-func applyActivation(act Activation, span []float64) {
-	switch act {
-	case Tanh:
-		if useFMA {
-			vtanh(span)
-			return
-		}
-		for j, v := range span {
-			span[j] = math.Tanh(v)
-		}
-	case ReLU:
-		for j, v := range span {
-			if v < 0 {
-				span[j] = 0
-			}
-		}
-	case Identity:
-	default:
-		for j, v := range span {
-			span[j] = act.apply(v)
-		}
-	}
-}
-
-// accumGradGEMM folds one layer's batch into its parameter gradients:
-// gradW += dYᵀ·X and gradB += column sums of dY, with the batch dimension
-// blocked four rows at a time so every gradW row is updated by four samples
-// per sweep instead of being re-streamed once per sample.
-func accumGradGEMM(l *Dense, x, dy []float64, n int) {
-	in, out := l.In, l.Out
-	r := 0
-	for ; r+4 <= n; r += 4 {
-		d0 := dy[r*out : (r+1)*out]
-		d1 := dy[(r+1)*out : (r+2)*out]
-		d2 := dy[(r+2)*out : (r+3)*out]
-		d3 := dy[(r+3)*out : (r+4)*out]
-		x0 := x[r*in : (r+1)*in]
-		x1 := x[(r+1)*in : (r+2)*in]
-		x2 := x[(r+2)*in : (r+3)*in]
-		x3 := x[(r+3)*in : (r+4)*in]
-		for o := 0; o < out; o++ {
-			g0, g1, g2, g3 := d0[o], d1[o], d2[o], d3[o]
-			l.gradB[o] += g0 + g1 + g2 + g3
-			gw := l.gradW[o*in : (o+1)*in]
-			for i := range gw {
-				gw[i] += g0*x0[i] + g1*x1[i] + g2*x2[i] + g3*x3[i]
-			}
-		}
-	}
-	for ; r < n; r++ {
-		drow := dy[r*out : (r+1)*out]
-		xrow := x[r*in : (r+1)*in]
-		for o := 0; o < out; o++ {
-			g := drow[o]
-			l.gradB[o] += g
-			mathx.AXPY(g, xrow, l.gradW[o*in:(o+1)*in])
-		}
-	}
-}
-
-// backwardBatchGEMM is the matrix-matrix form of BackwardBatch: per layer it
-// applies the activation derivative across the whole batch, accumulates the
-// parameter gradients via dYᵀ·X blocks, and propagates dX = dY·W with the
-// same blocked kernel as the forward pass (W is already the k×o operand for
-// this product, so no transpose is needed). The input gradient of layer 0 is
-// never read by any caller and is skipped.
-func (m *MLP) backwardBatchGEMM(c *BatchCache, dOut []float64) {
-	n := c.n
-	out := m.OutputSize()
-	last := len(m.layers) - 1
-	copy(c.dmat[last+1][:n*out], dOut[:n*out])
-	for li := last; li >= 0; li-- {
-		l := m.layers[li]
-		dy := c.dmat[li+1]
-		if li < last {
-			for j, v := range c.acts[li+1][:n*l.Out] {
-				dy[j] *= m.hidden.derivFromOutput(v)
-			}
-		}
-		accumGradGEMM(l, c.acts[li], dy, n)
-		if li > 0 {
-			dx := c.dmat[li][:n*l.In]
-			mathx.Fill(dx, 0)
-			gemmAdd(dy, l.W, dx, n, l.Out, l.In)
-		}
-	}
 }

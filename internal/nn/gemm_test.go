@@ -16,8 +16,10 @@ func relErr(a, b float64) float64 {
 }
 
 // checkGEMMEquivalence runs n samples through a per-sample reference and
-// through the GEMM cache c (which may be larger than n) and asserts outputs
-// and accumulated gradients agree to tol relative error.
+// through the inference cache c (which may be larger than n) and asserts
+// outputs agree to tol relative error — and the gradients too: the backward
+// pass is the one kernel either way, fed activations that differ only by the
+// FMA forward's rounding.
 func checkGEMMEquivalence(t *testing.T, ref, g *MLP, c *BatchCache, xs, douts []float64, n int, tol float64) {
 	t.Helper()
 	in, out := ref.InputSize(), ref.OutputSize()
@@ -50,10 +52,10 @@ func checkGEMMEquivalence(t *testing.T, ref, g *MLP, c *BatchCache, xs, douts []
 	}
 }
 
-// TestGEMMMatchesPerSample: the blocked GEMM forward/backward must agree
+// TestGEMMMatchesPerSample: a pass through the inference cache must agree
 // with the per-sample path to ≤1e-9 relative error across activations and
-// shapes, including widths of 1, layers wider than the reduction block, and
-// batch sizes straddling the row-block and unroll boundaries.
+// shapes, including widths of 1, layers wider than the assembly's widest
+// output tile, and batch sizes straddling the kernel's row tiles.
 func TestGEMMMatchesPerSample(t *testing.T) {
 	rng := mathx.NewRNG(71)
 	shapes := [][]int{
@@ -61,7 +63,7 @@ func TestGEMMMatchesPerSample(t *testing.T) {
 		{3, 1, 2},       // width-1 hidden layer
 		{1, 4, 1},       // width-1 input and output
 		{24, 32, 16, 1}, // the ABR adversary shape
-		{7, 150, 3},     // hidden wider than gemmBlockK
+		{7, 150, 3},     // hidden wider than four 32-double output tiles
 		{2, 5, 5, 5, 2},
 	}
 	for _, hidden := range []Activation{Tanh, ReLU, Identity} {
@@ -95,8 +97,9 @@ func TestGEMMPartialBatchAndReuse(t *testing.T) {
 	}
 }
 
-// TestGEMMAccumulatesAcrossCalls: like the per-sample path, the GEMM
-// backward must accumulate gradients across calls until ZeroGrad.
+// TestGEMMAccumulatesAcrossCalls: like the per-sample path, a backward pass
+// through the inference cache must accumulate gradients across calls until
+// ZeroGrad.
 func TestGEMMAccumulatesAcrossCalls(t *testing.T) {
 	rng := mathx.NewRNG(79)
 	ref := NewMLP(rng, []int{4, 6, 2}, ReLU)
@@ -126,8 +129,8 @@ func TestGEMMAccumulatesAcrossCalls(t *testing.T) {
 	}
 }
 
-// TestGEMMZeroAllocs: the GEMM hot path must be allocation-free once the
-// cache is built, like the row-at-a-time path.
+// TestGEMMZeroAllocs: passes through the inference cache must be
+// allocation-free once the cache is built, like every other cache's.
 func TestGEMMZeroAllocs(t *testing.T) {
 	rng := mathx.NewRNG(83)
 	m := NewMLP(rng, []int{6, 16, 8, 3}, Tanh)
@@ -164,10 +167,14 @@ func TestStaticWeightsReuseAndInvalidate(t *testing.T) {
 			l.W[i] += 0.5
 		}
 	}
-	stale := m.ForwardBatch(c, xs, n)
-	for i := range before {
-		if stale[i] != before[i] {
-			t.Fatalf("static cache re-read mutated weights at out[%d]: %v vs %v", i, stale[i], before[i])
+	// Without the FMA forward there is no transpose to go stale: the cache
+	// reads the live weights, which the contract also allows.
+	if useFMA {
+		stale := m.ForwardBatch(c, xs, n)
+		for i := range before {
+			if stale[i] != before[i] {
+				t.Fatalf("static cache re-read mutated weights at out[%d]: %v vs %v", i, stale[i], before[i])
+			}
 		}
 	}
 
@@ -193,8 +200,8 @@ func TestStaticWeightsReuseAndInvalidate(t *testing.T) {
 	}
 }
 
-// TestGEMMModeFlag: default caches report GEMM off and stay bitwise; GEMM
-// caches report the mode on.
+// TestGEMMModeFlag: only caches from NewBatchCacheGEMM report the inference
+// variant.
 func TestGEMMModeFlag(t *testing.T) {
 	rng := mathx.NewRNG(89)
 	m := NewMLP(rng, []int{3, 4, 2}, Tanh)

@@ -101,32 +101,6 @@ func NewDense(rng *mathx.RNG, in, out int) *Dense {
 	return d
 }
 
-// forward writes W·x + b into out.
-func (d *Dense) forward(x, out []float64) {
-	for o := 0; o < d.Out; o++ {
-		row := d.W[o*d.In : (o+1)*d.In]
-		out[o] = d.B[o] + mathx.Dot(row, x)
-	}
-}
-
-// backward accumulates parameter gradients for this layer given the input x
-// that produced the forward pass and the gradient dOut of the loss w.r.t. the
-// layer output, and writes the gradient w.r.t. x into dX (if non-nil).
-func (d *Dense) backward(x, dOut, dX []float64) {
-	for o := 0; o < d.Out; o++ {
-		g := dOut[o]
-		d.gradB[o] += g
-		row := d.gradW[o*d.In : (o+1)*d.In]
-		mathx.AXPY(g, x, row)
-	}
-	if dX != nil {
-		mathx.Fill(dX, 0)
-		for o := 0; o < d.Out; o++ {
-			mathx.AXPY(dOut[o], d.W[o*d.In:(o+1)*d.In], dX)
-		}
-	}
-}
-
 // MLP is a multi-layer perceptron: dense layers with a shared hidden
 // activation and an identity output layer.
 //
@@ -140,6 +114,12 @@ type MLP struct {
 	layers []*Dense
 	hidden Activation
 
+	// params/grads are the views Params/Grads hand out, built once per
+	// architecture (setLayers) with len == cap so a caller's append copies
+	// instead of writing into the shared backing array.
+	params [][]float64
+	grads  [][]float64
+
 	// cachePool recycles Caches handed out by AcquireCache; see the
 	// single-goroutine contract on Cache.
 	cachePool sync.Pool
@@ -152,11 +132,25 @@ func NewMLP(rng *mathx.RNG, sizes []int, hidden Activation) *MLP {
 	if len(sizes) < 2 {
 		panic("nn: NewMLP needs at least input and output sizes")
 	}
-	m := &MLP{hidden: hidden}
-	for i := 0; i+1 < len(sizes); i++ {
-		m.layers = append(m.layers, NewDense(rng, sizes[i], sizes[i+1]))
+	layers := make([]*Dense, len(sizes)-1)
+	for i := range layers {
+		layers[i] = NewDense(rng, sizes[i], sizes[i+1])
 	}
+	m := &MLP{hidden: hidden}
+	m.setLayers(layers)
 	return m
+}
+
+// setLayers installs the network's layers and rebuilds the parameter and
+// gradient views over them.
+func (m *MLP) setLayers(layers []*Dense) {
+	m.layers = layers
+	m.params = make([][]float64, 0, 2*len(layers))
+	m.grads = make([][]float64, 0, 2*len(layers))
+	for _, l := range layers {
+		m.params = append(m.params, l.W, l.B)
+		m.grads = append(m.grads, l.gradW, l.gradB)
+	}
 }
 
 // InputSize returns the expected input dimension.
@@ -277,18 +271,7 @@ func (m *MLP) ForwardInto(c *Cache, x []float64) []float64 {
 		panic(fmt.Sprintf("nn: Forward input size %d, want %d", len(x), m.InputSize()))
 	}
 	copy(c.acts[0], x)
-	cur := c.acts[0]
-	for i, l := range m.layers {
-		out := c.acts[i+1]
-		l.forward(cur, out)
-		if i < len(m.layers)-1 {
-			for j := range out {
-				out[j] = m.hidden.apply(out[j])
-			}
-		}
-		cur = out
-	}
-	return cur
+	return m.forwardLayers(c.acts, 1)
 }
 
 // Forward runs the network on x and returns the output along with a cache for
@@ -322,22 +305,9 @@ func (m *MLP) BackwardInto(c *Cache, dOut []float64) []float64 {
 		panic("nn: Backward gradient size mismatch")
 	}
 	c.ensureDacts()
-	grad := c.dacts[len(m.layers)]
-	copy(grad, dOut)
-	for i := len(m.layers) - 1; i >= 0; i-- {
-		l := m.layers[i]
-		if i < len(m.layers)-1 {
-			// Undo the hidden activation applied to this layer's output.
-			y := c.acts[i+1]
-			for j := range grad {
-				grad[j] *= m.hidden.derivFromOutput(y[j])
-			}
-		}
-		dX := c.dacts[i]
-		l.backward(c.acts[i], grad, dX)
-		grad = dX
-	}
-	return grad
+	copy(c.dacts[len(m.layers)], dOut)
+	m.backwardLayers(c.acts, c.dacts, 1)
+	return c.dacts[0]
 }
 
 // Backward accumulates parameter gradients as BackwardInto does, returning a
@@ -347,24 +317,13 @@ func (m *MLP) Backward(c *Cache, dOut []float64) []float64 {
 }
 
 // Params returns aliased views of every parameter slice (weights and biases,
-// layer by layer). Mutating them mutates the network.
-func (m *MLP) Params() [][]float64 {
-	var ps [][]float64
-	for _, l := range m.layers {
-		ps = append(ps, l.W, l.B)
-	}
-	return ps
-}
+// layer by layer). Mutating them mutates the network. The outer slice is
+// shared between calls and must not be modified.
+func (m *MLP) Params() [][]float64 { return m.params }
 
 // Grads returns aliased views of the accumulated gradient slices, in the same
-// order as Params.
-func (m *MLP) Grads() [][]float64 {
-	var gs [][]float64
-	for _, l := range m.layers {
-		gs = append(gs, l.gradW, l.gradB)
-	}
-	return gs
-}
+// order as Params and under the same sharing rule.
+func (m *MLP) Grads() [][]float64 { return m.grads }
 
 // ZeroGrad clears all accumulated gradients.
 func (m *MLP) ZeroGrad() {
@@ -412,17 +371,18 @@ func (m *MLP) NumParams() int {
 // Clone returns a deep copy of the network (parameters only; gradients are
 // zeroed in the copy).
 func (m *MLP) Clone() *MLP {
-	c := &MLP{hidden: m.hidden}
-	for _, l := range m.layers {
-		nl := &Dense{
+	layers := make([]*Dense, len(m.layers))
+	for i, l := range m.layers {
+		layers[i] = &Dense{
 			In: l.In, Out: l.Out,
 			W:     mathx.CopyOf(l.W),
 			B:     mathx.CopyOf(l.B),
 			gradW: make([]float64, len(l.W)),
 			gradB: make([]float64, len(l.B)),
 		}
-		c.layers = append(c.layers, nl)
 	}
+	c := &MLP{hidden: m.hidden}
+	c.setLayers(layers)
 	return c
 }
 

@@ -71,7 +71,7 @@ func (m *MLP) UnmarshalJSON(data []byte) error {
 			gradB: make([]float64, out),
 		}
 	}
-	m.layers = layers
+	m.setLayers(layers)
 	m.hidden = hidden
 	return nil
 }

@@ -45,11 +45,9 @@ type Policy interface {
 // evaluation: one forward pass per sample shared between the log-prob
 // evaluation and the gradient accumulation, with obs/action rows stored
 // row-major. BatchGrad must be called directly after BatchEval on the same
-// batch (it reuses the cached forward activations). By default the batched
-// path is bit-for-bit identical to the equivalent sequence of per-sample
-// LogProb+Backward calls; policies whose batch cache has been switched to
-// the blocked GEMM kernels (SetBatchGEMM) trade that bitwise identity for
-// throughput and agree with the per-sample path only to rounding.
+// batch (it reuses the cached forward activations). The batched path is
+// bit-for-bit identical to the equivalent sequence of per-sample
+// LogProb+Backward calls.
 type BatchPolicy interface {
 	Policy
 	// BatchEval evaluates n (obs, action) rows, writing log-probabilities
@@ -104,7 +102,6 @@ type CategoricalPolicy struct {
 	actBuf   []float64
 
 	// Batched-update scratch, sized lazily to the largest minibatch seen.
-	gemm   bool // build the batch cache in blocked-GEMM mode
 	bcache *nn.BatchCache
 	bprobs []float64 // batch×n softmax probabilities
 	bacts  []int     // batch action indices
@@ -132,21 +129,7 @@ func (p *CategoricalPolicy) N() int { return p.n }
 
 // Clone returns an independent copy with its own network and scratch.
 func (p *CategoricalPolicy) Clone() *CategoricalPolicy {
-	c := NewCategoricalPolicy(p.net.Clone())
-	c.gemm = p.gemm
-	return c
-}
-
-// SetBatchGEMM selects whether BatchEval/BatchGrad run through the blocked
-// GEMM kernels (see nn.NewBatchCacheGEMM) instead of the bitwise row-at-a-
-// time path. Any existing batch cache is dropped and rebuilt lazily in the
-// requested mode.
-func (p *CategoricalPolicy) SetBatchGEMM(on bool) {
-	if p.gemm == on {
-		return
-	}
-	p.gemm = on
-	p.bcache = nil
+	return NewCategoricalPolicy(p.net.Clone())
 }
 
 // probs runs the network and softmaxes into internal scratch.
@@ -227,11 +210,7 @@ func (p *CategoricalPolicy) ensureBatch(n int) {
 	if p.bcache != nil && p.bcache.Capacity() >= n {
 		return
 	}
-	if p.gemm {
-		p.bcache = p.net.NewBatchCacheGEMM(n)
-	} else {
-		p.bcache = p.net.NewBatchCache(n)
-	}
+	p.bcache = p.net.NewBatchCache(n)
 	p.bprobs = make([]float64, n*p.n)
 	p.bacts = make([]int, n)
 	p.bents = make([]float64, n)
@@ -322,7 +301,6 @@ type GaussianPolicy struct {
 	actBuf []float64
 
 	// Batched-update scratch.
-	gemm   bool // build the batch cache in blocked-GEMM mode
 	bcache *nn.BatchCache
 	bzs    []float64 // batch×dim standardized residuals
 	bdmean []float64 // batch×dim mean gradients
@@ -370,20 +348,7 @@ func (p *GaussianPolicy) Clone() *GaussianPolicy {
 	copy(c.logStd, p.logStd)
 	c.MinLogStd = p.MinLogStd
 	c.MaxLogStd = p.MaxLogStd
-	c.gemm = p.gemm
 	return c
-}
-
-// SetBatchGEMM selects whether BatchEval/BatchGrad run through the blocked
-// GEMM kernels (see nn.NewBatchCacheGEMM) instead of the bitwise row-at-a-
-// time path. Any existing batch cache is dropped and rebuilt lazily in the
-// requested mode.
-func (p *GaussianPolicy) SetBatchGEMM(on bool) {
-	if p.gemm == on {
-		return
-	}
-	p.gemm = on
-	p.bcache = nil
 }
 
 // Sample draws an action from N(mean(obs), diag(exp(logStd))²).
@@ -459,11 +424,7 @@ func (p *GaussianPolicy) ensureBatch(n int) {
 	if p.bcache != nil && p.bcache.Capacity() >= n {
 		return
 	}
-	if p.gemm {
-		p.bcache = p.net.NewBatchCacheGEMM(n)
-	} else {
-		p.bcache = p.net.NewBatchCache(n)
-	}
+	p.bcache = p.net.NewBatchCache(n)
 	p.bzs = make([]float64, n*p.dim)
 	p.bdmean = make([]float64, n*p.dim)
 }

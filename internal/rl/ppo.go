@@ -23,12 +23,6 @@ type PPOConfig struct {
 	ValueCoef     float64 // value-loss weight
 	LR            float64 // Adam learning rate (constant)
 	MaxGradNorm   float64 // global gradient-norm clip
-	// GEMM routes the fused minibatch update (policy batch caches and the
-	// value network's batched passes) through the blocked matrix–matrix
-	// kernels of nn.NewBatchCacheGEMM. Off by default: the GEMM kernels
-	// reorder floating-point summation, so they are equivalent to the
-	// historical path only to rounding (~1e-12 relative), not bitwise.
-	GEMM bool
 }
 
 // DefaultPPOConfig returns the stable-baselines-like defaults.
@@ -109,11 +103,15 @@ type PPO struct {
 	vbcache *nn.BatchCache // value-net batched cache
 }
 
-// NewPPO builds a trainer. The value network must map observations to a
-// single scalar.
+// NewPPO builds a trainer. The policy must be a BatchPolicy (the update runs
+// minibatches through BatchEval/BatchGrad) and the value network must map
+// observations to a single scalar.
 func NewPPO(policy Policy, value *nn.MLP, cfg PPOConfig, rng *mathx.RNG) (*PPO, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
+	}
+	if _, ok := policy.(BatchPolicy); !ok {
+		return nil, fmt.Errorf("rl: policy type %T does not implement BatchPolicy", policy)
 	}
 	if value.OutputSize() != 1 {
 		return nil, fmt.Errorf("rl: value network output size %d, want 1", value.OutputSize())
@@ -125,11 +123,6 @@ func NewPPO(policy Policy, value *nn.MLP, cfg PPOConfig, rng *mathx.RNG) (*PPO, 
 		polOpt: nn.NewAdam(cfg.LR),
 		valOpt: nn.NewAdam(cfg.LR),
 		rng:    rng,
-	}
-	if cfg.GEMM {
-		if g, ok := policy.(interface{ SetBatchGEMM(bool) }); ok {
-			g.SetBatchGEMM(true)
-		}
 	}
 	p.seq = &VecRunner{ppo: p, lanes: []*Lane{newLane(policy, value, rng, &p.buf, cfg.Gamma, cfg.Lambda)}}
 	return p, nil
@@ -264,11 +257,7 @@ func (p *PPO) ensureUpdateScratch(m, obsDim, actDim int) {
 	p.uwLogp = make([]float64, m)
 	p.uvdOut = make([]float64, m)
 	if p.vbcache == nil || p.vbcache.Capacity() < m {
-		if p.cfg.GEMM {
-			p.vbcache = p.Value.NewBatchCacheGEMM(m)
-		} else {
-			p.vbcache = p.Value.NewBatchCache(m)
-		}
+		p.vbcache = p.Value.NewBatchCache(m)
 	}
 }
 
@@ -277,7 +266,7 @@ func (p *PPO) update(stats *IterStats) {
 	if n == 0 {
 		return
 	}
-	bp, batched := p.Policy.(BatchPolicy)
+	bp := p.Policy.(BatchPolicy) // checked by NewPPO
 	var (
 		sumPolicyLoss float64
 		sumValueLoss  float64
@@ -296,114 +285,65 @@ func (p *PPO) update(stats *IterStats) {
 			batch := perm[start:end]
 			p.Policy.ZeroGrad()
 			p.Value.ZeroGrad()
-			if batched {
-				// Fused path: one shared forward pass per sample
-				// (instead of LogProb + Backward each running
-				// their own), batched through preallocated
-				// row-major caches. With cfg.GEMM off, per-sample
-				// arithmetic and gradient accumulation order are
-				// unchanged, so results are bit-identical to the
-				// fallback; with it on, the blocked kernels match
-				// the fallback to rounding only.
-				m := len(batch)
-				obsDim := len(p.buf.steps[0].obs)
-				actDim := len(p.buf.steps[0].action)
-				p.ensureUpdateScratch(m, obsDim, actDim)
-				for k, idx := range batch {
-					s := &p.buf.steps[idx]
-					copy(p.uobs[k*obsDim:(k+1)*obsDim], s.obs)
-					copy(p.uact[k*actDim:(k+1)*actDim], s.action)
-				}
-				bp.BatchEval(p.uobs, p.uact, m, p.ulogp, p.uent)
-				for k, idx := range batch {
-					s := &p.buf.steps[idx]
-					logpNew := p.ulogp[k]
-					ratio := math.Exp(logpNew - s.logp)
-					adv := s.advantage
-					clipActive := false
-					if adv >= 0 && ratio > 1+p.cfg.ClipEps {
-						clipActive = true
-					}
-					if adv < 0 && ratio < 1-p.cfg.ClipEps {
-						clipActive = true
-					}
-					p.uwLogp[k] = 0
-					if !clipActive {
-						p.uwLogp[k] = -ratio * adv
-					}
-					surr := ratio * adv
-					clippedRatio := mathx.Clamp(ratio, 1-p.cfg.ClipEps, 1+p.cfg.ClipEps)
-					if clippedRatio*adv < surr {
-						surr = clippedRatio * adv
-					}
-					sumPolicyLoss += -surr
-					sumEntropy += p.uent[k]
-					sumKL += s.logp - logpNew
-					if clipActive {
-						clipped++
-					}
-					samples++
-				}
-				bp.BatchGrad(p.uwLogp[:m], -p.cfg.EntropyCoef)
-
-				// Value term: c_V·0.5·(V(s) − ret)², batched. The reported
-				// loss carries the same ValueCoef scaling as the gradient so
-				// the stat is the quantity the optimizer actually descends.
-				vs := p.Value.ForwardBatch(p.vbcache, p.uobs, m)
-				for k, idx := range batch {
-					diff := vs[k] - p.buf.steps[idx].ret
-					p.uvdOut[k] = p.cfg.ValueCoef * diff
-					sumValueLoss += p.cfg.ValueCoef * 0.5 * diff * diff
-				}
-				p.Value.BackwardBatch(p.vbcache, p.uvdOut[:m])
-			} else {
-				for _, idx := range batch {
-					s := &p.buf.steps[idx]
-
-					// Policy term. ratio = exp(logp_new - logp_old).
-					logpNew := p.Policy.LogProb(s.obs, s.action)
-					ratio := math.Exp(logpNew - s.logp)
-					adv := s.advantage
-					// L_clip = min(r·A, clip(r)·A); we accumulate the
-					// gradient of −L_clip. d(r·A)/dlogp = r·A, so the
-					// logp weight is −r·A when the unclipped branch is
-					// active and 0 when clipped.
-					clipActive := false
-					if adv >= 0 && ratio > 1+p.cfg.ClipEps {
-						clipActive = true
-					}
-					if adv < 0 && ratio < 1-p.cfg.ClipEps {
-						clipActive = true
-					}
-					wLogp := 0.0
-					if !clipActive {
-						wLogp = -ratio * adv
-					}
-					_, ent := p.Policy.Backward(s.obs, s.action, wLogp, -p.cfg.EntropyCoef)
-
-					surr := ratio * adv
-					clippedRatio := mathx.Clamp(ratio, 1-p.cfg.ClipEps, 1+p.cfg.ClipEps)
-					if clippedRatio*adv < surr {
-						surr = clippedRatio * adv
-					}
-					sumPolicyLoss += -surr
-					sumEntropy += ent
-					sumKL += s.logp - logpNew
-					if clipActive {
-						clipped++
-					}
-					samples++
-
-					// Value term: c_V·0.5·(V(s) − ret)², reported with the
-					// same ValueCoef scaling the gradient uses.
-					cache := p.Value.AcquireCache()
-					diff := p.Value.ForwardInto(cache, s.obs)[0] - s.ret
-					dv := [1]float64{p.cfg.ValueCoef * diff}
-					p.Value.BackwardInto(cache, dv[:])
-					p.Value.ReleaseCache(cache)
-					sumValueLoss += p.cfg.ValueCoef * 0.5 * diff * diff
-				}
+			// One forward pass per sample, shared between the log-prob
+			// evaluation and the gradient accumulation, batched through
+			// preallocated row-major caches.
+			m := len(batch)
+			obsDim := len(p.buf.steps[0].obs)
+			actDim := len(p.buf.steps[0].action)
+			p.ensureUpdateScratch(m, obsDim, actDim)
+			for k, idx := range batch {
+				s := &p.buf.steps[idx]
+				copy(p.uobs[k*obsDim:(k+1)*obsDim], s.obs)
+				copy(p.uact[k*actDim:(k+1)*actDim], s.action)
 			}
+			bp.BatchEval(p.uobs, p.uact, m, p.ulogp, p.uent)
+			for k, idx := range batch {
+				s := &p.buf.steps[idx]
+				// Policy term. ratio = exp(logp_new - logp_old).
+				logpNew := p.ulogp[k]
+				ratio := math.Exp(logpNew - s.logp)
+				adv := s.advantage
+				// L_clip = min(r·A, clip(r)·A); we accumulate the
+				// gradient of −L_clip. d(r·A)/dlogp = r·A, so the
+				// logp weight is −r·A when the unclipped branch is
+				// active and 0 when clipped.
+				clipActive := false
+				if adv >= 0 && ratio > 1+p.cfg.ClipEps {
+					clipActive = true
+				}
+				if adv < 0 && ratio < 1-p.cfg.ClipEps {
+					clipActive = true
+				}
+				p.uwLogp[k] = 0
+				if !clipActive {
+					p.uwLogp[k] = -ratio * adv
+				}
+				surr := ratio * adv
+				clippedRatio := mathx.Clamp(ratio, 1-p.cfg.ClipEps, 1+p.cfg.ClipEps)
+				if clippedRatio*adv < surr {
+					surr = clippedRatio * adv
+				}
+				sumPolicyLoss += -surr
+				sumEntropy += p.uent[k]
+				sumKL += s.logp - logpNew
+				if clipActive {
+					clipped++
+				}
+				samples++
+			}
+			bp.BatchGrad(p.uwLogp[:m], -p.cfg.EntropyCoef)
+
+			// Value term: c_V·0.5·(V(s) − ret)², batched. The reported
+			// loss carries the same ValueCoef scaling as the gradient so
+			// the stat is the quantity the optimizer actually descends.
+			vs := p.Value.ForwardBatch(p.vbcache, p.uobs, m)
+			for k, idx := range batch {
+				diff := vs[k] - p.buf.steps[idx].ret
+				p.uvdOut[k] = p.cfg.ValueCoef * diff
+				sumValueLoss += p.cfg.ValueCoef * 0.5 * diff * diff
+			}
+			p.Value.BackwardBatch(p.vbcache, p.uvdOut[:m])
 			inv := 1.0 / float64(len(batch))
 			p.Policy.ScaleGrads(inv)
 			p.Value.ScaleGrads(inv)

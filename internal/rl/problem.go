@@ -89,10 +89,6 @@ type TrainOptions struct {
 	// differ between worker counts (same seed, different trajectory
 	// partition).
 	Workers int
-	// GEMM routes PPO's minibatch updates through the blocked
-	// matrix–matrix kernels (PPOConfig.GEMM). Faster on large rollouts;
-	// results match the default path to rounding rather than bitwise.
-	GEMM bool
 	// Checkpoint enables crash-safe training: periodic atomic trainer
 	// checkpoints under Checkpoint.Dir with automatic resume (see
 	// CheckpointConfig). An environment that does not implement
@@ -127,7 +123,6 @@ func Train(pr Problem, opt TrainOptions, rng *mathx.RNG) (*PPO, []IterStats, err
 	if opt.Lambda > 0 {
 		pr.Config.Lambda = opt.Lambda
 	}
-	pr.Config.GEMM = pr.Config.GEMM || opt.GEMM
 	if opt.Restarts <= 1 {
 		return trainOnce(pr, opt, rng)
 	}
