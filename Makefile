@@ -1,12 +1,6 @@
 GO ?= go
 
-# Where bench-diff / bench-baseline write their short-mode reports. The
-# committed baselines live in bench/baselines/; fresh runs go to a scratch
-# directory so the working tree stays clean.
-BENCH_BASELINE_DIR ?= bench/baselines
-BENCH_FRESH_DIR ?= /tmp/advnet-bench
-
-.PHONY: all build test vet race bench swarm-bench serve-race faults verify bench-short bench-diff bench-baseline bench-e2e-check bench-e2e-smoke seam-check
+.PHONY: all build test vet race serve-race faults bench-check bench-ab seam-check verify
 
 all: verify
 
@@ -26,25 +20,6 @@ vet:
 # which includes the W>1 golden tests — is the check that keeps them honest.
 race:
 	$(GO) test -race ./...
-
-# Micro-benchmarks for the NN hot path (must report 0 allocs/op), the
-# batched passes (the one bitwise kernel every trainer runs vs the FMA
-# inference forward behind NewBatchCacheGEMM), the parallel PPO
-# iteration (W=1 vs W=4), the parallel dataset evaluation (W=1 vs W=4), and
-# the indexed trace-link download (prefix-sum vs historical linear rescan).
-# Results are recorded in EXPERIMENTS.md.
-bench:
-	$(GO) test -run 'xxx' -bench 'BenchmarkMLPForward|BenchmarkMLPBackward|BenchmarkForwardBatch|BenchmarkPPOTrainIteration|BenchmarkEvaluateABR|BenchmarkServeStorm' -benchmem .
-	$(GO) test -run 'xxx' -bench 'BenchmarkTraceLinkDownload' -benchmem ./internal/abr/
-	$(GO) run ./cmd/serve -n 200000 -batch 32 -storm 128 -json BENCH_serve.json
-	$(MAKE) swarm-bench
-
-# Swarm-scale simulation benchmark: per-event cost of the fluid scheduler
-# (must report 0 allocs/op in steady state) and the 100k-concurrent-session
-# run on one machine, reported machine-readably in BENCH_swarm.json.
-swarm-bench:
-	$(GO) test -run 'xxx' -bench 'BenchmarkSwarmGroupEvent' -benchmem ./internal/swarm/
-	$(GO) run ./cmd/swarm -clients 100000 -groups 1024 -capacity 40 -protocol bb,rate,bola -json BENCH_swarm.json
 
 # Serving-engine concurrency suite under the race detector: hot-reload
 # consistency (snapshot swaps mid-storm, every response consistent with
@@ -72,55 +47,29 @@ serve-race:
 faults:
 	$(GO) test -race -run 'Resume|Checkpoint|Panic|Divergence|Crash|WriteFileAtomic|EnvState|SessionState|Shard|Cursor|ZeroBandwidth|NonPositiveBandwidth|Determinism|SameSeed|Swarm|Overload|Deadline|Breaker|Reload|Fallback|Close|Fault|Dist' ./internal/rl/ ./internal/core/ ./internal/abr/ ./internal/fsx/ ./internal/trace/ ./internal/netem/ ./internal/swarm/ ./internal/serve/ ./internal/dist/
 
-# Short-mode benchmark suite behind the regression gate: the same producers
-# as the full `make bench` (serving storm, swarm simulation, adversary
-# training, dataset evaluation) plus the multi-process training path, sized
-# to finish in about a minute so CI can afford to rerun them on every push.
-# Each writes a unified-schema BENCH_<area>.json (DESIGN.md §8.6) into the
-# directory given as $(1).
-define bench_short
-	mkdir -p $(1)
-	$(GO) run ./cmd/serve -n 60000 -batch 32 -storm 64 -json $(1)/BENCH_serve.json
-	$(GO) run ./cmd/swarm -clients 4000 -groups 64 -capacity 40 -protocol bb,rate,bola -json $(1)/BENCH_swarm.json
-	$(GO) run ./cmd/advtrain -domain abr -target bb -iters 6 -o $(1)/adversary.json -bench-json $(1)/BENCH_train.json
-	$(GO) run ./cmd/abreval -generate 24 -protocols bb,rate,bola -bench-json $(1)/BENCH_eval.json
-	$(GO) run ./cmd/disttrain -coordinator -lanes 4 -workers 2 -iters 6 -traces 16 -rollout-steps 256 -json $(1)/BENCH_dist.json
-endef
-
-bench-short:
-	$(call bench_short,$(BENCH_FRESH_DIR))
-
-# Regression gate: rerun the short-mode suite and judge it against the
-# committed baselines. Exits non-zero when any regression-gated metric moved
-# beyond its tolerance in the bad direction (or a report failed to produce).
-bench-diff: bench-short
-	$(GO) run ./cmd/benchdiff -baseline-dir $(BENCH_BASELINE_DIR) -fresh-dir $(BENCH_FRESH_DIR)
-
-# Re-baseline after an intentional performance change: rerun the short-mode
-# suite straight into bench/baselines/ and commit the result.
-bench-baseline:
-	$(call bench_short,$(BENCH_BASELINE_DIR))
-	@rm -f $(BENCH_BASELINE_DIR)/adversary.json
-
-# The repository benchmark (bench/e2e, BENCHMARK.json) is a module of its own
-# that `go build ./... && go test ./...` never compiles; vet it and run its
-# harness tests so a signature change in a package it calls cannot break it
-# unnoticed.
-bench-e2e-check:
+# "Is it still correct and allocation-neutral?" The repository benchmark
+# (bench/e2e, BENCHMARK.json) is a module of its own that
+# `go build ./... && go test ./...` never compiles, so vet it and run its
+# harness tests; then run every workload of BENCHMARK.json for three seconds
+# and fail on "correct":false (a per-unit digest that drifts, NaN/Inf, dist
+# parameters that are not bit-for-bit the in-process VecRunner's), on a failed
+# op, or on an allocation counter worse than bench/allocs.json by more than
+# the bound BENCHMARK.json gives it. Observed and reference are printed for
+# every counter. No timing is judged here: these facts hold on any machine.
+# After an intentional allocation change, `go run ./cmd/benchab record`
+# rewrites bench/allocs.json from the same runs (never edit it by hand).
+bench-check:
 	cd bench/e2e && $(GO) vet . && $(GO) test .
+	$(GO) run ./cmd/benchab check
 
-# The two workloads that run the training arithmetic, end to end for three
-# seconds each: fails unless the run's last line reports "correct":true and
-# "failed":0, i.e. on a per-unit digest that drifts, NaN/Inf in parameters or
-# QoE, or dist parameters that are not bit-for-bit the in-process VecRunner's.
-# No timing is judged here.
-bench-e2e-smoke:
-	@for w in robustify_abr dist_loopback; do \
-		out=$$(bash bench/e2e/run.sh --workload $$w --seconds 3 | tail -n 1); \
-		echo "$$w: $$out"; \
-		echo "$$out" | grep -q '"correct":true' && echo "$$out" | grep -q '"failed":0[,}]' \
-			|| { echo "bench-e2e-smoke: $$w did not report correct:true with failed:0"; exit 1; }; \
-	done
+# "Did the timings move?" Paired runs of the merge-base with main (extracted
+# and built under .bench_build/ab/) against the working tree, alternating
+# which side goes first, at BENCHMARK.json's run_seconds: every run printed,
+# then per workload and end-to-end metric the medians, the parent's quartiles,
+# wins and the verdict. Ten pairs of all five workloads take about 35 minutes;
+# `go run ./cmd/benchab ab -pairs 4 -workloads serve_mix -base <ref>` narrows it.
+bench-ab:
+	$(GO) run ./cmd/benchab ab
 
 # One trainer assembly (internal/rl/problem.go): every PPO trainer is built by
 # rl.NewTrainer under the one rl.TrainOptions. Outside tests and the frozen
@@ -129,12 +78,11 @@ bench-e2e-smoke:
 # struct — a tenth hand-assembled trainer or a fourth options struct fails
 # here instead of in review.
 seam-check:
-	@n=$$(grep -rn 'NewPPO(' --include='*.go' . | grep -v '_test\.go:' | grep -vc '^\./bench/e2e/'); \
+	@n=$$(grep -rn 'NewPPO(' --include='*.go' --exclude-dir=.bench_build . | grep -v '_test\.go:' | grep -vc '^\./bench/e2e/'); \
 	if [ $$n -gt 2 ]; then echo "seam-check: NewPPO( on $$n non-test lines, want <= 2 (build trainers with rl.NewTrainer)"; exit 1; fi
 	@n=$$(grep -rn 'TrainOptions struct' --include='*.go' internal | wc -l); \
 	if [ $$n -ne 1 ]; then echo "seam-check: $$n TrainOptions structs under internal/, want exactly 1 (rl.TrainOptions)"; exit 1; fi
 
 # Tier-1 verification: build + tests, plus vet, the race detector, the
-# benchmark module's compile check and correctness smoke run, and the
-# structural seam check.
-verify: build vet test race bench-e2e-check bench-e2e-smoke seam-check
+# benchmark's correctness and allocation check, and the structural seam check.
+verify: build vet test race bench-check seam-check

@@ -2,22 +2,14 @@
 // of the paper's evaluation (see DESIGN.md §3 for the experiment index).
 // Each benchmark runs the corresponding experiment once per iteration — they
 // are macro-benchmarks, so `go test -bench=.` runs each exactly once — and
-// logs the rendered rows/series alongside reported shape metrics.
+// logs the rendered rows/series alongside reported shape metrics. Speed is
+// not measured here: that is bench/e2e (`make bench-check`, `make bench-ab`).
 package advnet
 
 import (
-	"fmt"
 	"testing"
-	"time"
 
-	"advnet/internal/abr"
-	"advnet/internal/core"
 	"advnet/internal/experiments"
-	"advnet/internal/mathx"
-	"advnet/internal/nn"
-	"advnet/internal/rl"
-	"advnet/internal/serve"
-	"advnet/internal/trace"
 )
 
 // benchConfig returns the budget used by the benchmark harness: the Fast
@@ -253,202 +245,6 @@ func BenchmarkAblationOnlineVsTraceBased(b *testing.B) {
 		b.ReportMetric(res.OnlineTargetQoE, "onlineTargetQoE")
 		b.ReportMetric(res.TraceTargetQoE, "traceTargetQoE")
 		b.ReportMetric(res.RandomTargetQoE, "randomTargetQoE")
-	}
-}
-
-// BenchmarkMLPForward measures the cached forward pass of the hot-path MLP
-// shape (the ABR adversary's 32-16 network). The Into variants reuse a
-// caller-held cache, so the steady state must be allocation-free.
-func BenchmarkMLPForward(b *testing.B) {
-	rng := mathx.NewRNG(3)
-	m := nn.NewMLP(rng, []int{24, 32, 16, 1}, nn.Tanh)
-	cache := m.NewCache()
-	x := make([]float64, 24)
-	for i := range x {
-		x[i] = rng.Uniform(-1, 1)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.ForwardInto(cache, x)
-	}
-}
-
-// BenchmarkMLPBackward measures the cached backward pass (gradient
-// accumulation into the network's grad buffers; also allocation-free).
-func BenchmarkMLPBackward(b *testing.B) {
-	rng := mathx.NewRNG(3)
-	m := nn.NewMLP(rng, []int{24, 32, 16, 1}, nn.Tanh)
-	cache := m.NewCache()
-	x := make([]float64, 24)
-	for i := range x {
-		x[i] = rng.Uniform(-1, 1)
-	}
-	m.ForwardInto(cache, x)
-	dOut := []float64{1}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.BackwardInto(cache, dOut)
-	}
-}
-
-// BenchmarkForwardBatch measures one forward and one backward pass over a
-// PPO-sized minibatch of a Pensieve-sized MLP (the robustification
-// pipeline's policy shape). "rows" is the one bitwise kernel every trainer
-// runs (bit-for-bit identical to per-sample passes); "gemm" swaps in the
-// inference forward of NewBatchCacheGEMM (FMA assembly where the hardware has
-// it, rounding not pinned — what internal/serve uses) in front of the same
-// backward. Both must be allocation-free. Results are recorded in
-// EXPERIMENTS.md.
-func BenchmarkForwardBatch(b *testing.B) {
-	const levels = 6
-	const batch = 64
-	rng := mathx.NewRNG(11)
-	m := abr.NewPensieveNet(rng, levels)
-	in, out := m.InputSize(), m.OutputSize()
-	xs := make([]float64, batch*in)
-	for i := range xs {
-		xs[i] = rng.Uniform(-1, 1)
-	}
-	douts := make([]float64, batch*out)
-	for i := range douts {
-		douts[i] = rng.Uniform(-1, 1)
-	}
-	for _, mode := range []struct {
-		name string
-		c    *nn.BatchCache
-	}{
-		{"rows", m.NewBatchCache(batch)},
-		{"gemm", m.NewBatchCacheGEMM(batch)},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m.ForwardBatch(mode.c, xs, batch)
-				m.BackwardBatch(mode.c, douts)
-			}
-		})
-	}
-}
-
-// BenchmarkPPOTrainIteration measures one full PPO iteration (rollout
-// collection + minibatch update) of the ABR adversary against MPC, with the
-// single-threaded path and the 4-worker pool. On a multi-core machine W=4
-// should approach a 4× speedup of the collection phase; on one core it mainly
-// measures the pool's bookkeeping overhead.
-func BenchmarkPPOTrainIteration(b *testing.B) {
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("W=%d", workers), func(b *testing.B) {
-			video := abr.NewVideo(mathx.NewRNG(1), abr.DefaultVideoConfig())
-			cfg := core.DefaultABRAdversaryConfig()
-			rng := mathx.NewRNG(7)
-			adv := core.NewABRAdversary(rng, video.Levels(), cfg)
-			env := core.NewABREnv(video, abr.NewMPC(), cfg)
-			value := nn.NewMLP(rng, []int{env.ObservationSize(), 32, 16, 1}, nn.Tanh)
-			pcfg := rl.DefaultPPOConfig()
-			pcfg.RolloutSteps = 512
-			ppo, err := rl.NewPPO(adv.Policy, value, pcfg, rng)
-			if err != nil {
-				b.Fatal(err)
-			}
-			step := func() { ppo.TrainIteration(env) }
-			if workers > 1 {
-				factory, err := core.ABREnvFactory(video, abr.NewMPC(), cfg, workers)
-				if err != nil {
-					b.Fatal(err)
-				}
-				v, err := rl.NewVecRunner(ppo, factory, workers)
-				if err != nil {
-					b.Fatal(err)
-				}
-				step = func() {
-					if _, err := v.TrainIteration(); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				step()
-			}
-		})
-	}
-}
-
-// BenchmarkEvaluateABR measures the parallel evaluation layer: one full
-// dataset evaluation (MPC over 64 chunk-indexed trace replays) with the
-// sequential path and the 4-worker fan-out. On a multi-core machine W=4
-// approaches a 4× speedup — trace evaluations are embarrassingly parallel
-// and share no state — while on one core it measures the fan-out's
-// bookkeeping overhead. Results are identical for every worker count (see
-// TestEvaluateABRParallelGolden), so the speedup is free of semantic risk.
-func BenchmarkEvaluateABR(b *testing.B) {
-	video := abr.NewVideo(mathx.NewRNG(1), abr.DefaultVideoConfig())
-	ds := trace.GenerateFCCLikeDataset(mathx.NewRNG(21), trace.DefaultFCCLike(), 64, "fcc")
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("W=%d", workers), func(b *testing.B) {
-			p := abr.NewMPC()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := core.EvaluateABRChunked(video, ds, p, 0.08, workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkServeStorm measures the policy-serving engine under a request
-// storm against the single-request Predict baseline (the pre-engine serving
-// path). The engine aggregates concurrent requests into GEMM minibatches, so
-// at batch ≥16 its throughput should exceed the baseline's by ≥3× — the
-// batched forward pass amortizes per-layer loop overhead and the pooled
-// request path removes Predict's per-call cache allocations. avgBatch reports
-// the realized batching density and p50/p95/p99 the enqueue→computed serving
-// latency in microseconds (measured numbers in EXPERIMENTS.md and
-// BENCH_serve.json).
-func BenchmarkServeStorm(b *testing.B) {
-	const levels = 6
-	rng := mathx.NewRNG(13)
-	net := abr.NewPensieveNet(rng, levels)
-	feats := make([]float64, net.InputSize())
-	for i := range feats {
-		feats[i] = rng.Uniform(-1, 1)
-	}
-
-	b.Run("direct", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = mathx.ArgMax(net.Predict(feats))
-		}
-	})
-	for _, batch := range []int{16, 64} {
-		b.Run(fmt.Sprintf("storm/batch=%d", batch), func(b *testing.B) {
-			eng := serve.MustNewEngine(serve.NewRegistry(net), serve.Config{
-				Workers:  1,
-				MaxBatch: batch,
-				MaxWait:  200 * time.Microsecond,
-			})
-			defer eng.Close()
-			b.SetParallelism(2 * batch) // concurrent clients feed the batcher
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					if _, err := eng.Select(feats); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-			b.StopTimer()
-			st := eng.Stats()
-			b.ReportMetric(st.AvgBatch, "avgBatch")
-			b.ReportMetric(st.Latency.P50, "p50us")
-			b.ReportMetric(st.Latency.P99, "p99us")
-		})
 	}
 }
 

@@ -15,12 +15,10 @@ import (
 	"fmt"
 	"log"
 	"strings"
-	"time"
 
 	"advnet/internal/abr"
 	"advnet/internal/core"
 	"advnet/internal/mathx"
-	"advnet/internal/metrics"
 	"advnet/internal/stats"
 	"advnet/internal/trace"
 )
@@ -34,7 +32,6 @@ func main() {
 	replay := flag.String("replay", "chunk", "replay semantic: chunk (per-chunk bandwidth) or wall (wall-time)")
 	seed := flag.Uint64("seed", 1, "seed for generation")
 	workers := flag.Int("workers", 1, "parallel evaluation sessions (>1 fans traces out across goroutines; results are identical for any value)")
-	benchJSON := flag.String("bench-json", "", "write a BENCH_eval.json telemetry report here (unified schema, DESIGN.md §8.6)")
 	flag.Parse()
 
 	var ds *trace.Dataset
@@ -65,17 +62,6 @@ func main() {
 	video := abr.NewVideo(mathx.NewRNG(1), abr.DefaultVideoConfig())
 	fmt.Printf("dataset %q: %d traces, %d-chunk video\n\n", ds.Name, len(ds.Traces), video.NumChunks())
 
-	var reg *metrics.Registry
-	if *benchJSON != "" {
-		reg = metrics.NewRegistry("eval")
-		reg.SetConfig("dataset", ds.Name)
-		reg.SetConfig("traces", len(ds.Traces))
-		reg.SetConfig("protocols", *protos)
-		reg.SetConfig("replay", *replay)
-		reg.SetConfig("workers", *workers)
-		reg.SetConfig("seed", *seed)
-	}
-
 	for _, name := range strings.Split(*protos, ",") {
 		var p abr.Protocol
 		switch strings.TrimSpace(name) {
@@ -91,7 +77,6 @@ func main() {
 			log.Fatalf("unknown protocol %q (trained Pensieve models need the library API)", name)
 		}
 		var q []float64
-		t0 := time.Now()
 		if *replay == "chunk" {
 			q, err = core.EvaluateABRChunked(video, ds, p, 0.08, *workers)
 		} else {
@@ -100,17 +85,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if reg != nil {
-			core.EmitEvalMetrics(reg, p.Name(), q, time.Since(t0).Seconds())
-		}
 		fmt.Printf("%-6s mean=%7.3f  p5=%7.3f  p50=%7.3f  p95=%7.3f\n",
 			p.Name(), stats.Mean(q), stats.Percentile(q, 5), stats.Percentile(q, 50), stats.Percentile(q, 95))
-	}
-
-	if reg != nil {
-		if err := reg.WriteJSON(*benchJSON); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("\ntelemetry written to %s\n", *benchJSON)
 	}
 }

@@ -18,15 +18,12 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"time"
 
 	"advnet/internal/abr"
 	"advnet/internal/cc"
 	"advnet/internal/core"
 	"advnet/internal/mathx"
-	"advnet/internal/metrics"
 	"advnet/internal/netem"
-	"advnet/internal/rl"
 	"advnet/internal/trace"
 )
 
@@ -44,25 +41,11 @@ func main() {
 	ckptDir := flag.String("checkpoint-dir", "", "directory for periodic crash-safe training checkpoints (empty = disabled)")
 	ckptEvery := flag.Int("checkpoint-every", 1, "save a checkpoint every N training iterations")
 	resume := flag.Bool("resume", false, "continue from the checkpoints in -checkpoint-dir (required when it is not empty)")
-	benchJSON := flag.String("bench-json", "", "write a BENCH_train.json telemetry report here (unified schema, DESIGN.md §8.6)")
 	flag.Parse()
 
 	ckpt, err := core.ResolveCheckpoint(*ckptDir, *ckptEvery, *resume)
 	if err != nil {
 		log.Fatal(err)
-	}
-
-	// Telemetry is opt-in: with no -bench-json the trainers run with a nil
-	// metrics hook, the historical zero-overhead path.
-	var reg *metrics.Registry
-	var tm *rl.TrainMetrics
-	if *benchJSON != "" {
-		reg = metrics.NewRegistry("train")
-		tm = rl.NewTrainMetrics(reg)
-		reg.SetConfig("domain", *domain)
-		reg.SetConfig("target", *target)
-		reg.SetConfig("seed", *seed)
-		reg.SetConfig("workers", *workers)
 	}
 
 	// The domain supplies the defaults; the flags fill the rest, once.
@@ -75,7 +58,6 @@ func main() {
 	}
 	opt.Workers = *workers
 	opt.Checkpoint = ckpt
-	opt.Metrics = tm
 
 	rng := mathx.NewRNG(*seed)
 	switch *domain {
@@ -104,12 +86,10 @@ func main() {
 			log.Fatalf("unknown abr target %q", *target)
 		}
 		log.Printf("training ABR adversary against %s for %d iterations (%d workers)...", proto.Name(), opt.Iterations, *workers)
-		t0 := time.Now()
 		adv, stats, err := core.TrainABRAdversary(video, proto, core.DefaultABRAdversaryConfig(), opt, rng)
 		if err != nil {
 			log.Fatal(err)
 		}
-		writeTrainReport(reg, *benchJSON, stats, time.Since(t0), "ep_reward", func(s rl.IterStats) float64 { return s.MeanEpReward })
 		log.Printf("episode reward: %.1f -> %.1f", stats[0].MeanEpReward, stats[len(stats)-1].MeanEpReward)
 		if err := adv.Save(*out); err != nil {
 			log.Fatal(err)
@@ -142,12 +122,10 @@ func main() {
 			log.Fatalf("unknown cc target %q", *target)
 		}
 		log.Printf("training CC adversary against %s for %d iterations (%d workers)...", *target, opt.Iterations, *workers)
-		t0 := time.Now()
 		adv, stats, err := core.TrainCCAdversary(newCC, core.DefaultCCAdversaryConfig(), opt, rng)
 		if err != nil {
 			log.Fatal(err)
 		}
-		writeTrainReport(reg, *benchJSON, stats, time.Since(t0), "step_reward", func(s rl.IterStats) float64 { return s.MeanStepRew })
 		log.Printf("step reward: %.3f -> %.3f", stats[0].MeanStepRew, stats[len(stats)-1].MeanStepRew)
 		if err := adv.Save(*out); err != nil {
 			log.Fatal(err)
@@ -159,31 +137,4 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-}
-
-// writeTrainReport finishes the BENCH_train.json report: run-level scalars
-// (iters/s is the regression-gated headline; rollout_s/update_s timers and
-// the iteration counter were observed live by the trainer), the learning
-// trajectory as a reward series indexed by iteration, and the final reward.
-// A nil reg (no -bench-json) is a no-op.
-func writeTrainReport(reg *metrics.Registry, path string, stats []rl.IterStats, wall time.Duration, rewardName string, reward func(rl.IterStats) float64) {
-	if reg == nil {
-		return
-	}
-	reg.SetConfig("iterations", len(stats))
-	reg.SetMetric("wall_seconds", wall.Seconds(), metrics.Info("s"))
-	if wall > 0 {
-		reg.SetMetric("iters_per_sec", float64(len(stats))/wall.Seconds(), metrics.HigherIsBetter("iters/s"))
-	}
-	if len(stats) > 0 {
-		reg.SetMetric("final_"+rewardName, reward(stats[len(stats)-1]), metrics.Info("reward"))
-		ser := reg.Series(rewardName, 1, metrics.Info("reward"))
-		for _, s := range stats {
-			ser.Append(float64(s.Iteration), reward(s))
-		}
-	}
-	if err := reg.WriteJSON(path); err != nil {
-		log.Fatal(err)
-	}
-	log.Printf("telemetry written to %s", path)
 }

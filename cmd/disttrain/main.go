@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	disttrain -coordinator -lanes 4 -workers 2 -iters 20 -json BENCH_dist.json
+//	disttrain -coordinator -lanes 4 -workers 2 -iters 20 -json dist.json
 //	disttrain -coordinator -addr :7070 -workers 0 &   # external workers
 //	disttrain -worker -addr host:7070
 //
@@ -45,7 +45,7 @@ func main() {
 	ckptDir := flag.String("checkpoint-dir", "", "directory for crash-safe coordinator checkpoints (empty = disabled)")
 	ckptEvery := flag.Int("checkpoint-every", 1, "checkpoint every N iterations")
 	resume := flag.Bool("resume", false, "continue from the newest checkpoint in -checkpoint-dir")
-	benchJSON := flag.String("json", "", "write a BENCH_dist.json telemetry report here (unified schema, DESIGN.md §8.6)")
+	benchJSON := flag.String("json", "", "write the telemetry report here (unified schema, DESIGN.md §8.6)")
 	flag.Parse()
 
 	switch {

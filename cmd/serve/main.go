@@ -9,7 +9,7 @@
 //
 // Usage:
 //
-//	serve -policy pensieve.json -storm 64 -n 200000 -json BENCH_serve.json
+//	serve -policy pensieve.json -storm 64 -n 200000 -json serve.json
 //	serve -levels 6 -workers 2 -batch 32      # fresh random net, stdout only
 //	serve -deadline 500us -overstorm 256      # overload-phase knobs
 //
@@ -48,7 +48,7 @@ func main() {
 	deadline := flag.Duration("deadline", 2*time.Millisecond, "per-request deadline in the overload phase (0 skips the phase)")
 	overstorm := flag.Int("overstorm", 96, "concurrent clients saturating the starved overload engine")
 	stall := flag.Duration("stall", 5*time.Millisecond, "injected per-flush inference stall in the overload phase (emulates a model slower than the offered load)")
-	jsonOut := flag.String("json", "", "write the machine-readable report here (e.g. BENCH_serve.json)")
+	jsonOut := flag.String("json", "", "write the machine-readable report here (unified schema, DESIGN.md §8.6)")
 	seed := flag.Uint64("seed", 1, "seed for the synthesized net and request features")
 	flag.Parse()
 
@@ -108,7 +108,7 @@ func main() {
 	}
 	bWall := time.Since(bStart)
 
-	// BENCH_serve.json under the unified schema (DESIGN.md §8.6).
+	// The -json report under the unified schema (DESIGN.md §8.6).
 	reg := metrics.NewRegistry("serve")
 	reg.SetConfig("workers", st.Workers)
 	reg.SetConfig("max_batch", *batch)

@@ -1,12 +1,12 @@
 // Command swarm simulates a swarm of concurrent ABR clients sharing
 // bottleneck links on one virtual clock and reports machine-readable QoE,
-// fairness, and throughput telemetry. It is the scale harness behind
-// `make swarm-bench`: 100k+ concurrent sessions on one machine with a
-// deterministic, worker-count-independent outcome.
+// fairness, and throughput telemetry. It is the scale harness: 100k+
+// concurrent sessions on one machine with a deterministic,
+// worker-count-independent outcome.
 //
 // Usage:
 //
-//	swarm -clients 100000 -groups 1024 -capacity 40 -json BENCH_swarm.json
+//	swarm -clients 100000 -groups 1024 -capacity 40 -json swarm.json
 //	swarm -clients 64 -groups 4 -backend netem -cc cubic -loss 0.01
 //	swarm -clients 5000 -traces traces.json    # capacity from a trace file
 package main
@@ -95,7 +95,7 @@ func main() {
 	delay := flag.Float64("delay", 20, "one-way propagation delay in ms (netem backend)")
 	loss := flag.Float64("loss", 0, "random loss rate (netem backend)")
 	queue := flag.Int("queue", 64, "bottleneck queue in packets (netem backend)")
-	jsonOut := flag.String("json", "", "write the machine-readable report here (e.g. BENCH_swarm.json)")
+	jsonOut := flag.String("json", "", "write the machine-readable report here (unified schema, DESIGN.md §8.6)")
 	flag.Parse()
 
 	videoCfg := abr.DefaultVideoConfig()
@@ -181,7 +181,7 @@ func main() {
 		log.Printf("swarm: %d group(s) failed: %v", len(res.FailedGroups), err)
 	}
 
-	// BENCH_swarm.json under the unified schema (DESIGN.md §8.6).
+	// The -json report under the unified schema (DESIGN.md §8.6).
 	reg := metrics.NewRegistry("swarm")
 	reg.SetConfig("clients", *clients)
 	reg.SetConfig("groups", *groups)

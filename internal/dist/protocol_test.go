@@ -2,9 +2,13 @@ package dist
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"io"
 	"math"
+	"runtime"
 	"testing"
 
 	"advnet/internal/mathx"
@@ -192,6 +196,60 @@ func FuzzDecodeParams(f *testing.F) {
 		}
 		if again := encodeParams(version, policy, value); !bytes.Equal(again, data) {
 			t.Fatalf("decode/encode not canonical: %x -> %x", data, again)
+		}
+	})
+}
+
+// FuzzReadFrame: arbitrary bytes on the wire never panic the frame reader and
+// never make it allocate more than one frame at the limit; it returns either
+// a frame that writeFrame re-encodes to exactly the bytes consumed, a typed
+// *FrameError, or the reader's own end-of-stream error.
+func FuzzReadFrame(f *testing.F) {
+	frame := func(t MsgType, payload []byte) []byte {
+		var buf bytes.Buffer
+		if _, err := writeFrame(&buf, t, payload); err != nil {
+			f.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for t := MsgHello; t <= MsgShutdown; t++ {
+		f.Add(frame(t, []byte(`{"version":1}`)))
+	}
+	valid := frame(MsgBatch, bytes.Repeat([]byte{7}, 64))
+	badMagic := append([]byte(nil), valid...)
+	badMagic[0] ^= 0xFF
+	f.Add(badMagic)
+	tooLong := append([]byte(nil), valid...)
+	binary.BigEndian.PutUint32(tooLong[5:], MaxFramePayload+1)
+	f.Add(tooLong)
+	f.Add(valid[:frameHeaderSize+10])
+	badDigest := append([]byte(nil), valid...)
+	badDigest[len(badDigest)-1] ^= 1
+	f.Add(badDigest)
+	f.Add(append(append([]byte(nil), valid...), "trailing"...))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		typ, payload, n, err := readFrame(bytes.NewReader(data))
+		runtime.ReadMemStats(&after)
+		// 1 MiB of slack for whatever the test binary's other goroutines do.
+		if got := after.TotalAlloc - before.TotalAlloc; got > MaxFramePayload+sha256.Size+1<<20 {
+			t.Fatalf("readFrame allocated %d bytes for a %d-byte stream", got, len(data))
+		}
+		if err != nil {
+			var fe *FrameError
+			if !errors.As(err, &fe) && err != io.EOF && err != io.ErrUnexpectedEOF {
+				t.Fatalf("untyped error %T: %v", err, err)
+			}
+			return
+		}
+		var again bytes.Buffer
+		if _, err := writeFrame(&again, typ, payload); err != nil {
+			t.Fatalf("accepted frame does not re-encode: %v", err)
+		}
+		if n != again.Len() || !bytes.Equal(again.Bytes(), data[:n]) {
+			t.Fatalf("accepted %d bytes %x, re-encoded as %x", n, data[:n], again.Bytes())
 		}
 	})
 }

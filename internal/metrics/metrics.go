@@ -1,8 +1,7 @@
-// Package metrics is the structured performance-telemetry substrate every
-// benchmark-producing layer of the repository emits into: lightweight
-// counters, gauges, reservoir-backed timers, and append-only timeseries,
-// gathered by a Registry that serializes to the one unified
-// BENCH_<area>.json schema (DESIGN.md §8.6).
+// Package metrics is the structured performance-telemetry substrate the
+// repository's long-running commands emit into: lightweight counters,
+// gauges, reservoir-backed timers, and append-only timeseries, gathered by a
+// Registry that serializes to one report schema (DESIGN.md §8.6).
 //
 // The design goals, in order:
 //
@@ -10,14 +9,13 @@
 //     atomic operations; Timer.Observe is an O(1) reservoir insert with no
 //     allocations. Instrumenting a trainer iteration or a serving flush
 //     must not perturb what it measures.
-//  2. One schema. Every producer — rl trainers, core evaluation, swarm
-//     runs, the serving engine — reports through the same Report shape, so
-//     cmd/benchdiff can diff any BENCH_<area>.json against its committed
-//     baseline without per-area knowledge.
-//  3. Self-describing regressions. Each scalar metric and distribution
-//     carries its comparison rule (direction + relative tolerance) in the
-//     JSON itself; the baseline file alone tells the differ what counts as
-//     a regression.
+//  2. One schema. Every producer — rl trainers, swarm runs, the serving
+//     engine, the dist coordinator — reports through the same Report shape,
+//     so a reader needs no per-area knowledge.
+//  3. Self-describing metrics. Each scalar metric and distribution carries
+//     its unit and which way is better in the JSON itself. Nothing in the
+//     repository judges one report against another: a change is measured by
+//     bench/e2e (`make bench-check`, `make bench-ab`).
 //
 // Like the stats.Reservoir it builds on, a Timer is single-goroutine
 // state; Counters and Gauges are safe for concurrent use; the Registry's
@@ -33,8 +31,7 @@ import (
 	"advnet/internal/stats"
 )
 
-// Direction states which way a metric is allowed to move before the differ
-// calls it a regression.
+// Direction states which way a metric is better.
 type Direction string
 
 const (
@@ -42,39 +39,29 @@ const (
 	Higher Direction = "higher"
 	// Lower marks a metric where smaller is better (latency).
 	Lower Direction = "lower"
-	// None marks an informational metric the differ reports but never
-	// fails on (wall-clock seconds, configuration echoes, QoE levels whose
-	// meaning is workload-dependent).
+	// None marks an informational metric with no better direction
+	// (wall-clock seconds, configuration echoes, QoE levels whose meaning is
+	// workload-dependent).
 	None Direction = "none"
 )
 
-// DefaultTolerance is the relative worsening allowed before a directional
-// metric counts as a regression when its rule does not specify one. 0.5
-// tolerates the run-to-run noise of shared CI machines while still failing
-// loudly on order-of-magnitude regressions.
-const DefaultTolerance = 0.5
-
-// Rule is the comparison contract attached to a metric: its unit (for
-// humans), its direction, and the relative tolerance before a move in the
-// bad direction counts as a regression.
+// Rule describes a metric to its reader: its unit and its direction.
 type Rule struct {
 	Unit      string    `json:"unit,omitempty"`
 	Direction Direction `json:"direction,omitempty"`
-	Tolerance float64   `json:"tolerance,omitempty"`
 }
 
-// HigherIsBetter returns the standard rule for a throughput-shaped metric.
+// HigherIsBetter returns the rule for a throughput-shaped metric.
 func HigherIsBetter(unit string) Rule {
-	return Rule{Unit: unit, Direction: Higher, Tolerance: DefaultTolerance}
+	return Rule{Unit: unit, Direction: Higher}
 }
 
-// LowerIsBetter returns the standard rule for a latency-shaped metric.
+// LowerIsBetter returns the rule for a latency-shaped metric.
 func LowerIsBetter(unit string) Rule {
-	return Rule{Unit: unit, Direction: Lower, Tolerance: DefaultTolerance}
+	return Rule{Unit: unit, Direction: Lower}
 }
 
-// Info returns the rule for an informational metric the differ never fails
-// on.
+// Info returns the rule for an informational metric.
 func Info(unit string) Rule {
 	return Rule{Unit: unit, Direction: None}
 }

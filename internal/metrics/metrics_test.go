@@ -114,13 +114,13 @@ func TestTimeseriesEarlyStragglerClamps(t *testing.T) {
 }
 
 func TestRuleHelpers(t *testing.T) {
-	if r := HigherIsBetter("req/s"); r.Direction != Higher || r.Tolerance != DefaultTolerance || r.Unit != "req/s" {
+	if r := HigherIsBetter("req/s"); r.Direction != Higher || r.Unit != "req/s" {
 		t.Fatalf("HigherIsBetter %+v", r)
 	}
-	if r := LowerIsBetter("us"); r.Direction != Lower || r.Tolerance != DefaultTolerance {
+	if r := LowerIsBetter("us"); r.Direction != Lower || r.Unit != "us" {
 		t.Fatalf("LowerIsBetter %+v", r)
 	}
-	if r := Info("s"); r.Direction != None || r.Tolerance != 0 {
+	if r := Info("s"); r.Direction != None || r.Unit != "s" {
 		t.Fatalf("Info %+v", r)
 	}
 }

@@ -2,36 +2,31 @@ package metrics
 
 import (
 	"encoding/json"
-	"fmt"
 	"hash/fnv"
-	"os"
-	"sort"
 	"sync"
 
 	"advnet/internal/fsx"
 	"advnet/internal/stats"
 )
 
-// SchemaVersion is the version stamp of the unified BENCH_<area>.json
-// schema. cmd/benchdiff refuses to compare reports with mismatched
-// versions; bump it when a field changes meaning.
+// SchemaVersion is the version stamp of the report schema; bump it when a
+// field changes meaning.
 const SchemaVersion = 1
 
-// Scalar is one named point metric with its comparison rule.
+// Scalar is one named point metric with its rule.
 type Scalar struct {
 	Rule
 	Value float64 `json:"value"`
 }
 
-// Dist is one named distribution with its comparison rule. The rule's
-// direction applies to the distribution's order statistics (mean, p50,
-// p95, p99) when diffed.
+// Dist is one named distribution with its rule. The rule's direction
+// applies to the distribution's order statistics (mean, p50, p95, p99).
 type Dist struct {
 	Rule
 	stats.Summary
 }
 
-// Report is the unified machine-diffable benchmark schema: one JSON
+// Report is the unified machine-readable telemetry schema: one JSON
 // document per area (serve, swarm, train, eval, ...), carrying the run's
 // configuration, named scalar metrics, named distributions, and optional
 // downsampled series. Map keys serialize sorted (encoding/json), so equal
@@ -100,15 +95,14 @@ func NewRegistry(area string) *Registry {
 func (r *Registry) Area() string { return r.area }
 
 // SetConfig records one configuration key (echoed verbatim into the
-// report; never diffed numerically, but benchdiff warns when baseline and
-// fresh configs disagree).
+// report).
 func (r *Registry) SetConfig(key string, v any) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.config[key] = v
 }
 
-// SetMetric records a point metric with its comparison rule, overwriting
+// SetMetric records a point metric with its rule, overwriting
 // any previous value under the name.
 func (r *Registry) SetMetric(name string, value float64, rule Rule) {
 	r.mu.Lock()
@@ -145,7 +139,7 @@ func (r *Registry) Gauge(name string, rule Rule) *Gauge {
 // Timer returns the named timer, creating it on first use with a reservoir
 // seeded deterministically from the name (identical runs retain identical
 // samples). The rule of the first registration wins; its direction applies
-// to the timer's distribution when diffed.
+// to the timer's distribution.
 func (r *Registry) Timer(name string, rule Rule) *Timer {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -248,39 +242,4 @@ func (r *Registry) WriteJSON(path string) error {
 		return err
 	}
 	return fsx.WriteFileAtomic(path, data, 0o644)
-}
-
-// ReadReport loads one BENCH_<area>.json document. It validates only JSON
-// shape; schema-version and area checks belong to Compare, which can
-// report them as typed mismatches.
-func ReadReport(path string) (*Report, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var rep Report
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return nil, fmt.Errorf("metrics: %s: %w", path, err)
-	}
-	return &rep, nil
-}
-
-// MetricNames returns the report's scalar metric names, sorted.
-func (rep *Report) MetricNames() []string {
-	names := make([]string, 0, len(rep.Metrics))
-	for k := range rep.Metrics {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// DistributionNames returns the report's distribution names, sorted.
-func (rep *Report) DistributionNames() []string {
-	names := make([]string, 0, len(rep.Distributions))
-	for k := range rep.Distributions {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -14,6 +14,20 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the golden BENCH_<area>.json fixtures")
 
+// readReport parses a document WriteJSON persisted.
+func readReport(t *testing.T, path string) *Report {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep Report
+	if err := json.Unmarshal(data, &rep); err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	return &rep
+}
+
 // buildAreaRegistry synthesizes a registry shaped exactly like each
 // producer's real emission, with fixed values, so the golden files pin the
 // unified schema for all four areas.
@@ -82,8 +96,8 @@ func buildAreaRegistry(area string) *Registry {
 	return reg
 }
 
-// TestGoldenSchemaRoundTrip pins the unified BENCH_<area>.json schema for
-// all four producer areas: the serialized bytes must match the committed
+// TestGoldenSchemaRoundTrip pins the unified report schema for four
+// producer-shaped areas: the serialized bytes must match the committed
 // golden fixture (schema stability), and reading the document back must
 // reproduce the report exactly (round-trip fidelity).
 func TestGoldenSchemaRoundTrip(t *testing.T) {
@@ -117,10 +131,7 @@ func TestGoldenSchemaRoundTrip(t *testing.T) {
 			if err := reg.WriteJSON(path); err != nil {
 				t.Fatal(err)
 			}
-			got, err := ReadReport(path)
-			if err != nil {
-				t.Fatal(err)
-			}
+			got := readReport(t, path)
 			snap := reg.Snapshot()
 			// Config round-trips through JSON's generic types; compare
 			// both sides re-marshaled.
@@ -172,14 +183,7 @@ func TestWriteJSONAtomicCreatesFile(t *testing.T) {
 	if err := reg.WriteJSON(path); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := ReadReport(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Area != "eval" {
+	if rep := readReport(t, path); rep.Area != "eval" {
 		t.Fatalf("area %q", rep.Area)
-	}
-	if _, err := ReadReport(filepath.Join(t.TempDir(), "missing.json")); err == nil {
-		t.Fatal("no error for missing file")
 	}
 }

@@ -22,7 +22,7 @@ type Timeseries struct {
 }
 
 // DefaultSeriesPoints bounds a series to a few hundred buckets — enough to
-// plot, small enough to commit in a baseline JSON.
+// plot, small enough to keep in a report.
 const DefaultSeriesPoints = 256
 
 // NewTimeseries builds a series with the given initial bucket interval

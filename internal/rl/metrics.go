@@ -6,7 +6,7 @@ import (
 
 // TrainMetrics is the telemetry hook a trainer emits through when one is
 // attached (SetMetrics): an iteration counter plus rollout/update phase
-// timers, the instruments behind BENCH_train.json's iters/s trajectory.
+// timers (bench/e2e's rl.rollout_s / rl.update_s probes attach one).
 // The rollout timer covers environment interaction (collection across all
 // workers for a VecRunner); the update timer covers advantage computation
 // and the gradient steps. Timers are single-goroutine state — both phases

@@ -599,6 +599,10 @@ func (e *Engine) flush(sh *shard, n int) {
 		copy(sh.xs[i*e.in:(i+1)*e.in], sh.batch[i].in)
 	}
 	out := net.ForwardBatch(sh.cache, sh.xs, n)
+	// Counted after the forward (a contained shard panic counts nothing) and
+	// before any caller is woken (see Served).
+	sh.served.Add(uint64(n))
+	sh.batches.Add(1)
 	var now time.Time
 	for i := 0; i < n; i++ {
 		req := sh.batch[i]
@@ -613,8 +617,6 @@ func (e *Engine) flush(sh *shard, n int) {
 		sh.batch[i] = nil
 		req.done <- struct{}{}
 	}
-	sh.served.Add(uint64(n))
-	sh.batches.Add(1)
 }
 
 // stackTrace captures the current goroutine's stack for panic reports.
@@ -646,7 +648,10 @@ func (e *Engine) Close() {
 }
 
 // Served returns the total number of requests answered. Safe to call
-// concurrently with serving.
+// concurrently with serving. A batch is counted before any of its callers is
+// woken, so a caller that has returned from Select always finds its own
+// request included: once every Select has returned, Served() plus the shed
+// counters equals the requests offered.
 func (e *Engine) Served() uint64 {
 	var n uint64
 	for _, sh := range e.shards {

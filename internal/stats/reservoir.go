@@ -213,8 +213,8 @@ func MergedQuantile(q float64, rs ...*Reservoir) float64 {
 	return pairs[len(pairs)-1].v
 }
 
-// Summary is a compact digest of a distribution, the unit every serving
-// benchmark reports and BENCH_serve.json records.
+// Summary is a compact digest of a distribution, the unit every latency
+// report and metrics.Dist records.
 type Summary struct {
 	Count uint64  `json:"count"`
 	Mean  float64 `json:"mean"`

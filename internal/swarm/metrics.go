@@ -4,13 +4,12 @@ import (
 	"advnet/internal/metrics"
 )
 
-// EmitMetrics records the swarm run into reg under the unified BENCH
-// schema (DESIGN.md §8.6): scheduler throughput and the wall/virtual ratio
-// as regression-gated scalars, QoE/fairness aggregates as informational
+// EmitMetrics records the swarm run into reg under the unified schema
+// (DESIGN.md §8.6): scheduler throughput and the wall/virtual ratio as
+// higher-is-better scalars, QoE/fairness aggregates as informational
 // metrics and distributions (their level is workload-defined; with a fixed
-// seed they are deterministic, but a tolerance gate on perf is not the
-// place to pin them — golden tests are). wallSeconds is the run's wall
-// time as measured by the driver.
+// seed they are deterministic, and golden tests pin them). wallSeconds is
+// the run's wall time as measured by the driver.
 func (res *Result) EmitMetrics(reg *metrics.Registry, wallSeconds float64) {
 	reg.SetMetric("completed_clients", float64(res.CompletedClients), metrics.Info("clients"))
 	reg.SetMetric("failed_groups", float64(len(res.FailedGroups)), metrics.Info("groups"))

@@ -22,7 +22,7 @@ import (
 // order irrelevant). Once requests shed, which requests degrade to the
 // fallback depends on real-time engine load, so QoE aggregates become
 // run-to-run noisy — that is the point of the mode, and why its QoE metrics
-// are emitted as informational rather than regression-gated.
+// are emitted as informational.
 type ServeMode struct {
 	proto *abr.PensieveServe
 }

@@ -295,8 +295,8 @@ func TestSwarmGroupSteadyStateAllocs(t *testing.T) {
 }
 
 // BenchmarkSwarmGroupEvent measures the per-event cost of the fluid
-// scheduler at a realistic in-group population. make swarm-bench uses the
-// derived events/sec to size the 100k-session run.
+// scheduler at a realistic in-group population (bench/e2e's swarm.event_ns
+// probe is the tracked number).
 func BenchmarkSwarmGroupEvent(b *testing.B) {
 	for _, clients := range []int{256, 4096} {
 		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
