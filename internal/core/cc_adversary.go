@@ -65,6 +65,36 @@ func (c CCAdversaryConfig) Ranges() [3][2]float64 {
 	}
 }
 
+// decode maps raw policy outputs (nominally [−1,1] per dimension) to link
+// conditions within the configured ranges.
+func (c CCAdversaryConfig) decode(raw []float64) CCAction {
+	a := CCAction{
+		BandwidthMbps: mapRange(raw[0], c.BandwidthLo, c.BandwidthHi),
+		LatencyMs:     mapRange(raw[1], c.LatencyLoMs, c.LatencyHiMs),
+		LossRate:      mapRange(raw[2], c.LossLo, c.LossHi),
+	}
+	copy(a.Raw[:], raw)
+	return a
+}
+
+func mapRange(x, lo, hi float64) float64 {
+	return lo + (hi-lo)*(mathx.Clamp(x, -1, 1)+1)/2
+}
+
+// smoothPenalty is the smoothing factor S: the deviation of a's bandwidth and
+// latency from their EWMAs, each normalized by its range. The EWMAs are
+// updated after measuring the deviation.
+func (c CCAdversaryConfig) smoothPenalty(bw, lat *mathx.EWMA, a CCAction) float64 {
+	s := 0.0
+	if bw.Initialized() {
+		s += absf(a.BandwidthMbps-bw.Value()) / (c.BandwidthHi - c.BandwidthLo)
+		s += absf(a.LatencyMs-lat.Value()) / (c.LatencyHiMs - c.LatencyLoMs)
+	}
+	bw.Update(a.BandwidthMbps)
+	lat.Update(a.LatencyMs)
+	return s
+}
+
 // CCAction is one decoded adversary action.
 type CCAction struct {
 	BandwidthMbps float64
@@ -113,18 +143,7 @@ func NewCCEnv(newCC func() netem.CongestionController, cfg CCAdversaryConfig, rn
 
 // DecodeAction maps raw policy outputs (nominally [−1,1] per dimension) to
 // link conditions within the Table-1 ranges.
-func (e *CCEnv) DecodeAction(raw []float64) CCAction {
-	m := func(x, lo, hi float64) float64 {
-		return lo + (hi-lo)*(mathx.Clamp(x, -1, 1)+1)/2
-	}
-	a := CCAction{
-		BandwidthMbps: m(raw[0], e.cfg.BandwidthLo, e.cfg.BandwidthHi),
-		LatencyMs:     m(raw[1], e.cfg.LatencyLoMs, e.cfg.LatencyHiMs),
-		LossRate:      m(raw[2], e.cfg.LossLo, e.cfg.LossHi),
-	}
-	copy(a.Raw[:], raw)
-	return a
-}
+func (e *CCEnv) DecodeAction(raw []float64) CCAction { return e.cfg.decode(raw) }
 
 // Reset implements rl.Env.
 func (e *CCEnv) Reset() []float64 {
@@ -168,15 +187,7 @@ func (e *CCEnv) Step(raw []float64) ([]float64, float64, bool) {
 	q := e.em.QueueingDelay()
 	e.lastU, e.lastQ = u, q
 
-	// Smoothing factor: normalized deviation from the EWMAs of bandwidth
-	// and latency. The EWMAs are updated after measuring the deviation.
-	s := 0.0
-	if e.ewmaBw.Initialized() {
-		s += absf(a.BandwidthMbps-e.ewmaBw.Value()) / (e.cfg.BandwidthHi - e.cfg.BandwidthLo)
-		s += absf(a.LatencyMs-e.ewmaLat.Value()) / (e.cfg.LatencyHiMs - e.cfg.LatencyLoMs)
-	}
-	e.ewmaBw.Update(a.BandwidthMbps)
-	e.ewmaLat.Update(a.LatencyMs)
+	s := e.cfg.smoothPenalty(e.ewmaBw, e.ewmaLat, a)
 
 	var reward float64
 	switch e.cfg.Goal {

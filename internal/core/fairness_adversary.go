@@ -17,7 +17,7 @@ type FairnessEnv struct {
 	newCCs []func() netem.CongestionController
 	rng    *mathx.RNG
 
-	em       *netem.MultiEmulator
+	em       *netem.Emulator
 	step     int
 	ewmaBw   *mathx.EWMA
 	ewmaLat  *mathx.EWMA
@@ -71,12 +71,7 @@ func (e *FairnessEnv) Reset() []float64 {
 
 // Step implements rl.Env.
 func (e *FairnessEnv) Step(raw []float64) ([]float64, float64, bool) {
-	a := CCAction{
-		BandwidthMbps: mapRange(raw[0], e.cfg.BandwidthLo, e.cfg.BandwidthHi),
-		LatencyMs:     mapRange(raw[1], e.cfg.LatencyLoMs, e.cfg.LatencyHiMs),
-		LossRate:      mapRange(raw[2], e.cfg.LossLo, e.cfg.LossHi),
-	}
-	copy(a.Raw[:], raw)
+	a := e.cfg.decode(raw)
 	e.em.SetConditions(netem.Conditions{
 		BandwidthMbps: a.BandwidthMbps,
 		OneWayDelayMs: a.LatencyMs,
@@ -108,14 +103,7 @@ func (e *FairnessEnv) Step(raw []float64) ([]float64, float64, bool) {
 		}
 	}
 
-	s := 0.0
-	if e.ewmaBw.Initialized() {
-		s += absf(a.BandwidthMbps-e.ewmaBw.Value()) / (e.cfg.BandwidthHi - e.cfg.BandwidthLo)
-		s += absf(a.LatencyMs-e.ewmaLat.Value()) / (e.cfg.LatencyHiMs - e.cfg.LatencyLoMs)
-	}
-	e.ewmaBw.Update(a.BandwidthMbps)
-	e.ewmaLat.Update(a.LatencyMs)
-
+	s := e.cfg.smoothPenalty(e.ewmaBw, e.ewmaLat, a)
 	reward := (1 - jain) - a.LossRate - e.cfg.SmoothCoef*s
 
 	q := e.em.QueueingDelay()
@@ -151,8 +139,4 @@ func (e *FairnessEnv) Records() []FairnessRecord { return e.records }
 // goroutines.
 func TrainFairnessAdversary(newCCs []func() netem.CongestionController, cfg CCAdversaryConfig, opt TrainOptions, rng *mathx.RNG) (*CCAdversary, []rl.IterStats, error) {
 	return trainCC(ccProblem(len(newCCs)+1, cfg, func(rng *mathx.RNG) rl.Env { return NewFairnessEnv(newCCs, cfg, rng) }), cfg, opt, rng)
-}
-
-func mapRange(x, lo, hi float64) float64 {
-	return lo + (hi-lo)*(mathx.Clamp(x, -1, 1)+1)/2
 }

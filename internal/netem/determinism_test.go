@@ -1,4 +1,4 @@
-// Cross-run determinism suite for the packet emulators: with losses
+// Cross-run determinism suite for the packet emulator: with losses
 // enabled, loss signaling used to iterate the inflight map in Go's
 // randomized order, so order-sensitive controllers (CUBIC's epoch resets,
 // BBR's mode switches) could diverge between identically-seeded runs. These
@@ -28,7 +28,7 @@ func lossyConfig() netem.Config {
 	}
 }
 
-// TestEmulatorCrossRunDeterminism pins the single-flow emulator: two fresh
+// TestEmulatorCrossRunDeterminism pins the single-flow case: two fresh
 // runs with the same seed must agree exactly.
 func TestEmulatorCrossRunDeterminism(t *testing.T) {
 	for _, tc := range []struct {
@@ -75,10 +75,10 @@ func multiRun(seed uint64) multiOutcome {
 	return multiOutcome{Stats: m.Stats(), FlowBits: bits, Jain: m.JainFairness()}
 }
 
-// TestMultiEmulatorCrossRunDeterminism pins the shared-bottleneck emulator
-// under loss: identical Stats, per-flow delivered bits, and Jain fairness
+// TestMultiFlowCrossRunDeterminism pins the shared-bottleneck case under
+// loss: identical Stats, per-flow delivered bits, and Jain fairness
 // across same-seed runs.
-func TestMultiEmulatorCrossRunDeterminism(t *testing.T) {
+func TestMultiFlowCrossRunDeterminism(t *testing.T) {
 	a, b := multiRun(77), multiRun(77)
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("same-seed multi-flow runs diverged:\n%+v\nvs\n%+v", a, b)
@@ -92,8 +92,8 @@ func TestMultiEmulatorCrossRunDeterminism(t *testing.T) {
 }
 
 // windowOnlyCC exposes a congestion window but no pacing rate — the shape
-// of controller that used to crawl at the silent one-packet-per-second
-// fallback on the shared emulator.
+// of controller that would crawl at FallbackPacingBps without the
+// window-driven fallback.
 type windowOnlyCC struct{ cwnd float64 }
 
 func (w *windowOnlyCC) CWND(float64) float64        { return w.cwnd }
@@ -103,18 +103,22 @@ func (w *windowOnlyCC) OnAck(netem.Ack)             {}
 func (w *windowOnlyCC) OnLoss(float64, int64)       {}
 func (w *windowOnlyCC) OnTimeout(float64)           {}
 
-// TestMultiEmulatorZeroPacingProgress: a zero-pacing controller must still
-// make window-driven progress. With cwnd=10 over a 40ms RTT the flow should
-// deliver hundreds of packets in 20 virtual seconds; the old fallback paced
-// it at one packet per second (~20 packets).
-func TestMultiEmulatorZeroPacingProgress(t *testing.T) {
-	m := netem.NewMulti(
-		[]netem.CongestionController{&windowOnlyCC{cwnd: 10}},
-		netem.Config{Initial: netem.Conditions{BandwidthMbps: 10, OneWayDelayMs: 20}},
-		mathx.NewRNG(5),
-	)
-	m.Run(20)
-	if got := m.Stats().DeliveredPkts; got < 100 {
-		t.Errorf("zero-pacing flow delivered %d packets in 20s, want >= 100 (window-driven pacing)", got)
+// TestZeroPacingProgress: a zero-pacing controller must still make
+// window-driven progress, however the emulator was built. With cwnd=10 over a
+// 40ms RTT the flow should deliver hundreds of packets in 20 virtual seconds;
+// FallbackPacingBps alone paces it at one packet per second (~20 packets).
+func TestZeroPacingProgress(t *testing.T) {
+	cfg := netem.Config{Initial: netem.Conditions{BandwidthMbps: 10, OneWayDelayMs: 20}}
+	for _, tc := range []struct {
+		name string
+		em   *netem.Emulator
+	}{
+		{"New", netem.New(&windowOnlyCC{cwnd: 10}, cfg, mathx.NewRNG(5))},
+		{"NewMulti", netem.NewMulti([]netem.CongestionController{&windowOnlyCC{cwnd: 10}, &windowOnlyCC{cwnd: 10}}, cfg, mathx.NewRNG(5))},
+	} {
+		tc.em.Run(20)
+		if got := tc.em.Stats().DeliveredPkts; got < 100 {
+			t.Errorf("%s: zero-pacing flows delivered %d packets in 20s, want >= 100 (window-driven pacing)", tc.name, got)
+		}
 	}
 }

@@ -37,24 +37,6 @@ func TestMultiAggregateMatchesLinkRate(t *testing.T) {
 	}
 }
 
-func TestMultiSingleFlowMatchesEmulator(t *testing.T) {
-	// One flow in the multi-emulator should behave like the single-flow
-	// emulator within a small tolerance.
-	single := &fixedCC{rateBps: 6e6}
-	e := New(single, cfg(10, 10, 0, 64), mathx.NewRNG(3))
-	e.Run(10)
-
-	multi := &fixedCC{rateBps: 6e6}
-	m := NewMulti([]CongestionController{multi}, cfg(10, 10, 0, 64), mathx.NewRNG(3))
-	m.Run(10)
-
-	se := e.Stats().DeliveredBits
-	sm := m.Stats().DeliveredBits
-	if math.Abs(se-sm)/se > 0.02 {
-		t.Fatalf("single %v vs multi %v delivered bits", se, sm)
-	}
-}
-
 func TestMultiUnevenDemandsShareProportionally(t *testing.T) {
 	// A 2 Mbps flow and a 20 Mbps flow overdriving a 10 Mbps droptail
 	// link. With periodically-paced (non-Poisson) arrivals into a full

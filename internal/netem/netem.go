@@ -3,9 +3,10 @@
 // modified Mahimahi [18] the paper uses for its congestion-control study
 // (§4). It models a droptail queue served at a configurable (and
 // adversary-mutable) rate, symmetric propagation delay, and Bernoulli random
-// loss. Unlike Mahimahi, virtual time makes runs deterministic and much
-// faster than real time; the paper notes Mahimahi's wall-clock timing is not
-// reproducible, which our substitution deliberately fixes.
+// loss, shared by one or more congestion-controlled flows. Unlike Mahimahi,
+// virtual time makes runs deterministic and much faster than real time; the
+// paper notes Mahimahi's wall-clock timing is not reproducible, which our
+// substitution deliberately fixes.
 package netem
 
 import (
@@ -20,14 +21,13 @@ import (
 // PacketBits is the size of every data packet (1500 bytes).
 const PacketBits = 12000
 
-// FallbackPacingBps is the pacing rate substituted when a controller reports
-// a non-positive PacingRate: one packet per second (12 kbit/s). It exists to
-// keep the send clock ticking — a rate of zero would schedule the next send
-// infinitely far away and silently freeze the flow — while being slow enough
-// that any real controller's rate immediately dominates it. The
-// MultiEmulator additionally lets a positive congestion window override this
-// floor (see its handleSend) so window-only controllers still progress at
-// window speed.
+// FallbackPacingBps is the floor of the pacing rate substituted when a
+// controller reports a non-positive PacingRate: one packet per second
+// (12 kbit/s). It exists to keep the send clock ticking — a rate of zero
+// would schedule the next send infinitely far away and silently freeze the
+// flow. Once the flow has an RTT sample, a positive congestion window raises
+// the substitute to one window per smoothed RTT, so a window-only controller
+// progresses at window speed (see handleSend).
 const FallbackPacingBps = PacketBits
 
 // Ack is the feedback delivered to the congestion controller when a data
@@ -73,7 +73,7 @@ type Config struct {
 	// RTO; 0 means max(1s, 4 * srtt) with srtt tracked internally
 }
 
-// Stats accumulates link-level counters.
+// Stats accumulates link-level counters over all flows.
 type Stats struct {
 	Sent           int64
 	DeliveredPkts  int64
@@ -86,6 +86,8 @@ type Stats struct {
 
 type eventKind int
 
+// Event payload (vclock.Event.Seq): the flow index for evSend and evRTO,
+// flow<<40 | packet seq for evAckArrive, unused for evDequeue.
 const (
 	evSend eventKind = iota
 	evDequeue
@@ -93,49 +95,68 @@ const (
 	evRTO
 )
 
-type queuedPacket struct {
-	seq    int64
-	sentAt float64
+// flow is the sender-side state of one controller.
+type flow struct {
+	cc          CongestionController
+	inflight    map[int64]float64 // seq -> sentAt
+	nextSeq     int64
+	nextSendAt  float64
+	rtoDeadline float64
+	srtt        float64
+	lossBuf     []int64 // scratch for sorted implied-loss signaling
+	bits        float64 // delivered through the bottleneck
 }
 
-// Emulator drives one congestion controller over one emulated link.
+type queuedPacket struct {
+	flow int
+	seq  int64
+}
+
+// Emulator drives one or more congestion controllers over one emulated link:
+// the paper's single-sender study (§4) and, with several flows, the substrate
+// for fairness scenarios and the §5-style adversarial goals (e.g. maximizing
+// the congestion competing flows inflict on each other). The flow count
+// selects nothing but pacing jitter (see handleSend).
 type Emulator struct {
-	cc   CongestionController
-	rng  *mathx.RNG
-	cond Conditions
-	cfg  Config
+	flows []flow
+	rng   *mathx.RNG
+	cond  Conditions
+	cfg   Config
 
 	now    float64
 	events vclock.Queue
 
-	queue     []queuedPacket
-	busy      bool // bottleneck serializing a packet
-	nextSeq   int64
-	inflight  map[int64]float64 // seq -> sentAt
-	highAcked int64             // highest acked seq (-1 initially)
-	lossBuf   []int64           // scratch for sorted implied-loss signaling
-
-	nextSendAt  float64
-	rtoDeadline float64
-	srtt        float64
+	queue []queuedPacket
+	busy  bool // bottleneck serializing a packet
 
 	stats Stats
 }
 
-// New creates an emulator around cc. rng drives random loss only.
+// New creates an emulator around cc: NewMulti with one flow.
 func New(cc CongestionController, cfg Config, rng *mathx.RNG) *Emulator {
+	return NewMulti([]CongestionController{cc}, cfg, rng)
+}
+
+// NewMulti creates an emulator whose link is shared by the given
+// controllers. rng drives random loss and, with more than one flow, pacing
+// jitter.
+func NewMulti(ccs []CongestionController, cfg Config, rng *mathx.RNG) *Emulator {
+	if len(ccs) == 0 {
+		panic("netem: NewMulti with no flows")
+	}
 	if cfg.QueuePackets <= 0 {
 		cfg.QueuePackets = 64
 	}
 	e := &Emulator{
-		cc:        cc,
-		rng:       rng,
-		cond:      cfg.Initial,
-		cfg:       cfg,
-		inflight:  make(map[int64]float64),
-		highAcked: -1,
+		flows: make([]flow, len(ccs)),
+		rng:   rng,
+		cond:  cfg.Initial,
+		cfg:   cfg,
 	}
-	e.schedule(0, evSend, 0)
+	for i, cc := range ccs {
+		e.flows[i] = flow{cc: cc, inflight: make(map[int64]float64)}
+		e.schedule(0, evSend, int64(i))
+	}
 	return e
 }
 
@@ -149,12 +170,14 @@ func (e *Emulator) Stats() Stats { return e.stats }
 func (e *Emulator) Conditions() Conditions { return e.cond }
 
 // SetConditions changes the link parameters, taking effect for packets
-// serviced from now on (the adversary's action application point).
+// serviced from now on (the adversary's action application point). It panics
+// on values no link has, NaN and ±Inf included: an event scheduled at a NaN
+// time cannot be ordered.
 func (e *Emulator) SetConditions(c Conditions) {
-	if c.BandwidthMbps <= 0 {
+	if !(c.BandwidthMbps > 0) || math.IsInf(c.BandwidthMbps, 0) {
 		panic(fmt.Sprintf("netem: bandwidth %v", c.BandwidthMbps))
 	}
-	if c.OneWayDelayMs < 0 || c.LossRate < 0 || c.LossRate > 1 {
+	if !(c.OneWayDelayMs >= 0) || math.IsInf(c.OneWayDelayMs, 0) || !(c.LossRate >= 0 && c.LossRate <= 1) {
 		panic("netem: invalid conditions")
 	}
 	e.cond = c
@@ -169,12 +192,32 @@ func (e *Emulator) QueueingDelay() float64 {
 	return float64(len(e.queue)) * PacketBits / (e.cond.BandwidthMbps * 1e6)
 }
 
-// Inflight returns the number of unacknowledged packets.
-func (e *Emulator) Inflight() int { return len(e.inflight) }
+// Inflight returns the number of unacknowledged packets over all flows.
+func (e *Emulator) Inflight() int {
+	n := 0
+	for i := range e.flows {
+		n += len(e.flows[i].inflight)
+	}
+	return n
+}
 
-// HighestAcked returns the highest acknowledged sequence number, or -1
-// before any ack — a cheap progress indicator for diagnostics.
-func (e *Emulator) HighestAcked() int64 { return e.highAcked }
+// FlowDeliveredBits returns the bits delivered through the bottleneck for
+// one flow.
+func (e *Emulator) FlowDeliveredBits(i int) float64 { return e.flows[i].bits }
+
+// JainFairness computes Jain's fairness index over the per-flow delivered
+// bits: 1 is perfectly fair, 1/n maximally unfair.
+func (e *Emulator) JainFairness() float64 {
+	var sum, sumSq float64
+	for _, f := range e.flows {
+		sum += f.bits
+		sumSq += f.bits * f.bits
+	}
+	if sumSq == 0 {
+		return 1
+	}
+	return sum * sum / (float64(len(e.flows)) * sumSq)
+}
 
 func (e *Emulator) schedule(at float64, kind eventKind, seq int64) {
 	e.events.Schedule(vclock.Event{At: at, Kind: int32(kind), Seq: seq})
@@ -183,74 +226,95 @@ func (e *Emulator) schedule(at float64, kind eventKind, seq int64) {
 // Run advances virtual time until the given instant, processing all events.
 // Together with Now it implements vclock.Runner.
 func (e *Emulator) Run(until float64) {
-	for {
-		ev, ok := e.events.PopIfAtOrBefore(until)
-		if !ok {
-			break
-		}
-		if ev.At > e.now {
-			e.now = ev.At
-		}
-		switch eventKind(ev.Kind) {
-		case evSend:
-			e.handleSend()
-		case evDequeue:
-			e.handleDequeue()
-		case evAckArrive:
-			e.handleAck(ev.Seq)
-		case evRTO:
-			e.handleRTO(ev.At)
-		}
+	for e.StepEvent(until) {
 	}
 	if until > e.now {
 		e.now = until
 	}
-	// Keep the pacing clock alive past idle periods.
-	if e.pendingSendEvents() == 0 {
-		e.schedule(math.Max(e.now, e.nextSendAt), evSend, 0)
+}
+
+// NextEventAt returns the virtual time of the earliest pending event. A
+// composite simulation (e.g. a swarm group multiplexing chunk wake-ups over
+// this emulator) uses it to interleave its own events with packet events on
+// one shared clock.
+func (e *Emulator) NextEventAt() (float64, bool) { return e.events.PeekAt() }
+
+// StepEvent processes the single earliest pending event if it fires at or
+// before until, advancing Now to that event's time. It reports whether an
+// event was processed. Run is a loop over StepEvent; external clocks step
+// one event at a time so they can observe per-flow delivery between packet
+// events.
+func (e *Emulator) StepEvent(until float64) bool {
+	ev, ok := e.events.PopIfAtOrBefore(until)
+	if !ok {
+		return false
 	}
+	if ev.At > e.now {
+		e.now = ev.At
+	}
+	switch eventKind(ev.Kind) {
+	case evSend:
+		e.handleSend(int(ev.Seq))
+	case evDequeue:
+		e.handleDequeue()
+	case evAckArrive:
+		e.handleAck(int(ev.Seq>>40), ev.Seq&((1<<40)-1))
+	case evRTO:
+		e.handleRTO(int(ev.Seq), ev.At)
+	}
+	return true
 }
 
-func (e *Emulator) pendingSendEvents() int {
-	n := 0
-	e.events.Scan(func(ev vclock.Event) {
-		if eventKind(ev.Kind) == evSend {
-			n++
-		}
-	})
-	return n
-}
-
-func (e *Emulator) handleSend() {
-	cwnd := e.cc.CWND(e.now)
-	rate := e.cc.PacingRate(e.now)
+// handleSend is the flow's pacing clock. Exactly one evSend per flow is
+// outstanding from NewMulti onward: every call ends by scheduling the next.
+func (e *Emulator) handleSend(fi int) {
+	f := &e.flows[fi]
+	cwnd := f.cc.CWND(e.now)
+	rate := f.cc.PacingRate(e.now)
 	if rate <= 0 {
+		// Window-only controller: one window per smoothed RTT.
 		rate = FallbackPacingBps
+		if cwnd > 0 && f.srtt > 0 {
+			if wr := cwnd * PacketBits / f.srtt; wr > rate {
+				rate = wr
+			}
+		}
 	}
 	sent := false
-	for float64(len(e.inflight)) < cwnd && e.now >= e.nextSendAt-1e-12 {
-		e.sendPacket()
-		e.nextSendAt = e.now + PacketBits/rate
+	for float64(len(f.inflight)) < cwnd && e.now >= f.nextSendAt-1e-12 {
+		e.sendPacket(fi)
+		gap := PacketBits / rate
+		if len(e.flows) > 1 {
+			// ±5% pacing jitter models sender-side OS scheduling noise
+			// and, crucially, breaks the deterministic phase lock that
+			// would otherwise let one of two identically-paced flows
+			// always reach the droptail queue first. A lone flow has no
+			// other to lock phase with and draws nothing.
+			gap *= e.rng.Uniform(0.95, 1.05)
+		}
+		f.nextSendAt = e.now + gap
 		sent = true
 	}
 	var next float64
-	if sent || float64(len(e.inflight)) < cwnd {
-		next = math.Max(e.nextSendAt, e.now+1e-6)
+	if sent || float64(len(f.inflight)) < cwnd {
+		next = math.Max(f.nextSendAt, e.now+1e-6)
 	} else {
-		// cwnd-limited: poll again shortly; acks also trigger sends.
+		// cwnd-limited: poll again shortly, so a window freed by an ack
+		// is picked up without handleAck scheduling extra send events.
 		next = e.now + 0.001
 	}
-	e.schedule(next, evSend, 0)
+	e.schedule(next, evSend, int64(fi))
 }
 
-func (e *Emulator) sendPacket() {
-	seq := e.nextSeq
-	e.nextSeq++
-	e.inflight[seq] = e.now
+func (e *Emulator) sendPacket(fi int) {
+	f := &e.flows[fi]
+	seq := f.nextSeq
+	f.nextSeq++
+	f.inflight[seq] = e.now
 	e.stats.Sent++
-	e.cc.OnPacketSent(e.now, seq)
-	if len(e.inflight) == 1 {
-		e.armRTO() // first outstanding packet starts the timer
+	f.cc.OnPacketSent(e.now, seq)
+	if len(f.inflight) == 1 {
+		e.armRTO(fi) // first outstanding packet starts the timer
 	}
 
 	// Random loss is applied at the link entrance.
@@ -262,7 +326,7 @@ func (e *Emulator) sendPacket() {
 		e.stats.DroppedTail++
 		return
 	}
-	e.queue = append(e.queue, queuedPacket{seq: seq, sentAt: e.now})
+	e.queue = append(e.queue, queuedPacket{flow: fi, seq: seq})
 	if !e.busy {
 		e.startService()
 	}
@@ -283,9 +347,10 @@ func (e *Emulator) handleDequeue() {
 	e.queue = e.queue[1:]
 	e.stats.DeliveredPkts++
 	e.stats.DeliveredBits += PacketBits
+	e.flows[pkt.flow].bits += PacketBits
 	// One-way delay to the receiver plus the (uncongested) ack path back.
 	ackAt := e.now + 2*e.cond.OneWayDelayMs/1000
-	e.schedule(ackAt, evAckArrive, pkt.seq)
+	e.schedule(ackAt, evAckArrive, int64(pkt.flow)<<40|pkt.seq)
 	if len(e.queue) > 0 {
 		e.startService()
 	} else {
@@ -293,17 +358,18 @@ func (e *Emulator) handleDequeue() {
 	}
 }
 
-func (e *Emulator) handleAck(seq int64) {
-	sentAt, ok := e.inflight[seq]
+func (e *Emulator) handleAck(fi int, seq int64) {
+	f := &e.flows[fi]
+	sentAt, ok := f.inflight[seq]
 	if !ok {
 		return // already declared lost by RTO
 	}
-	delete(e.inflight, seq)
+	delete(f.inflight, seq)
 	rtt := e.now - sentAt
-	if e.srtt == 0 {
-		e.srtt = rtt
+	if f.srtt == 0 {
+		f.srtt = rtt
 	} else {
-		e.srtt = 0.875*e.srtt + 0.125*rtt
+		f.srtt = 0.875*f.srtt + 0.125*rtt
 	}
 
 	// In-order link: any unacked packet with a lower sequence was dropped.
@@ -311,56 +377,44 @@ func (e *Emulator) handleAck(seq int64) {
 	// order — ranging over the map directly would fire OnLoss in Go's
 	// randomized iteration order, making order-sensitive controllers
 	// (BBR/Cubic state machines) non-reproducible run to run.
-	losses := e.lossBuf[:0]
-	for s := range e.inflight {
+	losses := f.lossBuf[:0]
+	for s := range f.inflight {
 		if s < seq {
 			losses = append(losses, s)
 		}
 	}
 	slices.Sort(losses)
 	for _, s := range losses {
-		delete(e.inflight, s)
+		delete(f.inflight, s)
 		e.stats.LossesSignaled++
-		e.cc.OnLoss(e.now, s)
+		f.cc.OnLoss(e.now, s)
 	}
-	e.lossBuf = losses[:0]
-	if seq > e.highAcked {
-		e.highAcked = seq
-	}
-	e.cc.OnAck(Ack{Seq: seq, Now: e.now, RTT: rtt})
-	e.armRTO()
-	// The pacing clock polls at millisecond granularity while
-	// cwnd-limited, so a freed window is picked up promptly without
-	// scheduling extra send events here (exactly one evSend is
-	// outstanding at any time).
+	f.lossBuf = losses[:0]
+	f.cc.OnAck(Ack{Seq: seq, Now: e.now, RTT: rtt})
+	e.armRTO(fi)
 }
 
-func (e *Emulator) rto() float64 {
+func (e *Emulator) armRTO(fi int) {
+	f := &e.flows[fi]
+	rto := 1.0
 	if e.cfg.RTOSeconds > 0 {
-		return e.cfg.RTOSeconds
+		rto = e.cfg.RTOSeconds
+	} else if f.srtt > 0 {
+		rto = math.Max(1.0, 4*f.srtt)
 	}
-	if e.srtt > 0 {
-		return math.Max(1.0, 4*e.srtt)
-	}
-	return 1.0
+	f.rtoDeadline = e.now + rto
+	e.schedule(f.rtoDeadline, evRTO, int64(fi))
 }
 
-func (e *Emulator) armRTO() {
-	e.rtoDeadline = e.now + e.rto()
-	e.schedule(e.rtoDeadline, evRTO, 0)
-}
-
-func (e *Emulator) handleRTO(at float64) {
-	// Stale timer (re-armed since it was scheduled)?
-	if at < e.rtoDeadline-1e-9 {
+func (e *Emulator) handleRTO(fi int, at float64) {
+	f := &e.flows[fi]
+	// Stale timer (re-armed since it was scheduled), or nothing outstanding?
+	if at < f.rtoDeadline-1e-9 || len(f.inflight) == 0 {
 		return
 	}
-	if len(e.inflight) == 0 {
-		return
-	}
-	clear(e.inflight)
+	clear(f.inflight)
 	e.stats.Timeouts++
-	e.cc.OnTimeout(e.now)
+	f.cc.OnTimeout(e.now)
 }
 
 // IntervalStats measures delivery over a window, for the adversary's

@@ -60,27 +60,58 @@ func TestUnderloadNoDrops(t *testing.T) {
 	}
 }
 
+// TestPacketConservation states the link's two invariants under conditions
+// that change every 20 intervals, for one flow and for three: every sent
+// packet is delivered, dropped at the link entrance or in the queue — exactly,
+// at every instant — and the link never delivers more than its bandwidth
+// integrated over time. The integral's slack is one packet, plus one per
+// bandwidth cut: a packet in service when the rate is cut finishes at the old
+// rate.
 func TestPacketConservation(t *testing.T) {
-	f := &fixedCC{rateBps: 15e6}
-	e := New(f, cfg(10, 20, 0.05, 32), mathx.NewRNG(3))
-	e.Run(20)
-	st := e.Stats()
-	// Every sent packet is delivered, dropped, or still in the system.
-	accounted := st.DeliveredPkts + st.DroppedRandom + st.DroppedTail
-	inSystem := int64(e.QueueDepth()) + int64(len(eInflightNotQueued(e)))
-	_ = inSystem
-	if accounted > st.Sent {
-		t.Fatalf("accounted %d > sent %d", accounted, st.Sent)
-	}
-	// Allow for packets in the queue or propagating.
-	if st.Sent-accounted > int64(e.QueueDepth())+200 {
-		t.Fatalf("too many unaccounted packets: sent=%d accounted=%d queue=%d",
-			st.Sent, accounted, e.QueueDepth())
+	for _, flows := range []int{1, 3} {
+		ccs := make([]CongestionController, flows)
+		for i := range ccs {
+			ccs[i] = &fixedCC{rateBps: 15e6}
+		}
+		c := Conditions{BandwidthMbps: 10, OneWayDelayMs: 20, LossRate: 0.05}
+		e := NewMulti(ccs, Config{Initial: c, QueuePackets: 32}, mathx.NewRNG(3))
+		r := mathx.NewRNG(uint64(flows))
+		capacityBits, cuts := 0.0, 0
+		for step := 1; step <= 600; step++ {
+			if step%20 == 0 {
+				next := Conditions{BandwidthMbps: 2 + 18*r.Float64(), OneWayDelayMs: 5 + 40*r.Float64(), LossRate: 0.2 * r.Float64()}
+				if next.BandwidthMbps < c.BandwidthMbps {
+					cuts++
+				}
+				c = next
+				e.SetConditions(c)
+			}
+			before := e.Now()
+			e.Run(float64(step) * 0.03)
+			capacityBits += e.Conditions().BandwidthMbps * 1e6 * (e.Now() - before)
+
+			st := e.Stats()
+			if got := st.DeliveredPkts + st.DroppedRandom + st.DroppedTail + int64(e.QueueDepth()); got != st.Sent {
+				t.Fatalf("%d flows, step %d: delivered+dropped+queued = %d, sent = %d (%+v, queue %d)",
+					flows, step, got, st.Sent, st, e.QueueDepth())
+			}
+			if limit := capacityBits + PacketBits*float64(1+cuts); st.DeliveredBits > limit {
+				t.Fatalf("%d flows, step %d: delivered %v bits, link capacity so far %v (+%d packets slack)",
+					flows, step, st.DeliveredBits, capacityBits, 1+cuts)
+			}
+			perFlow := 0.0
+			for i := range ccs {
+				perFlow += e.FlowDeliveredBits(i)
+			}
+			if perFlow != st.DeliveredBits {
+				t.Fatalf("%d flows, step %d: per-flow bits sum to %v, link delivered %v", flows, step, perFlow, st.DeliveredBits)
+			}
+		}
+		if st := e.Stats(); st.DroppedTail == 0 || st.DroppedRandom == 0 || st.DeliveredBits < 0.5*capacityBits {
+			t.Fatalf("%d flows: schedule does not load the link: %+v of %v bits capacity", flows, st, capacityBits)
+		}
 	}
 }
-
-// eInflightNotQueued is a helper placeholder for readability.
-func eInflightNotQueued(e *Emulator) map[int64]struct{} { return nil }
 
 func TestRTTMatchesPropagationWhenIdle(t *testing.T) {
 	// Very low rate: no queueing, RTT must be exactly 2*OWD.
@@ -181,6 +212,11 @@ func TestSetConditionsRejectsInvalid(t *testing.T) {
 		{BandwidthMbps: 0, OneWayDelayMs: 5},
 		{BandwidthMbps: 5, OneWayDelayMs: -1},
 		{BandwidthMbps: 5, OneWayDelayMs: 5, LossRate: 1.5},
+		{BandwidthMbps: math.NaN(), OneWayDelayMs: 5},
+		{BandwidthMbps: math.Inf(1), OneWayDelayMs: 5},
+		{BandwidthMbps: 5, OneWayDelayMs: math.NaN()},
+		{BandwidthMbps: 5, OneWayDelayMs: math.Inf(1)},
+		{BandwidthMbps: 5, OneWayDelayMs: 5, LossRate: math.NaN()},
 	} {
 		func() {
 			defer func() {
@@ -309,17 +345,5 @@ func TestConditionsChangeWhileQueueFull(t *testing.T) {
 	// 0.5 s at 1 Mbps ≈ 41 packets.
 	if d := after - before; d < 30 || d > 55 {
 		t.Fatalf("drained %d packets in 0.5s at 1 Mbps, want ~41", d)
-	}
-}
-
-func TestHighestAckedProgresses(t *testing.T) {
-	f := &fixedCC{rateBps: 5e6}
-	e := New(f, cfg(10, 10, 0, 64), mathxNew(103))
-	if e.HighestAcked() != -1 {
-		t.Fatal("fresh emulator should report -1")
-	}
-	e.Run(1)
-	if e.HighestAcked() < 10 {
-		t.Fatalf("HighestAcked %d after 1s at 5 Mbps", e.HighestAcked())
 	}
 }

@@ -27,7 +27,7 @@ const (
 	FluidBackend Backend = iota
 	// NetemBackend runs every client's transfers over a per-client
 	// congestion-control flow on one shared packet-granularity
-	// netem.MultiEmulator — the ABR-over-CC composition the unified clock
+	// netem.Emulator — the ABR-over-CC composition the unified clock
 	// makes possible. A chunk completes when its client's flow has
 	// delivered the chunk's bits since the request. Packet granularity
 	// costs O(packets), so this backend is for modest group sizes
@@ -179,7 +179,7 @@ type Group struct {
 	capUntil float64 // +Inf when capacity is constant
 
 	// netem backend.
-	em            *netem.MultiEmulator
+	em            *netem.Emulator
 	lastDelivered float64
 
 	qoeChunks *stats.Reservoir

@@ -14,9 +14,9 @@
 //     scheduled, independent of heap internals, which is what makes every
 //     run bit-for-bit reproducible.
 //   - Runner: anything that owns a queue and can advance its own virtual
-//     time to a deadline. netem.Emulator, netem.MultiEmulator and
-//     swarm.Group all implement it; a composite simulation advances its
-//     parts by interleaving their earliest events on one shared timeline.
+//     time to a deadline. netem.Emulator and swarm.Group implement it; a
+//     composite simulation advances its parts by interleaving their
+//     earliest events on one shared timeline.
 //
 // Queue deliberately avoids container/heap: pushing an event through an
 // `any` parameter boxes the struct and allocates, and the swarm hot loop is
@@ -74,14 +74,6 @@ func (q *Queue) PeekAt() (float64, bool) {
 	return q.h[0].At, true
 }
 
-// Peek returns the earliest pending event without removing it.
-func (q *Queue) Peek() (Event, bool) {
-	if len(q.h) == 0 {
-		return Event{}, false
-	}
-	return q.h[0], true
-}
-
 // Pop removes and returns the earliest pending event.
 func (q *Queue) Pop() (Event, bool) {
 	if len(q.h) == 0 {
@@ -104,15 +96,6 @@ func (q *Queue) PopIfAtOrBefore(deadline float64) (Event, bool) {
 		return Event{}, false
 	}
 	return q.Pop()
-}
-
-// Scan calls fn for every pending event, in no particular order. It is a
-// diagnostic aid (e.g. counting events of a kind), not an iteration order
-// anything may depend on.
-func (q *Queue) Scan(fn func(Event)) {
-	for i := range q.h {
-		fn(q.h[i])
-	}
 }
 
 func (q *Queue) less(i, j int) bool {
