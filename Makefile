@@ -13,11 +13,12 @@ test:
 vet:
 	$(GO) vet ./...
 
-# The concurrent code lives in the rollout lanes (internal/rl/lane.go, fanned
-# out by VecRunner.TrainIteration in internal/rl/vec.go) and the evaluation
-# fan-outs (internal/rl/evaluate.go, the EvaluateABR*
-# helpers in internal/core); the race detector over the full test suite —
-# which includes the W>1 golden tests — is the check that keeps them honest.
+# The concurrent code is the one fan-out, par.Run (internal/par), and what it
+# runs: the rollout lanes (internal/rl/lane.go, fanned out by
+# VecRunner.TrainIteration), the evaluation shards (core.EvaluateABR*, the CC
+# regression suite) and the swarm groups — plus the serving engine's shard
+# workers; the race detector over the full test suite — which includes the
+# W>1 golden tests — is the check that keeps them honest.
 race:
 	$(GO) test -race ./...
 
@@ -51,7 +52,10 @@ bench-ab:
 # and the seam's call), and internal/ declares exactly one TrainOptions
 # struct — a tenth hand-assembled trainer or a fourth options struct fails
 # here instead of in review. Likewise one emulator (internal/netem/netem.go):
-# a second handleAck method under internal/netem is a second emulator.
+# a second handleAck method under internal/netem is a second emulator. And one
+# fan-out (internal/par): recover() outside internal/par, in non-test code, is
+# a second containment, and a second PanicError struct under internal/ is a
+# second panic type.
 seam-check:
 	@n=$$(grep -rn 'NewPPO(' --include='*.go' --exclude-dir=.bench_build . | grep -v '_test\.go:' | grep -vc '^\./bench/e2e/'); \
 	if [ $$n -gt 2 ]; then echo "seam-check: NewPPO( on $$n non-test lines, want <= 2 (build trainers with rl.NewTrainer)"; exit 1; fi
@@ -59,6 +63,10 @@ seam-check:
 	if [ $$n -ne 1 ]; then echo "seam-check: $$n TrainOptions structs under internal/, want exactly 1 (rl.TrainOptions)"; exit 1; fi
 	@n=$$(grep -rn '^func (.*) handleAck(' --include='*.go' internal/netem | wc -l); \
 	if [ $$n -ne 1 ]; then echo "seam-check: $$n handleAck methods under internal/netem, want exactly 1 (one emulator)"; exit 1; fi
+	@f=$$(grep -rln 'recover()' --include='*.go' --exclude-dir=.bench_build . | grep -v '_test\.go$$' | grep -v '^\./internal/par/'); \
+	if [ -n "$$f" ]; then echo "seam-check: recover() outside internal/par in $$f (contain with par.Contain or par.Run)"; exit 1; fi
+	@n=$$(grep -rn 'PanicError struct' --include='*.go' internal | wc -l); \
+	if [ $$n -gt 1 ]; then echo "seam-check: $$n PanicError structs under internal/, want 1 (par.PanicError)"; exit 1; fi
 
 # Tier-1 verification: build + tests, plus vet, the race detector, the
 # benchmark's correctness and allocation check, and the structural seam check.

@@ -28,7 +28,7 @@ func main() {
 	tracesPath := flag.String("traces", "", "JSON trace dataset (from advtrain or SaveJSON)")
 	generate := flag.Int("generate", 0, "synthesize this many traces instead of reading a file")
 	kind := flag.String("kind", "random", "generator for -generate: random, fcc, 3g")
-	protos := flag.String("protocols", "bb,mpc,rate,bola", "comma-separated protocols")
+	protos := flag.String("protocols", "bb,mpc,rate,bola", "comma-separated protocols: "+abr.Names())
 	replay := flag.String("replay", "chunk", "replay semantic: chunk (per-chunk bandwidth) or wall (wall-time)")
 	seed := flag.Uint64("seed", 1, "seed for generation")
 	workers := flag.Int("workers", 1, "parallel evaluation sessions (>1 fans traces out across goroutines; results are identical for any value)")
@@ -63,18 +63,9 @@ func main() {
 	fmt.Printf("dataset %q: %d traces, %d-chunk video\n\n", ds.Name, len(ds.Traces), video.NumChunks())
 
 	for _, name := range strings.Split(*protos, ",") {
-		var p abr.Protocol
-		switch strings.TrimSpace(name) {
-		case "bb":
-			p = abr.NewBB()
-		case "mpc":
-			p = abr.NewMPC()
-		case "rate":
-			p = abr.NewRateBased()
-		case "bola":
-			p = abr.NewBOLA()
-		default:
-			log.Fatalf("unknown protocol %q (trained Pensieve models need the library API)", name)
+		p, err := abr.New(strings.TrimSpace(name))
+		if err != nil {
+			log.Fatalf("%v; trained Pensieve models need the library API", err)
 		}
 		var q []float64
 		if *replay == "chunk" {

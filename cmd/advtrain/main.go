@@ -5,7 +5,7 @@
 //
 //	advtrain -domain abr -target bb|mpc|rate|bola -o adversary.json [-traces-out traces.json -n 50]
 //	advtrain -domain abr -target pensieve -pretrain-iters 20 -workers 4 -o adversary.json
-//	advtrain -domain cc  -target bbr|cubic|reno -o adversary.json
+//	advtrain -domain cc  -target bbr|cubic|reno|copa|vivace|htcp -o adversary.json
 //
 // The pensieve target is trained from scratch on a synthetic FCC-like corpus
 // before the adversary attacks it; with -workers > 1 worker w streams shard w
@@ -30,7 +30,7 @@ import (
 func main() {
 	log.SetFlags(0)
 	domain := flag.String("domain", "abr", "abr or cc")
-	target := flag.String("target", "bb", "abr: bb|mpc|rate|bola|pensieve; cc: bbr|cubic|reno|copa|vivace|htcp")
+	target := flag.String("target", "bb", "abr: "+abr.Names()+"|pensieve; cc: "+cc.Names())
 	out := flag.String("o", "adversary.json", "output path for the trained adversary")
 	tracesOut := flag.String("traces-out", "", "also generate adversarial traces to this path (abr only)")
 	n := flag.Int("n", 50, "number of traces to generate with -traces-out")
@@ -64,16 +64,7 @@ func main() {
 	case "abr":
 		video := abr.NewVideo(mathx.NewRNG(1), abr.DefaultVideoConfig())
 		var proto abr.Protocol
-		switch *target {
-		case "bb":
-			proto = abr.NewBB()
-		case "mpc":
-			proto = abr.NewMPC()
-		case "rate":
-			proto = abr.NewRateBased()
-		case "bola":
-			proto = abr.NewBOLA()
-		case "pensieve":
+		if *target == "pensieve" {
 			corpus := trace.GenerateFCCLikeDataset(rng.Split(), trace.DefaultFCCLike(), 40, "fcc")
 			log.Printf("pretraining pensieve target on %d traces (%d workers, %d iterations)...",
 				len(corpus.Traces), *workers, *pretrainIters)
@@ -82,8 +73,8 @@ func main() {
 				log.Fatal(err)
 			}
 			proto = agent
-		default:
-			log.Fatalf("unknown abr target %q", *target)
+		} else if proto, err = abr.New(*target); err != nil {
+			log.Fatal(err)
 		}
 		log.Printf("training ABR adversary against %s for %d iterations (%d workers)...", proto.Name(), opt.Iterations, *workers)
 		adv, stats, err := core.TrainABRAdversary(video, proto, core.DefaultABRAdversaryConfig(), opt, rng)
@@ -104,23 +95,10 @@ func main() {
 		}
 
 	case "cc":
-		var newCC func() netem.CongestionController
-		switch *target {
-		case "bbr":
-			newCC = func() netem.CongestionController { return cc.NewBBR() }
-		case "cubic":
-			newCC = func() netem.CongestionController { return cc.NewCubic() }
-		case "reno":
-			newCC = func() netem.CongestionController { return cc.NewReno() }
-		case "copa":
-			newCC = func() netem.CongestionController { return cc.NewCopa() }
-		case "vivace":
-			newCC = func() netem.CongestionController { return cc.NewVivace() }
-		case "htcp":
-			newCC = func() netem.CongestionController { return cc.NewHTCP() }
-		default:
-			log.Fatalf("unknown cc target %q", *target)
+		if _, err := cc.New(*target); err != nil {
+			log.Fatal(err)
 		}
+		newCC := func() netem.CongestionController { c, _ := cc.New(*target); return c }
 		log.Printf("training CC adversary against %s for %d iterations (%d workers)...", *target, opt.Iterations, *workers)
 		adv, stats, err := core.TrainCCAdversary(newCC, core.DefaultCCAdversaryConfig(), opt, rng)
 		if err != nil {

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	cceval -protocol bbr|cubic|reno -traces trace.json          # replay a trace
+//	cceval -protocol bbr|cubic|reno|copa|vivace|htcp -traces trace.json  # replay a trace
 //	cceval -protocol bbr -bw 12 -lat 20 -loss 0.02 -dur 30      # constant link
 //	cceval -protocol bbr -adversary adv.json                    # online adversary
 package main
@@ -24,7 +24,7 @@ import (
 
 func main() {
 	log.SetFlags(0)
-	protocol := flag.String("protocol", "bbr", "bbr, cubic, reno, copa, vivace or htcp")
+	protocol := flag.String("protocol", "bbr", cc.Names())
 	tracesPath := flag.String("traces", "", "JSON trace dataset to replay (first trace)")
 	advPath := flag.String("adversary", "", "run online against this saved CC adversary")
 	bw := flag.Float64("bw", 12, "constant bandwidth Mbps")
@@ -35,24 +35,10 @@ func main() {
 	plot := flag.Bool("plot", true, "print ASCII throughput plot")
 	flag.Parse()
 
-	newCC := func() netem.CongestionController {
-		switch *protocol {
-		case "bbr":
-			return cc.NewBBR()
-		case "cubic":
-			return cc.NewCubic()
-		case "reno":
-			return cc.NewReno()
-		case "copa":
-			return cc.NewCopa()
-		case "vivace":
-			return cc.NewVivace()
-		case "htcp":
-			return cc.NewHTCP()
-		}
-		log.Fatalf("unknown protocol %q", *protocol)
-		return nil
+	if _, err := cc.New(*protocol); err != nil {
+		log.Fatal(err)
 	}
+	newCC := func() netem.CongestionController { c, _ := cc.New(*protocol); return c }
 
 	var samples []cc.Sample
 	switch {

@@ -24,18 +24,11 @@ import (
 )
 
 func protocolByName(name string) abr.Protocol {
-	switch name {
-	case "bb":
-		return abr.NewBB()
-	case "mpc":
-		return abr.NewMPC()
-	case "rate":
-		return abr.NewRateBased()
-	case "bola":
-		return abr.NewBOLA()
+	p, err := abr.New(name)
+	if err != nil {
+		log.Fatal(err)
 	}
-	log.Fatalf("unknown protocol %q", name)
-	return nil
+	return p
 }
 
 func main() {
@@ -50,7 +43,7 @@ func main() {
 	case "record":
 		fs := flag.NewFlagSet("record", flag.ExitOnError)
 		tracesPath := fs.String("traces", "", "adversarial trace dataset (JSON)")
-		protoName := fs.String("protocol", "bb", "protocol to record: bb|mpc|rate|bola")
+		protoName := fs.String("protocol", "bb", "protocol to record: "+abr.Names())
 		out := fs.String("o", "suite.json", "output suite path")
 		rtt := fs.Float64("rtt", 0.08, "round-trip seconds")
 		workers := fs.Int("workers", 1, "parallel evaluation sessions (baseline is identical for any value)")
@@ -75,7 +68,7 @@ func main() {
 	case "check":
 		fs := flag.NewFlagSet("check", flag.ExitOnError)
 		suitePath := fs.String("suite", "suite.json", "suite recorded by `regress record`")
-		protoName := fs.String("protocol", "bb", "protocol to check")
+		protoName := fs.String("protocol", "bb", "protocol to check: "+abr.Names())
 		tolerance := fs.Float64("tolerance", 0.1, "allowed mean-QoE drop before failing")
 		workers := fs.Int("workers", 1, "parallel evaluation sessions (measurements are identical for any value)")
 		_ = fs.Parse(os.Args[2:])

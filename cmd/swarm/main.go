@@ -36,43 +36,17 @@ import (
 // MPC's exhaustive lookahead makes it ~50x costlier per decision than the
 // heuristics, which dominates wall time at 100k-client scale).
 func protocolFactory(spec string) (func(int) abr.Protocol, error) {
-	mk := map[string]func() abr.Protocol{
-		"bb":   func() abr.Protocol { return abr.NewBB() },
-		"rate": func() abr.Protocol { return abr.NewRateBased() },
-		"bola": func() abr.Protocol { return abr.NewBOLA() },
-		"mpc":  func() abr.Protocol { return abr.NewMPC() },
-	}
 	if spec == "mixed" {
 		spec = "bb,rate,bola,mpc"
 	}
 	names := strings.Split(spec, ",")
-	order := make([]func() abr.Protocol, len(names))
 	for i, name := range names {
-		f, ok := mk[strings.TrimSpace(name)]
-		if !ok {
-			return nil, fmt.Errorf("unknown protocol %q (bb|rate|bola|mpc, comma-separable, or mixed)", name)
+		names[i] = strings.TrimSpace(name)
+		if _, err := abr.New(names[i]); err != nil {
+			return nil, fmt.Errorf("%w, comma-separable, or mixed", err)
 		}
-		order[i] = f
 	}
-	return func(i int) abr.Protocol { return order[i%len(order)]() }, nil
-}
-
-func ccFactory(name string) (func() netem.CongestionController, error) {
-	switch name {
-	case "reno":
-		return func() netem.CongestionController { return cc.NewReno() }, nil
-	case "cubic":
-		return func() netem.CongestionController { return cc.NewCubic() }, nil
-	case "bbr":
-		return func() netem.CongestionController { return cc.NewBBR() }, nil
-	case "copa":
-		return func() netem.CongestionController { return cc.NewCopa() }, nil
-	case "htcp":
-		return func() netem.CongestionController { return cc.NewHTCP() }, nil
-	case "vivace":
-		return func() netem.CongestionController { return cc.NewVivace() }, nil
-	}
-	return nil, fmt.Errorf("unknown congestion controller %q (reno|cubic|bbr|copa|htcp|vivace)", name)
+	return func(i int) abr.Protocol { p, _ := abr.New(names[i%len(names)]); return p }, nil
 }
 
 func main() {
@@ -81,7 +55,7 @@ func main() {
 	groups := flag.Int("groups", 1024, "independent shared bottlenecks")
 	workers := flag.Int("workers", 0, "OS parallelism (0 = GOMAXPROCS); never changes results")
 	seed := flag.Uint64("seed", 1, "master seed; same seed = bitwise-identical report")
-	protocol := flag.String("protocol", "mixed", "ABR protocol per client: bb|rate|bola|mpc|mixed, or serve (all clients share one policy-serving engine)")
+	protocol := flag.String("protocol", "mixed", "ABR protocol per client: "+abr.Names()+", comma-separable, mixed, or serve (all clients share one policy-serving engine)")
 	policyPath := flag.String("policy", "", "policy file for -protocol serve (empty = fresh random Pensieve net from -seed)")
 	deadline := flag.Duration("deadline", 2*time.Millisecond, "per-decision serving deadline for -protocol serve (shed decisions fall back to BB); 0 disables")
 	serveWorkers := flag.Int("serve-workers", 0, "engine shard workers for -protocol serve (0 = GOMAXPROCS)")
@@ -91,7 +65,7 @@ func main() {
 	rtt := flag.Float64("rtt", 0.08, "per-chunk request RTT in seconds (fluid backend)")
 	window := flag.Float64("window", 30, "client start stagger window in seconds")
 	backend := flag.String("backend", "fluid", "bottleneck model: fluid|netem")
-	ccName := flag.String("cc", "cubic", "congestion controller per client (netem backend)")
+	ccName := flag.String("cc", "cubic", "congestion controller per client (netem backend): "+cc.Names())
 	delay := flag.Float64("delay", 20, "one-way propagation delay in ms (netem backend)")
 	loss := flag.Float64("loss", 0, "random loss rate (netem backend)")
 	queue := flag.Int("queue", 64, "bottleneck queue in packets (netem backend)")
@@ -148,11 +122,10 @@ func main() {
 		cfg.OneWayDelayMs = *delay
 		cfg.LossRate = *loss
 		cfg.QueuePackets = *queue
-		newCC, err := ccFactory(*ccName)
-		if err != nil {
+		if _, err := cc.New(*ccName); err != nil {
 			log.Fatal(err)
 		}
-		cfg.NewCC = newCC
+		cfg.NewCC = func() netem.CongestionController { c, _ := cc.New(*ccName); return c }
 	default:
 		log.Fatalf("unknown backend %q (fluid|netem)", *backend)
 	}

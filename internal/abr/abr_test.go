@@ -2,6 +2,7 @@ package abr
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -588,5 +589,22 @@ func TestObservationHistoriesAligned(t *testing.T) {
 				len(o.ThroughputHist), len(o.DownloadHist), i)
 		}
 		s.Step(1)
+	}
+}
+
+// TestNewByName: every name in the table round-trips through New(name).Name(),
+// and an unknown name is an error.
+func TestNewByName(t *testing.T) {
+	for _, name := range strings.Split(Names(), "|") {
+		p, err := New(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Name() != name {
+			t.Fatalf("New(%q).Name() = %q", name, p.Name())
+		}
+	}
+	if _, err := New("pensieve"); err == nil {
+		t.Fatal("New accepted pensieve, which needs a trained policy")
 	}
 }

@@ -287,3 +287,24 @@ func TestProtocolNames(t *testing.T) {
 		t.Fatal("protocol names wrong")
 	}
 }
+
+// TestNewByName: every name in the table round-trips through New(name).Name(),
+// and an unknown name is an error.
+func TestNewByName(t *testing.T) {
+	names := strings.Split(Names(), "|")
+	if len(names) != 6 {
+		t.Fatalf("Names() = %q, want the six shipped controllers", Names())
+	}
+	for _, name := range names {
+		c, err := New(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := c.(interface{ Name() string }).Name(); got != name {
+			t.Fatalf("New(%q).Name() = %q", name, got)
+		}
+	}
+	if _, err := New("vegas"); err == nil {
+		t.Fatal("New accepted an unknown controller")
+	}
+}

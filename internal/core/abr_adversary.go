@@ -37,12 +37,9 @@ type ABRAdversaryConfig struct {
 	Hidden []int
 	// InitLogStd is the initial exploration scale of the Gaussian policy.
 	InitLogStd float64
-	// NaiveReward drops the r_opt term from Eq. 1, rewarding −r_protocol −
-	// p_smoothing alone. §2.1 argues this degenerates into trivially
-	// hostile traces; the AblationOptBaseline experiment measures it.
-	NaiveReward bool
 	// Goal selects the adversary's objective (§5 "Different adversarial
-	// goals"); the default ABRGoalRegret is Eq. 1.
+	// goals"); the default ABRGoalRegret is Eq. 1, and ABRGoalNaive is the
+	// §2.1 ablation that drops its r_opt term.
 	Goal ABRGoal
 }
 
@@ -189,7 +186,7 @@ func (e *ABREnv) reward() float64 {
 	}
 
 	rOpt := 0.0
-	if !e.cfg.NaiveReward {
+	if e.cfg.Goal != ABRGoalNaive {
 		rOpt = abr.WindowOptimal(
 			e.video, e.ses.QoE, start,
 			e.bwHist[start:t+1], e.cfg.RTTSeconds,
@@ -299,10 +296,11 @@ func TrainABRAdversary(video *abr.Video, target abr.Protocol, cfg ABRAdversaryCo
 	return &ABRAdversary{Policy: ppo.Policy.(*rl.GaussianPolicy), Cfg: cfg}, stats, nil
 }
 
-// cloneTargets returns one protocol instance per rollout lane: lane 0 drives
-// the original target, higher lanes drive clones (protocols carry per-session
-// state and evaluation scratch, so instances must not be shared across
-// goroutines). The target must implement abr.CloneableProtocol when lanes > 1.
+// cloneTargets returns one protocol instance per rollout lane or evaluation
+// worker: lane 0 drives the original target, higher lanes drive clones
+// (protocols carry per-session state and evaluation scratch, so instances
+// must not be shared across goroutines). The target must implement
+// abr.CloneableProtocol when lanes > 1.
 func cloneTargets(target abr.Protocol, lanes int) ([]abr.Protocol, error) {
 	targets := []abr.Protocol{target}
 	for i := 1; i < lanes; i++ {
@@ -328,13 +326,6 @@ func ABREnvFactory(video *abr.Video, target abr.Protocol, cfg ABRAdversaryConfig
 	return func(worker int) rl.Env {
 		return NewABREnv(video, targets[worker], cfg)
 	}, nil
-}
-
-// TrainABRAdversaryNaive trains an adversary with the naive −r_protocol
-// reward (no optimum baseline), used by the reward-definition ablation.
-func TrainABRAdversaryNaive(video *abr.Video, target abr.Protocol, cfg ABRAdversaryConfig, opt TrainOptions, rng *mathx.RNG) (*ABRAdversary, []rl.IterStats, error) {
-	cfg.NaiveReward = true
-	return TrainABRAdversary(video, target, cfg, opt, rng)
 }
 
 // GenerateTrace runs the adversary online against the target for one episode

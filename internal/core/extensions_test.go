@@ -1,20 +1,23 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 
 	"advnet/internal/abr"
 	"advnet/internal/cc"
 	"advnet/internal/mathx"
 	"advnet/internal/netem"
+	"advnet/internal/par"
 	"advnet/internal/trace"
 )
 
 func TestGoalStrings(t *testing.T) {
 	if ABRGoalRegret.String() != "regret" || ABRGoalRebuffering.String() != "rebuffering" ||
-		ABRGoalLowBitrate.String() != "low-bitrate" {
+		ABRGoalLowBitrate.String() != "low-bitrate" || ABRGoalNaive.String() != "naive" {
 		t.Fatal("ABR goal names")
 	}
 	if CCGoalUnderutilization.String() != "underutilization" || CCGoalCongestion.String() != "congestion" {
@@ -298,6 +301,34 @@ func TestCCRegressionSuite(t *testing.T) {
 	}
 	if u2 < 0 || u2 > 1 {
 		t.Fatalf("reno utilization %v", u2)
+	}
+}
+
+// panickyBBR is a controller bug: BBR that panics on its first ack.
+type panickyBBR struct{ *cc.BBR }
+
+func (panickyBBR) OnAck(netem.Ack) { panic("injected controller fault") }
+
+// TestCCRegressionSuitePanicContained: a controller that panics in one
+// episode comes back as a *par.PanicError naming a worker instead of
+// crashing the process.
+func TestCCRegressionSuitePanicContained(t *testing.T) {
+	adv := NewCCAdversary(mathx.NewRNG(51), DefaultCCAdversaryConfig())
+	adv.Cfg.EpisodeSteps = 200
+	var built atomic.Int32
+	newCC := func() netem.CongestionController {
+		if built.Add(1) == 3 {
+			return panickyBBR{cc.NewBBR()}
+		}
+		return cc.NewBBR()
+	}
+	_, err := NewCCRegressionSuite("bbr", adv, newCC, 4, 99, 2)
+	var perr *par.PanicError
+	if !errors.As(err, &perr) {
+		t.Fatalf("err = %v, want *par.PanicError", err)
+	}
+	if perr.Index != 0 && perr.Index != 1 {
+		t.Fatalf("panic attributed to worker %d, want 0 or 1", perr.Index)
 	}
 }
 

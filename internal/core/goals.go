@@ -14,13 +14,17 @@ type ABRGoal int
 const (
 	// ABRGoalRegret is Eq. 1: r_opt − r_protocol − p_smoothing (default).
 	ABRGoalRegret ABRGoal = iota
-	// ABRGoalRebuffering rewards stall time caused per window, while still
-	// requiring headroom (the optimal policy must not have rebuffered) so
-	// the example stays non-trivial.
+	// ABRGoalRebuffering rewards the protocol's stall seconds over the
+	// window, minus p_smoothing.
 	ABRGoalRebuffering
-	// ABRGoalLowBitrate rewards forcing the protocol to play low bitrates
-	// relative to the bitrate the optimal policy would sustain.
+	// ABRGoalLowBitrate rewards the mean gap between the offered bandwidth
+	// and the protocol's played bitrate (Mbps) over the window, minus
+	// p_smoothing.
 	ABRGoalLowBitrate
+	// ABRGoalNaive is Eq. 1 without its r_opt term: −r_protocol −
+	// p_smoothing. §2.1 argues this degenerates into trivially hostile
+	// traces; the AblationOptBaseline experiment measures it.
+	ABRGoalNaive
 )
 
 // String returns the goal's name.
@@ -32,6 +36,8 @@ func (g ABRGoal) String() string {
 		return "rebuffering"
 	case ABRGoalLowBitrate:
 		return "low-bitrate"
+	case ABRGoalNaive:
+		return "naive"
 	default:
 		return "unknown"
 	}

@@ -4,12 +4,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"sync"
 
 	"advnet/internal/abr"
 	"advnet/internal/fsx"
 	"advnet/internal/mathx"
 	"advnet/internal/netem"
+	"advnet/internal/par"
 	"advnet/internal/rl"
 	"advnet/internal/stats"
 	"advnet/internal/trace"
@@ -137,53 +137,39 @@ func NewCCRegressionSuite(name string, adv *CCAdversary, newCC func() netem.Cong
 	return s, nil
 }
 
+// measure runs the suite's episodes, worker w playing episodes w, w+W, …
+// with its own policy clone; a panicking controller surfaces as a
+// *par.PanicError naming the worker.
 func (s *CCRegressionSuite) measure(newCC func() netem.CongestionController, workers int) (float64, error) {
 	if s.Episodes <= 0 {
 		return 0, fmt.Errorf("core: CC regression suite has no episodes")
 	}
+	workers = min(max(workers, 1), s.Episodes)
+	advs := make([]*CCAdversary, workers)
+	advs[0] = s.Adversary
+	for w := 1; w < workers; w++ {
+		clone, err := rl.ClonePolicy(s.Adversary.Policy)
+		if err != nil {
+			return 0, fmt.Errorf("core: parallel CC regression: %w", err)
+		}
+		advs[w] = &CCAdversary{Policy: clone.(*rl.GaussianPolicy), Cfg: s.Adversary.Cfg}
+	}
 	// Per-episode utilizations indexed by episode so the final fold is in
 	// episode order regardless of which worker ran which episode.
 	utils := make([]float64, s.Episodes)
-	episode := func(adv *CCAdversary, ep int) {
-		records := adv.RunEpisode(newCC, mathx.NewRNG(s.Seed+uint64(ep)), true)
-		skip := len(records) / 3
-		var u float64
-		for _, r := range records[skip:] {
-			u += r.Utilization
-		}
-		utils[ep] = u / float64(len(records)-skip)
-	}
-	if workers > s.Episodes {
-		workers = s.Episodes
-	}
-	if workers <= 1 {
-		for ep := 0; ep < s.Episodes; ep++ {
-			episode(s.Adversary, ep)
-		}
-	} else {
-		advs := make([]*CCAdversary, workers)
-		advs[0] = s.Adversary
-		for w := 1; w < workers; w++ {
-			clone, err := rl.ClonePolicy(s.Adversary.Policy)
-			if err != nil {
-				return 0, fmt.Errorf("core: parallel CC regression: %w", err)
+	if err := par.Run(workers, func(w int) error {
+		for ep := w; ep < s.Episodes; ep += workers {
+			records := advs[w].RunEpisode(newCC, mathx.NewRNG(s.Seed+uint64(ep)), true)
+			skip := len(records) / 3
+			var u float64
+			for _, r := range records[skip:] {
+				u += r.Utilization
 			}
-			advs[w] = &CCAdversary{Policy: clone.(*rl.GaussianPolicy), Cfg: s.Adversary.Cfg}
+			utils[ep] = u / float64(len(records)-skip)
 		}
-		var wg sync.WaitGroup
-		for w := 1; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for ep := w; ep < s.Episodes; ep += workers {
-					episode(advs[w], ep)
-				}
-			}(w)
-		}
-		for ep := 0; ep < s.Episodes; ep += workers {
-			episode(advs[0], ep)
-		}
-		wg.Wait()
+		return nil
+	}); err != nil {
+		return 0, err
 	}
 	return mathx.Sum(utils) / float64(s.Episodes), nil
 }

@@ -8,6 +8,7 @@ import (
 	"advnet/internal/abr"
 	"advnet/internal/faults"
 	"advnet/internal/mathx"
+	"advnet/internal/par"
 	"advnet/internal/rl"
 	"advnet/internal/trace"
 )
@@ -170,12 +171,12 @@ func TestEvaluateABRShardPanicContained(t *testing.T) {
 	if err == nil {
 		t.Fatal("panicking shard reported no error")
 	}
-	var wpe *rl.WorkerPanicError
+	var wpe *par.PanicError
 	if !errors.As(err, &wpe) {
-		t.Fatalf("error %T is not a WorkerPanicError: %v", err, err)
+		t.Fatalf("error %T is not a par.PanicError: %v", err, err)
 	}
-	if wpe.Worker != 1 || len(wpe.Stack) == 0 {
-		t.Fatalf("panic attributed to worker %d (stack %d bytes), want worker 1", wpe.Worker, len(wpe.Stack))
+	if wpe.Index != 1 || len(wpe.Stack) == 0 {
+		t.Fatalf("panic attributed to worker %d (stack %d bytes), want worker 1", wpe.Index, len(wpe.Stack))
 	}
 
 	qoes, err := EvaluateABR(v, ds, p, 0.08, 2)

@@ -3,12 +3,11 @@ package core
 import (
 	"fmt"
 	"path/filepath"
-	"runtime/debug"
-	"sync"
 
 	"advnet/internal/abr"
 	"advnet/internal/faults"
 	"advnet/internal/mathx"
+	"advnet/internal/par"
 	"advnet/internal/rl"
 	"advnet/internal/trace"
 )
@@ -250,64 +249,31 @@ func EvaluateABRChunked(video *abr.Video, dataset *trace.Dataset, p abr.Protocol
 // EvaluateABRChunked, parameterized by the link constructor. Every session
 // starts with p.Reset() (inside abr.RunSession) and clones carry no session
 // state, so per-trace results do not depend on which worker runs them or in
-// what order — the determinism contract the golden tests pin.
+// what order — the determinism contract the golden tests pin. Each shard is
+// contained by par.Run: a corrupted trace or a protocol bug surfaces as a
+// *par.PanicError naming the shard instead of taking the process down.
 func evaluateABR(video *abr.Video, dataset *trace.Dataset, p abr.Protocol, workers int, mkLink func(*trace.Trace) abr.Link) ([]float64, error) {
 	if dataset == nil || len(dataset.Traces) == 0 {
 		return nil, fmt.Errorf("core: evaluate %s on empty dataset", p.Name())
 	}
 	n := len(dataset.Traces)
-	if workers > n {
-		workers = n
+	workers = min(max(workers, 1), n)
+	protos, err := cloneTargets(p, workers)
+	if err != nil {
+		return nil, fmt.Errorf("core: parallel evaluate: %w", err)
 	}
 	out := make([]float64, n)
-	// Each shard recovers its own panics (a corrupted trace or a protocol
-	// bug must not take the process down with it) and converts them into a
-	// *rl.WorkerPanicError naming the shard.
-	shard := func(p abr.Protocol, w, stride int) (err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				err = &rl.WorkerPanicError{Worker: w, Value: r, Stack: debug.Stack()}
-			}
-		}()
-		for i := w; i < n; i += stride {
+	if err := par.Run(workers, func(w int) error {
+		for i := w; i < n; i += workers {
 			if ferr := faults.Fire("core.eval.shard", w, i); ferr != nil {
 				return ferr
 			}
-			s := abr.RunSession(video, mkLink(dataset.Traces[i]), abr.DefaultSessionConfig(), p)
+			s := abr.RunSession(video, mkLink(dataset.Traces[i]), abr.DefaultSessionConfig(), protos[w])
 			out[i] = s.MeanQoE()
 		}
 		return nil
-	}
-	if workers <= 1 {
-		if err := shard(p, 0, 1); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-	clones := make([]abr.Protocol, workers)
-	clones[0] = p
-	for w := 1; w < workers; w++ {
-		c, err := abr.CloneProtocol(p)
-		if err != nil {
-			return nil, fmt.Errorf("core: parallel evaluate: %w", err)
-		}
-		clones[w] = c
-	}
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 1; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			errs[w] = shard(clones[w], w, workers)
-		}(w)
-	}
-	errs[0] = shard(p, 0, workers)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	}); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

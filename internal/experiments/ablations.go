@@ -102,13 +102,11 @@ func AblationOptBaseline(cfg Config) (*OptBaselineAblation, error) {
 		// "network which drops every packet" degenerate case must be
 		// *reachable* for the naive reward to fall into it).
 		acfg.BandwidthLo = 0.05
-		target := abr.NewMPC()
-		var adv *core.ABRAdversary
-		if useOpt {
-			adv, _, err = core.TrainABRAdversary(video, target, acfg, opt, mathx.NewRNG(cfg.Seed+810))
-		} else {
-			adv, _, err = core.TrainABRAdversaryNaive(video, target, acfg, opt, mathx.NewRNG(cfg.Seed+810))
+		if !useOpt {
+			acfg.Goal = core.ABRGoalNaive
 		}
+		target := abr.NewMPC()
+		adv, _, err := core.TrainABRAdversary(video, target, acfg, opt, mathx.NewRNG(cfg.Seed+810))
 		if err != nil {
 			return 0, 0, err
 		}

@@ -59,8 +59,8 @@ func Armed() bool { return active.Load() > 0 }
 
 // Fire triggers the hook installed at point, if any. It returns nil when no
 // hook is installed. A hook that panics propagates the panic to the caller —
-// that is the point: the call site's recover() machinery is what is under
-// test.
+// that is the point: the call site's containment (par.Contain) is what is
+// under test.
 func Fire(point string, args ...any) error {
 	if active.Load() == 0 {
 		return nil

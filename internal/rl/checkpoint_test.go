@@ -11,6 +11,7 @@ import (
 	"advnet/internal/faults"
 	"advnet/internal/mathx"
 	"advnet/internal/nn"
+	"advnet/internal/par"
 )
 
 // ckptTargetEnv is targetEnv with mid-episode checkpoint support: episodes
@@ -471,7 +472,7 @@ func TestCheckpointLoadRejects(t *testing.T) {
 }
 
 // TestVecWorkerPanicContained: an injected panic inside worker 2's rollout
-// must surface as a *WorkerPanicError naming worker 2 — the process
+// must surface as a *par.PanicError naming worker 2 — the process
 // survives, and the runner keeps working afterwards.
 func TestVecWorkerPanicContained(t *testing.T) {
 	p, _, _, factory := newVecFixture(64)
@@ -488,12 +489,12 @@ func TestVecWorkerPanicContained(t *testing.T) {
 	_, err = v.TrainIteration()
 	faults.Clear("rl.vec.collect")
 
-	var wpe *WorkerPanicError
+	var wpe *par.PanicError
 	if !errors.As(err, &wpe) {
-		t.Fatalf("err = %v, want *WorkerPanicError", err)
+		t.Fatalf("err = %v, want *par.PanicError", err)
 	}
-	if wpe.Worker != 2 {
-		t.Fatalf("panic attributed to worker %d, want 2", wpe.Worker)
+	if wpe.Index != 2 {
+		t.Fatalf("panic attributed to worker %d, want 2", wpe.Index)
 	}
 	if len(wpe.Stack) == 0 {
 		t.Fatal("no stack captured")
@@ -510,42 +511,6 @@ func TestVecWorkerPanicContained(t *testing.T) {
 	}
 	if stats.Steps != 64 {
 		t.Fatalf("post-recovery iteration collected %d steps, want 64", stats.Steps)
-	}
-}
-
-// TestParallelEvaluatePanicContained mirrors the rollout containment for
-// evaluation shards.
-func TestParallelEvaluatePanicContained(t *testing.T) {
-	rng := mathx.NewRNG(3)
-	policy := NewCategoricalPolicy(nn.NewMLP(rng, []int{1, 2}, nn.Identity))
-	envs := []Env{
-		&banditEnv{rewards: []float64{0.3, 0.9}},
-		&banditEnv{rewards: []float64{0.3, 0.9}},
-	}
-	faults.Set("rl.eval.episode", func(args ...any) error {
-		if args[0].(int) == 1 {
-			panic("injected eval fault")
-		}
-		return nil
-	})
-	_, err := ParallelEvaluate(policy, envs, 8, 2)
-	faults.Clear("rl.eval.episode")
-
-	var wpe *WorkerPanicError
-	if !errors.As(err, &wpe) {
-		t.Fatalf("err = %v, want *WorkerPanicError", err)
-	}
-	if wpe.Worker != 1 {
-		t.Fatalf("panic attributed to worker %d, want 1", wpe.Worker)
-	}
-
-	// Evaluation still works once the fault is cleared.
-	st, err := ParallelEvaluate(policy, envs, 8, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Episodes != 8 {
-		t.Fatalf("Episodes = %d, want 8", st.Episodes)
 	}
 }
 

@@ -6,7 +6,11 @@
 // adversaries and its RL-based protocols with.
 package rl
 
-import "fmt"
+import (
+	"fmt"
+
+	"advnet/internal/mathx"
+)
 
 // ActionSpec describes an environment's action space. Exactly one of the
 // discrete or continuous forms applies.
@@ -72,4 +76,31 @@ type Env interface {
 	ObservationSize() int
 	// ActionSpec describes the action space.
 	ActionSpec() ActionSpec
+}
+
+// RunEpisode is the one episode driver: reset, then act (a sample drawn from
+// rng when stochastic, the policy's mode otherwise — rng may then be nil)
+// and step until the environment reports done. onStep, when non-nil, sees
+// every action before the environment applies it. It returns the total
+// reward and the episode length in steps.
+func RunEpisode(policy Policy, env Env, rng *mathx.RNG, stochastic bool, onStep func(action []float64)) (total float64, length int) {
+	obs := env.Reset()
+	for {
+		var action []float64
+		if stochastic {
+			action, _ = policy.Sample(rng, obs)
+		} else {
+			action = policy.Mode(obs)
+		}
+		if onStep != nil {
+			onStep(action)
+		}
+		next, reward, done := env.Step(action)
+		total += reward
+		length++
+		if done {
+			return total, length
+		}
+		obs = next
+	}
 }

@@ -3,11 +3,11 @@ package rl
 import (
 	"encoding/json"
 	"fmt"
-	"runtime/debug"
 
 	"advnet/internal/faults"
 	"advnet/internal/mathx"
 	"advnet/internal/nn"
+	"advnet/internal/par"
 )
 
 // Lane is the one rollout unit: a policy/value pair, an RNG stream, an
@@ -47,7 +47,6 @@ type Lane struct {
 	// The last collect's outcome, read after join.
 	cs        collectStats
 	lastValue float64 // GAE bootstrap value
-	err       error
 }
 
 // collectStats aggregates what one collect call observed.
@@ -125,12 +124,11 @@ func (l *Lane) rollout(steps int) collectStats {
 	return st
 }
 
-// collect runs the lane's rollout share and its GAE with panic containment:
-// a panic anywhere inside (environment step, policy forward pass, buffer
-// append) is recovered into a *WorkerPanicError that names the lane and
-// carries the stack, instead of killing the process.
-func (l *Lane) collect(lane, steps int) (err error) {
-	defer containPanic(lane, &err)
+// collect runs the lane's rollout share and its GAE. Its callers contain
+// it: a panic anywhere inside (environment step, policy forward pass, buffer
+// append) becomes a *par.PanicError that names the lane and carries the
+// stack, instead of killing the process.
+func (l *Lane) collect(lane, steps int) error {
 	if faults.Armed() {
 		if ferr := faults.Fire("rl.vec.collect", lane); ferr != nil {
 			return ferr
@@ -144,13 +142,6 @@ func (l *Lane) collect(lane, steps int) (err error) {
 	}
 	l.buf.computeGAE(l.gamma, l.lambda, l.lastValue)
 	return nil
-}
-
-// containPanic, deferred, turns a panic into a *WorkerPanicError in *err.
-func containPanic(lane int, err *error) {
-	if r := recover(); r != nil {
-		*err = &WorkerPanicError{Worker: lane, Value: r, Stack: debug.Stack()}
-	}
 }
 
 // abandon discards the lane's partially-collected rollout and pending
@@ -289,10 +280,10 @@ type RolloutBatch struct {
 
 // Collect runs the lane's rollout share (see collect) and returns it as a
 // batch together with the lane's post-collect state. A panic inside comes
-// back as a *WorkerPanicError naming the lane — the serving process survives
+// back as a *par.PanicError naming the lane — the serving process survives
 // and reports the failure instead of dying.
 func (l *Lane) Collect(lane, steps int) (_ *RolloutBatch, err error) {
-	defer containPanic(lane, &err) // the export and the env's EnvState, too
+	defer par.Contain(lane, &err) // the export and the env's EnvState, too
 	if err := l.collect(lane, steps); err != nil {
 		return nil, err
 	}

@@ -140,7 +140,7 @@ func (p *PPO) sequential(env Env) *VecRunner {
 
 // TrainIteration collects one rollout from env and performs the PPO update,
 // returning iteration statistics. A panic inside the environment or policy
-// propagates (as the *WorkerPanicError the lane contained it in).
+// propagates (as the *par.PanicError the lane's fan-out contained it in).
 func (p *PPO) TrainIteration(env Env) IterStats {
 	stats, err := p.sequential(env).TrainIteration()
 	if err != nil {

@@ -195,24 +195,19 @@ func TestPPOConfigValidation(t *testing.T) {
 	}
 }
 
+// TestEvaluateDeterministic: deterministic evaluation — RunEpisode with
+// stochastic false and no RNG — plays the policy's mode every episode.
 func TestEvaluateDeterministic(t *testing.T) {
 	rng := mathx.NewRNG(3)
 	env := &banditEnv{rewards: []float64{0.3, 0.9}}
 	policy := NewCategoricalPolicy(nn.NewMLP(rng, []int{1, 2}, nn.Identity))
-	st := Evaluate(policy, env, 10)
-	if st.Episodes != 10 {
-		t.Errorf("Episodes = %d", st.Episodes)
-	}
 	mode := int(policy.Mode([]float64{1})[0])
 	want := env.rewards[mode]
-	if math.Abs(st.MeanReward-want) > 1e-12 {
-		t.Errorf("MeanReward = %v, want %v", st.MeanReward, want)
-	}
-	if st.StdReward > 1e-12 {
-		t.Errorf("deterministic eval has nonzero std %v", st.StdReward)
-	}
-	if st.MeanEpLength != 1 {
-		t.Errorf("MeanEpLength = %v", st.MeanEpLength)
+	for ep := 0; ep < 10; ep++ {
+		total, length := RunEpisode(policy, env, nil, false, nil)
+		if total != want || length != 1 {
+			t.Fatalf("episode %d: reward %v over %d steps, want %v over 1", ep, total, length, want)
+		}
 	}
 }
 
@@ -265,5 +260,38 @@ func TestPPOEnvSwitchResets(t *testing.T) {
 		if got := c.env.resets - before; got != want {
 			t.Fatalf("iteration %d: %d resets for %d completed episodes, want %d", i, got, stats.Episodes, want)
 		}
+	}
+}
+
+// TestPPOValueLossReportsOptimizedObjective asserts the reported ValueLoss
+// is the quantity the optimizer descends — c_V·0.5·(V−ret)² — by checking
+// that halving ValueCoef exactly halves the first iteration's reported
+// ValueLoss. One epoch over a single full-buffer minibatch means every value
+// forward pass sees the identical pre-update parameters in both runs, and
+// ValueCoef ∈ {0.5, 1.0} (powers of two) keeps the scaling exact in floating
+// point, so the relationship holds bitwise, not just approximately.
+func TestPPOValueLossReportsOptimizedObjective(t *testing.T) {
+	run := func(coef float64) float64 {
+		rng := mathx.NewRNG(9)
+		env := &banditEnv{rewards: []float64{0, 1, 0.5}}
+		policy := NewCategoricalPolicy(nn.NewMLP(rng, []int{1, 4, 3}, nn.Tanh))
+		value := nn.NewMLP(rng, []int{1, 4, 1}, nn.Tanh)
+		cfg := DefaultPPOConfig()
+		cfg.RolloutSteps = 32
+		cfg.Epochs = 1
+		cfg.MinibatchSize = 32
+		cfg.ValueCoef = coef
+		p, err := NewPPO(policy, value, cfg, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p.TrainIteration(env).ValueLoss
+	}
+	half, full := run(0.5), run(1.0)
+	if full <= 0 {
+		t.Fatalf("degenerate fixture: ValueLoss %v", full)
+	}
+	if half != 0.5*full {
+		t.Fatalf("ValueLoss not scaled by ValueCoef: coef=0.5 gives %v, coef=1.0 gives %v", half, full)
 	}
 }

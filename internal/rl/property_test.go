@@ -96,13 +96,17 @@ func TestGaussianLogStdClampProperty(t *testing.T) {
 	}
 }
 
-// TestEvaluateMatchesManualRollout: Evaluate's mean reward equals a manual
-// deterministic rollout.
+// TestEvaluateMatchesManualRollout: RunEpisode's deterministic total equals
+// a manual rollout of the policy's mode, and onStep sees every action.
 func TestEvaluateMatchesManualRollout(t *testing.T) {
 	rng := mathx.NewRNG(79)
 	env := &targetEnv{target: 0.5, horizon: 6}
 	p := NewGaussianPolicy(nn.NewMLP(rng, []int{1, 4, 1}, nn.Tanh), -1)
-	st := Evaluate(p, env, 3)
+	steps := 0
+	total, length := RunEpisode(p, env, nil, false, func([]float64) { steps++ })
+	if length != env.horizon || steps != length {
+		t.Fatalf("episode length %d with %d onStep calls, want %d", length, steps, env.horizon)
+	}
 
 	manual := 0.0
 	obs := env.Reset()
@@ -114,7 +118,7 @@ func TestEvaluateMatchesManualRollout(t *testing.T) {
 		}
 		obs = next
 	}
-	if math.Abs(st.MeanReward-manual) > 1e-9 {
-		t.Fatalf("Evaluate %v vs manual %v", st.MeanReward, manual)
+	if math.Abs(total-manual) > 1e-9 {
+		t.Fatalf("RunEpisode %v vs manual %v", total, manual)
 	}
 }

@@ -10,21 +10,7 @@ import (
 // This file holds the crash-safe training loop: periodic checkpointing with
 // keep-last-K retention, a divergence watchdog that aborts (and rolls the
 // trainer back to the last good checkpoint) when a loss or parameter goes
-// NaN/Inf, and typed errors for lane-panic containment.
-
-// WorkerPanicError reports a panic recovered inside one parallel rollout
-// worker or evaluation shard. The process survives: the panic is converted
-// into this error, the panicking lane's partial state is discarded, and the
-// caller decides whether to abort or reload from a checkpoint.
-type WorkerPanicError struct {
-	Worker int    // index of the worker/shard that panicked
-	Value  any    // the recovered panic value
-	Stack  []byte // stack trace captured at recovery
-}
-
-func (e *WorkerPanicError) Error() string {
-	return fmt.Sprintf("rl: worker %d panicked: %v\n%s", e.Worker, e.Value, e.Stack)
-}
+// NaN/Inf, and the typed error that reports it.
 
 // DivergenceError reports that the divergence watchdog found a NaN or Inf in
 // the training statistics or parameters after an iteration. Training is

@@ -2,8 +2,9 @@ package rl
 
 import (
 	"fmt"
-	"sync"
 	"time"
+
+	"advnet/internal/par"
 )
 
 // EnvFactory builds the environment instance for one rollout lane. It is
@@ -127,7 +128,7 @@ func (v *VecRunner) Workers() int { return len(v.lanes) }
 
 // TrainIteration collects one rollout across the lanes and performs the PPO
 // update. A panic inside a lane is contained: it surfaces as a
-// *WorkerPanicError naming the lane, every lane's partial rollout and pending
+// *par.PanicError naming the lane, every lane's partial rollout and pending
 // episode are discarded (the next iteration resets every environment), and
 // the iteration counter is not advanced.
 func (v *VecRunner) TrainIteration() (IterStats, error) {
@@ -136,24 +137,15 @@ func (v *VecRunner) TrainIteration() (IterStats, error) {
 	if p.met != nil {
 		t0 = time.Now()
 	}
-	// Lane 0 runs inline — with W=1 there are no goroutines at all.
-	var wg sync.WaitGroup
-	for i, l := range v.lanes[1:] {
-		wg.Add(1)
-		go func(i int, l *Lane) {
-			defer wg.Done()
-			l.err = l.collect(i, l.steps)
-		}(i+1, l)
-	}
-	v.lanes[0].err = v.lanes[0].collect(0, v.lanes[0].steps)
-	wg.Wait()
-	for _, failed := range v.lanes {
-		if failed.err != nil {
-			for _, l := range v.lanes {
-				l.abandon()
-			}
-			return IterStats{Iteration: p.iter}, failed.err
+	// One lane per worker; lane 0 runs inline — with W=1 there are no
+	// goroutines at all.
+	if err := par.Run(len(v.lanes), func(w int) error {
+		return v.lanes[w].collect(w, v.lanes[w].steps)
+	}); err != nil {
+		for _, l := range v.lanes {
+			l.abandon()
 		}
+		return IterStats{Iteration: p.iter}, err
 	}
 	// The faulted path above skips observation: an aborted iteration has no
 	// well-defined phase split and must not skew the timer distributions.

@@ -10,6 +10,7 @@ import (
 
 	"advnet/internal/faults"
 	"advnet/internal/mathx"
+	"advnet/internal/par"
 )
 
 func TestConfigValidate(t *testing.T) {
@@ -295,7 +296,7 @@ func TestEngineCloseWakesBlockedProducer(t *testing.T) {
 }
 
 // TestEngineShardPanicContainment injects a panic into one shard's flush and
-// asserts: the batch's callers get a typed *ShardPanicError, the panicking
+// asserts: the batch's callers get a typed *par.PanicError, the panicking
 // shard keeps serving afterwards (cache rebuilt), other shards never notice,
 // and the panic counter records it.
 func TestEngineShardPanicContainment(t *testing.T) {
@@ -317,7 +318,7 @@ func TestEngineShardPanicContainment(t *testing.T) {
 	// Round-robin over 2 shards: drive requests until the injected panic
 	// surfaces on one of them.
 	x := []float64{0, 0}
-	var perr *ShardPanicError
+	var perr *par.PanicError
 	deadline := time.Now().Add(5 * time.Second)
 	for perr == nil {
 		if time.Now().After(deadline) {
@@ -328,13 +329,13 @@ func TestEngineShardPanicContainment(t *testing.T) {
 			continue
 		}
 		if !errors.As(err, &perr) {
-			t.Fatalf("Select during injected panic: %v, want *ShardPanicError", err)
+			t.Fatalf("Select during injected panic: %v, want *par.PanicError", err)
 		}
 	}
-	if perr.Shard != 0 {
-		t.Fatalf("panic attributed to shard %d, want 0", perr.Shard)
+	if perr.Index != 0 {
+		t.Fatalf("panic attributed to shard %d, want 0", perr.Index)
 	}
-	if perr.Stack == "" || perr.Value == nil {
+	if len(perr.Stack) == 0 || perr.Value == nil {
 		t.Fatalf("panic error missing diagnostics: %+v", perr)
 	}
 	if eng.Panics() != 1 {

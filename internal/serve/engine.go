@@ -12,6 +12,7 @@ import (
 	"advnet/internal/mathx"
 	"advnet/internal/metrics"
 	"advnet/internal/nn"
+	"advnet/internal/par"
 	"advnet/internal/stats"
 )
 
@@ -49,11 +50,6 @@ type Config struct {
 	// bitwise row-at-a-time batch path (for equivalence testing; GEMM is the
 	// production default).
 	NoGEMM bool
-	// LatencySample records enqueue→computed latency for one in every
-	// LatencySample requests (default 8; 1 records every request). Sampling
-	// keeps two clock reads per request off the hot path; the reservoirs
-	// behind Stats subsample anyway, so the percentile summary loses nothing.
-	LatencySample int
 	// Seed seeds the per-worker latency reservoirs (default 1).
 	Seed uint64
 }
@@ -87,9 +83,6 @@ func (c Config) withDefaults() Config {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 4 * c.MaxBatch
 	}
-	if c.LatencySample <= 0 {
-		c.LatencySample = 8
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
@@ -102,10 +95,11 @@ func (c Config) withDefaults() Config {
 // are answered normally during the drain.
 var ErrEngineClosed = errors.New("serve: engine closed")
 
-// ErrClosed is the historical name of ErrEngineClosed.
-//
-// Deprecated: use ErrEngineClosed.
-var ErrClosed = ErrEngineClosed
+// latencySample: enqueue→computed latency is recorded for one request in
+// every latencySample. Sampling keeps two clock reads per request off the
+// hot path; the reservoirs behind Stats subsample anyway, so the percentile
+// summary loses nothing.
+const latencySample = 8
 
 // OverloadReason says which admission-control limit shed a request.
 type OverloadReason uint8
@@ -149,21 +143,6 @@ var (
 	errShedQueueFull = &OverloadError{Reason: OverloadQueueFull}
 	errShedDeadline  = &OverloadError{Reason: OverloadDeadline}
 )
-
-// ShardPanicError reports a panic contained while a shard worker flushed a
-// batch (mirrors swarm.GroupPanicError). Every request in the failed batch
-// receives it; the shard rebuilds its batch cache and keeps serving, and no
-// other shard is disturbed.
-type ShardPanicError struct {
-	Shard int
-	Value any
-	Stack string
-}
-
-// Error implements error.
-func (e *ShardPanicError) Error() string {
-	return fmt.Sprintf("serve: shard %d panicked mid-flush: %v\n%s", e.Shard, e.Value, e.Stack)
-}
 
 // Decision is the result of one inference request.
 type Decision struct {
@@ -349,7 +328,7 @@ func (e *Engine) SelectDeadline(features []float64, deadline time.Duration) (Dec
 	req.err = nil
 	req.state.Store(reqPending)
 	seq := e.rr.Add(1)
-	if seq%uint64(e.cfg.LatencySample) == 0 {
+	if seq%latencySample == 0 {
 		req.start = time.Now()
 	} else {
 		req.start = time.Time{}
@@ -542,35 +521,21 @@ func (e *Engine) gather(sh *shard, first *request) {
 	}
 }
 
-// flushContained runs one flush with panic containment: a panicking forward
-// pass (or injected fault) is converted into a typed *ShardPanicError
-// answered to every request of the failed batch, the shard's batch cache is
-// rebuilt — the panic may have left it mid-write — and the worker keeps
-// serving. Other shards never notice.
+// flushContained runs one flush and answers a failure to every unanswered
+// request of the batch. A panicking forward pass (or injected fault) comes
+// back from flush as a typed *par.PanicError naming the shard; the shard's
+// batch cache is then rebuilt — the panic may have left it mid-write — and
+// the worker keeps serving. Other shards never notice.
 func (e *Engine) flushContained(sh *shard, n int) {
-	defer e.containFlushPanic(sh, n)
-	if faults.Armed() { // gate: Fire's boxed shard-index arg would allocate per flush
-		if err := faults.Fire("serve.flush", sh.idx); err != nil {
-			e.failBatch(sh, n, err)
-			return
+	if err := e.flush(sh, n); err != nil {
+		var perr *par.PanicError
+		if errors.As(err, &perr) {
+			sh.panics.Add(1)
+			sh.cache = e.newCache()
+			sh.lastSnap = nil
 		}
+		e.failBatch(sh, n, err)
 	}
-	e.flush(sh, n)
-}
-
-// containFlushPanic is flushContained's deferred recovery. It is a named
-// method rather than a closure so the happy path stays allocation-free
-// (a capturing deferred closure costs one heap allocation per flush).
-func (e *Engine) containFlushPanic(sh *shard, n int) {
-	r := recover()
-	if r == nil {
-		return
-	}
-	sh.panics.Add(1)
-	perr := &ShardPanicError{Shard: sh.idx, Value: r, Stack: string(stackTrace())}
-	sh.cache = e.newCache()
-	sh.lastSnap = nil
-	e.failBatch(sh, n, perr)
 }
 
 // failBatch answers every unanswered request of batch[:n] with err.
@@ -587,8 +552,14 @@ func (e *Engine) failBatch(sh *shard, n int, err error) {
 }
 
 // flush answers batch[:n] with one batched forward pass against exactly one
-// snapshot. Zero allocations.
-func (e *Engine) flush(sh *shard, n int) {
+// snapshot, contained (see flushContained). Zero allocations.
+func (e *Engine) flush(sh *shard, n int) (err error) {
+	defer par.Contain(sh.idx, &err)
+	if faults.Armed() { // gate: Fire's boxed shard-index arg would allocate per flush
+		if err := faults.Fire("serve.flush", sh.idx); err != nil {
+			return err
+		}
+	}
 	snap := e.reg.Current()
 	if snap != sh.lastSnap {
 		sh.cache.InvalidateWeights()
@@ -617,12 +588,7 @@ func (e *Engine) flush(sh *shard, n int) {
 		sh.batch[i] = nil
 		req.done <- struct{}{}
 	}
-}
-
-// stackTrace captures the current goroutine's stack for panic reports.
-func stackTrace() []byte {
-	buf := make([]byte, 16<<10)
-	return buf[:runtime.Stack(buf, false)]
+	return nil
 }
 
 // stopTimer stops t and drains a pending fire, leaving it safe to Reset.
@@ -751,8 +717,8 @@ func (st EngineStats) EmitMetrics(reg *metrics.Registry, wallSeconds float64) {
 }
 
 // Stats digests the serving counters and per-shard latency reservoirs. The
-// latency summary covers the 1-in-LatencySample requests that carried a
-// timestamp (its Count is the sampled count, not Served), and reads
+// latency summary covers the sampled requests that carried a timestamp (its
+// Count is the sampled count, not Served), and reads
 // worker-owned reservoirs, so call it only at quiescence — after Close, or
 // when no requests are in flight (between load phases). The counter
 // accessors (Served, Batches, Shed*, Panics) are always safe.

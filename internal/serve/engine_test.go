@@ -74,9 +74,9 @@ func TestEngineMatchesPredictArgmax(t *testing.T) {
 
 func TestEngineConcurrentStorm(t *testing.T) {
 	reg := NewRegistry(rigged(3, 5, 2))
-	// LatencySample 1: every request carries a timestamp, so the reservoir
-	// count below proves none were dropped on the way to the summary.
-	eng := MustNewEngine(reg, Config{Workers: 4, MaxBatch: 16, LatencySample: 1})
+	// Every 8th request carries a timestamp, so the reservoir count below
+	// proves none of the sampled ones were dropped on the way to the summary.
+	eng := MustNewEngine(reg, Config{Workers: 4, MaxBatch: 16})
 	defer eng.Close()
 
 	var wg sync.WaitGroup
@@ -115,7 +115,7 @@ func TestEngineConcurrentStorm(t *testing.T) {
 	if st.Batches == 0 || st.AvgBatch < 1 {
 		t.Fatalf("stats %+v", st)
 	}
-	if st.Latency.Count != 8*2000 {
+	if st.Latency.Count != st.Served/8 {
 		t.Fatalf("latency count %d", st.Latency.Count)
 	}
 }
@@ -129,14 +129,16 @@ func TestEngineSelectFeatureSizeMismatch(t *testing.T) {
 }
 
 func TestEngineClose(t *testing.T) {
-	eng := MustNewEngine(NewRegistry(rigged(2, 3, 1)), Config{Workers: 2, MaxBatch: 4, LatencySample: 1})
-	if _, err := eng.Select([]float64{0, 0}); err != nil {
-		t.Fatal(err)
+	eng := MustNewEngine(NewRegistry(rigged(2, 3, 1)), Config{Workers: 2, MaxBatch: 4})
+	for i := 0; i < 8; i++ { // the 8th request is latency-sampled
+		if _, err := eng.Select([]float64{0, 0}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	eng.Close()
 	eng.Close() // idempotent
-	if _, err := eng.Select([]float64{0, 0}); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Select after Close: %v, want ErrClosed", err)
+	if _, err := eng.Select([]float64{0, 0}); !errors.Is(err, ErrEngineClosed) {
+		t.Fatalf("Select after Close: %v, want ErrEngineClosed", err)
 	}
 	// Counters and stats remain readable at quiescence.
 	if eng.Served() == 0 || eng.Stats().Latency.Count == 0 {

@@ -130,8 +130,8 @@ func (r *Registry) Publish(net *nn.MLP, source string) (*Snapshot, error) {
 // sha256-verified before any weight reaches the serving path. On any error —
 // unreadable file, corrupt payload, architecture mismatch — the old snapshot
 // keeps serving.
-// ReloadFile is also the serve.reload chaos point: `make faults` injects
-// load failures here to drive the Reloader's retry/breaker machinery.
+// ReloadFile is also the serve.reload fault point: the Reloader tests inject
+// load failures here to drive its retry/breaker machinery.
 func (r *Registry) ReloadFile(path string) (*Snapshot, error) {
 	if err := faults.Fire("serve.reload", path); err != nil {
 		return nil, err

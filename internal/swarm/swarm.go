@@ -20,12 +20,12 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 
 	"advnet/internal/abr"
 	"advnet/internal/faults"
 	"advnet/internal/mathx"
 	"advnet/internal/netem"
+	"advnet/internal/par"
 	"advnet/internal/stats"
 	"advnet/internal/trace"
 )
@@ -61,18 +61,6 @@ type Config struct {
 	ReservoirCap int
 }
 
-// GroupPanicError reports a panic contained while simulating one group.
-// The swarm run continues; the failed group is excluded from aggregates.
-type GroupPanicError struct {
-	Group int
-	Value any
-	Stack string
-}
-
-func (e *GroupPanicError) Error() string {
-	return fmt.Sprintf("swarm: group %d panicked: %v\n%s", e.Group, e.Value, e.Stack)
-}
-
 // Result aggregates a completed swarm run. Percentile summaries for
 // per-chunk QoE come from merged per-group reservoirs; per-client
 // distributions are exact (every client contributes one sample).
@@ -95,7 +83,7 @@ type Result struct {
 }
 
 // Run simulates the configured swarm and aggregates its QoE. Group panics
-// are contained: the error (if non-nil) joins one GroupPanicError per
+// are contained: the error (if non-nil) joins one *par.PanicError per
 // failed group, and the returned Result covers the groups that finished.
 func Run(cfg Config) (*Result, error) {
 	if cfg.Clients <= 0 {
@@ -130,11 +118,6 @@ func Run(cfg Config) (*Result, error) {
 	results := make([]*GroupResult, cfg.Groups)
 	errs := make([]error, cfg.Groups)
 
-	workers := cfg.Workers
-	if workers > cfg.Groups {
-		workers = cfg.Groups
-	}
-	var wg sync.WaitGroup
 	first := make([]int, cfg.Groups)
 	for g, acc := 0, 0; g < cfg.Groups; g++ {
 		first[g] = acc
@@ -143,26 +126,26 @@ func Run(cfg Config) (*Result, error) {
 			acc++
 		}
 	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for g := w; g < cfg.Groups; g += cfg.Workers {
-				n := base
-				if g < rem {
-					n++
-				}
-				results[g], errs[g] = runGroup(cfg, g, groupParams{
-					clients: n,
-					first:   first[g],
-					video:   video,
-					rng:     rngs[g],
-				})
+	// A failed group is recorded in its slot (runGroup contains it) and does
+	// not stop its worker's next group.
+	workers := min(cfg.Workers, cfg.Groups)
+	if err := par.Run(workers, func(w int) error {
+		for g := w; g < cfg.Groups; g += workers {
+			n := base
+			if g < rem {
+				n++
 			}
-		}(w)
+			results[g], errs[g] = runGroup(cfg, g, groupParams{
+				clients: n,
+				first:   first[g],
+				video:   video,
+				rng:     rngs[g],
+			})
+		}
+		return nil
+	}); err != nil {
+		return nil, err
 	}
-	wg.Wait()
-
 	return mergeResults(cfg, results, errs)
 }
 
@@ -175,13 +158,8 @@ type groupParams struct {
 
 // runGroup simulates one group to completion, containing panics so a
 // misbehaving protocol or controller cannot take down the swarm.
-func runGroup(cfg Config, g int, p groupParams) (res *GroupResult, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			res = nil
-			err = &GroupPanicError{Group: g, Value: r, Stack: string(stackTrace())}
-		}
-	}()
+func runGroup(cfg Config, g int, p groupParams) (_ *GroupResult, err error) {
+	defer par.Contain(g, &err)
 	if ferr := faults.Fire("swarm.group.run", g); ferr != nil {
 		return nil, ferr
 	}
@@ -209,11 +187,6 @@ func runGroup(cfg Config, g int, p groupParams) (res *GroupResult, err error) {
 		return nil, err
 	}
 	return grp.Result(), nil
-}
-
-func stackTrace() []byte {
-	buf := make([]byte, 16<<10)
-	return buf[:runtime.Stack(buf, false)]
 }
 
 // mergeResults folds per-group results in group order into one Result.

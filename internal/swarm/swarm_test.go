@@ -12,6 +12,7 @@ import (
 	"advnet/internal/faults"
 	"advnet/internal/mathx"
 	"advnet/internal/netem"
+	"advnet/internal/par"
 	"advnet/internal/trace"
 )
 
@@ -114,12 +115,12 @@ func TestSwarmGroupPanicContainment(t *testing.T) {
 	if err == nil {
 		t.Fatal("expected an error from the failed group")
 	}
-	var gp *GroupPanicError
+	var gp *par.PanicError
 	if !errors.As(err, &gp) {
-		t.Fatalf("error is not a GroupPanicError: %v", err)
+		t.Fatalf("error is not a par.PanicError: %v", err)
 	}
-	if gp.Group != 2 {
-		t.Fatalf("panic attributed to group %d, want 2", gp.Group)
+	if gp.Index != 2 {
+		t.Fatalf("panic attributed to group %d, want 2", gp.Index)
 	}
 	if len(res.FailedGroups) != 1 || res.FailedGroups[0] != 2 {
 		t.Fatalf("FailedGroups = %v, want [2]", res.FailedGroups)
