@@ -55,7 +55,9 @@ bench-ab:
 # a second handleAck method under internal/netem is a second emulator. And one
 # fan-out (internal/par): recover() outside internal/par, in non-test code, is
 # a second containment, and a second PanicError struct under internal/ is a
-# second panic type.
+# second panic type. And one home per paper claim (internal/experiments/
+# claims_test.go): a Go file under examples/ or a test outside
+# internal/experiments that imports it is a second, unchecked harness.
 seam-check:
 	@n=$$(grep -rn 'NewPPO(' --include='*.go' --exclude-dir=.bench_build . | grep -v '_test\.go:' | grep -vc '^\./bench/e2e/'); \
 	if [ $$n -gt 2 ]; then echo "seam-check: NewPPO( on $$n non-test lines, want <= 2 (build trainers with rl.NewTrainer)"; exit 1; fi
@@ -67,6 +69,10 @@ seam-check:
 	if [ -n "$$f" ]; then echo "seam-check: recover() outside internal/par in $$f (contain with par.Contain or par.Run)"; exit 1; fi
 	@n=$$(grep -rn 'PanicError struct' --include='*.go' internal | wc -l); \
 	if [ $$n -gt 1 ]; then echo "seam-check: $$n PanicError structs under internal/, want 1 (par.PanicError)"; exit 1; fi
+	@f=$$(find examples -name '*.go' 2>/dev/null); \
+	if [ -n "$$f" ]; then echo "seam-check: Go files under examples/: $$f (a paper claim is a row of internal/experiments/claims_test.go)"; exit 1; fi
+	@f=$$(grep -rl '"advnet/internal/experiments"' --include='*_test.go' --exclude-dir=.bench_build . | grep -v '^\./internal/experiments/'); \
+	if [ -n "$$f" ]; then echo "seam-check: $$f imports internal/experiments from a test (assert claims in internal/experiments/claims_test.go)"; exit 1; fi
 
 # Tier-1 verification: build + tests, plus vet, the race detector, the
 # benchmark's correctness and allocation check, and the structural seam check.

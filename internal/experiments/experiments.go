@@ -2,8 +2,9 @@
 // evaluation. Each Figure*/Table* function runs the full pipeline for one
 // artifact — training whatever protocols and adversaries it needs — and
 // returns a structured result whose String method renders the same rows or
-// series the paper reports. The benchmark harness (bench_test.go) and the
-// experiments CLI both delegate here.
+// series the paper reports. The experiments CLI (cmd/experiments) prints
+// them, and the claim table (claims_test.go) asserts the paper's claim
+// about each on seeds 1–5.
 package experiments
 
 import (
@@ -20,9 +21,9 @@ import (
 )
 
 // Config scales the experiments. Full() approximates the paper's budgets;
-// Fast() shrinks everything so the entire suite runs in a couple of minutes
-// (benchmarks and CI use it). The shapes reproduce at both scales; Full
-// tightens the statistics.
+// Fast() shrinks everything so each artifact runs in minutes (it is
+// cmd/experiments' default and the budget of EXPERIMENTS.md's numbers). The
+// shapes reproduce at both scales; Full tightens the statistics.
 type Config struct {
 	Seed uint64
 
