@@ -3,6 +3,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"advnet/internal/mathx"
@@ -12,20 +13,19 @@ import (
 // over unbounded streams (Vitter's Algorithm R), plus exact running count,
 // sum, min, and max. It is the latency substrate of the serving engine: a
 // shard worker Adds one observation per request forever, in O(1) time and
-// zero allocations, and Quantile answers p50/p95/p99 queries from the
-// retained sample at any point.
+// zero allocations, and Summarize answers p50/p95/p99 from the retained
+// sample at any point.
 //
 // A Reservoir is single-goroutine state, like the nn caches it sits next to:
-// each serving shard owns one, and cross-shard views are computed with
-// MergedQuantile / MergeSummaries rather than by sharing.
+// each serving shard owns one, and cross-shard views are computed by
+// Summarize over several reservoirs rather than by sharing.
 type Reservoir struct {
-	vals  []float64 // retained sample, len == min(n, cap)
-	n     uint64    // total observations
-	sum   float64
-	min   float64
-	max   float64
-	rng   *mathx.RNG
-	sorts []float64 // scratch reused by Quantile
+	vals []float64 // retained sample, len == min(n, cap)
+	n    uint64    // total observations
+	sum  float64
+	min  float64
+	max  float64
+	rng  *mathx.RNG
 }
 
 // DefaultReservoirSize retains enough samples that the p99 of a steady
@@ -100,18 +100,6 @@ func (r *Reservoir) Max() float64 {
 	return r.max
 }
 
-// Quantile estimates the q-th quantile (q in [0,1]) from the retained
-// sample. Exact while the stream fits in the reservoir; a uniform-sample
-// estimate beyond that. It panics when empty.
-func (r *Reservoir) Quantile(q float64) float64 {
-	if len(r.vals) == 0 {
-		panic("stats: Quantile of empty reservoir")
-	}
-	r.sorts = append(r.sorts[:0], r.vals...)
-	sort.Float64s(r.sorts)
-	return quantileSorted(r.sorts, q)
-}
-
 // Reset forgets everything but keeps the allocated capacity and RNG stream.
 func (r *Reservoir) Reset() {
 	r.vals = r.vals[:0]
@@ -138,48 +126,91 @@ func quantileSorted(sorted []float64, q float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
 }
 
-// MergedQuantile estimates the q-th quantile of the union of several
-// reservoirs' streams. Each retained sample is weighted by the number of
-// stream observations it represents (n_i / len_i), so shards with more
-// traffic count proportionally more, and the estimate interpolates within
-// the weighted order statistics exactly as quantileSorted does for the
-// unweighted case. When every sample carries the same weight — in
-// particular for a single reservoir — it reduces to quantileSorted on the
-// merged values, so Summarize over one reservoir is bitwise-identical to
-// Reservoir.Quantile. Empty reservoirs are skipped; it panics when every
-// reservoir is empty.
-func MergedQuantile(q float64, rs ...*Reservoir) float64 {
-	type wv struct {
-		v, w float64
-	}
-	var pairs []wv
-	uniform := true
+// weighted is one retained sample and the number of stream observations it
+// stands for.
+type weighted struct{ v, w float64 }
+
+// mergedSample is the union of several reservoirs' retained samples, sorted
+// once so that any number of quantiles can be read off it. When every sample
+// carries the same weight it is held as plain values; otherwise as
+// (value, weight) pairs with their total weight, summed in sorted order.
+type mergedSample struct {
+	vals  []float64
+	pairs []weighted
+	total float64
+}
+
+// merge builds the sorted union of rs's retained samples in one exactly-sized
+// allocation. Each sample is weighted by the number of stream observations it
+// represents (n_i / len_i), so shards with more traffic count proportionally
+// more. Both sorts order by value with <, so ties — ±0 included — land where
+// a sort.Slice over the same sequence puts them. Nil and empty reservoirs are
+// skipped; it panics when every reservoir is empty.
+func merge(rs []*Reservoir) mergedSample {
+	size, uniform := 0, true
+	var w0 float64
 	for _, r := range rs {
 		if r == nil || len(r.vals) == 0 {
 			continue
 		}
 		w := float64(r.n) / float64(len(r.vals))
-		if len(pairs) > 0 && w != pairs[0].w {
+		if size == 0 {
+			w0 = w
+		} else if w != w0 {
 			uniform = false
 		}
-		for _, v := range r.vals {
-			pairs = append(pairs, wv{v, w})
-		}
+		size += len(r.vals)
 	}
-	if len(pairs) == 0 {
-		panic("stats: MergedQuantile of empty reservoirs")
+	if size == 0 {
+		panic("stats: quantile of empty reservoirs")
 	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].v < pairs[j].v })
+	var m mergedSample
 	if uniform {
-		// Equal weights: the weighted quantile is the plain empirical
-		// quantile of the merged sample. Reusing quantileSorted keeps the
-		// single-reservoir case bitwise-equal to Reservoir.Quantile.
-		vals := make([]float64, len(pairs))
-		for i, p := range pairs {
-			vals[i] = p.v
+		m.vals = make([]float64, 0, size)
+		for _, r := range rs {
+			if r != nil {
+				m.vals = append(m.vals, r.vals...)
+			}
 		}
-		return quantileSorted(vals, q)
+		slices.Sort(m.vals)
+		return m
 	}
+	m.pairs = make([]weighted, 0, size)
+	for _, r := range rs {
+		if r == nil || len(r.vals) == 0 {
+			continue
+		}
+		w := float64(r.n) / float64(len(r.vals))
+		for _, v := range r.vals {
+			m.pairs = append(m.pairs, weighted{v, w})
+		}
+	}
+	slices.SortFunc(m.pairs, func(a, b weighted) int {
+		if a.v < b.v {
+			return -1
+		}
+		if b.v < a.v {
+			return 1
+		}
+		return 0
+	})
+	for _, p := range m.pairs {
+		m.total += p.w
+	}
+	return m
+}
+
+// quantile estimates the q-th quantile (q in [0,1]) of the union of the
+// merged streams. When every sample carries the same weight — in particular
+// for a single reservoir — it is quantileSorted on the merged values: the
+// plain empirical quantile, exact while a stream fits in its reservoir.
+// Otherwise it interpolates within the weighted order statistics exactly as
+// quantileSorted does for the unweighted case.
+func (m *mergedSample) quantile(q float64) float64 {
+	if m.pairs == nil {
+		return quantileSorted(m.vals, q)
+	}
+	pairs := m.pairs
 	if q <= 0 {
 		return pairs[0].v
 	}
@@ -192,14 +223,10 @@ func MergedQuantile(q float64, rs ...*Reservoir) float64 {
 	// non-decreasing: an inversion would need w_k·(total-w_k) <
 	// cumBefore_k·(w_k - w_{k+1}), impossible since cumBefore_k < total-w_k
 	// and w_k - w_{k+1} < w_k.
-	var total float64
-	for _, p := range pairs {
-		total += p.w
-	}
 	var cumBefore, prevX float64
 	prevV := pairs[0].v
 	for _, p := range pairs {
-		x := cumBefore / (total - p.w)
+		x := cumBefore / (m.total - p.w)
 		if x >= q {
 			if x <= prevX {
 				return p.v
@@ -226,7 +253,9 @@ type Summary struct {
 }
 
 // Summarize digests one or more reservoirs into a Summary over the union of
-// their streams. A summary of zero observations is the zero Summary.
+// their streams: Count, Mean, Min and Max are exact, and the percentiles are
+// read off one merge of the retained samples (see merge). A summary of zero
+// observations is the zero Summary.
 func Summarize(rs ...*Reservoir) Summary {
 	var s Summary
 	var sum float64
@@ -252,9 +281,8 @@ func Summarize(rs ...*Reservoir) Summary {
 	s.Mean = sum / float64(s.Count)
 	s.Min = minV
 	s.Max = maxV
-	s.P50 = MergedQuantile(0.50, rs...)
-	s.P95 = MergedQuantile(0.95, rs...)
-	s.P99 = MergedQuantile(0.99, rs...)
+	m := merge(rs)
+	s.P50, s.P95, s.P99 = m.quantile(0.50), m.quantile(0.95), m.quantile(0.99)
 	return s
 }
 

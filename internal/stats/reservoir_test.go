@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"advnet/internal/mathx"
@@ -15,17 +16,19 @@ func TestReservoirExactBelowCapacity(t *testing.T) {
 	if r.Count() != 10 {
 		t.Fatalf("count %d, want 10", r.Count())
 	}
-	if got := r.Quantile(0.5); got != 5.5 {
-		t.Fatalf("median %v, want 5.5", got)
+	s := Summarize(r)
+	if s.P50 != 5.5 {
+		t.Fatalf("median %v, want 5.5", s.P50)
 	}
-	if r.Min() != 1 || r.Max() != 10 {
-		t.Fatalf("min/max %v/%v, want 1/10", r.Min(), r.Max())
+	if r.Min() != 1 || r.Max() != 10 || s.Min != 1 || s.Max != 10 {
+		t.Fatalf("min/max %v/%v (summary %v/%v), want 1/10", r.Min(), r.Max(), s.Min, s.Max)
 	}
 	if got := r.Mean(); got != 5.5 {
 		t.Fatalf("mean %v, want 5.5", got)
 	}
 	// Below capacity the sample is the stream: extreme quantiles are exact.
-	if r.Quantile(0) != 1 || r.Quantile(1) != 10 {
+	m := merge([]*Reservoir{r})
+	if m.quantile(0) != s.Min || m.quantile(1) != s.Max {
 		t.Fatal("extreme quantiles not exact below capacity")
 	}
 }
@@ -39,13 +42,14 @@ func TestReservoirApproximatesBigStream(t *testing.T) {
 	if r.Count() != 200_000 {
 		t.Fatalf("count %d", r.Count())
 	}
-	for _, tc := range []struct{ q, want, tol float64 }{
-		{0.5, 0.5, 0.05},
-		{0.95, 0.95, 0.03},
-		{0.99, 0.99, 0.02},
+	s := Summarize(r)
+	for _, tc := range []struct{ q, got, want, tol float64 }{
+		{0.5, s.P50, 0.5, 0.05},
+		{0.95, s.P95, 0.95, 0.03},
+		{0.99, s.P99, 0.99, 0.02},
 	} {
-		if got := r.Quantile(tc.q); math.Abs(got-tc.want) > tc.tol {
-			t.Fatalf("q=%v: got %v, want %v±%v", tc.q, got, tc.want, tc.tol)
+		if math.Abs(tc.got-tc.want) > tc.tol {
+			t.Fatalf("q=%v: got %v, want %v±%v", tc.q, tc.got, tc.want, tc.tol)
 		}
 	}
 	// Exact aggregates are unaffected by sampling.
@@ -75,7 +79,7 @@ func TestReservoirReset(t *testing.T) {
 		t.Fatal("reset did not clear state")
 	}
 	r.Add(42)
-	if r.Quantile(0.5) != 42 || r.Min() != 42 || r.Max() != 42 {
+	if Summarize(r).P50 != 42 || r.Min() != 42 || r.Max() != 42 {
 		t.Fatal("reservoir unusable after reset")
 	}
 }
@@ -83,7 +87,7 @@ func TestReservoirReset(t *testing.T) {
 func TestReservoirEmptyPanics(t *testing.T) {
 	r := NewReservoir(8, 1)
 	for _, f := range []func(){
-		func() { r.Quantile(0.5) },
+		func() { merge([]*Reservoir{r}) },
 		func() { r.Min() },
 		func() { r.Max() },
 	} {
@@ -112,11 +116,12 @@ func TestMergedQuantileWeightsByTraffic(t *testing.T) {
 		cold.Add(rng.Uniform(0.9, 1.1))
 	}
 	// ~91% of the union sits near 100, so the median must be there.
-	if got := MergedQuantile(0.5, hot, cold); got < 99 {
+	if got := Summarize(hot, cold).P50; got < 99 {
 		t.Fatalf("merged median %v, want ≈100", got)
 	}
 	// The low tail still belongs to the cold shard.
-	if got := MergedQuantile(0.05, hot, cold); got > 2 {
+	m := merge([]*Reservoir{hot, cold})
+	if got := m.quantile(0.05); got > 2 {
 		t.Fatalf("merged p5 %v, want ≈1", got)
 	}
 }
@@ -151,13 +156,20 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
+// sampleQuantile is the plain empirical quantile of one reservoir's retained
+// sample: sort a copy, interpolate between order statistics.
+func sampleQuantile(r *Reservoir, q float64) float64 {
+	sorted := append([]float64(nil), r.vals...)
+	sort.Float64s(sorted)
+	return quantileSorted(sorted, q)
+}
+
 // TestSummarizeSingleReservoirMatchesQuantile pins the §8.4 contract the
 // telemetry layer depends on: digesting ONE reservoir through Summarize
-// (which routes percentiles through MergedQuantile) must be bitwise-equal
-// to querying the reservoir directly — both below capacity (weight 1) and
-// after overflow (uniform weight n/len ≠ 1). The historical MergedQuantile
-// stepped to the first value crossing the cumulative-weight target instead
-// of interpolating, so the two answers disagreed on identical data.
+// must be bitwise-equal to the empirical quantile of its retained sample —
+// both below capacity (weight 1) and after overflow (uniform weight
+// n/len ≠ 1). A merge that stepped to the first value crossing the
+// cumulative-weight target instead of interpolating would disagree here.
 func TestSummarizeSingleReservoirMatchesQuantile(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -184,7 +196,7 @@ func TestSummarizeSingleReservoirMatchesQuantile(t *testing.T) {
 				{0.95, s.P95},
 				{0.99, s.P99},
 			} {
-				if want := r.Quantile(p.q); p.got != want {
+				if want := sampleQuantile(r, p.q); p.got != want {
 					t.Fatalf("q=%v: Summarize %v != Quantile %v (diff %g)",
 						p.q, p.got, want, p.got-want)
 				}
@@ -213,7 +225,8 @@ func TestMergedQuantileInterpolates(t *testing.T) {
 	if len(b.vals) != 1 || b.vals[0] != 2 {
 		t.Fatalf("reservoir b retained %v, want [2]", b.vals)
 	}
-	got := MergedQuantile(0.5, a, b)
+	m := merge([]*Reservoir{a, b})
+	got := m.quantile(0.5)
 	want := 1.25
 	if math.Abs(got-want) > 1e-12 {
 		t.Fatalf("merged median %v, want %v", got, want)
@@ -221,7 +234,7 @@ func TestMergedQuantileInterpolates(t *testing.T) {
 	// Monotonicity in q across the whole range.
 	prev := math.Inf(-1)
 	for q := 0.0; q <= 1.0; q += 0.01 {
-		v := MergedQuantile(q, a, b)
+		v := m.quantile(q)
 		if v < prev {
 			t.Fatalf("quantile not monotone at q=%v: %v < %v", q, v, prev)
 		}
@@ -276,5 +289,153 @@ func TestSummarizeValues(t *testing.T) {
 	}
 	if z := SummarizeValues(nil); z != (Summary{}) {
 		t.Fatalf("empty summary %+v", z)
+	}
+}
+
+// mergedQuantileRef is the reference oracle for merge: one independent merge
+// per quantile, in the form Summarize used before it merged once — append
+// every retained sample with its weight, sort the pairs by value with
+// sort.Slice, and walk them.
+func mergedQuantileRef(q float64, rs ...*Reservoir) float64 {
+	type wv struct {
+		v, w float64
+	}
+	var pairs []wv
+	uniform := true
+	for _, r := range rs {
+		if r == nil || len(r.vals) == 0 {
+			continue
+		}
+		w := float64(r.n) / float64(len(r.vals))
+		if len(pairs) > 0 && w != pairs[0].w {
+			uniform = false
+		}
+		for _, v := range r.vals {
+			pairs = append(pairs, wv{v, w})
+		}
+	}
+	if len(pairs) == 0 {
+		panic("stats: mergedQuantileRef of empty reservoirs")
+	}
+	sort.Slice(pairs, func(i, j int) bool { return pairs[i].v < pairs[j].v })
+	if uniform {
+		vals := make([]float64, len(pairs))
+		for i, p := range pairs {
+			vals[i] = p.v
+		}
+		return quantileSorted(vals, q)
+	}
+	if q <= 0 {
+		return pairs[0].v
+	}
+	if q >= 1 {
+		return pairs[len(pairs)-1].v
+	}
+	var total float64
+	for _, p := range pairs {
+		total += p.w
+	}
+	var cumBefore, prevX float64
+	prevV := pairs[0].v
+	for _, p := range pairs {
+		x := cumBefore / (total - p.w)
+		if x >= q {
+			if x <= prevX {
+				return p.v
+			}
+			t := (q - prevX) / (x - prevX)
+			return prevV*(1-t) + p.v*t
+		}
+		cumBefore += p.w
+		prevX, prevV = x, p.v
+	}
+	return pairs[len(pairs)-1].v
+}
+
+// TestSummarizeMatchesMergedQuantileRef: one merge per Summarize must give,
+// bit for bit, what three independent merges give. Random sets of 1–6
+// reservoirs (nil and empty entries among them) with capacities 1–64 and
+// streams of 0–200 values drawn to tie heavily — small integers and both
+// signed zeros — cover the equal-weight path (every reservoir shares one
+// capacity and stream length) and the weighted one.
+func TestSummarizeMatchesMergedQuantileRef(t *testing.T) {
+	rng := mathx.NewRNG(2027)
+	value := func() float64 {
+		switch k := rng.Intn(10); {
+		case k < 3:
+			return math.Copysign(0, float64(rng.Intn(2))-0.5)
+		case k < 7:
+			return float64(rng.Intn(5) - 2)
+		default:
+			return rng.Uniform(-3, 3)
+		}
+	}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	const trials = 20_000
+	var equalRuns, weightedRuns int
+	for trial := 0; trial < trials; trial++ {
+		equal := rng.Intn(2) == 0
+		sharedCap, sharedLen := 1+rng.Intn(64), rng.Intn(201)
+		rs := make([]*Reservoir, 1+rng.Intn(6))
+		for i := range rs {
+			if rng.Intn(8) == 0 {
+				continue // nil entry
+			}
+			capacity, stream := sharedCap, sharedLen
+			if !equal {
+				capacity, stream = 1+rng.Intn(64), rng.Intn(201)
+			}
+			if rng.Intn(8) == 0 {
+				stream = 0 // empty entry
+			}
+			rs[i] = NewReservoir(capacity, rng.Uint64())
+			for j := 0; j < stream; j++ {
+				rs[i].Add(value())
+			}
+		}
+		s := Summarize(rs...)
+		if s.Count == 0 {
+			if s != (Summary{}) {
+				t.Fatalf("trial %d: summary of empty reservoirs %+v, want zero", trial, s)
+			}
+			continue
+		}
+		for _, p := range []struct{ q, got float64 }{{0.50, s.P50}, {0.95, s.P95}, {0.99, s.P99}} {
+			if want := mergedQuantileRef(p.q, rs...); !same(p.got, want) {
+				t.Fatalf("trial %d: q=%v: Summarize %v (%#x), reference %v (%#x)",
+					trial, p.q, p.got, math.Float64bits(p.got), want, math.Float64bits(want))
+			}
+		}
+		m := merge(rs)
+		if m.pairs == nil {
+			equalRuns++
+		} else {
+			weightedRuns++
+		}
+		for _, q := range []float64{0, rng.Float64(), 1} {
+			if got, want := m.quantile(q), mergedQuantileRef(q, rs...); !same(got, want) {
+				t.Fatalf("trial %d: q=%v: merge %v, reference %v", trial, q, got, want)
+			}
+		}
+	}
+	if equalRuns < trials/4 || weightedRuns < trials/4 {
+		t.Fatalf("coverage: %d equal-weight and %d weighted merges of %d trials", equalRuns, weightedRuns, trials)
+	}
+}
+
+// TestSummarizeAllocs pins the single merge: one allocation per Summarize,
+// for one reservoir (equal weights) and for eight with unequal traffic.
+func TestSummarizeAllocs(t *testing.T) {
+	rs := make([]*Reservoir, 8)
+	for i := range rs {
+		rs[i] = NewReservoir(64, uint64(i)+1)
+		for j := 0; j < 100+10*i; j++ {
+			rs[i].Add(float64(j % 7))
+		}
+	}
+	for _, set := range [][]*Reservoir{rs[:1], rs} {
+		if n := testing.AllocsPerRun(100, func() { Summarize(set...) }); n != 1 {
+			t.Fatalf("Summarize over %d reservoirs: %v allocations, want 1", len(set), n)
+		}
 	}
 }

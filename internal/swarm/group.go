@@ -64,7 +64,8 @@ type GroupConfig struct {
 	OneWayDelayMs float64 // netem propagation delay
 	LossRate      float64 // netem Bernoulli loss
 
-	// ReservoirCap sizes the per-chunk QoE reservoir (0 = stats default).
+	// ReservoirCap bounds the per-chunk QoE reservoir (0 = stats default).
+	// The reservoir never exceeds Clients × chunks, the group's whole stream.
 	ReservoirCap int
 }
 
@@ -237,13 +238,21 @@ func NewGroup(cfg GroupConfig, rng *mathx.RNG) (*Group, error) {
 		return nil, fmt.Errorf("swarm: negative RTT (%v) or start window (%v)", cfg.RTTSeconds, cfg.StartWindowS)
 	}
 
+	// Every client contributes one sample per chunk, so a reservoir sized
+	// to the whole stream never overflows: the same retained sample and RNG
+	// stream as a larger one, without the unused slots.
+	chunkCap := cfg.ReservoirCap
+	if chunkCap <= 0 {
+		chunkCap = stats.DefaultReservoirSize
+	}
+	chunkCap = min(chunkCap, cfg.Clients*cfg.Video.NumChunks())
 	g := &Group{
 		cfg:       cfg,
 		video:     cfg.Video,
 		rng:       rng,
 		clients:   make([]client, cfg.Clients),
 		remaining: cfg.Clients,
-		qoeChunks: stats.NewReservoir(cfg.ReservoirCap, rng.Uint64()),
+		qoeChunks: stats.NewReservoir(chunkCap, rng.Uint64()),
 		perQoE:    make([]float64, cfg.Clients),
 		perRebuf:  make([]float64, cfg.Clients),
 		perBits:   make([]float64, cfg.Clients),

@@ -61,9 +61,11 @@ type Config struct {
 	ReservoirCap int
 }
 
-// Result aggregates a completed swarm run. Percentile summaries for
-// per-chunk QoE come from merged per-group reservoirs; per-client
-// distributions are exact (every client contributes one sample).
+// Result aggregates a completed swarm run. Every Summary's Count, Mean, Min
+// and Max are exact. Its percentiles are read from reservoir samples: the
+// per-chunk ones from the merged per-group reservoirs, the per-client ones
+// from one reservoir per distribution, so they are exact only while the
+// stream fits (Clients <= ReservoirCap for the per-client distributions).
 type Result struct {
 	Clients          int
 	Groups           int
