@@ -1,9 +1,10 @@
 // Cross-run determinism suite for the packet emulator: with losses
-// enabled, loss signaling used to iterate the inflight map in Go's
-// randomized order, so order-sensitive controllers (CUBIC's epoch resets,
-// BBR's mode switches) could diverge between identically-seeded runs. These
-// tests pin the fix: same seed, same controllers, twice — bitwise-identical
-// stats, per-flow delivered bits, and fairness.
+// enabled, loss signaling once iterated an in-flight map in Go's randomized
+// order, so order-sensitive controllers (CUBIC's epoch resets, BBR's mode
+// switches) could diverge between identically-seeded runs. Implied losses
+// are now the ascending prefix of each flow's [lo, nextSeq) window. These
+// tests pin the outcome: same seed, same controllers, twice —
+// bitwise-identical stats, per-flow delivered bits, and fairness.
 package netem_test
 
 import (

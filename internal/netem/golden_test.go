@@ -2,8 +2,11 @@
 // order. The constants were recorded at commit 28de3f6, when New and NewMulti
 // were two separate implementations of the same handlers, and pin the
 // merge of the two: the one emulator must reproduce both callback streams bit
-// for bit. They may only change with a stated, intended change of emulator
-// arithmetic or event order.
+// for bit. The two adversary-regime rows were recorded at commit 648c77f,
+// while the in-flight set was still a map and the droptail queue a
+// resliced slice, and pin the seq-indexed window and the queue ring that
+// replaced them. The constants may only change with a stated, intended
+// change of emulator arithmetic or event order.
 package netem_test
 
 import (
@@ -21,11 +24,13 @@ import (
 // recorder forwards every callback to the wrapped controller after feeding
 // its kind, flow, sequence and the bit patterns of its times into a hash
 // shared by all flows of the run, so the digest also pins how the callbacks
-// of different flows interleave.
+// of different flows interleave. It also keeps the flow's in-flight count as
+// the callbacks imply it, and that count's peak.
 type recorder struct {
 	netem.CongestionController
-	flow int
-	h    hash.Hash64
+	flow           int
+	h              hash.Hash64
+	inflight, peak int
 }
 
 func (r *recorder) put(kind byte, seq int64, now, rtt float64) {
@@ -39,52 +44,92 @@ func (r *recorder) put(kind byte, seq int64, now, rtt float64) {
 
 func (r *recorder) OnPacketSent(now float64, seq int64) {
 	r.put('S', seq, now, 0)
+	r.inflight++
+	r.peak = max(r.peak, r.inflight)
 	r.CongestionController.OnPacketSent(now, seq)
 }
 
 func (r *recorder) OnAck(a netem.Ack) {
 	r.put('A', a.Seq, a.Now, a.RTT)
+	r.inflight--
 	r.CongestionController.OnAck(a)
 }
 
 func (r *recorder) OnLoss(now float64, seq int64) {
 	r.put('L', seq, now, 0)
+	r.inflight--
 	r.CongestionController.OnLoss(now, seq)
 }
 
 func (r *recorder) OnTimeout(now float64) {
 	r.put('T', 0, now, 0)
+	r.inflight = 0
 	r.CongestionController.OnTimeout(now)
 }
 
-// goldenSchedule is a link whose every parameter moves mid-run, stepped in
-// the adversary's 30 ms intervals: a lossless start (slow start overruns the
-// droptail queue), a lossy bandwidth cut, a delay rise, a two-second blackout
-// (only the RTO can clear the window), then a delay collapse that lets late
-// acks overtake early ones.
-var goldenSchedule = []struct {
+type goldenSegment struct {
 	steps int
 	c     netem.Conditions
-}{
-	{150, netem.Conditions{BandwidthMbps: 8, OneWayDelayMs: 20, LossRate: 0}},
-	{150, netem.Conditions{BandwidthMbps: 3, OneWayDelayMs: 20, LossRate: 0.02}},
-	{150, netem.Conditions{BandwidthMbps: 12, OneWayDelayMs: 60, LossRate: 0.01}},
-	{70, netem.Conditions{BandwidthMbps: 12, OneWayDelayMs: 60, LossRate: 1}},
-	{150, netem.Conditions{BandwidthMbps: 12, OneWayDelayMs: 5, LossRate: 0.05}},
-	{230, netem.Conditions{BandwidthMbps: 6, OneWayDelayMs: 30, LossRate: 0.01}},
 }
 
-// goldenRun drives the controllers over goldenSchedule — through New when
+// goldenScenario is a link schedule, stepped in the adversary's 30 ms
+// intervals, over a droptail queue of the given capacity. covers reports
+// whether a run's final counters and the largest in-flight count any one
+// flow reached still exercise the paths the scenario exists to pin.
+type goldenScenario struct {
+	queue    int
+	schedule []goldenSegment
+	covers   func(st netem.Stats, peakInflight int) bool
+}
+
+// goldenSchedule is a link whose every parameter moves mid-run: a lossless
+// start (slow start overruns the droptail queue), a lossy bandwidth cut, a
+// delay rise, a two-second blackout (only the RTO can clear the window), then
+// a delay collapse that lets late acks overtake early ones.
+var goldenSchedule = goldenScenario{
+	queue: 32,
+	schedule: []goldenSegment{
+		{150, netem.Conditions{BandwidthMbps: 8, OneWayDelayMs: 20, LossRate: 0}},
+		{150, netem.Conditions{BandwidthMbps: 3, OneWayDelayMs: 20, LossRate: 0.02}},
+		{150, netem.Conditions{BandwidthMbps: 12, OneWayDelayMs: 60, LossRate: 0.01}},
+		{70, netem.Conditions{BandwidthMbps: 12, OneWayDelayMs: 60, LossRate: 1}},
+		{150, netem.Conditions{BandwidthMbps: 12, OneWayDelayMs: 5, LossRate: 0.05}},
+		{230, netem.Conditions{BandwidthMbps: 6, OneWayDelayMs: 30, LossRate: 0.01}},
+	},
+	covers: func(st netem.Stats, _ int) bool {
+		return st.LossesSignaled > 0 && st.Timeouts > 0 && st.DroppedTail > 0
+	},
+}
+
+// adversaryRegime is the CC adversary's link: a 128-packet queue at
+// 24 Mbps and 60 ms one-way — a bandwidth-delay product of 240 packets, which
+// BBR's window climbs past 256 within the first 12 s while the queue fills
+// and drains many times over — then a collapse to 15 ms under light loss,
+// which lets late acks overtake early ones with a deep window outstanding.
+var adversaryRegime = goldenScenario{
+	queue: 128,
+	schedule: []goldenSegment{
+		{400, netem.Conditions{BandwidthMbps: 24, OneWayDelayMs: 60, LossRate: 0}},
+		{200, netem.Conditions{BandwidthMbps: 24, OneWayDelayMs: 15, LossRate: 0.01}},
+	},
+	covers: func(st netem.Stats, peakInflight int) bool {
+		return st.LossesSignaled > 0 && peakInflight > 256
+	},
+}
+
+// goldenRun drives the controllers over the scenario — through New when
 // multi is false, through NewMulti otherwise — and returns the digest of the
 // callback stream followed by the final Stats and per-flow delivered bits.
-func goldenRun(t *testing.T, multi bool, mk []func() netem.CongestionController) uint64 {
+func goldenRun(t *testing.T, sc goldenScenario, multi bool, mk []func() netem.CongestionController) uint64 {
 	t.Helper()
 	h := fnv.New64a()
 	ccs := make([]netem.CongestionController, len(mk))
+	recs := make([]*recorder, len(mk))
 	for i, f := range mk {
-		ccs[i] = &recorder{CongestionController: f(), flow: i, h: h}
+		recs[i] = &recorder{CongestionController: f(), flow: i, h: h}
+		ccs[i] = recs[i]
 	}
-	cfg := netem.Config{Initial: goldenSchedule[0].c, QueuePackets: 32}
+	cfg := netem.Config{Initial: sc.schedule[0].c, QueuePackets: sc.queue}
 	var em *netem.Emulator
 	if multi {
 		em = netem.NewMulti(ccs, cfg, mathx.NewRNG(2024))
@@ -92,16 +137,19 @@ func goldenRun(t *testing.T, multi bool, mk []func() netem.CongestionController)
 		em = netem.New(ccs[0], cfg, mathx.NewRNG(2024))
 	}
 	step := 0
-	for _, seg := range goldenSchedule {
+	for _, seg := range sc.schedule {
 		em.SetConditions(seg.c)
 		for end := step + seg.steps; step < end; {
 			step++
 			em.Run(float64(step) * 0.03)
 		}
 	}
-	st := em.Stats()
-	if st.LossesSignaled == 0 || st.Timeouts == 0 || st.DroppedTail == 0 {
-		t.Errorf("schedule no longer exercises gap detection, RTO and droptail: %+v", st)
+	st, peak := em.Stats(), 0
+	for _, r := range recs {
+		peak = max(peak, r.peak)
+	}
+	if !sc.covers(st, peak) {
+		t.Errorf("scenario no longer exercises the paths it pins: %+v, peak in flight %d", st, peak)
 	}
 	final := []float64{
 		float64(st.Sent), float64(st.DeliveredPkts), st.DeliveredBits, float64(st.DroppedRandom),
@@ -124,18 +172,21 @@ func newCopa() netem.CongestionController  { return cc.NewCopa() }
 func TestGoldenCallbackStream(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
+		sc    goldenScenario
 		multi bool
 		mk    []func() netem.CongestionController
 		want  uint64
 	}{
-		{"New/bbr", false, []func() netem.CongestionController{newBBR}, 0xa5a4019cd7da7d11},
-		{"New/cubic", false, []func() netem.CongestionController{newCubic}, 0x49251b92f8ba6f8e},
-		{"New/reno", false, []func() netem.CongestionController{newReno}, 0x08ef1e76e92ec8cf},
-		{"NewMulti/cubic+bbr", true, []func() netem.CongestionController{newCubic, newBBR}, 0x542903104f074d82},
-		{"NewMulti/cubic+reno+bbr+copa", true, []func() netem.CongestionController{newCubic, newReno, newBBR, newCopa}, 0x94a53933a9b665da},
+		{"New/bbr", goldenSchedule, false, []func() netem.CongestionController{newBBR}, 0xa5a4019cd7da7d11},
+		{"New/cubic", goldenSchedule, false, []func() netem.CongestionController{newCubic}, 0x49251b92f8ba6f8e},
+		{"New/reno", goldenSchedule, false, []func() netem.CongestionController{newReno}, 0x08ef1e76e92ec8cf},
+		{"NewMulti/cubic+bbr", goldenSchedule, true, []func() netem.CongestionController{newCubic, newBBR}, 0x542903104f074d82},
+		{"NewMulti/cubic+reno+bbr+copa", goldenSchedule, true, []func() netem.CongestionController{newCubic, newReno, newBBR, newCopa}, 0x94a53933a9b665da},
+		{"adversary/New/bbr", adversaryRegime, false, []func() netem.CongestionController{newBBR}, 0x7a1c406fdceeb2f1},
+		{"adversary/NewMulti/cubic+bbr", adversaryRegime, true, []func() netem.CongestionController{newCubic, newBBR}, 0xf971f015753ba297},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := goldenRun(t, tc.multi, tc.mk); got != tc.want {
+			if got := goldenRun(t, tc.sc, tc.multi, tc.mk); got != tc.want {
 				t.Errorf("digest %#016x, want %#016x", got, tc.want)
 			}
 		})
@@ -147,7 +198,7 @@ func TestGoldenCallbackStream(t *testing.T) {
 func TestMultiSingleFlowMatchesEmulator(t *testing.T) {
 	for _, mk := range []func() netem.CongestionController{newBBR, newCubic, newReno} {
 		one := []func() netem.CongestionController{mk}
-		if a, b := goldenRun(t, false, one), goldenRun(t, true, one); a != b {
+		if a, b := goldenRun(t, goldenSchedule, false, one), goldenRun(t, goldenSchedule, true, one); a != b {
 			t.Errorf("New digest %#016x, one-flow NewMulti digest %#016x", a, b)
 		}
 	}

@@ -12,7 +12,6 @@ package netem
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"advnet/internal/mathx"
 	"advnet/internal/vclock"
@@ -96,15 +95,40 @@ const (
 )
 
 // flow is the sender-side state of one controller.
+//
+// Its in-flight set is always the contiguous window [lo, nextSeq): a send
+// appends nextSeq; an ack of an in-flight seq removes it and every packet
+// below it (the link is in order, so those were dropped); an ack below lo is
+// of a packet already declared lost; an RTO empties the window. The send
+// times of the window live in sentAt, a ring whose length is a power of two,
+// seq s in slot s mod len(sentAt). It doubles when full and never shrinks.
 type flow struct {
 	cc          CongestionController
-	inflight    map[int64]float64 // seq -> sentAt
+	sentAt      []float64
+	lo          int64 // oldest unacknowledged seq
 	nextSeq     int64
 	nextSendAt  float64
 	rtoDeadline float64
 	srtt        float64
-	lossBuf     []int64 // scratch for sorted implied-loss signaling
 	bits        float64 // delivered through the bottleneck
+}
+
+// initialWindow is the starting length of a flow's sentAt ring.
+const initialWindow = 64
+
+// inflight returns the number of unacknowledged packets.
+func (f *flow) inflight() int { return int(f.nextSeq - f.lo) }
+
+// slot returns the index of seq's send time in sentAt.
+func (f *flow) slot(seq int64) int { return int(seq) & (len(f.sentAt) - 1) }
+
+// grow doubles sentAt, moving the window to its slots in the longer ring.
+func (f *flow) grow() {
+	old := f.sentAt
+	f.sentAt = make([]float64, 2*len(old))
+	for s := f.lo; s < f.nextSeq; s++ {
+		f.sentAt[f.slot(s)] = old[int(s)&(len(old)-1)]
+	}
 }
 
 type queuedPacket struct {
@@ -126,8 +150,12 @@ type Emulator struct {
 	now    float64
 	events vclock.Queue
 
-	queue []queuedPacket
-	busy  bool // bottleneck serializing a packet
+	// queue is the droptail buffer: a ring of cfg.QueuePackets slots holding
+	// queueLen packets from queueHead on, the head in service.
+	queue     []queuedPacket
+	queueHead int
+	queueLen  int
+	busy      bool // bottleneck serializing a packet
 
 	stats Stats
 }
@@ -152,9 +180,10 @@ func NewMulti(ccs []CongestionController, cfg Config, rng *mathx.RNG) *Emulator 
 		rng:   rng,
 		cond:  cfg.Initial,
 		cfg:   cfg,
+		queue: make([]queuedPacket, cfg.QueuePackets),
 	}
 	for i, cc := range ccs {
-		e.flows[i] = flow{cc: cc, inflight: make(map[int64]float64)}
+		e.flows[i] = flow{cc: cc, sentAt: make([]float64, initialWindow)}
 		e.schedule(0, evSend, int64(i))
 	}
 	return e
@@ -184,19 +213,19 @@ func (e *Emulator) SetConditions(c Conditions) {
 }
 
 // QueueDepth returns the number of packets waiting or in service.
-func (e *Emulator) QueueDepth() int { return len(e.queue) }
+func (e *Emulator) QueueDepth() int { return e.queueLen }
 
 // QueueingDelay returns the time a packet entering the queue now would wait
 // before being serviced, in seconds.
 func (e *Emulator) QueueingDelay() float64 {
-	return float64(len(e.queue)) * PacketBits / (e.cond.BandwidthMbps * 1e6)
+	return float64(e.queueLen) * PacketBits / (e.cond.BandwidthMbps * 1e6)
 }
 
 // Inflight returns the number of unacknowledged packets over all flows.
 func (e *Emulator) Inflight() int {
 	n := 0
 	for i := range e.flows {
-		n += len(e.flows[i].inflight)
+		n += e.flows[i].inflight()
 	}
 	return n
 }
@@ -281,7 +310,7 @@ func (e *Emulator) handleSend(fi int) {
 		}
 	}
 	sent := false
-	for float64(len(f.inflight)) < cwnd && e.now >= f.nextSendAt-1e-12 {
+	for float64(f.inflight()) < cwnd && e.now >= f.nextSendAt-1e-12 {
 		e.sendPacket(fi)
 		gap := PacketBits / rate
 		if len(e.flows) > 1 {
@@ -296,7 +325,7 @@ func (e *Emulator) handleSend(fi int) {
 		sent = true
 	}
 	var next float64
-	if sent || float64(len(f.inflight)) < cwnd {
+	if sent || float64(f.inflight()) < cwnd {
 		next = math.Max(f.nextSendAt, e.now+1e-6)
 	} else {
 		// cwnd-limited: poll again shortly, so a window freed by an ack
@@ -308,12 +337,15 @@ func (e *Emulator) handleSend(fi int) {
 
 func (e *Emulator) sendPacket(fi int) {
 	f := &e.flows[fi]
+	if f.inflight() == len(f.sentAt) {
+		f.grow()
+	}
 	seq := f.nextSeq
 	f.nextSeq++
-	f.inflight[seq] = e.now
+	f.sentAt[f.slot(seq)] = e.now
 	e.stats.Sent++
 	f.cc.OnPacketSent(e.now, seq)
-	if len(f.inflight) == 1 {
+	if f.inflight() == 1 {
 		e.armRTO(fi) // first outstanding packet starts the timer
 	}
 
@@ -322,11 +354,12 @@ func (e *Emulator) sendPacket(fi int) {
 		e.stats.DroppedRandom++
 		return
 	}
-	if len(e.queue) >= e.cfg.QueuePackets {
+	if e.queueLen == len(e.queue) {
 		e.stats.DroppedTail++
 		return
 	}
-	e.queue = append(e.queue, queuedPacket{flow: fi, seq: seq})
+	e.queue[(e.queueHead+e.queueLen)%len(e.queue)] = queuedPacket{flow: fi, seq: seq}
+	e.queueLen++
 	if !e.busy {
 		e.startService()
 	}
@@ -339,19 +372,20 @@ func (e *Emulator) startService() {
 }
 
 func (e *Emulator) handleDequeue() {
-	if len(e.queue) == 0 {
+	if e.queueLen == 0 {
 		e.busy = false
 		return
 	}
-	pkt := e.queue[0]
-	e.queue = e.queue[1:]
+	pkt := e.queue[e.queueHead]
+	e.queueHead = (e.queueHead + 1) % len(e.queue)
+	e.queueLen--
 	e.stats.DeliveredPkts++
 	e.stats.DeliveredBits += PacketBits
 	e.flows[pkt.flow].bits += PacketBits
 	// One-way delay to the receiver plus the (uncongested) ack path back.
 	ackAt := e.now + 2*e.cond.OneWayDelayMs/1000
 	e.schedule(ackAt, evAckArrive, int64(pkt.flow)<<40|pkt.seq)
-	if len(e.queue) > 0 {
+	if e.queueLen > 0 {
 		e.startService()
 	} else {
 		e.busy = false
@@ -360,36 +394,24 @@ func (e *Emulator) handleDequeue() {
 
 func (e *Emulator) handleAck(fi int, seq int64) {
 	f := &e.flows[fi]
-	sentAt, ok := f.inflight[seq]
-	if !ok {
-		return // already declared lost by RTO
+	if seq < f.lo {
+		return // already declared lost, by gap detection or RTO
 	}
-	delete(f.inflight, seq)
-	rtt := e.now - sentAt
+	rtt := e.now - f.sentAt[f.slot(seq)]
 	if f.srtt == 0 {
 		f.srtt = rtt
 	} else {
 		f.srtt = 0.875*f.srtt + 0.125*rtt
 	}
 
-	// In-order link: any unacked packet with a lower sequence was dropped.
-	// The implied losses are collected and signaled in ascending sequence
-	// order — ranging over the map directly would fire OnLoss in Go's
-	// randomized iteration order, making order-sensitive controllers
-	// (BBR/Cubic state machines) non-reproducible run to run.
-	losses := f.lossBuf[:0]
-	for s := range f.inflight {
-		if s < seq {
-			losses = append(losses, s)
-		}
-	}
-	slices.Sort(losses)
-	for _, s := range losses {
-		delete(f.inflight, s)
+	// In-order link: every unacked packet with a lower sequence was
+	// dropped. Those are the window's prefix lo … seq−1, signaled in
+	// ascending sequence order before the ack itself.
+	for ; f.lo < seq; f.lo++ {
 		e.stats.LossesSignaled++
-		f.cc.OnLoss(e.now, s)
+		f.cc.OnLoss(e.now, f.lo)
 	}
-	f.lossBuf = losses[:0]
+	f.lo = seq + 1
 	f.cc.OnAck(Ack{Seq: seq, Now: e.now, RTT: rtt})
 	e.armRTO(fi)
 }
@@ -409,10 +431,10 @@ func (e *Emulator) armRTO(fi int) {
 func (e *Emulator) handleRTO(fi int, at float64) {
 	f := &e.flows[fi]
 	// Stale timer (re-armed since it was scheduled), or nothing outstanding?
-	if at < f.rtoDeadline-1e-9 || len(f.inflight) == 0 {
+	if at < f.rtoDeadline-1e-9 || f.inflight() == 0 {
 		return
 	}
-	clear(f.inflight)
+	f.lo = f.nextSeq
 	e.stats.Timeouts++
 	f.cc.OnTimeout(e.now)
 }
