@@ -5,8 +5,11 @@
 // for bit. The two adversary-regime rows were recorded at commit 648c77f,
 // while the in-flight set was still a map and the droptail queue a
 // resliced slice, and pin the seq-indexed window and the queue ring that
-// replaced them. The constants may only change with a stated, intended
-// change of emulator arithmetic or event order.
+// replaced them. The fixed-RTO and three bufferbloat rows were recorded at
+// commit df31532, while every RTO timer was an event on the packet heap,
+// and pin the per-flow timer queues that replaced them. The constants may
+// only change with a stated, intended change of emulator arithmetic or event
+// order.
 package netem_test
 
 import (
@@ -25,12 +28,13 @@ import (
 // its kind, flow, sequence and the bit patterns of its times into a hash
 // shared by all flows of the run, so the digest also pins how the callbacks
 // of different flows interleave. It also keeps the flow's in-flight count as
-// the callbacks imply it, and that count's peak.
+// the callbacks imply it, that count's peak, and the largest ack RTT.
 type recorder struct {
 	netem.CongestionController
 	flow           int
 	h              hash.Hash64
 	inflight, peak int
+	maxRTT         float64
 }
 
 func (r *recorder) put(kind byte, seq int64, now, rtt float64) {
@@ -52,6 +56,7 @@ func (r *recorder) OnPacketSent(now float64, seq int64) {
 func (r *recorder) OnAck(a netem.Ack) {
 	r.put('A', a.Seq, a.Now, a.RTT)
 	r.inflight--
+	r.maxRTT = max(r.maxRTT, a.RTT)
 	r.CongestionController.OnAck(a)
 }
 
@@ -72,14 +77,22 @@ type goldenSegment struct {
 	c     netem.Conditions
 }
 
+// runPeaks are the extremes a run's callbacks reached over all its flows.
+type runPeaks struct {
+	inflight int     // largest in-flight count of any one flow
+	rtt      float64 // largest ack RTT, seconds
+}
+
 // goldenScenario is a link schedule, stepped in the adversary's 30 ms
-// intervals, over a droptail queue of the given capacity. covers reports
-// whether a run's final counters and the largest in-flight count any one
-// flow reached still exercise the paths the scenario exists to pin.
+// intervals, over a droptail queue of the given capacity and with the given
+// Config.RTOSeconds (0: the adaptive RTO). covers reports whether a run's
+// final counters and peaks still exercise the paths the scenario exists to
+// pin.
 type goldenScenario struct {
 	queue    int
+	rto      float64
 	schedule []goldenSegment
-	covers   func(st netem.Stats, peakInflight int) bool
+	covers   func(st netem.Stats, p runPeaks) bool
 }
 
 // goldenSchedule is a link whose every parameter moves mid-run: a lossless
@@ -96,10 +109,19 @@ var goldenSchedule = goldenScenario{
 		{150, netem.Conditions{BandwidthMbps: 12, OneWayDelayMs: 5, LossRate: 0.05}},
 		{230, netem.Conditions{BandwidthMbps: 6, OneWayDelayMs: 30, LossRate: 0.01}},
 	},
-	covers: func(st netem.Stats, _ int) bool {
+	covers: func(st netem.Stats, _ runPeaks) bool {
 		return st.LossesSignaled > 0 && st.Timeouts > 0 && st.DroppedTail > 0
 	},
 }
+
+// fixedRTO is goldenSchedule under a fixed 0.3 s RTO, below the adaptive
+// RTO's 1 s floor: timers fire while the link is merely slow, and flows
+// armed at the same instant hold timers due at the same instant.
+var fixedRTO = func() goldenScenario {
+	sc := goldenSchedule
+	sc.rto = 0.3
+	return sc
+}()
 
 // adversaryRegime is the CC adversary's link: a 128-packet queue at
 // 24 Mbps and 60 ms one-way — a bandwidth-delay product of 240 packets, which
@@ -112,8 +134,32 @@ var adversaryRegime = goldenScenario{
 		{400, netem.Conditions{BandwidthMbps: 24, OneWayDelayMs: 60, LossRate: 0}},
 		{200, netem.Conditions{BandwidthMbps: 24, OneWayDelayMs: 15, LossRate: 0.01}},
 	},
-	covers: func(st netem.Stats, peakInflight int) bool {
-		return st.LossesSignaled > 0 && peakInflight > 256
+	covers: func(st netem.Stats, p runPeaks) bool {
+		return st.LossesSignaled > 0 && p.inflight > 256
+	},
+}
+
+// bufferbloat is a slow link behind a deep queue: 256 packets at 0.5–1 Mbps
+// hold 3–6 s of data, so ack RTTs pass 1 s and the adaptive RTO leaves its
+// 1 s floor. Blackouts make those long timeouts fire, and jumps to a fast,
+// short link drain the queue, so srtt — and with it the RTO — shrinks below
+// deadlines already armed.
+var bufferbloat = goldenScenario{
+	queue: 256,
+	schedule: []goldenSegment{
+		{200, netem.Conditions{BandwidthMbps: 8, OneWayDelayMs: 40, LossRate: 0}},
+		{300, netem.Conditions{BandwidthMbps: 0.5, OneWayDelayMs: 40, LossRate: 0}},
+		{100, netem.Conditions{BandwidthMbps: 0.5, OneWayDelayMs: 40, LossRate: 0.01}},
+		{200, netem.Conditions{BandwidthMbps: 0.5, OneWayDelayMs: 40, LossRate: 1}},
+		{300, netem.Conditions{BandwidthMbps: 1, OneWayDelayMs: 40, LossRate: 0}},
+		{150, netem.Conditions{BandwidthMbps: 12, OneWayDelayMs: 5, LossRate: 0.01}},
+		{70, netem.Conditions{BandwidthMbps: 12, OneWayDelayMs: 5, LossRate: 1}},
+		{200, netem.Conditions{BandwidthMbps: 0.5, OneWayDelayMs: 60, LossRate: 0}},
+		{150, netem.Conditions{BandwidthMbps: 0.5, OneWayDelayMs: 60, LossRate: 1}},
+		{200, netem.Conditions{BandwidthMbps: 1, OneWayDelayMs: 20, LossRate: 0.01}},
+	},
+	covers: func(st netem.Stats, p runPeaks) bool {
+		return st.Timeouts > 0 && p.rtt > 1
 	},
 }
 
@@ -129,7 +175,7 @@ func goldenRun(t *testing.T, sc goldenScenario, multi bool, mk []func() netem.Co
 		recs[i] = &recorder{CongestionController: f(), flow: i, h: h}
 		ccs[i] = recs[i]
 	}
-	cfg := netem.Config{Initial: sc.schedule[0].c, QueuePackets: sc.queue}
+	cfg := netem.Config{Initial: sc.schedule[0].c, QueuePackets: sc.queue, RTOSeconds: sc.rto}
 	var em *netem.Emulator
 	if multi {
 		em = netem.NewMulti(ccs, cfg, mathx.NewRNG(2024))
@@ -144,12 +190,13 @@ func goldenRun(t *testing.T, sc goldenScenario, multi bool, mk []func() netem.Co
 			em.Run(float64(step) * 0.03)
 		}
 	}
-	st, peak := em.Stats(), 0
+	st, peaks := em.Stats(), runPeaks{}
 	for _, r := range recs {
-		peak = max(peak, r.peak)
+		peaks.inflight = max(peaks.inflight, r.peak)
+		peaks.rtt = max(peaks.rtt, r.maxRTT)
 	}
-	if !sc.covers(st, peak) {
-		t.Errorf("scenario no longer exercises the paths it pins: %+v, peak in flight %d", st, peak)
+	if !sc.covers(st, peaks) {
+		t.Errorf("scenario no longer exercises the paths it pins: %+v, peaks %+v", st, peaks)
 	}
 	final := []float64{
 		float64(st.Sent), float64(st.DeliveredPkts), st.DeliveredBits, float64(st.DroppedRandom),
@@ -184,6 +231,10 @@ func TestGoldenCallbackStream(t *testing.T) {
 		{"NewMulti/cubic+reno+bbr+copa", goldenSchedule, true, []func() netem.CongestionController{newCubic, newReno, newBBR, newCopa}, 0x94a53933a9b665da},
 		{"adversary/New/bbr", adversaryRegime, false, []func() netem.CongestionController{newBBR}, 0x7a1c406fdceeb2f1},
 		{"adversary/NewMulti/cubic+bbr", adversaryRegime, true, []func() netem.CongestionController{newCubic, newBBR}, 0xf971f015753ba297},
+		{"fixedRTO/NewMulti/cubic+bbr", fixedRTO, true, []func() netem.CongestionController{newCubic, newBBR}, 0xc41fbab01485c2ec},
+		{"bufferbloat/New/bbr", bufferbloat, false, []func() netem.CongestionController{newBBR}, 0x4283b3b09678e127},
+		{"bufferbloat/New/cubic", bufferbloat, false, []func() netem.CongestionController{newCubic}, 0x0edc1e1da8de9b0f},
+		{"bufferbloat/NewMulti/cubic+bbr", bufferbloat, true, []func() netem.CongestionController{newCubic, newBBR}, 0x259db193ab17f0dc},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if got := goldenRun(t, tc.sc, tc.multi, tc.mk); got != tc.want {

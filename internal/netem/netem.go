@@ -85,13 +85,13 @@ type Stats struct {
 
 type eventKind int
 
-// Event payload (vclock.Event.Seq): the flow index for evSend and evRTO,
-// flow<<40 | packet seq for evAckArrive, unused for evDequeue.
+// Event payload (vclock.Event.Seq): the flow index for evSend, flow<<40 |
+// packet seq for evAckArrive, unused for evDequeue. RTO timers are not
+// packet events: each flow queues its own (see armRTO).
 const (
 	evSend eventKind = iota
 	evDequeue
 	evAckArrive
-	evRTO
 )
 
 // flow is the sender-side state of one controller.
@@ -109,12 +109,15 @@ type flow struct {
 	nextSeq     int64
 	nextSendAt  float64
 	rtoDeadline float64
+	timers      vclock.Queue // pending RTO timers, stamped by Emulator.events
 	srtt        float64
 	bits        float64 // delivered through the bottleneck
 }
 
-// initialWindow is the starting length of a flow's sentAt ring.
-const initialWindow = 64
+const (
+	initialWindow = 64 // starting length of a flow's sentAt ring
+	initialTimers = 4  // starting capacity of a flow's timer queue
+)
 
 // inflight returns the number of unacknowledged packets.
 func (f *flow) inflight() int { return int(f.nextSeq - f.lo) }
@@ -148,7 +151,10 @@ type Emulator struct {
 	cfg   Config
 
 	now    float64
-	events vclock.Queue
+	events vclock.Queue // packet events
+	// timerFlow is the flow holding the earliest pending RTO timer of all
+	// flows, or -1 when no flow holds one.
+	timerFlow int
 
 	// queue is the droptail buffer: a ring of cfg.QueuePackets slots holding
 	// queueLen packets from queueHead on, the head in service.
@@ -176,14 +182,16 @@ func NewMulti(ccs []CongestionController, cfg Config, rng *mathx.RNG) *Emulator 
 		cfg.QueuePackets = 64
 	}
 	e := &Emulator{
-		flows: make([]flow, len(ccs)),
-		rng:   rng,
-		cond:  cfg.Initial,
-		cfg:   cfg,
-		queue: make([]queuedPacket, cfg.QueuePackets),
+		flows:     make([]flow, len(ccs)),
+		rng:       rng,
+		cond:      cfg.Initial,
+		cfg:       cfg,
+		timerFlow: -1,
+		queue:     make([]queuedPacket, cfg.QueuePackets),
 	}
 	for i, cc := range ccs {
 		e.flows[i] = flow{cc: cc, sentAt: make([]float64, initialWindow)}
+		e.flows[i].timers.Grow(initialTimers)
 		e.schedule(0, evSend, int64(i))
 	}
 	return e
@@ -266,7 +274,24 @@ func (e *Emulator) Run(until float64) {
 // composite simulation (e.g. a swarm group multiplexing chunk wake-ups over
 // this emulator) uses it to interleave its own events with packet events on
 // one shared clock.
-func (e *Emulator) NextEventAt() (float64, bool) { return e.events.PeekAt() }
+func (e *Emulator) NextEventAt() (float64, bool) {
+	ev, _, ok := e.next()
+	return ev.At, ok
+}
+
+// next returns the earliest pending event: the packet heap's top or the
+// earliest RTO timer of any flow, whichever fires first, and whether it is
+// the timer. Timers are stamped by the packet heap, so this is the order one
+// heap holding both would pop them in.
+func (e *Emulator) next() (ev vclock.Event, timer, ok bool) {
+	ev, ok = e.events.Peek()
+	if e.timerFlow >= 0 {
+		if t, _ := e.flows[e.timerFlow].timers.Peek(); !ok || t.Before(&ev) {
+			return t, true, true
+		}
+	}
+	return ev, false, ok
+}
 
 // StepEvent processes the single earliest pending event if it fires at or
 // before until, advancing Now to that event's time. It reports whether an
@@ -274,13 +299,21 @@ func (e *Emulator) NextEventAt() (float64, bool) { return e.events.PeekAt() }
 // one event at a time so they can observe per-flow delivery between packet
 // events.
 func (e *Emulator) StepEvent(until float64) bool {
-	ev, ok := e.events.PopIfAtOrBefore(until)
-	if !ok {
+	ev, timer, ok := e.next()
+	if !ok || ev.At > until {
 		return false
 	}
 	if ev.At > e.now {
 		e.now = ev.At
 	}
+	if timer {
+		fi := e.timerFlow
+		e.flows[fi].timers.Pop()
+		e.retime(fi)
+		e.handleRTO(fi, ev.At)
+		return true
+	}
+	e.events.Pop()
 	switch eventKind(ev.Kind) {
 	case evSend:
 		e.handleSend(int(ev.Seq))
@@ -288,8 +321,6 @@ func (e *Emulator) StepEvent(until float64) bool {
 		e.handleDequeue()
 	case evAckArrive:
 		e.handleAck(int(ev.Seq>>40), ev.Seq&((1<<40)-1))
-	case evRTO:
-		e.handleRTO(int(ev.Seq), ev.At)
 	}
 	return true
 }
@@ -416,21 +447,71 @@ func (e *Emulator) handleAck(fi int, seq int64) {
 	e.armRTO(fi)
 }
 
+// armRTO moves flow fi's RTO deadline to now + rto and queues a timer for
+// it, stamped where the packet heap would have stamped it. Every rto is at
+// least rtoMin, and now never decreases, so every later deadline is at least
+// fl(now + rtoMin): a pending timer due before fl(now + rtoMin) − 1e-9 would
+// fail handleRTO's staleness test, and is dropped here instead. Those timers
+// are a prefix of the flow's queue.
 func (e *Emulator) armRTO(fi int) {
 	f := &e.flows[fi]
-	rto := 1.0
+	rto, rtoMin := 1.0, 1.0
 	if e.cfg.RTOSeconds > 0 {
-		rto = e.cfg.RTOSeconds
+		rto, rtoMin = e.cfg.RTOSeconds, e.cfg.RTOSeconds
 	} else if f.srtt > 0 {
 		rto = math.Max(1.0, 4*f.srtt)
 	}
 	f.rtoDeadline = e.now + rto
-	e.schedule(f.rtoDeadline, evRTO, int64(fi))
+	dead := e.now + rtoMin - 1e-9
+	for at, ok := f.timers.PeekAt(); ok && at < dead; at, ok = f.timers.PeekAt() {
+		f.timers.Pop()
+	}
+	f.timers.Push(e.events.Stamp(vclock.Event{At: f.rtoDeadline}))
+	e.retime(fi)
 }
 
+// retime restores timerFlow after flow fi's timer queue changed. A flow
+// other than the leader can only have taken the lead; a change to the
+// leader can move the earliest timer later, and only then are all flows
+// scanned: at most once per arm or timer pop, no more often than the swarm
+// already scans its clients for completions.
+func (e *Emulator) retime(fi int) {
+	if fi != e.timerFlow {
+		if e.timerBefore(fi, e.timerFlow) {
+			e.timerFlow = fi
+		}
+		return
+	}
+	e.timerFlow = -1
+	for i := range e.flows {
+		if e.timerBefore(i, e.timerFlow) {
+			e.timerFlow = i
+		}
+	}
+}
+
+// timerBefore reports whether flow i holds a timer due before every timer of
+// flow j, which when j is -1 holds none.
+func (e *Emulator) timerBefore(i, j int) bool {
+	t, ok := e.flows[i].timers.Peek()
+	if !ok || j < 0 {
+		return ok
+	}
+	u, _ := e.flows[j].timers.Peek()
+	return t.Before(&u)
+}
+
+// handleRTO runs flow fi's timer due at at. Its staleness test compares at
+// with the flow's current deadline, not with the arm that queued the timer,
+// so a timer that a later arm superseded still passes it when that arm left
+// the deadline at or before at + 1e-9, as a shrinking RTO can. Such a timer
+// fires only when it pops ahead of the live timer (due at the same instant,
+// or within the slack) with packets outstanding, and then fires the timeout
+// in the live timer's place. A one-timer-per-flow design would fire at the
+// live timer instead, reordering the timeout against the events between the
+// two: a change to the golden streams, pinned by TestSupersededTimerFires.
 func (e *Emulator) handleRTO(fi int, at float64) {
 	f := &e.flows[fi]
-	// Stale timer (re-armed since it was scheduled), or nothing outstanding?
 	if at < f.rtoDeadline-1e-9 || f.inflight() == 0 {
 		return
 	}

@@ -36,9 +36,22 @@ type Event struct {
 	id int64 // insertion order, the deterministic tiebreaker
 }
 
-// Queue is a min-heap of events ordered by (At, insertion id). The zero
-// value is ready to use. Not safe for concurrent use — a queue belongs to
-// exactly one virtual clock.
+// Before reports whether a fires before b: earlier At, or the same At and
+// an earlier stamp. Over events stamped by one queue it is a strict total
+// order. It takes pointers because an Event is too large to compare by
+// value without copying both.
+func (a *Event) Before(b *Event) bool {
+	if a.At != b.At {
+		return a.At < b.At
+	}
+	return a.id < b.id
+}
+
+// Queue is a min-heap of events ordered by Before. The zero value is ready
+// to use. Every stamp is distinct, so (At, id) is a strict total order: no
+// two pending events compare equal, and the pop order is fully determined by
+// the events, never by the heap's internal layout. Not safe for concurrent
+// use — a queue belongs to exactly one virtual clock.
 type Queue struct {
 	h      []Event
 	nextID int64
@@ -58,12 +71,37 @@ func (q *Queue) Grow(n int) {
 }
 
 // Schedule adds an event to the timeline. Events scheduled later sort after
-// earlier ones at the same instant.
+// earlier ones at the same instant. It is Push(Stamp(ev)), written out so
+// that the swarm's hot path stays one call.
 func (q *Queue) Schedule(ev Event) {
 	q.nextID++
 	ev.id = q.nextID
 	q.h = append(q.h, ev)
 	q.up(len(q.h) - 1)
+}
+
+// Stamp returns ev with the insertion id Schedule would give it now, and
+// consumes that id. Pushing the stamped event into another queue keeps it in
+// this queue's order: of two events stamped here, the later-stamped sorts
+// after the other at the same instant, whichever queue holds each.
+func (q *Queue) Stamp(ev Event) Event {
+	q.nextID++
+	ev.id = q.nextID
+	return ev
+}
+
+// Push adds an event that Stamp has already stamped, keeping its id.
+func (q *Queue) Push(ev Event) {
+	q.h = append(q.h, ev)
+	q.up(len(q.h) - 1)
+}
+
+// Peek returns the earliest pending event without removing it.
+func (q *Queue) Peek() (Event, bool) {
+	if len(q.h) == 0 {
+		return Event{}, false
+	}
+	return q.h[0], true
 }
 
 // PeekAt returns the firing time of the earliest pending event.
@@ -89,21 +127,7 @@ func (q *Queue) Pop() (Event, bool) {
 	return ev, true
 }
 
-// PopIfAtOrBefore removes and returns the earliest event if it fires at or
-// before the deadline.
-func (q *Queue) PopIfAtOrBefore(deadline float64) (Event, bool) {
-	if len(q.h) == 0 || q.h[0].At > deadline {
-		return Event{}, false
-	}
-	return q.Pop()
-}
-
-func (q *Queue) less(i, j int) bool {
-	if q.h[i].At != q.h[j].At {
-		return q.h[i].At < q.h[j].At
-	}
-	return q.h[i].id < q.h[j].id
-}
+func (q *Queue) less(i, j int) bool { return q.h[i].Before(&q.h[j]) }
 
 func (q *Queue) up(i int) {
 	for i > 0 {

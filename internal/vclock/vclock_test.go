@@ -70,18 +70,60 @@ func TestQueueMatchesReferenceOrdering(t *testing.T) {
 	}
 }
 
-func TestQueuePopIfAtOrBefore(t *testing.T) {
+func TestQueuePeek(t *testing.T) {
 	var q Queue
-	q.Schedule(Event{At: 1})
-	q.Schedule(Event{At: 3})
-	if _, ok := q.PopIfAtOrBefore(0.5); ok {
-		t.Fatal("popped an event after the deadline")
+	if _, ok := q.Peek(); ok {
+		t.Fatal("peek on empty queue succeeded")
 	}
-	if ev, ok := q.PopIfAtOrBefore(2); !ok || ev.At != 1 {
-		t.Fatalf("got (%v,%v), want the t=1 event", ev, ok)
+	q.Schedule(Event{At: 3, Seq: 1})
+	q.Schedule(Event{At: 1, Seq: 2})
+	if ev, ok := q.Peek(); !ok || ev.Seq != 2 || q.Len() != 2 {
+		t.Fatalf("peek got (%v,%v) with %d pending, want the t=1 event and 2", ev, ok, q.Len())
+	}
+	if ev, ok := q.Pop(); !ok || ev.Seq != 2 {
+		t.Fatalf("pop got (%v,%v), want the peeked t=1 event", ev, ok)
 	}
 	if at, ok := q.PeekAt(); !ok || at != 3 {
 		t.Fatalf("peek got (%v,%v), want 3", at, ok)
+	}
+}
+
+// TestStampedEventsOrderLikeScheduled: stamping an event with one queue and
+// pushing it into another gives it exactly the place Schedule would have
+// given it. Events are scheduled on a coarse time grid, which forces ties,
+// and each goes either through Schedule on the stamping queue or through
+// Stamp into a second queue; popping the earlier of the two heads by Before
+// drains them in the order one queue scheduling everything does.
+func TestStampedEventsOrderLikeScheduled(t *testing.T) {
+	rng := mathx.NewRNG(12)
+	var ref, p, q Queue
+	popSplit := func() Event {
+		a, okA := p.Peek()
+		b, okB := q.Peek()
+		if !okB || okA && a.Before(&b) {
+			ev, _ := p.Pop()
+			return ev
+		}
+		ev, _ := q.Pop()
+		return ev
+	}
+	for step, next := 0, int64(0); step < 4000; step++ {
+		if ref.Len() == 0 || rng.Float64() < 0.6 {
+			ev := Event{At: float64(rng.Intn(20)) * 0.5, Seq: next}
+			next++
+			ref.Schedule(ev)
+			if rng.Float64() < 0.5 {
+				p.Schedule(ev)
+			} else {
+				q.Push(p.Stamp(ev))
+			}
+			continue
+		}
+		want, _ := ref.Pop()
+		if got := popSplit(); got.At != want.At || got.Seq != want.Seq {
+			t.Fatalf("step %d: split queues popped (at=%v seq=%d), one queue (at=%v seq=%d)",
+				step, got.At, got.Seq, want.At, want.Seq)
+		}
 	}
 }
 
