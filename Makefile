@@ -10,8 +10,11 @@ build:
 test:
 	$(GO) test ./...
 
+# internal/nn's assembly is amd64-only; vetting the package for arm64 keeps
+# its portable fallback (fma_stub.go, the Go loops) compiling as it grows.
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./internal/nn/
 
 # The concurrent code is the one fan-out, par.Run (internal/par), and what it
 # runs: the rollout lanes (internal/rl/lane.go, fanned out by
@@ -57,7 +60,11 @@ bench-ab:
 # a second containment, and a second PanicError struct under internal/ is a
 # second panic type. And one home per paper claim (internal/experiments/
 # claims_test.go): a Go file under examples/ or a test outside
-# internal/experiments that imports it is a second, unchecked harness.
+# internal/experiments that imports it is a second, unchecked harness. And
+# one non-bitwise forward: a fused multiply-add (VFMADD) in any assembly under
+# internal/nn other than the inference kernel (fma_amd64.s and its vector
+# tanh, vtanh_amd64.s) would change the training kernel's rounding and with
+# it every golden.
 seam-check:
 	@n=$$(grep -rn 'NewPPO(' --include='*.go' --exclude-dir=.bench_build . | grep -v '_test\.go:' | grep -vc '^\./bench/e2e/'); \
 	if [ $$n -gt 2 ]; then echo "seam-check: NewPPO( on $$n non-test lines, want <= 2 (build trainers with rl.NewTrainer)"; exit 1; fi
@@ -73,6 +80,8 @@ seam-check:
 	if [ -n "$$f" ]; then echo "seam-check: Go files under examples/: $$f (a paper claim is a row of internal/experiments/claims_test.go)"; exit 1; fi
 	@f=$$(grep -rl '"advnet/internal/experiments"' --include='*_test.go' --exclude-dir=.bench_build . | grep -v '^\./internal/experiments/'); \
 	if [ -n "$$f" ]; then echo "seam-check: $$f imports internal/experiments from a test (assert claims in internal/experiments/claims_test.go)"; exit 1; fi
+	@f=$$(grep -rl 'VFMADD' --include='*.s' internal/nn | grep -Ev '^internal/nn/(fma|vtanh)_amd64\.s$$'); \
+	if [ -n "$$f" ]; then echo "seam-check: VFMADD in $$f (the training kernel multiplies then adds; only the inference kernel may fuse)"; exit 1; fi
 
 # Tier-1 verification: build + tests, plus vet, the race detector, the
 # benchmark's correctness and allocation check, and the structural seam check.

@@ -200,31 +200,31 @@ func (e *ABREnv) reward() float64 {
 	return rOpt - rProto - e.cfg.SmoothWeight*smooth
 }
 
-// pushObservation appends the newest per-step features and drops the oldest.
+// pushObservation drops the oldest per-step features and writes the newest
+// into the tail of the window, in place.
 func (e *ABREnv) pushObservation(res abr.StepResult, bw float64) {
 	levels := e.video.Levels()
 	maxMbps := e.video.BitrateMbps(levels - 1)
 	per := e.cfg.perStepFeatures(levels)
 
-	feat := make([]float64, 0, per)
-	feat = append(feat, res.BitrateMbps/maxMbps)
-	feat = append(feat, res.BufferS/10)
+	copy(e.history, e.history[per:])
+	feat := e.history[len(e.history)-per:]
+	feat[0] = res.BitrateMbps / maxMbps
+	feat[1] = res.BufferS / 10
+	sizes := feat[2 : 2+levels]
 	if !e.session.Done() {
-		for _, s := range e.video.ChunkSizes(e.session.NextChunk()) {
-			feat = append(feat, s/1e6/5)
+		next := e.session.NextChunk()
+		for l := range sizes {
+			sizes[l] = e.video.Size(l, next) / 1e6 / 5
 		}
 	} else {
-		for i := 0; i < levels; i++ {
-			feat = append(feat, 0)
-		}
+		clear(sizes)
 	}
-	feat = append(feat, float64(e.video.NumChunks()-e.session.NextChunk())/float64(e.video.NumChunks()))
-	feat = append(feat, res.ThroughputMbps/5)
-	feat = append(feat, res.DownloadS/10)
-	feat = append(feat, bw/e.cfg.BandwidthHi)
-
-	copy(e.history, e.history[per:])
-	copy(e.history[len(e.history)-per:], feat)
+	rest := feat[2+levels:]
+	rest[0] = float64(e.video.NumChunks()-e.session.NextChunk()) / float64(e.video.NumChunks())
+	rest[1] = res.ThroughputMbps / 5
+	rest[2] = res.DownloadS / 10
+	rest[3] = bw / e.cfg.BandwidthHi
 }
 
 // ObservationSize implements rl.Env.

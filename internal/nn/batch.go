@@ -11,7 +11,9 @@ import "fmt"
 // per-output operation order does not depend on the batch: a batched pass is
 // bit-for-bit identical to the same samples passed one at a time through
 // ForwardInto/BackwardInto, with parameter gradients accumulated in sample
-// order.
+// order. On AVX2 hardware the forward runs four-lane SIMD over the cache's
+// transposed weights, one output per lane and never fused, so it is the same
+// bits by construction.
 //
 // A cache built with NewBatchCacheGEMM is the inference variant: on AVX2+FMA
 // hardware its ForwardBatch runs the fused-multiply-add assembly instead (see
@@ -34,8 +36,9 @@ type BatchCache struct {
 	// for i ≥ 1; dacts[0] stays nil because no caller reads a minibatch's
 	// input gradient.
 	dacts [][]float64
-	// wt[l] (GEMM variant only) holds layer l's weights transposed (In×Out),
-	// refreshed each forward pass unless staticW.
+	// wt[l] holds layer l's weights transposed (In×Out) for the assembly
+	// forward, refreshed each pass — the optimizer changes the weights
+	// between minibatches — unless the GEMM variant has staticW.
 	wt [][]float64
 	// staticW promises the network's weights do not change between forward
 	// passes, letting the GEMM variant reuse wt across passes; wtReady tracks
@@ -50,7 +53,7 @@ type BatchCache struct {
 // snapshots are immutable. The caller owns the promise: after mutating or
 // swapping the weights, call InvalidateWeights (or SetStaticWeights again)
 // before the next pass, or forwards will silently use the stale transpose.
-// No-op for non-GEMM caches, whose passes read the weights directly.
+// No-op for training caches, which re-transpose on every pass.
 func (c *BatchCache) SetStaticWeights(on bool) {
 	c.staticW = on
 	c.wtReady = false
@@ -66,30 +69,41 @@ func (m *MLP) NewBatchCache(capacity int) *BatchCache {
 	if capacity <= 0 {
 		panic("nn: NewBatchCache with non-positive capacity")
 	}
-	c := &BatchCache{capacity: capacity}
-	widths := m.Sizes()
-	c.acts = make([][]float64, len(widths))
-	c.dacts = make([][]float64, len(widths))
-	for i, w := range widths {
-		c.acts[i] = make([]float64, capacity*w)
-		if i > 0 {
-			c.dacts[i] = make([]float64, capacity*w)
-		}
+	// Every matrix is carved from one backing array, so a cache costs the
+	// same few allocations whatever the network's depth.
+	size := capacity * m.InputSize()
+	for _, l := range m.layers {
+		size += 2*capacity*l.Out + l.In*l.Out
+	}
+	arena := make([]float64, size)
+	carve := func(n int) []float64 {
+		s := arena[:n:n]
+		arena = arena[n:]
+		return s
+	}
+	c := &BatchCache{
+		capacity: capacity,
+		acts:     make([][]float64, len(m.layers)+1),
+		dacts:    make([][]float64, len(m.layers)+1),
+		wt:       make([][]float64, len(m.layers)),
+	}
+	c.acts[0] = carve(capacity * m.InputSize())
+	for i, l := range m.layers {
+		c.acts[i+1] = carve(capacity * l.Out)
+		c.dacts[i+1] = carve(capacity * l.Out)
+		c.wt[i] = carve(l.In * l.Out)
 	}
 	return c
 }
 
 // NewBatchCacheGEMM returns the inference variant of the cache: on AVX2+FMA
-// hardware ForwardBatch runs the assembly kernel, which reorders and fuses
-// the floating-point summation, so outputs match the per-sample path to
-// rounding rather than bitwise. BackwardBatch is the same as for every cache.
+// hardware ForwardBatch runs the fused assembly kernel and vector tanh, so
+// outputs match the per-sample path to rounding rather than bitwise. It
+// differs from NewBatchCache only in that kernel and in honouring
+// SetStaticWeights; BackwardBatch is the same as for every cache.
 func (m *MLP) NewBatchCacheGEMM(capacity int) *BatchCache {
 	c := m.NewBatchCache(capacity)
 	c.gemm = true
-	c.wt = make([][]float64, len(m.layers))
-	for i, l := range m.layers {
-		c.wt[i] = make([]float64, l.In*l.Out)
-	}
 	return c
 }
 
@@ -115,8 +129,8 @@ func (m *MLP) ForwardBatch(c *BatchCache, xs []float64, n int) []float64 {
 	}
 	c.n = n
 	copy(c.acts[0][:n*in], xs[:n*in])
-	if c.gemm && useFMA {
-		return m.forwardBatchFMA(c, n)
+	if useAsm && (c.gemm || n >= asmMinRows) {
+		return m.forwardTransposed(c, n)
 	}
 	return m.forwardLayers(c.acts, n)
 }

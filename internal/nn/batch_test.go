@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"math"
 	"testing"
 
 	"advnet/internal/mathx"
@@ -64,28 +65,96 @@ func TestBackwardIntoMatchesBackward(t *testing.T) {
 
 // TestBatchMatchesPerSampleBitwise: the tiled kernel, batched or one row at a
 // time, must be bit-for-bit the scalar per-sample loops it replaced — the
-// invariant every golden fingerprint in the repository rests on. Layer 0 is
-// in×out and layer 1 out×out, so both the forward tiles (2 rows × 4 outputs)
-// and the backward sweeps (4 rows for gradW, 4 outputs for dX) meet every
-// remainder.
+// invariant every golden fingerprint in the repository rests on — on every
+// dispatch path. Layer 0 is in×out and layer 1 out×out, so both the forward
+// tiles (2 rows × 4 outputs in Go; 4-row groups × 8/4/2/1 outputs in the
+// assembly) and the backward sweeps (4 rows for gradW, 4 outputs for dX)
+// meet every remainder.
 func TestBatchMatchesPerSampleBitwise(t *testing.T) {
-	rng := mathx.NewRNG(47)
-	for _, hidden := range []Activation{Tanh, ReLU, Identity} {
-		for _, in := range []int{1, 2, 25, 64} {
-			for _, out := range []int{1, 3, 4, 5, 6, 64} {
-				for _, n := range []int{1, 2, 3, 4, 5, 63, 64, 65} {
-					checkKernelMatchesReference(t, rng, []int{in, out, out}, hidden, n, false)
+	eachKernel(func(kernel string) {
+		rng := mathx.NewRNG(47)
+		for _, hidden := range []Activation{Tanh, ReLU, Identity} {
+			for _, in := range []int{1, 2, 25, 64} {
+				for _, out := range []int{1, 3, 4, 5, 6, 7, 15, 64} {
+					for _, n := range []int{1, 2, 3, 4, 5, 8, 11, 63, 64, 65} {
+						checkKernelMatchesReference(t, kernel, rng, []int{in, out, out}, hidden, n, false)
+					}
+				}
+			}
+			// ±0, subnormals, ±Inf, NaN and overflow in inputs, gradients and
+			// weights, on the two network shapes the paper trains.
+			for _, sizes := range [][]int{{25, 64, 32, 6}, {2, 4, 1}} {
+				for _, n := range []int{1, 5, 8, 64} {
+					checkKernelMatchesReference(t, kernel, rng, sizes, hidden, n, true)
 				}
 			}
 		}
-		// ±0, subnormals, ±Inf, NaN and overflow in inputs, gradients and
-		// weights, on the two network shapes the paper trains.
-		for _, sizes := range [][]int{{25, 64, 32, 6}, {2, 4, 1}} {
-			for _, n := range []int{1, 5, 64} {
-				checkKernelMatchesReference(t, rng, sizes, hidden, n, true)
+	})
+}
+
+// TestKernelNeverFuses: a training pass must multiply, round, then add —
+// never fuse the two into one rounding. Every weight, input and gradient
+// below is chosen so that the second term of each sum is
+// (1+2⁻³⁰)(1−2⁻³⁰) = 1 − 2⁻⁶⁰, which rounds to 1 before it meets the −1
+// from the first term: unfused, every sum is exactly 0; a fused
+// multiply-add keeps the −2⁻⁶⁰. Shapes reach every forward tile width of
+// the assembly (15 = 8+4+2+1 outputs, two 4-row groups) and both the ymm
+// steps and the scalar tail of axpy4.
+func TestKernelNeverFuses(t *testing.T) {
+	const eps = 1.0 / (1 << 30)
+	hi, lo := 1+eps, 1-eps
+	if math.FMA(hi, lo, -1) == 0 || float64(hi*lo)-1 != 0 {
+		t.Fatal("the rigged operands do not tell fused from unfused")
+	}
+	eachKernel(func(kernel string) {
+		// Forward: y[r][o] = B[o] + ((+0 + (−1)·1) + hi·lo), B = 0.
+		const in, out, n = 2, 15, 8
+		m := NewMLP(mathx.NewRNG(1), []int{in, out}, Identity)
+		l := m.layers[0]
+		for o := 0; o < out; o++ {
+			l.W[o*in], l.W[o*in+1] = -1, hi
+		}
+		xs := make([]float64, n*in)
+		for r := 0; r < n; r++ {
+			xs[r*in], xs[r*in+1] = 1, lo
+		}
+		for i, y := range m.ForwardBatch(m.NewBatchCache(n), xs, n) {
+			if y != 0 {
+				t.Fatalf("%s kernel: forward out[%d] = %v, want 0 (a fused multiply-add gives %v)", kernel, i, y, math.FMA(hi, lo, -1))
 			}
 		}
-	}
+
+		// axpy4: y[i] = ((((+0 + (−1)·1) + hi·lo) + 0·0) + 0·0).
+		for _, size := range []int{1, 3, 4, 7, 64} {
+			y, ones, los, zeros := make([]float64, size), make([]float64, size), make([]float64, size), make([]float64, size)
+			for i := range ones {
+				ones[i], los[i] = 1, lo
+			}
+			axpy4(y, -1, ones, hi, los, 0, zeros, 0, zeros)
+			for i, v := range y {
+				if v != 0 {
+					t.Fatalf("%s kernel: axpy4 len %d y[%d] = %v, want 0", kernel, size, i, v)
+				}
+			}
+		}
+	})
+}
+
+// TestShortBiasPanics: a hand-built layer whose bias is shorter than its
+// output must panic on every dispatch path, not let the assembly read past
+// the slice.
+func TestShortBiasPanics(t *testing.T) {
+	eachKernel(func(kernel string) {
+		const n = 8
+		m := NewMLP(mathx.NewRNG(1), []int{3, 8}, Identity)
+		m.layers[0].B = make([]float64, 7)
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s kernel: forward with 7 biases for 8 outputs did not panic", kernel)
+			}
+		}()
+		m.ForwardBatch(m.NewBatchCache(n), make([]float64, n*3), n)
+	})
 }
 
 func TestBatchCachePartialBatches(t *testing.T) {
@@ -132,18 +201,20 @@ func TestBackwardIntoZeroAllocs(t *testing.T) {
 }
 
 func TestBatchZeroAllocs(t *testing.T) {
-	rng := mathx.NewRNG(67)
-	m := NewMLP(rng, []int{6, 16, 8, 3}, Tanh)
-	const n = 16
-	c := m.NewBatchCache(n)
-	xs := makeBatch(rng, n, 6)
-	douts := makeBatch(rng, n, 3)
-	if a := testing.AllocsPerRun(50, func() {
-		m.ForwardBatch(c, xs, n)
-		m.BackwardBatch(c, douts)
-	}); a != 0 {
-		t.Fatalf("batched fwd+bwd allocates %v per run, want 0", a)
-	}
+	eachKernel(func(kernel string) {
+		rng := mathx.NewRNG(67)
+		m := NewMLP(rng, []int{6, 16, 8, 3}, Tanh)
+		const n = 16
+		c := m.NewBatchCache(n)
+		xs := makeBatch(rng, n, 6)
+		douts := makeBatch(rng, n, 3)
+		if a := testing.AllocsPerRun(50, func() {
+			m.ForwardBatch(c, xs, n)
+			m.BackwardBatch(c, douts)
+		}); a != 0 {
+			t.Fatalf("%s kernel: batched fwd+bwd allocates %v per run, want 0", kernel, a)
+		}
+	})
 }
 
 // TestOptimizerRoundZeroAllocs: the per-minibatch gradient bookkeeping —
@@ -151,22 +222,24 @@ func TestBatchZeroAllocs(t *testing.T) {
 // allocate on a warm net: the views are built once per architecture, not
 // rebuilt by every call.
 func TestOptimizerRoundZeroAllocs(t *testing.T) {
-	rng := mathx.NewRNG(69)
-	m := NewMLP(rng, []int{6, 16, 8, 3}, Tanh)
-	adam := NewAdam(1e-3)
-	round := func() {
-		m.ZeroGrad()
-		for _, g := range m.Grads() {
-			mathx.Fill(g, 0.25)
+	eachKernel(func(kernel string) {
+		rng := mathx.NewRNG(69)
+		m := NewMLP(rng, []int{6, 16, 8, 3}, Tanh)
+		adam := NewAdam(1e-3)
+		round := func() {
+			m.ZeroGrad()
+			for _, g := range m.Grads() {
+				mathx.Fill(g, 0.25)
+			}
+			m.ScaleGrads(0.5)
+			m.ClipGradNorm(0.5)
+			adam.Step(m.Params(), m.Grads())
 		}
-		m.ScaleGrads(0.5)
-		m.ClipGradNorm(0.5)
-		adam.Step(m.Params(), m.Grads())
-	}
-	round() // sizes Adam's moment buffers
-	if a := testing.AllocsPerRun(50, round); a != 0 {
-		t.Fatalf("optimizer round allocates %v per run, want 0", a)
-	}
+		round() // sizes Adam's moment buffers
+		if a := testing.AllocsPerRun(50, round); a != 0 {
+			t.Fatalf("%s kernel: optimizer round allocates %v per run, want 0", kernel, a)
+		}
+	})
 }
 
 // TestParamViewsSurviveAppend: Params/Grads hand out the same outer slice on

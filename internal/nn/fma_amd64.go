@@ -15,14 +15,16 @@ func xgetbvAsm() (eax, edx uint32)
 //go:noescape
 func gemmKernelAsm(y, init, x, m *float64, k, o int)
 
-// useFMA gates the assembly GEMM kernel. It is a variable (not a constant)
-// so tests can force the one dense kernel on FMA hardware; nothing else may
-// write it after init.
-var useFMA = cpuSupportsAVX2FMA()
+// useAsm gates every assembly kernel of the package: the training kernel's
+// SIMD forward tile and axpy4 (kernel_amd64.s) and the inference GEMM cache's
+// FMA forward and vector tanh. It is a variable (not a constant) so tests can
+// force the Go loops on AVX2 hardware; nothing else may write it after init.
+var useAsm = cpuSupportsAsm()
 
-// cpuSupportsAVX2FMA reports whether the CPU and OS support the YMM state,
-// FMA, and AVX2 the assembly kernel needs.
-func cpuSupportsAVX2FMA() bool {
+// cpuSupportsAsm reports whether the CPU and OS support what the assembly
+// kernels need: the YMM state, AVX2, and FMA (used by the inference kernel
+// only; the training kernel never fuses).
+func cpuSupportsAsm() bool {
 	maxLeaf, _, _, _ := cpuidAsm(0, 0)
 	if maxLeaf < 7 {
 		return false
@@ -60,7 +62,7 @@ func vtanhAsm(p *float64, n int)
 
 // vtanh applies tanh elementwise with the vector kernel, padding the tail
 // through a stack buffer so every element goes through the same code path.
-// Callers must have checked useFMA.
+// Callers must have checked useAsm.
 func vtanh(span []float64) {
 	n := len(span) &^ 3
 	if n > 0 {

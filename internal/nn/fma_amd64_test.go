@@ -9,17 +9,31 @@ import (
 	"advnet/internal/mathx"
 )
 
+// eachKernel runs fn once per dispatch path of the one dense kernel: with the
+// assembly gate forced off (the Go loops, as on any other architecture) and,
+// where the CPU has AVX2, forced on. The gate is restored afterwards.
+func eachKernel(fn func(kernel string)) {
+	saved := useAsm
+	defer func() { useAsm = saved }()
+	useAsm = false
+	fn("go")
+	if cpuSupportsAsm() {
+		useAsm = true
+		fn("asm")
+	}
+}
+
 // TestFMAKernelMatchesPortable runs the same batches through an inference
 // cache with the assembly FMA forward and with it switched off (the one dense
 // kernel, as on hardware without AVX2+FMA) and checks they agree to the
 // documented tolerance. Shapes cover every output-tile width the assembly
 // dispatches on (32/8/4/2/1 doubles) plus odd tails.
 func TestFMAKernelMatchesPortable(t *testing.T) {
-	if !cpuSupportsAVX2FMA() {
+	if !cpuSupportsAsm() {
 		t.Skip("no AVX2+FMA on this machine")
 	}
-	saved := useFMA
-	defer func() { useFMA = saved }()
+	saved := useAsm
+	defer func() { useAsm = saved }()
 
 	rng := mathx.NewRNG(101)
 	shapes := [][]int{
@@ -37,13 +51,13 @@ func TestFMAKernelMatchesPortable(t *testing.T) {
 			xs := makeBatch(rng, n, in)
 			douts := makeBatch(rng, n, out)
 
-			useFMA = false
+			useAsm = false
 			ref.ZeroGrad()
 			cRef := ref.NewBatchCacheGEMM(n)
 			wantOut := append([]float64(nil), ref.ForwardBatch(cRef, xs, n)...)
 			ref.BackwardBatch(cRef, douts)
 
-			useFMA = true
+			useAsm = true
 			g.ZeroGrad()
 			cAsm := g.NewBatchCacheGEMM(n)
 			gotOut := g.ForwardBatch(cAsm, xs, n)
@@ -73,7 +87,7 @@ func TestFMAKernelMatchesPortable(t *testing.T) {
 // 1e-12 relative leaves two orders of margin inside that while staying far
 // below the GEMM mode's 1e-9 contract.
 func TestVTanhMatchesMathTanh(t *testing.T) {
-	if !cpuSupportsAVX2FMA() {
+	if !cpuSupportsAsm() {
 		t.Skip("no AVX2+FMA on this machine")
 	}
 	var xs []float64

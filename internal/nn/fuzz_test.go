@@ -38,7 +38,8 @@ func FuzzMLPUnmarshalJSON(f *testing.F) {
 // FuzzBatchKernelMatchesReference lets the fuzzer pick the network shape, the
 // batch size, the activation and the input stream (plain or salted with ±0,
 // subnormals, ±Inf and NaN) and checks the tiled kernel — batched and one row
-// at a time — against the scalar reference loops, bit for bit.
+// at a time, on every dispatch path — against the scalar reference loops, bit
+// for bit.
 func FuzzBatchKernelMatchesReference(f *testing.F) {
 	f.Add(uint64(1), uint8(24), uint8(63), uint8(5), uint8(63), uint8(1), false) // Pensieve-sized, every remainder
 	f.Add(uint64(2), uint8(1), uint8(3), uint8(0), uint8(0), uint8(0), true)     // CC toy net, one row, specials
@@ -46,6 +47,8 @@ func FuzzBatchKernelMatchesReference(f *testing.F) {
 	f.Add(uint64(4), uint8(7), uint8(4), uint8(8), uint8(4), uint8(2), true)
 	f.Fuzz(func(t *testing.T, seed uint64, in, hid, out, n, act uint8, salt bool) {
 		sizes := []int{1 + int(in)%64, 1 + int(hid)%64, 1 + int(out)%16}
-		checkKernelMatchesReference(t, mathx.NewRNG(seed), sizes, Activation(act%3), 1+int(n)%80, salt)
+		eachKernel(func(kernel string) {
+			checkKernelMatchesReference(t, kernel, mathx.NewRNG(seed), sizes, Activation(act%3), 1+int(n)%80, salt)
+		})
 	})
 }

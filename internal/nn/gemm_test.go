@@ -169,7 +169,7 @@ func TestStaticWeightsReuseAndInvalidate(t *testing.T) {
 	}
 	// Without the FMA forward there is no transpose to go stale: the cache
 	// reads the live weights, which the contract also allows.
-	if useFMA {
+	if useAsm {
 		stale := m.ForwardBatch(c, xs, n)
 		for i := range before {
 			if stale[i] != before[i] {

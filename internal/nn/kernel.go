@@ -17,6 +17,23 @@ import "math"
 // batch, or which remainder loop handled it: a batched pass is bit-for-bit
 // the same samples passed one at a time (TestBatchMatchesPerSampleBitwise
 // checks it against the scalar loops this kernel replaced).
+//
+// On AVX2 hardware (useAsm) two loops run as assembly (kernel_amd64.s): the
+// forward of four-row groups in batches of at least asmMinRows, over the
+// BatchCache's transposed weights, and axpy4 at every n. Each SIMD lane
+// computes one output with the sequence above — a rounded multiply, then a
+// rounded add, never a fused multiply-add — so the assembly is the same bits
+// as these Go loops by construction (TestKernelNeverFuses pins the "never
+// fused"). The Go loops are the path everywhere else: single-row Cache
+// passes, small batches, group remainders, and every other architecture.
+
+// asmMinRows is the smallest batch whose forward runs the assembly. Each such
+// pass first transposes every layer's weights, which costs about as much as
+// one four-row SIMD tile: on the Pensieve nets (25-64-32-6 and 25-64-32-1,
+// 2-vCPU Xeon) the transpose-plus-assembly forward measured 5–14% slower
+// than the Go tile at 4 to 7 rows and 18% faster at 8. Every PPO minibatch
+// of the robustify_abr and dist_loopback benchmarks has 64 rows.
+const asmMinRows = 8
 
 // forwardRows writes y = x·Wᵀ + b for the n rows of x (n×In, row-major) into
 // y (n×Out). Tiles are 2 rows × 4 outputs: eight accumulators, each summed
@@ -108,6 +125,10 @@ func axpy(y []float64, a float64, v []float64) {
 // stored once instead of four times.
 func axpy4(y []float64, a0 float64, v0 []float64, a1 float64, v1 []float64, a2 float64, v2 []float64, a3 float64, v3 []float64) {
 	v0, v1, v2, v3 = v0[:len(y)], v1[:len(y)], v2[:len(y)], v3[:len(y)]
+	if useAsm {
+		axpy4SIMD(y, a0, v0, a1, v1, a2, v2, a3, v3)
+		return
+	}
 	for i := range y {
 		y[i] = y[i] + a0*v0[i] + a1*v1[i] + a2*v2[i] + a3*v3[i]
 	}
@@ -186,6 +207,49 @@ func (m *MLP) forwardLayers(acts [][]float64, n int) []float64 {
 		}
 	}
 	return acts[last+1][:n*m.OutputSize()]
+}
+
+// transposeInto writes the Out×In row-major matrix w as an In×Out row-major
+// matrix into wt.
+func transposeInto(w, wt []float64, out, in int) {
+	for o := 0; o < out; o++ {
+		row := w[o*in : (o+1)*in]
+		for i, v := range row {
+			wt[i*out+o] = v
+		}
+	}
+}
+
+// forwardTransposed is forwardLayers on the assembly path, over the n rows
+// in c.acts[0]: each layer's weights are transposed into c.wt — every pass,
+// O(In·Out) against the pass's O(n·In·Out), unless a GEMM cache holds them
+// static (SetStaticWeights) — and the rows run through the training kernel's
+// SIMD tile, or the GEMM cache's fused one with its vector tanh. Callers
+// must have checked useAsm.
+func (m *MLP) forwardTransposed(c *BatchCache, n int) []float64 {
+	refresh := !c.gemm || !c.staticW || !c.wtReady
+	last := len(m.layers) - 1
+	for i, l := range m.layers {
+		wt := c.wt[i]
+		if refresh {
+			transposeInto(l.W, wt, l.Out, l.In)
+		}
+		x, y := c.acts[i], c.acts[i+1][:n*l.Out]
+		if c.gemm {
+			l.forwardRowsFMA(x, y, wt, n)
+		} else {
+			l.forwardRowsSIMD(x, y, wt, n)
+		}
+		if i < last {
+			if c.gemm && m.hidden == Tanh {
+				vtanh(y) // a few ulps from math.Tanh, not bitwise
+			} else {
+				applyActivation(m.hidden, y)
+			}
+		}
+	}
+	c.wtReady = true
+	return c.acts[last+1][:n*m.OutputSize()]
 }
 
 // backwardLayers is the matching backward pass: dacts[len(layers)] holds the

@@ -103,8 +103,8 @@ func kernelInputs(rng *mathx.RNG, rows, width int, salt bool) []float64 {
 // the first: the scalar reference one sample at a time, the kernel one sample
 // at a time (ForwardInto/BackwardInto, its n = 1 case), and the kernel over
 // the whole batch. Outputs, the per-sample input gradient, gradW and gradB
-// must all agree bit for bit.
-func checkKernelMatchesReference(t *testing.T, rng *mathx.RNG, sizes []int, hidden Activation, n int, salt bool) {
+// must all agree bit for bit. kernel names the dispatch path in failures.
+func checkKernelMatchesReference(t *testing.T, kernel string, rng *mathx.RNG, sizes []int, hidden Activation, n int, salt bool) {
 	t.Helper()
 	ref := NewMLP(rng, sizes, hidden)
 	for _, l := range ref.layers {
@@ -134,16 +134,16 @@ func checkKernelMatchesReference(t *testing.T, rng *mathx.RNG, sizes []int, hidd
 			got := one.ForwardInto(oc, x)
 			for j := range want {
 				if !sameBits(want[j], got[j]) || !sameBits(want[j], batchOut[r*out+j]) {
-					t.Fatalf("%v %v n=%d pass %d out[%d][%d]: reference %v, n=1 %v, batch %v",
-						sizes, hidden, n, pass, r, j, want[j], got[j], batchOut[r*out+j])
+					t.Fatalf("%s kernel %v %v n=%d pass %d out[%d][%d]: reference %v, n=1 %v, batch %v",
+						kernel, sizes, hidden, n, pass, r, j, want[j], got[j], batchOut[r*out+j])
 				}
 			}
 			wantDX := refBackwardInto(ref, rc, dOut)
 			gotDX := one.BackwardInto(oc, dOut)
 			for j := range wantDX {
 				if !sameBits(wantDX[j], gotDX[j]) {
-					t.Fatalf("%v %v n=%d pass %d dX[%d][%d]: reference %v, n=1 %v",
-						sizes, hidden, n, pass, r, j, wantDX[j], gotDX[j])
+					t.Fatalf("%s kernel %v %v n=%d pass %d dX[%d][%d]: reference %v, n=1 %v",
+						kernel, sizes, hidden, n, pass, r, j, wantDX[j], gotDX[j])
 				}
 			}
 		}
@@ -152,8 +152,8 @@ func checkKernelMatchesReference(t *testing.T, rng *mathx.RNG, sizes []int, hidd
 	for pi := range gr {
 		for i := range gr[pi] {
 			if !sameBits(gr[pi][i], g1[pi][i]) || !sameBits(gr[pi][i], gb[pi][i]) {
-				t.Fatalf("%v %v n=%d grad[%d][%d]: reference %v, n=1 %v, batch %v",
-					sizes, hidden, n, pi, i, gr[pi][i], g1[pi][i], gb[pi][i])
+				t.Fatalf("%s kernel %v %v n=%d grad[%d][%d]: reference %v, n=1 %v, batch %v",
+					kernel, sizes, hidden, n, pi, i, gr[pi][i], g1[pi][i], gb[pi][i])
 			}
 		}
 	}
