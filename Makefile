@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race bench-check bench-ab seam-check verify
+.PHONY: all build test test-nofma vet race bench-check bench-ab seam-check verify
 
 all: verify
 
@@ -9,6 +9,14 @@ build:
 
 test:
 	$(GO) test ./...
+
+# Go's amd64 math.Exp (and with it math.Tanh and math.Pow) picks a fused
+# multiply-add path or an SSE2 path at run time, so a golden recorded on an
+# FMA host can differ on a host without FMA. internal/nn and internal/dist
+# are bitwise either way; rerunning them with FMA switched off keeps them
+# so. internal/rl and internal/core are not yet (ROADMAP item 11(a)).
+test-nofma:
+	GODEBUG=cpu.fma=off $(GO) test ./internal/nn/ ./internal/dist/
 
 # internal/nn's assembly is amd64-only; vetting the package for arm64 keeps
 # its portable fallback (fma_stub.go, the Go loops) compiling as it grows.
@@ -64,7 +72,9 @@ bench-ab:
 # one non-bitwise forward: a fused multiply-add (VFMADD) in any assembly under
 # internal/nn other than the inference kernel (fma_amd64.s and its vector
 # tanh, vtanh_amd64.s) would change the training kernel's rounding and with
-# it every golden.
+# it every golden. And one flush policy (internal/serve/engine.go, gather): a
+# shard flushes when its queue runs dry, so a MaxWait or FlushImmediately
+# knob anywhere under internal/ or cmd/ is a second policy coming back.
 seam-check:
 	@n=$$(grep -rn 'NewPPO(' --include='*.go' --exclude-dir=.bench_build . | grep -v '_test\.go:' | grep -vc '^\./bench/e2e/'); \
 	if [ $$n -gt 2 ]; then echo "seam-check: NewPPO( on $$n non-test lines, want <= 2 (build trainers with rl.NewTrainer)"; exit 1; fi
@@ -82,7 +92,10 @@ seam-check:
 	if [ -n "$$f" ]; then echo "seam-check: $$f imports internal/experiments from a test (assert claims in internal/experiments/claims_test.go)"; exit 1; fi
 	@f=$$(grep -rl 'VFMADD' --include='*.s' internal/nn | grep -Ev '^internal/nn/(fma|vtanh)_amd64\.s$$'); \
 	if [ -n "$$f" ]; then echo "seam-check: VFMADD in $$f (the training kernel multiplies then adds; only the inference kernel may fuse)"; exit 1; fi
+	@f=$$(grep -rlE 'MaxWait|FlushImmediately' --include='*.go' internal cmd); \
+	if [ -n "$$f" ]; then echo "seam-check: MaxWait/FlushImmediately in $$f (a serve shard has one flush policy: flush when its queue runs dry)"; exit 1; fi
 
-# Tier-1 verification: build + tests, plus vet, the race detector, the
-# benchmark's correctness and allocation check, and the structural seam check.
-verify: build vet test race bench-check seam-check
+# Tier-1 verification: build + tests, plus vet, the FMA-off rerun, the race
+# detector, the benchmark's correctness and allocation check, and the
+# structural seam check.
+verify: build vet test test-nofma race bench-check seam-check

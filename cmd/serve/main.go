@@ -42,7 +42,6 @@ func main() {
 	levels := flag.Int("levels", 6, "bitrate-ladder size when synthesizing a fresh net (ignored with -policy)")
 	workers := flag.Int("workers", 0, "shard workers (0 = GOMAXPROCS)")
 	batch := flag.Int("batch", 32, "max batch per flush (and each worker's cache capacity)")
-	wait := flag.Duration("wait", 100*time.Microsecond, "batching window: how long a partial batch waits for more requests")
 	storm := flag.Int("storm", 64, "concurrent client goroutines")
 	n := flag.Int("n", 200_000, "total requests across the storm")
 	deadline := flag.Duration("deadline", 2*time.Millisecond, "per-request deadline in the overload phase (0 skips the phase)")
@@ -63,7 +62,7 @@ func main() {
 		net = abr.NewPensieveNet(rng, *levels)
 	}
 
-	cfg := serve.Config{Workers: *workers, MaxBatch: *batch, MaxWait: *wait, Seed: *seed}
+	cfg := serve.Config{Workers: *workers, MaxBatch: *batch, Seed: *seed}
 	eng, err := serve.NewEngine(serve.NewRegistry(net), cfg)
 	if err != nil {
 		log.Fatal(err)
@@ -112,7 +111,6 @@ func main() {
 	reg := metrics.NewRegistry("serve")
 	reg.SetConfig("workers", st.Workers)
 	reg.SetConfig("max_batch", *batch)
-	reg.SetConfig("max_wait_us", float64(*wait)/float64(time.Microsecond))
 	reg.SetConfig("storm", *storm)
 	reg.SetConfig("requests", perClient**storm)
 	reg.SetConfig("arch", net.Sizes())
@@ -133,7 +131,7 @@ func main() {
 	fmt.Printf("speedup:  %.2fx\n", engineRPS/baselineRPS)
 
 	if *deadline > 0 {
-		overloadPhase(reg, net, rng, *batch, *wait, *deadline, *stall, *overstorm, *n, *seed)
+		overloadPhase(reg, net, rng, *batch, *deadline, *stall, *overstorm, *n, *seed)
 	}
 	breakerPhase(reg, net, rng)
 
@@ -153,7 +151,7 @@ func main() {
 // decision latency (served and degraded alike) is bounded near the deadline
 // instead of growing with the backlog. The phase emits the degradation
 // metric group: shed/fallback rates and the decision-latency distribution.
-func overloadPhase(reg *metrics.Registry, net *nn.MLP, rng *mathx.RNG, batch int, wait, deadline, stall time.Duration, overstorm, n int, seed uint64) {
+func overloadPhase(reg *metrics.Registry, net *nn.MLP, rng *mathx.RNG, batch int, deadline, stall time.Duration, overstorm, n int, seed uint64) {
 	levels := net.InputSize() - abr.FeatureSize(0)
 	if levels <= 0 || net.InputSize() != abr.FeatureSize(levels) || net.OutputSize() != levels {
 		fmt.Printf("overload: skipped (architecture %v is not a Pensieve policy; no ladder to degrade onto)\n", net.Sizes())
@@ -172,7 +170,7 @@ func overloadPhase(reg *metrics.Registry, net *nn.MLP, rng *mathx.RNG, batch int
 	// One shard with a one-batch queue: capacity is one core's GEMM rate,
 	// and the closed loop of overstorm clients offers far more than that.
 	eng, err := serve.NewEngine(serve.NewRegistry(net), serve.Config{
-		Workers: 1, MaxBatch: batch, MaxWait: wait, QueueDepth: batch,
+		Workers: 1, MaxBatch: batch, QueueDepth: batch,
 		DefaultDeadline: deadline, Seed: seed + 1,
 	})
 	if err != nil {
@@ -241,7 +239,7 @@ func overloadPhase(reg *metrics.Registry, net *nn.MLP, rng *mathx.RNG, batch int
 
 	fmt.Printf("overload: %d clients vs 1 starved shard: %.0f req/s offered, shed rate %.3f, fallback rate %.3f (%.2fs)\n",
 		overstorm, float64(offered)/owall.Seconds(), ost.ShedRate(), ps.FallbackRate(), owall.Seconds())
-	fmt.Printf("degraded: decision p50 %.0fµs p99 %.0fµs max %.0fµs (deadline %v + one flush)\n",
+	fmt.Printf("degraded: decision p50 %.0fµs p99 %.0fµs max %.0fµs (deadline %v + one forward pass)\n",
 		decisionLat.P50, decisionLat.P99, decisionLat.Max, deadline)
 }
 

@@ -65,7 +65,7 @@ func TestPensieveServeFallbackUnderOverload(t *testing.T) {
 	rng := mathx.NewRNG(9)
 	policy := rl.NewCategoricalPolicy(NewPensieveNet(rng, v.Levels()))
 	eng := serve.MustNewEngine(serve.NewRegistry(policy.Net()), serve.Config{
-		Workers: 1, MaxBatch: 2, QueueDepth: 2, MaxWait: 50 * time.Microsecond,
+		Workers: 1, MaxBatch: 2, QueueDepth: 2,
 	})
 	defer eng.Close()
 	p := NewPensieveServe(eng)

@@ -18,6 +18,7 @@
 package dist
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
@@ -38,6 +39,12 @@ const frameMagic uint32 = 0xAD7E51D1
 // MaxFramePayload bounds a frame's payload so a corrupt length prefix
 // cannot make the receiver allocate gigabytes before the digest check runs.
 const MaxFramePayload = 64 << 20
+
+// frameChunk is the most readFrame allocates ahead of the bytes it has
+// received: a frame body up to this size is read into one buffer, a larger
+// one in chunks of this size as its bytes arrive, so a header that claims
+// more than the peer sends costs at most one chunk.
+const frameChunk = 1 << 20
 
 // MsgType identifies a frame's payload.
 type MsgType uint8
@@ -148,8 +155,8 @@ func readFrame(r io.Reader) (MsgType, []byte, int, error) {
 	if length > MaxFramePayload {
 		return 0, nil, frameHeaderSize, &FrameError{Op: "read-header", Reason: fmt.Sprintf("%s payload %d bytes exceeds limit %d", t, length, MaxFramePayload)}
 	}
-	body := make([]byte, int(length)+sha256.Size)
-	if _, err := io.ReadFull(r, body); err != nil {
+	body, err := readBody(r, int(length)+sha256.Size)
+	if err != nil {
 		return 0, nil, frameHeaderSize, err
 	}
 	n := frameHeaderSize + len(body)
@@ -161,6 +168,31 @@ func readFrame(r io.Reader) (MsgType, []byte, int, error) {
 		return 0, nil, n, &FrameError{Op: "verify", Reason: fmt.Sprintf("%s digest mismatch over %d payload bytes", t, length)}
 	}
 	return t, payload, n, nil
+}
+
+// readBody reads a frame body of size bytes: into one buffer when it is at
+// most frameChunk, otherwise chunk by chunk, joined once the last byte has
+// arrived. A stream that ends early returns io.EOF if it ended before the
+// body's first byte and io.ErrUnexpectedEOF after it.
+func readBody(r io.Reader, size int) ([]byte, error) {
+	if size <= frameChunk {
+		body := make([]byte, size)
+		_, err := io.ReadFull(r, body)
+		return body, err
+	}
+	var chunks [][]byte
+	for got := 0; got < size; {
+		chunk := make([]byte, min(frameChunk, size-got))
+		if _, err := io.ReadFull(r, chunk); err != nil {
+			if err == io.EOF && got > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+		chunks = append(chunks, chunk)
+		got += len(chunk)
+	}
+	return bytes.Join(chunks, nil), nil
 }
 
 // helloMsg is the worker's handshake.

@@ -2,7 +2,6 @@ package dist
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -72,6 +71,47 @@ func TestFrameOversizedRejected(t *testing.T) {
 	var fe *FrameError
 	if !errors.As(err, &fe) {
 		t.Fatalf("got %v, want *FrameError", err)
+	}
+}
+
+// TestFrameLargeRoundTrip: a payload several chunks long (and not a whole
+// number of them) arrives byte-exactly through the chunked read.
+func TestFrameLargeRoundTrip(t *testing.T) {
+	payload := make([]byte, 2*frameChunk+12345)
+	for i := range payload {
+		payload[i] = byte(i * 7)
+	}
+	var buf bytes.Buffer
+	wrote, err := writeFrame(&buf, MsgParams, payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	typ, got, read, err := readFrame(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if typ != MsgParams || !bytes.Equal(got, payload) || read != wrote {
+		t.Fatalf("large frame round trip mismatch (type %s, %d/%d bytes)", typ, read, wrote)
+	}
+}
+
+// TestFrameLyingLengthAllocatesOneChunk: a header claiming MaxFramePayload
+// followed by 16 bytes and end of stream is a truncated frame, and reading
+// it allocates about one chunk, not the claimed 64 MiB.
+func TestFrameLyingLengthAllocatesOneChunk(t *testing.T) {
+	raw := make([]byte, frameHeaderSize+16)
+	binary.BigEndian.PutUint32(raw[0:], frameMagic)
+	raw[4] = byte(MsgParams)
+	binary.BigEndian.PutUint32(raw[5:], MaxFramePayload)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, _, err := readFrame(bytes.NewReader(raw))
+	runtime.ReadMemStats(&after)
+	if err != io.ErrUnexpectedEOF {
+		t.Fatalf("truncated oversized frame: %v, want io.ErrUnexpectedEOF", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 2<<20 {
+		t.Fatalf("readFrame allocated %d bytes for a %d-byte stream claiming %d", got, len(raw), MaxFramePayload)
 	}
 }
 
@@ -201,7 +241,8 @@ func FuzzDecodeParams(f *testing.F) {
 }
 
 // FuzzReadFrame: arbitrary bytes on the wire never panic the frame reader and
-// never make it allocate more than one frame at the limit; it returns either
+// never make it allocate more than one chunk beyond twice the bytes it was
+// given (the chunks, then the joined body); it returns either
 // a frame that writeFrame re-encodes to exactly the bytes consumed, a typed
 // *FrameError, or the reader's own end-of-stream error.
 func FuzzReadFrame(f *testing.F) {
@@ -234,7 +275,7 @@ func FuzzReadFrame(f *testing.F) {
 		typ, payload, n, err := readFrame(bytes.NewReader(data))
 		runtime.ReadMemStats(&after)
 		// 1 MiB of slack for whatever the test binary's other goroutines do.
-		if got := after.TotalAlloc - before.TotalAlloc; got > MaxFramePayload+sha256.Size+1<<20 {
+		if got := after.TotalAlloc - before.TotalAlloc; got > uint64(frameChunk+2*len(data)+1<<20) {
 			t.Fatalf("readFrame allocated %d bytes for a %d-byte stream", got, len(data))
 		}
 		if err != nil {

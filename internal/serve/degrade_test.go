@@ -20,10 +20,6 @@ func TestConfigValidate(t *testing.T) {
 		ok   bool
 	}{
 		{"zero config", Config{}, true},
-		{"explicit window", Config{MaxWait: time.Millisecond}, true},
-		{"flush immediately", Config{FlushImmediately: true}, true},
-		{"negative MaxWait", Config{MaxWait: -1}, false},
-		{"FlushImmediately with window", Config{FlushImmediately: true, MaxWait: time.Millisecond}, false},
 		{"negative DefaultDeadline", Config{DefaultDeadline: -time.Second}, false},
 		{"deadline config", Config{DefaultDeadline: time.Millisecond}, true},
 	}
@@ -32,8 +28,8 @@ func TestConfigValidate(t *testing.T) {
 			t.Errorf("%s: Validate() = %v, want ok=%v", tc.name, err, tc.ok)
 		}
 	}
-	if _, err := NewEngine(NewRegistry(rigged(2, 3, 1)), Config{MaxWait: -time.Second}); err == nil {
-		t.Fatal("NewEngine accepted a negative MaxWait")
+	if _, err := NewEngine(NewRegistry(rigged(2, 3, 1)), Config{DefaultDeadline: -time.Second}); err == nil {
+		t.Fatal("NewEngine accepted a negative DefaultDeadline")
 	}
 }
 
@@ -57,7 +53,7 @@ func TestEngineOverloadShedsQueueFull(t *testing.T) {
 	// so the main goroutine's deadline requests below can never be claimed
 	// into the stalled batch.
 	eng := MustNewEngine(NewRegistry(rigged(2, 3, 1)), Config{
-		Workers: 1, MaxBatch: 1, QueueDepth: 2, FlushImmediately: true,
+		Workers: 1, MaxBatch: 1, QueueDepth: 2,
 	})
 	defer eng.Close()
 
@@ -117,8 +113,8 @@ func TestEngineOverloadShedsQueueFull(t *testing.T) {
 
 // TestEngineDeadlineBoundsLatency runs a 2×-capacity storm with per-request
 // deadlines and asserts the degradation contract: no Select observes latency
-// beyond deadline + one flush interval (plus scheduling slop), and every
-// shed is typed.
+// beyond deadline + one forward pass (plus scheduling slop), and every shed
+// is typed.
 func TestEngineDeadlineBoundsLatency(t *testing.T) {
 	// Each flush stalls ~200µs, so one worker serves ~5k req/s per batch of
 	// 4; 8 hot producers offer far more than that.
@@ -129,16 +125,15 @@ func TestEngineDeadlineBoundsLatency(t *testing.T) {
 	defer faults.Clear("serve.flush")
 
 	const reqDeadline = 500 * time.Microsecond
-	const maxWait = 100 * time.Microsecond
 	eng := MustNewEngine(NewRegistry(rigged(2, 3, 1)), Config{
-		Workers: 1, MaxBatch: 4, MaxWait: maxWait, QueueDepth: 4,
+		Workers: 1, MaxBatch: 4, QueueDepth: 4,
 		DefaultDeadline: reqDeadline,
 	})
 	defer eng.Close()
 
-	// Budget: deadline + one flush interval (MaxWait + the stalled flush
-	// itself) + generous scheduler slop for CI machines.
-	budget := reqDeadline + maxWait + 200*time.Microsecond + 50*time.Millisecond
+	// Budget: deadline + one forward pass (the stalled flush) + generous
+	// scheduler slop for CI machines.
+	budget := reqDeadline + 200*time.Microsecond + 50*time.Millisecond
 
 	var wg sync.WaitGroup
 	var served, shed atomic.Uint64
@@ -153,7 +148,7 @@ func TestEngineDeadlineBoundsLatency(t *testing.T) {
 				_, err := eng.Select(x)
 				lat := time.Since(start)
 				if lat > budget {
-					errs <- fmt.Errorf("Select latency %v beyond deadline+flush budget %v", lat, budget)
+					errs <- fmt.Errorf("Select latency %v beyond deadline+forward budget %v", lat, budget)
 					return
 				}
 				if err == nil {
@@ -190,7 +185,7 @@ func TestEngineDeadlineBoundsLatency(t *testing.T) {
 // none hang, none panic — and that Close itself returns.
 func TestEngineCloseDuringStorm(t *testing.T) {
 	eng := MustNewEngine(NewRegistry(rigged(2, 3, 1)), Config{
-		Workers: 2, MaxBatch: 4, QueueDepth: 4, MaxWait: 20 * time.Microsecond,
+		Workers: 2, MaxBatch: 4, QueueDepth: 4,
 	})
 
 	var wg sync.WaitGroup
@@ -259,7 +254,7 @@ func TestEngineCloseWakesBlockedProducer(t *testing.T) {
 	defer faults.Clear("serve.flush")
 
 	eng := MustNewEngine(NewRegistry(rigged(2, 3, 1)), Config{
-		Workers: 1, MaxBatch: 1, QueueDepth: 1, FlushImmediately: true,
+		Workers: 1, MaxBatch: 1, QueueDepth: 1,
 	})
 
 	// Saturate: one request stalls in flush, one fills the queue, the next
@@ -311,7 +306,7 @@ func TestEngineShardPanicContainment(t *testing.T) {
 	defer faults.Clear("serve.flush")
 
 	eng := MustNewEngine(NewRegistry(rigged(2, 3, 1)), Config{
-		Workers: 2, MaxBatch: 4, FlushImmediately: true,
+		Workers: 2, MaxBatch: 4,
 	})
 	defer eng.Close()
 
@@ -358,7 +353,7 @@ func TestEngineShardPanicContainment(t *testing.T) {
 // injected admission errors surface to the caller without consuming pool
 // state, and clearing the fault restores service.
 func TestEngineFaultEnqueueInjection(t *testing.T) {
-	eng := MustNewEngine(NewRegistry(rigged(2, 3, 1)), Config{Workers: 1, FlushImmediately: true})
+	eng := MustNewEngine(NewRegistry(rigged(2, 3, 1)), Config{Workers: 1})
 	defer eng.Close()
 
 	injected := errors.New("injected admission fault")
@@ -390,7 +385,7 @@ func TestEngineFaultEnqueueInjection(t *testing.T) {
 // serve.flush fails the whole batch with that error and the engine keeps
 // serving afterwards.
 func TestEngineFaultFlushError(t *testing.T) {
-	eng := MustNewEngine(NewRegistry(rigged(2, 3, 1)), Config{Workers: 1, FlushImmediately: true})
+	eng := MustNewEngine(NewRegistry(rigged(2, 3, 1)), Config{Workers: 1})
 	defer eng.Close()
 
 	injected := errors.New("injected flush fault")
@@ -429,7 +424,7 @@ func TestEngineShedPathAllocs(t *testing.T) {
 	defer faults.Clear("serve.flush")
 
 	eng := MustNewEngine(NewRegistry(rigged(2, 3, 1)), Config{
-		Workers: 1, MaxBatch: 1, QueueDepth: 1, FlushImmediately: true,
+		Workers: 1, MaxBatch: 1, QueueDepth: 1,
 	})
 	defer func() {
 		go eng.Close() // after the deferred close(block) releases the stalled flush
@@ -502,7 +497,7 @@ func TestEngineDefaultDeadlineApplies(t *testing.T) {
 	defer faults.Clear("serve.flush")
 
 	eng := MustNewEngine(NewRegistry(rigged(2, 3, 1)), Config{
-		Workers: 1, MaxBatch: 1, QueueDepth: 1, FlushImmediately: true,
+		Workers: 1, MaxBatch: 1, QueueDepth: 1,
 		DefaultDeadline: time.Millisecond,
 	})
 	defer func() { go eng.Close() }()
@@ -549,7 +544,7 @@ func TestEngineAbandonRace(t *testing.T) {
 	defer faults.Clear("serve.flush")
 
 	eng := MustNewEngine(NewRegistry(rigged(2, 3, 1)), Config{
-		Workers: 2, MaxBatch: 4, QueueDepth: 4, MaxWait: 20 * time.Microsecond,
+		Workers: 2, MaxBatch: 4, QueueDepth: 4,
 	})
 	defer eng.Close()
 

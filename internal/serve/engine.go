@@ -22,20 +22,11 @@ type Config struct {
 	// and one pre-sized batch cache. Production sizing is one per core
 	// (default: GOMAXPROCS).
 	Workers int
-	// MaxBatch is the flush threshold and the capacity of each worker's
-	// batch cache (default 32). A full batch flushes immediately.
+	// MaxBatch is the largest batch one forward pass answers and the
+	// capacity of each worker's batch cache (default 32). A worker flushes
+	// at MaxBatch or as soon as its queue runs dry, whichever comes first;
+	// there is no batching window.
 	MaxBatch int
-	// MaxWait bounds how long a worker holds a partial batch open waiting
-	// for more requests before flushing — the serving latency it will trade
-	// for batching density. Zero means the 100µs default (the zero Config
-	// serves sensibly); a negative value is a configuration error. To flush
-	// partial batches immediately (opportunistic batching only), set
-	// FlushImmediately instead.
-	MaxWait time.Duration
-	// FlushImmediately disables the batching window: a worker flushes
-	// whatever it has gathered as soon as the queue runs dry. MaxWait must
-	// be unset (zero) when it is on.
-	FlushImmediately bool
 	// QueueDepth is each worker's bounded request-queue capacity (default
 	// 4×MaxBatch). A full queue applies backpressure: Select blocks until
 	// space frees (interrupted only by Close), while a deadline-carrying
@@ -57,12 +48,6 @@ type Config struct {
 // Validate rejects configurations with no defined meaning. withDefaults
 // assumes a validated config.
 func (c Config) Validate() error {
-	if c.MaxWait < 0 {
-		return fmt.Errorf("serve: negative MaxWait %v (use FlushImmediately for windowless flushing; zero means the default window)", c.MaxWait)
-	}
-	if c.FlushImmediately && c.MaxWait != 0 {
-		return fmt.Errorf("serve: FlushImmediately with MaxWait %v (the window must be unset)", c.MaxWait)
-	}
 	if c.DefaultDeadline < 0 {
 		return fmt.Errorf("serve: negative DefaultDeadline %v (zero disables deadlines)", c.DefaultDeadline)
 	}
@@ -76,9 +61,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 32
-	}
-	if c.MaxWait == 0 && !c.FlushImmediately {
-		c.MaxWait = 100 * time.Microsecond
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 4 * c.MaxBatch
@@ -95,10 +77,11 @@ func (c Config) withDefaults() Config {
 // are answered normally during the drain.
 var ErrEngineClosed = errors.New("serve: engine closed")
 
-// latencySample: enqueue→computed latency is recorded for one request in
-// every latencySample. Sampling keeps two clock reads per request off the
-// hot path; the reservoirs behind Stats subsample anyway, so the percentile
-// summary loses nothing.
+// latencySample: enqueue→computed latency is recorded for one round-robin
+// round of requests in every latencySample — one request per shard, so
+// every shard's reservoir sees traffic whatever the worker count. Sampling
+// keeps two clock reads per request off the hot path; the reservoirs behind
+// Stats subsample anyway, so the percentile summary loses nothing.
 const latencySample = 8
 
 // OverloadReason says which admission-control limit shed a request.
@@ -191,7 +174,6 @@ type shard struct {
 	xs       []float64  // staging matrix, MaxBatch×in
 	cache    *nn.BatchCache
 	lastSnap *Snapshot // the snapshot cache's static weight transpose is for
-	timer    *time.Timer
 
 	lat          *stats.Reservoir // flush latency (enqueue→computed), microseconds
 	served       atomic.Uint64
@@ -203,10 +185,10 @@ type shard struct {
 
 // Engine serves inference requests against the registry's current snapshot
 // with per-core batch aggregation: requests are round-robined onto N shard
-// workers, each of which gathers up to MaxBatch requests (waiting at most
-// MaxWait) and answers them with one batched forward pass. The worker loop
-// and the Select request path — including the shed paths — are
-// allocation-free in steady state.
+// workers, each of which gathers what its queue holds, up to MaxBatch, and
+// answers it with one batched forward pass — without ever waiting for more
+// requests to arrive (see gather). The worker loop and the Select request
+// path — including the shed paths — are allocation-free in steady state.
 type Engine struct {
 	reg *Registry
 	cfg Config
@@ -249,15 +231,12 @@ func NewEngine(reg *Registry, cfg Config) (*Engine, error) {
 	}
 	e.shards = make([]*shard, cfg.Workers)
 	for i := range e.shards {
-		t := time.NewTimer(time.Hour)
-		stopTimer(t)
 		e.shards[i] = &shard{
 			idx:   i,
 			q:     make(chan *request, cfg.QueueDepth),
 			batch: make([]*request, cfg.MaxBatch),
 			xs:    make([]float64, cfg.MaxBatch*e.in),
 			cache: e.newCache(),
-			timer: t,
 			lat:   stats.NewReservoir(0, cfg.Seed+uint64(i)),
 		}
 		e.wg.Add(1)
@@ -314,8 +293,8 @@ func (e *Engine) Select(features []float64) (Decision, error) {
 // SelectDeadline is Select with an explicit per-request deadline budget
 // covering admission and queue wait. deadline <= 0 means no deadline. The
 // degradation contract (DESIGN.md §8.7): the call returns within the
-// deadline plus at most one flush interval — if a worker wins the request
-// in the instant the deadline expires, the in-flight batch answers it.
+// deadline plus at most one forward pass — if a worker wins the request in
+// the instant the deadline expires, the in-flight batch answers it.
 func (e *Engine) SelectDeadline(features []float64, deadline time.Duration) (Decision, error) {
 	if len(features) != e.in {
 		return Decision{}, fmt.Errorf("serve: Select with %d features, serving architecture wants %d", len(features), e.in)
@@ -328,12 +307,13 @@ func (e *Engine) SelectDeadline(features []float64, deadline time.Duration) (Dec
 	req.err = nil
 	req.state.Store(reqPending)
 	seq := e.rr.Add(1)
-	if seq%latencySample == 0 {
+	shards := uint64(len(e.shards))
+	if (seq/shards)%latencySample == 0 {
 		req.start = time.Now()
 	} else {
 		req.start = time.Time{}
 	}
-	sh := e.shards[seq%uint64(len(e.shards))]
+	sh := e.shards[seq%shards]
 
 	// Admission. inflight spans the window between the closed check and the
 	// queue handoff: Close's drain loop cannot exit while any producer might
@@ -397,7 +377,7 @@ func (e *Engine) SelectDeadline(features []float64, deadline time.Duration) (Dec
 				return Decision{}, errShedDeadline
 			}
 			// A worker claimed the request as the deadline fired: the
-			// answer is at most one flush away.
+			// answer is at most one forward pass away.
 			<-req.done
 		}
 		stopTimer(req.timer)
@@ -475,18 +455,24 @@ func (e *Engine) claim(sh *shard, req *request) bool {
 	return false
 }
 
-// gather assembles a batch starting from first: it drains whatever is
-// already queued, then holds the partial batch open for up to MaxWait, and
-// flushes at MaxBatch or when the window expires. Abandoned requests are
-// skipped; a gather that claims nothing flushes nothing.
+// gather assembles a batch starting from first and flushes it as soon as
+// the shard has nothing more to give. It drains the queue without blocking;
+// when the queue runs dry it yields the processor once — callers woken by
+// the previous flush get to enqueue their next request — drains again, and
+// flushes what it holds. A full batch flushes at MaxBatch. Nothing waits on
+// a timer: a lone request is answered by the next forward pass, and batches
+// grow only with the load. Without the yield the woken worker wins every
+// race against its producers and a saturated shard flushes batches of one
+// (DESIGN.md §8.4). Abandoned requests are skipped; a gather that claims
+// nothing flushes nothing.
 func (e *Engine) gather(sh *shard, first *request) {
 	n := 0
 	if e.claim(sh, first) {
 		sh.batch[0] = first
 		n = 1
 	}
-	max := e.cfg.MaxBatch
-	for n < max {
+	yielded := false
+	for n < e.cfg.MaxBatch {
 		select {
 		case r := <-sh.q:
 			if e.claim(sh, r) {
@@ -496,25 +482,11 @@ func (e *Engine) gather(sh *shard, first *request) {
 			continue
 		default:
 		}
-		break
-	}
-	if n > 0 && n < max && e.cfg.MaxWait > 0 {
-		sh.timer.Reset(e.cfg.MaxWait)
-		open := true
-		for open && n < max {
-			select {
-			case r := <-sh.q:
-				if e.claim(sh, r) {
-					sh.batch[n] = r
-					n++
-				}
-			case <-sh.timer.C:
-				open = false
-			}
+		if yielded {
+			break
 		}
-		if open {
-			stopTimer(sh.timer)
-		}
+		runtime.Gosched()
+		yielded = true
 	}
 	if n > 0 {
 		e.flushContained(sh, n)

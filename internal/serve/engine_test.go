@@ -130,7 +130,7 @@ func TestEngineSelectFeatureSizeMismatch(t *testing.T) {
 
 func TestEngineClose(t *testing.T) {
 	eng := MustNewEngine(NewRegistry(rigged(2, 3, 1)), Config{Workers: 2, MaxBatch: 4})
-	for i := 0; i < 8; i++ { // the 8th request is latency-sampled
+	for i := 0; i < 8; i++ { // the first round-robin round is latency-sampled
 		if _, err := eng.Select([]float64{0, 0}); err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +147,7 @@ func TestEngineClose(t *testing.T) {
 }
 
 func TestEngineLatencySamplingDefault(t *testing.T) {
-	eng := MustNewEngine(NewRegistry(rigged(2, 3, 1)), Config{Workers: 1, MaxBatch: 4, FlushImmediately: true})
+	eng := MustNewEngine(NewRegistry(rigged(2, 3, 1)), Config{Workers: 1, MaxBatch: 4})
 	defer eng.Close()
 	x := []float64{0, 0}
 	const n = 800
@@ -168,9 +168,8 @@ func TestEngineLatencySamplingDefault(t *testing.T) {
 }
 
 func TestEngineSelectSteadyStateAllocs(t *testing.T) {
-	// Immediate-flush mode so sequential Selects complete without a batching
-	// window; one worker so the path is deterministic.
-	eng := MustNewEngine(NewRegistry(rigged(4, 3, 0)), Config{Workers: 1, MaxBatch: 8, FlushImmediately: true})
+	// One worker so the path is deterministic.
+	eng := MustNewEngine(NewRegistry(rigged(4, 3, 0)), Config{Workers: 1, MaxBatch: 8})
 	defer eng.Close()
 	x := []float64{0.1, 0.2, 0.3, 0.4}
 	for i := 0; i < 100; i++ { // warm the request pool and cache scratch
@@ -187,5 +186,88 @@ func TestEngineSelectSteadyStateAllocs(t *testing.T) {
 	// noise means the request path or worker loop allocates.
 	if n > 0.5 {
 		t.Fatalf("Select allocates %v per op in steady state, want 0", n)
+	}
+}
+
+// TestEngineLatencySamplesEveryShard: the sampled requests are spread over
+// every shard, whatever the worker count — including counts that divide
+// the sampling period, where sampling every latencySample-th sequence number
+// would land every sample on one shard.
+func TestEngineLatencySamplesEveryShard(t *testing.T) {
+	for _, workers := range []int{2, 3, 4} {
+		eng := MustNewEngine(NewRegistry(rigged(2, 3, 1)), Config{Workers: workers})
+		for i := 0; i < 40*workers; i++ {
+			if _, err := eng.Select([]float64{0, 0}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		eng.Close()
+		for _, sh := range eng.shards {
+			if sh.lat.Count() == 0 {
+				t.Errorf("workers=%d: shard %d recorded no latency sample", workers, sh.idx)
+			}
+		}
+	}
+}
+
+// TestEngineLoneSelectFlushesAlone: a caller alone with the engine is
+// answered by a batch of its own — the worker never holds a request open
+// waiting for company.
+func TestEngineLoneSelectFlushesAlone(t *testing.T) {
+	eng := MustNewEngine(NewRegistry(rigged(2, 3, 1)), Config{Workers: 1})
+	defer eng.Close()
+	const n = 200
+	for i := 0; i < n; i++ {
+		if _, err := eng.Select([]float64{0, 0}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := eng.Batches(); got != n {
+		t.Fatalf("%d sequential Selects took %d batches, want %d", n, got, n)
+	}
+}
+
+// TestEngineBatchesUnderLoad: with many closed-loop callers on one shard,
+// the worker's single yield before flushing lets the callers it just
+// answered enqueue again, so batches stay dense without any batching
+// window. Without the yield the worker wins every race against its
+// producers and flushes batches of about one.
+func TestEngineBatchesUnderLoad(t *testing.T) {
+	const (
+		callers = 64
+		each    = 300
+		// Measured on 2 vCPUs: 1.0–3.6 without the yield; 10–31 with it,
+		// also beside a CPU-bound test binary and under -race.
+		minAvgBatch = 6
+	)
+	eng := MustNewEngine(NewRegistry(rigged(2, 3, 1)), Config{Workers: 1, MaxBatch: 32})
+	defer eng.Close()
+	var wg sync.WaitGroup
+	errs := make(chan error, callers)
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			x := []float64{0, 0}
+			for i := 0; i < each; i++ {
+				if _, err := eng.Select(x); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	st := eng.Stats()
+	if st.Served != callers*each {
+		t.Fatalf("served %d, want %d", st.Served, callers*each)
+	}
+	t.Logf("avg batch %.2f over %d batches", st.AvgBatch, st.Batches)
+	if st.AvgBatch < minAvgBatch {
+		t.Fatalf("avg batch %.2f under %d closed-loop callers, want >= %d", st.AvgBatch, callers, minAvgBatch)
 	}
 }

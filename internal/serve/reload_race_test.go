@@ -24,7 +24,7 @@ func TestHotReloadConsistency(t *testing.T) {
 		storm  = 4 // producer goroutines
 	)
 	reg := NewRegistry(riggedW(in, levels, 0))
-	eng := MustNewEngine(reg, Config{Workers: 2, MaxBatch: 8, MaxWait: 50 * time.Microsecond})
+	eng := MustNewEngine(reg, Config{Workers: 2, MaxBatch: 8})
 	defer eng.Close()
 
 	stopPub := make(chan struct{})

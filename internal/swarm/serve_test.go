@@ -76,7 +76,7 @@ func TestSwarmServeBackedOverloadDegrades(t *testing.T) {
 	levels := len(abr.DefaultVideoConfig().BitratesKbps)
 	policy := rl.NewCategoricalPolicy(abr.NewPensieveNet(mathx.NewRNG(5), levels))
 	eng := serve.MustNewEngine(serve.NewRegistry(policy.Net()), serve.Config{
-		Workers: 1, MaxBatch: 2, QueueDepth: 2, MaxWait: 50 * time.Microsecond,
+		Workers: 1, MaxBatch: 2, QueueDepth: 2,
 	})
 	defer eng.Close()
 	mode := NewServeMode(eng, 300*time.Microsecond)
