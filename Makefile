@@ -74,7 +74,10 @@ bench-ab:
 # tanh, vtanh_amd64.s) would change the training kernel's rounding and with
 # it every golden. And one flush policy (internal/serve/engine.go, gather): a
 # shard flushes when its queue runs dry, so a MaxWait or FlushImmediately
-# knob anywhere under internal/ or cmd/ is a second policy coming back.
+# knob anywhere under internal/ or cmd/ is a second policy coming back. And
+# one Eq. 1 (internal/core/eq1.go): every adversary env returns core.Eq1's
+# Value, so ABRGoalRebuffering, ABRGoalLowBitrate, CCGoal or CongestionScaleS
+# in any .go file under internal/ or cmd/ is a deleted reward coming back.
 seam-check:
 	@n=$$(grep -rn 'NewPPO(' --include='*.go' --exclude-dir=.bench_build . | grep -v '_test\.go:' | grep -vc '^\./bench/e2e/'); \
 	if [ $$n -gt 2 ]; then echo "seam-check: NewPPO( on $$n non-test lines, want <= 2 (build trainers with rl.NewTrainer)"; exit 1; fi
@@ -94,6 +97,8 @@ seam-check:
 	if [ -n "$$f" ]; then echo "seam-check: VFMADD in $$f (the training kernel multiplies then adds; only the inference kernel may fuse)"; exit 1; fi
 	@f=$$(grep -rlE 'MaxWait|FlushImmediately' --include='*.go' internal cmd); \
 	if [ -n "$$f" ]; then echo "seam-check: MaxWait/FlushImmediately in $$f (a serve shard has one flush policy: flush when its queue runs dry)"; exit 1; fi
+	@f=$$(grep -rlE 'ABRGoalRebuffering|ABRGoalLowBitrate|CCGoal|CongestionScaleS' --include='*.go' internal cmd); \
+	if [ -n "$$f" ]; then echo "seam-check: a deleted adversary goal in $$f (one Eq. 1: every env returns core.Eq1's Value; ABR has only the Regret and Naive goals)"; exit 1; fi
 
 # Tier-1 verification: build + tests, plus vet, the FMA-off rerun, the race
 # detector, the benchmark's correctness and allocation check, and the

@@ -480,6 +480,22 @@ func TestTrainEnvEpisodeShape(t *testing.T) {
 	}
 }
 
+// TestTrainEnvStepAllocs: TrainEnv observes through ObservationInto and
+// FeaturesInto into buffers it owns, so a step allocates nothing of its own
+// (the session's per-episode records grow by doubling, which AllocsPerRun's
+// integer average rounds away).
+func TestTrainEnvStepAllocs(t *testing.T) {
+	rng := mathx.NewRNG(23)
+	v := testVideo(0.1)
+	ds := trace.GenerateFCCLikeDataset(rng, trace.DefaultFCCLike(), 3, "fcc")
+	env := NewTrainEnv(v, ds, DefaultSessionConfig(), 0.08, rng)
+	act := []float64{2}
+	env.Reset()
+	if n := testing.AllocsPerRun(v.NumChunks()-8, func() { env.Step(act) }); n != 0 {
+		t.Errorf("TrainEnv.Step: %v allocs, want 0", n)
+	}
+}
+
 func TestRunSessionCompletes(t *testing.T) {
 	v := testVideo(0.1)
 	tr := trace.Constant("c", 1000, 3, 40, 0)

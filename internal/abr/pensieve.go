@@ -28,8 +28,15 @@ func FeatureSize(levels int) int {
 //	  next chunk sizes (Mbit/5),
 //	  chunks remaining / total ]
 func Features(o *Observation) []float64 {
+	return FeaturesInto(make([]float64, 0, FeatureSize(o.Levels)), o)
+}
+
+// FeaturesInto is Features written over dst[:0], growing it only when its
+// capacity is short, so a caller that recycles one buffer encodes without
+// allocating. It returns the encoded slice.
+func FeaturesInto(dst []float64, o *Observation) []float64 {
 	levels := o.Levels
-	out := make([]float64, 0, FeatureSize(levels))
+	out := dst[:0]
 	maxMbps := o.BitratesKbps[levels-1] / 1000
 
 	lastMbps := 0.0
@@ -118,7 +125,9 @@ type TrainEnv struct {
 	rng      *mathx.RNG
 	sampler  *ShardTraceSampler // nil on the identity shard: uniform rng draw
 	session  *Session
-	traceIdx int // dataset index of the current session's trace; -1 when none
+	traceIdx int         // dataset index of the current session's trace; -1 when none
+	obs      Observation // the session's view, refilled each chunk
+	feat     []float64   // the observation Reset and Step return
 }
 
 // NewTrainEnv builds a training environment that samples traces uniformly
@@ -141,7 +150,18 @@ func (e *TrainEnv) Reset() []float64 {
 	}
 	link := &TraceLink{Trace: e.Dataset.Traces[e.traceIdx], RTTSeconds: e.RTTSeconds}
 	e.session = NewSession(e.Video, link, e.Cfg)
-	return Features(e.session.Observation())
+	return e.features()
+}
+
+// features encodes the session's current observation into the env's one
+// feature buffer: all zeros once the video is done.
+func (e *TrainEnv) features() []float64 {
+	if e.session.ObservationInto(&e.obs) {
+		e.feat = FeaturesInto(e.feat, &e.obs)
+	} else {
+		e.feat = append(e.feat[:0], make([]float64, FeatureSize(e.Video.Levels()))...)
+	}
+	return e.feat
 }
 
 // trainEnvState is the serialized form of a TrainEnv for checkpointing: the
@@ -227,14 +247,7 @@ func (e *TrainEnv) SetEnvState(data []byte) error {
 func (e *TrainEnv) Step(action []float64) ([]float64, float64, bool) {
 	level := clampLevel(int(action[0]), e.Video.Levels())
 	res := e.session.Step(level)
-	done := e.session.Done()
-	var obs []float64
-	if !done {
-		obs = Features(e.session.Observation())
-	} else {
-		obs = make([]float64, FeatureSize(e.Video.Levels()))
-	}
-	return obs, res.QoE, done
+	return e.features(), res.QoE, e.session.Done()
 }
 
 // ObservationSize implements rl.Env.

@@ -37,9 +37,8 @@ type ABRAdversaryConfig struct {
 	Hidden []int
 	// InitLogStd is the initial exploration scale of the Gaussian policy.
 	InitLogStd float64
-	// Goal selects the adversary's objective (§5 "Different adversarial
-	// goals"); the default ABRGoalRegret is Eq. 1, and ABRGoalNaive is the
-	// §2.1 ablation that drops its r_opt term.
+	// Goal selects the adversary's objective: the default ABRGoalRegret is
+	// Eq. 1, and ABRGoalNaive is the §2.1 ablation that zeroes its Opt term.
 	Goal ABRGoal
 }
 
@@ -83,18 +82,20 @@ type ABREnv struct {
 
 	session *abr.Session
 	link    *abr.ConstantLink
-	history []float64 // flattened rolling observation window
+	obs     abr.Observation // the target's view of the session, refilled per chunk
+	history []float64       // flattened rolling observation window: the observation Reset and Step return
 
 	bwHist     []float64 // chosen bandwidth per chunk
 	bufBefore  []float64 // buffer at each chunk's start
 	prevBefore []int     // protocol's previous level at each chunk's start
 	lastRaw    []float64 // last raw (unclipped) action, for Figure-6 style dumps
+	last       Eq1       // the last step's reward terms
 }
 
 // NewABREnv builds an adversary environment against the given target.
 func NewABREnv(video *abr.Video, target abr.Protocol, cfg ABRAdversaryConfig) *ABREnv {
 	ses := abr.DefaultSessionConfig()
-	return &ABREnv{cfg: cfg, video: video, target: target, ses: &ses}
+	return &ABREnv{cfg: cfg, video: video, target: target, ses: &ses, history: make([]float64, cfg.stateSize(video.Levels()))}
 }
 
 // MapAction converts a raw policy action (nominally in [−1, 1], possibly
@@ -110,16 +111,16 @@ func (e *ABREnv) Reset() []float64 {
 	e.link = &abr.ConstantLink{BandwidthMbps: e.cfg.BandwidthLo, RTTSeconds: e.cfg.RTTSeconds}
 	e.session = abr.NewSession(e.video, e.link, *e.ses)
 	e.target.Reset()
-	e.history = make([]float64, e.cfg.stateSize(e.video.Levels()))
+	clear(e.history)
 	e.bwHist = e.bwHist[:0]
 	e.bufBefore = e.bufBefore[:0]
 	e.prevBefore = e.prevBefore[:0]
-	return mathx.CopyOf(e.history)
+	return e.history
 }
 
 // Step implements rl.Env.
 func (e *ABREnv) Step(action []float64) ([]float64, float64, bool) {
-	e.lastRaw = mathx.CopyOf(action)
+	e.lastRaw = append(e.lastRaw[:0], action...)
 	return e.StepBandwidth(e.MapAction(action[0]))
 }
 
@@ -129,22 +130,22 @@ func (e *ABREnv) Step(action []float64) ([]float64, float64, bool) {
 func (e *ABREnv) StepBandwidth(bw float64) ([]float64, float64, bool) {
 	e.link.BandwidthMbps = bw
 
-	obs := e.session.Observation()
-	level := e.target.SelectLevel(obs)
+	e.session.ObservationInto(&e.obs)
+	level := e.target.SelectLevel(&e.obs)
 	e.bufBefore = append(e.bufBefore, e.session.Buffer())
 	e.prevBefore = append(e.prevBefore, e.session.LastLevel())
 	res := e.session.Step(level)
 	e.bwHist = append(e.bwHist, bw)
 
-	reward := e.reward()
+	e.last = e.reward()
 	e.pushObservation(res, bw)
-	done := e.session.Done()
-	return mathx.CopyOf(e.history), reward, done
+	return e.history, e.last.Value(), e.session.Done()
 }
 
-// reward computes the configured objective over the trailing window; the
-// default is Eq. 1.
-func (e *ABREnv) reward() float64 {
+// reward splits Eq. 1 over the trailing window: Opt is the window optimum
+// (zeroed under ABRGoalNaive), Protocol the target's QoE over the same
+// chunks, and Smooth the weighted change of bandwidth.
+func (e *ABREnv) reward() Eq1 {
 	t := len(e.bwHist) - 1
 	w := e.cfg.Window
 	start := t - w + 1
@@ -158,46 +159,18 @@ func (e *ABREnv) reward() float64 {
 			smooth = -smooth
 		}
 	}
-	results := e.session.Results()
-	window := results[start : t+1]
-
-	switch e.cfg.Goal {
-	case ABRGoalRebuffering:
-		// Stall seconds caused over the window. Non-trivial by
-		// construction: sustained starvation makes every protocol drop
-		// to the lowest level and stop stalling, so rebuffering demands
-		// bait-and-starve patterns.
-		var rebuf float64
-		for _, r := range window {
-			rebuf += r.RebufferS
-		}
-		return rebuf - e.cfg.SmoothWeight*smooth
-
-	case ABRGoalLowBitrate:
-		// Offered bandwidth minus played bitrate (Mbps): rewards making
-		// the protocol play far below what the network supports.
-		var bw, bitrate float64
-		for i, r := range window {
-			bw += e.bwHist[start+i]
-			bitrate += r.BitrateMbps
-		}
-		n := float64(len(window))
-		return (bw-bitrate)/n - e.cfg.SmoothWeight*smooth
-	}
-
-	rOpt := 0.0
+	r := Eq1{Smooth: e.cfg.SmoothWeight * smooth}
 	if e.cfg.Goal != ABRGoalNaive {
-		rOpt = abr.WindowOptimal(
+		r.Opt = abr.WindowOptimal(
 			e.video, e.ses.QoE, start,
 			e.bwHist[start:t+1], e.cfg.RTTSeconds,
 			e.bufBefore[start], e.ses.BufferCapS, e.prevBefore[start],
 		)
 	}
-	var rProto float64
-	for _, r := range window {
-		rProto += r.QoE
+	for _, res := range e.session.Results()[start : t+1] {
+		r.Protocol += res.QoE
 	}
-	return rOpt - rProto - e.cfg.SmoothWeight*smooth
+	return r
 }
 
 // pushObservation drops the oldest per-step features and writes the newest
@@ -240,8 +213,12 @@ func (e *ABREnv) BandwidthHistory() []float64 { return e.bwHist }
 
 // LastRawAction returns the most recent raw (unclipped) policy action — the
 // quantity the paper plots in Figure 6, which "may appear to be outside of
-// the parameter range" before PPO's clipping maps it back in.
+// the parameter range" before PPO's clipping maps it back in. The slice is
+// the env's, valid until its next Step.
 func (e *ABREnv) LastRawAction() []float64 { return e.lastRaw }
+
+// LastEq1 returns the reward terms of the most recent step.
+func (e *ABREnv) LastEq1() Eq1 { return e.last }
 
 // Session exposes the underlying streaming session (for analysis).
 func (e *ABREnv) Session() *abr.Session { return e.session }

@@ -26,12 +26,6 @@ type CCAdversaryConfig struct {
 	Hidden       []int   // paper: a single hidden layer of 4 neurons
 	InitLogStd   float64
 	MaxLogStd    float64 // cap on effective exploration noise (see rl.GaussianPolicy)
-	// Goal selects the adversary's objective (§5); the default
-	// CCGoalUnderutilization is the paper's 1 − U − L − c·S.
-	Goal CCGoal
-	// CongestionScaleS normalizes queuing delay for CCGoalCongestion
-	// (full reward at this much standing queue); default 0.25 s.
-	CongestionScaleS float64
 }
 
 // DefaultCCAdversaryConfig returns the paper's §4 settings (Table 1 ranges,
@@ -110,15 +104,18 @@ type CCStepRecord struct {
 	Utilization    float64
 	ThroughputMbps float64
 	QueueDelayS    float64
-	Reward         float64
-	State          string // target's internal state, if exposed
+	Reward         float64 // Eq1.Value()
+	Eq1            Eq1     // the reward's terms
+	State          string  // target's internal state, if exposed
 }
 
 // CCEnv is the online congestion-control adversary environment: every
 // IntervalS of virtual time the adversary observes (link utilization,
 // queuing delay) and fixes the next (bandwidth, latency, loss) tuple; its
-// reward is 1 − U − L − SmoothCoef·S with S the deviation of bandwidth and
-// latency from their exponentially-weighted moving averages.
+// reward is Eq. 1 with Opt 1, Protocol the utilization U, Cost the loss rate
+// L and Smooth SmoothCoef·S, S the deviation of bandwidth and latency from
+// their exponentially-weighted moving averages. Opt is 1, not 1 − L: a
+// schedule-aware sender still fills the link (TestCCOracleSenderFillsLink).
 type CCEnv struct {
 	cfg    CCAdversaryConfig
 	newCC  func() netem.CongestionController
@@ -131,6 +128,7 @@ type CCEnv struct {
 	ewmaLat *mathx.EWMA
 	lastU   float64
 	lastQ   float64
+	obs     [2]float64 // the observation Reset and Step return
 
 	records []CCStepRecord
 }
@@ -138,7 +136,7 @@ type CCEnv struct {
 // NewCCEnv builds an adversary environment; newCC constructs a fresh target
 // protocol each episode, and rng drives the emulator's random loss.
 func NewCCEnv(newCC func() netem.CongestionController, cfg CCAdversaryConfig, rng *mathx.RNG) *CCEnv {
-	return &CCEnv{cfg: cfg, newCC: newCC, rng: rng}
+	return &CCEnv{cfg: cfg, newCC: newCC, rng: rng, records: make([]CCStepRecord, 0, cfg.EpisodeSteps)}
 }
 
 // DecodeAction maps raw policy outputs (nominally [−1,1] per dimension) to
@@ -168,7 +166,8 @@ func (e *CCEnv) Reset() []float64 {
 // observation is the paper's two-input state: current link utilization and
 // current queuing delay (normalized to roughly unit scale).
 func (e *CCEnv) observation() []float64 {
-	return []float64{e.lastU, e.lastQ / 0.1}
+	e.obs = [2]float64{e.lastU, e.lastQ / 0.1}
+	return e.obs[:]
 }
 
 // Step implements rl.Env.
@@ -188,18 +187,8 @@ func (e *CCEnv) Step(raw []float64) ([]float64, float64, bool) {
 	e.lastU, e.lastQ = u, q
 
 	s := e.cfg.smoothPenalty(e.ewmaBw, e.ewmaLat, a)
-
-	var reward float64
-	switch e.cfg.Goal {
-	case CCGoalCongestion:
-		scale := e.cfg.CongestionScaleS
-		if scale <= 0 {
-			scale = 0.25
-		}
-		reward = mathx.Clamp(q/scale, 0, 1) - a.LossRate - e.cfg.SmoothCoef*s
-	default:
-		reward = 1 - u - a.LossRate - e.cfg.SmoothCoef*s
-	}
+	r := Eq1{Opt: 1, Protocol: u, Cost: a.LossRate, Smooth: e.cfg.SmoothCoef * s}
+	reward := r.Value()
 
 	rec := CCStepRecord{
 		Time:           float64(e.step) * e.cfg.IntervalS,
@@ -208,6 +197,7 @@ func (e *CCEnv) Step(raw []float64) ([]float64, float64, bool) {
 		ThroughputMbps: e.em.ThroughputMbps(iv),
 		QueueDelayS:    q,
 		Reward:         reward,
+		Eq1:            r,
 	}
 	if st, ok := e.target.(interface{ State() string }); ok {
 		rec.State = st.State()
@@ -312,9 +302,7 @@ func TrainCCAdversary(newCC func() netem.CongestionController, cfg CCAdversaryCo
 func (a *CCAdversary) RunEpisode(newCC func() netem.CongestionController, rng *mathx.RNG, stochastic bool) []CCStepRecord {
 	env := NewCCEnv(newCC, a.Cfg, rng)
 	rl.RunEpisode(a.Policy, env, rng, stochastic, nil)
-	out := make([]CCStepRecord, len(env.Records()))
-	copy(out, env.Records())
-	return out
+	return env.Records()
 }
 
 // RecordsToTrace converts an episode's actions into a replayable trace.

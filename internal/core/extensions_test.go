@@ -16,88 +16,11 @@ import (
 )
 
 func TestGoalStrings(t *testing.T) {
-	if ABRGoalRegret.String() != "regret" || ABRGoalRebuffering.String() != "rebuffering" ||
-		ABRGoalLowBitrate.String() != "low-bitrate" || ABRGoalNaive.String() != "naive" {
+	if ABRGoalRegret.String() != "regret" || ABRGoalNaive.String() != "naive" {
 		t.Fatal("ABR goal names")
 	}
-	if CCGoalUnderutilization.String() != "underutilization" || CCGoalCongestion.String() != "congestion" {
-		t.Fatal("CC goal names")
-	}
-	if ABRGoal(99).String() != "unknown" || CCGoal(99).String() != "unknown" {
-		t.Fatal("unknown goal names")
-	}
-}
-
-func TestRebufferingGoalRewardMatchesStalls(t *testing.T) {
-	v := testVideo()
-	cfg := DefaultABRAdversaryConfig()
-	cfg.Goal = ABRGoalRebuffering
-	cfg.SmoothWeight = 0
-	env := NewABREnv(v, abr.NewBB(), cfg)
-	env.Reset()
-	var totalReward float64
-	for {
-		_, r, done := env.Step([]float64{-1}) // starve: 0.8 Mbps
-		totalReward += r
-		if done {
-			break
-		}
-	}
-	// With window 4 each chunk's stall is counted up to 4 times; reward sum
-	// must be consistent with the session's actual rebuffering.
-	var stalls float64
-	for _, res := range env.Session().Results() {
-		stalls += res.RebufferS
-	}
-	if stalls == 0 {
-		t.Skip("no stalls under starvation — BB too conservative")
-	}
-	if totalReward < stalls || totalReward > 4*stalls+1e-9 {
-		t.Fatalf("reward %v inconsistent with stalls %v (window 4)", totalReward, stalls)
-	}
-}
-
-func TestLowBitrateGoalReward(t *testing.T) {
-	v := testVideo()
-	cfg := DefaultABRAdversaryConfig()
-	cfg.Goal = ABRGoalLowBitrate
-	cfg.SmoothWeight = 0
-	env := NewABREnv(v, abr.NewBB(), cfg)
-	env.Reset()
-	// Offer max bandwidth: BB starts at the lowest level (empty buffer), so
-	// the first step's reward is bandwidth − bitrate = 4.8 − 0.3 = 4.5.
-	_, r, _ := env.Step([]float64{1})
-	if math.Abs(r-4.5) > 1e-9 {
-		t.Fatalf("first-step low-bitrate reward %v, want 4.5", r)
-	}
-}
-
-func TestCongestionGoalRewardsQueue(t *testing.T) {
-	cfg := DefaultCCAdversaryConfig()
-	cfg.Goal = CCGoalCongestion
-	cfg.EpisodeSteps = 300
-	env := NewCCEnv(func() netem.CongestionController { return cc.NewCubic() }, cfg, mathx.NewRNG(31))
-	env.Reset()
-	var rewardWithQueue, rewardNoQueue float64
-	var sawQueue bool
-	for i := 0; i < 300; i++ {
-		_, r, done := env.Step([]float64{-1, 1, -1}) // slow link, high latency, no loss
-		rec := env.Records()[len(env.Records())-1]
-		if rec.QueueDelayS > 0.05 {
-			rewardWithQueue += r
-			sawQueue = true
-		} else {
-			rewardNoQueue += r
-		}
-		if done {
-			break
-		}
-	}
-	if !sawQueue {
-		t.Skip("Cubic never built a queue in this scenario")
-	}
-	if rewardWithQueue <= 0 {
-		t.Fatalf("congestion goal gave %v total reward during queueing", rewardWithQueue)
+	if ABRGoal(99).String() != "unknown" {
+		t.Fatal("unknown goal name")
 	}
 }
 

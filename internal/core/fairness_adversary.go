@@ -21,8 +21,9 @@ type FairnessEnv struct {
 	step     int
 	ewmaBw   *mathx.EWMA
 	ewmaLat  *mathx.EWMA
-	lastObs  []float64
+	lastObs  []float64 // the observation Reset and Step return
 	lastBits []float64
+	shares   []float64 // per-flow share scratch
 
 	records []FairnessRecord
 }
@@ -34,7 +35,8 @@ type FairnessRecord struct {
 	Shares     []float64 // per-flow share of delivered bits this interval
 	Jain       float64
 	QueueDelay float64
-	Reward     float64
+	Reward     float64 // Eq1.Value()
+	Eq1        Eq1     // the reward's terms: Opt 1, Protocol Jain, Cost L, Smooth c·S
 }
 
 // NewFairnessEnv builds an environment over the given competing flows
@@ -43,7 +45,8 @@ func NewFairnessEnv(newCCs []func() netem.CongestionController, cfg CCAdversaryC
 	if len(newCCs) < 2 {
 		panic("core: FairnessEnv needs at least two flows")
 	}
-	return &FairnessEnv{cfg: cfg, newCCs: newCCs, rng: rng}
+	n := len(newCCs)
+	return &FairnessEnv{cfg: cfg, newCCs: newCCs, rng: rng, lastObs: make([]float64, n+1), lastBits: make([]float64, n), shares: make([]float64, n)}
 }
 
 // Reset implements rl.Env.
@@ -63,10 +66,10 @@ func (e *FairnessEnv) Reset() []float64 {
 	e.step = 0
 	e.ewmaBw = mathx.NewEWMA(e.cfg.EWMAAlpha)
 	e.ewmaLat = mathx.NewEWMA(e.cfg.EWMAAlpha)
-	e.lastObs = make([]float64, e.ObservationSize())
-	e.lastBits = make([]float64, len(e.newCCs))
+	clear(e.lastObs)
+	clear(e.lastBits)
 	e.records = e.records[:0]
-	return mathx.CopyOf(e.lastObs)
+	return e.lastObs
 }
 
 // Step implements rl.Env.
@@ -81,7 +84,7 @@ func (e *FairnessEnv) Step(raw []float64) ([]float64, float64, bool) {
 	e.em.Run(float64(e.step) * e.cfg.IntervalS)
 
 	// Per-flow deliveries over this interval.
-	shares := make([]float64, len(e.newCCs))
+	shares := e.shares
 	var total float64
 	for i := range shares {
 		bits := e.em.FlowDeliveredBits(i)
@@ -104,7 +107,8 @@ func (e *FairnessEnv) Step(raw []float64) ([]float64, float64, bool) {
 	}
 
 	s := e.cfg.smoothPenalty(e.ewmaBw, e.ewmaLat, a)
-	reward := (1 - jain) - a.LossRate - e.cfg.SmoothCoef*s
+	r := Eq1{Opt: 1, Protocol: jain, Cost: a.LossRate, Smooth: e.cfg.SmoothCoef * s}
+	reward := r.Value()
 
 	q := e.em.QueueingDelay()
 	copy(e.lastObs, shares)
@@ -117,9 +121,10 @@ func (e *FairnessEnv) Step(raw []float64) ([]float64, float64, bool) {
 		Jain:       jain,
 		QueueDelay: q,
 		Reward:     reward,
+		Eq1:        r,
 	})
 	done := e.step >= e.cfg.EpisodeSteps
-	return mathx.CopyOf(e.lastObs), reward, done
+	return e.lastObs, reward, done
 }
 
 // ObservationSize implements rl.Env: per-flow shares plus queueing delay.

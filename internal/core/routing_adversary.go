@@ -56,7 +56,8 @@ type RoutingEnv struct {
 
 	round     int
 	lastRates []float64
-	lastUtil  []float64 // per-edge utilization of the scheme's last routing
+	lastUtil  []float64 // per-edge utilization of the scheme's last routing: the observation Reset and Step return
+	last      Eq1       // the last step's reward terms
 }
 
 // NewRoutingEnv builds an adversary environment against the given scheme.
@@ -65,25 +66,21 @@ func NewRoutingEnv(top *routing.Topology, scheme routing.Scheme, cfg RoutingAdve
 		panic("core: RoutingEnv with no commodity pairs")
 	}
 	return &RoutingEnv{
-		cfg:    cfg,
-		top:    top,
-		scheme: scheme,
-		oracle: routing.NewOracle(),
+		cfg:       cfg,
+		top:       top,
+		scheme:    scheme,
+		oracle:    routing.NewOracle(),
+		lastRates: make([]float64, len(cfg.Pairs)),
+		lastUtil:  make([]float64, len(top.Edges)),
 	}
 }
 
 // Reset implements rl.Env.
 func (e *RoutingEnv) Reset() []float64 {
 	e.round = 0
-	e.lastRates = make([]float64, len(e.cfg.Pairs))
-	e.lastUtil = make([]float64, len(e.top.Edges))
-	return e.observation()
-}
-
-// observation is the per-edge utilization the scheme produced last round —
-// the routing analogue of "observing the protocol's behaviour".
-func (e *RoutingEnv) observation() []float64 {
-	return mathx.CopyOf(e.lastUtil)
+	clear(e.lastRates)
+	clear(e.lastUtil)
+	return e.lastUtil
 }
 
 // DecodeAction maps raw [-1,1] outputs to per-commodity rates.
@@ -111,16 +108,22 @@ func (e *RoutingEnv) Step(raw []float64) ([]float64, float64, bool) {
 	}
 	smooth /= float64(len(d))
 
-	reward := schemeMLU - optMLU - e.cfg.SmoothWeight*smooth
+	// Lower congestion is better, so both MLUs enter negated.
+	e.last = Eq1{Opt: -optMLU, Protocol: -schemeMLU, Smooth: e.cfg.SmoothWeight * smooth}
 
+	// The observation is the per-edge utilization the scheme produced — the
+	// routing analogue of "observing the protocol's behaviour".
 	loads := schemeRouting.EdgeLoads(len(e.top.Edges))
 	for ei := range e.lastUtil {
 		e.lastUtil[ei] = loads[ei] / e.top.Edges[ei].Capacity
 	}
 
 	e.round++
-	return e.observation(), reward, e.round >= e.cfg.Rounds
+	return e.lastUtil, e.last.Value(), e.round >= e.cfg.Rounds
 }
+
+// LastEq1 returns the reward terms of the most recent step.
+func (e *RoutingEnv) LastEq1() Eq1 { return e.last }
 
 // ObservationSize implements rl.Env.
 func (e *RoutingEnv) ObservationSize() int { return len(e.top.Edges) }

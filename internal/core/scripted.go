@@ -176,9 +176,7 @@ func RunScriptedCC(newCC func() netem.CongestionController, adv ScriptedCCAdvers
 			break
 		}
 	}
-	out := make([]CCStepRecord, len(env.Records()))
-	copy(out, env.Records())
-	return out
+	return env.Records()
 }
 
 func encode(v, lo, hi float64) float64 {

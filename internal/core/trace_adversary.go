@@ -76,9 +76,13 @@ type traceEnv struct {
 	chunks int
 	video  *abr.Video
 	target abr.Protocol
+	last   Eq1 // the last step's reward terms
 }
 
-func (e *traceEnv) Reset() []float64 { return []float64{1} }
+// traceObs is every traceEnv's constant observation; no one writes it.
+var traceObs = []float64{1}
+
+func (e *traceEnv) Reset() []float64 { return traceObs }
 
 func (e *traceEnv) Step(action []float64) ([]float64, float64, bool) {
 	bw := make([]float64, e.chunks)
@@ -97,9 +101,12 @@ func (e *traceEnv) Step(action []float64) ([]float64, float64, bool) {
 	for i := 1; i < len(bw); i++ {
 		smooth += math.Abs(bw[i] - bw[i-1])
 	}
-	reward := optQoE - session.TotalQoE() - e.cfg.SmoothWeight*smooth
-	return []float64{1}, reward, true
+	e.last = Eq1{Opt: optQoE, Protocol: session.TotalQoE(), Smooth: e.cfg.SmoothWeight * smooth}
+	return traceObs, e.last.Value(), true
 }
+
+// LastEq1 returns the reward terms of the most recent step.
+func (e *traceEnv) LastEq1() Eq1 { return e.last }
 
 func (e *traceEnv) ObservationSize() int { return 1 }
 
@@ -151,12 +158,11 @@ func TrainTraceAdversary(video *abr.Video, target abr.Protocol, cfg TraceAdversa
 // GenerateTrace samples one trace (stochastic) or emits the mean trace
 // (deterministic).
 func (a *TraceAdversary) GenerateTrace(rng *mathx.RNG, stochastic bool, name string) *trace.Trace {
-	obs := []float64{1}
 	var action []float64
 	if stochastic {
-		action, _ = a.Policy.Sample(rng, obs)
+		action, _ = a.Policy.Sample(rng, traceObs)
 	} else {
-		action = a.Policy.Mode(obs)
+		action = a.Policy.Mode(traceObs)
 	}
 	tr := &trace.Trace{Name: name}
 	for i := 0; i < a.Chunks; i++ {

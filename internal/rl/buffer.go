@@ -79,17 +79,18 @@ func arenaSlot(arena []float64, used *int, src []float64) []float64 {
 	return dst
 }
 
-// push appends a transition, copying obs and action into the arenas. The
-// stored slices are owned by the buffer and remain valid until reset.
-func (b *rolloutBuffer) push(obs, action []float64, reward float64, done bool, logp, value float64) {
+// push appends a transition, copying obs and action into the arenas, and
+// returns it for the caller to fill in the step's reward and done flag
+// (valid until the next push). The stored slices are owned by the buffer and
+// remain valid until reset.
+func (b *rolloutBuffer) push(obs, action []float64, logp, value float64) *transition {
 	b.steps = append(b.steps, transition{
 		obs:    arenaSlot(b.obsArena, &b.obsUsed, obs),
 		action: arenaSlot(b.actArena, &b.actUsed, action),
-		reward: reward,
-		done:   done,
 		logp:   logp,
 		value:  value,
 	})
+	return &b.steps[len(b.steps)-1]
 }
 
 // pushFrom appends every transition of src, including computed advantages and

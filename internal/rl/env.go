@@ -65,6 +65,13 @@ func (s ActionSpec) ActionSize() int {
 
 // Env is an episodic reinforcement-learning environment. Implementations are
 // single-goroutine; drive each instance from one trainer only.
+//
+// The observation Reset and Step return belongs to the environment: it is
+// valid until that environment's next Reset or Step, which may overwrite it
+// in place, and callers must not modify it. A caller that needs it longer
+// copies it (a lane copies each observation into its rollout slot before it
+// steps), so an environment can return one reused buffer and step without
+// allocating.
 type Env interface {
 	// Reset starts a new episode and returns the initial observation.
 	Reset() []float64

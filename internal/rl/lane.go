@@ -105,8 +105,11 @@ func (l *Lane) rollout(steps int) collectStats {
 	for step := 0; step < steps; step++ {
 		action, logp := l.policy.Sample(l.rng, obs)
 		value := l.value.PredictInto(l.vcache, obs)[0]
+		// obs is the env's and valid only until its next Step (see Env):
+		// copy it into the rollout slot first.
+		t := l.buf.push(obs, action, logp, value)
 		next, reward, done := env.Step(action)
-		l.buf.push(obs, action, reward, done, logp, value)
+		t.reward, t.done = reward, done
 		st.rewardSum += reward
 		l.curEpReward += reward
 		if done {
@@ -118,7 +121,8 @@ func (l *Lane) rollout(steps int) collectStats {
 			obs = next
 		}
 	}
-	// Store the next-step observation without allocating in steady state.
+	// Copy the next-step observation out of the env's buffer, without
+	// allocating in steady state.
 	l.pendObs = append(l.pendObs[:0], obs...)
 	l.pendLive = true
 	return st
