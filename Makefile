@@ -12,11 +12,13 @@ test:
 
 # Go's amd64 math.Exp (and with it math.Tanh and math.Pow) picks a fused
 # multiply-add path or an SSE2 path at run time, so a golden recorded on an
-# FMA host can differ on a host without FMA. internal/nn and internal/dist
-# are bitwise either way; rerunning them with FMA switched off keeps them
-# so. internal/rl and internal/core are not yet (ROADMAP item 11(a)).
+# FMA host could differ on a host without FMA. The repository's exponential
+# is mathx.Exp, which is the fused path written with math.FMA and so the same
+# bits on every amd64 host; rerunning the packages whose goldens rest on it
+# with FMA switched off (mathx's own digest, the nn kernel, the PPO and
+# trainer goldens, the dist lanes) checks that it stays so.
 test-nofma:
-	GODEBUG=cpu.fma=off $(GO) test ./internal/nn/ ./internal/dist/
+	GODEBUG=cpu.fma=off $(GO) test ./internal/mathx/ ./internal/nn/ ./internal/rl/ ./internal/core/ ./internal/dist/
 
 # internal/nn's assembly is amd64-only; vetting the package for arm64 keeps
 # its portable fallback (fma_stub.go, the Go loops) compiling as it grows.
@@ -72,9 +74,15 @@ bench-ab:
 # one non-bitwise forward: a fused multiply-add (VFMADD) in any assembly under
 # internal/nn other than the inference kernel (fma_amd64.s and its vector
 # tanh, vtanh_amd64.s) would change the training kernel's rounding and with
-# it every golden. And one flush policy (internal/serve/engine.go, gather): a
-# shard flushes when its queue runs dry, so a MaxWait or FlushImmediately
-# knob anywhere under internal/ or cmd/ is a second policy coming back. And
+# it every golden. The training tanh (tanh_amd64.s) is the one other file
+# allowed to fuse, because it fuses exactly where mathx.Exp calls math.FMA,
+# which is what makes it lane-exact to mathx.Tanh. And one exponential
+# (internal/mathx/exp.go): math.Exp and math.Tanh round differently with and
+# without FMA, so a call to either in non-test Go under internal/ or cmd/ is
+# a result that depends on the host. And one flush policy
+# (internal/serve/engine.go, gather): a shard flushes when its queue runs dry,
+# so a MaxWait or FlushImmediately knob anywhere under internal/ or cmd/ is a
+# second policy coming back. And
 # one Eq. 1 (internal/core/eq1.go): every adversary env returns core.Eq1's
 # Value, so ABRGoalRebuffering, ABRGoalLowBitrate, CCGoal or CongestionScaleS
 # in any .go file under internal/ or cmd/ is a deleted reward coming back.
@@ -93,8 +101,10 @@ seam-check:
 	if [ -n "$$f" ]; then echo "seam-check: Go files under examples/: $$f (a paper claim is a row of internal/experiments/claims_test.go)"; exit 1; fi
 	@f=$$(grep -rl '"advnet/internal/experiments"' --include='*_test.go' --exclude-dir=.bench_build . | grep -v '^\./internal/experiments/'); \
 	if [ -n "$$f" ]; then echo "seam-check: $$f imports internal/experiments from a test (assert claims in internal/experiments/claims_test.go)"; exit 1; fi
-	@f=$$(grep -rl 'VFMADD' --include='*.s' internal/nn | grep -Ev '^internal/nn/(fma|vtanh)_amd64\.s$$'); \
-	if [ -n "$$f" ]; then echo "seam-check: VFMADD in $$f (the training kernel multiplies then adds; only the inference kernel may fuse)"; exit 1; fi
+	@f=$$(grep -rl 'VFMADD' --include='*.s' internal/nn | grep -Ev '^internal/nn/(fma|vtanh|tanh)_amd64\.s$$'); \
+	if [ -n "$$f" ]; then echo "seam-check: VFMADD in $$f (the training kernel multiplies then adds; only the inference kernel and the training tanh may fuse)"; exit 1; fi
+	@f=$$(grep -rlE 'math\.(Exp|Tanh)\(' --include='*.go' internal cmd | grep -v '_test\.go$$'); \
+	if [ -n "$$f" ]; then echo "seam-check: math.Exp/math.Tanh in $$f (call mathx.Exp/mathx.Tanh: the same bits on every host)"; exit 1; fi
 	@f=$$(grep -rlE 'MaxWait|FlushImmediately' --include='*.go' internal cmd); \
 	if [ -n "$$f" ]; then echo "seam-check: MaxWait/FlushImmediately in $$f (a serve shard has one flush policy: flush when its queue runs dry)"; exit 1; fi
 	@f=$$(grep -rlE 'ABRGoalRebuffering|ABRGoalLowBitrate|CCGoal|CongestionScaleS' --include='*.go' internal cmd); \

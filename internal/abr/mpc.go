@@ -93,7 +93,13 @@ func (m *MPC) search(o *Observation, predMbps float64, horizon int) (int, float6
 	// Iterative odometer over level sequences; sizes beyond the next chunk
 	// are approximated by nominal bitrate (the protocol cannot know the
 	// exact VBR sizes of future chunks).
-	seq := make([]int, horizon)
+	var seqBuf [8]int // horizons up to 8 search without allocating
+	seq := seqBuf[:]
+	if horizon <= len(seq) {
+		seq = seq[:horizon]
+	} else {
+		seq = make([]int, horizon)
+	}
 	for {
 		q := m.evalSequence(o, seq, predMbps, prevMbps, first)
 		if q > bestQoE {

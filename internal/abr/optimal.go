@@ -25,40 +25,68 @@ func WindowOptimal(v *Video, qoe QoEConfig, startChunk int, bwMbps []float64, rt
 	if bufferCap <= 0 {
 		bufferCap = 60
 	}
-	var rec func(j int, buffer float64, prev int) float64
-	rec = func(j int, buffer float64, prev int) float64 {
-		if j == n {
-			return 0
+	// Every node of the search reads one of n·levels download times and the
+	// levels' bitrates, so compute those once. The stack buffers hold the
+	// paper's 4-chunk window over a 6-level ladder; append spills a larger
+	// one to the heap.
+	var dlBuf [32]float64
+	var mbpsBuf [8]float64
+	w := windowSearch{qoe: qoe, n: n, levels: v.Levels(), chunkS: v.ChunkSeconds, bufferCap: bufferCap,
+		dl: dlBuf[:0], mbps: mbpsBuf[:0]}
+	for j, bw := range bwMbps {
+		for level := 0; level < w.levels; level++ {
+			w.dl = append(w.dl, v.Size(level, startChunk+j)/(bw*1e6)+rttS)
 		}
-		best := math.Inf(-1)
-		for level := 0; level < v.Levels(); level++ {
-			size := v.Size(level, startChunk+j)
-			dl := size/(bwMbps[j]*1e6) + rttS
-			rebuf := dl - buffer
-			if rebuf < 0 {
-				rebuf = 0
-			}
+	}
+	for level := 0; level < w.levels; level++ {
+		w.mbps = append(w.mbps, v.BitrateMbps(level))
+	}
+	return w.best(0, startBuffer, prevLevel)
+}
+
+// windowSearch is WindowOptimal's exhaustive search over one window.
+type windowSearch struct {
+	qoe               QoEConfig
+	n, levels         int
+	chunkS, bufferCap float64
+	dl                []float64 // dl[j·levels+level]: chunk j's download time at level
+	mbps              []float64 // mbps[level]: the level's nominal bitrate
+}
+
+// best returns the highest QoE of chunks j..n-1 (j < n) entering chunk j
+// with the given buffer after level prev (-1: nothing played yet). Ties keep
+// the lowest level. The last chunk adds the empty remainder's 0 without a
+// call.
+func (w *windowSearch) best(j int, buffer float64, prev int) float64 {
+	prevMbps := 0.0
+	if prev >= 0 {
+		prevMbps = w.mbps[prev]
+	}
+	best := math.Inf(-1)
+	for level, dl := range w.dl[j*w.levels : (j+1)*w.levels] {
+		rebuf := dl - buffer
+		if rebuf < 0 {
+			rebuf = 0
+		}
+		rest := 0.0
+		if j+1 < w.n {
 			nb := buffer - dl
 			if nb < 0 {
 				nb = 0
 			}
-			nb += v.ChunkSeconds
-			if nb > bufferCap {
-				nb = bufferCap
+			nb += w.chunkS
+			if nb > w.bufferCap {
+				nb = w.bufferCap
 			}
-			prevMbps := 0.0
-			if prev >= 0 {
-				prevMbps = v.BitrateMbps(prev)
-			}
-			q := qoe.Chunk(v.BitrateMbps(level), prevMbps, rebuf, prev < 0)
-			q += rec(j+1, nb, level)
-			if q > best {
-				best = q
-			}
+			rest = w.best(j+1, nb, level)
 		}
-		return best
+		q := w.qoe.Chunk(w.mbps[level], prevMbps, rebuf, prev < 0)
+		q += rest
+		if q > best {
+			best = q
+		}
 	}
-	return rec(0, startBuffer, prevLevel)
+	return best
 }
 
 // OfflineOptimal computes (approximately) the best achievable level sequence

@@ -142,6 +142,8 @@ func (v *Vivace) utility(dur float64) float64 {
 		grad = 0
 	}
 	rMbps := throughput / 1e6
+	// A fractional math.Pow calls math.Exp, whose bits depend on the host's
+	// FMA support (mathx.Exp does not); no golden covers Vivace's utility.
 	return math.Pow(math.Max(rMbps, 1e-6), v.Exponent) -
 		v.LatFactor*rMbps*grad -
 		v.LossCoeff*rMbps*lossRate

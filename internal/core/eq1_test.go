@@ -155,16 +155,18 @@ func TestCCOracleSenderFillsLink(t *testing.T) {
 // doubling, which AllocsPerRun's integer average rounds away.
 func TestEnvStepAllocs(t *testing.T) {
 	v := testVideo()
-	abrEnv := NewABREnv(v, abr.NewBB(), DefaultABRAdversaryConfig())
 	act := []float64{0.3}
-	for abrEnv.Reset(); ; {
-		if _, _, done := abrEnv.Step(act); done {
-			break
+	for _, target := range []abr.Protocol{abr.NewBB(), abr.NewMPC()} {
+		abrEnv := NewABREnv(v, target, DefaultABRAdversaryConfig())
+		for abrEnv.Reset(); ; {
+			if _, _, done := abrEnv.Step(act); done {
+				break
+			}
 		}
-	}
-	abrEnv.Reset()
-	if n := testing.AllocsPerRun(v.NumChunks()-8, func() { abrEnv.Step(act) }); n != 0 {
-		t.Errorf("ABREnv.Step against BB: %v allocs, want 0", n)
+		abrEnv.Reset()
+		if n := testing.AllocsPerRun(v.NumChunks()-8, func() { abrEnv.Step(act) }); n != 0 {
+			t.Errorf("ABREnv.Step against %s: %v allocs, want 0", target.Name(), n)
+		}
 	}
 
 	ccEnv := NewCCEnv(newBBRf, DefaultCCAdversaryConfig(), mathx.NewRNG(66))

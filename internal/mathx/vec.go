@@ -150,7 +150,7 @@ func Softmax(logits, out []float64) []float64 {
 	m := Max(logits)
 	var sum float64
 	for i, l := range logits {
-		e := math.Exp(l - m)
+		e := Exp(l - m)
 		out[i] = e
 		sum += e
 	}
@@ -165,7 +165,7 @@ func LogSumExp(xs []float64) float64 {
 	m := Max(xs)
 	var sum float64
 	for _, x := range xs {
-		sum += math.Exp(x - m)
+		sum += Exp(x - m)
 	}
 	return m + math.Log(sum)
 }

@@ -16,14 +16,15 @@ func xgetbvAsm() (eax, edx uint32)
 func gemmKernelAsm(y, init, x, m *float64, k, o int)
 
 // useAsm gates every assembly kernel of the package: the training kernel's
-// SIMD forward tile and axpy4 (kernel_amd64.s) and the inference GEMM cache's
-// FMA forward and vector tanh. It is a variable (not a constant) so tests can
+// SIMD forward tile and axpy4 (kernel_amd64.s), its lane-exact tanh
+// (tanh_amd64.s), and the inference GEMM cache's FMA forward and vector tanh. It is a variable (not a constant) so tests can
 // force the Go loops on AVX2 hardware; nothing else may write it after init.
 var useAsm = cpuSupportsAsm()
 
 // cpuSupportsAsm reports whether the CPU and OS support what the assembly
-// kernels need: the YMM state, AVX2, and FMA (used by the inference kernel
-// only; the training kernel never fuses).
+// kernels need: the YMM state, AVX2, and FMA (used by the inference kernel,
+// and by the training tanh exactly where mathx.Exp fuses; the training dense
+// loops never fuse).
 func cpuSupportsAsm() bool {
 	maxLeaf, _, _, _ := cpuidAsm(0, 0)
 	if maxLeaf < 7 {

@@ -16,6 +16,11 @@ func vtanh(span []float64) {
 	panic("nn: vtanh without assembly support")
 }
 
+// tanhSIMD is never called when useAsm is false.
+func tanhSIMD(span []float64) {
+	panic("nn: tanhSIMD without assembly support")
+}
+
 // forwardRowsSIMD is never called when useAsm is false.
 func (d *Dense) forwardRowsSIMD(x, y, wt []float64, n int) {
 	panic("nn: forwardRowsSIMD without assembly support")

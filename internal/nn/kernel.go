@@ -1,6 +1,6 @@
 package nn
 
-import "math"
+import "advnet/internal/mathx"
 
 // The one dense kernel. Every pass in the repository that must reproduce —
 // rollouts, PPO updates, evaluation, the dist lanes — runs these loops, for
@@ -26,6 +26,9 @@ import "math"
 // as these Go loops by construction (TestKernelNeverFuses pins the "never
 // fused"). The Go loops are the path everywhere else: single-row Cache
 // passes, small batches, group remainders, and every other architecture.
+// The tanh activation runs four lanes at a time on AVX2 hardware at every n
+// (tanh_amd64.s), each lane mathx.Tanh's own sequence — fused only where
+// mathx.Exp calls math.FMA — so it too is the same bits as the Go loop.
 
 // asmMinRows is the smallest batch whose forward runs the assembly. Each such
 // pass first transposes every layer's weights, which costs about as much as
@@ -179,12 +182,17 @@ func (d *Dense) backwardRows(x, dy, dx []float64, n int) {
 }
 
 // applyActivation applies act elementwise, the per-element dispatch of
-// act.apply hoisted out of the loop.
+// act.apply hoisted out of the loop. On AVX2 hardware tanh runs four lanes at
+// a time (tanh_amd64.s), each lane the same bits as mathx.Tanh.
 func applyActivation(act Activation, span []float64) {
 	switch act {
 	case Tanh:
+		if useAsm {
+			tanhSIMD(span)
+			return
+		}
 		for j, v := range span {
-			span[j] = math.Tanh(v)
+			span[j] = mathx.Tanh(v)
 		}
 	case ReLU:
 		for j, v := range span {
@@ -242,7 +250,7 @@ func (m *MLP) forwardTransposed(c *BatchCache, n int) []float64 {
 		}
 		if i < last {
 			if c.gemm && m.hidden == Tanh {
-				vtanh(y) // a few ulps from math.Tanh, not bitwise
+				vtanh(y) // a few ulps from mathx.Tanh, not bitwise
 			} else {
 				applyActivation(m.hidden, y)
 			}

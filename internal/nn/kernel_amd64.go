@@ -16,6 +16,27 @@ func denseRows4Asm(y, b, x, wt *float64, in, out int)
 //go:noescape
 func axpy4Asm(y, v0, v1, v2, v3 *float64, n int, a0, a1, a2, a3 float64)
 
+// tanhAsm replaces p[0:n] with mathx.Tanh of each element, bit for bit, four
+// lanes at a time; n must be a positive multiple of four. See tanh_amd64.s.
+//
+//go:noescape
+func tanhAsm(p *float64, n int)
+
+// tanhSIMD is applyActivation's tanh loop on the assembly path, padding the
+// tail through a stack buffer as vtanh does. Callers must have checked useAsm.
+func tanhSIMD(span []float64) {
+	n := len(span) &^ 3
+	if n > 0 {
+		tanhAsm(&span[0], n)
+	}
+	if rem := len(span) - n; rem > 0 {
+		var buf [4]float64
+		copy(buf[:], span[n:])
+		tanhAsm(&buf[0], 4)
+		copy(span[n:], buf[:rem])
+	}
+}
+
 // forwardRowsSIMD is forwardRows on the assembly path: groups of four rows run
 // through denseRows4Asm over wt (the layer's weights transposed, In×Out) and
 // the remaining rows through the Go tile. Callers must have checked useAsm.

@@ -43,7 +43,7 @@ func (a Activation) String() string {
 func (a Activation) apply(x float64) float64 {
 	switch a {
 	case Tanh:
-		return math.Tanh(x)
+		return mathx.Tanh(x)
 	case ReLU:
 		if x < 0 {
 			return 0

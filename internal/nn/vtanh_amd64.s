@@ -12,9 +12,9 @@
 //
 // and the result is t with x's sign bit. The y = 44 clamp makes large
 // inputs and ±Inf saturate to ±1 exactly (2/(e⁴⁴+1) rounds away in the
-// final divide, matching math.Tanh's saturation for |x| > 22); a final
+// final divide, matching mathx.Tanh's saturation for |x| > 22); a final
 // unordered-compare blend passes NaN inputs through unchanged. Maximum
-// observed error against math.Tanh is a few ulps — far inside the GEMM
+// observed error against mathx.Tanh is a few ulps — far inside the GEMM
 // mode's documented 1e-9 tolerance (see gemm.go).
 //
 // 2ⁿ is built without a float→int round trip: y is integral after the

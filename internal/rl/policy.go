@@ -358,7 +358,7 @@ func (p *GaussianPolicy) Sample(rng *mathx.RNG, obs []float64) ([]float64, float
 	logp := 0.0
 	for i := 0; i < p.dim; i++ {
 		ls := p.effLogStd(i)
-		std := math.Exp(ls)
+		std := mathx.Exp(ls)
 		action[i] = mean[i] + std*rng.Norm()
 		z := (action[i] - mean[i]) / std
 		logp += -0.5*z*z - ls - 0.5*log2Pi
@@ -378,7 +378,7 @@ func (p *GaussianPolicy) LogProb(obs, action []float64) float64 {
 	logp := 0.0
 	for i := 0; i < p.dim; i++ {
 		ls := p.effLogStd(i)
-		std := math.Exp(ls)
+		std := mathx.Exp(ls)
 		z := (action[i] - mean[i]) / std
 		logp += -0.5*z*z - ls - 0.5*log2Pi
 	}
@@ -403,7 +403,7 @@ func (p *GaussianPolicy) Backward(obs, action []float64, wLogp, wEnt float64) (f
 	dMean := make([]float64, p.dim)
 	for i := 0; i < p.dim; i++ {
 		ls := p.effLogStd(i)
-		std := math.Exp(ls)
+		std := mathx.Exp(ls)
 		z := (action[i] - mean[i]) / std
 		logp += -0.5*z*z - ls - 0.5*log2Pi
 
@@ -437,7 +437,7 @@ func (p *GaussianPolicy) BatchEval(obs, actions []float64, n int, logp, ent []fl
 		lp := 0.0
 		for i := 0; i < p.dim; i++ {
 			ls := p.effLogStd(i)
-			std := math.Exp(ls)
+			std := mathx.Exp(ls)
 			z := (actions[r*p.dim+i] - means[r*p.dim+i]) / std
 			p.bzs[r*p.dim+i] = z
 			lp += -0.5*z*z - ls - 0.5*log2Pi
@@ -453,7 +453,7 @@ func (p *GaussianPolicy) BatchGrad(wLogp []float64, wEnt float64) {
 	for r := 0; r < n; r++ {
 		for i := 0; i < p.dim; i++ {
 			ls := p.effLogStd(i)
-			std := math.Exp(ls)
+			std := mathx.Exp(ls)
 			z := p.bzs[r*p.dim+i]
 			p.bdmean[r*p.dim+i] = wLogp[r] * z / std
 			if p.logStd[i] > p.MinLogStd && p.logStd[i] < p.MaxLogStd {

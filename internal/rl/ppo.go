@@ -2,7 +2,6 @@ package rl
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"advnet/internal/mathx"
@@ -302,7 +301,7 @@ func (p *PPO) update(stats *IterStats) {
 				s := &p.buf.steps[idx]
 				// Policy term. ratio = exp(logp_new - logp_old).
 				logpNew := p.ulogp[k]
-				ratio := math.Exp(logpNew - s.logp)
+				ratio := mathx.Exp(logpNew - s.logp)
 				adv := s.advantage
 				// L_clip = min(r·A, clip(r)·A); we accumulate the
 				// gradient of −L_clip. d(r·A)/dlogp = r·A, so the

@@ -2,6 +2,8 @@ package routing
 
 import (
 	"math"
+
+	"advnet/internal/mathx"
 )
 
 // SPF is single-shortest-path routing by hop count: every commodity follows
@@ -133,7 +135,7 @@ func (s *Softmin) Route(t *Topology, d DemandMatrix) *Routing {
 				// guaranteeing loop-free splits.
 				if dist[to] < dist[v] {
 					nexts = append(nexts, ei)
-					ws = append(ws, math.Exp(-gamma*(weights[ei]+dist[to])))
+					ws = append(ws, mathx.Exp(-gamma*(weights[ei]+dist[to])))
 				}
 			}
 			return nexts, ws
