@@ -86,6 +86,12 @@ bench-ab:
 # one Eq. 1 (internal/core/eq1.go): every adversary env returns core.Eq1's
 # Value, so ABRGoalRebuffering, ABRGoalLowBitrate, CCGoal or CongestionScaleS
 # in any .go file under internal/ or cmd/ is a deleted reward coming back.
+# And one fault seam per site; the global registry is deleted: a test
+# provokes a failure through what the code already consumes (an rl.Env, an
+# abr.Protocol, a net.Listener, a corrupt file) or through the site's own
+# private seam (fsx's rename/syncDir, serve's per-Engine beforeFlush), so
+# advnet/internal/faults, a faults. call or an Armed() gate in any .go file
+# under internal/ or cmd/ is the process-global hook map coming back.
 seam-check:
 	@n=$$(grep -rn 'NewPPO(' --include='*.go' --exclude-dir=.bench_build . | grep -v '_test\.go:' | grep -vc '^\./bench/e2e/'); \
 	if [ $$n -gt 2 ]; then echo "seam-check: NewPPO( on $$n non-test lines, want <= 2 (build trainers with rl.NewTrainer)"; exit 1; fi
@@ -109,6 +115,8 @@ seam-check:
 	if [ -n "$$f" ]; then echo "seam-check: MaxWait/FlushImmediately in $$f (a serve shard has one flush policy: flush when its queue runs dry)"; exit 1; fi
 	@f=$$(grep -rlE 'ABRGoalRebuffering|ABRGoalLowBitrate|CCGoal|CongestionScaleS' --include='*.go' internal cmd); \
 	if [ -n "$$f" ]; then echo "seam-check: a deleted adversary goal in $$f (one Eq. 1: every env returns core.Eq1's Value; ABR has only the Regret and Naive goals)"; exit 1; fi
+	@f=$$(grep -rlE 'advnet/internal/faults|(^|[^[:alnum:]_])faults\.|Armed\(\)' --include='*.go' internal cmd); \
+	if [ -n "$$f" ]; then echo "seam-check: a fault hook in $$f (one fault seam per site; the global registry is deleted)"; exit 1; fi
 
 # Tier-1 verification: build + tests, plus vet, the FMA-off rerun, the race
 # detector, the benchmark's correctness and allocation check, and the

@@ -27,7 +27,6 @@ import (
 	"time"
 
 	"advnet/internal/abr"
-	"advnet/internal/faults"
 	"advnet/internal/mathx"
 	"advnet/internal/metrics"
 	"advnet/internal/nn"
@@ -46,7 +45,6 @@ func main() {
 	n := flag.Int("n", 200_000, "total requests across the storm")
 	deadline := flag.Duration("deadline", 2*time.Millisecond, "per-request deadline in the overload phase (0 skips the phase)")
 	overstorm := flag.Int("overstorm", 96, "concurrent clients saturating the starved overload engine")
-	stall := flag.Duration("stall", 5*time.Millisecond, "injected per-flush inference stall in the overload phase (emulates a model slower than the offered load)")
 	jsonOut := flag.String("json", "", "write the machine-readable report here (unified schema, DESIGN.md §8.6)")
 	seed := flag.Uint64("seed", 1, "seed for the synthesized net and request features")
 	flag.Parse()
@@ -131,7 +129,7 @@ func main() {
 	fmt.Printf("speedup:  %.2fx\n", engineRPS/baselineRPS)
 
 	if *deadline > 0 {
-		overloadPhase(reg, net, rng, *batch, *deadline, *stall, *overstorm, *n, *seed)
+		overloadPhase(reg, net, rng, *batch, *deadline, *overstorm, *n, *seed)
 	}
 	breakerPhase(reg, net, rng)
 
@@ -144,32 +142,31 @@ func main() {
 }
 
 // overloadPhase measures the degradation contract (DESIGN.md §8.7): a
-// deliberately starved engine — one shard, a queue no deeper than one batch
-// — is saturated by a closed loop of overstorm clients, each request
-// carrying a deadline. Shed decisions degrade to PensieveServe's BB
-// fallback, so every client still gets an answer, and the client-observed
-// decision latency (served and degraded alike) is bounded near the deadline
-// instead of growing with the backlog. The phase emits the degradation
-// metric group: shed/fallback rates and the decision-latency distribution.
-func overloadPhase(reg *metrics.Registry, net *nn.MLP, rng *mathx.RNG, batch int, deadline, stall time.Duration, overstorm, n int, seed uint64) {
+// deliberately starved engine — one shard, a queue no deeper than one batch,
+// serving a model too slow for its load — is saturated by a closed loop of
+// overstorm clients, each request carrying a deadline. Shed decisions
+// degrade to PensieveServe's BB fallback, so every client still gets an
+// answer, and the client-observed decision latency (served and degraded
+// alike) is bounded near the deadline instead of growing with the backlog.
+// The phase emits the degradation metric group: shed/fallback rates and the
+// decision-latency distribution.
+func overloadPhase(reg *metrics.Registry, net *nn.MLP, rng *mathx.RNG, batch int, deadline time.Duration, overstorm, n int, seed uint64) {
 	levels := net.InputSize() - abr.FeatureSize(0)
 	if levels <= 0 || net.InputSize() != abr.FeatureSize(levels) || net.OutputSize() != levels {
 		fmt.Printf("overload: skipped (architecture %v is not a Pensieve policy; no ladder to degrade onto)\n", net.Sizes())
 		return
 	}
 
-	// In-process clients cannot outrun a real GEMM shard, so slow inference
-	// is injected at the serve.flush chaos point — the same lever `make
-	// faults` uses — to put the offered closed-loop load at a multiple of
-	// the shard's capacity.
-	if stall > 0 {
-		faults.Set("serve.flush", func(args ...any) error { time.Sleep(stall); return nil })
-		defer faults.Clear("serve.flush")
-	}
+	// In-process clients cannot outrun a real GEMM shard on the served net,
+	// so this phase serves a net with the same inputs and outputs over two
+	// 1024-wide hidden layers: about a million multiply-adds per decision
+	// (the default Pensieve net needs under four thousand), which puts the
+	// offered closed-loop load at a multiple of the shard's capacity.
+	slow := nn.NewMLP(rng.Split(), []int{net.InputSize(), 1024, 1024, levels}, nn.Tanh)
 
 	// One shard with a one-batch queue: capacity is one core's GEMM rate,
 	// and the closed loop of overstorm clients offers far more than that.
-	eng, err := serve.NewEngine(serve.NewRegistry(net), serve.Config{
+	eng, err := serve.NewEngine(serve.NewRegistry(slow), serve.Config{
 		Workers: 1, MaxBatch: batch, QueueDepth: batch,
 		DefaultDeadline: deadline, Seed: seed + 1,
 	})
@@ -180,8 +177,9 @@ func overloadPhase(reg *metrics.Registry, net *nn.MLP, rng *mathx.RNG, batch int
 	ps := abr.NewPensieveServe(eng)
 
 	video := abr.NewVideo(rng.Split(), abr.DefaultVideoConfig())
-	// The phase runs at stall-dominated (ms) timescales; cap its volume so
-	// the degradation group costs seconds, not the full -n storm's budget.
+	// The phase runs at forward-pass-dominated (ms) timescales; cap its
+	// volume so the degradation group costs seconds, not the full -n storm's
+	// budget.
 	perClient := max(min(n, 20_000)/overstorm, 1)
 	lats := make([]*stats.Reservoir, overstorm)
 	var wg sync.WaitGroup
@@ -227,7 +225,7 @@ func overloadPhase(reg *metrics.Registry, net *nn.MLP, rng *mathx.RNG, batch int
 	decisionLat := stats.Summarize(lats...)
 	reg.SetConfig("overload_deadline_us", float64(deadline)/float64(time.Microsecond))
 	reg.SetConfig("overload_storm", overstorm)
-	reg.SetConfig("overload_stall_us", float64(stall)/float64(time.Microsecond))
+	reg.SetConfig("overload_arch", slow.Sizes())
 	reg.SetMetric("degradation_offered", float64(offered), metrics.Info("requests"))
 	reg.SetMetric("degradation_served", float64(ost.Served), metrics.Info("requests"))
 	reg.SetMetric("degradation_shed", float64(ost.Shed()), metrics.Info("requests"))
@@ -284,7 +282,7 @@ func breakerPhase(reg *metrics.Registry, net *nn.MLP, rng *mathx.RNG) {
 		log.Fatal("breaker phase: failed reloads displaced the serving snapshot")
 	}
 	clock = clock.Add(31 * time.Second) // cooldown elapses
-	snap, err := rel.Reload(good)      // half-open probe repairs service
+	snap, err := rel.Reload(good)       // half-open probe repairs service
 	if err != nil {
 		log.Fatalf("breaker phase: recovery probe failed: %v", err)
 	}

@@ -6,8 +6,8 @@ import (
 	"testing"
 	"time"
 
-	"advnet/internal/faults"
 	"advnet/internal/mathx"
+	"advnet/internal/nn"
 	"advnet/internal/rl"
 	"advnet/internal/serve"
 	"advnet/internal/trace"
@@ -50,20 +50,16 @@ func TestPensieveServeFallbackIdentityToBB(t *testing.T) {
 	}
 }
 
-// TestPensieveServeFallbackUnderOverload stalls the engine's flushes and
-// drives deadline-carrying decisions from concurrent sessions: shed requests
-// must be answered by the fallback (valid ladder levels, counted), served
-// requests by the policy, and no call may block past its deadline budget.
+// TestPensieveServeFallbackUnderOverload serves a policy too slow for its
+// load — Pensieve's inputs and outputs over 1024-wide hidden layers, so one
+// worker's forward pass outlasts the deadline — and drives deadline-carrying
+// decisions from concurrent sessions: shed requests must be answered by the
+// fallback (valid ladder levels, counted), served requests by the policy,
+// and no call may block past its deadline budget.
 func TestPensieveServeFallbackUnderOverload(t *testing.T) {
-	faults.Set("serve.flush", func(args ...any) error {
-		time.Sleep(300 * time.Microsecond) // one slow worker under many clients
-		return nil
-	})
-	defer faults.Clear("serve.flush")
-
 	v := testVideo(0)
 	rng := mathx.NewRNG(9)
-	policy := rl.NewCategoricalPolicy(NewPensieveNet(rng, v.Levels()))
+	policy := rl.NewCategoricalPolicy(nn.NewMLP(rng, []int{FeatureSize(v.Levels()), 1024, 1024, v.Levels()}, nn.Tanh))
 	eng := serve.MustNewEngine(serve.NewRegistry(policy.Net()), serve.Config{
 		Workers: 1, MaxBatch: 2, QueueDepth: 2,
 	})

@@ -2,11 +2,12 @@ package core
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
 	"advnet/internal/abr"
-	"advnet/internal/faults"
 	"advnet/internal/mathx"
 	"advnet/internal/par"
 	"advnet/internal/rl"
@@ -28,12 +29,13 @@ func resumeTestData() (*abr.Video, *trace.Dataset) {
 }
 
 // crashResumeMatchesFull runs the robust pipeline uninterrupted, re-runs it
-// with an injected crash (crash decides when the "rl.train.iter" hook fires,
-// given the iteration number the trainer is about to run), resumes in a
-// "fresh process" (same arguments, fresh RNG object from the same seed), and
-// requires the resumed run to finish bit-for-bit equal to the uninterrupted
-// one.
-func crashResumeMatchesFull(t *testing.T, workers int, crash func(iter int) bool, wantResumedStats int) {
+// until a real write fails (block, a path under the checkpoint directory, is
+// pre-created as a non-empty directory, so the atomic rename that would
+// publish the file there fails even for root), removes the blocker, resumes
+// in a "fresh process" (same arguments, fresh RNG object from the same
+// seed), and requires the resumed run to finish bit-for-bit equal to the
+// uninterrupted one.
+func crashResumeMatchesFull(t *testing.T, workers int, block string, wantResumedStats int) {
 	t.Helper()
 	v, ds := resumeTestData()
 
@@ -50,14 +52,17 @@ func crashResumeMatchesFull(t *testing.T, workers int, crash func(iter int) bool
 	cfg = resumeTestCfg()
 	cfg.Workers = workers
 	cfg.Checkpoint = rl.CheckpointConfig{Dir: t.TempDir(), Every: 1}
-	errCrash := errors.New("injected crash")
-	faults.Set("rl.train.iter", faults.FailN(errCrash, func(args ...any) bool {
-		return crash(args[0].(int))
-	}))
+	blocker := filepath.Join(cfg.Checkpoint.Dir, block)
+	if err := os.MkdirAll(filepath.Join(blocker, "occupied"), 0o755); err != nil {
+		t.Fatal(err)
+	}
 	_, err = TrainRobustPensieve(v, ds, cfg, mathx.NewRNG(77))
-	faults.Clear("rl.train.iter")
-	if !errors.Is(err, errCrash) {
-		t.Fatalf("crashed run error = %v, want injected crash", err)
+	var linkErr *os.LinkError
+	if !errors.As(err, &linkErr) || linkErr.New != blocker {
+		t.Fatalf("crashed run error = %v, want the rename onto %s to fail", err, blocker)
+	}
+	if err := os.RemoveAll(blocker); err != nil {
+		t.Fatal(err)
 	}
 
 	res, err := TrainRobustPensieve(v, ds, cfg, mathx.NewRNG(77))
@@ -86,8 +91,9 @@ func TestRobustResumeAfterPhase2Crash(t *testing.T) {
 		t.Skip("training test")
 	}
 	// Global iteration 3 is the second phase-2 iteration (phase 1 covers
-	// iterations 0–1); only iteration 3 remains for the resumed process.
-	crashResumeMatchesFull(t, 0, func(iter int) bool { return iter == 3 }, 1)
+	// iterations 0–1); its checkpoint cannot be written, so only iteration 3
+	// remains for the resumed process.
+	crashResumeMatchesFull(t, 0, "phase2/ckpt-00000004.json", 1)
 }
 
 // TestRobustResumeAfterPhase1Crash kills training mid-phase-1, before any
@@ -98,13 +104,13 @@ func TestRobustResumeAfterPhase1Crash(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training test")
 	}
-	// Crash at global iteration 1: iterations 1, 2 and 3 remain.
-	crashResumeMatchesFull(t, 0, func(iter int) bool { return iter == 1 }, 3)
+	// Crash saving global iteration 1: iterations 1, 2 and 3 remain.
+	crashResumeMatchesFull(t, 0, "phase1/ckpt-00000002.json", 3)
 }
 
-// TestRobustResumeAtPhaseBoundary crashes at the first adversary-training
-// iteration: phase 1 is complete and its final (boundary) checkpoint is on
-// disk, but no adversary artifacts exist yet. The resume loads the boundary
+// TestRobustResumeAtPhaseBoundary crashes persisting the trained adversary:
+// phase 1 is complete and its final (boundary) checkpoint is on disk, but no
+// adversary artifacts exist yet. The resume loads the boundary
 // checkpoint, runs zero phase-1 iterations, retrains the adversary, and then
 // starts phase 2 on a fresh merged-dataset environment — the pending episode
 // restored from the checkpoint belongs to phase 1's environment and must be
@@ -114,21 +120,12 @@ func TestRobustResumeAtPhaseBoundary(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training test")
 	}
-	// The hook sees iteration 0 twice: phase 1's first iteration, then the
-	// adversary trainer's own first iteration. Crash on the second.
-	zeros := 0
-	crashResumeMatchesFull(t, 0, func(iter int) bool {
-		if iter == 0 {
-			zeros++
-			return zeros == 2
-		}
-		return false
-	}, 2)
+	crashResumeMatchesFull(t, 0, "adversary.json", 2)
 }
 
 // TestRobustResumeAtPhaseBoundaryParallel is the Workers=2 variant, crashing
-// at the top of phase 2's first iteration (artifacts saved, phase-2
-// checkpoint directory still empty). The resumed VecRunner loads phase 1's
+// in phase 2's first iteration (artifacts saved, phase-2 checkpoint
+// directory still empty). The resumed VecRunner loads phase 1's
 // boundary checkpoint into the shared trainer collector and runs zero
 // iterations; phase 2's fresh worker pool must abandon that pending episode
 // rather than adopt its own un-reset environment.
@@ -136,9 +133,9 @@ func TestRobustResumeAtPhaseBoundaryParallel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training test")
 	}
-	// Iteration 2 only ever occurs in phase 2 (phase 1 and the adversary
-	// trainer both run iterations 0–1), so this fires at the phase-2 start.
-	crashResumeMatchesFull(t, 2, func(iter int) bool { return iter == 2 }, 2)
+	// Global iteration 2 is phase 2's first; its checkpoint is the first
+	// phase-2 write.
+	crashResumeMatchesFull(t, 2, "phase2/ckpt-00000003.json", 2)
 }
 
 // TestRobustShardedResumeParallel: each of the two workers streams its own
@@ -150,55 +147,71 @@ func TestRobustShardedResumeParallel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training test")
 	}
-	crashResumeMatchesFull(t, 2, func(iter int) bool { return iter == 1 }, 3)
+	crashResumeMatchesFull(t, 2, "phase1/ckpt-00000002.json", 3)
 }
 
-// TestEvaluateABRShardPanicContained injects a panic into one evaluation
-// shard and checks it surfaces as a typed error naming the shard instead of
-// killing the process, and that the evaluator still works afterwards.
+// shardBomb is BB rigged to panic in one session of one evaluation shard.
+// The protocol itself runs shard 0 and its clones shards 1, 2, … in clone
+// order; shard bomb.shard panics in its session number bomb.session, which
+// is the trace bomb.shard + bomb.session·workers.
+type shardBomb struct {
+	*abr.BB
+	shard, sessions int
+	bomb            *bombAt
+}
+
+type bombAt struct{ shard, session, clones int }
+
+func newShardBomb(shard, session int) *shardBomb {
+	return &shardBomb{BB: abr.NewBB(), bomb: &bombAt{shard: shard, session: session}}
+}
+
+func (b *shardBomb) Reset() {
+	b.BB.Reset()
+	b.sessions++
+}
+
+func (b *shardBomb) SelectLevel(o *abr.Observation) int {
+	if b.shard == b.bomb.shard && b.sessions == b.bomb.session+1 {
+		panic("injected shard panic")
+	}
+	return b.BB.SelectLevel(o)
+}
+
+func (b *shardBomb) CloneProtocol() abr.Protocol {
+	b.bomb.clones++
+	return &shardBomb{BB: b.BB.CloneProtocol().(*abr.BB), shard: b.bomb.clones, bomb: b.bomb}
+}
+
+// TestEvaluateABRShardPanicContained runs a protocol that panics on one
+// shard's trace and checks the panic surfaces as a typed error naming the
+// shard instead of killing the process — on a parallel evaluation and on the
+// single-worker one — and that the evaluator still works afterwards.
 func TestEvaluateABRShardPanicContained(t *testing.T) {
 	v, ds := resumeTestData()
-	p := abr.NewBB()
-
-	faults.Set("core.eval.shard", func(args ...any) error {
-		if args[0].(int) == 1 {
-			panic("injected shard panic")
+	for _, tc := range []struct{ workers, shard, session int }{
+		{workers: 2, shard: 1, session: 1}, // trace 3
+		{workers: 1, shard: 0, session: 2}, // trace 2
+	} {
+		_, err := EvaluateABR(v, ds, newShardBomb(tc.shard, tc.session), 0.08, tc.workers)
+		if err == nil {
+			t.Fatalf("W=%d: panicking shard reported no error", tc.workers)
 		}
-		return nil
-	})
-	_, err := EvaluateABR(v, ds, p, 0.08, 2)
-	faults.Clear("core.eval.shard")
-	if err == nil {
-		t.Fatal("panicking shard reported no error")
-	}
-	var wpe *par.PanicError
-	if !errors.As(err, &wpe) {
-		t.Fatalf("error %T is not a par.PanicError: %v", err, err)
-	}
-	if wpe.Index != 1 || len(wpe.Stack) == 0 {
-		t.Fatalf("panic attributed to worker %d (stack %d bytes), want worker 1", wpe.Index, len(wpe.Stack))
-	}
+		var wpe *par.PanicError
+		if !errors.As(err, &wpe) {
+			t.Fatalf("W=%d: error %T is not a par.PanicError: %v", tc.workers, err, err)
+		}
+		if wpe.Index != tc.shard || len(wpe.Stack) == 0 {
+			t.Fatalf("W=%d: panic attributed to worker %d (stack %d bytes), want worker %d", tc.workers, wpe.Index, len(wpe.Stack), tc.shard)
+		}
 
-	qoes, err := EvaluateABR(v, ds, p, 0.08, 2)
-	if err != nil {
-		t.Fatalf("evaluator unusable after contained panic: %v", err)
-	}
-	if len(qoes) != len(ds.Traces) {
-		t.Fatalf("got %d QoE values, want %d", len(qoes), len(ds.Traces))
-	}
-}
-
-// TestEvaluateABRShardErrorSequential checks the graceful-error path of the
-// single-worker evaluator.
-func TestEvaluateABRShardErrorSequential(t *testing.T) {
-	v, ds := resumeTestData()
-	errEval := errors.New("injected eval failure")
-	faults.Set("core.eval.shard", faults.FailN(errEval, func(args ...any) bool {
-		return args[1].(int) == 2 // fail on the third trace
-	}))
-	defer faults.Clear("core.eval.shard")
-	if _, err := EvaluateABR(v, ds, abr.NewBB(), 0.08, 1); !errors.Is(err, errEval) {
-		t.Fatalf("error = %v, want injected failure", err)
+		qoes, err := EvaluateABR(v, ds, abr.NewBB(), 0.08, tc.workers)
+		if err != nil {
+			t.Fatalf("W=%d: evaluator unusable after contained panic: %v", tc.workers, err)
+		}
+		if len(qoes) != len(ds.Traces) {
+			t.Fatalf("W=%d: got %d QoE values, want %d", tc.workers, len(qoes), len(ds.Traces))
+		}
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"path/filepath"
 
 	"advnet/internal/abr"
-	"advnet/internal/faults"
 	"advnet/internal/mathx"
 	"advnet/internal/par"
 	"advnet/internal/rl"
@@ -265,9 +264,6 @@ func evaluateABR(video *abr.Video, dataset *trace.Dataset, p abr.Protocol, worke
 	out := make([]float64, n)
 	if err := par.Run(workers, func(w int) error {
 		for i := w; i < n; i += workers {
-			if ferr := faults.Fire("core.eval.shard", w, i); ferr != nil {
-				return ferr
-			}
 			s := abr.RunSession(video, mkLink(dataset.Traces[i]), abr.DefaultSessionConfig(), protos[w])
 			out[i] = s.MeanQoE()
 		}

@@ -33,7 +33,7 @@ func TestBackoffSchedule(t *testing.T) {
 	}
 }
 
-// TestBackoffDefaults: the zero value uses the documented defaults.
+// TestBackoffDefaults: the zero value uses the documented default schedule.
 func TestBackoffDefaults(t *testing.T) {
 	var b retry.Backoff
 	rng := mathx.NewRNG(3)

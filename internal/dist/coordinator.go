@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"advnet/internal/faults"
 	"advnet/internal/mathx"
 	"advnet/internal/metrics"
 	"advnet/internal/retry"
@@ -133,11 +132,31 @@ type Coordinator struct {
 	batches       atomic.Int64
 }
 
-// NewCoordinator builds the trainer for the configured domain, binds the
-// listen socket, claims the checkpoint directory (when configured), and —
-// with Resume set and a checkpoint present — restores the newest checkpoint.
-// It does not collect anything until Run.
+// NewCoordinator binds the listen socket, builds the trainer for the
+// configured domain, claims the checkpoint directory (when configured), and
+// — with Resume set and a checkpoint present — restores the newest
+// checkpoint. It does not collect anything until Run.
 func NewCoordinator(cfg Config) (*Coordinator, error) {
+	addr := cfg.Addr
+	if addr == "" {
+		addr = "127.0.0.1:0"
+	}
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	return newCoordinator(cfg, ln)
+}
+
+// newCoordinator is NewCoordinator on a bound listener, the coordinator's
+// transport seam: the package's tests pass one whose connections fail on
+// demand. It owns ln, closing it when construction fails.
+func newCoordinator(cfg Config, ln net.Listener) (_ *Coordinator, err error) {
+	defer func() {
+		if err != nil {
+			ln.Close()
+		}
+	}()
 	if cfg.Lanes <= 0 {
 		return nil, fmt.Errorf("dist: Config.Lanes=%d", cfg.Lanes)
 	}
@@ -168,6 +187,7 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		ppo:       ppo,
 		state:     state,
 		steps:     steps,
+		ln:        ln,
 		jitter:    mathx.NewRNG(1),
 		closed:    make(chan struct{}),
 		conns:     map[int]*workerConn{},
@@ -187,19 +207,9 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 			}
 		}
 	}
-	addr := cfg.Addr
-	if addr == "" {
-		addr = "127.0.0.1:0"
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		if c.ckpt != nil {
-			c.ckpt.Release()
-		}
-		return nil, err
-	}
-	c.ln = ln
-	go c.acceptLoop()
+	// The accept loop backs off on its own jitter stream: c.jitter belongs
+	// to Run's goroutine.
+	go c.acceptLoop(c.jitter.Split())
 	return c, nil
 }
 
@@ -245,25 +255,27 @@ func (c *Coordinator) Close() {
 	})
 }
 
-// acceptLoop admits worker connections for the coordinator's lifetime.
-func (c *Coordinator) acceptLoop() {
+// acceptLoop admits worker connections for the coordinator's lifetime. An
+// Accept error other than a closed listener — EMFILE, say, which persists
+// until descriptors free up — is retried on the coordinator's backoff
+// schedule, reset by the next success, so it cannot spin a core.
+func (c *Coordinator) acceptLoop(jitter *mathx.RNG) {
+	failures := 0
 	for {
 		conn, err := c.ln.Accept()
 		if err != nil {
-			select {
-			case <-c.closed:
-				return
-			default:
-			}
 			if errors.Is(err, net.ErrClosed) {
 				return
 			}
+			select {
+			case <-c.closed:
+				return
+			case <-time.After(c.cfg.Backoff.Delay(failures, jitter)):
+			}
+			failures++
 			continue
 		}
-		if err := faults.Fire("dist.accept", conn.RemoteAddr().String()); err != nil {
-			conn.Close()
-			continue
-		}
+		failures = 0
 		go c.handshake(conn)
 	}
 }
@@ -390,10 +402,6 @@ func (c *Coordinator) collectOn(w *workerConn, lanes []int, results chan<- laneR
 		}
 	}
 	for i, lane := range lanes {
-		if err := faults.Fire("dist.assign", lane, w.id); err != nil {
-			fail(i, err)
-			return
-		}
 		if err := c.ensureParams(w); err != nil {
 			fail(i, err)
 			return
@@ -412,10 +420,6 @@ func (c *Coordinator) collectOn(w *workerConn, lanes []int, results chan<- laneR
 		n, err := writeFrame(w.conn, MsgCollect, payload)
 		c.wireBytes.Add(int64(n))
 		if err != nil {
-			fail(i, err)
-			return
-		}
-		if err := faults.Fire("dist.recv", w.id, lane); err != nil {
 			fail(i, err)
 			return
 		}

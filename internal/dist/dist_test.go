@@ -6,12 +6,10 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"advnet/internal/abr"
-	"advnet/internal/faults"
 	"advnet/internal/mathx"
 	"advnet/internal/nn"
 	"advnet/internal/retry"
@@ -97,17 +95,7 @@ func TestDistPensieveDomainMatchesInProcessTrainer(t *testing.T) {
 // ephemeral port.
 func newTestCoordinator(t *testing.T, spec PensieveSpec, lanes, iters int, mutate func(*Config)) *Coordinator {
 	t.Helper()
-	raw, err := json.Marshal(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{
-		Domain:     "pensieve",
-		Spec:       raw,
-		Lanes:      lanes,
-		Iterations: iters,
-		Backoff:    testBackoff(),
-	}
+	cfg := testConfig(t, spec, lanes, iters)
 	if mutate != nil {
 		mutate(&cfg)
 	}
@@ -117,6 +105,21 @@ func newTestCoordinator(t *testing.T, spec PensieveSpec, lanes, iters int, mutat
 	}
 	t.Cleanup(c.Close)
 	return c
+}
+
+func testConfig(t *testing.T, spec PensieveSpec, lanes, iters int) Config {
+	t.Helper()
+	raw, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Config{
+		Domain:     "pensieve",
+		Spec:       raw,
+		Lanes:      lanes,
+		Iterations: iters,
+		Backoff:    testBackoff(),
+	}
 }
 
 // startWorker runs an in-process worker against the coordinator; the
@@ -211,82 +214,6 @@ func TestDistWorkerCountInvariance(t *testing.T) {
 				t.Fatalf("%d-worker fingerprint %#x, vec %#x", procs, got, want)
 			}
 		})
-	}
-}
-
-// oneShot installs a fault hook that fires exactly once.
-func oneShot(t *testing.T, point string, err error) *atomic.Int64 {
-	t.Helper()
-	var fired atomic.Int64
-	faults.Set(point, func(args ...any) error {
-		if fired.Add(1) == 1 {
-			return err
-		}
-		return nil
-	})
-	t.Cleanup(func() { faults.Clear(point) })
-	return &fired
-}
-
-// TestDistFaultAcceptChaos: a rejected accept ("dist.accept" chaos point)
-// costs the worker one reconnect and nothing else — the run completes and
-// still matches the golden fingerprint.
-func TestDistFaultAcceptChaos(t *testing.T) {
-	const W, iters = 2, 2
-	spec := testSpec()
-	vec, vecStats := localRun(t, spec, W, iters)
-
-	fired := oneShot(t, "dist.accept", errors.New("injected accept failure"))
-	c := newTestCoordinator(t, spec, W, iters, nil)
-	worker := startWorker(t, c.Addr())
-	stats, err := c.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitWorkerExit(t, worker)
-	if fired.Load() == 0 {
-		t.Fatal("accept chaos point never fired")
-	}
-	assertStatsEqual(t, stats, vecStats)
-	if got, want := paramsFingerprint(c.Trainer()), paramsFingerprint(vec); got != want {
-		t.Fatalf("fingerprint %#x after accept chaos, vec %#x", got, want)
-	}
-}
-
-// TestDistFaultRecvChaos: a receive failure ("dist.recv") drops the
-// connection mid-round; the lanes are reassigned (to the same worker's
-// fresh connection here) and the result is still bitwise golden.
-func TestDistFaultRecvChaos(t *testing.T) {
-	testConnLossChaos(t, "dist.recv")
-}
-
-// TestDistFaultAssignChaos: same contract for the assignment chaos point.
-func TestDistFaultAssignChaos(t *testing.T) {
-	testConnLossChaos(t, "dist.assign")
-}
-
-func testConnLossChaos(t *testing.T, point string) {
-	const W, iters = 2, 2
-	spec := testSpec()
-	vec, vecStats := localRun(t, spec, W, iters)
-
-	oneShot(t, point, fmt.Errorf("injected %s failure", point))
-	c := newTestCoordinator(t, spec, W, iters, nil)
-	worker := startWorker(t, c.Addr())
-	stats, err := c.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitWorkerExit(t, worker)
-	if c.Reassignments() == 0 {
-		t.Fatalf("%s chaos caused no reassignment", point)
-	}
-	if c.LastWorkerLoss() == nil {
-		t.Fatalf("%s chaos recorded no worker loss", point)
-	}
-	assertStatsEqual(t, stats, vecStats)
-	if got, want := paramsFingerprint(c.Trainer()), paramsFingerprint(vec); got != want {
-		t.Fatalf("fingerprint %#x after %s chaos, vec %#x", got, point, want)
 	}
 }
 

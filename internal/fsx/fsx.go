@@ -5,8 +5,14 @@ package fsx
 import (
 	"os"
 	"path/filepath"
+)
 
-	"advnet/internal/faults"
+// rename and syncDir are the two steps whose failure the crash-safety tests
+// must provoke without a crashing disk, so they are variables the package's
+// own tests replace; nothing outside the package can.
+var (
+	rename  = os.Rename
+	syncDir = fsyncDir
 )
 
 // WriteFileAtomic writes data to path so that readers never observe a
@@ -55,29 +61,18 @@ func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
 		os.Remove(tmp)
 		return err
 	}
-	// Crash-simulation point: the window between a fully-written temp file
-	// and the rename that publishes it. A failure injected here must leave
-	// any previous contents of path untouched.
-	if err := faults.Fire("fsx.write_atomic.rename", path); err != nil {
+	// A failed rename must leave any previous contents of path untouched.
+	if err := rename(tmp, path); err != nil {
 		os.Remove(tmp)
 		return err
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	// Crash-simulation point: the window between the rename and the parent
-	// directory fsync that makes it durable. A failure injected here models a
-	// directory-sync error after the file is already visible under its final
-	// name — the new contents must be what readers see.
-	if err := faults.Fire("fsx.write_atomic.dirsync", path); err != nil {
-		return err
-	}
+	// A failed directory sync comes after the rename: the new contents are
+	// what readers see, only their durability is not established.
 	return syncDir(dir)
 }
 
-// syncDir fsyncs a directory so renames inside it survive power loss.
-func syncDir(dir string) error {
+// fsyncDir fsyncs a directory so renames inside it survive power loss.
+func fsyncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return err

@@ -5,8 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"advnet/internal/faults"
 )
 
 func TestWriteFileAtomicCreatesAndReplaces(t *testing.T) {
@@ -57,9 +55,9 @@ func TestWriteFileAtomicCrashBeforeRename(t *testing.T) {
 	}
 
 	errCrash := errors.New("injected crash before rename")
-	faults.Set("fsx.write_atomic.rename", faults.FailN(errCrash, nil))
+	rename = func(string, string) error { return errCrash }
 	err := WriteFileAtomic(path, []byte("new checkpoint"), 0o644)
-	faults.Clear("fsx.write_atomic.rename")
+	rename = os.Rename
 	if !errors.Is(err, errCrash) {
 		t.Fatalf("err = %v, want injected crash", err)
 	}
@@ -75,7 +73,7 @@ func TestWriteFileAtomicCrashBeforeRename(t *testing.T) {
 		t.Fatalf("orphaned files after simulated crash: %v", entries)
 	}
 
-	// The fault cleared, the same write must go through.
+	// With the real rename back, the same write must go through.
 	if err := WriteFileAtomic(path, []byte("new checkpoint"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -96,9 +94,9 @@ func TestWriteFileAtomicCrashAtDirSync(t *testing.T) {
 	}
 
 	errCrash := errors.New("injected dirsync failure")
-	faults.Set("fsx.write_atomic.dirsync", faults.FailN(errCrash, nil))
+	syncDir = func(string) error { return errCrash }
 	err := WriteFileAtomic(path, []byte("new checkpoint"), 0o644)
-	faults.Clear("fsx.write_atomic.dirsync")
+	syncDir = fsyncDir
 	if !errors.Is(err, errCrash) {
 		t.Fatalf("err = %v, want injected dirsync failure", err)
 	}
@@ -116,7 +114,7 @@ func TestWriteFileAtomicCrashAtDirSync(t *testing.T) {
 		t.Fatalf("orphaned files after simulated dirsync crash: %v", entries)
 	}
 
-	// With the fault cleared the same write completes durably.
+	// With the real directory sync back, the same write completes durably.
 	if err := WriteFileAtomic(path, []byte("final"), 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -383,6 +383,17 @@ type checkpointManifest struct {
 	Entries []manifestEntry `json:"entries"` // ascending by Iter
 }
 
+// valid reports whether every entry names the file Save writes for its
+// iteration.
+func (m checkpointManifest) valid() bool {
+	for _, e := range m.Entries {
+		if e.File != fileFor(e.Iter) {
+			return false
+		}
+	}
+	return true
+}
+
 func (d *CheckpointDir) keep() int {
 	if d.Keep <= 0 {
 		return DefaultKeep
@@ -394,21 +405,26 @@ func (d *CheckpointDir) keep() int {
 func fileFor(iter int) string { return fmt.Sprintf("ckpt-%08d.json", iter) }
 
 // readManifest loads the manifest, falling back to scanning the directory
-// when the manifest is missing or unreadable (ascending iteration order).
+// when the manifest is missing, unreadable or names a file Save would not
+// have written (ascending iteration order). The check keeps a hostile
+// manifest from steering a load — or Save's pruning — outside the
+// directory.
 func (d *CheckpointDir) readManifest() checkpointManifest {
 	var m checkpointManifest
 	data, err := os.ReadFile(filepath.Join(d.Dir, manifestName))
-	if err == nil && json.Unmarshal(data, &m) == nil && len(m.Entries) > 0 {
+	if err == nil && json.Unmarshal(data, &m) == nil && len(m.Entries) > 0 && m.valid() {
 		return m
 	}
-	// Fallback: scan for ckpt-*.json.
+	m = checkpointManifest{}
+	// Fallback: scan for ckpt-*.json files (a directory of that name is not
+	// a checkpoint).
 	entries, err := os.ReadDir(d.Dir)
 	if err != nil {
 		return checkpointManifest{}
 	}
 	for _, e := range entries {
 		var iter int
-		if n, _ := fmt.Sscanf(e.Name(), "ckpt-%d.json", &iter); n == 1 {
+		if n, _ := fmt.Sscanf(e.Name(), "ckpt-%d.json", &iter); n == 1 && e.Type().IsRegular() {
 			m.Entries = append(m.Entries, manifestEntry{Iter: iter, File: e.Name()})
 		}
 	}

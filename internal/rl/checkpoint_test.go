@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"advnet/internal/faults"
 	"advnet/internal/mathx"
 	"advnet/internal/nn"
 	"advnet/internal/par"
@@ -257,11 +256,28 @@ func TestVecResumeBitwise(t *testing.T) {
 	}
 }
 
-// TestTrainCheckpointedCrashResume drives the full crash-safe loop: a fault
-// injected at the "rl.train.iter" point simulates the process dying between
-// iterations 3 and 4; a freshly-built (different-seed) trainer pointed at
-// the same checkpoint directory resumes and finishes, and the combined run
-// matches the uninterrupted one bitwise.
+// trainCheckpointedWith is TrainCheckpointed on a fresh checkpoint
+// directory with before(iter) run ahead of every iteration: an error from it
+// ends the loop there, as a process dying between iterations would.
+func trainCheckpointedWith(p *PPO, env Env, iterations int, ckpt CheckpointConfig, before func(iter int) error) ([]IterStats, error) {
+	v := p.sequential(env)
+	var cd *CheckpointDir
+	if ckpt.Dir != "" {
+		cd = &CheckpointDir{Dir: ckpt.Dir, Keep: ckpt.Keep}
+	}
+	step := func() (IterStats, error) {
+		if err := before(p.Iteration()); err != nil {
+			return IterStats{Iteration: p.Iteration()}, err
+		}
+		return v.TrainIteration()
+	}
+	return p.TrainLoop(iterations, cd, ckpt.Every, step, v.SaveCheckpoint, v.LoadCheckpoint)
+}
+
+// TestTrainCheckpointedCrashResume drives the full crash-safe loop: the
+// process dies between iterations 3 and 4; a freshly-built (different-seed)
+// trainer pointed at the same checkpoint directory resumes and finishes, and
+// the combined run matches the uninterrupted one bitwise.
 func TestTrainCheckpointedCrashResume(t *testing.T) {
 	ckpt := CheckpointConfig{Dir: t.TempDir(), Every: 1, Keep: 3}
 
@@ -271,11 +287,12 @@ func TestTrainCheckpointedCrashResume(t *testing.T) {
 
 	errCrash := errors.New("simulated crash")
 	a, _, _ := newCkptFixture(t, 50, 50)
-	faults.Set("rl.train.iter", faults.FailN(errCrash, func(args ...any) bool {
-		return args[0].(int) == 3
-	}))
-	headStats, err := a.TrainCheckpointed(newCkptEnv(), 6, ckpt)
-	faults.Clear("rl.train.iter")
+	headStats, err := trainCheckpointedWith(a, newCkptEnv(), 6, ckpt, func(iter int) error {
+		if iter == 3 {
+			return errCrash
+		}
+		return nil
+	})
 	if !errors.Is(err, errCrash) {
 		t.Fatalf("err = %v, want simulated crash", err)
 	}
@@ -471,23 +488,36 @@ func TestCheckpointLoadRejects(t *testing.T) {
 	})
 }
 
-// TestVecWorkerPanicContained: an injected panic inside worker 2's rollout
-// must surface as a *par.PanicError naming worker 2 — the process
-// survives, and the runner keeps working afterwards.
+// panicEnv is an environment whose Step panics while *armed is set.
+type panicEnv struct {
+	Env
+	armed *bool
+}
+
+func (e panicEnv) Step(action []float64) ([]float64, float64, bool) {
+	if *e.armed {
+		panic("injected rollout fault")
+	}
+	return e.Env.Step(action)
+}
+
+// TestVecWorkerPanicContained: a panic inside worker 2's environment must
+// surface as a *par.PanicError naming worker 2 — the process survives, and
+// the runner keeps working afterwards.
 func TestVecWorkerPanicContained(t *testing.T) {
 	p, _, _, factory := newVecFixture(64)
-	v, err := NewVecRunner(p, factory, 4)
+	armed := true
+	v, err := NewVecRunner(p, func(w int) Env {
+		if w == 2 {
+			return panicEnv{factory(w), &armed}
+		}
+		return factory(w)
+	}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	faults.Set("rl.vec.collect", func(args ...any) error {
-		if args[0].(int) == 2 {
-			panic("injected rollout fault")
-		}
-		return nil
-	})
 	_, err = v.TrainIteration()
-	faults.Clear("rl.vec.collect")
+	armed = false
 
 	var wpe *par.PanicError
 	if !errors.As(err, &wpe) {
@@ -521,14 +551,12 @@ func TestVecWorkerPanicContained(t *testing.T) {
 func TestDivergenceWatchdogRollsBack(t *testing.T) {
 	ckpt := CheckpointConfig{Dir: t.TempDir(), Every: 1}
 	p, _, _ := newCkptFixture(t, 50, 50)
-	faults.Set("rl.train.iter", func(args ...any) error {
-		if args[0].(int) == 2 {
+	_, err := trainCheckpointedWith(p, newCkptEnv(), 4, ckpt, func(iter int) error {
+		if iter == 2 {
 			p.Value.Params()[0][0] = math.NaN()
 		}
 		return nil
 	})
-	_, err := p.TrainCheckpointed(newCkptEnv(), 4, ckpt)
-	faults.Clear("rl.train.iter")
 
 	var de *DivergenceError
 	if !errors.As(err, &de) {
@@ -552,14 +580,12 @@ func TestDivergenceWatchdogRollsBack(t *testing.T) {
 // still aborts with a diagnostic (no rollback to offer).
 func TestDivergenceWatchdogNoCheckpoint(t *testing.T) {
 	p, _, _ := newCkptFixture(t, 50, 50)
-	faults.Set("rl.train.iter", func(args ...any) error {
-		if args[0].(int) == 1 {
+	_, err := trainCheckpointedWith(p, newCkptEnv(), 3, CheckpointConfig{}, func(iter int) error {
+		if iter == 1 {
 			p.Value.Params()[0][0] = math.Inf(1)
 		}
 		return nil
 	})
-	_, err := p.TrainCheckpointed(newCkptEnv(), 3, CheckpointConfig{})
-	faults.Clear("rl.train.iter")
 
 	var de *DivergenceError
 	if !errors.As(err, &de) {

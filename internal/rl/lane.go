@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"advnet/internal/faults"
 	"advnet/internal/mathx"
 	"advnet/internal/nn"
 	"advnet/internal/par"
@@ -132,12 +131,7 @@ func (l *Lane) rollout(steps int) collectStats {
 // it: a panic anywhere inside (environment step, policy forward pass, buffer
 // append) becomes a *par.PanicError that names the lane and carries the
 // stack, instead of killing the process.
-func (l *Lane) collect(lane, steps int) error {
-	if faults.Armed() {
-		if ferr := faults.Fire("rl.vec.collect", lane); ferr != nil {
-			return ferr
-		}
-	}
+func (l *Lane) collect(steps int) {
 	l.cs = l.rollout(steps)
 	// Bootstrap value for the trailing partial episode.
 	l.lastValue = 0
@@ -145,7 +139,6 @@ func (l *Lane) collect(lane, steps int) error {
 		l.lastValue = l.value.PredictInto(l.vcache, l.pendObs)[0]
 	}
 	l.buf.computeGAE(l.gamma, l.lambda, l.lastValue)
-	return nil
 }
 
 // abandon discards the lane's partially-collected rollout and pending
@@ -288,9 +281,7 @@ type RolloutBatch struct {
 // and reports the failure instead of dying.
 func (l *Lane) Collect(lane, steps int) (_ *RolloutBatch, err error) {
 	defer par.Contain(lane, &err) // the export and the env's EnvState, too
-	if err := l.collect(lane, steps); err != nil {
-		return nil, err
-	}
+	l.collect(steps)
 	b := &RolloutBatch{
 		Lane:        lane,
 		Episodes:    l.cs.episodes,

@@ -24,7 +24,7 @@ type PPOConfig struct {
 	MaxGradNorm   float64 // global gradient-norm clip
 }
 
-// DefaultPPOConfig returns the stable-baselines-like defaults.
+// DefaultPPOConfig returns stable-baselines-like default settings.
 func DefaultPPOConfig() PPOConfig {
 	return PPOConfig{
 		RolloutSteps:  2048,

@@ -3,8 +3,6 @@ package rl
 import (
 	"fmt"
 	"math"
-
-	"advnet/internal/faults"
 )
 
 // This file holds the crash-safe training loop: periodic checkpointing with
@@ -84,11 +82,6 @@ func (p *PPO) TrainLoop(iterations int, cd *CheckpointDir, every int, step func(
 	}
 	out := make([]IterStats, 0, max(0, iterations-p.iter))
 	for p.iter < iterations {
-		// Crash-simulation point for resume tests: an injected error here
-		// models the process dying between iterations.
-		if err := faults.Fire("rl.train.iter", p.iter); err != nil {
-			return out, err
-		}
 		stats, err := step()
 		if err != nil {
 			return out, err

@@ -140,7 +140,8 @@ func (v *VecRunner) TrainIteration() (IterStats, error) {
 	// One lane per worker; lane 0 runs inline — with W=1 there are no
 	// goroutines at all.
 	if err := par.Run(len(v.lanes), func(w int) error {
-		return v.lanes[w].collect(w, v.lanes[w].steps)
+		v.lanes[w].collect(v.lanes[w].steps)
+		return nil
 	}); err != nil {
 		for _, l := range v.lanes {
 			l.abandon()

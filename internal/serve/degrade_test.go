@@ -8,10 +8,20 @@ import (
 	"testing"
 	"time"
 
-	"advnet/internal/faults"
 	"advnet/internal/mathx"
 	"advnet/internal/par"
 )
+
+// hookedEngine is MustNewEngine with beforeFlush run at the top of every
+// flush, on the flushing shard's worker.
+func hookedEngine(t *testing.T, beforeFlush func(shard int), reg *Registry, cfg Config) *Engine {
+	t.Helper()
+	e, err := newEngine(reg, cfg, beforeFlush)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
 
 func TestConfigValidate(t *testing.T) {
 	cases := []struct {
@@ -41,18 +51,16 @@ func TestEngineOverloadShedsQueueFull(t *testing.T) {
 	release := sync.OnceFunc(func() { close(block) })
 	defer release()
 	var stalled atomic.Bool
-	faults.Set("serve.flush", func(args ...any) error {
+	beforeFlush := func(int) {
 		if stalled.CompareAndSwap(false, true) {
 			<-block // first flush stalls: everything behind it queues up
 		}
-		return nil
-	})
-	defer faults.Clear("serve.flush")
+	}
 
 	// MaxBatch 1: the stalled flush holds exactly one (saturator) request,
 	// so the main goroutine's deadline requests below can never be claimed
 	// into the stalled batch.
-	eng := MustNewEngine(NewRegistry(rigged(2, 3, 1)), Config{
+	eng := hookedEngine(t, beforeFlush, NewRegistry(rigged(2, 3, 1)), Config{
 		Workers: 1, MaxBatch: 1, QueueDepth: 2,
 	})
 	defer eng.Close()
@@ -118,14 +126,12 @@ func TestEngineOverloadShedsQueueFull(t *testing.T) {
 func TestEngineDeadlineBoundsLatency(t *testing.T) {
 	// Each flush stalls ~200µs, so one worker serves ~5k req/s per batch of
 	// 4; 8 hot producers offer far more than that.
-	faults.Set("serve.flush", func(args ...any) error {
+	beforeFlush := func(int) {
 		time.Sleep(200 * time.Microsecond)
-		return nil
-	})
-	defer faults.Clear("serve.flush")
+	}
 
 	const reqDeadline = 500 * time.Microsecond
-	eng := MustNewEngine(NewRegistry(rigged(2, 3, 1)), Config{
+	eng := hookedEngine(t, beforeFlush, NewRegistry(rigged(2, 3, 1)), Config{
 		Workers: 1, MaxBatch: 4, QueueDepth: 4,
 		DefaultDeadline: reqDeadline,
 	})
@@ -245,15 +251,13 @@ func TestEngineCloseWakesBlockedProducer(t *testing.T) {
 	release := sync.OnceFunc(func() { close(block) })
 	defer release()
 	var stalled atomic.Bool
-	faults.Set("serve.flush", func(args ...any) error {
+	beforeFlush := func(int) {
 		if stalled.CompareAndSwap(false, true) {
 			<-block
 		}
-		return nil
-	})
-	defer faults.Clear("serve.flush")
+	}
 
-	eng := MustNewEngine(NewRegistry(rigged(2, 3, 1)), Config{
+	eng := hookedEngine(t, beforeFlush, NewRegistry(rigged(2, 3, 1)), Config{
 		Workers: 1, MaxBatch: 1, QueueDepth: 1,
 	})
 
@@ -296,16 +300,13 @@ func TestEngineCloseWakesBlockedProducer(t *testing.T) {
 // and the panic counter records it.
 func TestEngineShardPanicContainment(t *testing.T) {
 	var fired atomic.Bool
-	faults.Set("serve.flush", func(args ...any) error {
-		shard := args[0].(int)
+	beforeFlush := func(shard int) {
 		if shard == 0 && fired.CompareAndSwap(false, true) {
 			panic("injected flush panic")
 		}
-		return nil
-	})
-	defer faults.Clear("serve.flush")
+	}
 
-	eng := MustNewEngine(NewRegistry(rigged(2, 3, 1)), Config{
+	eng := hookedEngine(t, beforeFlush, NewRegistry(rigged(2, 3, 1)), Config{
 		Workers: 2, MaxBatch: 4,
 	})
 	defer eng.Close()
@@ -349,63 +350,6 @@ func TestEngineShardPanicContainment(t *testing.T) {
 	}
 }
 
-// TestEngineFaultEnqueueInjection checks the serve.enqueue chaos point:
-// injected admission errors surface to the caller without consuming pool
-// state, and clearing the fault restores service.
-func TestEngineFaultEnqueueInjection(t *testing.T) {
-	eng := MustNewEngine(NewRegistry(rigged(2, 3, 1)), Config{Workers: 1})
-	defer eng.Close()
-
-	injected := errors.New("injected admission fault")
-	var fired atomic.Int32
-	faults.Set("serve.enqueue", func(args ...any) error {
-		if fired.Add(1) <= 2 {
-			return injected
-		}
-		return nil
-	})
-	defer faults.Clear("serve.enqueue")
-
-	x := []float64{0, 0}
-	for i := 0; i < 2; i++ {
-		if _, err := eng.Select(x); !errors.Is(err, injected) {
-			t.Fatalf("call %d: %v, want injected fault", i, err)
-		}
-	}
-	d, err := eng.Select(x)
-	if err != nil {
-		t.Fatalf("Select after fault budget exhausted: %v", err)
-	}
-	if d.Level != 1 {
-		t.Fatalf("level %d, want 1", d.Level)
-	}
-}
-
-// TestEngineFaultFlushError checks that a non-panic error injected at
-// serve.flush fails the whole batch with that error and the engine keeps
-// serving afterwards.
-func TestEngineFaultFlushError(t *testing.T) {
-	eng := MustNewEngine(NewRegistry(rigged(2, 3, 1)), Config{Workers: 1})
-	defer eng.Close()
-
-	injected := errors.New("injected flush fault")
-	var fired atomic.Bool
-	faults.Set("serve.flush", func(args ...any) error {
-		if fired.CompareAndSwap(false, true) {
-			return injected
-		}
-		return nil
-	})
-	defer faults.Clear("serve.flush")
-
-	if _, err := eng.Select([]float64{0, 0}); !errors.Is(err, injected) {
-		t.Fatalf("Select with flush fault: %v, want injected error", err)
-	}
-	if _, err := eng.Select([]float64{0, 0}); err != nil {
-		t.Fatalf("Select after flush fault cleared: %v", err)
-	}
-}
-
 // TestEngineShedPathAllocs proves the deadline shed path allocates nothing
 // in steady state: pooled requests reuse their timer, and the shed errors
 // are shared instances.
@@ -416,14 +360,12 @@ func TestEngineShedPathAllocs(t *testing.T) {
 	block := make(chan struct{})
 	defer close(block)
 	var stalls atomic.Uint64
-	faults.Set("serve.flush", func(args ...any) error {
+	beforeFlush := func(int) {
 		stalls.Add(1)
 		<-block // stall forever: everything sheds
-		return nil
-	})
-	defer faults.Clear("serve.flush")
+	}
 
-	eng := MustNewEngine(NewRegistry(rigged(2, 3, 1)), Config{
+	eng := hookedEngine(t, beforeFlush, NewRegistry(rigged(2, 3, 1)), Config{
 		Workers: 1, MaxBatch: 1, QueueDepth: 1,
 	})
 	defer func() {
@@ -489,14 +431,12 @@ func TestEngineDefaultDeadlineApplies(t *testing.T) {
 	block := make(chan struct{})
 	defer close(block)
 	var stalled atomic.Bool
-	faults.Set("serve.flush", func(args ...any) error {
+	beforeFlush := func(int) {
 		stalled.Store(true)
 		<-block
-		return nil
-	})
-	defer faults.Clear("serve.flush")
+	}
 
-	eng := MustNewEngine(NewRegistry(rigged(2, 3, 1)), Config{
+	eng := hookedEngine(t, beforeFlush, NewRegistry(rigged(2, 3, 1)), Config{
 		Workers: 1, MaxBatch: 1, QueueDepth: 1,
 		DefaultDeadline: time.Millisecond,
 	})
@@ -537,13 +477,11 @@ func TestEngineDefaultDeadlineApplies(t *testing.T) {
 // against a slow flush must never double-answer or corrupt pooled requests
 // (the -race build is the real assertion here).
 func TestEngineAbandonRace(t *testing.T) {
-	faults.Set("serve.flush", func(args ...any) error {
+	beforeFlush := func(int) {
 		time.Sleep(50 * time.Microsecond)
-		return nil
-	})
-	defer faults.Clear("serve.flush")
+	}
 
-	eng := MustNewEngine(NewRegistry(rigged(2, 3, 1)), Config{
+	eng := hookedEngine(t, beforeFlush, NewRegistry(rigged(2, 3, 1)), Config{
 		Workers: 2, MaxBatch: 4, QueueDepth: 4,
 	})
 	defer eng.Close()

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"advnet/internal/faults"
 	"advnet/internal/mathx"
 	"advnet/internal/metrics"
 	"advnet/internal/nn"
@@ -156,7 +155,7 @@ type request struct {
 	in    []float64 // caller's features, aliased for the batch copy
 	level int
 	snap  uint64
-	err   error         // typed failure (shard panic, injected fault), nil on success
+	err   error         // typed failure (a contained shard panic), nil on success
 	start time.Time     // zero unless this request was latency-sampled
 	done  chan struct{} // capacity 1, signaled exactly once per dispatch
 	timer *time.Timer   // lazily created, reused across pooled uses
@@ -191,9 +190,15 @@ type shard struct {
 // path — including the shed paths — are allocation-free in steady state.
 type Engine struct {
 	reg *Registry
-	cfg Config
-	in  int
-	out int
+	// beforeFlush, when set, runs at the top of every flush on the shard's
+	// worker. The package's tests use it to stall or crash a flush, which a
+	// real forward pass does not do on demand; only newEngine sets it. It
+	// sits beside the other fields every flush reads, away from the
+	// counters every Select writes.
+	beforeFlush func(shard int)
+	cfg         Config
+	in          int
+	out         int
 
 	shards []*shard
 	rr     atomic.Uint64
@@ -211,6 +216,11 @@ type Engine struct {
 // architecture-changing publishes. An invalid Config (see Validate) is
 // rejected before any worker starts.
 func NewEngine(reg *Registry, cfg Config) (*Engine, error) {
+	return newEngine(reg, cfg, nil)
+}
+
+// newEngine is NewEngine with a beforeFlush hook (see Engine).
+func newEngine(reg *Registry, cfg Config, beforeFlush func(shard int)) (*Engine, error) {
 	if reg == nil {
 		panic("serve: NewEngine with nil registry")
 	}
@@ -220,11 +230,12 @@ func NewEngine(reg *Registry, cfg Config) (*Engine, error) {
 	cfg = cfg.withDefaults()
 	snap := reg.Current()
 	e := &Engine{
-		reg:  reg,
-		cfg:  cfg,
-		in:   snap.Net().InputSize(),
-		out:  snap.Net().OutputSize(),
-		stop: make(chan struct{}),
+		reg:         reg,
+		cfg:         cfg,
+		in:          snap.Net().InputSize(),
+		out:         snap.Net().OutputSize(),
+		stop:        make(chan struct{}),
+		beforeFlush: beforeFlush,
 	}
 	e.pool.New = func() any {
 		return &request{done: make(chan struct{}, 1)}
@@ -298,9 +309,6 @@ func (e *Engine) Select(features []float64) (Decision, error) {
 func (e *Engine) SelectDeadline(features []float64, deadline time.Duration) (Decision, error) {
 	if len(features) != e.in {
 		return Decision{}, fmt.Errorf("serve: Select with %d features, serving architecture wants %d", len(features), e.in)
-	}
-	if err := faults.Fire("serve.enqueue"); err != nil {
-		return Decision{}, err
 	}
 	req := e.pool.Get().(*request)
 	req.in = features
@@ -494,18 +502,15 @@ func (e *Engine) gather(sh *shard, first *request) {
 }
 
 // flushContained runs one flush and answers a failure to every unanswered
-// request of the batch. A panicking forward pass (or injected fault) comes
-// back from flush as a typed *par.PanicError naming the shard; the shard's
-// batch cache is then rebuilt — the panic may have left it mid-write — and
-// the worker keeps serving. Other shards never notice.
+// request of the batch. A flush fails only by panicking, which comes back
+// from flush as a typed *par.PanicError naming the shard; the shard's batch
+// cache is then rebuilt — the panic may have left it mid-write — and the
+// worker keeps serving. Other shards never notice.
 func (e *Engine) flushContained(sh *shard, n int) {
 	if err := e.flush(sh, n); err != nil {
-		var perr *par.PanicError
-		if errors.As(err, &perr) {
-			sh.panics.Add(1)
-			sh.cache = e.newCache()
-			sh.lastSnap = nil
-		}
+		sh.panics.Add(1)
+		sh.cache = e.newCache()
+		sh.lastSnap = nil
 		e.failBatch(sh, n, err)
 	}
 }
@@ -527,10 +532,8 @@ func (e *Engine) failBatch(sh *shard, n int, err error) {
 // snapshot, contained (see flushContained). Zero allocations.
 func (e *Engine) flush(sh *shard, n int) (err error) {
 	defer par.Contain(sh.idx, &err)
-	if faults.Armed() { // gate: Fire's boxed shard-index arg would allocate per flush
-		if err := faults.Fire("serve.flush", sh.idx); err != nil {
-			return err
-		}
+	if e.beforeFlush != nil {
+		e.beforeFlush(sh.idx)
 	}
 	snap := e.reg.Current()
 	if snap != sh.lastSnap {

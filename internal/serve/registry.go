@@ -25,7 +25,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"advnet/internal/faults"
 	"advnet/internal/nn"
 	"advnet/internal/rl"
 )
@@ -130,12 +129,7 @@ func (r *Registry) Publish(net *nn.MLP, source string) (*Snapshot, error) {
 // sha256-verified before any weight reaches the serving path. On any error —
 // unreadable file, corrupt payload, architecture mismatch — the old snapshot
 // keeps serving.
-// ReloadFile is also the serve.reload fault point: the Reloader tests inject
-// load failures here to drive its retry/breaker machinery.
 func (r *Registry) ReloadFile(path string) (*Snapshot, error) {
-	if err := faults.Fire("serve.reload", path); err != nil {
-		return nil, err
-	}
 	net, err := rl.LoadPolicyNet(path)
 	if err != nil {
 		return nil, err

@@ -105,3 +105,48 @@ func TestRegistryReloadFile(t *testing.T) {
 		t.Fatal("mismatched reload displaced the serving snapshot")
 	}
 }
+
+// FuzzRegistryReloadFile checks hot reload on arbitrary file bytes: a
+// reload either fails and leaves the old snapshot serving, or publishes a
+// snapshot of the serving architecture that answers a forward pass — never
+// a panic.
+func FuzzRegistryReloadFile(f *testing.F) {
+	dir := f.TempDir()
+	for i, sizes := range [][]int{{4, 8, 3}, {5, 8, 3}} {
+		path := filepath.Join(dir, "policy.json")
+		if err := rl.SavePolicyNet(path, nn.NewMLP(mathx.NewRNG(uint64(i+1)), sizes, nn.Tanh)); err != nil {
+			f.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte(`{"sizes":[4,3],"hidden":"tanh","w":[[1,2,3,4,5,6,7,8,9,10,11,12]],"b":[[0,0,0]]}`))
+	f.Add([]byte(`{"version":1,"kind":"policy","sha256":"00","payload":{}}`))
+	f.Add([]byte(`{"version":1,"kind":"ppo-vec","sha256":"","payload":null}`))
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		reg := NewRegistry(nn.NewMLP(mathx.NewRNG(9), []int{4, 8, 3}, nn.Tanh))
+		old := reg.Current()
+		path := filepath.Join(t.TempDir(), "policy.json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := reg.ReloadFile(path)
+		if err != nil {
+			if reg.Current() != old {
+				t.Fatalf("failed reload (%v) displaced the serving snapshot", err)
+			}
+			return
+		}
+		if reg.Current() != snap || !sizesEqual(snap.Sizes(), old.Sizes()) {
+			t.Fatalf("reload published %v as current=%v, serving architecture %v", snap.Sizes(), reg.Current() == snap, old.Sizes())
+		}
+		if out := snap.Net().Predict(make([]float64, 4)); len(out) != 3 {
+			t.Fatalf("reloaded snapshot answers %d outputs, want 3", len(out))
+		}
+	})
+}

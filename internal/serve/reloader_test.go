@@ -2,11 +2,11 @@ package serve
 
 import (
 	"errors"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
-	"advnet/internal/faults"
 	"advnet/internal/mathx"
 	"advnet/internal/nn"
 	"advnet/internal/rl"
@@ -25,38 +25,62 @@ func reloadFixture(t *testing.T) (*Registry, string) {
 	return reg, path
 }
 
+// corruptPolicy overwrites path with a policy envelope whose sha256 does
+// not match its payload — a torn or tampered checkpoint — and returns the
+// error the loader gives for it.
+func corruptPolicy(t *testing.T, path string) error {
+	t.Helper()
+	if err := os.WriteFile(path, []byte(`{"version":1,"kind":"policy","sha256":"00","payload":{}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := rl.LoadPolicyNet(path)
+	if err == nil {
+		t.Fatal("corrupt policy loaded")
+	}
+	return err
+}
+
+// repairPolicy overwrites path with a valid [4 8 3] policy.
+func repairPolicy(t *testing.T, path string) {
+	t.Helper()
+	if err := rl.SavePolicyNet(path, nn.NewMLP(mathx.NewRNG(8), []int{4, 8, 3}, nn.Tanh)); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // fakeClock is an injectable Now/Sleep pair: Sleep advances the clock and
 // records every requested duration, making retry schedules fully
-// deterministic and instant.
+// deterministic and instant. onSleep, when set, runs after the n-th sleep
+// (1-based) — what the world did while the reloader waited.
 type fakeClock struct {
-	now    time.Time
-	sleeps []time.Duration
+	now     time.Time
+	sleeps  []time.Duration
+	onSleep func(n int)
 }
 
 func (c *fakeClock) Now() time.Time { return c.now }
 func (c *fakeClock) Sleep(d time.Duration) {
 	c.sleeps = append(c.sleeps, d)
 	c.now = c.now.Add(d)
+	if c.onSleep != nil {
+		c.onSleep(len(c.sleeps))
+	}
 }
 
 func TestReloaderRetriesTransientFailure(t *testing.T) {
 	reg, path := reloadFixture(t)
-	clk := &fakeClock{now: time.Unix(1000, 0)}
+	// The first two load attempts find a torn file; the writer finishes
+	// during the second backoff sleep, so the third attempt succeeds.
+	corruptPolicy(t, path)
+	clk := &fakeClock{now: time.Unix(1000, 0), onSleep: func(n int) {
+		if n == 2 {
+			repairPolicy(t, path)
+		}
+	}}
 	l := NewReloader(reg, mathx.NewRNG(11), ReloadConfig{
 		MaxAttempts: 4, BackoffBase: 50 * time.Millisecond, BackoffMax: 2 * time.Second,
 		Sleep: clk.Sleep, Now: clk.Now,
 	})
-
-	// Fail the first two load attempts, then let the third through.
-	injected := errors.New("torn checkpoint write")
-	n := 0
-	faults.Set("serve.reload", func(args ...any) error {
-		if n++; n <= 2 {
-			return injected
-		}
-		return nil
-	})
-	defer faults.Clear("serve.reload")
 
 	snap, err := l.Reload(path)
 	if err != nil {
@@ -91,8 +115,7 @@ func TestReloaderBackoffDeterministicAndCapped(t *testing.T) {
 			MaxAttempts: 6, BackoffBase: 100 * time.Millisecond, BackoffMax: 300 * time.Millisecond,
 			TripAfter: 100, Sleep: clk.Sleep, Now: clk.Now,
 		})
-		faults.Set("serve.reload", func(args ...any) error { return errors.New("down") })
-		defer faults.Clear("serve.reload")
+		corruptPolicy(t, path)
 		if _, err := l.Reload(path); err == nil {
 			t.Fatal("Reload succeeded under permanent failure")
 		}
@@ -131,24 +154,16 @@ func TestReloaderBreakerTripsAndRecovers(t *testing.T) {
 		BackoffBase: time.Millisecond, Sleep: clk.Sleep, Now: clk.Now,
 	})
 	lastGood := reg.Current()
-
-	down := errors.New("corrupt checkpoint")
-	broken := true
-	faults.Set("serve.reload", func(args ...any) error {
-		if broken {
-			return down
-		}
-		return nil
-	})
-	defer faults.Clear("serve.reload")
+	want := corruptPolicy(t, path)
 
 	// TripAfter consecutive failed calls open the breaker.
+	var down error // the failure that opens it
 	for i := 0; i < 3; i++ {
 		if l.State() != BreakerClosed {
 			t.Fatalf("call %d: breaker %v, want closed", i, l.State())
 		}
-		if _, err := l.Reload(path); !errors.Is(err, down) {
-			t.Fatalf("call %d: %v, want injected failure", i, err)
+		if _, down = l.Reload(path); down == nil || down.Error() != want.Error() {
+			t.Fatalf("call %d: %v, want the loader's %v", i, down, want)
 		}
 	}
 	if l.State() != BreakerOpen || l.Trips() != 1 {
@@ -156,8 +171,7 @@ func TestReloaderBreakerTripsAndRecovers(t *testing.T) {
 	}
 
 	// Open: refused with typed error carrying the cause and retry time, and
-	// the disk is not touched (the fault hook would say so via counters —
-	// attempts must not grow).
+	// the disk is not touched (attempts must not grow).
 	attemptsBefore := l.Stats().Attempts
 	_, err := l.Reload(path)
 	var oe *BreakerOpenError
@@ -180,15 +194,16 @@ func TestReloaderBreakerTripsAndRecovers(t *testing.T) {
 
 	// Cooldown elapses; the probe still fails → breaker re-opens (2nd trip).
 	clk.now = clk.now.Add(11 * time.Second)
-	if _, err := l.Reload(path); !errors.Is(err, down) {
-		t.Fatalf("half-open probe: %v, want injected failure", err)
+	if _, err := l.Reload(path); err == nil || err.Error() != want.Error() {
+		t.Fatalf("half-open probe: %v, want the loader's %v", err, want)
 	}
 	if l.State() != BreakerOpen || l.Trips() != 2 {
 		t.Fatalf("breaker %v trips %d after failed probe, want open/2", l.State(), l.Trips())
 	}
 
-	// Next cooldown: the fault clears, the probe succeeds, breaker closes.
-	broken = false
+	// Next cooldown: the file is repaired, the probe succeeds, breaker
+	// closes.
+	repairPolicy(t, path)
 	clk.now = clk.now.Add(11 * time.Second)
 	snap, err := l.Reload(path)
 	if err != nil {

@@ -6,8 +6,8 @@ import (
 	"time"
 
 	"advnet/internal/abr"
-	"advnet/internal/faults"
 	"advnet/internal/mathx"
+	"advnet/internal/nn"
 	"advnet/internal/rl"
 	"advnet/internal/serve"
 )
@@ -63,18 +63,13 @@ func TestSwarmServeBackedIdentity(t *testing.T) {
 }
 
 // TestSwarmServeBackedOverloadDegrades drives a swarm against a deliberately
-// starved engine (one worker whose every flush stalls, tiny queue, tight
-// deadline): decisions must shed to the fallback — counted, nonzero — and
+// starved engine (one worker serving a Pensieve-shaped policy with
+// 1024-wide hidden layers, whose every flush outlasts the deadline, and a
+// tiny queue): decisions must shed to the fallback — counted, nonzero — and
 // every session still completes with a valid result.
 func TestSwarmServeBackedOverloadDegrades(t *testing.T) {
-	faults.Set("serve.flush", func(args ...any) error {
-		time.Sleep(200 * time.Microsecond)
-		return nil
-	})
-	defer faults.Clear("serve.flush")
-
 	levels := len(abr.DefaultVideoConfig().BitratesKbps)
-	policy := rl.NewCategoricalPolicy(abr.NewPensieveNet(mathx.NewRNG(5), levels))
+	policy := rl.NewCategoricalPolicy(nn.NewMLP(mathx.NewRNG(5), []int{abr.FeatureSize(levels), 1024, 1024, levels}, nn.Tanh))
 	eng := serve.MustNewEngine(serve.NewRegistry(policy.Net()), serve.Config{
 		Workers: 1, MaxBatch: 2, QueueDepth: 2,
 	})

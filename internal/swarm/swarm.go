@@ -22,7 +22,6 @@ import (
 	"runtime"
 
 	"advnet/internal/abr"
-	"advnet/internal/faults"
 	"advnet/internal/mathx"
 	"advnet/internal/netem"
 	"advnet/internal/par"
@@ -162,9 +161,6 @@ type groupParams struct {
 // misbehaving protocol or controller cannot take down the swarm.
 func runGroup(cfg Config, g int, p groupParams) (_ *GroupResult, err error) {
 	defer par.Contain(g, &err)
-	if ferr := faults.Fire("swarm.group.run", g); ferr != nil {
-		return nil, ferr
-	}
 	grp, err := NewGroup(GroupConfig{
 		Clients:       p.clients,
 		FirstClient:   p.first,

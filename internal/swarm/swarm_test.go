@@ -9,7 +9,6 @@ import (
 
 	"advnet/internal/abr"
 	"advnet/internal/cc"
-	"advnet/internal/faults"
 	"advnet/internal/mathx"
 	"advnet/internal/netem"
 	"advnet/internal/par"
@@ -98,19 +97,19 @@ func TestSwarmSameSeedTwice(t *testing.T) {
 	}
 }
 
-// TestSwarmGroupPanicContainment injects a panic into one group and checks
-// the swarm survives: the error names the group, and every other group's
-// clients still complete and aggregate.
+// TestSwarmGroupPanicContainment builds group 2's clients with a protocol
+// constructor that panics and checks the swarm survives: the error names the
+// group, and every other group's clients still complete and aggregate.
 func TestSwarmGroupPanicContainment(t *testing.T) {
-	faults.Set("swarm.group.run", func(args ...any) error {
-		if args[0].(int) == 2 {
+	cfg := fluidConfig(3)
+	// 90 clients over 7 groups: groups 0..5 have 13, so group 2 holds
+	// global clients 26..38.
+	cfg.NewProtocol = func(client int) abr.Protocol {
+		if client >= 26 && client < 39 {
 			panic("injected group failure")
 		}
-		return nil
-	})
-	defer faults.Clear("swarm.group.run")
-
-	cfg := fluidConfig(3)
+		return mixedProtocols(client)
+	}
 	res, err := Run(cfg)
 	if err == nil {
 		t.Fatal("expected an error from the failed group")
