@@ -91,7 +91,16 @@ bench-ab:
 # abr.Protocol, a net.Listener, a corrupt file) or through the site's own
 # private seam (fsx's rename/syncDir, serve's per-Engine beforeFlush), so
 # advnet/internal/faults, a faults. call or an Armed() gate in any .go file
-# under internal/ or cmd/ is the process-global hook map coming back.
+# under internal/ or cmd/ is the process-global hook map coming back. And one
+# writer per on-disk format: every model (trainer checkpoint, policy,
+# adversary, regression baseline) is an rl envelope, sha256-checked on load,
+# so outside tests and the frozen benchmark module fsx.WriteFileAtomic( is
+# named only in internal/rl (envelopes and the checkpoint manifest),
+# internal/trace (datasets) and internal/metrics (reports), which stay plain
+# JSON because people and other tools read and write them, and in
+# internal/fsx itself; a write anywhere else is a fifth, undigested format.
+# A func (m *MLP) Save or func Load( in internal/nn, or an adversarySnapshot
+# anywhere under internal/ or cmd/, is a deleted bare-JSON format coming back.
 seam-check:
 	@n=$$(grep -rn 'NewPPO(' --include='*.go' --exclude-dir=.bench_build . | grep -v '_test\.go:' | grep -vc '^\./bench/e2e/'); \
 	if [ $$n -gt 2 ]; then echo "seam-check: NewPPO( on $$n non-test lines, want <= 2 (build trainers with rl.NewTrainer)"; exit 1; fi
@@ -117,6 +126,10 @@ seam-check:
 	if [ -n "$$f" ]; then echo "seam-check: a deleted adversary goal in $$f (one Eq. 1: every env returns core.Eq1's Value; ABR has only the Regret and Naive goals)"; exit 1; fi
 	@f=$$(grep -rlE 'advnet/internal/faults|(^|[^[:alnum:]_])faults\.|Armed\(\)' --include='*.go' internal cmd); \
 	if [ -n "$$f" ]; then echo "seam-check: a fault hook in $$f (one fault seam per site; the global registry is deleted)"; exit 1; fi
+	@f=$$(grep -rl 'fsx\.WriteFileAtomic(' --include='*.go' --exclude-dir=.bench_build . | grep -v '_test\.go$$' | grep -Ev '^\./(bench/e2e|internal/(rl|trace|metrics|fsx))/'); \
+	if [ -n "$$f" ]; then echo "seam-check: fsx.WriteFileAtomic in $$f (a model file is an rl envelope: write it with rl.WriteEnvelope)"; exit 1; fi
+	@f=$$( (grep -rlE 'func \(m \*MLP\) Save|func Load\(' --include='*.go' internal/nn; grep -rl 'adversarySnapshot' --include='*.go' internal cmd) | sort -u); \
+	if [ -n "$$f" ]; then echo "seam-check: a bare-JSON model format in $$f (every model file is an rl envelope)"; exit 1; fi
 
 # Tier-1 verification: build + tests, plus vet, the FMA-off rerun, the race
 # detector, the benchmark's correctness and allocation check, and the

@@ -16,6 +16,7 @@ import (
 	"advnet/internal/abr"
 	"advnet/internal/core"
 	"advnet/internal/mathx"
+	"advnet/internal/rl"
 	"advnet/internal/trace"
 )
 
@@ -23,7 +24,7 @@ func main() {
 	log.SetFlags(0)
 	tracesPath := flag.String("traces", "", "JSON training dataset")
 	generate := flag.String("generate", "", "synthesize the dataset instead: fcc or 3g")
-	out := flag.String("o", "pensieve.json", "output path for the trained policy network")
+	out := flag.String("o", "pensieve.json", "output path for the trained policy network (an rl policy envelope, as serve -policy reads)")
 	advOut := flag.String("adv-traces-out", "", "also write the generated adversarial traces here")
 	inject := flag.Float64("inject", 0.9, "fraction of training after which to inject (>=1 disables)")
 	iters := flag.Int("iters", 60, "total protocol PPO iterations")
@@ -73,7 +74,7 @@ func main() {
 	}
 	log.Printf("phase 1: %d iterations, phase 2: %d iterations", res.Phase1Iterations, res.Phase2Iterations)
 
-	if err := res.Protocol.Policy.Net().Save(*out); err != nil {
+	if err := rl.SavePolicyNet(*out, res.Protocol.Policy.Net()); err != nil {
 		log.Fatal(err)
 	}
 	log.Printf("policy written to %s", *out)

@@ -13,8 +13,8 @@
 //	serve -levels 6 -workers 2 -batch 32      # fresh random net, stdout only
 //	serve -deadline 500us -overstorm 256      # overload-phase knobs
 //
-// The -policy file may be any format the repository writes: a standalone
-// policy envelope, a full PPO trainer checkpoint, or bare MLP JSON.
+// The -policy file is a policy envelope (robustify -o) or a PPO trainer
+// checkpoint; bare MLP JSON no longer loads.
 package main
 
 import (
@@ -37,7 +37,7 @@ import (
 
 func main() {
 	log.SetFlags(0)
-	policyPath := flag.String("policy", "", "policy network to serve (envelope, trainer checkpoint, or bare MLP JSON); empty = fresh random Pensieve net")
+	policyPath := flag.String("policy", "", "policy network to serve (policy envelope or trainer checkpoint); empty = fresh random Pensieve net")
 	levels := flag.Int("levels", 6, "bitrate-ladder size when synthesizing a fresh net (ignored with -policy)")
 	workers := flag.Int("workers", 0, "shard workers (0 = GOMAXPROCS)")
 	batch := flag.Int("batch", 32, "max batch per flush (and each worker's cache capacity)")

@@ -54,6 +54,39 @@ func TestWindowOptimalDominatesAnyPathProperty(t *testing.T) {
 	}
 }
 
+// TestWindowOptimalScalingProperty: scaling every bandwidth of a window
+// by k ≥ 1 never lowers the window optimum. For a fixed level sequence more
+// bandwidth only shortens downloads, so it never adds rebuffering and never
+// empties the buffer sooner, while the bitrate and smoothness terms depend
+// on the levels alone; the maximum over sequences inherits that. The claim
+// is made for this exhaustive oracle only: the heuristics and the
+// buffer-discretised OfflineOptimal are not claimed to be monotone.
+func TestWindowOptimalScalingProperty(t *testing.T) {
+	v := testVideo(0)
+	q := DefaultQoE()
+	for seed := uint64(1); seed <= 2000; seed++ {
+		rng := mathx.NewRNG(seed)
+		bw := make([]float64, 1+rng.Intn(4))
+		for i := range bw {
+			bw[i] = rng.Uniform(0.2, 6)
+		}
+		startChunk := rng.Intn(v.NumChunks() - len(bw))
+		startBuffer := rng.Uniform(0, 30)
+		prev := rng.Intn(v.Levels()+1) - 1
+		base := WindowOptimal(v, q, startChunk, bw, 0.08, startBuffer, 60, prev)
+		for _, k := range []float64{1.25, 2, 4} {
+			scaled := make([]float64, len(bw))
+			for i, b := range bw {
+				scaled[i] = k * b
+			}
+			if got := WindowOptimal(v, q, startChunk, scaled, 0.08, startBuffer, 60, prev); got < base-1e-9 {
+				t.Fatalf("seed %d: bandwidth ×%v lowered the window optimum %v to %v (bw %v, chunk %d, buffer %v, prev %d)",
+					seed, k, base, got, bw, startChunk, startBuffer, prev)
+			}
+		}
+	}
+}
+
 // TestChunkLinkReplayReproducesSessionProperty: running any deterministic
 // protocol online with per-chunk bandwidths and replaying those bandwidths
 // through a ChunkLink yields the identical session.

@@ -225,8 +225,8 @@ func (e *ABREnv) Session() *abr.Session { return e.session }
 
 // ABRAdversary is a trained video-streaming adversary.
 type ABRAdversary struct {
-	Policy *rl.GaussianPolicy
-	Cfg    ABRAdversaryConfig
+	Policy *rl.GaussianPolicy `json:"policy"`
+	Cfg    ABRAdversaryConfig `json:"cfg"`
 }
 
 // NewABRAdversary builds an untrained adversary for the given video ladder.

@@ -225,8 +225,8 @@ func (e *CCEnv) Records() []CCStepRecord { return e.records }
 
 // CCAdversary is a trained congestion-control adversary.
 type CCAdversary struct {
-	Policy *rl.GaussianPolicy
-	Cfg    CCAdversaryConfig
+	Policy *rl.GaussianPolicy `json:"policy"`
+	Cfg    CCAdversaryConfig  `json:"cfg"`
 }
 
 // NewCCAdversary builds an untrained adversary.

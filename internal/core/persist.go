@@ -8,136 +8,122 @@ import (
 	"math"
 	"os"
 
-	"advnet/internal/fsx"
-	"advnet/internal/mathx"
 	"advnet/internal/nn"
 	"advnet/internal/rl"
 )
 
-// adversarySnapshot is the on-disk form of a trained adversary (either
-// kind): configuration, mean network, exploration scale, and the policy's
-// log-std bounds. The bounds are pointers so that presence is explicit: nil
-// means unbounded (±Inf, which JSON cannot represent), while an explicit 0
-// — a perfectly valid cap — survives the round trip instead of being
-// mistaken for "unset".
-type adversarySnapshot struct {
-	Kind      string              `json:"kind"` // "abr" or "cc"
-	ABRCfg    *ABRAdversaryConfig `json:"abr_cfg,omitempty"`
-	CCCfg     *CCAdversaryConfig  `json:"cc_cfg,omitempty"`
-	Net       json.RawMessage     `json:"net"`
-	LogStd    []float64           `json:"log_std"`
-	MinLogStd *float64            `json:"min_log_std,omitempty"`
-	MaxLogStd *float64            `json:"max_log_std,omitempty"`
+// The model-file kinds this package writes, each an rl envelope (see
+// rl.WriteEnvelope): the adversaries' payload is {cfg, policy}, the policy
+// in rl's one policy encoding.
+const (
+	abrAdversaryKind       = "abr-adversary"
+	ccAdversaryKind        = "cc-adversary"
+	abrRegressionSuiteKind = "abr-regression-suite"
+)
+
+// loadModel reads the envelope of the given kind at path and decodes its
+// payload into v.
+func loadModel(path, kind string, v any) error {
+	payload, _, err := rl.ReadEnvelope(path, kind)
+	if err != nil {
+		return err
+	}
+	if err := json.Unmarshal(payload, v); err != nil {
+		return fmt.Errorf("core: %s: %w", path, err)
+	}
+	return nil
 }
 
-// finitePtr returns &v for finite v and nil for ±Inf/NaN, the snapshot
-// encoding of an absent bound.
-func finitePtr(v float64) *float64 {
-	if math.IsInf(v, 0) || math.IsNaN(v) {
-		return nil
-	}
-	return &v
-}
-
-// gaussianFromSnapshot rebuilds the adversary policy common to both loaders,
-// validating the exploration vector against the network's output dimension
-// (a mismatched file would otherwise silently truncate or zero-fill the
-// exploration scale).
-func gaussianFromSnapshot(snap *adversarySnapshot, net *nn.MLP) (*rl.GaussianPolicy, error) {
-	if len(snap.LogStd) != net.OutputSize() {
-		return nil, fmt.Errorf("core: snapshot log_std has %d entries, want %d (network output size)",
-			len(snap.LogStd), net.OutputSize())
-	}
-	pol := rl.NewGaussianPolicy(net, 0)
-	copy(pol.LogStd(), snap.LogStd)
-	if snap.MinLogStd != nil {
-		pol.MinLogStd = *snap.MinLogStd
-	}
-	if snap.MaxLogStd != nil {
-		pol.MaxLogStd = *snap.MaxLogStd
-	}
-	return pol, nil
-}
-
-// Save writes the adversary to path as JSON.
+// Save writes the adversary to path as an "abr-adversary" envelope.
 func (a *ABRAdversary) Save(path string) error {
-	netData, err := json.Marshal(a.Policy.Net())
-	if err != nil {
-		return err
-	}
-	snap := adversarySnapshot{
-		Kind:      "abr",
-		ABRCfg:    &a.Cfg,
-		Net:       netData,
-		LogStd:    mathx.CopyOf(a.Policy.LogStd()),
-		MinLogStd: finitePtr(a.Policy.MinLogStd),
-		MaxLogStd: finitePtr(a.Policy.MaxLogStd),
-	}
-	data, err := json.MarshalIndent(snap, "", " ")
-	if err != nil {
-		return err
-	}
-	return fsx.WriteFileAtomic(path, data, 0o644)
+	return rl.WriteEnvelope(path, abrAdversaryKind, a)
 }
 
-// LoadABRAdversary reads an adversary previously written by Save.
+// LoadABRAdversary reads an adversary written by Save, refusing one that
+// ABREnv could not run.
 func LoadABRAdversary(path string) (*ABRAdversary, error) {
-	snap, err := loadSnapshot(path, "abr")
-	if err != nil {
+	a := new(ABRAdversary)
+	if err := loadModel(path, abrAdversaryKind, a); err != nil {
 		return nil, err
 	}
-	net := new(nn.MLP)
-	if err := json.Unmarshal(snap.Net, net); err != nil {
-		return nil, err
+	if err := a.validate(); err != nil {
+		return nil, fmt.Errorf("core: %s: %w", path, err)
 	}
-	pol, err := gaussianFromSnapshot(snap, net)
-	if err != nil {
-		return nil, err
-	}
-	return &ABRAdversary{Policy: pol, Cfg: *snap.ABRCfg}, nil
+	return a, nil
 }
 
-// Save writes the adversary to path as JSON.
+// validate checks the sizes ABREnv relies on: one bandwidth output, a
+// positive history and window, a positive bandwidth range, and an input of
+// HistoryLen·(6+L) features for a ladder of L ≥ 1 levels.
+func (a *ABRAdversary) validate() error {
+	c := a.Cfg
+	if a.Policy == nil {
+		return errors.New("no policy")
+	}
+	if d := a.Policy.Dim(); d != 1 {
+		return fmt.Errorf("policy has %d outputs, want 1", d)
+	}
+	if c.HistoryLen <= 0 || c.Window <= 0 {
+		return fmt.Errorf("history %d and window %d must be positive", c.HistoryLen, c.Window)
+	}
+	if !(0 < c.BandwidthLo && c.BandwidthLo <= c.BandwidthHi) {
+		return fmt.Errorf("bandwidth range [%v, %v] is not 0 < lo ≤ hi", c.BandwidthLo, c.BandwidthHi)
+	}
+	if in := a.Policy.Net().InputSize(); in%c.HistoryLen != 0 || c.perStepFeatures(1) > in/c.HistoryLen {
+		return fmt.Errorf("policy input %d is not HistoryLen·(6+L) for HistoryLen %d and a ladder of L ≥ 1 levels", in, c.HistoryLen)
+	}
+	return nil
+}
+
+// Save writes the adversary to path as a "cc-adversary" envelope.
 func (a *CCAdversary) Save(path string) error {
-	netData, err := json.Marshal(a.Policy.Net())
-	if err != nil {
-		return err
-	}
-	snap := adversarySnapshot{
-		Kind:      "cc",
-		CCCfg:     &a.Cfg,
-		Net:       netData,
-		LogStd:    mathx.CopyOf(a.Policy.LogStd()),
-		MinLogStd: finitePtr(a.Policy.MinLogStd),
-		MaxLogStd: finitePtr(a.Policy.MaxLogStd),
-	}
-	data, err := json.MarshalIndent(snap, "", " ")
-	if err != nil {
-		return err
-	}
-	return fsx.WriteFileAtomic(path, data, 0o644)
+	return rl.WriteEnvelope(path, ccAdversaryKind, a)
 }
 
-// LoadCCAdversary reads an adversary previously written by Save.
+// LoadCCAdversary reads an adversary written by Save, refusing one that
+// CCEnv could not run.
 func LoadCCAdversary(path string) (*CCAdversary, error) {
-	snap, err := loadSnapshot(path, "cc")
-	if err != nil {
+	a := new(CCAdversary)
+	if err := loadModel(path, ccAdversaryKind, a); err != nil {
 		return nil, err
 	}
-	net := new(nn.MLP)
-	if err := json.Unmarshal(snap.Net, net); err != nil {
-		return nil, err
+	if err := a.validate(); err != nil {
+		return nil, fmt.Errorf("core: %s: %w", path, err)
 	}
-	pol, err := gaussianFromSnapshot(snap, net)
-	if err != nil {
-		return nil, err
+	return a, nil
+}
+
+// validate checks what CCEnv relies on: a tanh net from its observation to
+// its action, action ranges that decode to finite link conditions netem
+// accepts, and a positive interval, episode, queue and EWMA factor. A
+// tanh net's mean is never NaN on the all-zero first observation, so a
+// valid adversary's first step cannot panic.
+func (a *CCAdversary) validate() error {
+	c := a.Cfg
+	if a.Policy == nil {
+		return errors.New("no policy")
 	}
-	// Legacy snapshots (written before the bounds were serialized) carried
-	// the cap only in the config, where 0 doubled as "unset".
-	if snap.MaxLogStd == nil && snap.CCCfg.MaxLogStd != 0 {
-		pol.MaxLogStd = snap.CCCfg.MaxLogStd
+	var env CCEnv
+	net := a.Policy.Net()
+	if net.InputSize() != env.ObservationSize() || a.Policy.Dim() != env.ActionSpec().Dim {
+		return fmt.Errorf("policy maps %d inputs to %d outputs, want %d to %d", net.InputSize(), a.Policy.Dim(), env.ObservationSize(), env.ActionSpec().Dim)
 	}
-	return &CCAdversary{Policy: pol, Cfg: *snap.CCCfg}, nil
+	if net.Hidden() != nn.Tanh {
+		return fmt.Errorf("policy hidden activation %v, want tanh", net.Hidden())
+	}
+	for i, r := range c.Ranges() {
+		if !(r[0] <= r[1]) || math.IsInf(2*(r[1]-r[0]), 0) {
+			return fmt.Errorf("action range %d [%v, %v] is not a finite lo ≤ hi", i, r[0], r[1])
+		}
+	}
+	if !(c.BandwidthLo > 0) || !(c.LatencyLoMs >= 0) || !(c.LossLo >= 0 && c.LossHi < 1) {
+		return fmt.Errorf("ranges need bandwidth > 0, latency ≥ 0 and loss in [0, 1): %+v", c.Ranges())
+	}
+	if !(c.IntervalS > 0) || c.EpisodeSteps <= 0 || c.QueuePackets <= 0 || !(c.EWMAAlpha > 0 && c.EWMAAlpha <= 1) {
+		return fmt.Errorf("interval %v, episode %d, queue %d must be positive and EWMA alpha %v in (0, 1]",
+			c.IntervalS, c.EpisodeSteps, c.QueuePackets, c.EWMAAlpha)
+	}
+	return nil
 }
 
 // ResolveCheckpoint builds the rl.CheckpointConfig for a command-line run.
@@ -156,29 +142,4 @@ func ResolveCheckpoint(dir string, every int, resume bool) (rl.CheckpointConfig,
 		return rl.CheckpointConfig{}, fmt.Errorf("core: checkpoint directory %s is not empty; pass -resume to continue from it or point -checkpoint-dir at a fresh directory", dir)
 	}
 	return rl.CheckpointConfig{Dir: dir, Every: every}, nil
-}
-
-func loadSnapshot(path, wantKind string) (*adversarySnapshot, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var snap adversarySnapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
-		return nil, err
-	}
-	if snap.Kind != wantKind {
-		return nil, fmt.Errorf("core: snapshot kind %q, want %q", snap.Kind, wantKind)
-	}
-	switch wantKind {
-	case "abr":
-		if snap.ABRCfg == nil {
-			return nil, fmt.Errorf("core: abr snapshot missing config")
-		}
-	case "cc":
-		if snap.CCCfg == nil {
-			return nil, fmt.Errorf("core: cc snapshot missing config")
-		}
-	}
-	return &snap, nil
 }

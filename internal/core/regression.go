@@ -1,12 +1,9 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 
 	"advnet/internal/abr"
-	"advnet/internal/fsx"
 	"advnet/internal/mathx"
 	"advnet/internal/netem"
 	"advnet/internal/par"
@@ -84,23 +81,15 @@ func (s *ABRRegressionSuite) Check(video *abr.Video, p abr.Protocol, tolerance f
 	return res, nil
 }
 
-// Save writes the suite to disk atomically.
+// Save writes the suite to path as an "abr-regression-suite" envelope.
 func (s *ABRRegressionSuite) Save(path string) error {
-	data, err := json.MarshalIndent(s, "", " ")
-	if err != nil {
-		return err
-	}
-	return fsx.WriteFileAtomic(path, data, 0o644)
+	return rl.WriteEnvelope(path, abrRegressionSuiteKind, s)
 }
 
 // LoadABRRegressionSuite reads a suite previously written by Save.
 func LoadABRRegressionSuite(path string) (*ABRRegressionSuite, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
 	var s ABRRegressionSuite
-	if err := json.Unmarshal(data, &s); err != nil {
+	if err := loadModel(path, abrRegressionSuiteKind, &s); err != nil {
 		return nil, err
 	}
 	if s.Traces == nil || len(s.Traces.Traces) == 0 {

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"advnet/internal/abr"
@@ -34,8 +36,9 @@ func resumeTestData() (*abr.Video, *trace.Dataset) {
 // publish the file there fails even for root), removes the blocker, resumes
 // in a "fresh process" (same arguments, fresh RNG object from the same
 // seed), and requires the resumed run to finish bit-for-bit equal to the
-// uninterrupted one.
-func crashResumeMatchesFull(t *testing.T, workers int, block string, wantResumedStats int) {
+// uninterrupted one. tamper, if given, edits the checkpoint directory
+// between the crash and the resume.
+func crashResumeMatchesFull(t *testing.T, workers int, block string, wantResumedStats int, tamper ...func(dir string)) {
 	t.Helper()
 	v, ds := resumeTestData()
 
@@ -63,6 +66,9 @@ func crashResumeMatchesFull(t *testing.T, workers int, block string, wantResumed
 	}
 	if err := os.RemoveAll(blocker); err != nil {
 		t.Fatal(err)
+	}
+	for _, f := range tamper {
+		f(cfg.Checkpoint.Dir)
 	}
 
 	res, err := TrainRobustPensieve(v, ds, cfg, mathx.NewRNG(77))
@@ -121,6 +127,53 @@ func TestRobustResumeAtPhaseBoundary(t *testing.T) {
 		t.Skip("training test")
 	}
 	crashResumeMatchesFull(t, 0, "adversary.json", 2)
+}
+
+// writeBareAdversary replaces dir's adversary.json with the same adversary
+// in the bare JSON form earlier versions wrote, which no longer loads.
+func writeBareAdversary(t *testing.T, dir string) {
+	t.Helper()
+	path := filepath.Join(dir, "adversary.json")
+	a, err := LoadABRAdversary(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare, err := json.Marshal(map[string]any{
+		"kind": "abr", "abr_cfg": a.Cfg, "net": a.Policy.Net(), "log_std": a.Policy.LogStd(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, bare, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRobustResumeOverBareAdversary: a checkpoint directory whose
+// adversary.json is in the pre-envelope bare form. Resumed in phase 1's
+// wake (no phase-2 checkpoint yet), the pipeline retrains the adversary on
+// the same two master-RNG splits and finishes bitwise equal to the
+// uninterrupted run; with a phase-2 checkpoint on disk it refuses the
+// directory, as for any unreadable adversary.
+func TestRobustResumeOverBareAdversary(t *testing.T) {
+	if testing.Short() {
+		t.Skip("training test")
+	}
+	t.Run("phase 1", func(t *testing.T) {
+		crashResumeMatchesFull(t, 0, "phase2/ckpt-00000003.json", 2, func(dir string) { writeBareAdversary(t, dir) })
+	})
+	t.Run("phase 2", func(t *testing.T) {
+		v, ds := resumeTestData()
+		cfg := resumeTestCfg()
+		cfg.Checkpoint = rl.CheckpointConfig{Dir: t.TempDir(), Every: 1}
+		if _, err := TrainRobustPensieve(v, ds, cfg, mathx.NewRNG(77)); err != nil {
+			t.Fatal(err)
+		}
+		writeBareAdversary(t, cfg.Checkpoint.Dir)
+		if _, err := TrainRobustPensieve(v, ds, cfg, mathx.NewRNG(77)); err == nil || !strings.Contains(err.Error(), "unreadable") {
+			t.Fatalf("resume over a bare adversary in phase 2: err = %v, want the artifacts refused as unreadable", err)
+		}
+	})
 }
 
 // TestRobustResumeAtPhaseBoundaryParallel is the Workers=2 variant, crashing

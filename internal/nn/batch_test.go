@@ -320,71 +320,11 @@ func TestForwardBatchRejectsNonPositive(t *testing.T) {
 	}
 }
 
-// TestAcquireReleaseCache exercises the sync.Pool-backed cache helpers: an
-// acquired cache behaves exactly like a NewCache, a released cache is
-// recycled, and releasing a foreign-architecture cache panics.
-func TestAcquireReleaseCache(t *testing.T) {
-	rng := mathx.NewRNG(79)
-	m := NewMLP(rng, []int{4, 8, 3}, Tanh)
-	x := makeBatch(rng, 1, 4)
-
-	c := m.AcquireCache()
-	got := mathx.CopyOf(m.ForwardInto(c, x))
-	want := m.Predict(x)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("acquired-cache output[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-	m.ReleaseCache(c)
-	if c2 := m.AcquireCache(); c2 != c {
-		// sync.Pool may drop entries under GC pressure, so identity is not
-		// guaranteed — but a fresh cache must still be correctly sized.
-		m.ForwardInto(c2, x)
-		m.ReleaseCache(c2)
-	} else {
-		m.ReleaseCache(c2)
-	}
-
-	other := NewMLP(rng, []int{5, 8, 3}, Tanh)
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("no panic releasing a foreign cache")
-			}
-		}()
-		other.ReleaseCache(m.NewCache())
-	}()
-	m.ReleaseCache(nil) // no-op
-}
-
-// TestAcquireCacheSteadyStateAllocs: once the pool is warm, an
-// acquire→forward→release cycle must not allocate.
-func TestAcquireCacheSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race-detector shadow bookkeeping breaks AllocsPerRun accounting")
-	}
-	rng := mathx.NewRNG(83)
-	m := NewMLP(rng, []int{6, 16, 8, 3}, Tanh)
-	x := makeBatch(rng, 1, 6)
-	m.ReleaseCache(m.AcquireCache()) // warm the pool
-	if n := testing.AllocsPerRun(200, func() {
-		c := m.AcquireCache()
-		m.ForwardInto(c, x)
-		m.ReleaseCache(c)
-	}); n > 0.1 {
-		// sync.Pool occasionally re-allocates across GC cycles; near-zero is
-		// the contract (a strict per-call allocation would report >= 1).
-		t.Fatalf("acquire/forward/release allocates %v per run, want ~0", n)
-	}
-}
-
-// TestAcquireCacheDropsStaleAfterReload: re-architecting a network in place
-// via UnmarshalJSON must not hand out caches sized for the old layers.
-func TestAcquireCacheDropsStaleAfterReload(t *testing.T) {
+// TestNewCacheAfterReload: re-architecting a network in place via
+// UnmarshalJSON must size the next cache for the new layers.
+func TestNewCacheAfterReload(t *testing.T) {
 	rng := mathx.NewRNG(89)
 	m := NewMLP(rng, []int{4, 8, 3}, Tanh)
-	m.ReleaseCache(m.AcquireCache())
 	data, err := NewMLP(rng, []int{6, 10, 2}, ReLU).MarshalJSON()
 	if err != nil {
 		t.Fatal(err)
@@ -392,10 +332,11 @@ func TestAcquireCacheDropsStaleAfterReload(t *testing.T) {
 	if err := m.UnmarshalJSON(data); err != nil {
 		t.Fatal(err)
 	}
-	c := m.AcquireCache()
+	c := m.NewCache()
 	if len(c.acts[0]) != 6 {
-		t.Fatalf("stale cache served after reload: input width %d, want 6", len(c.acts[0]))
+		t.Fatalf("cache sized for the old layers after reload: input width %d, want 6", len(c.acts[0]))
 	}
-	m.ForwardInto(c, makeBatch(rng, 1, 6))
-	m.ReleaseCache(c)
+	if out := m.ForwardInto(c, makeBatch(rng, 1, 6)); len(out) != 2 {
+		t.Fatalf("forward after reload answers %d outputs, want 2", len(out))
+	}
 }

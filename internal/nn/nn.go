@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 
 	"advnet/internal/mathx"
 )
@@ -119,10 +118,6 @@ type MLP struct {
 	// instead of writing into the shared backing array.
 	params [][]float64
 	grads  [][]float64
-
-	// cachePool recycles Caches handed out by AcquireCache; see the
-	// single-goroutine contract on Cache.
-	cachePool sync.Pool
 }
 
 // NewMLP builds an MLP with the given layer sizes, e.g. sizes = [in, 32, 16,
@@ -179,7 +174,7 @@ func (m *MLP) Hidden() Activation { return m.hidden }
 // A Cache is single-goroutine state: every pass through it scribbles over the
 // same activation scratch, so it must never be shared between goroutines, not
 // even for concurrent read-only forward passes. Concurrent users of one MLP
-// each hold their own Cache (see AcquireCache) — the network's parameters may
+// each hold their own Cache (see NewCache) — the network's parameters may
 // be shared read-only, the scratch may not.
 type Cache struct {
 	// acts[0] is the input; acts[i] is the (post-activation) output of
@@ -203,53 +198,6 @@ func (m *MLP) NewCache() *Cache {
 		c.acts[i+1] = make([]float64, l.Out)
 	}
 	return c
-}
-
-// AcquireCache returns a cache for m from an internal sync.Pool, allocating
-// one only when the pool is empty. It is the preferred way to obtain a cache
-// for a bounded piece of work (one forward/backward pass, one update loop):
-// pair it with ReleaseCache so transient passes stop allocating a fresh cache
-// per call. The returned cache is owned by the caller until released and, like
-// every Cache, must be used from a single goroutine at a time.
-func (m *MLP) AcquireCache() *Cache {
-	for {
-		c, ok := m.cachePool.Get().(*Cache)
-		if !ok {
-			return m.NewCache()
-		}
-		// Drop caches stranded by an UnmarshalJSON re-architecture.
-		if m.cacheFits(c) {
-			return c
-		}
-	}
-}
-
-// cacheFits reports whether c's scratch matches m's layer widths.
-func (m *MLP) cacheFits(c *Cache) bool {
-	if len(c.acts) != len(m.layers)+1 || len(c.acts[0]) != m.InputSize() {
-		return false
-	}
-	for i, l := range m.layers {
-		if len(c.acts[i+1]) != l.Out {
-			return false
-		}
-	}
-	return true
-}
-
-// ReleaseCache returns a cache obtained from AcquireCache (or NewCache) to
-// m's pool for reuse. The cache must not be used after release — its scratch,
-// including slices previously returned by Output/ForwardInto/BackwardInto,
-// will be overwritten by the next acquirer. Releasing a cache sized for a
-// different architecture panics rather than corrupting a later pass.
-func (m *MLP) ReleaseCache(c *Cache) {
-	if c == nil {
-		return
-	}
-	if !m.cacheFits(c) {
-		panic("nn: ReleaseCache of a cache sized for a different network")
-	}
-	m.cachePool.Put(c)
 }
 
 // ensureDacts lazily sizes the backward scratch to match acts.

@@ -1,8 +1,8 @@
 package nn
 
 import (
+	"encoding/json"
 	"math"
-	"path/filepath"
 	"testing"
 	"testing/quick"
 
@@ -250,12 +250,12 @@ func TestCopyParamsFrom(t *testing.T) {
 func TestSerializationRoundTrip(t *testing.T) {
 	rng := mathx.NewRNG(29)
 	m := NewMLP(rng, []int{3, 7, 2}, ReLU)
-	path := filepath.Join(t.TempDir(), "model.json")
-	if err := m.Save(path); err != nil {
+	data, err := json.Marshal(m)
+	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(path)
-	if err != nil {
+	loaded := new(MLP)
+	if err := json.Unmarshal(data, loaded); err != nil {
 		t.Fatal(err)
 	}
 	if loaded.Hidden() != ReLU {

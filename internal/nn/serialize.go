@@ -3,9 +3,7 @@ package nn
 import (
 	"encoding/json"
 	"fmt"
-	"os"
 
-	"advnet/internal/fsx"
 	"advnet/internal/mathx"
 )
 
@@ -74,28 +72,4 @@ func (m *MLP) UnmarshalJSON(data []byte) error {
 	m.setLayers(layers)
 	m.hidden = hidden
 	return nil
-}
-
-// Save writes the network to path as JSON. The write is atomic: an existing
-// checkpoint at path is never left truncated or half-written, even if the
-// process dies mid-save.
-func (m *MLP) Save(path string) error {
-	data, err := json.Marshal(m)
-	if err != nil {
-		return err
-	}
-	return fsx.WriteFileAtomic(path, data, 0o644)
-}
-
-// Load reads a network previously written by Save.
-func Load(path string) (*MLP, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	m := new(MLP)
-	if err := json.Unmarshal(data, m); err != nil {
-		return nil, err
-	}
-	return m, nil
 }

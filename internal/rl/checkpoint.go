@@ -1,12 +1,9 @@
 package rl
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -31,16 +28,12 @@ import (
 // state round-trips) or are stateless between resets. Checkpoints are taken
 // only at iteration boundaries, where the rollout buffer is empty.
 //
-// On-disk format: a JSON envelope {version, kind, sha256, payload} written
-// atomically via fsx.WriteFileAtomic. The sha256 field is the hex digest of
-// the payload bytes; loading verifies it, so a corrupt or truncated
-// checkpoint yields an error instead of silently-wrong trainer state.
+// On-disk format: the model envelope of envelope.go, kind "ppo-vec", so a
+// corrupt or truncated checkpoint yields an error instead of silently-wrong
+// trainer state.
 // CheckpointDir layers keep-last-K retention and a manifest on top, and
 // LoadLatest falls back to the previous checkpoint when the newest one is
 // damaged.
-
-// CheckpointVersion identifies the on-disk trainer checkpoint format.
-const CheckpointVersion = 1
 
 // EnvCheckpointer is implemented by environments whose mid-episode state can
 // round-trip through a checkpoint. Trainers save the state of envs that
@@ -55,25 +48,6 @@ type EnvCheckpointer interface {
 	EnvState() ([]byte, error)
 	// SetEnvState restores a state captured by EnvState.
 	SetEnvState([]byte) error
-}
-
-// checkpointEnvelope is the outer on-disk structure.
-type checkpointEnvelope struct {
-	Version int             `json:"version"`
-	Kind    string          `json:"kind"`
-	SHA256  string          `json:"sha256"`
-	Payload json.RawMessage `json:"payload"`
-}
-
-// policySnapshot serializes a Policy. Bounds are pointers so that presence
-// is explicit: nil means unbounded (±Inf, which JSON cannot represent), and
-// a present value — including zero — is authoritative on load.
-type policySnapshot struct {
-	Kind      string          `json:"kind"` // "categorical" or "gaussian"
-	Net       json.RawMessage `json:"net"`
-	LogStd    []float64       `json:"log_std,omitempty"`
-	MinLogStd *float64        `json:"min_log_std,omitempty"`
-	MaxLogStd *float64        `json:"max_log_std,omitempty"`
 }
 
 // trainerKind is the envelope kind of a trainer checkpoint. The name is
@@ -93,7 +67,7 @@ const legacyKind = "ppo"
 type ppoSnapshot struct {
 	Cfg     PPOConfig       `json:"cfg"`
 	Iter    int             `json:"iter"`
-	Policy  policySnapshot  `json:"policy"`
+	Policy  json.RawMessage `json:"policy"` // the policy's MarshalJSON
 	Value   json.RawMessage `json:"value"`
 	PolOpt  nn.AdamState    `json:"pol_opt"`
 	ValOpt  nn.AdamState    `json:"val_opt"`
@@ -102,82 +76,42 @@ type ppoSnapshot struct {
 	Workers []LaneState     `json:"workers,omitempty"`
 }
 
-// snapshotPolicy captures a policy's parameters and hyperparameters.
-func snapshotPolicy(p Policy) (policySnapshot, error) {
+// restorePolicy loads an encoded policy into an existing policy in place
+// (the policy object is shared with lanes and callers, so its identity must
+// be preserved). The encoding's architecture must match the policy's.
+func restorePolicy(p Policy, data json.RawMessage) error {
 	switch t := p.(type) {
 	case *CategoricalPolicy:
-		net, err := json.Marshal(t.Net())
-		if err != nil {
-			return policySnapshot{}, err
+		var s CategoricalPolicy
+		if err := json.Unmarshal(data, &s); err != nil {
+			return fmt.Errorf("rl: checkpoint policy: %w", err)
 		}
-		return policySnapshot{Kind: "categorical", Net: net}, nil
+		return copyNet(t.Net(), s.Net())
 	case *GaussianPolicy:
-		net, err := json.Marshal(t.Net())
-		if err != nil {
-			return policySnapshot{}, err
+		var s GaussianPolicy
+		if err := json.Unmarshal(data, &s); err != nil {
+			return fmt.Errorf("rl: checkpoint policy: %w", err)
 		}
-		s := policySnapshot{
-			Kind:   "gaussian",
-			Net:    net,
-			LogStd: append([]float64(nil), t.LogStd()...),
+		if s.Dim() != t.Dim() {
+			return fmt.Errorf("rl: checkpoint log_std length %d, want %d", s.Dim(), t.Dim())
 		}
-		if !math.IsInf(t.MinLogStd, -1) {
-			v := t.MinLogStd
-			s.MinLogStd = &v
-		}
-		if !math.IsInf(t.MaxLogStd, 1) {
-			v := t.MaxLogStd
-			s.MaxLogStd = &v
-		}
-		return s, nil
-	default:
-		return policySnapshot{}, fmt.Errorf("rl: policy type %T does not support checkpointing", p)
-	}
-}
-
-// restorePolicy loads a snapshot into an existing policy in place (the
-// policy object is shared with lanes and callers, so its identity must
-// be preserved). The snapshot's architecture must match the policy's.
-func restorePolicy(p Policy, s policySnapshot) error {
-	loadNet := func(dst *nn.MLP) error {
-		tmp := new(nn.MLP)
-		if err := json.Unmarshal(s.Net, tmp); err != nil {
-			return fmt.Errorf("rl: checkpoint policy net: %w", err)
-		}
-		if err := dst.CopyParamsFrom(tmp); err != nil {
-			return fmt.Errorf("rl: checkpoint policy net: %w", err)
-		}
-		return nil
-	}
-	switch t := p.(type) {
-	case *CategoricalPolicy:
-		if s.Kind != "categorical" {
-			return fmt.Errorf("rl: checkpoint policy kind %q, trainer has categorical", s.Kind)
-		}
-		return loadNet(t.Net())
-	case *GaussianPolicy:
-		if s.Kind != "gaussian" {
-			return fmt.Errorf("rl: checkpoint policy kind %q, trainer has gaussian", s.Kind)
-		}
-		if len(s.LogStd) != t.Dim() {
-			return fmt.Errorf("rl: checkpoint log_std length %d, want %d", len(s.LogStd), t.Dim())
-		}
-		if err := loadNet(t.Net()); err != nil {
+		if err := copyNet(t.Net(), s.Net()); err != nil {
 			return err
 		}
-		copy(t.LogStd(), s.LogStd)
-		t.MinLogStd = math.Inf(-1)
-		t.MaxLogStd = math.Inf(1)
-		if s.MinLogStd != nil {
-			t.MinLogStd = *s.MinLogStd
-		}
-		if s.MaxLogStd != nil {
-			t.MaxLogStd = *s.MaxLogStd
-		}
+		copy(t.LogStd(), s.LogStd())
+		t.MinLogStd, t.MaxLogStd = s.MinLogStd, s.MaxLogStd
 		return nil
 	default:
 		return fmt.Errorf("rl: policy type %T does not support checkpointing", p)
 	}
+}
+
+// copyNet copies a checkpoint's policy net into the trainer's.
+func copyNet(dst, src *nn.MLP) error {
+	if err := dst.CopyParamsFrom(src); err != nil {
+		return fmt.Errorf("rl: checkpoint policy net: %w", err)
+	}
+	return nil
 }
 
 // validateAdamState checks an optimizer state against the parameter groups
@@ -197,32 +131,6 @@ func validateAdamState(st nn.AdamState, params [][]float64, which string) error 
 	return nil
 }
 
-// envelopeDigest returns the hex sha256 digest of an envelope payload.
-func envelopeDigest(payload []byte) string {
-	sum := sha256.Sum256(payload)
-	return hex.EncodeToString(sum[:])
-}
-
-// writeCheckpoint marshals payload into an integrity-checked envelope and
-// writes it atomically.
-func writeCheckpoint(path, kind string, payload any) error {
-	data, err := json.Marshal(payload)
-	if err != nil {
-		return err
-	}
-	env := checkpointEnvelope{
-		Version: CheckpointVersion,
-		Kind:    kind,
-		SHA256:  envelopeDigest(data),
-		Payload: data,
-	}
-	out, err := json.Marshal(&env)
-	if err != nil {
-		return err
-	}
-	return fsx.WriteFileAtomic(path, out, 0o644)
-}
-
 // SaveLaneCheckpoint writes the trainer checkpoint (atomically, with an
 // integrity digest): the trainer's state plus every lane's, in lane order.
 // lanes[0].RNG is ignored — lane 0's stream is the trainer RNG, which may
@@ -235,7 +143,12 @@ func (p *PPO) SaveLaneCheckpoint(path string, lanes []LaneState) error {
 	if len(lanes) == 0 {
 		return fmt.Errorf("rl: SaveLaneCheckpoint with no lanes")
 	}
-	pol, err := snapshotPolicy(p.Policy)
+	switch p.Policy.(type) {
+	case *CategoricalPolicy, *GaussianPolicy: // restorePolicy reads these back
+	default:
+		return fmt.Errorf("rl: policy type %T does not support checkpointing", p.Policy)
+	}
+	pol, err := json.Marshal(p.Policy)
 	if err != nil {
 		return err
 	}
@@ -246,7 +159,7 @@ func (p *PPO) SaveLaneCheckpoint(path string, lanes []LaneState) error {
 	rng := p.rng.State()
 	workers := append([]LaneState(nil), lanes...)
 	workers[0].RNG = rng
-	return writeCheckpoint(path, trainerKind, &ppoSnapshot{
+	return WriteEnvelope(path, trainerKind, &ppoSnapshot{
 		Cfg:     p.cfg,
 		Iter:    p.iter,
 		Policy:  pol,
@@ -265,12 +178,9 @@ func (p *PPO) SaveLaneCheckpoint(path string, lanes []LaneState) error {
 // stochastic is overwritten from the checkpoint. This is the one reader; it
 // also accepts the legacy sequential kind as a one-lane checkpoint.
 func (p *PPO) LoadLaneCheckpoint(path string) ([]LaneState, error) {
-	payload, kind, err := readEnvelope(path)
+	payload, kind, err := ReadEnvelope(path, trainerKind, legacyKind)
 	if err != nil {
 		return nil, err
-	}
-	if kind != trainerKind && kind != legacyKind {
-		return nil, fmt.Errorf("rl: checkpoint %s: kind %q is not a PPO trainer checkpoint", path, kind)
 	}
 	var snap ppoSnapshot
 	if err := json.Unmarshal(payload, &snap); err != nil {

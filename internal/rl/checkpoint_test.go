@@ -411,7 +411,7 @@ func TestCheckpointLoadRejects(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var env checkpointEnvelope
+		var env envelope
 		if err := json.Unmarshal(data, &env); err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package rl
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -72,19 +73,22 @@ func TestLoadPolicyNetDetectsCorruption(t *testing.T) {
 	}
 }
 
-func TestLoadPolicyNetFromBareMLPJSON(t *testing.T) {
-	rng := mathx.NewRNG(11)
-	net := nn.NewMLP(rng, []int{5, 6, 3}, nn.Tanh)
-	path := filepath.Join(t.TempDir(), "net.json")
-	if err := net.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadPolicyNet(path)
+// TestLoadPolicyNetRefusesBareMLPJSON: a bare nn.MLP file (what robustify
+// -o wrote before every model file became an envelope) is refused by an
+// error that names the file and says what it is not.
+func TestLoadPolicyNetRefusesBareMLPJSON(t *testing.T) {
+	net := nn.NewMLP(mathx.NewRNG(11), []int{5, 6, 3}, nn.Tanh)
+	data, err := json.Marshal(net)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !netsEqual(net, got) {
-		t.Fatal("bare MLP JSON load differs")
+	path := filepath.Join(t.TempDir(), "net.json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = LoadPolicyNet(path)
+	if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "not a model envelope") {
+		t.Fatalf("LoadPolicyNet(bare MLP) err = %v, want a refusal naming %s as not an envelope", err, path)
 	}
 }
 
@@ -130,7 +134,7 @@ func TestLoadPolicyNetFromTrainerCheckpoints(t *testing.T) {
 	t.Run("a2c", func(t *testing.T) {
 		policy, value, rng := build(19)
 		path := filepath.Join(dir, "a2c.json")
-		if err := writeCheckpoint(path, "a2c", map[string]any{"iter": 1, "policy": map[string]any{"kind": "categorical", "net": policy.Net()}}); err != nil {
+		if err := WriteEnvelope(path, "a2c", map[string]any{"iter": 1, "policy": map[string]any{"kind": "categorical", "net": policy.Net()}}); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := LoadPolicyNet(path); err == nil || !strings.Contains(err.Error(), `kind "a2c"`) {
@@ -147,26 +151,4 @@ func TestLoadPolicyNetFromTrainerCheckpoints(t *testing.T) {
 			t.Fatalf("refused checkpoint advanced the trainer to iteration %d", ppo.Iteration())
 		}
 	})
-}
-
-func TestExportPolicyNet(t *testing.T) {
-	dir := t.TempDir()
-	rng := mathx.NewRNG(29)
-	net := nn.NewMLP(rng, []int{4, 6, 3}, nn.Tanh)
-	src := filepath.Join(dir, "bare.json")
-	if err := net.Save(src); err != nil {
-		t.Fatal(err)
-	}
-	dst := filepath.Join(dir, "exported.json")
-	exported, err := ExportPolicyNet(src, dst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reloaded, err := LoadPolicyNet(dst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !netsEqual(net, exported) || !netsEqual(net, reloaded) {
-		t.Fatal("exported policy net differs")
-	}
 }

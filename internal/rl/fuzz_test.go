@@ -11,10 +11,10 @@ import (
 )
 
 // FuzzLoadPolicyNet checks the policy loader and the checkpoint-directory
-// manifest reader on arbitrary bytes: the sha256 envelope, full trainer
-// checkpoints and bare MLP JSON either load a network that runs a forward
-// pass or return an error — never a panic — and a manifest never names a
-// file outside its directory.
+// manifest reader on arbitrary bytes: policy envelopes and full trainer
+// checkpoints either load a network that runs a forward pass or return an
+// error — never a panic; bare MLP JSON is not an envelope and never loads —
+// and a manifest never names a file outside its directory.
 func FuzzLoadPolicyNet(f *testing.F) {
 	dir := f.TempDir()
 	net := nn.NewMLP(mathx.NewRNG(1), []int{2, 4, 3}, nn.Tanh)
@@ -50,7 +50,11 @@ func FuzzLoadPolicyNet(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if net, err := LoadPolicyNet(path); err == nil {
+		net, err := LoadPolicyNet(path)
+		if err == nil && json.Unmarshal(data, new(nn.MLP)) == nil {
+			t.Fatal("bare MLP JSON loaded as a policy")
+		}
+		if err == nil {
 			if out := net.Predict(make([]float64, net.InputSize())); len(out) != net.OutputSize() {
 				t.Fatalf("loaded net answers %d outputs, want %d", len(out), net.OutputSize())
 			}

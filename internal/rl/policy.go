@@ -1,6 +1,7 @@
 package rl
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 
@@ -132,6 +133,49 @@ func (p *CategoricalPolicy) Clone() *CategoricalPolicy {
 	return NewCategoricalPolicy(p.net.Clone())
 }
 
+// policySnapshot is the one JSON encoding of a policy: trainer checkpoints
+// and every model file that carries a policy write it through the
+// policies' MarshalJSON. Bounds are pointers so that presence is explicit:
+// nil means unbounded (±Inf, which JSON cannot represent), and a present
+// value — including zero — is authoritative on load.
+type policySnapshot struct {
+	Kind      string    `json:"kind"` // "categorical" or "gaussian"
+	Net       *nn.MLP   `json:"net"`
+	LogStd    []float64 `json:"log_std,omitempty"`
+	MinLogStd *float64  `json:"min_log_std,omitempty"`
+	MaxLogStd *float64  `json:"max_log_std,omitempty"`
+}
+
+// decodePolicy parses a policySnapshot and checks its kind.
+func decodePolicy(data []byte, kind string) (*policySnapshot, error) {
+	var s policySnapshot
+	if err := json.Unmarshal(data, &s); err != nil {
+		return nil, fmt.Errorf("rl: %s policy: %w", kind, err)
+	}
+	if s.Kind != kind {
+		return nil, fmt.Errorf("rl: policy kind %q, want %s", s.Kind, kind)
+	}
+	if s.Net == nil {
+		return nil, fmt.Errorf("rl: %s policy has no net", kind)
+	}
+	return &s, nil
+}
+
+// MarshalJSON encodes the policy as {"kind":"categorical","net":…}.
+func (p *CategoricalPolicy) MarshalJSON() ([]byte, error) {
+	return json.Marshal(policySnapshot{Kind: "categorical", Net: p.net})
+}
+
+// UnmarshalJSON decodes a policy written by MarshalJSON, replacing p.
+func (p *CategoricalPolicy) UnmarshalJSON(data []byte) error {
+	s, err := decodePolicy(data, "categorical")
+	if err != nil {
+		return err
+	}
+	*p = *NewCategoricalPolicy(s.Net)
+	return nil
+}
+
 // probs runs the network and softmaxes into internal scratch.
 func (p *CategoricalPolicy) probs(obs []float64) []float64 {
 	logits := p.net.PredictInto(p.cache, obs)
@@ -171,8 +215,7 @@ func (p *CategoricalPolicy) Entropy(obs []float64) float64 {
 
 // Backward implements Policy.
 func (p *CategoricalPolicy) Backward(obs, action []float64, wLogp, wEnt float64) (float64, float64) {
-	cache := p.net.AcquireCache()
-	defer p.net.ReleaseCache(cache)
+	cache := p.net.NewCache()
 	logits := p.net.ForwardInto(cache, obs)
 	probs := make([]float64, len(logits))
 	mathx.Softmax(logits, probs)
@@ -351,6 +394,42 @@ func (p *GaussianPolicy) Clone() *GaussianPolicy {
 	return c
 }
 
+// MarshalJSON encodes the policy as {"kind":"gaussian","net":…,"log_std":…}
+// plus whichever log-std bounds are finite.
+func (p *GaussianPolicy) MarshalJSON() ([]byte, error) {
+	s := policySnapshot{Kind: "gaussian", Net: p.net, LogStd: p.logStd}
+	if !math.IsInf(p.MinLogStd, -1) {
+		s.MinLogStd = &p.MinLogStd
+	}
+	if !math.IsInf(p.MaxLogStd, 1) {
+		s.MaxLogStd = &p.MaxLogStd
+	}
+	return json.Marshal(s)
+}
+
+// UnmarshalJSON decodes a policy written by MarshalJSON, replacing p. The
+// log-std vector must match the net's output size: a mismatched file would
+// otherwise silently truncate or zero-fill the exploration scale.
+func (p *GaussianPolicy) UnmarshalJSON(data []byte) error {
+	s, err := decodePolicy(data, "gaussian")
+	if err != nil {
+		return err
+	}
+	if len(s.LogStd) != s.Net.OutputSize() {
+		return fmt.Errorf("rl: gaussian policy log_std has %d entries, want %d (the net's output size)", len(s.LogStd), s.Net.OutputSize())
+	}
+	q := NewGaussianPolicy(s.Net, 0)
+	copy(q.logStd, s.LogStd)
+	if s.MinLogStd != nil {
+		q.MinLogStd = *s.MinLogStd
+	}
+	if s.MaxLogStd != nil {
+		q.MaxLogStd = *s.MaxLogStd
+	}
+	*p = *q
+	return nil
+}
+
 // Sample draws an action from N(mean(obs), diag(exp(logStd))²).
 func (p *GaussianPolicy) Sample(rng *mathx.RNG, obs []float64) ([]float64, float64) {
 	mean := p.net.PredictInto(p.cache, obs)
@@ -396,8 +475,7 @@ func (p *GaussianPolicy) Entropy(_ []float64) float64 {
 
 // Backward implements Policy.
 func (p *GaussianPolicy) Backward(obs, action []float64, wLogp, wEnt float64) (float64, float64) {
-	cache := p.net.AcquireCache()
-	defer p.net.ReleaseCache(cache)
+	cache := p.net.NewCache()
 	mean := p.net.ForwardInto(cache, obs)
 	logp := 0.0
 	dMean := make([]float64, p.dim)

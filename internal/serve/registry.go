@@ -123,12 +123,11 @@ func (r *Registry) Publish(net *nn.MLP, source string) (*Snapshot, error) {
 	return snap, nil
 }
 
-// ReloadFile hot-reloads the snapshot from any policy format the repository
-// writes (standalone policy envelopes, full PPO trainer checkpoints, bare
-// MLP JSON — see rl.LoadPolicyNet). Envelope formats are
-// sha256-verified before any weight reaches the serving path. On any error —
-// unreadable file, corrupt payload, architecture mismatch — the old snapshot
-// keeps serving.
+// ReloadFile hot-reloads the snapshot from a policy envelope or a PPO
+// trainer checkpoint (see rl.LoadPolicyNet), sha256-verified before any
+// weight reaches the serving path. On any error — unreadable file, not an
+// envelope, corrupt payload, architecture mismatch — the old snapshot keeps
+// serving.
 func (r *Registry) ReloadFile(path string) (*Snapshot, error) {
 	net, err := rl.LoadPolicyNet(path)
 	if err != nil {
