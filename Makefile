@@ -100,7 +100,14 @@ bench-ab:
 # JSON because people and other tools read and write them, and in
 # internal/fsx itself; a write anywhere else is a fifth, undigested format.
 # A func (m *MLP) Save or func Load( in internal/nn, or an adversarySnapshot
-# anywhere under internal/ or cmd/, is a deleted bare-JSON format coming back.
+# anywhere under internal/ or cmd/, is a deleted bare-JSON model format coming
+# back. And one set of weight transposes per network (internal/nn/kernel.go,
+# transposes): the MLP rebuilds them after every weight write, so
+# SetStaticWeights, InvalidateWeights, asmMinRows or axpy4Asm in any .go file
+# under internal/ or cmd/ is a caller-owned staleness promise, a per-pass
+# transpose or the per-output backward coming back. The kernels that replaced
+# them (denseRow1Asm, gradRowsAsm, adamAsm) live in kernel_amd64.s, so the
+# VFMADD rule above covers them.
 seam-check:
 	@n=$$(grep -rn 'NewPPO(' --include='*.go' --exclude-dir=.bench_build . | grep -v '_test\.go:' | grep -vc '^\./bench/e2e/'); \
 	if [ $$n -gt 2 ]; then echo "seam-check: NewPPO( on $$n non-test lines, want <= 2 (build trainers with rl.NewTrainer)"; exit 1; fi
@@ -130,6 +137,8 @@ seam-check:
 	if [ -n "$$f" ]; then echo "seam-check: fsx.WriteFileAtomic in $$f (a model file is an rl envelope: write it with rl.WriteEnvelope)"; exit 1; fi
 	@f=$$( (grep -rlE 'func \(m \*MLP\) Save|func Load\(' --include='*.go' internal/nn; grep -rl 'adversarySnapshot' --include='*.go' internal cmd) | sort -u); \
 	if [ -n "$$f" ]; then echo "seam-check: a bare-JSON model format in $$f (every model file is an rl envelope)"; exit 1; fi
+	@f=$$(grep -rlE 'SetStaticWeights|InvalidateWeights|asmMinRows|axpy4Asm' --include='*.go' internal cmd); \
+	if [ -n "$$f" ]; then echo "seam-check: a caller-owned weight transpose in $$f (an MLP transposes its weights once per version)"; exit 1; fi
 
 # Tier-1 verification: build + tests, plus vet, the FMA-off rerun, the race
 # detector, the benchmark's correctness and allocation check, and the

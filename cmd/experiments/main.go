@@ -78,7 +78,7 @@ func main() {
 	log.SetFlags(0)
 	full := flag.Bool("full", false, "use paper-scale budgets")
 	seed := flag.Uint64("seed", 1, "experiment seed")
-	workers := flag.Int("workers", 1, "parallel workers for training rollouts and evaluation sweeps (evaluation results are identical for any value)")
+	workers := flag.Int("workers", 1, "parallel workers for training rollouts and evaluation sweeps (evaluation results are identical for any value; trained results depend on it, one rollout lane per worker)")
 	var names []string
 	for _, a := range artifacts {
 		names = append(names, a.names...)

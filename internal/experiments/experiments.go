@@ -37,10 +37,13 @@ type Config struct {
 	Restarts      int // independent adversary trainings to pick the best of
 	Fig4Seeds     int // independent training seeds averaged in Figure 4
 	RTTSeconds    float64
-	// Workers > 1 parallelizes adversary training rollouts (PR 1's
-	// VecRunner) and every trace/episode evaluation sweep in the figure
-	// pipelines (core.EvaluateABR*). Results are identical for any worker
-	// count; ≤ 1 keeps the single-threaded path.
+	// Workers > 1 parallelizes adversary training rollouts (rl.VecRunner)
+	// and every trace/episode evaluation sweep in the figure pipelines
+	// (core.EvaluateABR*); ≤ 1 keeps the single-threaded path. Evaluation
+	// results are identical for any worker count. Trained results are not:
+	// each worker is one rollout lane and the lanes partition the
+	// trajectory, so a trained adversary or protocol depends on Workers
+	// until lanes are split from workers.
 	Workers int
 }
 

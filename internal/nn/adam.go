@@ -50,7 +50,12 @@ func (a *Adam) Step(params, grads [][]float64) {
 		if len(g) != len(p) || len(m) != len(p) {
 			panic("nn: Adam.Step shape changed between calls")
 		}
-		for j := range p {
+		j0 := 0
+		if useAsm {
+			// Four lanes of this loop's sequence (kernel_amd64.s).
+			j0 = adamSIMD(p, g, m, v, a.Beta1, a.Beta2, c1, c2, a.LR, a.Eps)
+		}
+		for j := j0; j < len(p); j++ {
 			m[j] = a.Beta1*m[j] + (1-a.Beta1)*g[j]
 			v[j] = a.Beta2*v[j] + (1-a.Beta2)*g[j]*g[j]
 			mhat := m[j] / c1

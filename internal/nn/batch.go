@@ -11,14 +11,14 @@ import "fmt"
 // per-output operation order does not depend on the batch: a batched pass is
 // bit-for-bit identical to the same samples passed one at a time through
 // ForwardInto/BackwardInto, with parameter gradients accumulated in sample
-// order. On AVX2 hardware the forward runs four-lane SIMD over the cache's
-// transposed weights, one output per lane and never fused, so it is the same
-// bits by construction.
+// order. On AVX2 hardware both passes run four-lane SIMD over the network's
+// transposed weights, one output per lane and never fused, so they are the
+// same bits by construction.
 //
 // A cache built with NewBatchCacheGEMM is the inference variant: on AVX2+FMA
 // hardware its ForwardBatch runs the fused-multiply-add assembly instead (see
 // gemm.go), which agrees with the kernel only to rounding (~1e-12 relative).
-// Nothing that trains uses it; internal/serve does, over static weights.
+// Nothing that trains uses it; internal/serve does.
 //
 // Like Cache, a BatchCache is single-goroutine state: ForwardBatch and
 // BackwardBatch scribble over its activation matrices, so a cache must never
@@ -36,33 +36,7 @@ type BatchCache struct {
 	// for i ≥ 1; dacts[0] stays nil because no caller reads a minibatch's
 	// input gradient.
 	dacts [][]float64
-	// wt[l] holds layer l's weights transposed (In×Out) for the assembly
-	// forward, refreshed each pass — the optimizer changes the weights
-	// between minibatches — unless the GEMM variant has staticW.
-	wt [][]float64
-	// staticW promises the network's weights do not change between forward
-	// passes, letting the GEMM variant reuse wt across passes; wtReady tracks
-	// whether wt currently holds the serving weights.
-	staticW bool
-	wtReady bool
 }
-
-// SetStaticWeights declares (on=true) that the network's weights will not
-// change between forward passes through this cache, so the GEMM mode may
-// transpose them once and reuse the result — the serving fast path, where
-// snapshots are immutable. The caller owns the promise: after mutating or
-// swapping the weights, call InvalidateWeights (or SetStaticWeights again)
-// before the next pass, or forwards will silently use the stale transpose.
-// No-op for training caches, which re-transpose on every pass.
-func (c *BatchCache) SetStaticWeights(on bool) {
-	c.staticW = on
-	c.wtReady = false
-}
-
-// InvalidateWeights forces the next forward pass to re-transpose the
-// network's weights, picking up a mutation or snapshot swap under
-// SetStaticWeights(true).
-func (c *BatchCache) InvalidateWeights() { c.wtReady = false }
 
 // NewBatchCache returns a cache able to hold up to capacity samples.
 func (m *MLP) NewBatchCache(capacity int) *BatchCache {
@@ -73,7 +47,7 @@ func (m *MLP) NewBatchCache(capacity int) *BatchCache {
 	// same few allocations whatever the network's depth.
 	size := capacity * m.InputSize()
 	for _, l := range m.layers {
-		size += 2*capacity*l.Out + l.In*l.Out
+		size += 2 * capacity * l.Out
 	}
 	arena := make([]float64, size)
 	carve := func(n int) []float64 {
@@ -85,13 +59,11 @@ func (m *MLP) NewBatchCache(capacity int) *BatchCache {
 		capacity: capacity,
 		acts:     make([][]float64, len(m.layers)+1),
 		dacts:    make([][]float64, len(m.layers)+1),
-		wt:       make([][]float64, len(m.layers)),
 	}
 	c.acts[0] = carve(capacity * m.InputSize())
 	for i, l := range m.layers {
 		c.acts[i+1] = carve(capacity * l.Out)
 		c.dacts[i+1] = carve(capacity * l.Out)
-		c.wt[i] = carve(l.In * l.Out)
 	}
 	return c
 }
@@ -99,8 +71,8 @@ func (m *MLP) NewBatchCache(capacity int) *BatchCache {
 // NewBatchCacheGEMM returns the inference variant of the cache: on AVX2+FMA
 // hardware ForwardBatch runs the fused assembly kernel and vector tanh, so
 // outputs match the per-sample path to rounding rather than bitwise. It
-// differs from NewBatchCache only in that kernel and in honouring
-// SetStaticWeights; BackwardBatch is the same as for every cache.
+// differs from NewBatchCache only in that kernel; BackwardBatch is the same
+// as for every cache.
 func (m *MLP) NewBatchCacheGEMM(capacity int) *BatchCache {
 	c := m.NewBatchCache(capacity)
 	c.gemm = true
@@ -129,10 +101,7 @@ func (m *MLP) ForwardBatch(c *BatchCache, xs []float64, n int) []float64 {
 	}
 	c.n = n
 	copy(c.acts[0][:n*in], xs[:n*in])
-	if useAsm && (c.gemm || n >= asmMinRows) {
-		return m.forwardTransposed(c, n)
-	}
-	return m.forwardLayers(c.acts, n)
+	return m.forward(c.acts, n, c.gemm)
 }
 
 // BackwardBatch accumulates parameter gradients for every sample of the last

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"advnet/internal/mathx"
@@ -97,9 +98,11 @@ func TestBatchMatchesPerSampleBitwise(t *testing.T) {
 // below is chosen so that the second term of each sum is
 // (1+2⁻³⁰)(1−2⁻³⁰) = 1 − 2⁻⁶⁰, which rounds to 1 before it meets the −1
 // from the first term: unfused, every sum is exactly 0; a fused
-// multiply-add keeps the −2⁻⁶⁰. Shapes reach every forward tile width of
-// the assembly (15 = 8+4+2+1 outputs, two 4-row groups) and both the ymm
-// steps and the scalar tail of axpy4.
+// multiply-add keeps the −2⁻⁶⁰. 23 outputs reach every output tile of the
+// four-row forward (8/4/2/1) and of the one-row tile (16/4/1), which runs
+// ForwardInto and the ninth batch row; 23 inputs and 5 outputs reach every
+// tile of the batched gradW (16 wide, then 4 and 1 wide over four gw rows
+// and over one) and of the one-row tile as BackwardInto's dX.
 func TestKernelNeverFuses(t *testing.T) {
 	const eps = 1.0 / (1 << 30)
 	hi, lo := 1+eps, 1-eps
@@ -108,11 +111,11 @@ func TestKernelNeverFuses(t *testing.T) {
 	}
 	eachKernel(func(kernel string) {
 		// Forward: y[r][o] = B[o] + ((+0 + (−1)·1) + hi·lo), B = 0.
-		const in, out, n = 2, 15, 8
+		const in, out, n = 2, 23, 9
 		m := NewMLP(mathx.NewRNG(1), []int{in, out}, Identity)
-		l := m.layers[0]
+		w := m.Params()[0]
 		for o := 0; o < out; o++ {
-			l.W[o*in], l.W[o*in+1] = -1, hi
+			w[o*in], w[o*in+1] = -1, hi
 		}
 		xs := make([]float64, n*in)
 		for r := 0; r < n; r++ {
@@ -123,21 +126,87 @@ func TestKernelNeverFuses(t *testing.T) {
 				t.Fatalf("%s kernel: forward out[%d] = %v, want 0 (a fused multiply-add gives %v)", kernel, i, y, math.FMA(hi, lo, -1))
 			}
 		}
-
-		// axpy4: y[i] = ((((+0 + (−1)·1) + hi·lo) + 0·0) + 0·0).
-		for _, size := range []int{1, 3, 4, 7, 64} {
-			y, ones, los, zeros := make([]float64, size), make([]float64, size), make([]float64, size), make([]float64, size)
-			for i := range ones {
-				ones[i], los[i] = 1, lo
+		for i, y := range m.ForwardInto(m.NewCache(), xs[:in]) {
+			if y != 0 {
+				t.Fatalf("%s kernel: one-row forward out[%d] = %v, want 0", kernel, i, y)
 			}
-			axpy4(y, -1, ones, hi, los, 0, zeros, 0, zeros)
-			for i, v := range y {
-				if v != 0 {
-					t.Fatalf("%s kernel: axpy4 len %d y[%d] = %v, want 0", kernel, size, i, v)
-				}
+		}
+
+		// gradW[o][i] = (((+0 + (−1)·1) + hi·lo) + (−1)·1) + hi·lo … over
+		// eight rows alternating (g, x) = (−1, 1) and (hi, lo).
+		const bin, bout, bn = 23, 5, 8
+		b := NewMLP(mathx.NewRNG(1), []int{bin, bout}, Identity)
+		bxs, gs := make([]float64, bn*bin), make([]float64, bn*bout)
+		for r := 0; r < bn; r++ {
+			x, g := 1.0, -1.0
+			if r%2 == 1 {
+				x, g = lo, hi
+			}
+			mathx.Fill(bxs[r*bin:(r+1)*bin], x)
+			mathx.Fill(gs[r*bout:(r+1)*bout], g)
+		}
+		bc := b.NewBatchCache(bn)
+		b.ForwardBatch(bc, bxs, bn)
+		b.BackwardBatch(bc, gs)
+		for i, g := range b.Grads()[0] {
+			if g != 0 {
+				t.Fatalf("%s kernel: gradW[%d] = %v, want 0", kernel, i, g)
+			}
+		}
+
+		// dX[i] = (((+0 + 1·(−1)) + lo·hi) + 0·0) + ….
+		bw := b.Params()[0]
+		clear(bw)
+		for i := 0; i < bin; i++ {
+			bw[i], bw[bin+i] = -1, hi
+		}
+		c := b.NewCache()
+		b.ForwardInto(c, bxs[:bin])
+		for i, dx := range b.BackwardInto(c, []float64{1, lo, 0, 0, 0}) {
+			if dx != 0 {
+				t.Fatalf("%s kernel: dX[%d] = %v, want 0", kernel, i, dx)
 			}
 		}
 	})
+}
+
+// TestConcurrentFirstForward: eight goroutines run the first forward of a
+// fresh network at the same time, each through its own cache — serve's
+// shards on a newly published snapshot. Under -race this checks the
+// transpose rebuild; everywhere, every goroutine must get the answer of a
+// network forwarded by one goroutine.
+func TestConcurrentFirstForward(t *testing.T) {
+	rng := mathx.NewRNG(101)
+	m := NewMLP(rng, []int{25, 64, 32, 6}, Tanh)
+	x := makeBatch(rng, 1, 25)
+	want := m.Clone().Predict(x)
+
+	const goroutines = 8
+	outs := make([][]float64, goroutines)
+	var start, done sync.WaitGroup
+	start.Add(1)
+	for g := 0; g < goroutines; g++ {
+		done.Add(1)
+		go func() {
+			defer done.Done()
+			c, bc := m.NewCache(), m.NewBatchCache(1)
+			start.Wait()
+			if g%2 == 0 {
+				outs[g] = append([]float64(nil), m.ForwardInto(c, x)...)
+			} else {
+				outs[g] = append([]float64(nil), m.ForwardBatch(bc, x, 1)...)
+			}
+		}()
+	}
+	start.Done()
+	done.Wait()
+	for g, out := range outs {
+		for j := range want {
+			if !sameBits(out[j], want[j]) {
+				t.Fatalf("goroutine %d out[%d] = %v, want %v", g, j, out[j], want[j])
+			}
+		}
+	}
 }
 
 // TestShortBiasPanics: a hand-built layer whose bias is shorter than its

@@ -16,9 +16,10 @@ func xgetbvAsm() (eax, edx uint32)
 func gemmKernelAsm(y, init, x, m *float64, k, o int)
 
 // useAsm gates every assembly kernel of the package: the training kernel's
-// SIMD forward tile and axpy4 (kernel_amd64.s), its lane-exact tanh
-// (tanh_amd64.s), and the inference GEMM cache's FMA forward and vector tanh. It is a variable (not a constant) so tests can
-// force the Go loops on AVX2 hardware; nothing else may write it after init.
+// SIMD forward, backward and Adam tiles (kernel_amd64.s), its lane-exact tanh
+// (tanh_amd64.s), and the inference GEMM cache's FMA forward and vector tanh.
+// It is a variable (not a constant) so tests can force the Go loops on AVX2
+// hardware; nothing else may write it after init.
 var useAsm = cpuSupportsAsm()
 
 // cpuSupportsAsm reports whether the CPU and OS support what the assembly

@@ -26,7 +26,12 @@ func (d *Dense) forwardRowsSIMD(x, y, wt []float64, n int) {
 	panic("nn: forwardRowsSIMD without assembly support")
 }
 
-// axpy4SIMD is never called when useAsm is false.
-func axpy4SIMD(y []float64, a0 float64, v0 []float64, a1 float64, v1 []float64, a2 float64, v2 []float64, a3 float64, v3 []float64) {
-	panic("nn: axpy4SIMD without assembly support")
+// backwardRowsSIMD is never called when useAsm is false.
+func (d *Dense) backwardRowsSIMD(x, dy, dx []float64, n int) {
+	panic("nn: backwardRowsSIMD without assembly support")
+}
+
+// adamSIMD is never called when useAsm is false.
+func adamSIMD(p, g, m, v []float64, b1, b2, c1, c2, lr, eps float64) int {
+	panic("nn: adamSIMD without assembly support")
 }

@@ -1,6 +1,11 @@
 package nn
 
-import "advnet/internal/mathx"
+import (
+	"fmt"
+	"math"
+
+	"advnet/internal/mathx"
+)
 
 // The one dense kernel. Every pass in the repository that must reproduce —
 // rollouts, PPO updates, evaluation, the dist lanes — runs these loops, for
@@ -18,25 +23,21 @@ import "advnet/internal/mathx"
 // the same samples passed one at a time (TestBatchMatchesPerSampleBitwise
 // checks it against the scalar loops this kernel replaced).
 //
-// On AVX2 hardware (useAsm) two loops run as assembly (kernel_amd64.s): the
-// forward of four-row groups in batches of at least asmMinRows, over the
-// BatchCache's transposed weights, and axpy4 at every n. Each SIMD lane
-// computes one output with the sequence above — a rounded multiply, then a
-// rounded add, never a fused multiply-add — so the assembly is the same bits
-// as these Go loops by construction (TestKernelNeverFuses pins the "never
-// fused"). The Go loops are the path everywhere else: single-row Cache
-// passes, small batches, group remainders, and every other architecture.
-// The tanh activation runs four lanes at a time on AVX2 hardware at every n
+// On AVX2 hardware (useAsm) every loop but gradB's runs as assembly
+// (kernel_amd64.s) over the MLP's transposed weights, built once per weight
+// version (transposes): the forward of four-row groups (denseRows4Asm) and of
+// single rows (denseRow1Asm: ForwardInto and the groups' remainder), the
+// whole minibatch's gradW in one call per layer (gradRowsAsm), and each
+// row's dX — the one-row tile again, with W itself in the transposes' role.
+// Each SIMD lane computes one output with the sequence above — a rounded
+// multiply, then a rounded add, never a fused multiply-add — so the assembly
+// is the same bits as these Go loops by construction (TestKernelNeverFuses
+// pins the "never fused"). The Go loops are the path on every other
+// architecture and the oracle the assembly is tested against. The tanh
+// activation runs four lanes at a time on AVX2 hardware at every n
 // (tanh_amd64.s), each lane mathx.Tanh's own sequence — fused only where
-// mathx.Exp calls math.FMA — so it too is the same bits as the Go loop.
-
-// asmMinRows is the smallest batch whose forward runs the assembly. Each such
-// pass first transposes every layer's weights, which costs about as much as
-// one four-row SIMD tile: on the Pensieve nets (25-64-32-6 and 25-64-32-1,
-// 2-vCPU Xeon) the transpose-plus-assembly forward measured 5–14% slower
-// than the Go tile at 4 to 7 rows and 18% faster at 8. Every PPO minibatch
-// of the robustify_abr and dist_loopback benchmarks has 64 rows.
-const asmMinRows = 8
+// mathx.Exp calls math.FMA — so it too is the same bits as the Go loop, as
+// is Adam.Step's four-lane update (adamAsm).
 
 // forwardRows writes y = x·Wᵀ + b for the n rows of x (n×In, row-major) into
 // y (n×Out). Tiles are 2 rows × 4 outputs: eight accumulators, each summed
@@ -128,10 +129,6 @@ func axpy(y []float64, a float64, v []float64) {
 // stored once instead of four times.
 func axpy4(y []float64, a0 float64, v0 []float64, a1 float64, v1 []float64, a2 float64, v2 []float64, a3 float64, v3 []float64) {
 	v0, v1, v2, v3 = v0[:len(y)], v1[:len(y)], v2[:len(y)], v3[:len(y)]
-	if useAsm {
-		axpy4SIMD(y, a0, v0, a1, v1, a2, v2, a3, v3)
-		return
-	}
 	for i := range y {
 		y[i] = y[i] + a0*v0[i] + a1*v1[i] + a2*v2[i] + a3*v3[i]
 	}
@@ -139,10 +136,16 @@ func axpy4(y []float64, a0 float64, v0 []float64, a1 float64, v1 []float64, a2 f
 
 // backwardRows accumulates the layer's parameter gradients over the n rows of
 // x (n×In) and dy (n×Out, the loss gradient w.r.t. the layer output) in row
-// order, four rows per sweep, and — unless dx is nil — writes the gradient
-// w.r.t. x into dx (n×In), four outputs per sweep in output order.
+// order and — unless dx is nil — writes the gradient w.r.t. x into dx
+// (n×In). On the assembly path gradW takes one call for all n rows and each
+// dX row is the one-row forward tile over W; the Go loops sweep gradW four
+// rows at a time and dX four outputs at a time.
 func (d *Dense) backwardRows(x, dy, dx []float64, n int) {
 	in, out := d.In, d.Out
+	if useAsm {
+		d.backwardRowsSIMD(x, dy, dx, n)
+		return
+	}
 	r := 0
 	for ; r+4 <= n; r += 4 {
 		x0 := x[r*in : (r+1)*in]
@@ -203,18 +206,103 @@ func applyActivation(act Activation, span []float64) {
 	}
 }
 
-// forwardLayers runs the network layer by layer over the n rows stored in
-// acts[0] (acts[i] is n×width_i, row-major) and returns the output matrix.
-func (m *MLP) forwardLayers(acts [][]float64, n int) []float64 {
+// forward runs the network layer by layer over the n rows stored in acts[0]
+// (acts[i] is n×width_i, row-major) and returns the output matrix. On the
+// assembly path the dense layers read the transposed weights, through the
+// training kernel's SIMD tiles or, for a GEMM cache (gemm), the fused
+// inference kernel with its vector tanh.
+func (m *MLP) forward(acts [][]float64, n int, gemm bool) []float64 {
+	var wts [][]float64
+	if useAsm || raceEnabled {
+		wts = m.transposes()
+	}
 	last := len(m.layers) - 1
 	for i, l := range m.layers {
-		y := acts[i+1][:n*l.Out]
-		l.forwardRows(acts[i], y, n)
-		if i < last {
+		x, y := acts[i], acts[i+1][:n*l.Out]
+		switch {
+		case !useAsm:
+			l.forwardRows(x, y, n)
+		case gemm:
+			l.forwardRowsFMA(x, y, wts[i], n)
+		default:
+			l.forwardRowsSIMD(x, y, wts[i], n)
+		}
+		if i == last {
+			break
+		}
+		if useAsm && gemm && m.hidden == Tanh {
+			vtanh(y) // a few ulps from mathx.Tanh, not bitwise
+		} else {
 			applyActivation(m.hidden, y)
 		}
 	}
 	return acts[last+1][:n*m.OutputSize()]
+}
+
+// transposes returns every layer's weights transposed (In×Out), rebuilding
+// them first if a weight write bumped the version since they were built. The
+// check is an atomic load, so concurrent forwards of an unchanging network —
+// serve's shards on one snapshot — share one set of transposes, and the
+// first of them to arrive after a write rebuilds it under wtMu while the
+// others wait. Race builds also compare the result against the live weights
+// and panic on a write the version did not see (see Params).
+func (m *MLP) transposes() [][]float64 {
+	if m.built.Load() != m.version.Load() {
+		m.rebuildTransposes()
+	}
+	if raceEnabled {
+		m.checkTransposes()
+	}
+	return m.wt
+}
+
+// rebuildTransposes transposes every layer's weights into wt, resizing it
+// when the architecture changed (UnmarshalJSON) and allocating nothing
+// otherwise.
+func (m *MLP) rebuildTransposes() {
+	m.wtMu.Lock()
+	defer m.wtMu.Unlock()
+	v := m.version.Load()
+	if m.built.Load() == v {
+		return
+	}
+	size := 0
+	for _, l := range m.layers {
+		size += l.In * l.Out
+	}
+	if len(m.wtArena) != size {
+		m.wtArena = make([]float64, size)
+	}
+	if len(m.wt) != len(m.layers) {
+		m.wt = make([][]float64, len(m.layers))
+	}
+	arena := m.wtArena
+	for i, l := range m.layers {
+		n := l.In * l.Out
+		m.wt[i] = arena[:n:n]
+		arena = arena[n:]
+		transposeInto(l.W, m.wt[i], l.Out, l.In)
+	}
+	m.built.Store(v)
+}
+
+// checkTransposes panics if a layer's cached transpose differs from its live
+// weights: a write through Params views held across a forward. It runs on
+// every forward of a race build, so it is not instrumented itself: the
+// detector would make it the slowest part of the pass.
+//
+//go:norace
+func (m *MLP) checkTransposes() {
+	for i, l := range m.layers {
+		wt := m.wt[i]
+		for o := 0; o < l.Out; o++ {
+			for k, w := range l.W[o*l.In : (o+1)*l.In] {
+				if math.Float64bits(w) != math.Float64bits(wt[k*l.Out+o]) {
+					panic(fmt.Sprintf("nn: layer %d weights changed since their transpose was built: a write through Params views taken before a forward (take the views again after each forward)", i))
+				}
+			}
+		}
+	}
 }
 
 // transposeInto writes the Out×In row-major matrix w as an In×Out row-major
@@ -226,38 +314,6 @@ func transposeInto(w, wt []float64, out, in int) {
 			wt[i*out+o] = v
 		}
 	}
-}
-
-// forwardTransposed is forwardLayers on the assembly path, over the n rows
-// in c.acts[0]: each layer's weights are transposed into c.wt — every pass,
-// O(In·Out) against the pass's O(n·In·Out), unless a GEMM cache holds them
-// static (SetStaticWeights) — and the rows run through the training kernel's
-// SIMD tile, or the GEMM cache's fused one with its vector tanh. Callers
-// must have checked useAsm.
-func (m *MLP) forwardTransposed(c *BatchCache, n int) []float64 {
-	refresh := !c.gemm || !c.staticW || !c.wtReady
-	last := len(m.layers) - 1
-	for i, l := range m.layers {
-		wt := c.wt[i]
-		if refresh {
-			transposeInto(l.W, wt, l.Out, l.In)
-		}
-		x, y := c.acts[i], c.acts[i+1][:n*l.Out]
-		if c.gemm {
-			l.forwardRowsFMA(x, y, wt, n)
-		} else {
-			l.forwardRowsSIMD(x, y, wt, n)
-		}
-		if i < last {
-			if c.gemm && m.hidden == Tanh {
-				vtanh(y) // a few ulps from mathx.Tanh, not bitwise
-			} else {
-				applyActivation(m.hidden, y)
-			}
-		}
-	}
-	c.wtReady = true
-	return c.acts[last+1][:n*m.OutputSize()]
 }
 
 // backwardLayers is the matching backward pass: dacts[len(layers)] holds the

@@ -11,6 +11,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
+	"sync/atomic"
 
 	"advnet/internal/mathx"
 )
@@ -105,10 +107,12 @@ func NewDense(rng *mathx.RNG, in, out int) *Dense {
 //
 // The network's parameters are safe for concurrent *readers*: any number of
 // goroutines may run forward passes against the same MLP as long as each
-// holds its own Cache/BatchCache and nothing mutates the parameters
-// concurrently (training steps, CopyParamsFrom, UnmarshalJSON). The serving
-// layer (internal/serve) relies on this by publishing immutable MLPs behind
-// an atomic pointer.
+// holds its own Cache/BatchCache and nothing writes the parameters
+// concurrently (Params, training steps, CopyParamsFrom, UnmarshalJSON). The
+// serving layer (internal/serve) relies on this by publishing immutable MLPs
+// behind an atomic pointer.
+//
+// An MLP must not be copied after first use.
 type MLP struct {
 	layers []*Dense
 	hidden Activation
@@ -118,6 +122,17 @@ type MLP struct {
 	// instead of writing into the shared backing array.
 	params [][]float64
 	grads  [][]float64
+
+	// version counts the weight writes: every writer (Params, which hands
+	// out the writable views, CopyParamsFrom and setLayers) bumps it. wt[l]
+	// holds layer l's weights transposed (In×Out, carved from wtArena) as of
+	// version built; the first forward after a bump rebuilds them under wtMu
+	// (see transposes in kernel.go).
+	version atomic.Uint64
+	built   atomic.Uint64
+	wtMu    sync.Mutex
+	wt      [][]float64
+	wtArena []float64
 }
 
 // NewMLP builds an MLP with the given layer sizes, e.g. sizes = [in, 32, 16,
@@ -139,6 +154,7 @@ func NewMLP(rng *mathx.RNG, sizes []int, hidden Activation) *MLP {
 // setLayers installs the network's layers and rebuilds the parameter and
 // gradient views over them.
 func (m *MLP) setLayers(layers []*Dense) {
+	m.version.Add(1)
 	m.layers = layers
 	m.params = make([][]float64, 0, 2*len(layers))
 	m.grads = make([][]float64, 0, 2*len(layers))
@@ -219,7 +235,7 @@ func (m *MLP) ForwardInto(c *Cache, x []float64) []float64 {
 		panic(fmt.Sprintf("nn: Forward input size %d, want %d", len(x), m.InputSize()))
 	}
 	copy(c.acts[0], x)
-	return m.forwardLayers(c.acts, 1)
+	return m.forward(c.acts, 1, false)
 }
 
 // Forward runs the network on x and returns the output along with a cache for
@@ -267,7 +283,18 @@ func (m *MLP) Backward(c *Cache, dOut []float64) []float64 {
 // Params returns aliased views of every parameter slice (weights and biases,
 // layer by layer). Mutating them mutates the network. The outer slice is
 // shared between calls and must not be modified.
-func (m *MLP) Params() [][]float64 { return m.params }
+//
+// The views are writable until the next forward pass: each call counts as a
+// weight write, so the next forward re-reads the weights, but a write through
+// views taken before a forward is not seen by the forwards after it (on AVX2
+// hardware they read the transposes built from the weights at the time).
+// Take the views again after every forward before writing through them.
+// Race builds check every forward against the live weights and panic on a
+// stale write. Calling Params is a write: it must not race with forwards.
+func (m *MLP) Params() [][]float64 {
+	m.version.Add(1)
+	return m.params
+}
 
 // Grads returns aliased views of the accumulated gradient slices, in the same
 // order as Params and under the same sharing rule.
@@ -310,7 +337,7 @@ func (m *MLP) ClipGradNorm(maxNorm float64) {
 // NumParams returns the total number of scalar parameters.
 func (m *MLP) NumParams() int {
 	n := 0
-	for _, p := range m.Params() {
+	for _, p := range m.params {
 		n += len(p)
 	}
 	return n
@@ -348,5 +375,6 @@ func (m *MLP) CopyParamsFrom(src *MLP) error {
 		copy(l.W, sl.W)
 		copy(l.B, sl.B)
 	}
+	m.version.Add(1)
 	return nil
 }

@@ -56,16 +56,17 @@ func TestForwardPanicsOnBadInput(t *testing.T) {
 	m.Predict([]float64{1})
 }
 
-// numericGrad computes d loss / d param by central differences, where loss is
-// sum(output * coef) for a fixed coefficient vector.
-func numericGrad(m *MLP, x, coef []float64, param []float64, idx int) float64 {
+// numericGrad computes d loss / d Params()[pi][idx] by central differences,
+// where loss is sum(output * coef) for a fixed coefficient vector. Each write
+// goes through views taken after the last forward (see Params).
+func numericGrad(m *MLP, x, coef []float64, pi, idx int) float64 {
 	const h = 1e-6
-	orig := param[idx]
-	param[idx] = orig + h
+	orig := m.Params()[pi][idx]
+	m.Params()[pi][idx] = orig + h
 	lossP := mathx.Dot(m.Predict(x), coef)
-	param[idx] = orig - h
+	m.Params()[pi][idx] = orig - h
 	lossM := mathx.Dot(m.Predict(x), coef)
-	param[idx] = orig
+	m.Params()[pi][idx] = orig
 	return (lossP - lossM) / (2 * h)
 }
 
@@ -85,7 +86,7 @@ func testBackpropAgainstNumeric(t *testing.T, hidden Activation, seed uint64) {
 	grads := m.Grads()
 	for pi := range params {
 		for idx := 0; idx < len(params[pi]); idx += 3 { // sample every 3rd for speed
-			want := numericGrad(m, x, coef, params[pi], idx)
+			want := numericGrad(m, x, coef, pi, idx)
 			got := grads[pi][idx]
 			if math.Abs(got-want) > 1e-4*(1+math.Abs(want)) {
 				t.Fatalf("hidden=%v param[%d][%d]: grad %v, numeric %v", hidden, pi, idx, got, want)

@@ -84,15 +84,16 @@ func TestCategoricalEntropyBounds(t *testing.T) {
 	}
 }
 
-// numericPolicyGrad computes d f / d param[idx] by central differences.
-func numericPolicyGrad(f func() float64, param []float64, idx int) float64 {
+// numericPolicyGrad computes d f / d p.Params()[pi][idx] by central
+// differences, writing through views taken after the last forward.
+func numericPolicyGrad(f func() float64, p Policy, pi, idx int) float64 {
 	const h = 1e-6
-	orig := param[idx]
-	param[idx] = orig + h
+	orig := p.Params()[pi][idx]
+	p.Params()[pi][idx] = orig + h
 	fp := f()
-	param[idx] = orig - h
+	p.Params()[pi][idx] = orig - h
 	fm := f()
-	param[idx] = orig
+	p.Params()[pi][idx] = orig
 	return (fp - fm) / (2 * h)
 }
 
@@ -107,7 +108,7 @@ func checkPolicyBackward(t *testing.T, p Policy, obs, action []float64, wLogp, w
 	}
 	for pi := range params {
 		for idx := 0; idx < len(params[pi]); idx += 2 {
-			want := numericPolicyGrad(obj, params[pi], idx)
+			want := numericPolicyGrad(obj, p, pi, idx)
 			got := grads[pi][idx]
 			if math.Abs(got-want) > 1e-4*(1+math.Abs(want)) {
 				t.Fatalf("param[%d][%d]: grad %v, numeric %v", pi, idx, got, want)

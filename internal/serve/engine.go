@@ -167,12 +167,11 @@ type request struct {
 // none of it shared. The shed counters are written by producers (admission
 // control runs on the caller's goroutine) and are atomic.
 type shard struct {
-	idx      int
-	q        chan *request
-	batch    []*request // gathered requests, len MaxBatch
-	xs       []float64  // staging matrix, MaxBatch×in
-	cache    *nn.BatchCache
-	lastSnap *Snapshot // the snapshot cache's static weight transpose is for
+	idx   int
+	q     chan *request
+	batch []*request // gathered requests, len MaxBatch
+	xs    []float64  // staging matrix, MaxBatch×in
+	cache *nn.BatchCache
 
 	lat          *stats.Reservoir // flush latency (enqueue→computed), microseconds
 	served       atomic.Uint64
@@ -266,20 +265,16 @@ func MustNewEngine(reg *Registry, cfg Config) *Engine {
 	return e
 }
 
-// newCache builds one worker's batch cache in the configured batch mode.
-// Snapshots are immutable, so the cache keeps its weight transpose across
-// batches; flush invalidates it on snapshot swap, and a contained panic
-// rebuilds the cache from scratch.
+// newCache builds one worker's batch cache in the configured batch mode; a
+// contained panic rebuilds it from scratch. Snapshots are immutable, so each
+// snapshot's net transposes its weights once, on its first forward, and
+// every shard reuses them.
 func (e *Engine) newCache() *nn.BatchCache {
 	net := e.reg.Current().Net()
-	var cache *nn.BatchCache
 	if e.cfg.NoGEMM {
-		cache = net.NewBatchCache(e.cfg.MaxBatch)
-	} else {
-		cache = net.NewBatchCacheGEMM(e.cfg.MaxBatch)
+		return net.NewBatchCache(e.cfg.MaxBatch)
 	}
-	cache.SetStaticWeights(true)
-	return cache
+	return net.NewBatchCacheGEMM(e.cfg.MaxBatch)
 }
 
 // InputSize returns the feature-vector size the engine serves.
@@ -510,7 +505,6 @@ func (e *Engine) flushContained(sh *shard, n int) {
 	if err := e.flush(sh, n); err != nil {
 		sh.panics.Add(1)
 		sh.cache = e.newCache()
-		sh.lastSnap = nil
 		e.failBatch(sh, n, err)
 	}
 }
@@ -536,10 +530,6 @@ func (e *Engine) flush(sh *shard, n int) (err error) {
 		e.beforeFlush(sh.idx)
 	}
 	snap := e.reg.Current()
-	if snap != sh.lastSnap {
-		sh.cache.InvalidateWeights()
-		sh.lastSnap = snap
-	}
 	net := snap.Net()
 	for i := 0; i < n; i++ {
 		copy(sh.xs[i*e.in:(i+1)*e.in], sh.batch[i].in)
