@@ -28,10 +28,10 @@ vet:
 
 # The concurrent code is the one fan-out, par.Run (internal/par), and what it
 # runs: the rollout lanes (internal/rl/lane.go, fanned out by
-# VecRunner.TrainIteration), the evaluation shards (core.EvaluateABR*, the CC
-# regression suite) and the swarm groups — plus the serving engine's shard
-# workers; the race detector over the full test suite — which includes the
-# W>1 golden tests — is the check that keeps them honest.
+# VecRunner.TrainIteration), the evaluation shards (core.EvaluateABR*) and
+# the swarm groups — plus the serving engine's shard workers; the race
+# detector over the full test suite — which includes the W>1 golden tests —
+# is the check that keeps them honest.
 race:
 	$(GO) test -race ./...
 
@@ -107,7 +107,11 @@ bench-ab:
 # under internal/ or cmd/ is a caller-owned staleness promise, a per-pass
 # transpose or the per-output backward coming back. The kernels that replaced
 # them (denseRow1Asm, gradRowsAsm, adamAsm) live in kernel_amd64.s, so the
-# VFMADD rule above covers them.
+# VFMADD rule above covers them. And row or go (ROADMAP 4(b)): the
+# perturbation and fairness adversaries, the CC regression suite and the
+# helpers only their own tests called were deleted for want of a caller or a
+# claim row, so one of their names in any .go file under internal/ or cmd/
+# is dead code coming back without one.
 seam-check:
 	@n=$$(grep -rn 'NewPPO(' --include='*.go' --exclude-dir=.bench_build . | grep -v '_test\.go:' | grep -vc '^\./bench/e2e/'); \
 	if [ $$n -gt 2 ]; then echo "seam-check: NewPPO( on $$n non-test lines, want <= 2 (build trainers with rl.NewTrainer)"; exit 1; fi
@@ -139,6 +143,8 @@ seam-check:
 	if [ -n "$$f" ]; then echo "seam-check: a bare-JSON model format in $$f (every model file is an rl envelope)"; exit 1; fi
 	@f=$$(grep -rlE 'SetStaticWeights|InvalidateWeights|asmMinRows|axpy4Asm' --include='*.go' internal cmd); \
 	if [ -n "$$f" ]; then echo "seam-check: a caller-owned weight transpose in $$f (an MLP transposes its weights once per version)"; exit 1; fi
+	@f=$$(grep -rlwE 'PerturbEnv|TrainPerturbAdversary|FairnessEnv|TrainFairnessAdversary|CCRegressionSuite|JainFairness|JainIndex|NewSGD|SummarizeValues|RandomTopology|LogSumExp|Lerp|ccProblem|episodeTrace' --include='*.go' internal cmd); \
+	if [ -n "$$f" ]; then echo "seam-check: a deleted symbol in $$f (ROADMAP 4(b), row or go: land it with a caller and a claim row, not alone)"; exit 1; fi
 
 # Tier-1 verification: build + tests, plus vet, the FMA-off rerun, the race
 # detector, the benchmark's correctness and allocation check, and the

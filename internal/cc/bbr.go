@@ -262,6 +262,3 @@ func (b *BBR) OnTimeout(_ float64) {
 		delete(b.sentAt, k)
 	}
 }
-
-// PacingGain exposes the current pacing gain (useful in tests/figures).
-func (b *BBR) PacingGain() float64 { return b.pacingGain }

@@ -6,6 +6,7 @@ import (
 
 	"advnet/internal/mathx"
 	"advnet/internal/netem"
+	"advnet/internal/stats"
 	"advnet/internal/trace"
 )
 
@@ -149,7 +150,7 @@ func TestTwoCubicFlowsShareFairly(t *testing.T) {
 		netem.Config{Initial: netem.Conditions{BandwidthMbps: 12, OneWayDelayMs: 20}, QueuePackets: 64},
 		mathx.NewRNG(61))
 	m.Run(60)
-	if j := m.JainFairness(); j < 0.75 {
+	if j := stats.Jain([]float64{m.FlowDeliveredBits(0), m.FlowDeliveredBits(1)}); j < 0.75 {
 		t.Fatalf("two Cubic flows Jain index %v, want >= 0.75", j)
 	}
 	total := (m.FlowDeliveredBits(0) + m.FlowDeliveredBits(1)) / 60 / 1e6

@@ -121,13 +121,7 @@ func (e *ABREnv) Reset() []float64 {
 // Step implements rl.Env.
 func (e *ABREnv) Step(action []float64) ([]float64, float64, bool) {
 	e.lastRaw = append(e.lastRaw[:0], action...)
-	return e.StepBandwidth(e.MapAction(action[0]))
-}
-
-// StepBandwidth advances one chunk with an explicit bandwidth in Mbps,
-// bypassing the action mapping (used by constrained adversaries that derive
-// the bandwidth differently).
-func (e *ABREnv) StepBandwidth(bw float64) ([]float64, float64, bool) {
+	bw := e.MapAction(action[0])
 	e.link.BandwidthMbps = bw
 
 	e.session.ObservationInto(&e.obs)
@@ -220,9 +214,6 @@ func (e *ABREnv) LastRawAction() []float64 { return e.lastRaw }
 // LastEq1 returns the reward terms of the most recent step.
 func (e *ABREnv) LastEq1() Eq1 { return e.last }
 
-// Session exposes the underlying streaming session (for analysis).
-func (e *ABREnv) Session() *abr.Session { return e.session }
-
 // ABRAdversary is a trained video-streaming adversary.
 type ABRAdversary struct {
 	Policy *rl.GaussianPolicy `json:"policy"`
@@ -311,23 +302,11 @@ func ABREnvFactory(video *abr.Video, target abr.Protocol, cfg ABRAdversaryConfig
 // performance ... without having to re-run the adversary"). With stochastic
 // false the policy acts deterministically (its mode).
 func (a *ABRAdversary) GenerateTrace(video *abr.Video, target abr.Protocol, rng *mathx.RNG, stochastic bool, name string) *trace.Trace {
-	return episodeTrace(a.Policy, NewABREnv(video, target, a.Cfg), rng, stochastic, name, video.ChunkSeconds, a.Cfg.RTTSeconds)
-}
-
-// bandwidthEnv is an adversary environment that records the bandwidth it set
-// for each chunk of the episode.
-type bandwidthEnv interface {
-	rl.Env
-	BandwidthHistory() []float64
-}
-
-// episodeTrace plays one episode of policy on env and returns the bandwidths
-// it chose as a replayable trace.
-func episodeTrace(policy rl.Policy, env bandwidthEnv, rng *mathx.RNG, stochastic bool, name string, chunkS, rttS float64) *trace.Trace {
-	rl.RunEpisode(policy, env, rng, stochastic, nil)
+	env := NewABREnv(video, target, a.Cfg)
+	rl.RunEpisode(a.Policy, env, rng, stochastic, nil)
 	tr := &trace.Trace{Name: name}
 	for _, bw := range env.BandwidthHistory() {
-		tr.Points = append(tr.Points, trace.Point{Duration: chunkS, BandwidthMbps: bw, LatencyMs: rttS * 1000 / 2})
+		tr.Points = append(tr.Points, trace.Point{Duration: video.ChunkSeconds, BandwidthMbps: bw, LatencyMs: a.Cfg.RTTSeconds * 1000 / 2})
 	}
 	return tr
 }

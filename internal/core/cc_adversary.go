@@ -231,13 +231,13 @@ type CCAdversary struct {
 
 // NewCCAdversary builds an untrained adversary.
 func NewCCAdversary(rng *mathx.RNG, cfg CCAdversaryConfig) *CCAdversary {
-	return &CCAdversary{Policy: newCCPolicy(rng, 2, cfg), Cfg: cfg}
+	return &CCAdversary{Policy: newCCPolicy(rng, cfg), Cfg: cfg}
 }
 
-// newCCPolicy builds the three-output (bandwidth, latency, loss) Gaussian
-// policy over obsSize observations.
-func newCCPolicy(rng *mathx.RNG, obsSize int, cfg CCAdversaryConfig) *rl.GaussianPolicy {
-	pol := rl.NewGaussianPolicy(nn.NewMLP(rng, mlpSizes(obsSize, cfg.Hidden, 3), nn.Tanh), cfg.InitLogStd)
+// newCCPolicy builds the Gaussian policy from CCEnv's two observations to
+// its three actions (bandwidth, latency, loss).
+func newCCPolicy(rng *mathx.RNG, cfg CCAdversaryConfig) *rl.GaussianPolicy {
+	pol := rl.NewGaussianPolicy(nn.NewMLP(rng, mlpSizes(2, cfg.Hidden, 3), nn.Tanh), cfg.InitLogStd)
 	if cfg.MaxLogStd != 0 {
 		pol.MaxLogStd = cfg.MaxLogStd
 	}
@@ -257,15 +257,18 @@ func DefaultCCTrainOptions() TrainOptions {
 	return TrainOptions{Iterations: 150, RolloutSteps: 2000, LR: 3e-4, Gamma: 0.995, Lambda: 0.97}
 }
 
-// ccProblem is the training problem shared by the congestion-control
-// adversaries: a policy over obsSize observations, and one emulator stream
-// per lane, split from the training RNG in lane order. The value net is
-// deliberately larger than the paper's tiny policy: it only aids training
-// and does not constrain the learned adversary.
-func ccProblem(obsSize int, cfg CCAdversaryConfig, newEnv func(rng *mathx.RNG) rl.Env) rl.Problem {
-	return rl.Problem{
+// TrainCCAdversary trains a fresh adversary against the protocol produced by
+// newCC and returns it with per-iteration statistics. Each lane's emulator
+// draws from its own stream, split from the training RNG in lane order. The
+// value net is deliberately larger than the paper's tiny policy: it only
+// aids training and does not constrain the learned adversary. With
+// opt.Workers > 1 newCC must be safe to call from multiple goroutines.
+// CCEnv does not checkpoint its emulator state, so a resumed run abandons
+// any half-collected episode.
+func TrainCCAdversary(newCC func() netem.CongestionController, cfg CCAdversaryConfig, opt TrainOptions, rng *mathx.RNG) (*CCAdversary, []rl.IterStats, error) {
+	ppo, stats, err := rl.Train(rl.Problem{
 		Nets: func(rng *mathx.RNG) (rl.Policy, *nn.MLP) {
-			return newCCPolicy(rng, obsSize, cfg), nn.NewMLP(rng, []int{obsSize, 16, 1}, nn.Tanh)
+			return newCCPolicy(rng, cfg), nn.NewMLP(rng, []int{2, 16, 1}, nn.Tanh)
 		},
 		Config: rl.DefaultPPOConfig(),
 		Envs: func(lanes int, rng *mathx.RNG) (rl.EnvFactory, error) {
@@ -273,27 +276,13 @@ func ccProblem(obsSize int, cfg CCAdversaryConfig, newEnv func(rng *mathx.RNG) r
 			for i := range rngs {
 				rngs[i] = rng.Split()
 			}
-			return func(lane int) rl.Env { return newEnv(rngs[lane]) }, nil
+			return func(lane int) rl.Env { return NewCCEnv(newCC, cfg, rngs[lane]) }, nil
 		},
-	}
-}
-
-// trainCC runs a ccProblem and wraps the trained policy.
-func trainCC(pr rl.Problem, cfg CCAdversaryConfig, opt TrainOptions, rng *mathx.RNG) (*CCAdversary, []rl.IterStats, error) {
-	ppo, stats, err := rl.Train(pr, opt, rng)
+	}, opt, rng)
 	if err != nil {
 		return nil, nil, err
 	}
 	return &CCAdversary{Policy: ppo.Policy.(*rl.GaussianPolicy), Cfg: cfg}, stats, nil
-}
-
-// TrainCCAdversary trains a fresh adversary against the protocol produced by
-// newCC and returns it with per-iteration statistics. With opt.Workers > 1
-// newCC must be safe to call from multiple goroutines. CCEnv does not
-// checkpoint its emulator state, so a resumed run abandons any
-// half-collected episode.
-func TrainCCAdversary(newCC func() netem.CongestionController, cfg CCAdversaryConfig, opt TrainOptions, rng *mathx.RNG) (*CCAdversary, []rl.IterStats, error) {
-	return trainCC(ccProblem(2, cfg, func(rng *mathx.RNG) rl.Env { return NewCCEnv(newCC, cfg, rng) }), cfg, opt, rng)
 }
 
 // RunEpisode plays the adversary online against a fresh target for one

@@ -9,7 +9,6 @@ import (
 	"advnet/internal/netem"
 	"advnet/internal/rl"
 	"advnet/internal/routing"
-	"advnet/internal/trace"
 )
 
 // TestEq1OracleDominates states oracle dominance once for every adversary
@@ -26,7 +25,6 @@ import (
 // oracle: record the new measurement here rather than widen ε silently.
 func TestEq1OracleDominates(t *testing.T) {
 	v := testVideo()
-	base := trace.GenerateFCCLike(mathx.NewRNG(35), trace.DefaultFCCLike(), "base")
 	ccCfg := DefaultCCAdversaryConfig()
 	routingCfg := abileneEnvConfig()
 	traceCfg := DefaultTraceAdversaryConfig()
@@ -55,19 +53,15 @@ func TestEq1OracleDominates(t *testing.T) {
 		e := NewCCEnv(newCC, ccCfg, mathx.NewRNG(61))
 		return family{name, 1000, e, func() Eq1 { return e.Records()[len(e.Records())-1].Eq1 }, eps}
 	}
-	perturb := NewPerturbEnv(v, abr.NewBB(), base, DefaultPerturbConfig())
-	fairness := NewFairnessEnv([]func() netem.CongestionController{newBBRf, newCubicf}, ccCfg, mathx.NewRNG(62))
 	families := []family{
 		abrFamily("abr/bb", abr.NewBB()),
 		abrFamily("abr/mpc", abr.NewMPC()),
-		{"perturb/bb", 480, perturb, perturb.inner.LastEq1, eps},
 		traceFamily("trace/bb", abr.NewBB()),
 		traceFamily("trace/mpc", abr.NewMPC()),
 		routingFamily("routing/spf", routing.SPF{}),
 		routingFamily("routing/ecmp", routing.ECMP{}),
 		ccFamily("cc/bbr", newBBRf),
 		ccFamily("cc/cubic", newCubicf),
-		{"fairness/bbr+cubic", 1000, fairness, func() Eq1 { return fairness.Records()[len(fairness.Records())-1].Eq1 }, eps},
 	}
 	for _, f := range families {
 		t.Run(f.name, func(t *testing.T) {

@@ -9,6 +9,7 @@ import (
 	"advnet/internal/cc"
 	"advnet/internal/mathx"
 	"advnet/internal/netem"
+	"advnet/internal/nn"
 	"advnet/internal/rl"
 )
 
@@ -79,7 +80,7 @@ func FuzzLoadCCAdversary(f *testing.F) {
 	f.Add(envelopeBytes(f, ccAdversaryKind, `{}`))
 	f.Add(envelopeBytes(f, ccAdversaryKind, `{"cfg":{"MaxLogStd":1},"policy":{"kind":"gaussian","net":{"sizes":[2,3],"hidden":"tanh","w":[[1,1,1,1,1,1]],"b":[[0,0,0]]},"log_std":[0,0,0]}}`))
 	wide := NewCCAdversary(mathx.NewRNG(3), DefaultCCAdversaryConfig())
-	wide.Policy = newCCPolicy(mathx.NewRNG(3), 5, wide.Cfg)
+	wide.Policy = rl.NewGaussianPolicy(nn.NewMLP(mathx.NewRNG(3), []int{5, 4, 3}, nn.Tanh), wide.Cfg.InitLogStd)
 	f.Add(fileBytes(f, wide.Save))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "adv.json")

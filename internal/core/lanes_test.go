@@ -12,7 +12,6 @@ import (
 	"advnet/internal/netem"
 	"advnet/internal/rl"
 	"advnet/internal/routing"
-	"advnet/internal/trace"
 )
 
 // trainFingerprint hashes trained parameters and the iteration statistics
@@ -43,7 +42,7 @@ func trainFingerprint(params [][]float64, stats []rl.IterStats) uint64 {
 	return h.Sum64()
 }
 
-// advTrainer is one of the six adversary trainers behind a uniform call, with
+// advTrainer is one of the four adversary trainers behind a uniform call, with
 // the small base options its rows train under.
 type advTrainer struct {
 	name  string
@@ -84,49 +83,28 @@ func adversaryTrainers() []advTrainer {
 			}
 			return adv.Policy.Params(), stats, nil
 		}},
-		{"TrainPerturbAdversary", TrainOptions{Iterations: 2, RolloutSteps: 96, LR: 1e-3}, func(opt TrainOptions) ([][]float64, []rl.IterStats, error) {
-			base := trace.GenerateFCCLike(mathx.NewRNG(35), trace.DefaultFCCLike(), "base")
-			adv, stats, err := TrainPerturbAdversary(v, abr.NewBB(), base, DefaultPerturbConfig(), opt, mathx.NewRNG(55))
-			if err != nil {
-				return nil, nil, err
-			}
-			return adv.Policy.Params(), stats, nil
-		}},
-		{"TrainFairnessAdversary", TrainOptions{Iterations: 2, RolloutSteps: 200, LR: 1e-3}, func(opt TrainOptions) ([][]float64, []rl.IterStats, error) {
-			cfg := DefaultCCAdversaryConfig()
-			cfg.EpisodeSteps = 100
-			adv, stats, err := TrainFairnessAdversary([]func() netem.CongestionController{newBBRf, newCubicf}, cfg, opt, mathx.NewRNG(56))
-			if err != nil {
-				return nil, nil, err
-			}
-			return adv.Policy.Params(), stats, nil
-		}},
 	}
 }
 
 // TestTrainersOneLanePath: the training entry points do not fork on Workers —
 // every worker count goes through the one lane runner. The fingerprints of
-// the first three adversary trainers and of the robust pipeline were captured
-// at the last commit that still had the forks: sequential is its
+// the ABR, CC and trace adversary trainers and of the robust pipeline were
+// captured at the last commit that still had the forks: sequential is its
 // `Workers ≤ 1` branch (PPO.Train / PPO.TrainCheckpointed), w4 its VecRunner
-// branch. Those of the routing, perturb and fairness trainers were captured
-// at the last commit before they moved onto the rl seam: routing already ran
-// Workers lanes there; perturb and fairness ignored Workers, so they have no
-// w4 to pin (0; TestAdversaryTrainersHonourEveryOption covers their lanes).
-// Workers 0 and 1 must land on sequential, 4 on w4, bitwise.
+// branch. The routing trainer's were captured at the last commit before it
+// moved onto the rl seam, where it already ran Workers lanes. Workers 0 and
+// 1 must land on sequential, 4 on w4, bitwise.
 func TestTrainersOneLanePath(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training test")
 	}
 	type golden struct{ sequential, w4 uint64 }
 	goldens := map[string]golden{
-		"TrainABRAdversary":      {0xa5c577e88f1a5587, 0x38e607565c845217},
-		"TrainCCAdversary":       {0x6aab3fe8f1bac54a, 0xaf63dc25eba45c0d},
-		"TrainTraceAdversary":    {0x622ebf96dc5ade04, 0x252fb0892ad2754d},
-		"TrainRobustPensieve":    {0x3a43f7b0ecb8403f, 0x44524169af7331ec},
-		"TrainRoutingAdversary":  {0xc65d83936da5c6d1, 0x823068c8589bd320},
-		"TrainPerturbAdversary":  {0x9bf4e16d0396b9d8, 0},
-		"TrainFairnessAdversary": {0xd0ff611a0c1103ca, 0},
+		"TrainABRAdversary":     {0xa5c577e88f1a5587, 0x38e607565c845217},
+		"TrainCCAdversary":      {0x6aab3fe8f1bac54a, 0xaf63dc25eba45c0d},
+		"TrainTraceAdversary":   {0x622ebf96dc5ade04, 0x252fb0892ad2754d},
+		"TrainRobustPensieve":   {0x3a43f7b0ecb8403f, 0x44524169af7331ec},
+		"TrainRoutingAdversary": {0xc65d83936da5c6d1, 0x823068c8589bd320},
 	}
 	type row struct {
 		name  string
@@ -159,9 +137,6 @@ func TestTrainersOneLanePath(t *testing.T) {
 			workers int
 			want    uint64
 		}{{0, g.sequential}, {1, g.sequential}, {4, g.w4}} {
-			if c.want == 0 {
-				continue
-			}
 			got, err := tr.train(c.workers)
 			if err != nil {
 				t.Fatalf("%s Workers=%d: %v", tr.name, c.workers, err)
@@ -173,7 +148,7 @@ func TestTrainersOneLanePath(t *testing.T) {
 	}
 }
 
-// TestAdversaryTrainersHonourEveryOption: all six adversary trainers are the
+// TestAdversaryTrainersHonourEveryOption: all four adversary trainers are the
 // one rl.Train, so none can drop a TrainOptions field: more lanes change the
 // run reproducibly, a checkpoint directory is written and resumed from,
 // attached metrics count the iterations, and restart selection refuses to

@@ -93,11 +93,22 @@ func LoadCCAdversary(path string) (*CCAdversary, error) {
 	return a, nil
 }
 
+// The largest CC adversary episode a file may ask for: ten times Table 1's
+// episode of 1000 steps of 30 ms (30 s) at ≤ 24 Mbps. At the bound an
+// episode sends at most 240 Mbps × 300 s / 12 000 bits ≈ 6·10⁶ packets and
+// keeps 10 000 step records.
+const (
+	maxCCEpisodeSteps  = 10 * 1000
+	maxCCEpisodeS      = 10 * 30.0
+	maxCCBandwidthMbps = 10 * 24.0
+)
+
 // validate checks what CCEnv relies on: a tanh net from its observation to
 // its action, action ranges that decode to finite link conditions netem
-// accepts, and a positive interval, episode, queue and EWMA factor. A
-// tanh net's mean is never NaN on the all-zero first observation, so a
-// valid adversary's first step cannot panic.
+// accepts, a positive interval, episode, queue and EWMA factor, and an
+// episode within the maxCC bounds. A tanh net's mean is never NaN on the
+// all-zero first observation, so a valid adversary's first step cannot
+// panic.
 func (a *CCAdversary) validate() error {
 	c := a.Cfg
 	if a.Policy == nil {
@@ -122,6 +133,15 @@ func (a *CCAdversary) validate() error {
 	if !(c.IntervalS > 0) || c.EpisodeSteps <= 0 || c.QueuePackets <= 0 || !(c.EWMAAlpha > 0 && c.EWMAAlpha <= 1) {
 		return fmt.Errorf("interval %v, episode %d, queue %d must be positive and EWMA alpha %v in (0, 1]",
 			c.IntervalS, c.EpisodeSteps, c.QueuePackets, c.EWMAAlpha)
+	}
+	if c.EpisodeSteps > maxCCEpisodeSteps {
+		return fmt.Errorf("EpisodeSteps %d above %d", c.EpisodeSteps, maxCCEpisodeSteps)
+	}
+	if s := c.IntervalS * float64(c.EpisodeSteps); s > maxCCEpisodeS {
+		return fmt.Errorf("IntervalS %v × EpisodeSteps %d is %v s of virtual time, above %v s", c.IntervalS, c.EpisodeSteps, s, maxCCEpisodeS)
+	}
+	if c.BandwidthHi > maxCCBandwidthMbps {
+		return fmt.Errorf("BandwidthHi %v Mbps above %v", c.BandwidthHi, maxCCBandwidthMbps)
 	}
 	return nil
 }

@@ -295,14 +295,16 @@ func TestModelFilesRoundTrip(t *testing.T) {
 }
 
 // TestLoadRefusesUnrunnableAdversaries: an adversary file the env could not
-// run (each of these loaded before the loaders validated, and panicked on
-// first use) is refused on load.
+// run (each of these loaded before the loaders validated, and panicked or
+// ran without bound on first use) is refused on load.
 func TestLoadRefusesUnrunnableAdversaries(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "adv.json")
 	rng := mathx.NewRNG(31)
 	gaussian := func(sizes []int, hidden nn.Activation) *rl.GaussianPolicy {
 		return rl.NewGaussianPolicy(nn.NewMLP(rng, sizes, hidden), 0)
 	}
+	// The fields an over-long or over-fast episode is refused by name.
+	bounded := map[string]string{"huge episode": "EpisodeSteps", "many short steps": "EpisodeSteps", "huge interval": "IntervalS", "huge bandwidth": "BandwidthHi"}
 	for name, edit := range map[string]func(a *CCAdversary){
 		"zero config":       func(a *CCAdversary) { a.Cfg = CCAdversaryConfig{MaxLogStd: 1} },
 		"5-input net":       func(a *CCAdversary) { a.Policy = gaussian([]int{5, 4, 3}, nn.Tanh) },
@@ -319,14 +321,21 @@ func TestLoadRefusesUnrunnableAdversaries(t *testing.T) {
 		"zero queue":        func(a *CCAdversary) { a.Cfg.QueuePackets = 0 },
 		"zero alpha":        func(a *CCAdversary) { a.Cfg.EWMAAlpha = 0 },
 		"alpha above one":   func(a *CCAdversary) { a.Cfg.EWMAAlpha = 1.5 },
+		"huge episode":      func(a *CCAdversary) { a.Cfg.EpisodeSteps = 1 << 62 },
+		"many short steps":  func(a *CCAdversary) { a.Cfg.IntervalS, a.Cfg.EpisodeSteps = 1e-9, 1<<30 },
+		"huge interval":     func(a *CCAdversary) { a.Cfg.IntervalS = 1e6 },
+		"huge bandwidth":    func(a *CCAdversary) { a.Cfg.BandwidthHi = 1e4 },
 	} {
 		adv := NewCCAdversary(mathx.NewRNG(32), DefaultCCAdversaryConfig())
 		edit(adv)
 		if err := adv.Save(path); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := LoadCCAdversary(path); err == nil {
+		_, err := LoadCCAdversary(path)
+		if err == nil {
 			t.Errorf("cc %s: loaded", name)
+		} else if f := bounded[name]; !strings.Contains(err.Error(), f) {
+			t.Errorf("cc %s: error %q does not name %s", name, err, f)
 		}
 	}
 

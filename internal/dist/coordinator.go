@@ -577,14 +577,6 @@ func (c *Coordinator) Run() ([]rl.IterStats, error) {
 	return out, nil
 }
 
-// LaneStates returns a copy of the current lane boundary states (what the
-// next iteration would send, and what checkpoints persist).
-func (c *Coordinator) LaneStates() []rl.LaneState {
-	out := make([]rl.LaneState, len(c.state))
-	copy(out, c.state)
-	return out
-}
-
 // shutdownWorkers tells every live worker the run is complete.
 func (c *Coordinator) shutdownWorkers() {
 	for _, w := range c.liveConns() {

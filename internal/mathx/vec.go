@@ -13,11 +13,6 @@ func Clamp(x, lo, hi float64) float64 {
 	return x
 }
 
-// Lerp linearly interpolates between a and b by t in [0,1].
-func Lerp(a, b, t float64) float64 {
-	return a + (b-a)*t
-}
-
 // Sum returns the sum of the elements of xs.
 func Sum(xs []float64) float64 {
 	var s float64
@@ -158,16 +153,6 @@ func Softmax(logits, out []float64) []float64 {
 		out[i] /= sum
 	}
 	return out
-}
-
-// LogSumExp returns log(sum(exp(xs))) computed stably.
-func LogSumExp(xs []float64) float64 {
-	m := Max(xs)
-	var sum float64
-	for _, x := range xs {
-		sum += Exp(x - m)
-	}
-	return m + math.Log(sum)
 }
 
 // EWMA holds an exponentially weighted moving average. The zero value is not

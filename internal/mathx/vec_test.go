@@ -33,18 +33,6 @@ func TestClampProperty(t *testing.T) {
 	}
 }
 
-func TestLerp(t *testing.T) {
-	if got := Lerp(2, 4, 0.5); got != 3 {
-		t.Errorf("Lerp(2,4,0.5) = %v", got)
-	}
-	if got := Lerp(2, 4, 0); got != 2 {
-		t.Errorf("Lerp(2,4,0) = %v", got)
-	}
-	if got := Lerp(2, 4, 1); got != 4 {
-		t.Errorf("Lerp(2,4,1) = %v", got)
-	}
-}
-
 func TestSumMeanVariance(t *testing.T) {
 	xs := []float64{1, 2, 3, 4}
 	if got := Sum(xs); got != 10 {
@@ -129,17 +117,6 @@ func TestSoftmaxStability(t *testing.T) {
 	}
 	if ArgMax(out) != 1 {
 		t.Fatalf("softmax argmax wrong: %v", out)
-	}
-}
-
-func TestLogSumExp(t *testing.T) {
-	xs := []float64{0, 0}
-	if got := LogSumExp(xs); !almostEq(got, math.Log(2), 1e-12) {
-		t.Errorf("LogSumExp = %v", got)
-	}
-	big := []float64{1000, 1000}
-	if got := LogSumExp(big); !almostEq(got, 1000+math.Log(2), 1e-9) {
-		t.Errorf("LogSumExp big = %v", got)
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"advnet/internal/cc"
 	"advnet/internal/mathx"
 	"advnet/internal/netem"
+	"advnet/internal/stats"
 )
 
 const lossyRate = 0.05
@@ -73,7 +74,7 @@ func multiRun(seed uint64) multiOutcome {
 	for i := range bits {
 		bits[i] = m.FlowDeliveredBits(i)
 	}
-	return multiOutcome{Stats: m.Stats(), FlowBits: bits, Jain: m.JainFairness()}
+	return multiOutcome{Stats: m.Stats(), FlowBits: bits, Jain: stats.Jain(bits)}
 }
 
 // TestMultiFlowCrossRunDeterminism pins the shared-bottleneck case under

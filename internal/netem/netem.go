@@ -242,20 +242,6 @@ func (e *Emulator) Inflight() int {
 // one flow.
 func (e *Emulator) FlowDeliveredBits(i int) float64 { return e.flows[i].bits }
 
-// JainFairness computes Jain's fairness index over the per-flow delivered
-// bits: 1 is perfectly fair, 1/n maximally unfair.
-func (e *Emulator) JainFairness() float64 {
-	var sum, sumSq float64
-	for _, f := range e.flows {
-		sum += f.bits
-		sumSq += f.bits * f.bits
-	}
-	if sumSq == 0 {
-		return 1
-	}
-	return sum * sum / (float64(len(e.flows)) * sumSq)
-}
-
 func (e *Emulator) schedule(at float64, kind eventKind, seq int64) {
 	e.events.Schedule(vclock.Event{At: at, Kind: int32(kind), Seq: seq})
 }

@@ -124,46 +124,3 @@ func (a *Adam) Reset() {
 	a.m = nil
 	a.v = nil
 }
-
-// SGD implements plain stochastic gradient descent with optional momentum.
-// It is used in ablations and tests as a reference optimizer.
-type SGD struct {
-	LR       float64
-	Momentum float64
-
-	vel [][]float64
-}
-
-// NewSGD returns an SGD optimizer with the given learning rate and no
-// momentum.
-func NewSGD(lr float64) *SGD { return &SGD{LR: lr} }
-
-// Step applies one SGD update to params given grads.
-func (s *SGD) Step(params, grads [][]float64) {
-	if len(params) != len(grads) {
-		panic("nn: SGD.Step params/grads mismatch")
-	}
-	if s.Momentum == 0 {
-		for i, p := range params {
-			g := grads[i]
-			for j := range p {
-				p[j] -= s.LR * g[j]
-			}
-		}
-		return
-	}
-	if s.vel == nil {
-		s.vel = make([][]float64, len(params))
-		for i, p := range params {
-			s.vel[i] = make([]float64, len(p))
-		}
-	}
-	for i, p := range params {
-		g := grads[i]
-		v := s.vel[i]
-		for j := range p {
-			v[j] = s.Momentum*v[j] - s.LR*g[j]
-			p[j] += v[j]
-		}
-	}
-}

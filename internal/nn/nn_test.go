@@ -203,17 +203,6 @@ func TestAdamReset(t *testing.T) {
 	a.Step([][]float64{{1, 2}}, [][]float64{{0.1, 0.1}})
 }
 
-func TestSGDMomentum(t *testing.T) {
-	s := &SGD{LR: 0.1, Momentum: 0.9}
-	p := [][]float64{{10}}
-	for i := 0; i < 200; i++ {
-		s.Step(p, [][]float64{{2 * p[0][0]}})
-	}
-	if math.Abs(p[0][0]) > 0.1 {
-		t.Fatalf("SGD+momentum failed to converge: %v", p[0][0])
-	}
-}
-
 func TestCloneIndependence(t *testing.T) {
 	rng := mathx.NewRNG(21)
 	m := NewMLP(rng, []int{2, 4, 1}, Tanh)

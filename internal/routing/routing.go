@@ -12,8 +12,6 @@ package routing
 import (
 	"fmt"
 	"math"
-
-	"advnet/internal/mathx"
 )
 
 // Edge is a directed capacitated link.
@@ -67,31 +65,6 @@ func Abilene() *Topology {
 		edges = append(edges, Edge{From: p[1], To: p[0], Capacity: 1})
 	}
 	t, err := NewTopology(11, edges)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
-// RandomTopology generates a connected random topology: a ring (for
-// connectivity) plus extra random chords, all with the given capacity.
-func RandomTopology(rng *mathx.RNG, n, extraChords int, capacity float64) *Topology {
-	var edges []Edge
-	add := func(a, b int) {
-		edges = append(edges, Edge{From: a, To: b, Capacity: capacity},
-			Edge{From: b, To: a, Capacity: capacity})
-	}
-	for i := 0; i < n; i++ {
-		add(i, (i+1)%n)
-	}
-	for k := 0; k < extraChords; k++ {
-		a := rng.Intn(n)
-		b := rng.Intn(n)
-		if a != b {
-			add(a, b)
-		}
-	}
-	t, err := NewTopology(n, edges)
 	if err != nil {
 		panic(err)
 	}

@@ -230,14 +230,3 @@ func TestAbileneConnected(t *testing.T) {
 		}
 	}
 }
-
-func TestRandomTopologyConnected(t *testing.T) {
-	rng := mathx.NewRNG(5)
-	top := RandomTopology(rng, 12, 6, 2)
-	dist := bfsDistances(top, 0)
-	for v, dv := range dist {
-		if dv >= math.MaxInt32 {
-			t.Fatalf("node %d disconnected", v)
-		}
-	}
-}

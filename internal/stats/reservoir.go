@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"advnet/internal/mathx"
 )
@@ -284,31 +283,6 @@ func Summarize(rs ...*Reservoir) Summary {
 	m := merge(rs)
 	s.P50, s.P95, s.P99 = m.quantile(0.50), m.quantile(0.95), m.quantile(0.99)
 	return s
-}
-
-// SummarizeValues digests a raw slice into a Summary with exact percentiles
-// (no reservoir sampling) — the bridge from slice-shaped evaluation results
-// to the Summary unit the telemetry schema records. Empty input yields the
-// zero Summary.
-func SummarizeValues(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	var sum float64
-	for _, x := range sorted {
-		sum += x
-	}
-	return Summary{
-		Count: uint64(len(sorted)),
-		Mean:  sum / float64(len(sorted)),
-		Min:   sorted[0],
-		P50:   quantileSorted(sorted, 0.50),
-		P95:   quantileSorted(sorted, 0.95),
-		P99:   quantileSorted(sorted, 0.99),
-		Max:   sorted[len(sorted)-1],
-	}
 }
 
 // String renders the summary on one line (values interpreted by the caller's

@@ -277,21 +277,6 @@ func TestReservoirRetentionUniform(t *testing.T) {
 	}
 }
 
-func TestSummarizeValues(t *testing.T) {
-	xs := []float64{5, 1, 4, 2, 3}
-	s := SummarizeValues(xs)
-	if s.Count != 5 || s.Min != 1 || s.Max != 5 || s.Mean != 3 || s.P50 != 3 {
-		t.Fatalf("summary %+v", s)
-	}
-	// Percentiles must match the interpolating Percentile helper.
-	if want := Percentile(xs, 95); s.P95 != want {
-		t.Fatalf("p95 %v, want %v", s.P95, want)
-	}
-	if z := SummarizeValues(nil); z != (Summary{}) {
-		t.Fatalf("empty summary %+v", z)
-	}
-}
-
 // mergedQuantileRef is the reference oracle for merge: one independent merge
 // per quantile, in the form Summarize used before it merged once — append
 // every retained sample with its weight, sort the pairs by value with

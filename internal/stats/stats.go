@@ -74,6 +74,21 @@ func Min(xs []float64) float64 {
 	return m
 }
 
+// Jain returns Jain's fairness index (Σx)² / (n·Σx²) over non-negative
+// allocations: 1 is perfectly fair, 1/n maximally unfair. An empty or
+// all-zero input reports 1.
+func Jain(xs []float64) float64 {
+	var sum, sumSq float64
+	for _, x := range xs {
+		sum += x
+		sumSq += x * x
+	}
+	if sumSq == 0 {
+		return 1
+	}
+	return sum * sum / (float64(len(xs)) * sumSq)
+}
+
 // CDF is an empirical cumulative distribution function.
 type CDF struct {
 	sorted []float64

@@ -57,6 +57,24 @@ func TestPercentileWithinRangeProperty(t *testing.T) {
 	}
 }
 
+func TestJain(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		xs   []float64
+		want float64
+	}{
+		{"empty", nil, 1},
+		{"all zero", []float64{0, 0, 0}, 1},
+		{"equal shares", []float64{3, 3, 3, 3}, 1},
+		{"one-hot", []float64{0, 5, 0, 0}, 0.25},
+		{"one of two", []float64{0, 2}, 0.5},
+	} {
+		if got := Jain(c.xs); got != c.want {
+			t.Errorf("%s: Jain(%v) = %v, want %v", c.name, c.xs, got, c.want)
+		}
+	}
+}
+
 func TestCDFBasics(t *testing.T) {
 	c := NewCDF([]float64{1, 2, 2, 3})
 	if c.N() != 4 {

@@ -554,25 +554,10 @@ func (g *Group) Result() *GroupResult {
 		Clients:        len(g.clients),
 		Events:         g.events,
 		VirtualEnd:     end,
-		Jain:           JainIndex(g.perBits),
+		Jain:           stats.Jain(g.perBits),
 		PerClientQoE:   g.perQoE,
 		PerClientRebuf: g.perRebuf,
 		PerClientBits:  g.perBits,
 		QoEChunks:      g.qoeChunks,
 	}
-}
-
-// JainIndex computes Jain's fairness index over non-negative allocations:
-// 1 is perfectly fair, 1/n maximally unfair. An empty or all-zero input
-// reports 1.
-func JainIndex(xs []float64) float64 {
-	var sum, sumSq float64
-	for _, x := range xs {
-		sum += x
-		sumSq += x * x
-	}
-	if sumSq == 0 {
-		return 1
-	}
-	return sum * sum / (float64(len(xs)) * sumSq)
 }
