@@ -111,7 +111,11 @@ bench-ab:
 # perturbation and fairness adversaries, the CC regression suite and the
 # helpers only their own tests called were deleted for want of a caller or a
 # claim row, so one of their names in any .go file under internal/ or cmd/
-# is dead code coming back without one.
+# is dead code coming back without one. And one in-flight representation:
+# each netem flow's window and BBR's record of its packets are seq-indexed
+# rings, because the emulator sends each flow's seqs in order, so a
+# map[int64] in non-test Go under internal/netem or internal/cc is a hashed
+# in-flight set coming back.
 seam-check:
 	@n=$$(grep -rn 'NewPPO(' --include='*.go' --exclude-dir=.bench_build . | grep -v '_test\.go:' | grep -vc '^\./bench/e2e/'); \
 	if [ $$n -gt 2 ]; then echo "seam-check: NewPPO( on $$n non-test lines, want <= 2 (build trainers with rl.NewTrainer)"; exit 1; fi
@@ -145,6 +149,8 @@ seam-check:
 	if [ -n "$$f" ]; then echo "seam-check: a caller-owned weight transpose in $$f (an MLP transposes its weights once per version)"; exit 1; fi
 	@f=$$(grep -rlwE 'PerturbEnv|TrainPerturbAdversary|FairnessEnv|TrainFairnessAdversary|CCRegressionSuite|JainFairness|JainIndex|NewSGD|SummarizeValues|RandomTopology|LogSumExp|Lerp|ccProblem|episodeTrace' --include='*.go' internal cmd); \
 	if [ -n "$$f" ]; then echo "seam-check: a deleted symbol in $$f (ROADMAP 4(b), row or go: land it with a caller and a claim row, not alone)"; exit 1; fi
+	@f=$$(grep -rl 'map\[int64\]' --include='*.go' internal/netem internal/cc | grep -v '_test\.go$$'); \
+	if [ -n "$$f" ]; then echo "seam-check: map[int64] in $$f (in-flight state is seq-indexed: the emulator's window is contiguous)"; exit 1; fi
 
 # Tier-1 verification: build + tests, plus vet, the FMA-off rerun, the race
 # detector, the benchmark's correctness and allocation check, and the

@@ -6,6 +6,7 @@
 package cc
 
 import (
+	"fmt"
 	"math"
 
 	"advnet/internal/mathx"
@@ -43,7 +44,7 @@ type BBR struct {
 	roundCount     int64
 	nextRoundBits  float64
 	deliveredBits  float64
-	sentAt         map[int64]pktState
+	sent           sentRing
 	fullBwBaseline float64
 	fullBwRounds   int
 
@@ -59,6 +60,70 @@ type BBR struct {
 type pktState struct {
 	sentAt          float64
 	deliveredAtSend float64
+	live            bool
+}
+
+// sentRing is BBR's record of the packets sent and neither acked nor lost:
+// a ring whose length is a power of two, seq s in slot s mod len(slots),
+// which doubles when full and never shrinks. Every live seq lies in the
+// window [lo, hi), hi one past the latest send, and no slot outside it is
+// live. Send seqs must increase (gaps are allowed); under that contract it
+// behaves exactly as a map from seq to pktState, acks of seqs already lost
+// or never sent included.
+type sentRing struct {
+	slots  []pktState
+	lo, hi int64
+	live   int // packets in flight
+}
+
+func (r *sentRing) slot(seq int64) *pktState { return &r.slots[int(seq)&(len(r.slots)-1)] }
+
+// add records seq, sent with state st.
+func (r *sentRing) add(seq int64, st pktState) {
+	if seq < r.hi {
+		panic(fmt.Sprintf("cc: BBR sent seq %d after seq %d: send seqs must increase", seq, r.hi-1))
+	}
+	if r.live == 0 {
+		r.lo = seq
+	}
+	for seq-r.lo >= int64(len(r.slots)) {
+		old := r.slots
+		r.slots = make([]pktState, 2*len(old))
+		for s := r.lo; s < r.hi; s++ {
+			*r.slot(s) = old[int(s)&(len(old)-1)]
+		}
+	}
+	st.live = true
+	*r.slot(seq) = st
+	r.hi = seq + 1
+	r.live++
+}
+
+// remove deletes seq and returns its state, or reports that it is not in
+// flight.
+func (r *sentRing) remove(seq int64) (pktState, bool) {
+	if seq < r.lo || seq >= r.hi {
+		return pktState{}, false
+	}
+	p := r.slot(seq)
+	st := *p
+	if !st.live {
+		return pktState{}, false
+	}
+	p.live = false
+	r.live--
+	for r.lo < r.hi && !r.slot(r.lo).live {
+		r.lo++
+	}
+	return st, true
+}
+
+// clear deletes every packet in flight.
+func (r *sentRing) clear() {
+	for s := r.lo; s < r.hi; s++ {
+		r.slot(s).live = false
+	}
+	r.lo, r.live = r.hi, 0
 }
 
 var bbrCycle = []float64{1.25, 0.75, 1, 1, 1, 1, 1, 1}
@@ -66,6 +131,7 @@ var bbrCycle = []float64{1.25, 0.75, 1, 1, 1, 1, 1, 1}
 const (
 	bbrStartupGain = 2.885 // 2/ln(2)
 	bbrMinCWND     = 4
+	bbrInitialRing = 64 // starting length of the sentRing
 )
 
 // NewBBR returns a BBR instance with the standard 10 s ProbeRTT cadence.
@@ -76,7 +142,7 @@ func NewBBR() *BBR {
 		state:            bbrStartup,
 		pacingGain:       bbrStartupGain,
 		cwndGain:         bbrStartupGain,
-		sentAt:           make(map[int64]pktState),
+		sent:             sentRing{slots: make([]pktState, bbrInitialRing)},
 		ProbeRTTInterval: 10,
 		ProbeRTTDuration: 0.2,
 	}
@@ -140,22 +206,25 @@ func (b *BBR) CWND(_ float64) float64 {
 
 // OnPacketSent implements netem.CongestionController.
 func (b *BBR) OnPacketSent(now float64, seq int64) {
-	b.sentAt[seq] = pktState{sentAt: now, deliveredAtSend: b.deliveredBits}
+	b.sent.add(seq, pktState{sentAt: now, deliveredAtSend: b.deliveredBits})
 }
 
 // OnAck implements netem.CongestionController.
 func (b *BBR) OnAck(a netem.Ack) {
-	st, ok := b.sentAt[a.Seq]
-	if !ok {
-		return
+	if st, ok := b.sent.remove(a.Seq); ok {
+		b.onDelivery(a, st, b.sent.live)
 	}
-	delete(b.sentAt, a.Seq)
+}
+
+// onDelivery runs the control loop on the ack of a packet sent with state
+// st, leaving inflight packets in flight.
+func (b *BBR) onDelivery(a netem.Ack, st pktState, inflight int) {
 	b.deliveredBits += netem.PacketBits
 
 	// Round accounting: one round per delivered window.
 	if b.deliveredBits >= b.nextRoundBits {
 		b.roundCount++
-		b.nextRoundBits = b.deliveredBits + float64(len(b.sentAt))*netem.PacketBits
+		b.nextRoundBits = b.deliveredBits + float64(inflight)*netem.PacketBits
 		if b.nextRoundBits <= b.deliveredBits {
 			b.nextRoundBits = b.deliveredBits + netem.PacketBits
 		}
@@ -176,10 +245,10 @@ func (b *BBR) OnAck(a netem.Ack) {
 		b.minRTTStamp = a.Now
 	}
 
-	b.updateState(a.Now)
+	b.updateState(a.Now, inflight)
 }
 
-func (b *BBR) updateState(now float64) {
+func (b *BBR) updateState(now float64, inflight int) {
 	switch b.state {
 	case bbrStartup:
 		b.checkFullBandwidth()
@@ -189,7 +258,7 @@ func (b *BBR) updateState(now float64) {
 			b.cwndGain = bbrStartupGain
 		}
 	case bbrDrain:
-		if float64(len(b.sentAt))*netem.PacketBits <= b.bdpBits() {
+		if float64(inflight)*netem.PacketBits <= b.bdpBits() {
 			b.enterProbeBW(now)
 		}
 	case bbrProbeBW:
@@ -253,12 +322,10 @@ func (b *BBR) advanceCycle(now float64) {
 // losses (its insensitivity to random loss is why the paper's adversary must
 // find a subtler weakness).
 func (b *BBR) OnLoss(_ float64, seq int64) {
-	delete(b.sentAt, seq)
+	b.sent.remove(seq)
 }
 
 // OnTimeout implements netem.CongestionController.
 func (b *BBR) OnTimeout(_ float64) {
-	for k := range b.sentAt {
-		delete(b.sentAt, k)
-	}
+	b.sent.clear()
 }

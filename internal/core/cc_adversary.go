@@ -134,8 +134,12 @@ type CCEnv struct {
 }
 
 // NewCCEnv builds an adversary environment; newCC constructs a fresh target
-// protocol each episode, and rng drives the emulator's random loss.
+// protocol each episode, and rng drives the emulator's random loss. It
+// panics, naming the field, on a config LoadCCAdversary would refuse.
 func NewCCEnv(newCC func() netem.CongestionController, cfg CCAdversaryConfig, rng *mathx.RNG) *CCEnv {
+	if err := cfg.validate(); err != nil {
+		panic("core: NewCCEnv: " + err.Error())
+	}
 	return &CCEnv{cfg: cfg, newCC: newCC, rng: rng, records: make([]CCStepRecord, 0, cfg.EpisodeSteps)}
 }
 

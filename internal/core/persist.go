@@ -103,14 +103,14 @@ const (
 	maxCCBandwidthMbps = 10 * 24.0
 )
 
-// validate checks what CCEnv relies on: a tanh net from its observation to
-// its action, action ranges that decode to finite link conditions netem
-// accepts, a positive interval, episode, queue and EWMA factor, and an
-// episode within the maxCC bounds. A tanh net's mean is never NaN on the
-// all-zero first observation, so a valid adversary's first step cannot
-// panic.
+// validate checks what CCEnv relies on: a config it can run (see
+// CCAdversaryConfig.validate) and a tanh net from its observation to its
+// action. A tanh net's mean is never NaN on the all-zero first observation,
+// so a valid adversary's first step cannot panic.
 func (a *CCAdversary) validate() error {
-	c := a.Cfg
+	if err := a.Cfg.validate(); err != nil {
+		return err
+	}
 	if a.Policy == nil {
 		return errors.New("no policy")
 	}
@@ -122,16 +122,26 @@ func (a *CCAdversary) validate() error {
 	if net.Hidden() != nn.Tanh {
 		return fmt.Errorf("policy hidden activation %v, want tanh", net.Hidden())
 	}
+	return nil
+}
+
+// validate checks that NewCCEnv can run c: action ranges that decode to
+// finite link conditions netem accepts, a positive interval, episode, queue
+// and EWMA factor, and an episode within the maxCC bounds. Each error names
+// the field at fault.
+func (c CCAdversaryConfig) validate() error {
+	fields := [3]string{"BandwidthLo, BandwidthHi", "LatencyLoMs, LatencyHiMs", "LossLo, LossHi"}
 	for i, r := range c.Ranges() {
 		if !(r[0] <= r[1]) || math.IsInf(2*(r[1]-r[0]), 0) {
-			return fmt.Errorf("action range %d [%v, %v] is not a finite lo ≤ hi", i, r[0], r[1])
+			return fmt.Errorf("%s [%v, %v] is not a finite lo ≤ hi", fields[i], r[0], r[1])
 		}
 	}
 	if !(c.BandwidthLo > 0) || !(c.LatencyLoMs >= 0) || !(c.LossLo >= 0 && c.LossHi < 1) {
-		return fmt.Errorf("ranges need bandwidth > 0, latency ≥ 0 and loss in [0, 1): %+v", c.Ranges())
+		return fmt.Errorf("BandwidthLo %v must be > 0, LatencyLoMs %v ≥ 0 and LossLo, LossHi %v, %v in [0, 1)",
+			c.BandwidthLo, c.LatencyLoMs, c.LossLo, c.LossHi)
 	}
 	if !(c.IntervalS > 0) || c.EpisodeSteps <= 0 || c.QueuePackets <= 0 || !(c.EWMAAlpha > 0 && c.EWMAAlpha <= 1) {
-		return fmt.Errorf("interval %v, episode %d, queue %d must be positive and EWMA alpha %v in (0, 1]",
+		return fmt.Errorf("IntervalS %v, EpisodeSteps %d, QueuePackets %d must be positive and EWMAAlpha %v in (0, 1]",
 			c.IntervalS, c.EpisodeSteps, c.QueuePackets, c.EWMAAlpha)
 	}
 	if c.EpisodeSteps > maxCCEpisodeSteps {

@@ -294,6 +294,33 @@ func TestModelFilesRoundTrip(t *testing.T) {
 	}
 }
 
+// TestNewCCEnvRefusesUnboundedConfigs: NewCCEnv panics, naming the field,
+// on the configs LoadCCAdversary refuses for their bounds, instead of
+// trusting an in-process config (an EpisodeSteps of 1<<62 died in
+// makeslice).
+func TestNewCCEnvRefusesUnboundedConfigs(t *testing.T) {
+	for _, tc := range []struct {
+		name, field string
+		edit        func(c *CCAdversaryConfig)
+	}{
+		{"huge episode", "EpisodeSteps", func(c *CCAdversaryConfig) { c.EpisodeSteps = 1 << 62 }},
+		{"many short steps", "EpisodeSteps", func(c *CCAdversaryConfig) { c.IntervalS, c.EpisodeSteps = 1e-9, 1<<30 }},
+		{"huge interval", "IntervalS", func(c *CCAdversaryConfig) { c.IntervalS = 1e6 }},
+		{"huge bandwidth", "BandwidthHi", func(c *CCAdversaryConfig) { c.BandwidthHi = 1e4 }},
+	} {
+		cfg := DefaultCCAdversaryConfig()
+		tc.edit(&cfg)
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, tc.field) {
+					t.Errorf("%s: NewCCEnv panicked with %q, want a panic naming %s", tc.name, msg, tc.field)
+				}
+			}()
+			NewCCEnv(newBBRf, cfg, mathx.NewRNG(1))
+		}()
+	}
+}
+
 // TestLoadRefusesUnrunnableAdversaries: an adversary file the env could not
 // run (each of these loaded before the loaders validated, and panicked or
 // ran without bound on first use) is refused on load.

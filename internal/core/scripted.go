@@ -158,8 +158,8 @@ func (b *BBRProbeAttacker) Choose(utilization, _ float64) CCAction {
 // controller for the given number of intervals and returns the per-interval
 // records.
 func RunScriptedCC(newCC func() netem.CongestionController, adv ScriptedCCAdversary, cfg CCAdversaryConfig, steps int, rng *mathx.RNG) []CCStepRecord {
+	cfg.EpisodeSteps = steps
 	env := NewCCEnv(newCC, cfg, rng)
-	env.cfg.EpisodeSteps = steps
 	env.Reset()
 	u, q := 0.0, 0.0
 	for i := 0; i < steps; i++ {

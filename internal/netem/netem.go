@@ -86,8 +86,9 @@ type Stats struct {
 type eventKind int
 
 // Event payload (vclock.Event.Seq): the flow index for evSend, flow<<40 |
-// packet seq for evAckArrive, unused for evDequeue. RTO timers are not
-// packet events: each flow queues its own (see armRTO).
+// packet seq for evAckArrive, unused for evDequeue; an evAckArrive's Actor
+// is its ack run (see queueAck). RTO timers are not packet events: each flow
+// queues its own (see armRTO).
 const (
 	evSend eventKind = iota
 	evDequeue
@@ -117,6 +118,7 @@ type flow struct {
 const (
 	initialWindow = 64 // starting length of a flow's sentAt ring
 	initialTimers = 4  // starting capacity of a flow's timer queue
+	initialRun    = 64 // starting length of an ack run's ring
 )
 
 // inflight returns the number of unacknowledged packets.
@@ -132,6 +134,31 @@ func (f *flow) grow() {
 	for s := f.lo; s < f.nextSeq; s++ {
 		f.sentAt[f.slot(s)] = old[int(s)&(len(old)-1)]
 	}
+}
+
+// ackRun is a ring of stamped evAckArrive events in (At, id) order, from
+// head on: the acks of one delay epoch. Its length is a power of two; it
+// doubles when full and never shrinks.
+type ackRun struct {
+	ev   []vclock.Event
+	head int
+	n    int
+}
+
+// tail returns the run's latest event; the run must not be empty.
+func (r *ackRun) tail() *vclock.Event { return &r.ev[(r.head+r.n-1)&(len(r.ev)-1)] }
+
+func (r *ackRun) push(ev vclock.Event) {
+	if r.n == len(r.ev) {
+		old := r.ev
+		r.ev = make([]vclock.Event, 2*len(old))
+		for i := 0; i < r.n; i++ {
+			r.ev[i] = old[(r.head+i)&(len(old)-1)]
+		}
+		r.head = 0
+	}
+	r.ev[(r.head+r.n)&(len(r.ev)-1)] = ev
+	r.n++
 }
 
 type queuedPacket struct {
@@ -151,7 +178,11 @@ type Emulator struct {
 	cfg   Config
 
 	now    float64
-	events vclock.Queue // packet events
+	events vclock.Queue // packet events: sends, the dequeue, each ack run's head
+	// acks holds the acks in flight as sorted runs, of which the packet
+	// heap holds only the heads; lastRun is the run the latest ack joined.
+	acks    []ackRun
+	lastRun int
 	// timerFlow is the flow holding the earliest pending RTO timer of all
 	// flows, or -1 when no flow holds one.
 	timerFlow int
@@ -243,7 +274,60 @@ func (e *Emulator) Inflight() int {
 func (e *Emulator) FlowDeliveredBits(i int) float64 { return e.flows[i].bits }
 
 func (e *Emulator) schedule(at float64, kind eventKind, seq int64) {
-	e.events.Schedule(vclock.Event{At: at, Kind: int32(kind), Seq: seq})
+	ev := vclock.Event{At: at, Kind: int32(kind), Seq: seq}
+	if kind == evAckArrive {
+		e.queueAck(e.events.Stamp(ev))
+		return
+	}
+	e.events.Schedule(ev)
+}
+
+// queueAck appends a stamped ack to an ack run: the latest run if the ack
+// does not precede its tail, else the first run whose tail it does not
+// precede, else an empty run, else a new one. Only a run's head sits on the
+// packet heap, and popping it pushes the next (popAck), so the heap merges
+// the sorted runs: acks pop in the (At, id) order one heap holding every ack
+// gives, ties included. A later stamp sorts after every earlier one at the
+// same instant, so an ack that is not before a run's tail in time is after
+// it. Every ack is due now + 2·delay and now never decreases, so acks of one
+// delay join one run, and a run opens only when the delay drops.
+func (e *Emulator) queueAck(ev vclock.Event) {
+	r := e.lastRun
+	if r >= len(e.acks) || e.acks[r].n == 0 || ev.At < e.acks[r].tail().At {
+		r = -1
+		for i := range e.acks {
+			if run := &e.acks[i]; run.n == 0 {
+				if r < 0 {
+					r = i
+				}
+			} else if ev.At >= run.tail().At {
+				r = i
+				break
+			}
+		}
+		if r < 0 {
+			r = len(e.acks)
+			e.acks = append(e.acks, ackRun{ev: make([]vclock.Event, initialRun)})
+		}
+	}
+	ev.Actor = int32(r)
+	run := &e.acks[r]
+	if run.n == 0 {
+		e.events.Push(ev)
+	}
+	run.push(ev)
+	e.lastRun = r
+}
+
+// popAck removes the head of ack run r, just popped from the packet heap,
+// and puts the run's next ack there with its original stamp.
+func (e *Emulator) popAck(r int) {
+	run := &e.acks[r]
+	run.head = (run.head + 1) & (len(run.ev) - 1)
+	run.n--
+	if run.n > 0 {
+		e.events.Push(run.ev[run.head])
+	}
 }
 
 // Run advances virtual time until the given instant, processing all events.
@@ -306,6 +390,7 @@ func (e *Emulator) StepEvent(until float64) bool {
 	case evDequeue:
 		e.handleDequeue()
 	case evAckArrive:
+		e.popAck(int(ev.Actor))
 		e.handleAck(int(ev.Seq>>40), ev.Seq&((1<<40)-1))
 	}
 	return true
