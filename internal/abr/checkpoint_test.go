@@ -33,9 +33,9 @@ func TestSessionStateRoundTrip(t *testing.T) {
 			t.Fatalf("chunk %d diverged:\noriginal %+v\nrestored %+v", a.ChunkIndex, a, b)
 		}
 	}
-	if !r.Done() || s.TotalQoE() != r.TotalQoE() || s.Time() != r.Time() {
+	if !r.Done() || s.TotalQoE() != r.TotalQoE() || s.timeS != r.timeS {
 		t.Fatalf("final state diverged: QoE %v vs %v, time %v vs %v",
-			s.TotalQoE(), r.TotalQoE(), s.Time(), r.Time())
+			s.TotalQoE(), r.TotalQoE(), s.timeS, r.timeS)
 	}
 }
 

@@ -126,7 +126,7 @@ func (l *TraceLink) Download(sizeBits, start float64) float64 {
 		rate := p.BandwidthMbps * 1e6 // bits per second
 		if rate <= 0 {
 			// Zero-bandwidth interval: wait it out.
-			t += left
+			t = advance(t, left)
 			continue
 		}
 		canSend := rate * left
@@ -135,10 +135,20 @@ func (l *TraceLink) Download(sizeBits, start float64) float64 {
 			remaining = 0
 		} else {
 			remaining -= canSend
-			t += left
+			t = advance(t, left)
 		}
 	}
 	return (t - start) + l.RTTSeconds
+}
+
+// advance returns t+left, or the next float64 above t when left is below
+// t's resolution: the loop would otherwise re-enter an interval narrower
+// than one ulp of t forever.
+func advance(t, left float64) float64 {
+	if u := t + left; u > t {
+		return u
+	}
+	return math.Nextafter(t, math.Inf(1))
 }
 
 // BandwidthAt implements Link.

@@ -99,10 +99,6 @@ func NewPensieve(policy *rl.CategoricalPolicy) *Pensieve {
 // Name implements Protocol.
 func (p *Pensieve) Name() string { return p.label }
 
-// SetName overrides the reported protocol name (useful when comparing
-// several Pensieve variants, as in Figure 4).
-func (p *Pensieve) SetName(s string) { p.label = s }
-
 // Reset implements Protocol (the policy is stateless between chunks).
 func (p *Pensieve) Reset() {}
 

@@ -190,10 +190,10 @@ func TestSessionTimeMonotoneProperty(t *testing.T) {
 		for !s.Done() {
 			link.BandwidthMbps = rng.Uniform(0.8, 4.8)
 			res := s.Step(rng.Intn(v.Levels()))
-			if s.Time() < last+res.DownloadS-1e-9 {
+			if s.timeS < last+res.DownloadS-1e-9 {
 				return false
 			}
-			last = s.Time()
+			last = s.timeS
 		}
 		return true
 	}

@@ -32,12 +32,6 @@ func NewShardTraceSampler(shard *trace.Shard, seed uint64) *ShardTraceSampler {
 // episode and advances the sampler.
 func (s *ShardTraceSampler) NextTrace() int { return s.shard.ParentIndex(s.cursor.Next()) }
 
-// Shard returns the shard the sampler streams.
-func (s *ShardTraceSampler) Shard() *trace.Shard { return s.shard }
-
-// Cursor exposes the sampler's position (epoch, pos) for tests and tooling.
-func (s *ShardTraceSampler) Cursor() *trace.Cursor { return s.cursor }
-
 // NewTrainEnvSharded is NewTrainEnv restricted to one shard of the dataset:
 // the env streams only the shard's traces, in deterministic epoch-reshuffled
 // order seeded from the env's RNG. A nil or identity shard — Shard(0, 1) —

@@ -164,11 +164,11 @@ func TestShardedEnvStateRejects(t *testing.T) {
 	}
 	// A failed restore must leave the env's cursor untouched.
 	victim := mk(ds.Shard(1, 2))
-	before := victim.sampler.Cursor().State()
+	before := victim.sampler.cursor.State()
 	if err := victim.SetEnvState(sharded); err == nil {
 		t.Fatal("mismatched restore accepted")
 	}
-	if victim.sampler.Cursor().State() != before {
+	if victim.sampler.cursor.State() != before {
 		t.Fatal("failed restore mutated the env's cursor")
 	}
 }

@@ -1,7 +1,6 @@
 package abr
 
 import (
-	"fmt"
 	"sync/atomic"
 	"time"
 
@@ -18,8 +17,7 @@ import (
 //
 // Unlike Pensieve, a single PensieveServe is safe for concurrent sessions:
 // the engine batches requests from any number of goroutines, and the
-// fallback protocol (see SetFallback) must be concurrency-safe too — the
-// default BB is stateless.
+// fallback protocol, BB, is stateless.
 //
 // Degradation (DESIGN.md §8.7): when the engine sheds a request (overload,
 // expired deadline) or is closed, the session still gets a decision — the
@@ -30,7 +28,7 @@ import (
 type PensieveServe struct {
 	eng      *serve.Engine
 	label    string
-	fallback Protocol      // answers shed/closed requests; nil = strict mode (panic)
+	fallback Protocol      // answers shed/closed requests
 	deadline time.Duration // per-request budget passed to SelectDeadline; 0 = engine default
 
 	decisions atomic.Uint64 // total SelectLevel calls
@@ -40,8 +38,7 @@ type PensieveServe struct {
 // NewPensieveServe wraps a running engine as an ABR protocol. The engine's
 // serving architecture must match FeatureSize(levels) of the sessions it
 // will drive; a mismatch surfaces as a panic on the first SelectLevel. The
-// default fallback is buffer-based BB (stateless, deterministic); SetFallback
-// overrides or disables it.
+// fallback is buffer-based BB (stateless, deterministic).
 func NewPensieveServe(eng *serve.Engine) *PensieveServe {
 	return &PensieveServe{eng: eng, label: "pensieve-serve", fallback: NewBB()}
 }
@@ -52,24 +49,15 @@ func (p *PensieveServe) Name() string { return p.label }
 // SetName overrides the reported protocol name.
 func (p *PensieveServe) SetName(s string) { p.label = s }
 
-// Reset implements Protocol (all serving state lives in the engine; the
-// stateless fallback needs no reset, and a stateful one is reset here).
+// Reset implements Protocol: the serving state lives in the engine, so only
+// the fallback is reset.
 func (p *PensieveServe) Reset() {
-	if p.fallback != nil {
-		p.fallback.Reset()
-	}
+	p.fallback.Reset()
 }
 
 // Engine returns the backing engine (for stats, hot reload via its registry,
 // or shutdown).
 func (p *PensieveServe) Engine() *serve.Engine { return p.eng }
-
-// SetFallback replaces the degradation protocol. It must be concurrency-safe
-// if sessions share this PensieveServe. nil restores strict mode: any engine
-// error panics (a pre-degradation deployment posture for tests that must
-// fail loudly). Call before serving begins; it is not synchronized with
-// in-flight SelectLevel calls.
-func (p *PensieveServe) SetFallback(fb Protocol) { p.fallback = fb }
 
 // SetDeadline sets the per-request deadline passed to the engine (0 uses
 // the engine's DefaultDeadline). Call before serving begins.
@@ -94,8 +82,7 @@ func (p *PensieveServe) FallbackRate() float64 {
 // to the engine and clamping the batched-argmax decision to the ladder.
 // When the engine cannot answer (shed by admission control, deadline
 // expired, engine closed), the fallback protocol decides instead — counted,
-// never silent. With the fallback disabled (SetFallback(nil)) an engine
-// error is a deployment bug, not a recoverable protocol condition: panic.
+// never silent.
 func (p *PensieveServe) SelectLevel(o *Observation) int {
 	p.decisions.Add(1)
 	var d serve.Decision
@@ -107,9 +94,6 @@ func (p *PensieveServe) SelectLevel(o *Observation) int {
 	}
 	if err == nil {
 		return clampLevel(d.Level, o.Levels)
-	}
-	if p.fallback == nil {
-		panic(fmt.Sprintf("abr: serving engine failed mid-session: %v", err))
 	}
 	p.fallbacks.Add(1)
 	return clampLevel(p.fallback.SelectLevel(o), o.Levels)

@@ -1,7 +1,6 @@
 package abr
 
 import (
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -22,7 +21,7 @@ func TestPensieveServeFallbackIdentityToBB(t *testing.T) {
 	v := testVideo(0.1)
 	rng := mathx.NewRNG(7)
 	policy := rl.NewCategoricalPolicy(NewPensieveNet(rng, v.Levels()))
-	eng := serve.MustNewEngine(serve.NewRegistry(policy.Net()), serve.Config{Workers: 1, MaxBatch: 4})
+	eng := newEngine(t, serve.NewRegistry(policy.Net()), serve.Config{Workers: 1, MaxBatch: 4})
 	eng.Close() // every Select from here on returns ErrEngineClosed
 	served := NewPensieveServe(eng)
 	directBB := NewBB()
@@ -60,7 +59,7 @@ func TestPensieveServeFallbackUnderOverload(t *testing.T) {
 	v := testVideo(0)
 	rng := mathx.NewRNG(9)
 	policy := rl.NewCategoricalPolicy(nn.NewMLP(rng, []int{FeatureSize(v.Levels()), 1024, 1024, v.Levels()}, nn.Tanh))
-	eng := serve.MustNewEngine(serve.NewRegistry(policy.Net()), serve.Config{
+	eng := newEngine(t, serve.NewRegistry(policy.Net()), serve.Config{
 		Workers: 1, MaxBatch: 2, QueueDepth: 2,
 	})
 	defer eng.Close()
@@ -95,48 +94,5 @@ func TestPensieveServeFallbackUnderOverload(t *testing.T) {
 	}
 	if r := p.FallbackRate(); r <= 0 || r > 1 {
 		t.Fatalf("fallback rate %v out of range", r)
-	}
-}
-
-// TestPensieveServeStrictMode checks SetFallback(nil): an engine failure is
-// a loud deployment bug again, exactly the legacy behavior.
-func TestPensieveServeStrictMode(t *testing.T) {
-	v := testVideo(0)
-	rng := mathx.NewRNG(3)
-	policy := rl.NewCategoricalPolicy(NewPensieveNet(rng, v.Levels()))
-	eng := serve.MustNewEngine(serve.NewRegistry(policy.Net()), serve.Config{Workers: 1})
-	eng.Close()
-	p := NewPensieveServe(eng)
-	p.SetFallback(nil)
-
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("strict mode did not panic on a closed engine")
-		}
-		if msg, ok := r.(string); !ok || !strings.Contains(msg, "serving engine failed") {
-			t.Fatalf("unexpected panic payload: %v", r)
-		}
-	}()
-	o := &Observation{Levels: v.Levels(), TotalChunks: v.NumChunks(), BitratesKbps: v.BitratesKbps, ChunkSeconds: v.ChunkSeconds, BufferS: 5, LastLevel: 0, NextSizesBits: make([]float64, v.Levels())}
-	p.SelectLevel(o)
-}
-
-// TestPensieveServeCustomFallback checks a non-default fallback is honored
-// and reset through Reset.
-func TestPensieveServeCustomFallback(t *testing.T) {
-	v := testVideo(0)
-	rng := mathx.NewRNG(4)
-	policy := rl.NewCategoricalPolicy(NewPensieveNet(rng, v.Levels()))
-	eng := serve.MustNewEngine(serve.NewRegistry(policy.Net()), serve.Config{Workers: 1})
-	eng.Close()
-	p := NewPensieveServe(eng)
-	p.SetFallback(NewBOLA()) // stateful: Reset must reach it
-	p.Reset()
-
-	direct := NewBOLA()
-	o := &Observation{Levels: v.Levels(), TotalChunks: v.NumChunks(), BitratesKbps: v.BitratesKbps, ChunkSeconds: v.ChunkSeconds, BufferS: 8, LastLevel: 1, NextSizesBits: make([]float64, v.Levels())}
-	if got, want := p.SelectLevel(o), direct.SelectLevel(o); got != want {
-		t.Fatalf("custom fallback level %d, direct BOLA level %d", got, want)
 	}
 }

@@ -24,11 +24,10 @@ func TestPensieveServeDecisionIdentity(t *testing.T) {
 		cfg  serve.Config
 	}{
 		{"gemm", serve.Config{Workers: 2, MaxBatch: 16}},
-		{"rows", serve.Config{Workers: 1, MaxBatch: 4, NoGEMM: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			reg := serve.NewRegistry(policy.Net())
-			eng := serve.MustNewEngine(reg, tc.cfg)
+			eng := newEngine(t, reg, tc.cfg)
 			defer eng.Close()
 			served := NewPensieveServe(eng)
 
@@ -57,7 +56,7 @@ func TestPensieveServeRunsSessions(t *testing.T) {
 	v := testVideo(0)
 	rng := mathx.NewRNG(9)
 	policy := rl.NewCategoricalPolicy(NewPensieveNet(rng, v.Levels()))
-	eng := serve.MustNewEngine(serve.NewRegistry(policy.Net()), serve.Config{Workers: 2, MaxBatch: 8})
+	eng := newEngine(t, serve.NewRegistry(policy.Net()), serve.Config{Workers: 2, MaxBatch: 8})
 	defer eng.Close()
 	p := NewPensieveServe(eng)
 
@@ -77,4 +76,14 @@ func TestPensieveServeRunsSessions(t *testing.T) {
 	if eng.Served() != uint64(3*v.NumChunks()) {
 		t.Fatalf("engine served %d decisions, want %d", eng.Served(), 3*v.NumChunks())
 	}
+}
+
+// newEngine starts an engine whose Config the test knows is valid.
+func newEngine(t testing.TB, reg *serve.Registry, cfg serve.Config) *serve.Engine {
+	t.Helper()
+	eng, err := serve.NewEngine(reg, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng
 }

@@ -85,9 +85,6 @@ func (s *Session) Done() bool { return s.chunk >= s.video.NumChunks() }
 // Video returns the video being streamed.
 func (s *Session) Video() *Video { return s.video }
 
-// Time returns the current session time in seconds.
-func (s *Session) Time() float64 { return s.timeS }
-
 // Buffer returns the current buffer occupancy in seconds.
 func (s *Session) Buffer() float64 { return s.bufferS }
 

@@ -30,8 +30,8 @@ func TestApplyChunkMatchesStep(t *testing.T) {
 		level := i % levels
 		ra := a.Step(level)
 		size := video.Size(level, b.NextChunk())
-		bw := linkB.BandwidthAt(b.Time())
-		dl := linkB.Download(size, b.Time())
+		bw := linkB.BandwidthAt(b.timeS)
+		dl := linkB.Download(size, b.timeS)
 		rb := b.ApplyChunk(level, dl, bw)
 		if ra != rb {
 			t.Fatalf("chunk %d: Step %+v != ApplyChunk %+v", i, ra, rb)

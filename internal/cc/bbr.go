@@ -166,13 +166,6 @@ func (b *BBR) State() string {
 	return "?"
 }
 
-// BtlBwMbps returns the current bottleneck-bandwidth estimate in Mbps.
-func (b *BBR) BtlBwMbps() float64 { return b.btlBw.Value() / 1e6 }
-
-// MinRTT returns the current min-RTT estimate in seconds (+Inf before any
-// sample).
-func (b *BBR) MinRTT() float64 { return b.minRTT.Value() }
-
 func (b *BBR) bdpBits() float64 {
 	rtt := b.minRTT.Value()
 	bw := b.btlBw.Value()

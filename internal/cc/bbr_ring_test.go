@@ -142,9 +142,9 @@ func TestBBRRingMatchesMapOracle(t *testing.T) {
 					t.Fatalf("seed %d op %d: seq %d held as %+v %v, oracle %+v %v", seed, op, s, st, ok, want, wantOK)
 				}
 			}
-			if b.State() != m.State() || b.PacingRate(now) != m.PacingRate(now) || b.CWND(now) != m.CWND(now) || b.MinRTT() != m.MinRTT() {
+			if b.State() != m.State() || b.PacingRate(now) != m.PacingRate(now) || b.CWND(now) != m.CWND(now) || b.minRTT.Value() != m.minRTT.Value() {
 				t.Fatalf("seed %d op %d: %s at %v bit/s, cwnd %v, min RTT %v; oracle %s at %v bit/s, cwnd %v, min RTT %v", seed, op,
-					b.State(), b.PacingRate(now), b.CWND(now), b.MinRTT(), m.State(), m.PacingRate(now), m.CWND(now), m.MinRTT())
+					b.State(), b.PacingRate(now), b.CWND(now), b.minRTT.Value(), m.State(), m.PacingRate(now), m.CWND(now), m.minRTT.Value())
 			}
 			control, oracle := *b, *m.BBR
 			control.sent, oracle.sent = sentRing{}, sentRing{}

@@ -44,11 +44,11 @@ func TestBBRHighUtilizationOnSteadyLink(t *testing.T) {
 func TestBBREstimatesConverge(t *testing.T) {
 	b := NewBBR()
 	runFor(b, steadyTrace(20, 12, 20, 0), 2)
-	if bw := b.BtlBwMbps(); math.Abs(bw-12) > 2.5 {
+	if bw := b.btlBw.Value() / 1e6; math.Abs(bw-12) > 2.5 {
 		t.Fatalf("btlBw estimate %v Mbps, want ~12", bw)
 	}
 	// minRTT should be close to 2*OWD = 40 ms (plus ~1 ms serialization).
-	if rtt := b.MinRTT(); rtt < 0.039 || rtt > 0.06 {
+	if rtt := b.minRTT.Value(); rtt < 0.039 || rtt > 0.06 {
 		t.Fatalf("minRTT estimate %v, want ~0.04", rtt)
 	}
 }

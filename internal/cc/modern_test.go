@@ -57,8 +57,8 @@ func TestVivaceReachesDecentUtilization(t *testing.T) {
 func TestVivaceRateConvergesUpward(t *testing.T) {
 	v := NewVivace()
 	runFor(v, steadyTrace(40, 12, 20, 0), 25)
-	if v.RateMbps() < 4 {
-		t.Fatalf("Vivace rate %v Mbps after 40 s on a 12 Mbps link", v.RateMbps())
+	if v.rate/1e6 < 4 {
+		t.Fatalf("Vivace rate %v Mbps after 40 s on a 12 Mbps link", v.rate/1e6)
 	}
 }
 
@@ -69,8 +69,8 @@ func TestVivaceBacksOffUnderHeavyLoss(t *testing.T) {
 	runFor(clean, steadyTrace(40, 12, 20, 0), 26)
 	lossy := NewVivace()
 	runFor(lossy, steadyTrace(40, 12, 20, 0.15), 26)
-	if lossy.RateMbps() > clean.RateMbps()*0.8 {
-		t.Fatalf("Vivace ignores loss: %v vs %v Mbps", lossy.RateMbps(), clean.RateMbps())
+	if lossy.rate/1e6 > clean.rate/1e6*0.8 {
+		t.Fatalf("Vivace ignores loss: %v vs %v Mbps", lossy.rate/1e6, clean.rate/1e6)
 	}
 }
 

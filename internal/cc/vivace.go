@@ -183,6 +183,3 @@ func (v *Vivace) OnTimeout(_ float64) {
 	v.rate = math.Max(0.1e6, v.rate/2)
 	v.confidence = 1
 }
-
-// RateMbps exposes the learner's current base rate for tests and figures.
-func (v *Vivace) RateMbps() float64 { return v.rate / 1e6 }

@@ -205,15 +205,6 @@ func (e *ABREnv) ActionSpec() rl.ActionSpec {
 // BandwidthHistory returns the bandwidths chosen so far this episode.
 func (e *ABREnv) BandwidthHistory() []float64 { return e.bwHist }
 
-// LastRawAction returns the most recent raw (unclipped) policy action — the
-// quantity the paper plots in Figure 6, which "may appear to be outside of
-// the parameter range" before PPO's clipping maps it back in. The slice is
-// the env's, valid until its next Step.
-func (e *ABREnv) LastRawAction() []float64 { return e.lastRaw }
-
-// LastEq1 returns the reward terms of the most recent step.
-func (e *ABREnv) LastEq1() Eq1 { return e.last }
-
 // ABRAdversary is a trained video-streaming adversary.
 type ABRAdversary struct {
 	Policy *rl.GaussianPolicy `json:"policy"`

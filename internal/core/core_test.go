@@ -492,7 +492,7 @@ func TestABREnvLastRawAction(t *testing.T) {
 	env := NewABREnv(testVideo(), abr.NewBB(), DefaultABRAdversaryConfig())
 	env.Reset()
 	env.Step([]float64{2.5}) // outside [-1,1]: clipped for the link, kept raw here
-	raw := env.LastRawAction()
+	raw := env.lastRaw
 	if len(raw) != 1 || raw[0] != 2.5 {
 		t.Fatalf("raw action %v, want [2.5]", raw)
 	}

@@ -39,15 +39,15 @@ func TestEq1OracleDominates(t *testing.T) {
 	const eps, routingEps = 1e-9, 1e-4
 	abrFamily := func(name string, target abr.Protocol) family {
 		e := NewABREnv(v, target, DefaultABRAdversaryConfig())
-		return family{name, 960, e, e.LastEq1, eps}
+		return family{name, 960, e, func() Eq1 { return e.last }, eps}
 	}
 	traceFamily := func(name string, target abr.Protocol) family {
 		e := &traceEnv{cfg: traceCfg, chunks: v.NumChunks(), video: v, target: target}
-		return family{name, 40, e, e.LastEq1, eps}
+		return family{name, 40, e, func() Eq1 { return e.last }, eps}
 	}
 	routingFamily := func(name string, scheme routing.Scheme) family {
 		e := NewRoutingEnv(routing.Abilene(), scheme, routingCfg)
-		return family{name, 640, e, e.LastEq1, routingEps}
+		return family{name, 640, e, func() Eq1 { return e.last }, routingEps}
 	}
 	ccFamily := func(name string, newCC func() netem.CongestionController) family {
 		e := NewCCEnv(newCC, ccCfg, mathx.NewRNG(61))

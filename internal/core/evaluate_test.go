@@ -1,6 +1,11 @@
 package core
 
 import (
+	"fmt"
+	"math"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"advnet/internal/abr"
@@ -62,6 +67,52 @@ func TestEvaluateABREmptyDataset(t *testing.T) {
 		}
 		if _, err := NewABRRegressionSuite(v, abr.NewBB(), ds, 0.08, 1); err == nil {
 			t.Errorf("NewABRRegressionSuite(%v): no error for empty dataset", ds)
+		}
+	}
+}
+
+// TestBadDatasetsRefused: a dataset that loads must not panic or hang an
+// evaluation. Each bad dataset is refused, either by trace.LoadJSON or by
+// chunk replay before any session starts, with an error naming the trace and
+// the point.
+func TestBadDatasetsRefused(t *testing.T) {
+	var fortyEight strings.Builder
+	for i := 0; i < 48; i++ {
+		bw := 2.0
+		if i == 17 {
+			bw = 0
+		}
+		fmt.Fprintf(&fortyEight, `{"duration": 1, "bandwidth": %v, "latency": 40, "loss": 0},`, bw)
+	}
+	for _, tc := range []struct {
+		name, json string
+		loads      bool // valid for wall-time replay, refused by chunk replay
+	}{
+		{"all-zero", `{"name": "d", "traces": [{"name": "dead", "points": [{"duration": 1, "bandwidth": 0, "latency": 40, "loss": 0}]}]}`, false},
+		{"one-zero-point", `{"name": "d", "traces": [{"name": "holey", "points": [` + strings.TrimSuffix(fortyEight.String(), ",") + `]}]}`, true},
+		{"overflow", `{"name": "d", "traces": [{"name": "huge", "points": [{"duration": 1e308, "bandwidth": 1, "latency": 40, "loss": 0}, {"duration": 1e308, "bandwidth": 0, "latency": 40, "loss": 0}]}]}`, false},
+	} {
+		path := filepath.Join(t.TempDir(), "d.json")
+		if err := os.WriteFile(path, []byte(tc.json), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		ds, err := trace.LoadJSON(path)
+		if !tc.loads {
+			if err == nil || !strings.Contains(err.Error(), "point") {
+				t.Errorf("%s: LoadJSON error %v, want one naming the point", tc.name, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		v := testVideo()
+		if _, err := EvaluateABRChunked(v, ds, abr.NewBB(), 0.08, 1); err == nil || !strings.Contains(err.Error(), `"holey": point 17`) {
+			t.Errorf("%s: chunk replay error %v, want one naming trace holey and point 17", tc.name, err)
+		}
+		q, err := EvaluateABR(v, ds, abr.NewBB(), 0.08, 1)
+		if err != nil || math.IsNaN(q[0]) || math.IsInf(q[0], 0) {
+			t.Errorf("%s: wall replay QoE %v, err %v", tc.name, q, err)
 		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"advnet/internal/abr"
 	"advnet/internal/cc"
 	"advnet/internal/mathx"
-	"advnet/internal/metrics"
 	"advnet/internal/netem"
 	"advnet/internal/rl"
 	"advnet/internal/routing"
@@ -150,9 +149,8 @@ func TestTrainersOneLanePath(t *testing.T) {
 
 // TestAdversaryTrainersHonourEveryOption: all four adversary trainers are the
 // one rl.Train, so none can drop a TrainOptions field: more lanes change the
-// run reproducibly, a checkpoint directory is written and resumed from,
-// attached metrics count the iterations, and restart selection refuses to
-// share one checkpoint directory.
+// run reproducibly, a checkpoint directory is written and resumed from, and
+// restart selection refuses to share one checkpoint directory.
 func TestAdversaryTrainersHonourEveryOption(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training test")
@@ -178,7 +176,6 @@ func TestAdversaryTrainersHonourEveryOption(t *testing.T) {
 		// execute only the second.
 		ck := tr.opt
 		ck.Checkpoint = rl.CheckpointConfig{Dir: t.TempDir()}
-		ck.Metrics = rl.NewTrainMetrics(metrics.NewRegistry("train"))
 		ck.Iterations = 1
 		fingerprint(ck)
 		if _, _, err := (&rl.CheckpointDir{Dir: ck.Checkpoint.Dir}).Latest(); err != nil {
@@ -187,9 +184,6 @@ func TestAdversaryTrainersHonourEveryOption(t *testing.T) {
 		ck.Iterations = 2
 		if _, stats, err := tr.train(ck); err != nil || len(stats) != 1 || stats[0].Iteration != 1 {
 			t.Errorf("%s: resumed run executed %d iterations (err %v), want only iteration 1", tr.name, len(stats), err)
-		}
-		if n := ck.Metrics.Iterations.Value(); n != 2 {
-			t.Errorf("%s: metrics counted %d iterations, want 2", tr.name, n)
 		}
 
 		ck.Restarts = 2

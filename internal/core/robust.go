@@ -237,8 +237,19 @@ func EvaluateABR(video *abr.Video, dataset *trace.Dataset, p abr.Protocol, rttS 
 // downloaded at the trace's i-th bandwidth), the exact semantic of the
 // online adversary's per-chunk actions. Replaying an adversarial trace this
 // way against its own target reproduces the online episode exactly. The
-// workers parameter and error conditions match EvaluateABR.
+// workers parameter and error conditions match EvaluateABR, and a point
+// without positive bandwidth is an error before any session starts: a chunk
+// served at it would never finish downloading.
 func EvaluateABRChunked(video *abr.Video, dataset *trace.Dataset, p abr.Protocol, rttS float64, workers int) ([]float64, error) {
+	if dataset != nil {
+		for _, tr := range dataset.Traces {
+			for i, pt := range tr.Points {
+				if !(pt.BandwidthMbps > 0) {
+					return nil, fmt.Errorf("core: chunk replay of trace %q: point %d has bandwidth %v Mbps, and a chunk at it never downloads", tr.Name, i, pt.BandwidthMbps)
+				}
+			}
+		}
+	}
 	return evaluateABR(video, dataset, p, workers, func(tr *trace.Trace) abr.Link {
 		return abr.NewChunkLink(tr, rttS)
 	})

@@ -122,9 +122,6 @@ func (e *RoutingEnv) Step(raw []float64) ([]float64, float64, bool) {
 	return e.lastUtil, e.last.Value(), e.round >= e.cfg.Rounds
 }
 
-// LastEq1 returns the reward terms of the most recent step.
-func (e *RoutingEnv) LastEq1() Eq1 { return e.last }
-
 // ObservationSize implements rl.Env.
 func (e *RoutingEnv) ObservationSize() int { return len(e.top.Edges) }
 
@@ -180,25 +177,4 @@ func (a *RoutingAdversary) GenerateDemands(top *routing.Topology, scheme routing
 		out = append(out, env.DecodeAction(action))
 	})
 	return out
-}
-
-// AllPairsSample returns up to k distinct (src, dst) pairs drawn from the
-// topology, a convenient commodity set for adversary configurations.
-func AllPairsSample(rng *mathx.RNG, top *routing.Topology, k int) [][2]int {
-	var pairs [][2]int
-	seen := map[[2]int]bool{}
-	for len(pairs) < k {
-		a := rng.Intn(top.N)
-		b := rng.Intn(top.N)
-		if a == b {
-			continue
-		}
-		p := [2]int{a, b}
-		if seen[p] {
-			continue
-		}
-		seen[p] = true
-		pairs = append(pairs, p)
-	}
-	return pairs
 }

@@ -105,9 +105,6 @@ func (e *traceEnv) Step(action []float64) ([]float64, float64, bool) {
 	return traceObs, e.last.Value(), true
 }
 
-// LastEq1 returns the reward terms of the most recent step.
-func (e *traceEnv) LastEq1() Eq1 { return e.last }
-
 func (e *traceEnv) ObservationSize() int { return 1 }
 
 func (e *traceEnv) ActionSpec() rl.ActionSpec {

@@ -81,8 +81,8 @@ func (e *LaneError) Error() string {
 
 // WorkerLostError records one worker-connection loss (kill -9, network
 // partition, corrupt frame). Lost workers are handled by reassignment, not
-// by failing the run; the coordinator keeps the most recent loss for
-// inspection via LastWorkerLoss.
+// by failing the run; the coordinator keeps the most recent loss
+// (lastLoss).
 type WorkerLostError struct {
 	Worker int // connection id
 	Err    error
@@ -222,13 +222,6 @@ func (c *Coordinator) Reassignments() int64 { return c.reassignments.Load() }
 
 // WireBytes returns the total bytes moved over worker connections.
 func (c *Coordinator) WireBytes() int64 { return c.wireBytes.Load() }
-
-// LastWorkerLoss returns the most recent worker-connection loss, or nil.
-func (c *Coordinator) LastWorkerLoss() *WorkerLostError {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lastLoss
-}
 
 // Iteration returns the trainer's completed iteration count.
 func (c *Coordinator) Iteration() int { return c.ppo.Iteration() }

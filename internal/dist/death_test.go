@@ -98,7 +98,7 @@ func TestDistWorkerDeathResume(t *testing.T) {
 	if c.Reassignments() == 0 {
 		t.Fatal("killed worker caused no lane reassignment")
 	}
-	loss := c.LastWorkerLoss()
+	loss := lastWorkerLoss(c)
 	if loss == nil {
 		t.Fatal("killed worker recorded no *WorkerLostError")
 	}
@@ -116,4 +116,11 @@ func TestDistWorkerDeathResume(t *testing.T) {
 	if err == nil {
 		t.Fatal("doomed worker exited cleanly; expected SIGKILL death")
 	}
+}
+
+// lastWorkerLoss reads the coordinator's most recent worker-connection loss.
+func lastWorkerLoss(c *Coordinator) *WorkerLostError {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.lastLoss
 }

@@ -300,7 +300,7 @@ func (s miniSpec) env() *miniEnv {
 	return &miniEnv{horizon: 9, panicAt: s.PanicAt, nanAt: s.NaNAt}
 }
 
-func init() { Register("mini", miniProblem) }
+func init() { domains["mini"] = miniProblem }
 
 // miniProblem is the test-only "mini" domain: a spec decoder, like every
 // domain.

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
-	"sync"
 
 	"advnet/internal/mathx"
 	"advnet/internal/rl"
@@ -40,8 +39,8 @@ func (d Domain) NewLane(spec json.RawMessage, lane, lanes int) (*rl.Lane, error)
 	return pr.Lane(lane, lanes)
 }
 
-// UnknownDomainError names a domain the receiving process has not
-// registered — typically a version skew between coordinator and worker
+// UnknownDomainError names a domain the receiving process does not know —
+// typically a version skew between coordinator and worker
 // binaries.
 type UnknownDomainError struct {
 	Name       string
@@ -52,26 +51,11 @@ func (e *UnknownDomainError) Error() string {
 	return fmt.Sprintf("dist: unknown domain %q (registered: %v)", e.Name, e.Registered)
 }
 
-var (
-	domainMu sync.Mutex
-	domains  = map[string]Domain{}
-)
+// domains are the distributable problems by name.
+var domains = map[string]Domain{"pensieve": pensieveProblem}
 
-// Register installs a domain under a name. Domains register from package
-// init functions; a duplicate name is a programming error and panics.
-func Register(name string, d Domain) {
-	domainMu.Lock()
-	defer domainMu.Unlock()
-	if _, ok := domains[name]; ok {
-		panic(fmt.Sprintf("dist: domain %q registered twice", name))
-	}
-	domains[name] = d
-}
-
-// LookupDomain resolves a registered domain by name.
+// LookupDomain resolves a domain by name.
 func LookupDomain(name string) (Domain, error) {
-	domainMu.Lock()
-	defer domainMu.Unlock()
 	if d, ok := domains[name]; ok {
 		return d, nil
 	}

@@ -25,8 +25,6 @@ type PensieveSpec struct {
 	RolloutSteps int `json:"rollout_steps,omitempty"`
 }
 
-func init() { Register("pensieve", pensieveProblem) }
-
 // pensieveProblem decodes a PensieveSpec into abr.PensieveProblem over the
 // video and corpus it describes. The video RNG is pinned (seed 1, as
 // cmd/advtrain pins it) so coordinator and workers agree on chunk sizes.

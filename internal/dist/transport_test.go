@@ -155,7 +155,7 @@ func testConnLossChaos(t *testing.T, point string) {
 	if c.Reassignments() == 0 {
 		t.Fatalf("%s chaos caused no reassignment", point)
 	}
-	if loss := c.LastWorkerLoss(); loss == nil || !errors.Is(loss, errInjected) {
+	if loss := lastWorkerLoss(c); loss == nil || !errors.Is(loss, errInjected) {
 		t.Fatalf("%s chaos recorded worker loss %v, want the injected failure", point, loss)
 	}
 	assertStatsEqual(t, stats, vecStats)

@@ -176,14 +176,6 @@ func (r *RNG) Perm(n int) []int {
 	return p
 }
 
-// Shuffle pseudo-randomly reorders the n elements addressed by swap.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
 // Choice returns a pseudo-random index in [0, len(weights)) drawn with the
 // given non-negative weights. It panics if the weights are empty or sum to a
 // non-positive value.

@@ -13,57 +13,6 @@ func Clamp(x, lo, hi float64) float64 {
 	return x
 }
 
-// Sum returns the sum of the elements of xs.
-func Sum(xs []float64) float64 {
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
-// Mean returns the arithmetic mean of xs, or 0 for an empty slice.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	return Sum(xs) / float64(len(xs))
-}
-
-// Variance returns the population variance of xs, or 0 for fewer than two
-// elements.
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	return math.Sqrt(Variance(xs))
-}
-
-// Min returns the minimum of xs. It panics on an empty slice.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic("mathx: Min of empty slice")
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Max returns the maximum of xs. It panics on an empty slice.
 func Max(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -103,16 +52,6 @@ func Dot(a, b []float64) float64 {
 		s += a[i] * b[i]
 	}
 	return s
-}
-
-// AXPY computes y += alpha*x in place. It panics if the lengths differ.
-func AXPY(alpha float64, x, y []float64) {
-	if len(x) != len(y) {
-		panic("mathx: AXPY length mismatch")
-	}
-	for i := range x {
-		y[i] += alpha * x[i]
-	}
 }
 
 // Scale multiplies every element of xs by alpha in place.

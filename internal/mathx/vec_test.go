@@ -33,30 +33,8 @@ func TestClampProperty(t *testing.T) {
 	}
 }
 
-func TestSumMeanVariance(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	if got := Sum(xs); got != 10 {
-		t.Errorf("Sum = %v", got)
-	}
-	if got := Mean(xs); got != 2.5 {
-		t.Errorf("Mean = %v", got)
-	}
-	if got := Variance(xs); !almostEq(got, 1.25, 1e-12) {
-		t.Errorf("Variance = %v, want 1.25", got)
-	}
-	if got := StdDev(xs); !almostEq(got, math.Sqrt(1.25), 1e-12) {
-		t.Errorf("StdDev = %v", got)
-	}
-	if Mean(nil) != 0 || Variance([]float64{1}) != 0 {
-		t.Error("empty/single-element stats should be 0")
-	}
-}
-
 func TestMinMaxArgMax(t *testing.T) {
 	xs := []float64{3, -1, 7, 7, 2}
-	if Min(xs) != -1 {
-		t.Error("Min")
-	}
 	if Max(xs) != 7 {
 		t.Error("Max")
 	}
@@ -72,15 +50,8 @@ func TestDotAXPYScale(t *testing.T) {
 		t.Errorf("Dot = %v", Dot(a, b))
 	}
 	y := CopyOf(b)
-	AXPY(2, a, y)
-	want := []float64{6, 9, 12}
-	for i := range want {
-		if y[i] != want[i] {
-			t.Fatalf("AXPY result %v", y)
-		}
-	}
 	Scale(0.5, y)
-	if y[0] != 3 || y[2] != 6 {
+	if y[0] != 2 || y[2] != 3 || b[0] != 4 {
 		t.Fatalf("Scale result %v", y)
 	}
 }
@@ -95,7 +66,7 @@ func TestSoftmaxSumsToOne(t *testing.T) {
 		}
 		out := make([]float64, 3)
 		Softmax(logits, out)
-		sum := Sum(out)
+		sum := sumOf(out)
 		for _, p := range out {
 			if p < 0 || math.IsNaN(p) {
 				return false
@@ -112,7 +83,7 @@ func TestSoftmaxStability(t *testing.T) {
 	logits := []float64{1000, 1001, 999}
 	out := make([]float64, 3)
 	Softmax(logits, out)
-	if math.IsNaN(Sum(out)) || !almostEq(Sum(out), 1, 1e-9) {
+	if sum := sumOf(out); math.IsNaN(sum) || !almostEq(sum, 1, 1e-9) {
 		t.Fatalf("softmax unstable: %v", out)
 	}
 	if ArgMax(out) != 1 {
@@ -211,4 +182,12 @@ func TestWindowedFiltersMatchBruteForce(t *testing.T) {
 				i, gotMax, gotMin, wantMax, wantMin)
 		}
 	}
+}
+
+func sumOf(xs []float64) float64 {
+	var s float64
+	for _, x := range xs {
+		s += x
+	}
+	return s
 }

@@ -1,12 +1,12 @@
 // Package metrics is the structured performance-telemetry substrate the
 // repository's long-running commands emit into: lightweight counters,
-// gauges, reservoir-backed timers, and append-only timeseries, gathered by a
+// reservoir-backed timers, and append-only timeseries, gathered by a
 // Registry that serializes to one report schema (DESIGN.md §8.6).
 //
 // The design goals, in order:
 //
-//  1. Allocation-conscious hot paths. Counter.Inc and Gauge.Set are single
-//     atomic operations; Timer.Observe is an O(1) reservoir insert with no
+//  1. Allocation-conscious hot paths. Counter.Inc is a single atomic
+//     operation; Timer.Observe is an O(1) reservoir insert with no
 //     allocations. Instrumenting a trainer iteration or a serving flush
 //     must not perturb what it measures.
 //  2. One schema. Every producer — rl trainers, swarm runs, the serving
@@ -18,13 +18,12 @@
 //     bench/e2e (`make bench-check`, `make bench-ab`).
 //
 // Like the stats.Reservoir it builds on, a Timer is single-goroutine
-// state; Counters and Gauges are safe for concurrent use; the Registry's
+// state; a Counter is safe for concurrent use; the Registry's
 // own methods are mutex-guarded so producers can register lazily from
 // setup code.
 package metrics
 
 import (
-	"math"
 	"sync/atomic"
 	"time"
 
@@ -75,22 +74,8 @@ type Counter struct {
 // Inc adds one.
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
-
-// Gauge is a last-value-wins float64, safe for concurrent use.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set records the value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Value returns the last value set (0 before any Set).
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // Timer accumulates a duration distribution through a stats.Reservoir plus
 // an exact running total. Like the reservoir it wraps, a Timer is
@@ -114,19 +99,6 @@ func (t *Timer) ObserveSeconds(s float64) {
 	t.res.Add(s)
 	t.total += s
 }
-
-// Time runs f and observes how long it took.
-func (t *Timer) Time(f func()) {
-	start := time.Now()
-	f()
-	t.Observe(time.Since(start))
-}
-
-// Count returns the number of observations.
-func (t *Timer) Count() uint64 { return t.res.Count() }
-
-// TotalSeconds returns the exact sum of all observed durations.
-func (t *Timer) TotalSeconds() float64 { return t.total }
 
 // Summary digests the observed distribution (seconds). The zero Summary
 // when nothing was observed.

@@ -42,16 +42,14 @@ type Report struct {
 
 // Registry gathers one benchmark area's telemetry and snapshots it into a
 // Report. Registration and snapshot methods are mutex-guarded; the
-// returned Counter/Gauge/Timer/Timeseries handles follow their own
-// concurrency contracts (counters and gauges are atomic, timers and
-// series are single-goroutine).
+// returned Counter/Timer/Timeseries handles follow their own concurrency
+// contracts (counters are atomic, timers and series are single-goroutine).
 type Registry struct {
 	mu       sync.Mutex
 	area     string
 	config   map[string]any
 	scalars  map[string]Scalar
 	counters map[string]*counterEntry
-	gauges   map[string]*gaugeEntry
 	timers   map[string]*timerEntry
 	dists    map[string]Dist
 	series   map[string]*seriesEntry
@@ -59,11 +57,6 @@ type Registry struct {
 
 type counterEntry struct {
 	c    *Counter
-	rule Rule
-}
-
-type gaugeEntry struct {
-	g    *Gauge
 	rule Rule
 }
 
@@ -84,15 +77,11 @@ func NewRegistry(area string) *Registry {
 		config:   map[string]any{},
 		scalars:  map[string]Scalar{},
 		counters: map[string]*counterEntry{},
-		gauges:   map[string]*gaugeEntry{},
 		timers:   map[string]*timerEntry{},
 		dists:    map[string]Dist{},
 		series:   map[string]*seriesEntry{},
 	}
 }
-
-// Area returns the registry's area name.
-func (r *Registry) Area() string { return r.area }
 
 // SetConfig records one configuration key (echoed verbatim into the
 // report).
@@ -121,19 +110,6 @@ func (r *Registry) Counter(name string, rule Rule) *Counter {
 		r.counters[name] = e
 	}
 	return e.c
-}
-
-// Gauge returns the named gauge, creating it on first use. The rule of the
-// first registration wins.
-func (r *Registry) Gauge(name string, rule Rule) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	e, ok := r.gauges[name]
-	if !ok {
-		e = &gaugeEntry{g: &Gauge{}, rule: rule}
-		r.gauges[name] = e
-	}
-	return e.g
 }
 
 // Timer returns the named timer, creating it on first use with a reservoir
@@ -183,8 +159,8 @@ func nameSeed(name string) uint64 {
 	return s
 }
 
-// Snapshot digests the registry into a Report. Counters and gauges become
-// scalar metrics; timers become distributions (seconds). Call it at
+// Snapshot digests the registry into a Report. Counters become scalar
+// metrics; timers become distributions (seconds). Call it at
 // quiescence — timers and series are single-goroutine state.
 func (r *Registry) Snapshot() *Report {
 	r.mu.Lock()
@@ -204,9 +180,6 @@ func (r *Registry) Snapshot() *Report {
 	}
 	for k, e := range r.counters {
 		rep.Metrics[k] = Scalar{Rule: e.rule, Value: float64(e.c.Value())}
-	}
-	for k, e := range r.gauges {
-		rep.Metrics[k] = Scalar{Rule: e.rule, Value: e.g.Value()}
 	}
 	for k, e := range r.timers {
 		rep.Distributions[k] = Dist{Rule: e.rule, Summary: e.t.Summary()}

@@ -85,10 +85,6 @@ func (ts *Timeseries) compact() {
 	ts.counts = ts.counts[:half]
 }
 
-// Interval returns the current bucket width (it grows by doubling as the
-// series downsamples).
-func (ts *Timeseries) Interval() float64 { return ts.interval }
-
 // Len returns the number of materialized buckets.
 func (ts *Timeseries) Len() int { return len(ts.sums) }
 

@@ -234,9 +234,6 @@ func (e *Emulator) Now() float64 { return e.now }
 // Stats returns a copy of the accumulated counters.
 func (e *Emulator) Stats() Stats { return e.stats }
 
-// Conditions returns the link parameters currently in force.
-func (e *Emulator) Conditions() Conditions { return e.cond }
-
 // SetConditions changes the link parameters, taking effect for packets
 // serviced from now on (the adversary's action application point). It panics
 // on values no link has, NaN and ±Inf included: an event scheduled at a NaN
@@ -251,22 +248,10 @@ func (e *Emulator) SetConditions(c Conditions) {
 	e.cond = c
 }
 
-// QueueDepth returns the number of packets waiting or in service.
-func (e *Emulator) QueueDepth() int { return e.queueLen }
-
 // QueueingDelay returns the time a packet entering the queue now would wait
 // before being serviced, in seconds.
 func (e *Emulator) QueueingDelay() float64 {
 	return float64(e.queueLen) * PacketBits / (e.cond.BandwidthMbps * 1e6)
-}
-
-// Inflight returns the number of unacknowledged packets over all flows.
-func (e *Emulator) Inflight() int {
-	n := 0
-	for i := range e.flows {
-		n += e.flows[i].inflight()
-	}
-	return n
 }
 
 // FlowDeliveredBits returns the bits delivered through the bottleneck for
@@ -331,7 +316,6 @@ func (e *Emulator) popAck(r int) {
 }
 
 // Run advances virtual time until the given instant, processing all events.
-// Together with Now it implements vclock.Runner.
 func (e *Emulator) Run(until float64) {
 	for e.StepEvent(until) {
 	}

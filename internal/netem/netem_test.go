@@ -88,12 +88,12 @@ func TestPacketConservation(t *testing.T) {
 			}
 			before := e.Now()
 			e.Run(float64(step) * 0.03)
-			capacityBits += e.Conditions().BandwidthMbps * 1e6 * (e.Now() - before)
+			capacityBits += e.cond.BandwidthMbps * 1e6 * (e.Now() - before)
 
 			st := e.Stats()
-			if got := st.DeliveredPkts + st.DroppedRandom + st.DroppedTail + int64(e.QueueDepth()); got != st.Sent {
+			if got := st.DeliveredPkts + st.DroppedRandom + st.DroppedTail + int64(e.queueLen); got != st.Sent {
 				t.Fatalf("%d flows, step %d: delivered+dropped+queued = %d, sent = %d (%+v, queue %d)",
-					flows, step, got, st.Sent, st, e.QueueDepth())
+					flows, step, got, st.Sent, st, e.queueLen)
 			}
 			if limit := capacityBits + PacketBits*float64(1+cuts); st.DeliveredBits > limit {
 				t.Fatalf("%d flows, step %d: delivered %v bits, link capacity so far %v (+%d packets slack)",
@@ -180,8 +180,8 @@ func TestRTOFiresUnderTotalLoss(t *testing.T) {
 	}
 	// Each timeout clears the outstanding data, so inflight stays bounded
 	// by roughly one RTO window of sends (~333 packets at 8 Mbps, 0.5 s).
-	if e.Inflight() > 1000 {
-		t.Fatalf("inflight %d not bounded by timeouts", e.Inflight())
+	if inflight(e) > 1000 {
+		t.Fatalf("inflight %d not bounded by timeouts", inflight(e))
 	}
 }
 
@@ -323,9 +323,9 @@ func TestLatencyJitterReordering(t *testing.T) {
 	// Total accounting: every sent packet is acked or loss-signaled or
 	// still in flight.
 	st := e.Stats()
-	if int64(len(f.acks))+st.LossesSignaled+int64(e.Inflight()) < st.Sent-int64(e.QueueDepth())-200 {
+	if int64(len(f.acks))+st.LossesSignaled+int64(inflight(e)) < st.Sent-int64(e.queueLen)-200 {
 		t.Fatalf("packets unaccounted: acks=%d losses=%d inflight=%d sent=%d",
-			len(f.acks), st.LossesSignaled, e.Inflight(), st.Sent)
+			len(f.acks), st.LossesSignaled, inflight(e), st.Sent)
 	}
 }
 
@@ -333,7 +333,7 @@ func TestConditionsChangeWhileQueueFull(t *testing.T) {
 	f := &fixedCC{rateBps: 30e6}
 	e := New(f, cfg(5, 10, 0, 32), mathxNew(102))
 	e.Run(2) // queue saturated
-	if e.QueueDepth() == 0 {
+	if e.queueLen == 0 {
 		t.Fatal("queue not saturated")
 	}
 	// Slashing bandwidth with a full queue must not panic or lose packets

@@ -65,9 +65,6 @@ func (a *Adam) Step(params, grads [][]float64) {
 	}
 }
 
-// Steps returns the number of updates applied so far.
-func (a *Adam) Steps() int { return a.t }
-
 // AdamState is the serializable optimizer state: the step counter and both
 // moment estimates. Together with the parameters it makes an interrupted
 // training run resumable bit-for-bit.

@@ -82,9 +82,6 @@ func (m *MLP) NewBatchCacheGEMM(capacity int) *BatchCache {
 // Capacity returns the maximum batch size the cache can hold.
 func (c *BatchCache) Capacity() int { return c.capacity }
 
-// GEMM reports whether the cache is the inference variant.
-func (c *BatchCache) GEMM() bool { return c.gemm }
-
 // ForwardBatch runs the network on n samples stored row-major in xs
 // (n×InputSize) and returns the output matrix (n×OutputSize), aliased into
 // the cache. No allocations.

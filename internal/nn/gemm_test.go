@@ -185,10 +185,10 @@ func TestGEMMFollowsWeightWrites(t *testing.T) {
 func TestGEMMModeFlag(t *testing.T) {
 	rng := mathx.NewRNG(89)
 	m := NewMLP(rng, []int{3, 4, 2}, Tanh)
-	if m.NewBatchCache(4).GEMM() {
+	if m.NewBatchCache(4).gemm {
 		t.Fatal("default cache reports GEMM mode")
 	}
-	if !m.NewBatchCacheGEMM(4).GEMM() {
+	if !m.NewBatchCacheGEMM(4).gemm {
 		t.Fatal("GEMM cache does not report GEMM mode")
 	}
 }

@@ -41,20 +41,6 @@ func (a Activation) String() string {
 	}
 }
 
-func (a Activation) apply(x float64) float64 {
-	switch a {
-	case Tanh:
-		return mathx.Tanh(x)
-	case ReLU:
-		if x < 0 {
-			return 0
-		}
-		return x
-	default:
-		return x
-	}
-}
-
 // derivFromOutput returns dy/dx given y = act(x). Both tanh and ReLU admit
 // this form, which avoids caching pre-activations.
 func (a Activation) derivFromOutput(y float64) float64 {
@@ -202,9 +188,6 @@ type Cache struct {
 	dacts [][]float64
 }
 
-// Output returns the network output stored in the cache.
-func (c *Cache) Output() []float64 { return c.acts[len(c.acts)-1] }
-
 // NewCache returns a reusable cache pre-sized for m, for use with
 // ForwardInto/BackwardInto.
 func (m *MLP) NewCache() *Cache {
@@ -332,15 +315,6 @@ func (m *MLP) ClipGradNorm(maxNorm float64) {
 	if n > maxNorm && n > 0 {
 		m.ScaleGrads(maxNorm / n)
 	}
-}
-
-// NumParams returns the total number of scalar parameters.
-func (m *MLP) NumParams() int {
-	n := 0
-	for _, p := range m.params {
-		n += len(p)
-	}
-	return n
 }
 
 // Clone returns a deep copy of the network (parameters only; gradients are

@@ -9,8 +9,23 @@ import (
 
 // The test oracle: the scalar, row-at-a-time loops every pass ran before the
 // tiled kernel replaced them — one mathx.Dot per neuron forward, one
-// mathx.AXPY per neuron backward, one sample at a time. They define the
+// multiply-add loop per neuron backward, one sample at a time. They define the
 // operation order the kernel must reproduce bit for bit.
+
+// apply is the one-value activation the reference passes apply per output.
+func (a Activation) apply(x float64) float64 {
+	switch a {
+	case Tanh:
+		return mathx.Tanh(x)
+	case ReLU:
+		if x < 0 {
+			return 0
+		}
+		return x
+	default:
+		return x
+	}
+}
 
 func (d *Dense) refForward(x, out []float64) {
 	for o := 0; o < d.Out; o++ {
@@ -24,11 +39,15 @@ func (d *Dense) refBackward(x, dOut, dX []float64) {
 		g := dOut[o]
 		d.gradB[o] += g
 		row := d.gradW[o*d.In : (o+1)*d.In]
-		mathx.AXPY(g, x, row)
+		for i, xi := range x {
+			row[i] += g * xi
+		}
 	}
 	mathx.Fill(dX, 0)
 	for o := 0; o < d.Out; o++ {
-		mathx.AXPY(dOut[o], d.W[o*d.In:(o+1)*d.In], dX)
+		for i, w := range d.W[o*d.In : (o+1)*d.In] {
+			dX[i] += dOut[o] * w
+		}
 	}
 }
 

@@ -32,8 +32,6 @@ type rolloutBuffer struct {
 	actUsed  int
 }
 
-func (b *rolloutBuffer) add(t transition) { b.steps = append(b.steps, t) }
-
 func (b *rolloutBuffer) len() int { return len(b.steps) }
 
 func (b *rolloutBuffer) reset() {

@@ -239,8 +239,7 @@ func (p *PPO) restore(snap *ppoSnapshot) error {
 
 // SaveCheckpoint writes the sequential trainer's checkpoint: the trainer plus
 // its one lane. env is the training environment; pass nil when no
-// environment state should be captured. Call only at iteration boundaries
-// (between TrainIteration calls).
+// environment state should be captured. Call only at iteration boundaries.
 func (p *PPO) SaveCheckpoint(path string, env Env) error {
 	st, err := p.seq.lanes[0].stateWith(env)
 	if err != nil {
@@ -258,7 +257,7 @@ func (p *PPO) LoadCheckpoint(path string, env Env) error {
 }
 
 // Iteration returns the number of completed training iterations (the next
-// TrainIteration call is iteration Iteration()).
+// iteration trained is iteration Iteration()).
 func (p *PPO) Iteration() int { return p.iter }
 
 // CheckpointDir manages a directory of rolling checkpoints: numbered files,

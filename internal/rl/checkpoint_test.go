@@ -301,7 +301,7 @@ func TestTrainCheckpointedCrashResume(t *testing.T) {
 	}
 
 	b, bPol, bVal := newCkptFixture(t, 999, 50)
-	tailStats, err := b.TrainCheckpointed(newCkptEnv(), 6, ckpt)
+	tailStats, err := b.sequential(newCkptEnv()).TrainCheckpointed(6, ckpt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +328,7 @@ func TestCheckpointDirFallback(t *testing.T) {
 	dir := t.TempDir()
 	ckpt := CheckpointConfig{Dir: dir, Every: 1, Keep: 3}
 	a, _, _ := newCkptFixture(t, 50, 50)
-	if _, err := a.TrainCheckpointed(newCkptEnv(), 3, ckpt); err != nil {
+	if _, err := a.sequential(newCkptEnv()).TrainCheckpointed(3, ckpt); err != nil {
 		t.Fatal(err)
 	}
 
@@ -368,7 +368,7 @@ func TestCheckpointDirRetention(t *testing.T) {
 	dir := t.TempDir()
 	ckpt := CheckpointConfig{Dir: dir, Every: 1, Keep: 2}
 	a, _, _ := newCkptFixture(t, 50, 50)
-	if _, err := a.TrainCheckpointed(newCkptEnv(), 5, ckpt); err != nil {
+	if _, err := a.sequential(newCkptEnv()).TrainCheckpointed(5, ckpt); err != nil {
 		t.Fatal(err)
 	}
 	matches, err := filepath.Glob(filepath.Join(dir, "ckpt-*.json"))

@@ -6,11 +6,7 @@
 // adversaries and its RL-based protocols with.
 package rl
 
-import (
-	"fmt"
-
-	"advnet/internal/mathx"
-)
+import "advnet/internal/mathx"
 
 // ActionSpec describes an environment's action space. Exactly one of the
 // discrete or continuous forms applies.
@@ -29,29 +25,6 @@ type ActionSpec struct {
 	Dim  int
 	Low  []float64
 	High []float64
-}
-
-// Validate reports whether the spec is internally consistent.
-func (s ActionSpec) Validate() error {
-	if s.Discrete {
-		if s.N <= 0 {
-			return fmt.Errorf("rl: discrete action spec with N=%d", s.N)
-		}
-		return nil
-	}
-	if s.Dim <= 0 {
-		return fmt.Errorf("rl: continuous action spec with Dim=%d", s.Dim)
-	}
-	if len(s.Low) != s.Dim || len(s.High) != s.Dim {
-		return fmt.Errorf("rl: bounds length mismatch (dim=%d low=%d high=%d)",
-			s.Dim, len(s.Low), len(s.High))
-	}
-	for i := range s.Low {
-		if s.Low[i] >= s.High[i] {
-			return fmt.Errorf("rl: bound %d inverted (%v >= %v)", i, s.Low[i], s.High[i])
-		}
-	}
-	return nil
 }
 
 // ActionSize returns the length of the action vector exchanged with the

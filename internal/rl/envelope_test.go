@@ -114,7 +114,7 @@ func TestLoadPolicyNetFromTrainerCheckpoints(t *testing.T) {
 			t.Fatal(err)
 		}
 		env := &banditEnv{rewards: []float64{0, 1}}
-		ppo.TrainIteration(env)
+		ppo.Train(env, 1)
 		path := filepath.Join(dir, "ppo.json")
 		if err := ppo.SaveCheckpoint(path, nil); err != nil {
 			t.Fatal(err)

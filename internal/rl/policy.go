@@ -75,22 +75,6 @@ func ClonePolicy(p Policy) (Policy, error) {
 	return nil, fmt.Errorf("rl: policy type %T does not support cloning", p)
 }
 
-// CopyParams overwrites dst's parameters with src's. The two policies must
-// have identical parameter shapes (e.g. a clone and its original).
-func CopyParams(dst, src Policy) error {
-	dp, sp := dst.Params(), src.Params()
-	if len(dp) != len(sp) {
-		return fmt.Errorf("rl: CopyParams shape mismatch: %d vs %d parameter groups", len(dp), len(sp))
-	}
-	for i := range dp {
-		if len(dp[i]) != len(sp[i]) {
-			return fmt.Errorf("rl: CopyParams group %d size mismatch: %d vs %d", i, len(dp[i]), len(sp[i]))
-		}
-		copy(dp[i], sp[i])
-	}
-	return nil
-}
-
 // CategoricalPolicy is a softmax policy over N discrete actions; the network
 // maps observations to N logits.
 type CategoricalPolicy struct {
@@ -124,9 +108,6 @@ func NewCategoricalPolicy(net *nn.MLP) *CategoricalPolicy {
 
 // Net returns the underlying network (e.g. for serialization).
 func (p *CategoricalPolicy) Net() *nn.MLP { return p.net }
-
-// N returns the number of actions.
-func (p *CategoricalPolicy) N() int { return p.n }
 
 // Clone returns an independent copy with its own network and scratch.
 func (p *CategoricalPolicy) Clone() *CategoricalPolicy {

@@ -137,30 +137,16 @@ func (p *PPO) sequential(env Env) *VecRunner {
 	return p.seq
 }
 
-// TrainIteration collects one rollout from env and performs the PPO update,
-// returning iteration statistics. A panic inside the environment or policy
-// propagates (as the *par.PanicError the lane's fan-out contained it in).
-func (p *PPO) TrainIteration(env Env) IterStats {
-	stats, err := p.sequential(env).TrainIteration()
-	if err != nil {
-		panic(err)
-	}
-	return stats
-}
-
-// Train runs iterations training iterations and returns their statistics
-// (see TrainIteration).
+// Train collects iterations rollouts from env, performing the PPO update
+// after each, and returns their statistics. A panic inside the environment
+// or policy propagates (as the *par.PanicError the lane's fan-out contained
+// it in).
 func (p *PPO) Train(env Env, iterations int) []IterStats {
 	out, err := p.sequential(env).Train(iterations)
 	if err != nil {
 		panic(err)
 	}
 	return out
-}
-
-// TrainCheckpointed is VecRunner.TrainCheckpointed for the sequential trainer.
-func (p *PPO) TrainCheckpointed(env Env, iterations int, ckpt CheckpointConfig) ([]IterStats, error) {
-	return p.sequential(env).TrainCheckpointed(iterations, ckpt)
 }
 
 // applyRollout is the one iteration tail, shared by every lane transport:

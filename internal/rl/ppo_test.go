@@ -11,8 +11,8 @@ import (
 func TestGAEHandComputed(t *testing.T) {
 	// Two-step episode, gamma=0.5, lambda=1 (plain discounted advantage).
 	b := &rolloutBuffer{}
-	b.add(transition{reward: 1, value: 0.5})
-	b.add(transition{reward: 2, value: 0.25, done: true})
+	b.steps = append(b.steps, transition{reward: 1, value: 0.5})
+	b.steps = append(b.steps, transition{reward: 2, value: 0.25, done: true})
 	b.computeGAE(0.5, 1.0, 0 /* terminal */)
 
 	// delta1 = 2 + 0 - 0.25 = 1.75 ; adv1 = 1.75
@@ -30,7 +30,7 @@ func TestGAEHandComputed(t *testing.T) {
 
 func TestGAEBootstrapsLastValue(t *testing.T) {
 	b := &rolloutBuffer{}
-	b.add(transition{reward: 0, value: 0})
+	b.steps = append(b.steps, transition{reward: 0, value: 0})
 	b.computeGAE(1.0, 1.0, 10.0) // non-terminal, next state worth 10
 	if math.Abs(b.steps[0].advantage-10) > 1e-12 {
 		t.Fatalf("bootstrap advantage = %v, want 10", b.steps[0].advantage)
@@ -40,8 +40,8 @@ func TestGAEBootstrapsLastValue(t *testing.T) {
 func TestGAEResetsAcrossEpisodes(t *testing.T) {
 	// Episode boundary (done=true) must stop advantage propagation.
 	b := &rolloutBuffer{}
-	b.add(transition{reward: 0, value: 0, done: true})
-	b.add(transition{reward: 100, value: 0, done: true})
+	b.steps = append(b.steps, transition{reward: 0, value: 0, done: true})
+	b.steps = append(b.steps, transition{reward: 100, value: 0, done: true})
 	b.computeGAE(1.0, 1.0, 0)
 	if b.steps[0].advantage != 0 {
 		t.Fatalf("advantage leaked across done: %v", b.steps[0].advantage)
@@ -51,7 +51,7 @@ func TestGAEResetsAcrossEpisodes(t *testing.T) {
 func TestNormalizeAdvantages(t *testing.T) {
 	b := &rolloutBuffer{}
 	for i := 0; i < 100; i++ {
-		b.add(transition{advantage: float64(i)})
+		b.steps = append(b.steps, transition{advantage: float64(i)})
 	}
 	b.normalizeAdvantages()
 	var mean, varSum float64
@@ -157,7 +157,7 @@ func TestPPOStatsSane(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := p.TrainIteration(env)
+	st := p.Train(env, 1)[0]
 	if st.Steps != 64 {
 		t.Errorf("Steps = %d", st.Steps)
 	}
@@ -252,7 +252,7 @@ func TestPPOEnvSwitchResets(t *testing.T) {
 		resumes bool
 	}{{envA, false}, {envA, true}, {envB, false}, {envA, false}} {
 		before := c.env.resets
-		stats := p.TrainIteration(c.env)
+		stats := p.Train(c.env, 1)[0]
 		want := stats.Episodes + 1
 		if c.resumes {
 			want = stats.Episodes
@@ -285,7 +285,7 @@ func TestPPOValueLossReportsOptimizedObjective(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return p.TrainIteration(env).ValueLoss
+		return p.Train(env, 1)[0].ValueLoss
 	}
 	half, full := run(0.5), run(1.0)
 	if full <= 0 {

@@ -95,11 +95,6 @@ type TrainOptions struct {
 	// EnvCheckpointer abandons its half-collected episode on resume — valid
 	// training, though not bit-for-bit an uninterrupted run.
 	Checkpoint CheckpointConfig
-	// Metrics, when non-nil, attaches training telemetry (iteration
-	// counter, rollout/update timers) to the trainer. With Restarts > 1
-	// every restart observes into the same instruments, so the timers
-	// aggregate across the whole selection run.
-	Metrics *TrainMetrics
 }
 
 // Train trains the problem under opt and returns the trainer (whose Policy
@@ -149,7 +144,6 @@ func trainOnce(pr Problem, opt TrainOptions, rng *mathx.RNG) (*PPO, []IterStats,
 	if err != nil {
 		return nil, nil, err
 	}
-	ppo.SetMetrics(opt.Metrics)
 	v, err := NewVecRunner(ppo, factory, lanes)
 	if err != nil {
 		return nil, nil, err

@@ -53,7 +53,7 @@ func TestGAEAdvantagePlusValueEqualsReturnProperty(t *testing.T) {
 		b := &rolloutBuffer{}
 		n := 5 + rng.Intn(30)
 		for i := 0; i < n; i++ {
-			b.add(transition{
+			b.steps = append(b.steps, transition{
 				reward: rng.Uniform(-5, 5),
 				value:  rng.Uniform(-5, 5),
 				done:   rng.Bernoulli(0.2),

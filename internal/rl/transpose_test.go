@@ -102,9 +102,6 @@ func TestTransposeFollowsEveryWriter(t *testing.T) {
 			nn.NewAdam(0.1).Step(p.Net().Params(), p.Net().Grads())
 			return nil
 		}},
-		{"rl.CopyParams", func(t *testing.T, p *GaussianPolicy) error {
-			return CopyParams(p, newPolicy(2))
-		}},
 		{"Lane.SetParams", func(t *testing.T, p *GaussianPolicy) error {
 			l, err := NewLane(p, nn.NewMLP(mathx.NewRNG(4), []int{1, 8, 1}, nn.Tanh), newCkptEnv(), 0.99, 0.95)
 			if err != nil {

@@ -123,9 +123,6 @@ func (p *PPO) NewLaneStates(factory EnvFactory, lanes int) ([]LaneState, error) 
 	return states, nil
 }
 
-// Workers returns the lane count.
-func (v *VecRunner) Workers() int { return len(v.lanes) }
-
 // TrainIteration collects one rollout across the lanes and performs the PPO
 // update. A panic inside a lane is contained: it surfaces as a
 // *par.PanicError naming the lane, every lane's partial rollout and pending

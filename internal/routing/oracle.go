@@ -140,9 +140,3 @@ func (o *Oracle) Route(t *Topology, d DemandMatrix) *Routing {
 
 // Name implements Scheme.
 func (o *Oracle) Name() string { return "oracle" }
-
-// OptimalityGap returns MLU(scheme) − MLU(oracle) on the same inputs: the
-// routing-domain analogue of r_opt − r_protocol.
-func OptimalityGap(t *Topology, scheme Scheme, oracle *Oracle, d DemandMatrix) float64 {
-	return MLU(t, scheme.Route(t, d)) - MLU(t, oracle.Route(t, d))
-}

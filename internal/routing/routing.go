@@ -3,8 +3,7 @@
 // protocols needing robustness testing; §2.3 cites RL-driven routing [26];
 // §5 proposes adversaries that cause route flapping). It provides a
 // multi-commodity flow substrate: capacitated directed topologies, demand
-// matrices, routing schemes (shortest-path, ECMP, softmin weighted routing
-// in the style of Valadarsky et al. [26]), an iterative oracle that
+// matrices, routing schemes (shortest-path and ECMP), an iterative oracle that
 // approximates congestion-optimal routing, and the max-link-utilization
 // (MLU) metric the adversarial framework scores schemes against.
 package routing
@@ -79,28 +78,6 @@ type Demand struct {
 
 // DemandMatrix is a set of commodities.
 type DemandMatrix []Demand
-
-// Total returns the sum of demand rates.
-func (d DemandMatrix) Total() float64 {
-	var s float64
-	for _, x := range d {
-		s += x.Rate
-	}
-	return s
-}
-
-// Validate checks endpoints and rates against a topology.
-func (d DemandMatrix) Validate(t *Topology) error {
-	for i, x := range d {
-		if x.Src < 0 || x.Src >= t.N || x.Dst < 0 || x.Dst >= t.N || x.Src == x.Dst {
-			return fmt.Errorf("routing: demand %d endpoints invalid", i)
-		}
-		if x.Rate < 0 || math.IsNaN(x.Rate) {
-			return fmt.Errorf("routing: demand %d rate %v", i, x.Rate)
-		}
-	}
-	return nil
-}
 
 // Routing is a per-commodity split of traffic over edges: flows[k][e] is the
 // rate of commodity k on edge e. Schemes produce these; the evaluator only

@@ -80,7 +80,7 @@ func TestFlowConservationProperty(t *testing.T) {
 	// (when the destination is reachable), and MLU is non-negative.
 	top := Abilene()
 	oracle := NewOracle()
-	schemes := []Scheme{SPF{}, ECMP{}, &Softmin{}, oracle}
+	schemes := []Scheme{SPF{}, ECMP{}, oracle}
 	f := func(seed uint64) bool {
 		rng := mathx.NewRNG(seed)
 		var d DemandMatrix
@@ -171,51 +171,6 @@ func TestOracleBeatsSPFOnDiamond(t *testing.T) {
 	}
 	if math.Abs(opt-0.5) > 0.05 {
 		t.Fatalf("oracle MLU %v, want ~0.5", opt)
-	}
-}
-
-func TestSoftminUnitWeightsNearECMP(t *testing.T) {
-	// On the diamond with equal weights, softmin splits evenly like ECMP.
-	top := diamond()
-	d := DemandMatrix{{Src: 0, Dst: 3, Rate: 1}}
-	s := &Softmin{}
-	if got := MLU(top, s.Route(top, d)); math.Abs(got-0.5) > 1e-9 {
-		t.Fatalf("softmin unit-weight MLU %v, want 0.5", got)
-	}
-}
-
-func TestSoftminWeightsSteerTraffic(t *testing.T) {
-	// Penalizing edge 0->1 should push most traffic through 0->2.
-	top := diamond()
-	w := make([]float64, len(top.Edges))
-	for i := range w {
-		w[i] = 1
-	}
-	w[0] = 5 // edge 0->1
-	s := &Softmin{Weights: w, Gamma: 2}
-	r := s.Route(top, DemandMatrix{{Src: 0, Dst: 3, Rate: 1}})
-	if r.Flows[0][0] >= r.Flows[0][1] {
-		t.Fatalf("penalized edge carries %v vs alternative %v", r.Flows[0][0], r.Flows[0][1])
-	}
-}
-
-func TestDemandMatrixValidate(t *testing.T) {
-	top := diamond()
-	good := DemandMatrix{{Src: 0, Dst: 3, Rate: 1}}
-	if err := good.Validate(top); err != nil {
-		t.Fatal(err)
-	}
-	for _, bad := range []DemandMatrix{
-		{{Src: 0, Dst: 0, Rate: 1}},
-		{{Src: -1, Dst: 3, Rate: 1}},
-		{{Src: 0, Dst: 3, Rate: -2}},
-	} {
-		if err := bad.Validate(top); err == nil {
-			t.Fatalf("bad matrix %v accepted", bad)
-		}
-	}
-	if good.Total() != 1 {
-		t.Fatal("Total")
 	}
 }
 

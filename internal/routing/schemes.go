@@ -1,11 +1,5 @@
 package routing
 
-import (
-	"math"
-
-	"advnet/internal/mathx"
-)
-
 // SPF is single-shortest-path routing by hop count: every commodity follows
 // one deterministic shortest path (ties broken by lowest edge index). It is
 // the classic OSPF-with-unit-weights baseline and concentrates load badly —
@@ -86,98 +80,6 @@ func (ECMP) Route(t *Topology, d DemandMatrix) *Routing {
 		})
 	}
 	return r
-}
-
-// Softmin is the weighted-routing family of Valadarsky et al. [26]: each
-// edge carries a weight, and at every node a commodity splits over outgoing
-// edges in proportion to exp(−γ·(w_e + dist_w(next, dst))) — the softmin of
-// the weighted distance through each neighbor. With learned or tuned
-// weights it expresses a rich space of traffic-engineering behaviours; with
-// unit weights and large γ it degenerates to shortest-path.
-type Softmin struct {
-	Weights []float64 // per-edge; nil means unit weights
-	Gamma   float64   // softmin temperature, default 2
-}
-
-// Name implements Scheme.
-func (s *Softmin) Name() string { return "softmin" }
-
-// Route implements Scheme.
-func (s *Softmin) Route(t *Topology, d DemandMatrix) *Routing {
-	gamma := s.Gamma
-	if gamma <= 0 {
-		gamma = 2
-	}
-	weights := s.Weights
-	if weights == nil {
-		weights = make([]float64, len(t.Edges))
-		for i := range weights {
-			weights[i] = 1
-		}
-	}
-	r := &Routing{Flows: make([][]float64, len(d))}
-	distCache := map[int][]float64{}
-	for k, dem := range d {
-		dist, ok := distCache[dem.Dst]
-		if !ok {
-			dist = weightedDistances(t, weights, dem.Dst)
-			distCache[dem.Dst] = dist
-		}
-		r.Flows[k] = splitByWeights(t, dem, func(v int) ([]int, []float64) {
-			var nexts []int
-			var ws []float64
-			for _, ei := range t.OutEdges(v) {
-				to := t.Edges[ei].To
-				if math.IsInf(dist[to], 1) {
-					continue
-				}
-				// Only edges that make progress participate,
-				// guaranteeing loop-free splits.
-				if dist[to] < dist[v] {
-					nexts = append(nexts, ei)
-					ws = append(ws, mathx.Exp(-gamma*(weights[ei]+dist[to])))
-				}
-			}
-			return nexts, ws
-		})
-	}
-	return r
-}
-
-// weightedDistances is Dijkstra to dst over edge weights (reverse graph).
-func weightedDistances(t *Topology, w []float64, dst int) []float64 {
-	dist := make([]float64, t.N)
-	for i := range dist {
-		dist[i] = math.Inf(1)
-	}
-	dist[dst] = 0
-	visited := make([]bool, t.N)
-	rev := make([][]int, t.N) // edge indices entering each node
-	for i, e := range t.Edges {
-		rev[e.To] = append(rev[e.To], i)
-	}
-	for {
-		// O(N^2) Dijkstra is plenty for the topology sizes used here.
-		best := -1
-		bd := math.Inf(1)
-		for v := 0; v < t.N; v++ {
-			if !visited[v] && dist[v] < bd {
-				best = v
-				bd = dist[v]
-			}
-		}
-		if best < 0 {
-			break
-		}
-		visited[best] = true
-		for _, ei := range rev[best] {
-			e := t.Edges[ei]
-			if nd := dist[best] + w[ei]; nd < dist[e.From] {
-				dist[e.From] = nd
-			}
-		}
-	}
-	return dist
 }
 
 // splitByWeights pushes a commodity's rate from src to dst, splitting at

@@ -36,10 +36,6 @@ type Config struct {
 	// request waits for capacity indefinitely (interrupted only by Close).
 	// SelectDeadline overrides it per call.
 	DefaultDeadline time.Duration
-	// NoGEMM switches the workers from the blocked GEMM kernels to the
-	// bitwise row-at-a-time batch path (for equivalence testing; GEMM is the
-	// production default).
-	NoGEMM bool
 	// Seed seeds the per-worker latency reservoirs (default 1).
 	Seed uint64
 }
@@ -255,33 +251,16 @@ func newEngine(reg *Registry, cfg Config, beforeFlush func(shard int)) (*Engine,
 	return e, nil
 }
 
-// MustNewEngine is NewEngine for callers whose Config is statically known
-// to be valid (tests, benchmarks); it panics on a config error.
-func MustNewEngine(reg *Registry, cfg Config) *Engine {
-	e, err := NewEngine(reg, cfg)
-	if err != nil {
-		panic(err)
-	}
-	return e
-}
-
-// newCache builds one worker's batch cache in the configured batch mode; a
+// newCache builds one worker's inference batch cache (GEMM kernels); a
 // contained panic rebuilds it from scratch. Snapshots are immutable, so each
 // snapshot's net transposes its weights once, on its first forward, and
 // every shard reuses them.
 func (e *Engine) newCache() *nn.BatchCache {
-	net := e.reg.Current().Net()
-	if e.cfg.NoGEMM {
-		return net.NewBatchCache(e.cfg.MaxBatch)
-	}
-	return net.NewBatchCacheGEMM(e.cfg.MaxBatch)
+	return e.reg.Current().Net().NewBatchCacheGEMM(e.cfg.MaxBatch)
 }
 
 // InputSize returns the feature-vector size the engine serves.
 func (e *Engine) InputSize() int { return e.in }
-
-// OutputSize returns the policy net's output dimension.
-func (e *Engine) OutputSize() int { return e.out }
 
 // Select answers one inference request under the engine's DefaultDeadline:
 // it enqueues a pooled request on a shard and blocks until the shard's

@@ -44,31 +44,38 @@ func riggedW(in, levels, level int) *nn.MLP {
 	return net
 }
 
-func TestEngineMatchesPredictArgmax(t *testing.T) {
-	for _, gemm := range []bool{true, false} {
-		rng := mathx.NewRNG(42)
-		net := nn.NewMLP(rng, []int{6, 16, 4}, nn.Tanh)
-		reg := NewRegistry(net)
-		eng := MustNewEngine(reg, Config{Workers: 2, MaxBatch: 8, NoGEMM: !gemm})
+// MustNewEngine is NewEngine for a Config the test knows is valid.
+func MustNewEngine(reg *Registry, cfg Config) *Engine {
+	e, err := NewEngine(reg, cfg)
+	if err != nil {
+		panic(err)
+	}
+	return e
+}
 
-		x := make([]float64, 6)
-		for i := 0; i < 500; i++ {
-			for j := range x {
-				x[j] = rng.Uniform(-2, 2)
-			}
-			want := mathx.ArgMax(net.Predict(x))
-			d, err := eng.Select(x)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if d.Level != want {
-				t.Fatalf("gemm=%v iter %d: engine level %d, Predict argmax %d", gemm, i, d.Level, want)
-			}
-			if d.Snapshot != 1 {
-				t.Fatalf("snapshot id %d, want 1", d.Snapshot)
-			}
+func TestEngineMatchesPredictArgmax(t *testing.T) {
+	rng := mathx.NewRNG(42)
+	net := nn.NewMLP(rng, []int{6, 16, 4}, nn.Tanh)
+	reg := NewRegistry(net)
+	eng := MustNewEngine(reg, Config{Workers: 2, MaxBatch: 8})
+	defer eng.Close()
+
+	x := make([]float64, 6)
+	for i := 0; i < 500; i++ {
+		for j := range x {
+			x[j] = rng.Uniform(-2, 2)
 		}
-		eng.Close()
+		want := mathx.ArgMax(net.Predict(x))
+		d, err := eng.Select(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.Level != want {
+			t.Fatalf("iter %d: engine level %d, Predict argmax %d", i, d.Level, want)
+		}
+		if d.Snapshot != 1 {
+			t.Fatalf("snapshot id %d, want 1", d.Snapshot)
+		}
 	}
 }
 

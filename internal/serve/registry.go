@@ -46,9 +46,6 @@ func (s *Snapshot) Net() *nn.MLP { return s.net }
 // ID returns the registry-assigned monotonically increasing snapshot id.
 func (s *Snapshot) ID() uint64 { return s.id }
 
-// Source describes where the snapshot came from (a file path, "initial", …).
-func (s *Snapshot) Source() string { return s.source }
-
 // Sizes returns the network's layer sizes (including input and output).
 func (s *Snapshot) Sizes() []int { return s.net.Sizes() }
 

@@ -17,8 +17,8 @@ func TestRegistryPublishAndCurrent(t *testing.T) {
 	reg := NewRegistry(net)
 
 	first := reg.Current()
-	if first.ID() != 1 || first.Source() != "initial" {
-		t.Fatalf("initial snapshot id=%d source=%q", first.ID(), first.Source())
+	if first.ID() != 1 || first.source != "initial" {
+		t.Fatalf("initial snapshot id=%d source=%q", first.ID(), first.source)
 	}
 
 	// The registry serves a clone: mutating the caller's net must not leak
@@ -73,7 +73,7 @@ func TestRegistryReloadFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.Source() != path || reg.Current() != snap {
+	if snap.source != path || reg.Current() != snap {
 		t.Fatal("reload did not publish the file snapshot")
 	}
 	if snap.Net().Params()[0][0] != fresh.Params()[0][0] {

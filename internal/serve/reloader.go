@@ -222,21 +222,6 @@ func (l *Reloader) State() BreakerState {
 	return l.state
 }
 
-// Trips returns how many times the breaker has opened.
-func (l *Reloader) Trips() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.trips
-}
-
-// LastGood returns the pinned last successfully published snapshot — what
-// keeps serving while reloads fail.
-func (l *Reloader) LastGood() *Snapshot {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.lastGood
-}
-
 // Stats digests the reload control plane for telemetry.
 func (l *Reloader) Stats() ReloaderStats {
 	l.mu.Lock()

@@ -99,8 +99,8 @@ func TestReloaderRetriesTransientFailure(t *testing.T) {
 			t.Fatalf("backoff %d = %v outside [%v, %v]", k, d, lo, hi)
 		}
 	}
-	if l.State() != BreakerClosed || l.Trips() != 0 {
-		t.Fatalf("breaker %v trips %d after recovery, want closed/0", l.State(), l.Trips())
+	if l.State() != BreakerClosed || l.Stats().Trips != 0 {
+		t.Fatalf("breaker %v trips %d after recovery, want closed/0", l.State(), l.Stats().Trips)
 	}
 	if st := l.Stats(); st.Reloads != 1 || st.Attempts != 3 || st.LastGood != snap.ID() {
 		t.Fatalf("stats %+v", st)
@@ -166,8 +166,8 @@ func TestReloaderBreakerTripsAndRecovers(t *testing.T) {
 			t.Fatalf("call %d: %v, want the loader's %v", i, down, want)
 		}
 	}
-	if l.State() != BreakerOpen || l.Trips() != 1 {
-		t.Fatalf("breaker %v trips %d after %d failed calls, want open/1", l.State(), l.Trips(), 3)
+	if l.State() != BreakerOpen || l.Stats().Trips != 1 {
+		t.Fatalf("breaker %v trips %d after %d failed calls, want open/1", l.State(), l.Stats().Trips, 3)
 	}
 
 	// Open: refused with typed error carrying the cause and retry time, and
@@ -188,7 +188,7 @@ func TestReloaderBreakerTripsAndRecovers(t *testing.T) {
 		t.Fatal("open breaker still hit the loader")
 	}
 	// Throughout the outage the last-good snapshot keeps serving.
-	if reg.Current() != lastGood || l.LastGood() != lastGood {
+	if reg.Current() != lastGood || l.Stats().LastGood != lastGood.ID() {
 		t.Fatal("failed reloads displaced the serving snapshot")
 	}
 
@@ -197,8 +197,8 @@ func TestReloaderBreakerTripsAndRecovers(t *testing.T) {
 	if _, err := l.Reload(path); err == nil || err.Error() != want.Error() {
 		t.Fatalf("half-open probe: %v, want the loader's %v", err, want)
 	}
-	if l.State() != BreakerOpen || l.Trips() != 2 {
-		t.Fatalf("breaker %v trips %d after failed probe, want open/2", l.State(), l.Trips())
+	if l.State() != BreakerOpen || l.Stats().Trips != 2 {
+		t.Fatalf("breaker %v trips %d after failed probe, want open/2", l.State(), l.Stats().Trips)
 	}
 
 	// Next cooldown: the file is repaired, the probe succeeds, breaker
@@ -212,7 +212,7 @@ func TestReloaderBreakerTripsAndRecovers(t *testing.T) {
 	if l.State() != BreakerClosed {
 		t.Fatalf("breaker %v after successful probe, want closed", l.State())
 	}
-	if reg.Current() != snap || l.LastGood() != snap {
+	if reg.Current() != snap || l.Stats().LastGood != snap.ID() {
 		t.Fatal("recovery did not publish and pin the new snapshot")
 	}
 	if st := l.Stats(); st.StateStr != "closed" || st.Trips != 2 || st.Failures != 0 {

@@ -75,30 +75,6 @@ func (r *Reservoir) Add(x float64) {
 // Count returns the total number of observations.
 func (r *Reservoir) Count() uint64 { return r.n }
 
-// Mean returns the exact running mean (0 when empty).
-func (r *Reservoir) Mean() float64 {
-	if r.n == 0 {
-		return 0
-	}
-	return r.sum / float64(r.n)
-}
-
-// Min returns the exact minimum observed. It panics when empty.
-func (r *Reservoir) Min() float64 {
-	if r.n == 0 {
-		panic("stats: Min of empty reservoir")
-	}
-	return r.min
-}
-
-// Max returns the exact maximum observed. It panics when empty.
-func (r *Reservoir) Max() float64 {
-	if r.n == 0 {
-		panic("stats: Max of empty reservoir")
-	}
-	return r.max
-}
-
 // Reset forgets everything but keeps the allocated capacity and RNG stream.
 func (r *Reservoir) Reset() {
 	r.vals = r.vals[:0]

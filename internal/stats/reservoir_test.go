@@ -20,10 +20,10 @@ func TestReservoirExactBelowCapacity(t *testing.T) {
 	if s.P50 != 5.5 {
 		t.Fatalf("median %v, want 5.5", s.P50)
 	}
-	if r.Min() != 1 || r.Max() != 10 || s.Min != 1 || s.Max != 10 {
-		t.Fatalf("min/max %v/%v (summary %v/%v), want 1/10", r.Min(), r.Max(), s.Min, s.Max)
+	if r.min != 1 || r.max != 10 || s.Min != 1 || s.Max != 10 {
+		t.Fatalf("min/max %v/%v (summary %v/%v), want 1/10", r.min, r.max, s.Min, s.Max)
 	}
-	if got := r.Mean(); got != 5.5 {
+	if got := r.sum / float64(r.n); got != 5.5 {
 		t.Fatalf("mean %v, want 5.5", got)
 	}
 	// Below capacity the sample is the stream: extreme quantiles are exact.
@@ -53,8 +53,8 @@ func TestReservoirApproximatesBigStream(t *testing.T) {
 		}
 	}
 	// Exact aggregates are unaffected by sampling.
-	if math.Abs(r.Mean()-0.5) > 0.01 {
-		t.Fatalf("mean %v", r.Mean())
+	if mean := r.sum / float64(r.n); math.Abs(mean-0.5) > 0.01 {
+		t.Fatalf("mean %v", mean)
 	}
 }
 
@@ -75,11 +75,11 @@ func TestReservoirReset(t *testing.T) {
 		r.Add(float64(i))
 	}
 	r.Reset()
-	if r.Count() != 0 || r.Mean() != 0 {
+	if r.Count() != 0 || r.sum != 0 {
 		t.Fatal("reset did not clear state")
 	}
 	r.Add(42)
-	if Summarize(r).P50 != 42 || r.Min() != 42 || r.Max() != 42 {
+	if Summarize(r).P50 != 42 || r.min != 42 || r.max != 42 {
 		t.Fatal("reservoir unusable after reset")
 	}
 }
@@ -88,8 +88,6 @@ func TestReservoirEmptyPanics(t *testing.T) {
 	r := NewReservoir(8, 1)
 	for _, f := range []func(){
 		func() { merge([]*Reservoir{r}) },
-		func() { r.Min() },
-		func() { r.Max() },
 	} {
 		func() {
 			defer func() {
@@ -201,7 +199,7 @@ func TestSummarizeSingleReservoirMatchesQuantile(t *testing.T) {
 						p.q, p.got, want, p.got-want)
 				}
 			}
-			if s.Min != r.Min() || s.Max != r.Max() || s.Mean != r.Mean() {
+			if s.Min != r.min || s.Max != r.max || s.Mean != r.sum/float64(r.n) {
 				t.Fatal("summary aggregates diverge from reservoir accessors")
 			}
 		})

@@ -111,34 +111,6 @@ func (c *CDF) At(x float64) float64 {
 	return float64(i) / float64(len(c.sorted))
 }
 
-// Quantile returns the q-th quantile (q in [0,1]).
-func (c *CDF) Quantile(q float64) float64 {
-	return Percentile(c.sorted, q*100)
-}
-
-// N returns the sample count.
-func (c *CDF) N() int { return len(c.sorted) }
-
-// Points returns (x, F(x)) pairs suitable for plotting, one per sample.
-func (c *CDF) Points() ([]float64, []float64) {
-	xs := append([]float64(nil), c.sorted...)
-	ys := make([]float64, len(xs))
-	for i := range xs {
-		ys[i] = float64(i+1) / float64(len(xs))
-	}
-	return xs, ys
-}
-
-// Table renders the CDF as rows at the given x grid, formatted like the
-// paper's figures (x then F(x)).
-func (c *CDF) Table(grid []float64) string {
-	var b strings.Builder
-	for _, x := range grid {
-		fmt.Fprintf(&b, "%8.3f  %6.3f\n", x, c.At(x))
-	}
-	return b.String()
-}
-
 // RatioSummary summarizes the per-trace ratio between two series, the Figure
 // 2 quantity (QoE of the non-targeted protocol over QoE of the target).
 type RatioSummary struct {
@@ -270,39 +242,4 @@ func min(a, b int) int {
 		return a
 	}
 	return b
-}
-
-// CI is a two-sided confidence interval for a statistic.
-type CI struct {
-	Point float64
-	Lo    float64
-	Hi    float64
-}
-
-// BootstrapMeanCI estimates a confidence interval for the mean of xs by the
-// percentile bootstrap with the given number of resamples. rand supplies
-// uniform deviates in [0,1) (pass a seeded source for reproducibility).
-// conf is the coverage, e.g. 0.95.
-func BootstrapMeanCI(xs []float64, conf float64, resamples int, rand func() float64) CI {
-	if len(xs) == 0 {
-		return CI{}
-	}
-	if resamples <= 0 {
-		resamples = 1000
-	}
-	n := len(xs)
-	means := make([]float64, resamples)
-	for b := 0; b < resamples; b++ {
-		var sum float64
-		for i := 0; i < n; i++ {
-			sum += xs[int(rand()*float64(n))]
-		}
-		means[b] = sum / float64(n)
-	}
-	alpha := (1 - conf) / 2
-	return CI{
-		Point: Mean(xs),
-		Lo:    Percentile(means, 100*alpha),
-		Hi:    Percentile(means, 100*(1-alpha)),
-	}
 }

@@ -154,10 +154,9 @@ func (h *fluidHeap) pop() fluidEntry {
 }
 
 // Group simulates one shared bottleneck and its clients on one event-driven
-// virtual clock. It implements vclock.Runner: wake-up events (chunk
-// requests, buffer-drain resumes) and bottleneck events (fluid completions,
-// netem packet events, capacity boundaries) interleave on a single timeline
-// in deterministic order.
+// virtual clock: wake-up events (chunk requests, buffer-drain resumes) and
+// bottleneck events (fluid completions, netem packet events, capacity
+// boundaries) interleave on a single timeline in deterministic order.
 type Group struct {
 	cfg   GroupConfig
 	video *abr.Video
@@ -311,24 +310,8 @@ func (unclockedLink) Download(_, _ float64) float64 {
 }
 func (unclockedLink) BandwidthAt(_ float64) float64 { return 0 }
 
-// Now returns the group's current virtual time in seconds.
-func (g *Group) Now() float64 { return g.now }
-
-// Done reports whether every client has finished its video.
-func (g *Group) Done() bool { return g.remaining == 0 }
-
 // Events returns the number of scheduler events processed so far.
 func (g *Group) Events() uint64 { return g.events }
-
-// Run advances the group's virtual clock, processing every event due at or
-// before until. Together with Now it implements vclock.Runner.
-func (g *Group) Run(until float64) {
-	for g.Step(until) {
-	}
-	if until > g.now && !math.IsInf(until, 1) {
-		g.now = until
-	}
-}
 
 // RunToCompletion drives the clock until every client finishes.
 func (g *Group) RunToCompletion() error {

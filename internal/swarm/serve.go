@@ -40,8 +40,7 @@ func NewServeMode(eng *serve.Engine, deadline time.Duration) *ServeMode {
 	return &ServeMode{proto: p}
 }
 
-// Proto returns the shared engine-backed protocol (for SetFallback or
-// counter reads).
+// Proto returns the shared engine-backed protocol (for counter reads).
 func (m *ServeMode) Proto() *abr.PensieveServe { return m.proto }
 
 // NewProtocol is a Config.NewProtocol: every client shares the one

@@ -39,7 +39,7 @@ func TestSwarmServeBackedIdentity(t *testing.T) {
 	}
 
 	for _, workers := range []int{1, 4} {
-		eng := serve.MustNewEngine(serve.NewRegistry(policy.Net()), serve.Config{Workers: 2, MaxBatch: 8})
+		eng := newEngine(t, serve.NewRegistry(policy.Net()), serve.Config{Workers: 2, MaxBatch: 8})
 		mode := NewServeMode(eng, 0)
 
 		servedCfg := base
@@ -70,7 +70,7 @@ func TestSwarmServeBackedIdentity(t *testing.T) {
 func TestSwarmServeBackedOverloadDegrades(t *testing.T) {
 	levels := len(abr.DefaultVideoConfig().BitratesKbps)
 	policy := rl.NewCategoricalPolicy(nn.NewMLP(mathx.NewRNG(5), []int{abr.FeatureSize(levels), 1024, 1024, levels}, nn.Tanh))
-	eng := serve.MustNewEngine(serve.NewRegistry(policy.Net()), serve.Config{
+	eng := newEngine(t, serve.NewRegistry(policy.Net()), serve.Config{
 		Workers: 1, MaxBatch: 2, QueueDepth: 2,
 	})
 	defer eng.Close()
@@ -99,4 +99,14 @@ func TestSwarmServeBackedOverloadDegrades(t *testing.T) {
 	if got, want := mode.Proto().Decisions(), eng.Served()+mode.Proto().Fallbacks(); got != want {
 		t.Fatalf("decisions %d != served %d + fallbacks %d", got, eng.Served(), mode.Proto().Fallbacks())
 	}
+}
+
+// newEngine starts an engine whose Config the test knows is valid.
+func newEngine(t testing.TB, reg *serve.Registry, cfg serve.Config) *serve.Engine {
+	t.Helper()
+	eng, err := serve.NewEngine(reg, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng
 }

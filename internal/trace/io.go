@@ -1,12 +1,8 @@
 package trace
 
 import (
-	"encoding/csv"
 	"encoding/json"
-	"fmt"
-	"io"
 	"os"
-	"strconv"
 
 	"advnet/internal/fsx"
 )
@@ -35,86 +31,4 @@ func LoadJSON(path string) (*Dataset, error) {
 		return nil, err
 	}
 	return &d, nil
-}
-
-// csvHeader is the column layout WriteCSV emits and ReadCSV requires.
-var csvHeader = []string{"duration_s", "bandwidth_mbps", "latency_ms", "loss_rate"}
-
-// WriteCSV writes the trace as CSV rows (duration, bandwidth, latency, loss)
-// with a header.
-func (t *Trace) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write(csvHeader); err != nil {
-		return err
-	}
-	for _, p := range t.Points {
-		rec := []string{
-			strconv.FormatFloat(p.Duration, 'g', -1, 64),
-			strconv.FormatFloat(p.BandwidthMbps, 'g', -1, 64),
-			strconv.FormatFloat(p.LatencyMs, 'g', -1, 64),
-			strconv.FormatFloat(p.LossRate, 'g', -1, 64),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// ReadCSV parses a trace previously written by WriteCSV. The first record
-// must be the exact WriteCSV header: silently skipping it would swallow the
-// first data row of headerless files and hide column reorderings, which
-// permute bandwidth/latency/loss into each other's fields.
-func ReadCSV(r io.Reader, name string) (*Trace, error) {
-	cr := csv.NewReader(r)
-	records, err := cr.ReadAll()
-	if err != nil {
-		return nil, err
-	}
-	if len(records) == 0 {
-		return nil, fmt.Errorf("trace: CSV is empty")
-	}
-	if got := records[0]; !equalHeader(got, csvHeader) {
-		return nil, fmt.Errorf("trace: CSV header is %v, want %v", got, csvHeader)
-	}
-	if len(records) < 2 {
-		return nil, fmt.Errorf("trace: CSV has no data rows")
-	}
-	t := &Trace{Name: name}
-	for i, rec := range records[1:] {
-		if len(rec) != 4 {
-			return nil, fmt.Errorf("trace: CSV row %d has %d fields, want 4", i+1, len(rec))
-		}
-		var vals [4]float64
-		for j, s := range rec {
-			v, err := strconv.ParseFloat(s, 64)
-			if err != nil {
-				return nil, fmt.Errorf("trace: CSV row %d field %d: %w", i+1, j, err)
-			}
-			vals[j] = v
-		}
-		t.Points = append(t.Points, Point{
-			Duration:      vals[0],
-			BandwidthMbps: vals[1],
-			LatencyMs:     vals[2],
-			LossRate:      vals[3],
-		})
-	}
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-func equalHeader(got, want []string) bool {
-	if len(got) != len(want) {
-		return false
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			return false
-		}
-	}
-	return true
 }

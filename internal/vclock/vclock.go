@@ -7,16 +7,10 @@
 // wake-ups over a packet-granularity netem bottleneck — interleave their
 // events deterministically.
 //
-// The contract has two halves:
-//
-//   - Queue: a deterministic pending-event heap. Events are ordered by
-//     (At, insertion id): simultaneous events fire in the order they were
-//     scheduled, independent of heap internals, which is what makes every
-//     run bit-for-bit reproducible.
-//   - Runner: anything that owns a queue and can advance its own virtual
-//     time to a deadline. netem.Emulator and swarm.Group implement it; a
-//     composite simulation advances its parts by interleaving their
-//     earliest events on one shared timeline.
+// The contract is Queue, a deterministic pending-event heap. Events are
+// ordered by (At, insertion id): simultaneous events fire in the order they
+// were scheduled, independent of heap internals, which is what makes every
+// run bit-for-bit reproducible. netem.Emulator and swarm.Group each own one.
 //
 // Queue deliberately avoids container/heap: pushing an event through an
 // `any` parameter boxes the struct and allocates, and the swarm hot loop is
@@ -157,17 +151,4 @@ func (q *Queue) down(i int) {
 		q.h[i], q.h[m] = q.h[m], q.h[i]
 		i = m
 	}
-}
-
-// Runner is a component that owns a virtual clock and can advance it: the
-// scheduler interface the abr chunk clock and the netem packet clock are
-// unified behind. Run processes every event at or before until and leaves
-// Now() >= the last processed event's time (implementations may clamp Now
-// up to until). Calling Run with a deadline in the past is a no-op.
-type Runner interface {
-	// Now returns the component's current virtual time in seconds.
-	Now() float64
-	// Run advances virtual time to the given instant, processing all events
-	// due at or before it.
-	Run(until float64)
 }
