@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-nofma vet race bench-check bench-ab seam-check verify
+.PHONY: all build test test-nofma vet race serve-cpus bench-check bench-ab seam-check verify
 
 all: verify
 
@@ -34,6 +34,14 @@ vet:
 # is the check that keeps them honest.
 race:
 	$(GO) test -race ./...
+
+# A serve request that finds its shard idle is answered on the caller's
+# goroutine; one that finds it busy queues for the shard's worker. Which
+# path a request takes, and how many callers race for one shard, depends on
+# how many run at once, so the engine's tests run at one, two and four
+# cores whatever the host has.
+serve-cpus:
+	$(GO) test -count=1 -cpu 1,2,4 ./internal/serve
 
 # "Is it still correct and allocation-neutral?" The repository benchmark
 # (bench/e2e, BENCHMARK.json) is a module of its own that
@@ -157,6 +165,6 @@ seam-check:
 	if [ -n "$$f" ]; then echo "seam-check: map[int64] in $$f (in-flight state is seq-indexed: the emulator's window is contiguous)"; exit 1; fi
 
 # Tier-1 verification: build + tests, plus vet, the FMA-off rerun, the race
-# detector, the benchmark's correctness and allocation check, and the
-# structural seam check.
-verify: build vet test test-nofma race bench-check seam-check
+# detector, the serve engine at several core counts, the benchmark's
+# correctness and allocation check, and the structural seam check.
+verify: build vet test test-nofma race serve-cpus bench-check seam-check

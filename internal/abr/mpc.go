@@ -79,73 +79,72 @@ func (m *MPC) SelectLevel(o *Observation) int {
 
 // search exhaustively evaluates all level sequences of the given length and
 // returns the first level of the best one along with its predicted QoE.
+// Sizes beyond the next chunk are approximated by nominal bitrate (the
+// protocol cannot know the exact VBR sizes of future chunks).
+//
+// It walks the sequences depth first, so sequences that share a prefix share
+// its arithmetic: each level's buffer, running total and previous bitrate are
+// computed once and carried down. The walk visits sequences in lexicographic
+// order and adds each sequence's chunk QoEs left to right, as a from-scratch
+// evaluation of every sequence would, so with the strict q > best tie rule
+// it returns the same level and the same bits.
 func (m *MPC) search(o *Observation, predMbps float64, horizon int) (int, float64) {
-	levels := o.Levels
-	bestFirst := 0
-	bestQoE := math.Inf(-1)
-
 	prevMbps := 0.0
 	first := o.LastLevel < 0
 	if !first {
 		prevMbps = o.BitratesKbps[o.LastLevel] / 1000
 	}
-
-	// Iterative odometer over level sequences; sizes beyond the next chunk
-	// are approximated by nominal bitrate (the protocol cannot know the
-	// exact VBR sizes of future chunks).
-	var seqBuf [8]int // horizons up to 8 search without allocating
-	seq := seqBuf[:]
-	if horizon <= len(seq) {
-		seq = seq[:horizon]
-	} else {
-		seq = make([]int, horizon)
+	s := mpcSearch{m: m, o: o, bps: predMbps * 1e6, horizon: horizon, first: first, best: math.Inf(-1)}
+	for level := 0; level < o.Levels; level++ {
+		s.root = level
+		s.walk(0, level, o.BufferS, 0, prevMbps)
 	}
-	for {
-		q := m.evalSequence(o, seq, predMbps, prevMbps, first)
-		if q > bestQoE {
-			bestQoE = q
-			bestFirst = seq[0]
-		}
-		// increment odometer
-		i := horizon - 1
-		for ; i >= 0; i-- {
-			seq[i]++
-			if seq[i] < levels {
-				break
-			}
-			seq[i] = 0
-		}
-		if i < 0 {
-			break
-		}
-	}
-	return bestFirst, bestQoE
+	return s.bestFirst, s.best
 }
 
-func (m *MPC) evalSequence(o *Observation, seq []int, predMbps, prevMbps float64, first bool) float64 {
-	buffer := o.BufferS
-	total := 0.0
-	prev := prevMbps
-	for j, level := range seq {
-		var sizeBits float64
-		if j == 0 {
-			sizeBits = o.NextSizesBits[level]
-		} else {
-			sizeBits = o.BitratesKbps[level] * 1000 * o.ChunkSeconds
-		}
-		dl := sizeBits / (predMbps * 1e6)
-		rebuf := dl - buffer
-		if rebuf < 0 {
-			rebuf = 0
-		}
-		buffer -= dl
-		if buffer < 0 {
-			buffer = 0
-		}
-		buffer += o.ChunkSeconds
-		mbps := o.BitratesKbps[level] / 1000
-		total += m.QoE.Chunk(mbps, prev, rebuf, first && j == 0)
-		prev = mbps
+// mpcSearch is one search's state: its inputs, the first level of the
+// sequence being walked, and the best sequence so far.
+type mpcSearch struct {
+	m         *MPC
+	o         *Observation
+	bps       float64 // predicted bandwidth, bits per second
+	horizon   int
+	first     bool // no chunk played yet: the first chunk pays no smoothness
+	root      int
+	bestFirst int
+	best      float64
+}
+
+// walk plays level as chunk j of the sequence, after the prefix that left
+// buffer, total and prev (Mbps), and then every continuation of it.
+func (s *mpcSearch) walk(j, level int, buffer, total, prev float64) {
+	o := s.o
+	var sizeBits float64
+	if j == 0 {
+		sizeBits = o.NextSizesBits[level]
+	} else {
+		sizeBits = o.BitratesKbps[level] * 1000 * o.ChunkSeconds
 	}
-	return total
+	dl := sizeBits / s.bps
+	rebuf := dl - buffer
+	if rebuf < 0 {
+		rebuf = 0
+	}
+	buffer -= dl
+	if buffer < 0 {
+		buffer = 0
+	}
+	buffer += o.ChunkSeconds
+	mbps := o.BitratesKbps[level] / 1000
+	total += s.m.QoE.Chunk(mbps, prev, rebuf, s.first && j == 0)
+	if j+1 == s.horizon {
+		if total > s.best {
+			s.best = total
+			s.bestFirst = s.root
+		}
+		return
+	}
+	for next := 0; next < o.Levels; next++ {
+		s.walk(j+1, next, buffer, total, mbps)
+	}
 }

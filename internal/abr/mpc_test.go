@@ -3,6 +3,8 @@ package abr
 import (
 	"math"
 	"testing"
+
+	"advnet/internal/mathx"
 )
 
 // mpcObs builds a mid-session observation whose bandwidth history is hist
@@ -96,5 +98,91 @@ func TestMPCSelectLevelAtFinalChunk(t *testing.T) {
 	o.ChunkIndex = v.NumChunks() + 1
 	if got := m.SelectLevel(o); got != 0 {
 		t.Fatalf("SelectLevel past video end = %d, want 0", got)
+	}
+}
+
+// searchOdometer is the exhaustive search MPC.search replaced, kept as its
+// oracle: an odometer over every level sequence, each evaluated from the
+// start by evalSequence.
+func searchOdometer(m *MPC, o *Observation, predMbps float64, horizon int) (int, float64) {
+	bestFirst := 0
+	bestQoE := math.Inf(-1)
+	prevMbps := 0.0
+	first := o.LastLevel < 0
+	if !first {
+		prevMbps = o.BitratesKbps[o.LastLevel] / 1000
+	}
+	seq := make([]int, horizon)
+	for {
+		q := evalSequence(m, o, seq, predMbps, prevMbps, first)
+		if q > bestQoE {
+			bestQoE = q
+			bestFirst = seq[0]
+		}
+		i := horizon - 1
+		for ; i >= 0; i-- {
+			seq[i]++
+			if seq[i] < o.Levels {
+				break
+			}
+			seq[i] = 0
+		}
+		if i < 0 {
+			return bestFirst, bestQoE
+		}
+	}
+}
+
+// evalSequence is the predicted QoE of playing seq from o's state.
+func evalSequence(m *MPC, o *Observation, seq []int, predMbps, prevMbps float64, first bool) float64 {
+	buffer := o.BufferS
+	total := 0.0
+	prev := prevMbps
+	for j, level := range seq {
+		var sizeBits float64
+		if j == 0 {
+			sizeBits = o.NextSizesBits[level]
+		} else {
+			sizeBits = o.BitratesKbps[level] * 1000 * o.ChunkSeconds
+		}
+		dl := sizeBits / (predMbps * 1e6)
+		rebuf := dl - buffer
+		if rebuf < 0 {
+			rebuf = 0
+		}
+		buffer -= dl
+		if buffer < 0 {
+			buffer = 0
+		}
+		buffer += o.ChunkSeconds
+		mbps := o.BitratesKbps[level] / 1000
+		total += m.QoE.Chunk(mbps, prev, rebuf, first && j == 0)
+		prev = mbps
+	}
+	return total
+}
+
+// TestMPCSearchMatchesOdometer: the depth-first search returns the same
+// level and the same QoE bits as the odometer on random observations —
+// every horizon up to the default, every last level including none, empty
+// to full buffers and predictions from starved to far above the ladder.
+func TestMPCSearchMatchesOdometer(t *testing.T) {
+	v := testVideo(0.1)
+	m := NewMPC()
+	rng := mathx.NewRNG(7)
+	const cases = 20000
+	for i := 0; i < cases; i++ {
+		chunk := rng.Intn(v.NumChunks())
+		o := mpcObs(v, chunk, nil)
+		o.LastLevel = rng.Intn(v.Levels()+1) - 1
+		o.BufferS = rng.Uniform(0, 30)
+		pred := mathx.Exp(rng.Uniform(-3, 3))
+		horizon := 1 + rng.Intn(m.Horizon)
+		gotLevel, gotQoE := m.search(o, pred, horizon)
+		wantLevel, wantQoE := searchOdometer(m, o, pred, horizon)
+		if gotLevel != wantLevel || math.Float64bits(gotQoE) != math.Float64bits(wantQoE) {
+			t.Fatalf("case %d (chunk %d, last %d, buffer %v, pred %v, horizon %d): search (%d, %v), odometer (%d, %v)",
+				i, chunk, o.LastLevel, o.BufferS, pred, horizon, gotLevel, gotQoE, wantLevel, wantQoE)
+		}
 	}
 }

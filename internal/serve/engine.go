@@ -17,19 +17,20 @@ import (
 
 // Config parameterizes an Engine.
 type Config struct {
-	// Workers is the number of shard workers, each owning one request queue
-	// and one pre-sized batch cache. Production sizing is one per core
-	// (default: GOMAXPROCS).
+	// Workers is the number of shards, each owning one request queue, one
+	// pre-sized batch cache and one worker that answers what a busy shard
+	// queues. Production sizing is one per core (default: GOMAXPROCS).
 	Workers int
 	// MaxBatch is the largest batch one forward pass answers and the
-	// capacity of each worker's batch cache (default 32). A worker flushes
-	// at MaxBatch or as soon as its queue runs dry, whichever comes first;
-	// there is no batching window.
+	// capacity of each shard's batch cache (default 32). A gather flushes
+	// at MaxBatch or as soon as the shard's queue runs dry, whichever comes
+	// first; there is no batching window.
 	MaxBatch int
-	// QueueDepth is each worker's bounded request-queue capacity (default
-	// 4×MaxBatch). A full queue applies backpressure: Select blocks until
-	// space frees (interrupted only by Close), while a deadline-carrying
-	// request sheds with *OverloadError when the deadline expires first.
+	// QueueDepth is each shard's bounded request-queue capacity (default
+	// 4×MaxBatch). Only a request that finds its shard busy is queued. A
+	// full queue applies backpressure: Select blocks until space frees
+	// (interrupted only by Close), while a deadline-carrying request sheds
+	// with *OverloadError when the deadline expires first.
 	QueueDepth int
 	// DefaultDeadline is the per-request deadline Select applies (the
 	// degradation contract, DESIGN.md §8.7). Zero means no deadline — a
@@ -87,7 +88,7 @@ const (
 	// shard's queue stayed full — the engine never accepted it.
 	OverloadQueueFull OverloadReason = iota
 	// OverloadDeadline sheds a request whose deadline expired after it was
-	// queued but before a worker batched it.
+	// queued but before a gather batched it.
 	OverloadDeadline
 )
 
@@ -133,7 +134,7 @@ type Decision struct {
 }
 
 // Request ownership states. A request starts pending; exactly one side wins
-// it: the worker claims it into a batch, or a deadline-expired caller
+// it: a gather claims it into a batch, or a deadline-expired caller
 // abandons it. The loser of the race leaves the request to the winner.
 const (
 	reqPending uint32 = iota
@@ -145,7 +146,7 @@ const (
 // done channel (and deadline timer, once created) is reused, so the
 // steady-state request path allocates nothing — including the shed paths.
 // in aliases the caller's feature slice — safe because the caller blocks in
-// Select until the worker has staged the features and answered — and is
+// Select until a gather has staged the features and answered — and is
 // cleared before the request returns to the pool.
 type request struct {
 	in    []float64 // caller's features, aliased for the batch copy
@@ -158,18 +159,23 @@ type request struct {
 	state atomic.Uint32 // reqPending / reqClaimed / reqAbandoned
 }
 
-// shard is one worker's private state: a bounded MPSC queue (any goroutine
-// produces, only this worker consumes) plus everything the flush loop needs,
-// none of it shared. The shed counters are written by producers (admission
-// control runs on the caller's goroutine) and are atomic.
+// shard is one slice of the engine: a bounded MPSC queue (any goroutine
+// produces, only the gather holding mu consumes) plus everything a gather
+// and its flush need. mu is held by whoever gathers: the shard's worker
+// around a queued request's gather, or a caller that found the shard idle
+// and gathers on its own goroutine. So batch, xs, cache and lat are written
+// by one goroutine at a time, and a shard never flushes twice at once. The
+// counters are written by producers too (admission control runs on the
+// caller's goroutine) and are atomic.
 type shard struct {
 	idx   int
 	q     chan *request
+	mu    sync.Mutex
 	batch []*request // gathered requests, len MaxBatch
 	xs    []float64  // staging matrix, MaxBatch×in
 	cache *nn.BatchCache
 
-	lat          *stats.Reservoir // flush latency (enqueue→computed), microseconds
+	lat          *stats.Reservoir // flush latency (enqueue→computed), microseconds, under mu
 	served       atomic.Uint64
 	batches      atomic.Uint64
 	shedQueue    atomic.Uint64 // deadline expired while the queue stayed full
@@ -178,18 +184,21 @@ type shard struct {
 }
 
 // Engine serves inference requests against the registry's current snapshot
-// with per-core batch aggregation: requests are round-robined onto N shard
-// workers, each of which gathers what its queue holds, up to MaxBatch, and
-// answers it with one batched forward pass — without ever waiting for more
-// requests to arrive (see gather). The worker loop and the Select request
-// path — including the shed paths — are allocation-free in steady state.
+// with per-core batch aggregation: requests are round-robined onto N shards.
+// A request that finds its shard idle is gathered on its caller's goroutine;
+// one that finds it busy is queued for the shard's worker. Either gather
+// takes what the queue holds, up to MaxBatch, and answers it with one
+// batched forward pass — without ever waiting for more requests to arrive
+// (see gather). The worker loop and the Select request path — including the
+// shed paths — are allocation-free in steady state.
 type Engine struct {
 	reg *Registry
-	// beforeFlush, when set, runs at the top of every flush on the shard's
-	// worker. The package's tests use it to stall or crash a flush, which a
-	// real forward pass does not do on demand; only newEngine sets it. It
-	// sits beside the other fields every flush reads, away from the
-	// counters every Select writes.
+	// beforeFlush, when set, runs at the top of every flush, on whichever
+	// goroutine gathers: the shard's worker or an inline caller. The
+	// package's tests use it to stall or crash a flush, which a real
+	// forward pass does not do on demand; only newEngine sets it. It sits
+	// beside the other fields every flush reads, away from the counters
+	// every Select writes.
 	beforeFlush func(shard int)
 	cfg         Config
 	in          int
@@ -200,13 +209,13 @@ type Engine struct {
 	pool   sync.Pool
 
 	closed   atomic.Bool
-	inflight atomic.Int64 // Selects between admission and queue handoff
+	inflight atomic.Int64 // Selects between admission and queue handoff, or the end of an inline gather
 	stop     chan struct{}
 	wg       sync.WaitGroup
 }
 
 // NewEngine starts Workers shard workers serving reg's current snapshot.
-// The engine sizes every worker's batch cache for the registry's serving
+// The engine sizes every shard's batch cache for the registry's serving
 // architecture once, up front — valid forever because the registry rejects
 // architecture-changing publishes. An invalid Config (see Validate) is
 // rejected before any worker starts.
@@ -251,7 +260,7 @@ func newEngine(reg *Registry, cfg Config, beforeFlush func(shard int)) (*Engine,
 	return e, nil
 }
 
-// newCache builds one worker's inference batch cache (GEMM kernels); a
+// newCache builds one shard's inference batch cache (GEMM kernels); a
 // contained panic rebuilds it from scratch. Snapshots are immutable, so each
 // snapshot's net transposes its weights once, on its first forward, and
 // every shard reuses them.
@@ -263,14 +272,15 @@ func (e *Engine) newCache() *nn.BatchCache {
 func (e *Engine) InputSize() int { return e.in }
 
 // Select answers one inference request under the engine's DefaultDeadline:
-// it enqueues a pooled request on a shard and blocks until the shard's
-// batched forward pass answers it. The features slice is read by the worker
-// while the caller blocks, so callers must not mutate it concurrently from
-// another goroutine. Safe for any number of concurrent callers. With no
-// deadline configured a full shard queue blocks (backpressure, interrupted
-// only by Close — ErrEngineClosed); with one, overload sheds typed
-// *OverloadError instead of blocking past the deadline. Steady state
-// allocates nothing.
+// it hands a pooled request to a shard and returns once the shard's batched
+// forward pass answers it. If the shard is idle the caller runs that gather
+// itself; otherwise it enqueues the request and blocks. The features slice
+// is read by whichever goroutine gathers while the caller waits, so callers
+// must not mutate it concurrently from another goroutine. Safe for any
+// number of concurrent callers. With no deadline configured a full shard
+// queue blocks (backpressure, interrupted only by Close — ErrEngineClosed);
+// with one, overload sheds typed *OverloadError instead of blocking past
+// the deadline. Steady state allocates nothing.
 func (e *Engine) Select(features []float64) (Decision, error) {
 	return e.SelectDeadline(features, e.cfg.DefaultDeadline)
 }
@@ -278,8 +288,10 @@ func (e *Engine) Select(features []float64) (Decision, error) {
 // SelectDeadline is Select with an explicit per-request deadline budget
 // covering admission and queue wait. deadline <= 0 means no deadline. The
 // degradation contract (DESIGN.md §8.7): the call returns within the
-// deadline plus at most one forward pass — if a worker wins the request in
-// the instant the deadline expires, the in-flight batch answers it.
+// deadline plus at most one forward pass — if a gather wins the request in
+// the instant the deadline expires, the in-flight batch answers it. A caller
+// that gathers inline claims its own request first, so it is answered by
+// the one forward pass it runs and arms no timer.
 func (e *Engine) SelectDeadline(features []float64, deadline time.Duration) (Decision, error) {
 	if len(features) != e.in {
 		return Decision{}, fmt.Errorf("serve: Select with %d features, serving architecture wants %d", len(features), e.in)
@@ -298,13 +310,24 @@ func (e *Engine) SelectDeadline(features []float64, deadline time.Duration) (Dec
 	sh := e.shards[seq%shards]
 
 	// Admission. inflight spans the window between the closed check and the
-	// queue handoff: Close's drain loop cannot exit while any producer might
-	// still enqueue (see drain).
+	// queue handoff, or the end of an inline gather: Close's drain loop
+	// cannot exit while any producer might still enqueue or flush (see
+	// drain).
 	e.inflight.Add(1)
 	if e.closed.Load() {
 		e.inflight.Add(-1)
 		e.recycle(req)
 		return Decision{}, ErrEngineClosed
+	}
+	// An idle shard answers on its caller: nothing is queued ahead of this
+	// request (so it overtakes no one) and no one is gathering. The gather
+	// claims req first and answers it on req.done before it returns.
+	if len(sh.q) == 0 && sh.mu.TryLock() {
+		e.gather(sh, req)
+		sh.mu.Unlock()
+		e.inflight.Add(-1)
+		<-req.done
+		return e.answer(req)
 	}
 	timed := deadline > 0
 	if timed {
@@ -353,12 +376,13 @@ func (e *Engine) SelectDeadline(features []float64, deadline time.Duration) (Dec
 		case <-req.done:
 		case <-req.timer.C:
 			if req.state.CompareAndSwap(reqPending, reqAbandoned) {
-				// The worker now owns the queued request and recycles it
-				// when its claim fails; this caller must not touch it again.
+				// The next gather owns the queued request and recycles
+				// it when its claim fails; this caller must not touch it
+				// again.
 				sh.shedDeadline.Add(1)
 				return Decision{}, errShedDeadline
 			}
-			// A worker claimed the request as the deadline fired: the
+			// A gather claimed the request as the deadline fired: the
 			// answer is at most one forward pass away.
 			<-req.done
 		}
@@ -366,6 +390,11 @@ func (e *Engine) SelectDeadline(features []float64, deadline time.Duration) (Dec
 	} else {
 		<-req.done
 	}
+	return e.answer(req)
+}
+
+// answer reads an answered request's result and recycles it.
+func (e *Engine) answer(req *request) (Decision, error) {
 	if err := req.err; err != nil {
 		e.recycle(req)
 		return Decision{}, err
@@ -383,13 +412,14 @@ func (e *Engine) recycle(req *request) {
 	e.pool.Put(req)
 }
 
-// worker is one shard's serving loop.
+// worker is one shard's serving loop: it answers the requests callers
+// queued because the shard was busy.
 func (e *Engine) worker(sh *shard) {
 	defer e.wg.Done()
 	for {
 		select {
 		case req := <-sh.q:
-			e.gather(sh, req)
+			e.lockedGather(sh, req)
 		case <-e.stop:
 			e.drain(sh)
 			return
@@ -400,7 +430,8 @@ func (e *Engine) worker(sh *shard) {
 // drain answers everything still queued after Close began. It exits only
 // once the queue is empty and no producer is inside the admission window —
 // a producer that already passed the closed check may still be about to
-// enqueue, so the queue is re-checked after inflight reaches zero.
+// enqueue or be gathering inline, so the queue is re-checked after inflight
+// reaches zero.
 func (e *Engine) drain(sh *shard) {
 	for {
 		e.drainQueued(sh)
@@ -419,11 +450,19 @@ func (e *Engine) drainQueued(sh *shard) {
 	for {
 		select {
 		case req := <-sh.q:
-			e.gather(sh, req)
+			e.lockedGather(sh, req)
 		default:
 			return
 		}
 	}
+}
+
+// lockedGather is gather under the shard's lock, for a request the worker
+// took off the queue.
+func (e *Engine) lockedGather(sh *shard, req *request) {
+	sh.mu.Lock()
+	e.gather(sh, req)
+	sh.mu.Unlock()
 }
 
 // claim takes ownership of a dequeued request for batching. A request whose
@@ -438,15 +477,17 @@ func (e *Engine) claim(sh *shard, req *request) bool {
 }
 
 // gather assembles a batch starting from first and flushes it as soon as
-// the shard has nothing more to give. It drains the queue without blocking;
-// when the queue runs dry it yields the processor once — callers woken by
-// the previous flush get to enqueue their next request — drains again, and
-// flushes what it holds. A full batch flushes at MaxBatch. Nothing waits on
-// a timer: a lone request is answered by the next forward pass, and batches
-// grow only with the load. Without the yield the woken worker wins every
-// race against its producers and a saturated shard flushes batches of one
-// (DESIGN.md §8.4). Abandoned requests are skipped; a gather that claims
-// nothing flushes nothing.
+// the shard has nothing more to give. The caller holds sh.mu: the worker
+// for a queued request, or a caller gathering its own request on an idle
+// shard. It drains the queue without blocking; when the queue runs dry it
+// yields the processor once — callers woken by the previous flush get to
+// enqueue their next request, and callers that find the lock held queue up
+// behind it — drains again, and flushes what it holds. A full batch flushes
+// at MaxBatch. Nothing waits on a timer: a lone request is answered by the
+// next forward pass, and batches grow only with the load. Without the yield
+// the gatherer wins every race against its producers and a saturated shard
+// flushes batches of one (DESIGN.md §8.4). Abandoned requests are skipped;
+// a gather that claims nothing flushes nothing.
 func (e *Engine) gather(sh *shard, first *request) {
 	n := 0
 	if e.claim(sh, first) {
@@ -479,7 +520,8 @@ func (e *Engine) gather(sh *shard, first *request) {
 // request of the batch. A flush fails only by panicking, which comes back
 // from flush as a typed *par.PanicError naming the shard; the shard's batch
 // cache is then rebuilt — the panic may have left it mid-write — and the
-// worker keeps serving. Other shards never notice.
+// shard keeps serving, whether the worker or an inline caller ran the
+// flush. Other shards never notice.
 func (e *Engine) flushContained(sh *shard, n int) {
 	if err := e.flush(sh, n); err != nil {
 		sh.panics.Add(1)
@@ -592,7 +634,7 @@ func (e *Engine) ShedQueue() uint64 {
 }
 
 // ShedDeadline returns the number of requests shed because their deadline
-// expired while queued, before any worker batched them. Safe during serving.
+// expired while queued, before any gather batched them. Safe during serving.
 func (e *Engine) ShedDeadline() uint64 {
 	var n uint64
 	for _, sh := range e.shards {
@@ -662,10 +704,11 @@ func (st EngineStats) EmitMetrics(reg *metrics.Registry, wallSeconds float64) {
 
 // Stats digests the serving counters and per-shard latency reservoirs. The
 // latency summary covers the sampled requests that carried a timestamp (its
-// Count is the sampled count, not Served), and reads
-// worker-owned reservoirs, so call it only at quiescence — after Close, or
-// when no requests are in flight (between load phases). The counter
-// accessors (Served, Batches, Shed*, Panics) are always safe.
+// Count is the sampled count, not Served), and reads reservoirs that
+// whoever holds a shard's lock writes (its worker or an inline caller), so
+// call it only at quiescence — after Close, or when no requests are in
+// flight (between load phases). The counter accessors (Served, Batches,
+// Shed*, Panics) are always safe.
 func (e *Engine) Stats() EngineStats {
 	st := EngineStats{
 		Served:       e.Served(),

@@ -1,9 +1,14 @@
 package serve
 
 import (
+	"bytes"
 	"errors"
+	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"advnet/internal/mathx"
 	"advnet/internal/nn"
@@ -218,10 +223,18 @@ func TestEngineLatencySamplesEveryShard(t *testing.T) {
 }
 
 // TestEngineLoneSelectFlushesAlone: a caller alone with the engine is
-// answered by a batch of its own — the worker never holds a request open
-// waiting for company.
+// answered by a batch of its own — nothing holds a request open waiting for
+// company — and, finding its shard idle, runs that flush on its own
+// goroutine instead of handing it to the worker.
 func TestEngineLoneSelectFlushesAlone(t *testing.T) {
-	eng := MustNewEngine(NewRegistry(rigged(2, 3, 1)), Config{Workers: 1})
+	var offCaller atomic.Int64
+	buf := make([]byte, 16<<10)
+	beforeFlush := func(int) {
+		if !bytes.Contains(buf[:runtime.Stack(buf, false)], []byte("serve.(*Engine).SelectDeadline")) {
+			offCaller.Add(1)
+		}
+	}
+	eng := hookedEngine(t, beforeFlush, NewRegistry(rigged(2, 3, 1)), Config{Workers: 1})
 	defer eng.Close()
 	const n = 200
 	for i := 0; i < n; i++ {
@@ -231,6 +244,95 @@ func TestEngineLoneSelectFlushesAlone(t *testing.T) {
 	}
 	if got := eng.Batches(); got != n {
 		t.Fatalf("%d sequential Selects took %d batches, want %d", n, got, n)
+	}
+	if got := offCaller.Load(); got != 0 {
+		t.Fatalf("%d of %d lone flushes ran off the calling goroutine, want 0", got, n)
+	}
+}
+
+// TestEngineBusyShardQueues: a request that finds its shard busy — caller A
+// is stalled inside its own inline flush — is queued, answered only after A's
+// flush ends, and answered by the shard's worker. The shard never runs two
+// flushes at once.
+func TestEngineBusyShardQueues(t *testing.T) {
+	release := make(chan struct{})
+	stalled := make(chan struct{})
+	var inFlush, maxInFlush atomic.Int64
+	var mu sync.Mutex
+	var stacks []string
+	beforeFlush := func(int) {
+		n := inFlush.Add(1)
+		for {
+			m := maxInFlush.Load()
+			if n <= m || maxInFlush.CompareAndSwap(m, n) {
+				break
+			}
+		}
+		buf := make([]byte, 16<<10)
+		buf = buf[:runtime.Stack(buf, false)]
+		mu.Lock()
+		stacks = append(stacks, string(buf))
+		first := len(stacks) == 1
+		mu.Unlock()
+		if first {
+			close(stalled)
+			<-release // caller A's flush holds the shard until released
+		}
+		inFlush.Add(-1)
+	}
+	eng := hookedEngine(t, beforeFlush, NewRegistry(rigged(2, 3, 1)), Config{Workers: 1})
+	defer eng.Close()
+
+	x := []float64{0, 0}
+	errA := make(chan error, 1)
+	go func() {
+		_, err := eng.Select(x)
+		errA <- err
+	}()
+	<-stalled
+
+	var released atomic.Bool
+	type result struct {
+		d        Decision
+		err      error
+		released bool
+	}
+	resB := make(chan result, 1)
+	go func() {
+		d, err := eng.Select(x)
+		resB <- result{d, err, released.Load()}
+	}()
+	select {
+	case r := <-resB:
+		t.Fatalf("caller B answered (%+v) while caller A's flush held the shard", r)
+	case <-time.After(20 * time.Millisecond):
+	}
+	released.Store(true)
+	close(release)
+
+	if err := <-errA; err != nil {
+		t.Fatalf("caller A: %v", err)
+	}
+	r := <-resB
+	if r.err != nil || r.d.Level != 1 {
+		t.Fatalf("caller B: %+v, %v; want level 1", r.d, r.err)
+	}
+	if !r.released {
+		t.Fatal("caller B answered before caller A's flush was released")
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(stacks) != 2 {
+		t.Fatalf("%d flushes, want 2 (A inline, B by the worker)", len(stacks))
+	}
+	if !strings.Contains(stacks[0], "serve.(*Engine).SelectDeadline") {
+		t.Errorf("caller A's flush ran off its goroutine:\n%s", stacks[0])
+	}
+	if !strings.Contains(stacks[1], "serve.(*Engine).worker") {
+		t.Errorf("caller B's flush did not run on the worker:\n%s", stacks[1])
+	}
+	if m := maxInFlush.Load(); m > 1 {
+		t.Fatalf("%d flushes ran at once on one shard, want at most 1", m)
 	}
 }
 
