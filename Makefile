@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-nofma vet race serve-cpus bench-check bench-ab seam-check verify
+.PHONY: all build test test-nofma vet race cpus bench-check bench-ab seam-check verify
 
 all: verify
 
@@ -28,20 +28,26 @@ vet:
 
 # The concurrent code is the one fan-out, par.Run (internal/par), and what it
 # runs: the rollout lanes (internal/rl/lane.go, fanned out by
-# VecRunner.TrainIteration), the evaluation shards (core.EvaluateABR*) and
+# VecRunner.TrainIteration), the two halves of every PPO update
+# (rl.(*PPO).update), the evaluation shards (core.EvaluateABR*) and
 # the swarm groups — plus the serving engine's shard workers; the race
 # detector over the full test suite — which includes the W>1 golden tests —
 # is the check that keeps them honest.
 race:
 	$(GO) test -race ./...
 
-# A serve request that finds its shard idle is answered on the caller's
-# goroutine; one that finds it busy queues for the shard's worker. Which
-# path a request takes, and how many callers race for one shard, depends on
-# how many run at once, so the engine's tests run at one, two and four
-# cores whatever the host has.
-serve-cpus:
-	$(GO) test -count=1 -cpu 1,2,4 ./internal/serve
+# Code whose interleaving depends on how many cores run it is tested at one,
+# two and four cores whatever the host has. A serve request that finds its
+# shard idle is answered on the caller's goroutine; one that finds it busy
+# queues for the shard's worker, and which path it takes depends on how many
+# callers run at once. The PPO update trains the policy and the value net
+# on two goroutines, which run one after the other on one core and side by
+# side on more; the rl and dist goldens must hold either way. The
+# packages run one at a time (-p 1): serve's batching test measures how
+# densely callers refill a queue, which another test binary on the same
+# cores disturbs.
+cpus:
+	$(GO) test -count=1 -p 1 -cpu 1,2,4 ./internal/serve ./internal/rl ./internal/dist
 
 # "Is it still correct and allocation-neutral?" The repository benchmark
 # (bench/e2e, BENCHMARK.json) is a module of its own that
@@ -165,6 +171,6 @@ seam-check:
 	if [ -n "$$f" ]; then echo "seam-check: map[int64] in $$f (in-flight state is seq-indexed: the emulator's window is contiguous)"; exit 1; fi
 
 # Tier-1 verification: build + tests, plus vet, the FMA-off rerun, the race
-# detector, the serve engine at several core counts, the benchmark's
+# detector, serve, rl and dist at several core counts, the benchmark's
 # correctness and allocation check, and the structural seam check.
-verify: build vet test test-nofma race serve-cpus bench-check seam-check
+verify: build vet test test-nofma race cpus bench-check seam-check

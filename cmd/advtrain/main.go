@@ -36,7 +36,7 @@ func main() {
 	n := flag.Int("n", 50, "number of traces to generate with -traces-out")
 	iters := flag.Int("iters", 0, "PPO iterations (0 = domain default)")
 	seed := flag.Uint64("seed", 1, "training seed")
-	workers := flag.Int("workers", 1, "parallel rollout workers (1 = historical single-threaded path); each worker is one rollout lane, so the trained adversary depends on the worker count")
+	workers := flag.Int("workers", 1, "parallel rollout workers (1 = one lane, the historical path); each worker is one rollout lane, so the trained adversary depends on the worker count")
 	pretrainIters := flag.Int("pretrain-iters", 20, "PPO iterations for pretraining the pensieve target")
 	ckptDir := flag.String("checkpoint-dir", "", "directory for periodic crash-safe training checkpoints (empty = disabled)")
 	ckptEvery := flag.Int("checkpoint-every", 1, "save a checkpoint every N training iterations")

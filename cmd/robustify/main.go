@@ -31,7 +31,7 @@ func main() {
 	advIters := flag.Int("adv-iters", 80, "adversary PPO iterations")
 	nTraces := flag.Int("n", 25, "adversarial traces to inject")
 	seed := flag.Uint64("seed", 1, "training seed")
-	workers := flag.Int("workers", 1, "parallel rollout workers for both the protocol and the adversary (1 = single-threaded); protocol worker w streams shard w of the training dataset in deterministic epoch-reshuffled order. Each worker is one rollout lane, so the trained policy depends on the worker count")
+	workers := flag.Int("workers", 1, "parallel rollout workers for both the protocol and the adversary (1 = one lane); protocol worker w streams shard w of the training dataset in deterministic epoch-reshuffled order. Each worker is one rollout lane, so the trained policy depends on the worker count")
 	ckptDir := flag.String("checkpoint-dir", "", "directory for periodic crash-safe training checkpoints (empty = disabled)")
 	ckptEvery := flag.Int("checkpoint-every", 1, "save a checkpoint every N protocol-training iterations")
 	resume := flag.Bool("resume", false, "continue from the checkpoints in -checkpoint-dir (required when it is not empty)")

@@ -39,7 +39,8 @@ type Config struct {
 	RTTSeconds    float64
 	// Workers > 1 parallelizes adversary training rollouts (rl.VecRunner)
 	// and every trace/episode evaluation sweep in the figure pipelines
-	// (core.EvaluateABR*); ≤ 1 keeps the single-threaded path. Evaluation
+	// (core.EvaluateABR*); ≤ 1 keeps one lane and one evaluation worker
+	// (each PPO update still runs its two halves side by side). Evaluation
 	// results are identical for any worker count. Trained results are not:
 	// each worker is one rollout lane and the lanes partition the
 	// trajectory, so a trained adversary or protocol depends on Workers

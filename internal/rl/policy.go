@@ -328,6 +328,12 @@ type GaussianPolicy struct {
 	bcache *nn.BatchCache
 	bzs    []float64 // batch×dim standardized residuals
 	bdmean []float64 // batch×dim mean gradients
+	bls    []float64 // per dim: effective log-std, constant within a call
+	bstd   []float64 // per dim: exp of bls
+
+	// Optimizer views (Params/Grads): the net's slices with logStd and
+	// gLogStd appended, built once per net layout.
+	params, grads [][]float64
 }
 
 const log2Pi = 1.8378770664093453 // log(2π)
@@ -346,6 +352,8 @@ func NewGaussianPolicy(net *nn.MLP, initLogStd float64) *GaussianPolicy {
 		MaxLogStd: math.Inf(1),
 		cache:     net.NewCache(),
 		actBuf:    make([]float64, dim),
+		bls:       make([]float64, dim),
+		bstd:      make([]float64, dim),
 	}
 	mathx.Fill(p.logStd, initLogStd)
 	return p
@@ -488,31 +496,40 @@ func (p *GaussianPolicy) ensureBatch(n int) {
 	p.bdmean = make([]float64, n*p.dim)
 }
 
+// batchStd fills bls and bstd, the per-dimension values every row of a
+// batched call shares, from the current log-std.
+func (p *GaussianPolicy) batchStd() {
+	for i := 0; i < p.dim; i++ {
+		p.bls[i] = p.effLogStd(i)
+		p.bstd[i] = mathx.Exp(p.bls[i])
+	}
+}
+
 // BatchEval implements BatchPolicy.
 func (p *GaussianPolicy) BatchEval(obs, actions []float64, n int, logp, ent []float64) {
 	p.ensureBatch(n)
 	means := p.net.ForwardBatch(p.bcache, obs, n)
+	p.batchStd()
+	h := p.Entropy(nil)
 	for r := 0; r < n; r++ {
 		lp := 0.0
 		for i := 0; i < p.dim; i++ {
-			ls := p.effLogStd(i)
-			std := mathx.Exp(ls)
-			z := (actions[r*p.dim+i] - means[r*p.dim+i]) / std
+			z := (actions[r*p.dim+i] - means[r*p.dim+i]) / p.bstd[i]
 			p.bzs[r*p.dim+i] = z
-			lp += -0.5*z*z - ls - 0.5*log2Pi
+			lp += -0.5*z*z - p.bls[i] - 0.5*log2Pi
 		}
 		logp[r] = lp
-		ent[r] = p.Entropy(nil)
+		ent[r] = h
 	}
 }
 
 // BatchGrad implements BatchPolicy.
 func (p *GaussianPolicy) BatchGrad(wLogp []float64, wEnt float64) {
 	n := len(wLogp)
+	p.batchStd()
 	for r := 0; r < n; r++ {
 		for i := 0; i < p.dim; i++ {
-			ls := p.effLogStd(i)
-			std := mathx.Exp(ls)
+			std := p.bstd[i]
 			z := p.bzs[r*p.dim+i]
 			p.bdmean[r*p.dim+i] = wLogp[r] * z / std
 			if p.logStd[i] > p.MinLogStd && p.logStd[i] < p.MaxLogStd {
@@ -524,13 +541,37 @@ func (p *GaussianPolicy) BatchGrad(wLogp []float64, wEnt float64) {
 }
 
 // Params implements Policy: the network parameters plus the logStd vector.
+// The net's Params runs on every call, because that is what tells the net
+// its weights may be written. The returned slice is capacity-capped, so a
+// caller's append copies it.
 func (p *GaussianPolicy) Params() [][]float64 {
-	return append(p.net.Params(), p.logStd)
+	return withTail(&p.params, p.net.Params(), p.logStd)
 }
 
-// Grads implements Policy.
+// Grads implements Policy, in Params' order and under its capacity rule.
 func (p *GaussianPolicy) Grads() [][]float64 {
-	return append(p.net.Grads(), p.gLogStd)
+	return withTail(&p.grads, p.net.Grads(), p.gLogStd)
+}
+
+// withTail returns s followed by tail, reusing *view while it holds exactly
+// those slices and rebuilding it otherwise (a net whose layers were
+// replaced). The result's capacity is its length.
+func withTail(view *[][]float64, s [][]float64, tail []float64) [][]float64 {
+	v := *view
+	same := len(v) == len(s)+1 && sameSlice(v[len(s)], tail)
+	for i := 0; same && i < len(s); i++ {
+		same = sameSlice(v[i], s[i])
+	}
+	if !same {
+		v = append(append(make([][]float64, 0, len(s)+1), s...), tail)
+		*view = v
+	}
+	return v
+}
+
+// sameSlice reports whether a and b are the same view of the same memory.
+func sameSlice(a, b []float64) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // ZeroGrad implements Policy.

@@ -6,6 +6,7 @@ import (
 
 	"advnet/internal/mathx"
 	"advnet/internal/nn"
+	"advnet/internal/par"
 )
 
 // PPOConfig holds the hyperparameters of the PPO trainer. The defaults mirror
@@ -92,12 +93,15 @@ type PPO struct {
 
 	met *TrainMetrics // optional training telemetry (nil = off)
 
-	// Minibatch gather/update scratch, sized lazily.
-	uobs    []float64 // minibatch×obsDim observation rows
-	uact    []float64 // minibatch×actDim action rows
+	// Update scratch. perms holds one permutation per epoch, drawn before
+	// the update's halves fork; the minibatch rows are sized lazily.
+	perms   [][]int
+	uobs    []float64 // policy half: minibatch×obsDim observation rows
+	uact    []float64 // policy half: minibatch×actDim action rows
 	ulogp   []float64
 	uent    []float64
 	uwLogp  []float64
+	vobs    []float64 // value half: minibatch×obsDim observation rows
 	uvdOut  []float64
 	vbcache *nn.BatchCache // value-net batched cache
 }
@@ -122,6 +126,7 @@ func NewPPO(policy Policy, value *nn.MLP, cfg PPOConfig, rng *mathx.RNG) (*PPO, 
 		polOpt: nn.NewAdam(cfg.LR),
 		valOpt: nn.NewAdam(cfg.LR),
 		rng:    rng,
+		perms:  make([][]int, cfg.Epochs),
 	}
 	p.seq = &VecRunner{ppo: p, lanes: []*Lane{newLane(policy, value, rng, &p.buf, cfg.Gamma, cfg.Lambda)}}
 	return p, nil
@@ -229,8 +234,9 @@ func (p *PPO) ApplyRemoteRollouts(batches []*RolloutBatch) (IterStats, error) {
 	return p.applyRollout(cs), nil
 }
 
-// ensureUpdateScratch sizes the minibatch gather buffers and the value net's
-// batched cache for m samples.
+// ensureUpdateScratch sizes the minibatch staging rows and the value net's
+// batched cache for m samples. The policy half stages its rows in
+// uobs/uact, the value half in vobs, so the halves write nothing in common.
 func (p *PPO) ensureUpdateScratch(m, obsDim, actDim int) {
 	if len(p.ulogp) >= m && len(p.uobs) >= m*obsDim && len(p.uact) >= m*actDim {
 		return
@@ -240,112 +246,161 @@ func (p *PPO) ensureUpdateScratch(m, obsDim, actDim int) {
 	p.ulogp = make([]float64, m)
 	p.uent = make([]float64, m)
 	p.uwLogp = make([]float64, m)
+	p.vobs = make([]float64, m*obsDim)
 	p.uvdOut = make([]float64, m)
 	if p.vbcache == nil || p.vbcache.Capacity() < m {
 		p.vbcache = p.Value.NewBatchCache(m)
 	}
 }
 
+// policySums are the policy half's running sums over an update.
+type policySums struct {
+	loss, entropy, kl float64
+	clipped, samples  int
+	steps             int
+}
+
+// update runs the PPO epochs over the buffer. Once the epoch permutations
+// are drawn, the policy and the value net share no parameter, gradient,
+// optimizer or random draw, so the two halves run side by side through
+// par.Run: the policy half on the caller's goroutine, the value half on a
+// second one. Each half performs its net's float operations in the
+// sequential order and sums its own statistics, so parameters and
+// IterStats are bitwise the same at any GOMAXPROCS. A panic in either half
+// re-panics here, after both have returned, as the *par.PanicError par.Run
+// contained it in.
 func (p *PPO) update(stats *IterStats) {
 	n := p.buf.len()
 	if n == 0 {
 		return
 	}
-	bp := p.Policy.(BatchPolicy) // checked by NewPPO
+	p.ensureUpdateScratch(min(p.cfg.MinibatchSize, n), len(p.buf.steps[0].obs), len(p.buf.steps[0].action))
+	for e := range p.perms {
+		p.perms[e] = p.rng.Perm(n)
+	}
 	var (
-		sumPolicyLoss float64
-		sumValueLoss  float64
-		sumEntropy    float64
-		clipped       int
-		sumKL         float64
-		samples       int
+		ps        policySums
+		valueLoss float64
 	)
-	for epoch := 0; epoch < p.cfg.Epochs; epoch++ {
-		perm := p.rng.Perm(n)
-		for start := 0; start < n; start += p.cfg.MinibatchSize {
-			end := start + p.cfg.MinibatchSize
-			if end > n {
-				end = n
-			}
-			batch := perm[start:end]
-			p.Policy.ZeroGrad()
-			p.Value.ZeroGrad()
-			// One forward pass per sample, shared between the log-prob
-			// evaluation and the gradient accumulation, batched through
-			// preallocated row-major caches.
-			m := len(batch)
-			obsDim := len(p.buf.steps[0].obs)
-			actDim := len(p.buf.steps[0].action)
-			p.ensureUpdateScratch(m, obsDim, actDim)
-			for k, idx := range batch {
-				s := &p.buf.steps[idx]
-				copy(p.uobs[k*obsDim:(k+1)*obsDim], s.obs)
-				copy(p.uact[k*actDim:(k+1)*actDim], s.action)
-			}
-			bp.BatchEval(p.uobs, p.uact, m, p.ulogp, p.uent)
-			for k, idx := range batch {
-				s := &p.buf.steps[idx]
-				// Policy term. ratio = exp(logp_new - logp_old).
-				logpNew := p.ulogp[k]
-				ratio := mathx.Exp(logpNew - s.logp)
-				adv := s.advantage
-				// L_clip = min(r·A, clip(r)·A); we accumulate the
-				// gradient of −L_clip. d(r·A)/dlogp = r·A, so the
-				// logp weight is −r·A when the unclipped branch is
-				// active and 0 when clipped.
-				clipActive := false
-				if adv >= 0 && ratio > 1+p.cfg.ClipEps {
-					clipActive = true
-				}
-				if adv < 0 && ratio < 1-p.cfg.ClipEps {
-					clipActive = true
-				}
-				p.uwLogp[k] = 0
-				if !clipActive {
-					p.uwLogp[k] = -ratio * adv
-				}
-				surr := ratio * adv
-				clippedRatio := mathx.Clamp(ratio, 1-p.cfg.ClipEps, 1+p.cfg.ClipEps)
-				if clippedRatio*adv < surr {
-					surr = clippedRatio * adv
-				}
-				sumPolicyLoss += -surr
-				sumEntropy += p.uent[k]
-				sumKL += s.logp - logpNew
-				if clipActive {
-					clipped++
-				}
-				samples++
-			}
-			bp.BatchGrad(p.uwLogp[:m], -p.cfg.EntropyCoef)
+	if err := par.Run(2, func(w int) error {
+		if w == 0 {
+			ps = p.updatePolicy()
+		} else {
+			valueLoss = p.updateValue()
+		}
+		return nil
+	}); err != nil {
+		panic(err)
+	}
+	stats.GradStepCount += ps.steps
+	if ps.samples > 0 {
+		stats.PolicyLoss = ps.loss / float64(ps.samples)
+		stats.ValueLoss = valueLoss / float64(ps.samples)
+		stats.Entropy = ps.entropy / float64(ps.samples)
+		stats.ClipFraction = float64(ps.clipped) / float64(ps.samples)
+		stats.ApproxKL = ps.kl / float64(ps.samples)
+	}
+}
 
-			// Value term: c_V·0.5·(V(s) − ret)², batched. The reported
-			// loss carries the same ValueCoef scaling as the gradient so
-			// the stat is the quantity the optimizer actually descends.
-			vs := p.Value.ForwardBatch(p.vbcache, p.uobs, m)
-			for k, idx := range batch {
-				diff := vs[k] - p.buf.steps[idx].ret
-				p.uvdOut[k] = p.cfg.ValueCoef * diff
-				sumValueLoss += p.cfg.ValueCoef * 0.5 * diff * diff
-			}
-			p.Value.BackwardBatch(p.vbcache, p.uvdOut[:m])
-			inv := 1.0 / float64(len(batch))
-			p.Policy.ScaleGrads(inv)
-			p.Value.ScaleGrads(inv)
-			if p.cfg.MaxGradNorm > 0 {
-				p.Policy.ClipGradNorm(p.cfg.MaxGradNorm)
-				p.Value.ClipGradNorm(p.cfg.MaxGradNorm)
-			}
-			p.polOpt.Step(p.Policy.Params(), p.Policy.Grads())
-			p.valOpt.Step(p.Value.Params(), p.Value.Grads())
-			stats.GradStepCount++
+// minibatches calls do with each minibatch of every epoch's permutation, in
+// order.
+func (p *PPO) minibatches(do func(batch []int)) {
+	for _, perm := range p.perms {
+		for start := 0; start < len(perm); start += p.cfg.MinibatchSize {
+			do(perm[start:min(start+p.cfg.MinibatchSize, len(perm))])
 		}
 	}
-	if samples > 0 {
-		stats.PolicyLoss = sumPolicyLoss / float64(samples)
-		stats.ValueLoss = sumValueLoss / float64(samples)
-		stats.Entropy = sumEntropy / float64(samples)
-		stats.ClipFraction = float64(clipped) / float64(samples)
-		stats.ApproxKL = sumKL / float64(samples)
-	}
+}
+
+// updatePolicy is the policy half of update: the clipped surrogate with the
+// entropy bonus, one Adam step per minibatch.
+func (p *PPO) updatePolicy() policySums {
+	bp := p.Policy.(BatchPolicy) // checked by NewPPO
+	obsDim := len(p.buf.steps[0].obs)
+	actDim := len(p.buf.steps[0].action)
+	var ps policySums
+	p.minibatches(func(batch []int) {
+		p.Policy.ZeroGrad()
+		// One forward pass per sample, shared between the log-prob
+		// evaluation and the gradient accumulation, batched through
+		// preallocated row-major caches.
+		m := len(batch)
+		for k, idx := range batch {
+			s := &p.buf.steps[idx]
+			copy(p.uobs[k*obsDim:(k+1)*obsDim], s.obs)
+			copy(p.uact[k*actDim:(k+1)*actDim], s.action)
+		}
+		bp.BatchEval(p.uobs, p.uact, m, p.ulogp, p.uent)
+		for k, idx := range batch {
+			s := &p.buf.steps[idx]
+			// Policy term. ratio = exp(logp_new - logp_old).
+			logpNew := p.ulogp[k]
+			ratio := mathx.Exp(logpNew - s.logp)
+			adv := s.advantage
+			// L_clip = min(r·A, clip(r)·A); we accumulate the
+			// gradient of −L_clip. d(r·A)/dlogp = r·A, so the
+			// logp weight is −r·A when the unclipped branch is
+			// active and 0 when clipped.
+			clipActive := false
+			if adv >= 0 && ratio > 1+p.cfg.ClipEps {
+				clipActive = true
+			}
+			if adv < 0 && ratio < 1-p.cfg.ClipEps {
+				clipActive = true
+			}
+			p.uwLogp[k] = 0
+			if !clipActive {
+				p.uwLogp[k] = -ratio * adv
+			}
+			surr := ratio * adv
+			clippedRatio := mathx.Clamp(ratio, 1-p.cfg.ClipEps, 1+p.cfg.ClipEps)
+			if clippedRatio*adv < surr {
+				surr = clippedRatio * adv
+			}
+			ps.loss += -surr
+			ps.entropy += p.uent[k]
+			ps.kl += s.logp - logpNew
+			if clipActive {
+				ps.clipped++
+			}
+			ps.samples++
+		}
+		bp.BatchGrad(p.uwLogp[:m], -p.cfg.EntropyCoef)
+		p.Policy.ScaleGrads(1.0 / float64(m))
+		if p.cfg.MaxGradNorm > 0 {
+			p.Policy.ClipGradNorm(p.cfg.MaxGradNorm)
+		}
+		p.polOpt.Step(p.Policy.Params(), p.Policy.Grads())
+		ps.steps++
+	})
+	return ps
+}
+
+// updateValue is the value half of update: c_V·0.5·(V(s) − ret)², one
+// Adam step per minibatch. It returns the summed loss, which carries the
+// same ValueCoef scaling as the gradient so the stat is the quantity the
+// optimizer actually descends.
+func (p *PPO) updateValue() float64 {
+	obsDim := len(p.buf.steps[0].obs)
+	var sum float64
+	p.minibatches(func(batch []int) {
+		p.Value.ZeroGrad()
+		m := len(batch)
+		for k, idx := range batch {
+			copy(p.vobs[k*obsDim:(k+1)*obsDim], p.buf.steps[idx].obs)
+		}
+		vs := p.Value.ForwardBatch(p.vbcache, p.vobs, m)
+		for k, idx := range batch {
+			diff := vs[k] - p.buf.steps[idx].ret
+			p.uvdOut[k] = p.cfg.ValueCoef * diff
+			sum += p.cfg.ValueCoef * 0.5 * diff * diff
+		}
+		p.Value.BackwardBatch(p.vbcache, p.uvdOut[:m])
+		p.Value.ScaleGrads(1.0 / float64(m))
+		if p.cfg.MaxGradNorm > 0 {
+			p.Value.ClipGradNorm(p.cfg.MaxGradNorm)
+		}
+		p.valOpt.Step(p.Value.Params(), p.Value.Grads())
+	})
+	return sum
 }

@@ -85,8 +85,9 @@ type TrainOptions struct {
 	// Workers is the number of rollout lanes (see VecRunner), each with its
 	// own environment instance; RolloutSteps are split across them, so the
 	// data volume per iteration is unchanged. Workers ≤ 1 is one lane on the
-	// calling goroutine. Results are reproducible for a fixed Workers and
-	// differ between worker counts (same seed, different trajectory
+	// calling goroutine; the update's policy and value halves run side by
+	// side whatever Workers is. Results are reproducible for a fixed Workers
+	// and differ between worker counts (same seed, different trajectory
 	// partition).
 	Workers int
 	// Checkpoint enables crash-safe training: periodic atomic trainer

@@ -134,8 +134,8 @@ func (v *VecRunner) TrainIteration() (IterStats, error) {
 	if p.met != nil {
 		t0 = time.Now()
 	}
-	// One lane per worker; lane 0 runs inline — with W=1 there are no
-	// goroutines at all.
+	// One lane per worker; lane 0 runs inline, so with W=1 the rollout
+	// starts no goroutine (the update's value half always runs on one).
 	if err := par.Run(len(v.lanes), func(w int) error {
 		v.lanes[w].collect(v.lanes[w].steps)
 		return nil
