@@ -30,7 +30,8 @@ vet:
 # runs: the rollout lanes (internal/rl/lane.go, fanned out by
 # VecRunner.TrainIteration), the two halves of every PPO update
 # (rl.(*PPO).update), the evaluation shards (core.EvaluateABR*) and
-# the swarm groups — plus the serving engine's shard workers; the race
+# the swarm groups — plus the serving engine's callers, which gather a
+# shard under its lock and hand it on to the next queued caller; the race
 # detector over the full test suite — which includes the W>1 golden tests —
 # is the check that keeps them honest.
 race:
@@ -38,16 +39,14 @@ race:
 
 # Code whose interleaving depends on how many cores run it is tested at one,
 # two and four cores whatever the host has. A serve request that finds its
-# shard idle is answered on the caller's goroutine; one that finds it busy
-# queues for the shard's worker, and which path it takes depends on how many
-# callers run at once. The PPO update trains the policy and the value net
-# on two goroutines, which run one after the other on one core and side by
-# side on more; the rl and dist goldens must hold either way. The
-# packages run one at a time (-p 1): serve's batching test measures how
-# densely callers refill a queue, which another test binary on the same
-# cores disturbs.
+# shard idle is gathered on the caller's goroutine; one that finds it busy
+# queues until the caller holding the shard hands it on, and which path it
+# takes depends on how many callers run at once. The PPO update trains the
+# policy and the value net on two goroutines, which run one after the other
+# on one core and side by side on more; the rl and dist goldens must hold
+# either way.
 cpus:
-	$(GO) test -count=1 -p 1 -cpu 1,2,4 ./internal/serve ./internal/rl ./internal/dist
+	$(GO) test -count=1 -cpu 1,2,4 ./internal/serve ./internal/rl ./internal/dist
 
 # "Is it still correct and allocation-neutral?" The repository benchmark
 # (bench/e2e, BENCHMARK.json) is a module of its own that
@@ -133,7 +132,9 @@ bench-ab:
 # each netem flow's window and BBR's record of its packets are seq-indexed
 # rings, because the emulator sends each flow's seqs in order, so a
 # map[int64] in non-test Go under internal/netem or internal/cc is a hashed
-# in-flight set coming back.
+# in-flight set coming back. And the serving engine owns no goroutine: every
+# gather runs on a caller of Select, so a go statement in non-test Go under
+# internal/serve is a worker coming back.
 seam-check:
 	@n=$$(grep -rn 'NewPPO(' --include='*.go' --exclude-dir=.bench_build . | grep -v '_test\.go:' | grep -vc '^\./bench/e2e/'); \
 	if [ $$n -gt 2 ]; then echo "seam-check: NewPPO( on $$n non-test lines, want <= 2 (build trainers with rl.NewTrainer)"; exit 1; fi
@@ -169,6 +170,8 @@ seam-check:
 	if [ -n "$$f" ]; then echo "seam-check: a deleted symbol in $$f (ROADMAP 4(b), row or go: land it with a caller and a claim row, not alone)"; exit 1; fi
 	@f=$$(grep -rl 'map\[int64\]' --include='*.go' internal/netem internal/cc | grep -v '_test\.go$$'); \
 	if [ -n "$$f" ]; then echo "seam-check: map[int64] in $$f (in-flight state is seq-indexed: the emulator's window is contiguous)"; exit 1; fi
+	@f=$$(grep -rlE '(^|[;{}])[[:space:]]*go[[:space:]]+(func|[[:alnum:]_.]+\()' --include='*.go' internal/serve | grep -v '_test\.go$$'); \
+	if [ -n "$$f" ]; then echo "seam-check: a go statement in $$f (the engine serves on its callers)"; exit 1; fi
 
 # Tier-1 verification: build + tests, plus vet, the FMA-off rerun, the race
 # detector, serve, rl and dist at several core counts, the benchmark's

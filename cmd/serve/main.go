@@ -39,8 +39,8 @@ func main() {
 	log.SetFlags(0)
 	policyPath := flag.String("policy", "", "policy network to serve (policy envelope or trainer checkpoint); empty = fresh random Pensieve net")
 	levels := flag.Int("levels", 6, "bitrate-ladder size when synthesizing a fresh net (ignored with -policy)")
-	workers := flag.Int("workers", 0, "shard workers (0 = GOMAXPROCS)")
-	batch := flag.Int("batch", 32, "max batch per flush (and each worker's cache capacity)")
+	workers := flag.Int("workers", 0, "engine shards, each gathered by its callers (0 = GOMAXPROCS)")
+	batch := flag.Int("batch", 32, "max batch per flush (and each shard's cache capacity)")
 	storm := flag.Int("storm", 64, "concurrent client goroutines")
 	n := flag.Int("n", 200_000, "total requests across the storm")
 	deadline := flag.Duration("deadline", 2*time.Millisecond, "per-request deadline in the overload phase (0 skips the phase)")

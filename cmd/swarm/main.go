@@ -58,7 +58,7 @@ func main() {
 	protocol := flag.String("protocol", "mixed", "ABR protocol per client: "+abr.Names()+", comma-separable, mixed, or serve (all clients share one policy-serving engine)")
 	policyPath := flag.String("policy", "", "policy file for -protocol serve (empty = fresh random Pensieve net from -seed)")
 	deadline := flag.Duration("deadline", 2*time.Millisecond, "per-decision serving deadline for -protocol serve (shed decisions fall back to BB); 0 disables")
-	serveWorkers := flag.Int("serve-workers", 0, "engine shard workers for -protocol serve (0 = GOMAXPROCS)")
+	serveWorkers := flag.Int("serve-workers", 0, "engine shards for -protocol serve (0 = GOMAXPROCS)")
 	capacity := flag.Float64("capacity", 40, "per-group bottleneck capacity in Mbps (ignored with -traces)")
 	tracesPath := flag.String("traces", "", "trace dataset JSON; group g replays trace g mod len cyclically")
 	chunks := flag.Int("chunks", 48, "video length in chunks")

@@ -24,7 +24,7 @@ import "fmt"
 // BackwardBatch scribble over its activation matrices, so a cache must never
 // be shared between goroutines. Concurrent servers of one (read-only) MLP
 // each own a pre-sized BatchCache — that is exactly how internal/serve's
-// shard workers share a hot-reloaded policy net safely.
+// shards share a hot-reloaded policy net safely.
 type BatchCache struct {
 	capacity int
 	n        int  // rows in the last ForwardBatch

@@ -13,7 +13,7 @@ import (
 )
 
 // hookedEngine is MustNewEngine with beforeFlush run at the top of every
-// flush, on the flushing shard's worker.
+// flush, on the caller that gathers.
 func hookedEngine(t *testing.T, beforeFlush func(shard int), reg *Registry, cfg Config) *Engine {
 	t.Helper()
 	e, err := newEngine(reg, cfg, beforeFlush)

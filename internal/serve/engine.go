@@ -17,9 +17,10 @@ import (
 
 // Config parameterizes an Engine.
 type Config struct {
-	// Workers is the number of shards, each owning one request queue, one
-	// pre-sized batch cache and one worker that answers what a busy shard
-	// queues. Production sizing is one per core (default: GOMAXPROCS).
+	// Workers is the number of shards, each owning one request queue and one
+	// pre-sized batch cache. It starts no goroutine: every gather runs on a
+	// caller of Select. Production sizing is one per core (default:
+	// GOMAXPROCS).
 	Workers int
 	// MaxBatch is the largest batch one forward pass answers and the
 	// capacity of each shard's batch cache (default 32). A gather flushes
@@ -37,7 +38,7 @@ type Config struct {
 	// request waits for capacity indefinitely (interrupted only by Close).
 	// SelectDeadline overrides it per call.
 	DefaultDeadline time.Duration
-	// Seed seeds the per-worker latency reservoirs (default 1).
+	// Seed seeds the per-shard latency reservoirs (default 1).
 	Seed uint64
 }
 
@@ -75,7 +76,7 @@ var ErrEngineClosed = errors.New("serve: engine closed")
 
 // latencySample: enqueue→computed latency is recorded for one round-robin
 // round of requests in every latencySample — one request per shard, so
-// every shard's reservoir sees traffic whatever the worker count. Sampling
+// every shard's reservoir sees traffic whatever the shard count. Sampling
 // keeps two clock reads per request off the hot path; the reservoirs behind
 // Stats subsample anyway, so the percentile summary loses nothing.
 const latencySample = 8
@@ -154,19 +155,19 @@ type request struct {
 	snap  uint64
 	err   error         // typed failure (a contained shard panic), nil on success
 	start time.Time     // zero unless this request was latency-sampled
-	done  chan struct{} // capacity 1, signaled exactly once per dispatch
+	done  chan bool     // capacity 1: false = answered, true = the shard is handed to this caller
 	timer *time.Timer   // lazily created, reused across pooled uses
 	state atomic.Uint32 // reqPending / reqClaimed / reqAbandoned
 }
 
 // shard is one slice of the engine: a bounded MPSC queue (any goroutine
-// produces, only the gather holding mu consumes) plus everything a gather
-// and its flush need. mu is held by whoever gathers: the shard's worker
-// around a queued request's gather, or a caller that found the shard idle
-// and gathers on its own goroutine. So batch, xs, cache and lat are written
-// by one goroutine at a time, and a shard never flushes twice at once. The
-// counters are written by producers too (admission control runs on the
-// caller's goroutine) and are atomic.
+// produces, only the holder of mu consumes) plus everything a gather and its
+// flush need. mu is held by whoever gathers, always a caller of Select: one
+// that found the shard idle, one that won its lock after queueing, or one
+// that release handed the still-locked shard to. So batch, xs, cache and lat
+// are written by one goroutine at a time, and a shard never flushes twice at
+// once. The counters are written by producers too (admission control runs on
+// the caller's goroutine) and are atomic.
 type shard struct {
 	idx   int
 	q     chan *request
@@ -185,40 +186,42 @@ type shard struct {
 
 // Engine serves inference requests against the registry's current snapshot
 // with per-core batch aggregation: requests are round-robined onto N shards.
-// A request that finds its shard idle is gathered on its caller's goroutine;
-// one that finds it busy is queued for the shard's worker. Either gather
-// takes what the queue holds, up to MaxBatch, and answers it with one
+// The engine serves on its callers and owns no goroutine. A request that
+// finds its shard idle is gathered on its caller's goroutine; one that finds
+// it busy is queued, and the gatherer that finishes hands the shard to the
+// oldest queued caller, who gathers next (flat combining; see release). A
+// gather takes what the queue holds, up to MaxBatch, and answers it with one
 // batched forward pass — without ever waiting for more requests to arrive
-// (see gather). The worker loop and the Select request path — including the
-// shed paths — are allocation-free in steady state.
+// (see gather). The Select request path — including the shed paths — is
+// allocation-free in steady state.
 type Engine struct {
 	reg *Registry
-	// beforeFlush, when set, runs at the top of every flush, on whichever
-	// goroutine gathers: the shard's worker or an inline caller. The
-	// package's tests use it to stall or crash a flush, which a real
-	// forward pass does not do on demand; only newEngine sets it. It sits
-	// beside the other fields every flush reads, away from the counters
-	// every Select writes.
-	beforeFlush func(shard int)
-	cfg         Config
-	in          int
-	out         int
+	// beforeFlush, when set, runs at the top of every flush, on the caller
+	// that gathers; beforeUnlock runs in release once it finds the queue
+	// empty, just before the unlock. The package's tests use them to stall
+	// or crash a flush and to enqueue in that window, which real callers do
+	// not do on demand. They sit beside the fields every flush reads, away
+	// from the counters every Select writes.
+	beforeFlush  func(shard int)
+	beforeUnlock func(shard int)
+	cfg          Config
+	in           int
+	out          int
 
 	shards []*shard
 	rr     atomic.Uint64
 	pool   sync.Pool
 
 	closed   atomic.Bool
-	inflight atomic.Int64 // Selects between admission and queue handoff, or the end of an inline gather
+	inflight atomic.Int64 // Selects between admission and the lock attempt after queueing, or the end of an idle gather
 	stop     chan struct{}
-	wg       sync.WaitGroup
 }
 
-// NewEngine starts Workers shard workers serving reg's current snapshot.
-// The engine sizes every shard's batch cache for the registry's serving
-// architecture once, up front — valid forever because the registry rejects
-// architecture-changing publishes. An invalid Config (see Validate) is
-// rejected before any worker starts.
+// NewEngine builds Workers shards serving reg's current snapshot; it starts
+// no goroutine. The engine sizes every shard's batch cache for the
+// registry's serving architecture once, up front — valid forever because the
+// registry rejects architecture-changing publishes. An invalid Config (see
+// Validate) is rejected.
 func NewEngine(reg *Registry, cfg Config) (*Engine, error) {
 	return newEngine(reg, cfg, nil)
 }
@@ -242,7 +245,7 @@ func newEngine(reg *Registry, cfg Config, beforeFlush func(shard int)) (*Engine,
 		beforeFlush: beforeFlush,
 	}
 	e.pool.New = func() any {
-		return &request{done: make(chan struct{}, 1)}
+		return &request{done: make(chan bool, 1)}
 	}
 	e.shards = make([]*shard, cfg.Workers)
 	for i := range e.shards {
@@ -254,8 +257,6 @@ func newEngine(reg *Registry, cfg Config, beforeFlush func(shard int)) (*Engine,
 			cache: e.newCache(),
 			lat:   stats.NewReservoir(0, cfg.Seed+uint64(i)),
 		}
-		e.wg.Add(1)
-		go e.worker(e.shards[i])
 	}
 	return e, nil
 }
@@ -274,7 +275,8 @@ func (e *Engine) InputSize() int { return e.in }
 // Select answers one inference request under the engine's DefaultDeadline:
 // it hands a pooled request to a shard and returns once the shard's batched
 // forward pass answers it. If the shard is idle the caller runs that gather
-// itself; otherwise it enqueues the request and blocks. The features slice
+// itself; otherwise it enqueues the request and blocks until a gather
+// answers it or the shard is handed to it to gather. The features slice
 // is read by whichever goroutine gathers while the caller waits, so callers
 // must not mutate it concurrently from another goroutine. Safe for any
 // number of concurrent callers. With no deadline configured a full shard
@@ -289,9 +291,10 @@ func (e *Engine) Select(features []float64) (Decision, error) {
 // covering admission and queue wait. deadline <= 0 means no deadline. The
 // degradation contract (DESIGN.md §8.7): the call returns within the
 // deadline plus at most one forward pass — if a gather wins the request in
-// the instant the deadline expires, the in-flight batch answers it. A caller
-// that gathers inline claims its own request first, so it is answered by
-// the one forward pass it runs and arms no timer.
+// the instant the deadline expires, the in-flight batch answers it, and if
+// release hands it the shard in that instant, the one forward pass it runs
+// itself does. A caller that gathers puts its own request first, so it is
+// answered by the forward pass it runs; on an idle shard it arms no timer.
 func (e *Engine) SelectDeadline(features []float64, deadline time.Duration) (Decision, error) {
 	if len(features) != e.in {
 		return Decision{}, fmt.Errorf("serve: Select with %d features, serving architecture wants %d", len(features), e.in)
@@ -310,9 +313,8 @@ func (e *Engine) SelectDeadline(features []float64, deadline time.Duration) (Dec
 	sh := e.shards[seq%shards]
 
 	// Admission. inflight spans the window between the closed check and the
-	// queue handoff, or the end of an inline gather: Close's drain loop
-	// cannot exit while any producer might still enqueue or flush (see
-	// drain).
+	// lock attempt after queueing, or the end of an idle gather: Close's
+	// sweep cannot end while any producer might still enqueue (see Close).
 	e.inflight.Add(1)
 	if e.closed.Load() {
 		e.inflight.Add(-1)
@@ -321,10 +323,10 @@ func (e *Engine) SelectDeadline(features []float64, deadline time.Duration) (Dec
 	}
 	// An idle shard answers on its caller: nothing is queued ahead of this
 	// request (so it overtakes no one) and no one is gathering. The gather
-	// claims req first and answers it on req.done before it returns.
+	// takes req first and answers it on req.done before it returns.
 	if len(sh.q) == 0 && sh.mu.TryLock() {
 		e.gather(sh, req)
-		sh.mu.Unlock()
+		e.release(sh)
 		e.inflight.Add(-1)
 		<-req.done
 		return e.answer(req)
@@ -332,7 +334,7 @@ func (e *Engine) SelectDeadline(features []float64, deadline time.Duration) (Dec
 	timed := deadline > 0
 	if timed {
 		// One timer budgets the whole call: queue admission and the wait
-		// for a worker. It lives in the pooled request, so arming it
+		// for a gather. It lives in the pooled request, so arming it
 		// allocates only on the request's first deadline use.
 		if req.timer == nil {
 			req.timer = time.NewTimer(deadline)
@@ -369,25 +371,39 @@ func (e *Engine) SelectDeadline(features []float64, deadline time.Duration) (Dec
 			}
 		}
 	}
+	// Queued. If the shard's holder unlocked before this request arrived,
+	// no one would come for it: take the shard and pass it on.
+	if sh.mu.TryLock() {
+		e.release(sh)
+	}
 	e.inflight.Add(-1)
 
+	var lead bool
 	if timed {
 		select {
-		case <-req.done:
+		case lead = <-req.done:
 		case <-req.timer.C:
 			if req.state.CompareAndSwap(reqPending, reqAbandoned) {
-				// The next gather owns the queued request and recycles
-				// it when its claim fails; this caller must not touch it
-				// again.
+				// The next gather or release owns the queued request and
+				// recycles it when its claim fails; this caller must not
+				// touch it again.
 				sh.shedDeadline.Add(1)
 				return Decision{}, errShedDeadline
 			}
-			// A gather claimed the request as the deadline fired: the
-			// answer is at most one forward pass away.
-			<-req.done
+			// A gather claimed the request as the deadline fired, or
+			// release handed this caller the shard: the answer is at most
+			// one forward pass away.
+			lead = <-req.done
 		}
 		stopTimer(req.timer)
 	} else {
+		lead = <-req.done
+	}
+	if lead {
+		// The shard is this caller's: gather with its own request first,
+		// pass the shard on, then read the answer.
+		e.gather(sh, req)
+		e.release(sh)
 		<-req.done
 	}
 	return e.answer(req)
@@ -412,63 +428,10 @@ func (e *Engine) recycle(req *request) {
 	e.pool.Put(req)
 }
 
-// worker is one shard's serving loop: it answers the requests callers
-// queued because the shard was busy.
-func (e *Engine) worker(sh *shard) {
-	defer e.wg.Done()
-	for {
-		select {
-		case req := <-sh.q:
-			e.lockedGather(sh, req)
-		case <-e.stop:
-			e.drain(sh)
-			return
-		}
-	}
-}
-
-// drain answers everything still queued after Close began. It exits only
-// once the queue is empty and no producer is inside the admission window —
-// a producer that already passed the closed check may still be about to
-// enqueue or be gathering inline, so the queue is re-checked after inflight
-// reaches zero.
-func (e *Engine) drain(sh *shard) {
-	for {
-		e.drainQueued(sh)
-		if e.inflight.Load() == 0 {
-			// Producers enqueue before decrementing inflight, so anything
-			// admitted before the load above is visible to this last sweep.
-			e.drainQueued(sh)
-			return
-		}
-		runtime.Gosched()
-	}
-}
-
-// drainQueued gathers and answers until the shard's queue is empty.
-func (e *Engine) drainQueued(sh *shard) {
-	for {
-		select {
-		case req := <-sh.q:
-			e.lockedGather(sh, req)
-		default:
-			return
-		}
-	}
-}
-
-// lockedGather is gather under the shard's lock, for a request the worker
-// took off the queue.
-func (e *Engine) lockedGather(sh *shard, req *request) {
-	sh.mu.Lock()
-	e.gather(sh, req)
-	sh.mu.Unlock()
-}
-
-// claim takes ownership of a dequeued request for batching. A request whose
-// caller abandoned it (deadline expired in the queue) is recycled here —
-// its caller has already returned — and excluded from the batch.
-func (e *Engine) claim(sh *shard, req *request) bool {
+// claim takes ownership of a dequeued request. A request whose caller
+// abandoned it (deadline expired in the queue) is recycled here — its
+// caller has already returned — and excluded from the batch.
+func (e *Engine) claim(req *request) bool {
 	if req.state.CompareAndSwap(reqPending, reqClaimed) {
 		return true
 	}
@@ -476,29 +439,26 @@ func (e *Engine) claim(sh *shard, req *request) bool {
 	return false
 }
 
-// gather assembles a batch starting from first and flushes it as soon as
-// the shard has nothing more to give. The caller holds sh.mu: the worker
-// for a queued request, or a caller gathering its own request on an idle
-// shard. It drains the queue without blocking; when the queue runs dry it
-// yields the processor once — callers woken by the previous flush get to
-// enqueue their next request, and callers that find the lock held queue up
-// behind it — drains again, and flushes what it holds. A full batch flushes
-// at MaxBatch. Nothing waits on a timer: a lone request is answered by the
-// next forward pass, and batches grow only with the load. Without the yield
-// the gatherer wins every race against its producers and a saturated shard
-// flushes batches of one (DESIGN.md §8.4). Abandoned requests are skipped;
-// a gather that claims nothing flushes nothing.
+// gather assembles a batch starting from first, the gathering caller's own
+// request, and flushes it as soon as the shard has nothing more to give. The
+// caller holds sh.mu and owns first: it never queued it (an idle shard), or
+// release claimed it when it handed over the shard. It drains the queue
+// without blocking; when the queue runs dry it yields the processor once —
+// callers woken by the previous flush get to enqueue their next request, and
+// callers that find the lock held queue up behind it — drains again, and
+// flushes what it holds. A full batch flushes at MaxBatch. Nothing waits on
+// a timer: a lone request is answered by the next forward pass, and batches
+// grow only with the load. Without the yield the gatherer wins every race
+// against its producers and a saturated shard flushes batches of one
+// (DESIGN.md §8.4). Abandoned requests are skipped.
 func (e *Engine) gather(sh *shard, first *request) {
-	n := 0
-	if e.claim(sh, first) {
-		sh.batch[0] = first
-		n = 1
-	}
+	sh.batch[0] = first
+	n := 1
 	yielded := false
 	for n < e.cfg.MaxBatch {
 		select {
 		case r := <-sh.q:
-			if e.claim(sh, r) {
+			if e.claim(r) {
 				sh.batch[n] = r
 				n++
 			}
@@ -511,8 +471,34 @@ func (e *Engine) gather(sh *shard, first *request) {
 		runtime.Gosched()
 		yielded = true
 	}
-	if n > 0 {
-		e.flushContained(sh, n)
+	e.flushContained(sh, n)
+}
+
+// release ends a gather by passing the held shard on. It claims the oldest
+// live queued request and wakes its caller with true on done: the shard
+// passes to that caller still locked, and it gathers next, so the queue is
+// served in FIFO order. Abandoned requests are recycled on the way. With the
+// queue empty it unlocks and looks once more: a caller that enqueued and
+// failed its TryLock before the unlock relies on this look. One that
+// enqueues after it takes the lock itself, or finds a holder who will
+// release in turn.
+func (e *Engine) release(sh *shard) {
+	for {
+		select {
+		case r := <-sh.q:
+			if e.claim(r) {
+				r.done <- true
+				return
+			}
+		default:
+			if e.beforeUnlock != nil {
+				e.beforeUnlock(sh.idx)
+			}
+			sh.mu.Unlock()
+			if len(sh.q) == 0 || !sh.mu.TryLock() {
+				return
+			}
+		}
 	}
 }
 
@@ -520,8 +506,7 @@ func (e *Engine) gather(sh *shard, first *request) {
 // request of the batch. A flush fails only by panicking, which comes back
 // from flush as a typed *par.PanicError naming the shard; the shard's batch
 // cache is then rebuilt — the panic may have left it mid-write — and the
-// shard keeps serving, whether the worker or an inline caller ran the
-// flush. Other shards never notice.
+// shard keeps serving. Other shards never notice.
 func (e *Engine) flushContained(sh *shard, n int) {
 	if err := e.flush(sh, n); err != nil {
 		sh.panics.Add(1)
@@ -539,7 +524,7 @@ func (e *Engine) failBatch(sh *shard, n int, err error) {
 		}
 		sh.batch[i] = nil
 		req.err = err
-		req.done <- struct{}{}
+		req.done <- false
 	}
 }
 
@@ -572,7 +557,7 @@ func (e *Engine) flush(sh *shard, n int) (err error) {
 			sh.lat.Add(float64(now.Sub(req.start)) / float64(time.Microsecond))
 		}
 		sh.batch[i] = nil
-		req.done <- struct{}{}
+		req.done <- false
 	}
 	return nil
 }
@@ -587,16 +572,29 @@ func stopTimer(t *time.Timer) {
 	}
 }
 
-// Close stops accepting requests, answers everything already enqueued, and
-// waits for the workers to exit. Idempotent and safe to call mid-storm:
-// concurrent Selects either complete normally (their request was already
-// accepted) or return ErrEngineClosed — none block past the drain, and a
-// caller blocked waiting for queue space is woken immediately.
+// Close stops accepting requests, sees everything already enqueued
+// answered, and returns once no gather runs. Idempotent and safe to call
+// mid-storm: concurrent Selects either complete normally (their request was
+// already accepted) or return ErrEngineClosed — none block past the sweep,
+// and a caller blocked waiting for queue space is woken immediately. The
+// sweep locks and releases each shard until no producer is inside the
+// admission window and every queue was found empty under its lock.
 func (e *Engine) Close() {
 	if e.closed.CompareAndSwap(false, true) {
 		close(e.stop)
 	}
-	e.wg.Wait()
+	for {
+		idle := e.inflight.Load() == 0
+		for _, sh := range e.shards {
+			sh.mu.Lock()
+			idle = idle && len(sh.q) == 0
+			e.release(sh)
+		}
+		if idle {
+			return
+		}
+		runtime.Gosched()
+	}
 }
 
 // Served returns the total number of requests answered. Safe to call
@@ -705,7 +703,7 @@ func (st EngineStats) EmitMetrics(reg *metrics.Registry, wallSeconds float64) {
 // Stats digests the serving counters and per-shard latency reservoirs. The
 // latency summary covers the sampled requests that carried a timestamp (its
 // Count is the sampled count, not Served), and reads reservoirs that
-// whoever holds a shard's lock writes (its worker or an inline caller), so
+// whoever holds a shard's lock writes (always a caller of Select), so
 // call it only at quiescence — after Close, or when no requests are in
 // flight (between load phases). The counter accessors (Served, Batches,
 // Shed*, Panics) are always safe.

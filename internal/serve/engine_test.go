@@ -49,6 +49,13 @@ func riggedW(in, levels, level int) *nn.MLP {
 	return net
 }
 
+// goid returns the goroutine id in the header of a runtime.Stack dump
+// ("goroutine 18 [running]:").
+func goid(stack string) string {
+	id, _, _ := strings.Cut(strings.TrimPrefix(stack, "goroutine "), " ")
+	return id
+}
+
 // MustNewEngine is NewEngine for a Config the test knows is valid.
 func MustNewEngine(reg *Registry, cfg Config) *Engine {
 	e, err := NewEngine(reg, cfg)
@@ -252,8 +259,8 @@ func TestEngineLoneSelectFlushesAlone(t *testing.T) {
 
 // TestEngineBusyShardQueues: a request that finds its shard busy — caller A
 // is stalled inside its own inline flush — is queued, answered only after A's
-// flush ends, and answered by the shard's worker. The shard never runs two
-// flushes at once.
+// flush ends, and flushed on caller B's own goroutine, to which A's release
+// hands the shard. The shard never runs two flushes at once.
 func TestEngineBusyShardQueues(t *testing.T) {
 	release := make(chan struct{})
 	stalled := make(chan struct{})
@@ -298,7 +305,10 @@ func TestEngineBusyShardQueues(t *testing.T) {
 		released bool
 	}
 	resB := make(chan result, 1)
+	goidB := make(chan string, 1)
 	go func() {
+		buf := make([]byte, 1<<10)
+		goidB <- goid(string(buf[:runtime.Stack(buf, false)]))
 		d, err := eng.Select(x)
 		resB <- result{d, err, released.Load()}
 	}()
@@ -323,23 +333,162 @@ func TestEngineBusyShardQueues(t *testing.T) {
 	mu.Lock()
 	defer mu.Unlock()
 	if len(stacks) != 2 {
-		t.Fatalf("%d flushes, want 2 (A inline, B by the worker)", len(stacks))
+		t.Fatalf("%d flushes, want 2 (A inline, then B on its own goroutine)", len(stacks))
 	}
 	if !strings.Contains(stacks[0], "serve.(*Engine).SelectDeadline") {
 		t.Errorf("caller A's flush ran off its goroutine:\n%s", stacks[0])
 	}
-	if !strings.Contains(stacks[1], "serve.(*Engine).worker") {
-		t.Errorf("caller B's flush did not run on the worker:\n%s", stacks[1])
+	if id := <-goidB; goid(stacks[1]) != id {
+		t.Errorf("caller B's flush ran on goroutine %s, not on B's goroutine %s:\n%s", goid(stacks[1]), id, stacks[1])
 	}
 	if m := maxInFlush.Load(); m > 1 {
 		t.Fatalf("%d flushes ran at once on one shard, want at most 1", m)
 	}
 }
 
+// awaitSelect fails the test if a Select's result does not arrive in time: a
+// request nobody comes back for hangs its caller for good.
+func awaitSelect(t *testing.T, res <-chan error, who string) {
+	t.Helper()
+	select {
+	case err := <-res:
+		if err != nil {
+			t.Fatalf("%s: %v", who, err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s was queued and never answered", who)
+	}
+}
+
+// TestEngineNoRequestStranded: a queued request is answered only if some
+// gatherer comes back for it. Two steps close the hand-off
+// race, and each subtest pins one: the holder that found its queue empty
+// looks again after it unlocks, and a caller that queued tries the lock.
+func TestEngineNoRequestStranded(t *testing.T) {
+	x := []float64{0, 0}
+	t.Run("holder looks again after unlocking", func(t *testing.T) {
+		eng := MustNewEngine(NewRegistry(rigged(2, 3, 1)), Config{Workers: 1})
+		defer eng.Close()
+		sh := eng.shards[0]
+		resB := make(chan error, 1)
+		var once sync.Once
+		eng.beforeUnlock = func(int) {
+			once.Do(func() {
+				// A holds the shard and found its queue empty. B finds the
+				// shard busy, queues, fails its TryLock and leaves the
+				// admission window, all before A unlocks.
+				go func() {
+					_, err := eng.Select(x)
+					resB <- err
+				}()
+				for len(sh.q) == 0 || eng.inflight.Load() != 1 {
+					runtime.Gosched()
+				}
+			})
+		}
+		if _, err := eng.Select(x); err != nil {
+			t.Fatalf("caller A: %v", err)
+		}
+		awaitSelect(t, resB, "caller B")
+	})
+	t.Run("caller takes the lock after queueing", func(t *testing.T) {
+		eng := MustNewEngine(NewRegistry(rigged(2, 3, 1)), Config{Workers: 1})
+		defer eng.Close()
+		sh := eng.shards[0]
+		// No one holds the shard, and its queue holds a request whose caller
+		// gave up: B finds the shard busy and queues behind it, so only
+		// B's own lock attempt can start a gather.
+		stale := eng.pool.Get().(*request)
+		stale.state.Store(reqAbandoned)
+		sh.q <- stale
+		resB := make(chan error, 1)
+		go func() {
+			_, err := eng.Select(x)
+			resB <- err
+		}()
+		awaitSelect(t, resB, "caller B")
+		if n := len(sh.q); n != 0 {
+			t.Fatalf("%d requests left queued, want 0", n)
+		}
+	})
+}
+
+// TestEngineOwnsNoGoroutine: the engine serves on its callers. Once a storm
+// of plain and deadline-carrying Selects has returned, the goroutine count
+// is back at its baseline without a Close.
+func TestEngineOwnsNoGoroutine(t *testing.T) {
+	base := runtime.NumGoroutine()
+	eng := MustNewEngine(NewRegistry(rigged(2, 3, 1)), Config{Workers: 4, MaxBatch: 8, QueueDepth: 8})
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(timed bool) {
+			defer wg.Done()
+			x := []float64{0, 0}
+			for i := 0; i < 500; i++ {
+				var err error
+				if timed {
+					_, err = eng.SelectDeadline(x, 50*time.Microsecond)
+				} else {
+					_, err = eng.Select(x)
+				}
+				var oe *OverloadError
+				if err != nil && !errors.As(err, &oe) {
+					t.Error(err)
+					return
+				}
+			}
+		}(g%2 == 1)
+	}
+	wg.Wait()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the storm, %d before the engine was built", runtime.NumGoroutine(), base)
+		}
+	}
+	eng.Close()
+}
+
+// TestEngineCloseRecyclesAbandoned: requests whose callers gave up and that
+// no gather has popped yet are recycled by Close, and none is answered.
+func TestEngineCloseRecyclesAbandoned(t *testing.T) {
+	eng := MustNewEngine(NewRegistry(rigged(2, 3, 1)), Config{Workers: 2, QueueDepth: 4})
+	var stale []*request
+	for _, sh := range eng.shards {
+		for i := 0; i < 3; i++ {
+			r := eng.pool.Get().(*request)
+			r.in = []float64{0, 0}
+			r.state.Store(reqAbandoned)
+			sh.q <- r
+			stale = append(stale, r)
+		}
+	}
+	closed := make(chan struct{})
+	go func() { eng.Close(); close(closed) }()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not return")
+	}
+	for _, sh := range eng.shards {
+		if n := len(sh.q); n != 0 {
+			t.Errorf("shard %d: %d requests left queued after Close", sh.idx, n)
+		}
+	}
+	for i, r := range stale {
+		if r.in != nil {
+			t.Errorf("abandoned request %d was not recycled", i)
+		}
+	}
+	if eng.Served() != 0 || eng.Batches() != 0 {
+		t.Fatalf("Close answered abandoned requests: served %d in %d batches", eng.Served(), eng.Batches())
+	}
+}
+
 // TestEngineBatchesUnderLoad: with many closed-loop callers on one shard,
-// the worker's single yield before flushing lets the callers it just
+// the gatherer's single yield before flushing lets the callers it just
 // answered enqueue again, so batches stay dense without any batching
-// window. Without the yield the worker wins every race against its
+// window. Without the yield the gatherer wins every race against its
 // producers and flushes batches of about one.
 func TestEngineBatchesUnderLoad(t *testing.T) {
 	const (

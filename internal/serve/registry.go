@@ -5,10 +5,11 @@
 //
 // The design splits the read and write sides completely:
 //
-//   - Readers (shard workers, one per core) load the current *Snapshot
-//     through a single atomic pointer — no locks, no reference counting. A
-//     snapshot is immutable from the moment it is published, so a worker
-//     that grabbed it mid-swap just finishes its batch on the old weights.
+//   - Readers (the callers gathering each shard, one shard per core) load
+//     the current *Snapshot through a single atomic pointer — no locks, no
+//     reference counting. A snapshot is immutable from the moment it is
+//     published, so a gatherer that grabbed it mid-swap just finishes its
+//     batch on the old weights.
 //   - Writers (the control plane) Publish a new network, which validates the
 //     architecture against the serving one and atomically swaps the pointer.
 //     A failed validation leaves the old snapshot serving — a bad checkpoint
@@ -30,8 +31,8 @@ import (
 )
 
 // Snapshot is one immutable published policy network plus metadata. The
-// network must never be mutated after publication: every shard worker may be
-// running forward passes against it concurrently (see the reader contract on
+// network must never be mutated after publication: every shard's gatherer may
+// be running forward passes against it concurrently (see the reader contract on
 // nn.MLP). Registry.Publish enforces this by cloning the network it is
 // handed.
 type Snapshot struct {
@@ -102,7 +103,7 @@ func (r *Registry) Current() *Snapshot { return r.cur.Load() }
 // Publish validates net against the serving architecture and, on success,
 // atomically swaps in an immutable clone of it, returning the new snapshot.
 // On an architecture mismatch it returns *ArchMismatchError and the old
-// snapshot keeps serving untouched — workers holding either snapshot are
+// snapshot keeps serving untouched — gatherers holding either snapshot are
 // never invalidated, and their pre-sized batch caches stay correct because
 // published architectures never change.
 func (r *Registry) Publish(net *nn.MLP, source string) (*Snapshot, error) {

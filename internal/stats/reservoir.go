@@ -11,7 +11,7 @@ import (
 // Reservoir is a fixed-memory streaming sample for percentile estimation
 // over unbounded streams (Vitter's Algorithm R), plus exact running count,
 // sum, min, and max. It is the latency substrate of the serving engine: a
-// shard worker Adds one observation per request forever, in O(1) time and
+// shard's gatherer Adds one observation per request forever, in O(1) time and
 // zero allocations, and Summarize answers p50/p95/p99 from the retained
 // sample at any point.
 //
