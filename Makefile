@@ -85,11 +85,14 @@ bench-ab:
 # claims_test.go): a Go file under examples/ or a test outside
 # internal/experiments that imports it is a second, unchecked harness. And
 # one non-bitwise forward: a fused multiply-add (VFMADD) in any assembly under
-# internal/nn other than the inference kernel (fma_amd64.s and its vector
-# tanh, vtanh_amd64.s) would change the training kernel's rounding and with
-# it every golden. The training tanh (tanh_amd64.s) is the one other file
-# allowed to fuse, because it fuses exactly where mathx.Exp calls math.FMA,
-# which is what makes it lane-exact to mathx.Tanh. And one exponential
+# internal/nn other than the inference dense kernel (fma_amd64.s) would
+# change the training kernel's rounding and with it every golden. The tanh
+# kernel (tanh_amd64.s) is the one other file allowed to fuse, because it
+# fuses exactly where mathx.Exp calls math.FMA, which is what makes it
+# lane-exact to mathx.Tanh. And one tanh: every tanh, the inference cache's
+# included, runs mathx.Tanh's sequence, so vtanh (the deleted vector tanh,
+# a few ulps from mathx.Tanh) in any file name or file under internal/ or
+# cmd/ is a second tanh kernel coming back. And one exponential
 # (internal/mathx/exp.go): math.Exp and math.Tanh round differently with and
 # without FMA, so a call to either in non-test Go under internal/ or cmd/ is
 # a result that depends on the host. And one flush policy
@@ -150,8 +153,10 @@ seam-check:
 	if [ -n "$$f" ]; then echo "seam-check: Go files under examples/: $$f (a paper claim is a row of internal/experiments/claims_test.go)"; exit 1; fi
 	@f=$$(grep -rl '"advnet/internal/experiments"' --include='*_test.go' --exclude-dir=.bench_build . | grep -v '^\./internal/experiments/'); \
 	if [ -n "$$f" ]; then echo "seam-check: $$f imports internal/experiments from a test (assert claims in internal/experiments/claims_test.go)"; exit 1; fi
-	@f=$$(grep -rl 'VFMADD' --include='*.s' internal/nn | grep -Ev '^internal/nn/(fma|vtanh|tanh)_amd64\.s$$'); \
-	if [ -n "$$f" ]; then echo "seam-check: VFMADD in $$f (the training kernel multiplies then adds; only the inference kernel and the training tanh may fuse)"; exit 1; fi
+	@f=$$(grep -rl 'VFMADD' --include='*.s' internal/nn | grep -Ev '^internal/nn/(fma|tanh)_amd64\.s$$'); \
+	if [ -n "$$f" ]; then echo "seam-check: VFMADD in $$f (the training kernel multiplies then adds; only the inference dense kernel and the tanh may fuse)"; exit 1; fi
+	@f=$$( (grep -rl 'vtanh' internal cmd; find internal cmd -name '*vtanh*') | sort -u); \
+	if [ -n "$$f" ]; then echo "seam-check: vtanh in $$f (one tanh: every tanh runs mathx.Tanh's sequence, through applyActivation)"; exit 1; fi
 	@f=$$(grep -rlE 'math\.(Exp|Tanh)\(' --include='*.go' internal cmd | grep -v '_test\.go$$'); \
 	if [ -n "$$f" ]; then echo "seam-check: math.Exp/math.Tanh in $$f (call mathx.Exp/mathx.Tanh: the same bits on every host)"; exit 1; fi
 	@f=$$(grep -rlE 'MaxWait|FlushImmediately' --include='*.go' internal cmd); \

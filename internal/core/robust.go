@@ -225,7 +225,7 @@ func TrainRobustPensieve(video *abr.Video, dataset *trace.Dataset, cfg RobustTra
 // result is identical to the sequential evaluation for any worker count.
 // It returns an error for a nil or empty dataset (the previous silent-empty
 // return fed empty slices into downstream summary statistics, where
-// mathx.Min/Max panic) and when workers > 1 and the protocol is not
+// stats.Min and mathx.Max panic) and when workers > 1 and the protocol is not
 // cloneable.
 func EvaluateABR(video *abr.Video, dataset *trace.Dataset, p abr.Protocol, rttS float64, workers int) ([]float64, error) {
 	return evaluateABR(video, dataset, p, workers, func(tr *trace.Trace) abr.Link {

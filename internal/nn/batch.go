@@ -16,8 +16,9 @@ import "fmt"
 // same bits by construction.
 //
 // A cache built with NewBatchCacheGEMM is the inference variant: on AVX2+FMA
-// hardware its ForwardBatch runs the fused-multiply-add assembly instead (see
-// gemm.go), which agrees with the kernel only to rounding (~1e-12 relative).
+// hardware its ForwardBatch runs the dense layers through the
+// fused-multiply-add assembly instead (see gemm.go), which agrees with the
+// kernel only to rounding (~1e-12 relative); its tanh is the same bits.
 // Nothing that trains uses it; internal/serve does.
 //
 // Like Cache, a BatchCache is single-goroutine state: ForwardBatch and
@@ -69,10 +70,10 @@ func (m *MLP) NewBatchCache(capacity int) *BatchCache {
 }
 
 // NewBatchCacheGEMM returns the inference variant of the cache: on AVX2+FMA
-// hardware ForwardBatch runs the fused assembly kernel and vector tanh, so
-// outputs match the per-sample path to rounding rather than bitwise. It
-// differs from NewBatchCache only in that kernel; BackwardBatch is the same
-// as for every cache.
+// hardware ForwardBatch runs the dense layers through the fused assembly
+// kernel, so outputs match the per-sample path to rounding rather than
+// bitwise. It differs from NewBatchCache only in how that kernel rounds its
+// sums: the activations and BackwardBatch are the same as for every cache.
 func (m *MLP) NewBatchCacheGEMM(capacity int) *BatchCache {
 	c := m.NewBatchCache(capacity)
 	c.gemm = true

@@ -16,15 +16,16 @@ func xgetbvAsm() (eax, edx uint32)
 func gemmKernelAsm(y, init, x, m *float64, k, o int)
 
 // useAsm gates every assembly kernel of the package: the training kernel's
-// SIMD forward, backward and Adam tiles (kernel_amd64.s), its lane-exact tanh
-// (tanh_amd64.s), and the inference GEMM cache's FMA forward and vector tanh.
+// SIMD forward, backward and Adam tiles (kernel_amd64.s), the lane-exact tanh
+// that every cache's forward runs (tanh_amd64.s), and the inference GEMM
+// cache's FMA dense forward (fma_amd64.s).
 // It is a variable (not a constant) so tests can force the Go loops on AVX2
 // hardware; nothing else may write it after init.
 var useAsm = cpuSupportsAsm()
 
 // cpuSupportsAsm reports whether the CPU and OS support what the assembly
-// kernels need: the YMM state, AVX2, and FMA (used by the inference kernel,
-// and by the training tanh exactly where mathx.Exp fuses; the training dense
+// kernels need: the YMM state, AVX2, and FMA (used by the inference dense
+// kernel, and by the tanh exactly where mathx.Exp fuses; the training dense
 // loops never fuse).
 func cpuSupportsAsm() bool {
 	maxLeaf, _, _, _ := cpuidAsm(0, 0)
@@ -53,27 +54,4 @@ func cpuSupportsAsm() bool {
 // for one batch row (M is k×o row-major).
 func gemmRowFMA(y, init, x, m []float64, k, o int) {
 	gemmKernelAsm(&y[0], &init[0], &x[0], &m[0], k, o)
-}
-
-// vtanhAsm replaces p[0:n] with tanh of each element, four lanes at a time;
-// n must be a positive multiple of four. See vtanh_amd64.s for the algorithm
-// and its accuracy bound.
-//
-//go:noescape
-func vtanhAsm(p *float64, n int)
-
-// vtanh applies tanh elementwise with the vector kernel, padding the tail
-// through a stack buffer so every element goes through the same code path.
-// Callers must have checked useAsm.
-func vtanh(span []float64) {
-	n := len(span) &^ 3
-	if n > 0 {
-		vtanhAsm(&span[0], n)
-	}
-	if rem := len(span) - n; rem > 0 {
-		var buf [4]float64
-		copy(buf[:], span[n:])
-		vtanhAsm(&buf[0], 4)
-		copy(span[n:], buf[:rem])
-	}
 }

@@ -11,11 +11,6 @@ func gemmRowFMA(y, init, x, m []float64, k, o int) {
 	panic("nn: gemmRowFMA without assembly support")
 }
 
-// vtanh is never called when useAsm is false.
-func vtanh(span []float64) {
-	panic("nn: vtanh without assembly support")
-}
-
 // tanhSIMD is never called when useAsm is false.
 func tanhSIMD(span []float64) {
 	panic("nn: tanhSIMD without assembly support")

@@ -210,7 +210,8 @@ func applyActivation(act Activation, span []float64) {
 // (acts[i] is n×width_i, row-major) and returns the output matrix. On the
 // assembly path the dense layers read the transposed weights, through the
 // training kernel's SIMD tiles or, for a GEMM cache (gemm), the fused
-// inference kernel with its vector tanh.
+// inference kernel. Every cache's hidden activation is applyActivation, so
+// its tanh is mathx.Tanh bit for bit.
 func (m *MLP) forward(acts [][]float64, n int, gemm bool) []float64 {
 	var wts [][]float64
 	if useAsm || raceEnabled {
@@ -230,11 +231,7 @@ func (m *MLP) forward(acts [][]float64, n int, gemm bool) []float64 {
 		if i == last {
 			break
 		}
-		if useAsm && gemm && m.hidden == Tanh {
-			vtanh(y) // a few ulps from mathx.Tanh, not bitwise
-		} else {
-			applyActivation(m.hidden, y)
-		}
+		applyActivation(m.hidden, y)
 	}
 	return acts[last+1][:n*m.OutputSize()]
 }

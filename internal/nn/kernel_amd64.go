@@ -41,7 +41,8 @@ func adamAsm(p, gr, m, v *float64, n int, b1, ob1, b2, ob2, c1, c2, lr, eps floa
 func tanhAsm(p *float64, n int)
 
 // tanhSIMD is applyActivation's tanh loop on the assembly path, padding the
-// tail through a stack buffer as vtanh does. Callers must have checked useAsm.
+// tail through a stack buffer so every element runs the same kernel. Callers
+// must have checked useAsm.
 func tanhSIMD(span []float64) {
 	n := len(span) &^ 3
 	if n > 0 {

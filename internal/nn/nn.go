@@ -235,12 +235,6 @@ func (m *MLP) Predict(x []float64) []float64 {
 	return out
 }
 
-// PredictInto runs the network on x reusing c's scratch and returns the
-// output aliased into the cache (valid until the next pass through c).
-func (m *MLP) PredictInto(c *Cache, x []float64) []float64 {
-	return m.ForwardInto(c, x)
-}
-
 // BackwardInto accumulates parameter gradients from one sample given the
 // cache of its forward pass and dOut, the gradient of the loss w.r.t. the
 // network output. Gradients accumulate across calls until ZeroGrad. It

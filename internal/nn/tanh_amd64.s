@@ -4,15 +4,21 @@
 // kernel_amd64.go for the dispatch and the tail; the length passed here must
 // be a positive multiple of four.
 //
-// Each lane computes all three regimes of mathx.Tanh and blends them by
-// mask, in the scalar switch's order of precedence (z = |x|):
+// mathx.Tanh has three regimes, taken in the scalar switch's order of
+// precedence (z = |x|):
 //
 //	z < 0.625:       x + x·s·P(s)/Q(s), s = x·x    (rational; multiply, then add)
 //	z ≥ 0.625:       ±(1 − 2/(Exp(2z) + 1))        (sign restored by XOR)
 //	z > 0.5·MAXLOG:  ±1
 //	x == 0:          x                              (keeps −0)
 //
-// NaN fails both ordered compares and falls through the rational regime,
+// Each group of four lanes tests its z ≥ 0.625 mask once, before any regime
+// work (VCMPPD, VMOVMSKPD). When every lane takes the Exp regime the rational
+// block is skipped; when none does, the Exp block and its blends are. A mixed
+// group computes both and blends them by mask; lanes outside a regime compute
+// garbage there, which the blends discard. Either way each lane runs exactly
+// mathx.Tanh's sequence for its own regime, so skipping changes no bit, only
+// the time. NaN fails both ordered compares and takes the rational regime,
 // which propagates it quieted, as the scalar code does.
 //
 // Exp(2z) is mathx.Exp's sequence, and it fuses exactly where mathx.Exp
@@ -20,9 +26,11 @@
 // VFNMADD231PD of the reduction, the VFMADD213PD Horner chain and the final
 // VFMADD213PD +1; every other multiply and add rounds on its own. In the
 // Exp regime 2z ≤ MAXLOG, so k = round(2z·log2e) ∈ [2, 127]: VROUNDPD $0
-// stands in for CVTSD2SL, 2^k is built in the exponent field as in
-// vtanh_amd64.s, and Exp's overflow and subnormal branches cannot be taken.
-// Lanes outside a regime compute garbage there, which the blends discard.
+// stands in for CVTSD2SL, and Exp's overflow and subnormal branches cannot
+// be taken. 2^k is built without a float→int round trip: k is integral, so
+// k + 2^52 holds k in the low mantissa bits, the shift by 52 moves it into
+// the exponent field, and adding the bits of 1.0 makes the biased exponent
+// k + 1023.
 
 #include "textflag.h"
 
@@ -66,8 +74,13 @@ TEXT ·tanhAsm(SB), NOSPLIT, $0-16
 	VXORPD  Y14, Y14, Y14 // +0, live across the loop
 
 loop:
-	VMOVUPD (DI), Y0    // x
-	VANDPD  Y15, Y0, Y1 // z = |x|
+	VMOVUPD   (DI), Y0                 // x
+	VANDPD    Y15, Y0, Y1              // z = |x|
+	VANDNPD   Y0, Y15, Y9              // sign bit of x
+	VCMPPD    $0x1D, 672(R8), Y1, Y10 // z ≥ 0.625, GE_OQ: false for NaN
+	VMOVMSKPD Y10, AX
+	CMPL      AX, $15
+	JEQ       exp                      // every lane takes the Exp regime
 
 	// Rational regime: x + ((x·s)·p)/q.
 	VMULPD Y0, Y0, Y2       // s = x·x
@@ -85,6 +98,13 @@ loop:
 	VDIVPD Y4, Y5, Y5       //   /q
 	VADDPD Y5, Y0, Y5       // t = x + …
 
+	// x == 0 takes x.
+	VCMPPD    $0, Y14, Y0, Y11 // EQ_OQ
+	VBLENDVPD Y11, Y0, Y5, Y5
+	TESTL     AX, AX
+	JZ        store            // no lane takes the Exp regime
+
+exp:
 	// Exp(y), y = 2z: k = round(y·log2e), r = (y − k·ln2hi − k·ln2lo)/16.
 	VADDPD       Y1, Y1, Y6
 	VMULPD       32(R8), Y6, Y7
@@ -126,19 +146,15 @@ loop:
 	VDIVPD  Y6, Y7, Y7
 	VMOVUPD 384(R8), Y6
 	VSUBPD  Y7, Y6, Y6
-	VANDNPD Y0, Y15, Y9 // sign bit of x
 	VXORPD  Y9, Y6, Y6
 
-	// Blend: z ≥ 0.625 takes the Exp regime, z > 0.5·MAXLOG takes ±1,
-	// x == 0 takes x.
-	VCMPPD    $0x1D, 672(R8), Y1, Y10 // GE_OQ: false for NaN
+	// Blend: z ≥ 0.625 takes the Exp regime, z > 0.5·MAXLOG takes ±1.
 	VBLENDVPD Y10, Y6, Y5, Y5
 	VORPD     384(R8), Y9, Y6
 	VCMPPD    $0x1E, 704(R8), Y1, Y10 // GT_OQ: false for NaN
 	VBLENDVPD Y10, Y6, Y5, Y5
-	VCMPPD    $0, Y14, Y0, Y10        // EQ_OQ
-	VBLENDVPD Y10, Y0, Y5, Y5
 
+store:
 	VMOVUPD Y5, (DI)
 	ADDQ    $32, DI
 	SUBQ    $4, CX

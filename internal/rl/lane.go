@@ -103,7 +103,7 @@ func (l *Lane) rollout(steps int) collectStats {
 	l.buf.ensureCap(l.buf.len()+steps, env.ObservationSize(), env.ActionSpec().ActionSize())
 	for step := 0; step < steps; step++ {
 		action, logp := l.policy.Sample(l.rng, obs)
-		value := l.value.PredictInto(l.vcache, obs)[0]
+		value := l.value.ForwardInto(l.vcache, obs)[0]
 		// obs is the env's and valid only until its next Step (see Env):
 		// copy it into the rollout slot first.
 		t := l.buf.push(obs, action, logp, value)
@@ -136,7 +136,7 @@ func (l *Lane) collect(steps int) {
 	// Bootstrap value for the trailing partial episode.
 	l.lastValue = 0
 	if l.pendLive {
-		l.lastValue = l.value.PredictInto(l.vcache, l.pendObs)[0]
+		l.lastValue = l.value.ForwardInto(l.vcache, l.pendObs)[0]
 	}
 	l.buf.computeGAE(l.gamma, l.lambda, l.lastValue)
 }

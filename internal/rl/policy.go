@@ -159,7 +159,7 @@ func (p *CategoricalPolicy) UnmarshalJSON(data []byte) error {
 
 // probs runs the network and softmaxes into internal scratch.
 func (p *CategoricalPolicy) probs(obs []float64) []float64 {
-	logits := p.net.PredictInto(p.cache, obs)
+	logits := p.net.ForwardInto(p.cache, obs)
 	return mathx.Softmax(logits, p.probsBuf)
 }
 
@@ -173,7 +173,7 @@ func (p *CategoricalPolicy) Sample(rng *mathx.RNG, obs []float64) ([]float64, fl
 
 // Mode returns the argmax action.
 func (p *CategoricalPolicy) Mode(obs []float64) []float64 {
-	return []float64{float64(mathx.ArgMax(p.net.PredictInto(p.cache, obs)))}
+	return []float64{float64(mathx.ArgMax(p.net.ForwardInto(p.cache, obs)))}
 }
 
 // LogProb returns the log-probability of the given action index.
@@ -421,7 +421,7 @@ func (p *GaussianPolicy) UnmarshalJSON(data []byte) error {
 
 // Sample draws an action from N(mean(obs), diag(exp(logStd))²).
 func (p *GaussianPolicy) Sample(rng *mathx.RNG, obs []float64) ([]float64, float64) {
-	mean := p.net.PredictInto(p.cache, obs)
+	mean := p.net.ForwardInto(p.cache, obs)
 	action := p.actBuf
 	logp := 0.0
 	for i := 0; i < p.dim; i++ {
@@ -437,12 +437,12 @@ func (p *GaussianPolicy) Sample(rng *mathx.RNG, obs []float64) ([]float64, float
 // Mode returns the distribution mean (the noise-free action the paper plots
 // in Figure 6).
 func (p *GaussianPolicy) Mode(obs []float64) []float64 {
-	return mathx.CopyOf(p.net.PredictInto(p.cache, obs))
+	return mathx.CopyOf(p.net.ForwardInto(p.cache, obs))
 }
 
 // LogProb returns the log-density of action under the current parameters.
 func (p *GaussianPolicy) LogProb(obs, action []float64) float64 {
-	mean := p.net.PredictInto(p.cache, obs)
+	mean := p.net.ForwardInto(p.cache, obs)
 	logp := 0.0
 	for i := 0; i < p.dim; i++ {
 		ls := p.effLogStd(i)

@@ -9,6 +9,8 @@ import (
 	"math"
 	"sort"
 	"strings"
+
+	"advnet/internal/mathx"
 )
 
 // Percentile returns the p-th percentile (0-100) of xs using linear
@@ -44,20 +46,6 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// Max returns the maximum. It panics on empty input.
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Max of empty slice")
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
 }
 
 // Min returns the minimum. It panics on empty input.
@@ -163,7 +151,7 @@ func Ratios(num, den []float64) RatioSummary {
 	return RatioSummary{
 		Mean:                Mean(rs),
 		P95:                 Percentile(rs, 95),
-		Max:                 Max(rs),
+		Max:                 mathx.Max(rs),
 		FractionTargetWorse: float64(worse) / float64(len(rs)),
 		Clamped:             clamped,
 	}
@@ -214,7 +202,7 @@ func ASCIIPlot(series []float64, width, height int, label string) string {
 		}
 		cols[i] = sum / float64(hi-lo)
 	}
-	minV, maxV := Min(cols), Max(cols)
+	minV, maxV := Min(cols), mathx.Max(cols)
 	if maxV == minV {
 		maxV = minV + 1
 	}
