@@ -28,12 +28,12 @@ vet:
 
 # The concurrent code is the one fan-out, par.Run (internal/par), and what it
 # runs: the rollout lanes (internal/rl/lane.go, fanned out by
-# VecRunner.TrainIteration), the two halves of every PPO update
-# (rl.(*PPO).update), the evaluation shards (core.EvaluateABR*) and
-# the swarm groups — plus the serving engine's callers, which gather a
-# shard under its lock and hand it on to the next queued caller; the race
-# detector over the full test suite — which includes the W>1 golden tests —
-# is the check that keeps them honest.
+# VecRunner.TrainIteration, and by a dist worker for the lanes one collect
+# frame lists), the two halves of every PPO update (rl.(*PPO).update), the
+# evaluation shards (core.EvaluateABR*) and the swarm groups — plus the
+# serving engine's callers, which gather a shard under its lock and hand it
+# on to the next queued caller; the race detector over the full test suite —
+# which includes the W>1 golden tests — is the check that keeps them honest.
 race:
 	$(GO) test -race ./...
 
@@ -42,9 +42,10 @@ race:
 # shard idle is gathered on the caller's goroutine; one that finds it busy
 # queues until the caller holding the shard hands it on, and which path it
 # takes depends on how many callers run at once. The PPO update trains the
-# policy and the value net on two goroutines, which run one after the other
-# on one core and side by side on more; the rl and dist goldens must hold
-# either way.
+# policy and the value net on two goroutines, and a dist worker runs the
+# lanes of one collect frame on a goroutine each; both run one after the
+# other on one core and side by side on more, and the rl and dist goldens
+# must hold either way.
 cpus:
 	$(GO) test -count=1 -cpu 1,2,4 ./internal/serve ./internal/rl ./internal/dist
 
@@ -137,7 +138,9 @@ bench-ab:
 # map[int64] in non-test Go under internal/netem or internal/cc is a hashed
 # in-flight set coming back. And the serving engine owns no goroutine: every
 # gather runs on a caller of Select, so a go statement in non-test Go under
-# internal/serve is a worker coming back.
+# internal/serve is a worker coming back. Likewise a dist worker's lanes fan
+# out through par.Run only, so a go statement in internal/dist/worker.go is a
+# second fan-out.
 seam-check:
 	@n=$$(grep -rn 'NewPPO(' --include='*.go' --exclude-dir=.bench_build . | grep -v '_test\.go:' | grep -vc '^\./bench/e2e/'); \
 	if [ $$n -gt 2 ]; then echo "seam-check: NewPPO( on $$n non-test lines, want <= 2 (build trainers with rl.NewTrainer)"; exit 1; fi
@@ -177,6 +180,8 @@ seam-check:
 	if [ -n "$$f" ]; then echo "seam-check: map[int64] in $$f (in-flight state is seq-indexed: the emulator's window is contiguous)"; exit 1; fi
 	@f=$$(grep -rlE '(^|[;{}])[[:space:]]*go[[:space:]]+(func|[[:alnum:]_.]+\()' --include='*.go' internal/serve | grep -v '_test\.go$$'); \
 	if [ -n "$$f" ]; then echo "seam-check: a go statement in $$f (the engine serves on its callers)"; exit 1; fi
+	@f=$$(grep -lE '(^|[;{}])[[:space:]]*go[[:space:]]+(func|[[:alnum:]_.]+\()' internal/dist/worker.go); \
+	if [ -n "$$f" ]; then echo "seam-check: a go statement in $$f (a worker's lanes fan out through par.Run only)"; exit 1; fi
 
 # Tier-1 verification: build + tests, plus vet, the FMA-off rerun, the race
 # detector, serve, rl and dist at several core counts, the benchmark's

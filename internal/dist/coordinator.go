@@ -100,7 +100,8 @@ func (e *WorkerLostError) Unwrap() error { return e.Err }
 type workerConn struct {
 	id            int
 	conn          net.Conn
-	paramsVersion uint64 // last broadcast this conn received
+	in            frameReader // reads conn into a buffer kept across rounds
+	paramsVersion uint64      // last broadcast this conn received
 }
 
 // Coordinator owns the trainer and drives worker processes through
@@ -125,7 +126,11 @@ type Coordinator struct {
 	lastLoss  *WorkerLostError
 
 	paramsVersion uint64
-	paramsBuf     []byte
+	paramsFrame   []byte // the current broadcast, sealed once for every conn
+
+	// rollouts holds each lane's decoded batch, its storage reused every
+	// iteration; a round goroutine writes only the lanes assigned to it.
+	rollouts []rl.RolloutBatch
 
 	wireBytes     atomic.Int64
 	reassignments atomic.Int64
@@ -187,6 +192,7 @@ func newCoordinator(cfg Config, ln net.Listener) (_ *Coordinator, err error) {
 		ppo:       ppo,
 		state:     state,
 		steps:     steps,
+		rollouts:  make([]rl.RolloutBatch, cfg.Lanes),
 		ln:        ln,
 		jitter:    mathx.NewRNG(1),
 		closed:    make(chan struct{}),
@@ -276,7 +282,8 @@ func (c *Coordinator) acceptLoop(jitter *mathx.RNG) {
 // handshake validates a worker's hello, replies with the domain spec, and
 // registers the connection for lane assignment.
 func (c *Coordinator) handshake(conn net.Conn) {
-	t, body, n, err := readFrame(conn)
+	in := frameReader{r: conn}
+	t, body, n, err := in.read()
 	c.wireBytes.Add(int64(n))
 	if err != nil || t != MsgHello {
 		conn.Close()
@@ -308,7 +315,7 @@ func (c *Coordinator) handshake(conn net.Conn) {
 	}
 	id := c.nextID
 	c.nextID++
-	c.conns[id] = &workerConn{id: id, conn: conn}
+	c.conns[id] = &workerConn{id: id, conn: conn, in: in}
 	c.mu.Unlock()
 	select {
 	case c.connAdded <- struct{}{}:
@@ -356,97 +363,92 @@ func (c *Coordinator) waitWorkers() ([]*workerConn, error) {
 	}
 }
 
-// bumpParams re-encodes the current trainer parameters under a new version.
-// Called between rounds only, when no round goroutine is running.
-func (c *Coordinator) bumpParams() {
+// bumpParams encodes and seals the current trainer parameters under a new
+// version, once for every connection. Called between rounds only, when no
+// round goroutine is running.
+func (c *Coordinator) bumpParams() error {
 	c.paramsVersion++
-	c.paramsBuf = encodeParams(c.paramsVersion, c.ppo.Policy.Params(), c.ppo.Value.Params())
-}
-
-// ensureParams lazily brings one connection up to the current broadcast.
-func (c *Coordinator) ensureParams(w *workerConn) error {
-	if w.paramsVersion == c.paramsVersion {
-		return nil
-	}
-	n, err := writeFrame(w.conn, MsgParams, c.paramsBuf)
-	c.wireBytes.Add(int64(n))
-	if err != nil {
-		return err
-	}
-	w.paramsVersion = c.paramsVersion
-	return nil
+	var err error
+	c.paramsFrame, err = putParams(c.paramsFrame, c.paramsVersion, c.ppo.Policy.Params(), c.ppo.Value.Params())
+	return err
 }
 
 // laneResult is one lane's outcome within a collect round.
 type laneResult struct {
-	lane  int
-	batch *rl.RolloutBatch
-	err   error // nil; *LaneError (abort); anything else = connection failure
-	conn  *workerConn
+	lane int
+	err  error // nil; *LaneError (abort); anything else = connection failure
+	conn *workerConn
 }
 
-// collectOn drives one connection through its assigned lanes sequentially,
-// reporting exactly one result per lane. Any transport or framing failure
-// fails the current and all remaining lanes on this connection.
+// collectOn drives one connection through a round, reporting exactly one
+// result per lane. A lane error leaves the stream in step; any transport or
+// framing failure fails the current and all remaining lanes on this conn.
 func (c *Coordinator) collectOn(w *workerConn, lanes []int, results chan<- laneResult) {
-	fail := func(from int, err error) {
-		for _, lane := range lanes[from:] {
-			results <- laneResult{lane: lane, err: err, conn: w}
+	lost := c.sendCollect(w, lanes)
+	for _, lane := range lanes {
+		if lost != nil {
+			results <- laneResult{lane: lane, err: lost, conn: w}
+			continue
 		}
+		err := c.receive(w, lane)
+		var le *LaneError
+		if err != nil && !errors.As(err, &le) {
+			lost = err
+		}
+		results <- laneResult{lane: lane, err: err, conn: w}
 	}
+}
+
+// sendCollect brings the connection up to the current broadcast, lazily,
+// and writes the round's one collect frame, listing its lanes.
+func (c *Coordinator) sendCollect(w *workerConn, lanes []int) error {
+	if w.paramsVersion != c.paramsVersion {
+		n, err := w.conn.Write(c.paramsFrame)
+		c.wireBytes.Add(int64(n))
+		if err != nil {
+			return err
+		}
+		w.paramsVersion = c.paramsVersion
+	}
+	req := collectMsg{ParamsVersion: c.paramsVersion, Lanes: make([]laneRequest, len(lanes))}
 	for i, lane := range lanes {
-		if err := c.ensureParams(w); err != nil {
-			fail(i, err)
-			return
-		}
-		payload, err := json.Marshal(collectMsg{
-			Iter:          c.ppo.Iteration(),
-			Lane:          lane,
-			Steps:         c.steps[lane],
-			ParamsVersion: c.paramsVersion,
-			State:         c.state[lane],
-		})
-		if err != nil {
-			fail(i, err)
-			return
-		}
-		n, err := writeFrame(w.conn, MsgCollect, payload)
-		c.wireBytes.Add(int64(n))
-		if err != nil {
-			fail(i, err)
-			return
-		}
-		t, body, n, err := readFrame(w.conn)
-		c.wireBytes.Add(int64(n))
-		if err != nil {
-			fail(i, err)
-			return
-		}
-		switch t {
-		case MsgBatch:
-			b, err := decodeBatch(body)
-			if err != nil {
-				fail(i, err)
-				return
-			}
-			if b.Lane != lane {
-				fail(i, &FrameError{Op: "decode", Reason: fmt.Sprintf("batch for lane %d, asked for %d", b.Lane, lane)})
-				return
-			}
-			c.batches.Add(1)
-			results <- laneResult{lane: lane, batch: b, conn: w}
-		case MsgLaneError:
-			var le laneErrorMsg
-			if json.Unmarshal(body, &le) != nil {
-				fail(i, &FrameError{Op: "decode", Reason: "lane-error payload"})
-				return
-			}
-			results <- laneResult{lane: lane, err: &LaneError{Lane: lane, Msg: le.Err}, conn: w}
-		default:
-			fail(i, &FrameError{Op: "read", Reason: fmt.Sprintf("unexpected %s during collect", t)})
-			return
-		}
+		req.Lanes[i] = laneRequest{Lane: lane, Steps: c.steps[lane], State: c.state[lane]}
 	}
+	payload, err := json.Marshal(req)
+	if err != nil {
+		return err
+	}
+	n, err := writeFrame(w.conn, MsgCollect, payload)
+	c.wireBytes.Add(int64(n))
+	return err
+}
+
+// receive reads one lane's reply, decoding a batch into c.rollouts[lane].
+func (c *Coordinator) receive(w *workerConn, lane int) error {
+	t, body, n, err := w.in.read()
+	c.wireBytes.Add(int64(n))
+	if err != nil {
+		return err
+	}
+	switch t {
+	case MsgBatch:
+		b := &c.rollouts[lane]
+		if err := decodeBatch(body, b); err != nil {
+			return err
+		}
+		if b.Lane != lane {
+			return &FrameError{Op: "decode", Reason: fmt.Sprintf("batch for lane %d, asked for %d", b.Lane, lane)}
+		}
+		c.batches.Add(1)
+		return nil
+	case MsgLaneError:
+		var le laneErrorMsg
+		if json.Unmarshal(body, &le) != nil {
+			return &FrameError{Op: "decode", Reason: "lane-error payload"}
+		}
+		return &LaneError{Lane: lane, Msg: le.Err}
+	}
+	return &FrameError{Op: "read", Reason: fmt.Sprintf("unexpected %s during collect", t)}
 }
 
 // runIteration performs one distributed iteration: assign every lane to a
@@ -455,7 +457,6 @@ func (c *Coordinator) collectOn(w *workerConn, lanes []int, results chan<- laneR
 // or a trainer-side failure aborts; connection losses are absorbed.
 func (c *Coordinator) runIteration() (rl.IterStats, error) {
 	c.state[0].RNG = c.ppo.RNGState() // lane 0 shares the trainer RNG
-	batches := make([]*rl.RolloutBatch, c.cfg.Lanes)
 	pending := make([]int, c.cfg.Lanes)
 	for i := range pending {
 		pending[i] = i
@@ -479,7 +480,6 @@ func (c *Coordinator) runIteration() (rl.IterStats, error) {
 		for range pending {
 			r := <-results
 			if r.err == nil {
-				batches[r.lane] = r.batch
 				continue
 			}
 			var le *LaneError
@@ -497,6 +497,10 @@ func (c *Coordinator) runIteration() (rl.IterStats, error) {
 			c.reassignments.Add(int64(len(failed)))
 		}
 		pending = failed
+	}
+	batches := make([]*rl.RolloutBatch, c.cfg.Lanes)
+	for i := range batches {
+		batches[i] = &c.rollouts[i]
 	}
 	stats, err := c.ppo.ApplyRemoteRollouts(batches)
 	if err != nil {
@@ -537,7 +541,9 @@ func (c *Coordinator) Run() ([]rl.IterStats, error) {
 		iterTimer = c.cfg.Registry.Timer("iteration", metrics.LowerIsBetter("s"))
 	}
 	step := func() (rl.IterStats, error) {
-		c.bumpParams()
+		if err := c.bumpParams(); err != nil {
+			return rl.IterStats{}, err
+		}
 		t0 := time.Now()
 		stats, err := c.runIteration()
 		if err != nil {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"sync"
 	"testing"
 	"time"
 
@@ -187,15 +188,16 @@ func TestDistGoldenFingerprint(t *testing.T) {
 }
 
 // TestDistWorkerCountInvariance: the process count is a pure throughput
-// knob. W=4 lanes served by one worker connection and by three produce
-// identical stats and parameters (both equal to the VecRunner golden).
+// knob. W=4 lanes served by one worker connection, by two (2+2 lanes, each
+// pair side by side) and by three produce identical stats and parameters
+// (all equal to the VecRunner golden).
 func TestDistWorkerCountInvariance(t *testing.T) {
 	const W, iters = 4, 3
 	spec := testSpec()
 	vec, vecStats := localRun(t, spec, W, iters)
 	want := paramsFingerprint(vec)
 
-	for _, procs := range []int{1, 3} {
+	for _, procs := range []int{1, 2, 3} {
 		t.Run(fmt.Sprintf("workers=%d", procs), func(t *testing.T) {
 			c := newTestCoordinator(t, spec, W, iters, nil)
 			var workers []chan error
@@ -323,6 +325,89 @@ func miniProblem(raw json.RawMessage) (rl.Problem, uint64, error) {
 			return func(int) rl.Env { return spec.env() }, nil
 		},
 	}, spec.Seed, nil
+}
+
+// rendezvous holds every lane's first Step until want lanes have arrived,
+// or fails it after five seconds.
+type rendezvous struct {
+	mu      sync.Mutex
+	arrived int
+	want    int
+	all     chan struct{}
+}
+
+func newRendezvous(want int) *rendezvous { return &rendezvous{want: want, all: make(chan struct{})} }
+
+func (r *rendezvous) arrive() {
+	r.mu.Lock()
+	if r.arrived++; r.arrived == r.want {
+		close(r.all)
+	}
+	r.mu.Unlock()
+	select {
+	case <-r.all:
+	case <-time.After(5 * time.Second):
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		panic(fmt.Sprintf("rendezvous: %d of %d lanes arrived within 5 s", r.arrived, r.want))
+	}
+}
+
+// sideBySide is the rendezvous of the "rendezvous" domain's envs, set by the
+// test that runs it.
+var sideBySide *rendezvous
+
+// rendezvousEnv is a miniEnv whose first Step waits at sideBySide.
+type rendezvousEnv struct {
+	*miniEnv
+	r      *rendezvous
+	waited bool
+}
+
+func (e *rendezvousEnv) Step(action []float64) ([]float64, float64, bool) {
+	if !e.waited {
+		e.waited = true
+		e.r.arrive()
+	}
+	return e.miniEnv.Step(action)
+}
+
+// The test-only "rendezvous" domain is "mini" on rendezvousEnvs.
+func init() {
+	domains["rendezvous"] = func(raw json.RawMessage) (rl.Problem, uint64, error) {
+		pr, seed, err := miniProblem(raw)
+		envs := pr.Envs
+		pr.Envs = func(lanes int, rng *mathx.RNG) (rl.EnvFactory, error) {
+			factory, err := envs(lanes, rng)
+			if err != nil {
+				return nil, err
+			}
+			return func(i int) rl.Env { return &rendezvousEnv{miniEnv: factory(i).(*miniEnv), r: sideBySide} }, nil
+		}
+		return pr, seed, err
+	}
+}
+
+// TestWorkerCollectsLanesSideBySide: one worker serving four lanes runs
+// them at once. Every lane's first Step waits until all four have arrived,
+// so a worker that ran its lanes one after another would fail the run with
+// a *LaneError after five seconds.
+func TestWorkerCollectsLanesSideBySide(t *testing.T) {
+	const W = 4
+	sideBySide = newRendezvous(W)
+	raw, _ := json.Marshal(miniSpec{Seed: 77, RolloutSteps: 40, PanicAt: -1})
+	c, err := NewCoordinator(Config{
+		Domain: "rendezvous", Spec: raw, Lanes: W, Iterations: 1, Backoff: testBackoff(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	worker := startWorker(t, c.Addr())
+	if _, err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	waitWorkerExit(t, worker)
 }
 
 // TestDistMiniDomainGolden: the registry's second domain trains bitwise

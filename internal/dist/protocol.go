@@ -12,9 +12,11 @@
 // a plain TCP stream, each carrying a sha256 digest of its contents, with
 // JSON payloads for control messages and an exact float64-bits binary
 // encoding for the two bulk payloads (parameter broadcasts and rollout
-// batches). No wire compression, no multiplexing, no TLS — this is a
-// trusted-cluster protocol whose integrity check exists to catch software
-// bugs and truncated streams, not adversaries.
+// batches), each encoded in place and read into a kept buffer. A collect
+// round is one frame per worker connection, listing its lanes. No wire
+// compression, no multiplexing, no TLS — this is a trusted-cluster protocol
+// whose integrity check exists to catch software bugs and truncated streams,
+// not adversaries.
 package dist
 
 import (
@@ -26,12 +28,13 @@ import (
 	"io"
 	"math"
 
+	"advnet/internal/mathx"
 	"advnet/internal/rl"
 )
 
 // ProtocolVersion is the wire protocol version carried in the worker hello;
 // the coordinator refuses mismatched workers.
-const ProtocolVersion = 1
+const ProtocolVersion = 2
 
 // frameMagic guards against a stray client speaking something else entirely.
 const frameMagic uint32 = 0xAD7E51D1
@@ -54,11 +57,12 @@ const (
 	MsgHello MsgType = iota + 1
 	// MsgSpec is the coordinator's handshake reply: JSON specMsg.
 	MsgSpec
-	// MsgParams is a parameter broadcast: binary (encodeParams).
+	// MsgParams is a parameter broadcast: binary (putParams).
 	MsgParams
-	// MsgCollect is a lane rollout request: JSON collectMsg.
+	// MsgCollect is one round's rollout request for every lane a
+	// connection serves: JSON collectMsg.
 	MsgCollect
-	// MsgBatch is a completed rollout: binary (encodeBatch).
+	// MsgBatch is one lane's completed rollout: binary (putBatch).
 	MsgBatch
 	// MsgLaneError reports a deterministic lane failure (an environment or
 	// policy panic): JSON laneErrorMsg. Unlike a connection loss, this is
@@ -122,61 +126,68 @@ func frameDigest(t MsgType, payload []byte) [32]byte {
 	return d
 }
 
-// writeFrame writes one frame and returns the number of bytes put on the
-// wire.
-func writeFrame(w io.Writer, t MsgType, payload []byte) (int, error) {
-	if len(payload) > MaxFramePayload {
-		return 0, &FrameError{Op: "write", Reason: fmt.Sprintf("%s payload %d bytes exceeds limit %d", t, len(payload), MaxFramePayload)}
-	}
-	buf := make([]byte, frameHeaderSize+len(payload)+sha256.Size)
-	binary.BigEndian.PutUint32(buf[0:], frameMagic)
-	buf[4] = byte(t)
-	binary.BigEndian.PutUint32(buf[5:], uint32(len(payload)))
-	copy(buf[frameHeaderSize:], payload)
-	d := frameDigest(t, payload)
-	copy(buf[frameHeaderSize+len(payload):], d[:])
-	n, err := w.Write(buf)
-	return n, err
+// putFrame builds the sealed frame of a control payload in buf's storage.
+func putFrame(buf []byte, t MsgType, payload []byte) ([]byte, error) {
+	w := newWireWriter(buf, len(payload))
+	w.off += copy(w.buf[w.off:], payload)
+	return w.seal(t)
 }
 
-// readFrame reads and verifies one frame, returning its type, payload, and
-// the number of bytes consumed from the wire. Integrity failures come back
-// as *FrameError; plain transport failures (EOF, reset) as the io error.
-func readFrame(r io.Reader) (MsgType, []byte, int, error) {
-	var hdr [frameHeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// writeFrame writes one control frame and returns the number of bytes put
+// on the wire.
+func writeFrame(w io.Writer, t MsgType, payload []byte) (int, error) {
+	frame, err := putFrame(nil, t, payload)
+	if err != nil {
+		return 0, err
+	}
+	return w.Write(frame)
+}
+
+// frameReader reads one stream's frames into a buffer it keeps, regrown
+// only for a larger frame; a payload is valid until the next read.
+type frameReader struct {
+	r   io.Reader
+	hdr [frameHeaderSize]byte
+	buf []byte
+}
+
+// read reads and verifies one frame, returning its type, payload, and the
+// number of bytes consumed from the wire. Integrity failures come back as
+// *FrameError; plain transport failures (EOF, reset) as the io error.
+func (fr *frameReader) read() (MsgType, []byte, int, error) {
+	if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
 		return 0, nil, 0, err
 	}
-	if got := binary.BigEndian.Uint32(hdr[0:]); got != frameMagic {
+	if got := binary.BigEndian.Uint32(fr.hdr[0:]); got != frameMagic {
 		return 0, nil, frameHeaderSize, &FrameError{Op: "read-header", Reason: fmt.Sprintf("bad magic %#x", got)}
 	}
-	t := MsgType(hdr[4])
-	length := binary.BigEndian.Uint32(hdr[5:])
+	t := MsgType(fr.hdr[4])
+	length := binary.BigEndian.Uint32(fr.hdr[5:])
 	if length > MaxFramePayload {
 		return 0, nil, frameHeaderSize, &FrameError{Op: "read-header", Reason: fmt.Sprintf("%s payload %d bytes exceeds limit %d", t, length, MaxFramePayload)}
 	}
-	body, err := readBody(r, int(length)+sha256.Size)
+	body, err := readBody(fr.r, fr.buf, int(length)+sha256.Size)
 	if err != nil {
 		return 0, nil, frameHeaderSize, err
 	}
+	fr.buf = body
 	n := frameHeaderSize + len(body)
 	payload := body[:length]
 	want := frameDigest(t, payload)
-	var got [32]byte
-	copy(got[:], body[length:])
-	if got != want {
+	if !bytes.Equal(body[length:], want[:]) {
 		return 0, nil, n, &FrameError{Op: "verify", Reason: fmt.Sprintf("%s digest mismatch over %d payload bytes", t, length)}
 	}
 	return t, payload, n, nil
 }
 
-// readBody reads a frame body of size bytes: into one buffer when it is at
-// most frameChunk, otherwise chunk by chunk, joined once the last byte has
-// arrived. A stream that ends early returns io.EOF if it ended before the
-// body's first byte and io.ErrUnexpectedEOF after it.
-func readBody(r io.Reader, size int) ([]byte, error) {
-	if size <= frameChunk {
-		body := make([]byte, size)
+// readBody reads a frame body of size bytes: into buf when its capacity
+// holds it, else into one new buffer when it is at most frameChunk,
+// otherwise chunk by chunk, joined once the last byte has arrived. A stream
+// that ends early returns io.EOF if it ended before the body's first byte
+// and io.ErrUnexpectedEOF after it.
+func readBody(r io.Reader, buf []byte, size int) ([]byte, error) {
+	if size <= max(cap(buf), frameChunk) {
+		body := mathx.Resize(buf, size)
 		_, err := io.ReadFull(r, body)
 		return body, err
 	}
@@ -210,16 +221,41 @@ type specMsg struct {
 	Lanes  int             `json:"lanes"`
 }
 
-// collectMsg asks the worker to run one lane's rollout share from the given
-// state. ParamsVersion names the broadcast the rollout must run under; the
-// worker refuses when it holds a different version (a protocol bug, never a
-// recoverable condition).
+// collectMsg is one round's request on a connection: every lane the
+// connection serves this round. ParamsVersion names the broadcast the
+// rollouts must run under; the worker refuses when it holds a different
+// version (a protocol bug, never a recoverable condition).
 type collectMsg struct {
-	Iter          int          `json:"iter"`
-	Lane          int          `json:"lane"`
-	Steps         int          `json:"steps"`
-	ParamsVersion uint64       `json:"params_version"`
-	State         rl.LaneState `json:"state"`
+	ParamsVersion uint64        `json:"params_version"`
+	Lanes         []laneRequest `json:"lanes"`
+}
+
+// laneRequest asks for one lane's rollout share from the given state.
+type laneRequest struct {
+	Lane  int          `json:"lane"`
+	Steps int          `json:"steps"`
+	State rl.LaneState `json:"state"`
+}
+
+// decodeCollect unpacks a collect request of a run with the given lane
+// count, refusing a list that is empty, too long, or names a lane out of
+// range or twice: each listed lane runs on its own goroutine.
+func decodeCollect(data []byte, lanes int) (*collectMsg, error) {
+	req := new(collectMsg)
+	if err := json.Unmarshal(data, req); err != nil {
+		return nil, &FrameError{Op: "decode", Reason: fmt.Sprintf("collect payload: %v", err)}
+	}
+	if len(req.Lanes) == 0 || len(req.Lanes) > lanes {
+		return nil, &FrameError{Op: "decode", Reason: fmt.Sprintf("collect lists %d lanes, want 1 to %d", len(req.Lanes), lanes)}
+	}
+	seen := make(map[int]bool, len(req.Lanes))
+	for _, lr := range req.Lanes {
+		if lr.Lane < 0 || lr.Lane >= lanes || seen[lr.Lane] {
+			return nil, &FrameError{Op: "decode", Reason: fmt.Sprintf("collect lane %d is out of range [0,%d) or listed twice", lr.Lane, lanes)}
+		}
+		seen[lr.Lane] = true
+	}
+	return req, nil
 }
 
 // laneErrorMsg reports a deterministic lane failure back to the coordinator.
@@ -234,13 +270,40 @@ type laneErrorMsg struct {
 // bits is both exact (the determinism contract is bitwise) and ~3x smaller
 // than JSON. All integers are big-endian.
 
-type wireWriter struct{ buf []byte }
+// wireWriter builds one frame in place: its encoder sizes the payload
+// first, so the buffer holds header, payload and digest with no regrowth.
+type wireWriter struct {
+	buf []byte
+	off int
+}
+
+// newWireWriter sizes buf, regrown only when its capacity is short, for a
+// frame with an n-byte payload, which the encoder then writes.
+func newWireWriter(buf []byte, n int) wireWriter {
+	return wireWriter{buf: mathx.Resize(buf, frameHeaderSize+n+sha256.Size), off: frameHeaderSize}
+}
+
+// seal stamps the header and the digest and returns the frame.
+func (w *wireWriter) seal(t MsgType) ([]byte, error) {
+	n := len(w.buf) - frameHeaderSize - sha256.Size
+	if n > MaxFramePayload {
+		return nil, &FrameError{Op: "write", Reason: fmt.Sprintf("%s payload %d bytes exceeds limit %d", t, n, MaxFramePayload)}
+	}
+	binary.BigEndian.PutUint32(w.buf[0:], frameMagic)
+	w.buf[4] = byte(t)
+	binary.BigEndian.PutUint32(w.buf[5:], uint32(n))
+	d := frameDigest(t, w.buf[frameHeaderSize:frameHeaderSize+n])
+	copy(w.buf[frameHeaderSize+n:], d[:])
+	return w.buf, nil
+}
 
 func (w *wireWriter) u32(v uint32) {
-	w.buf = binary.BigEndian.AppendUint32(w.buf, v)
+	binary.BigEndian.PutUint32(w.buf[w.off:], v)
+	w.off += 4
 }
 func (w *wireWriter) u64(v uint64) {
-	w.buf = binary.BigEndian.AppendUint64(w.buf, v)
+	binary.BigEndian.PutUint64(w.buf[w.off:], v)
+	w.off += 8
 }
 func (w *wireWriter) f64s(vs []float64) {
 	w.u32(uint32(len(vs)))
@@ -250,17 +313,17 @@ func (w *wireWriter) f64s(vs []float64) {
 }
 func (w *wireWriter) bools(vs []bool) {
 	w.u32(uint32(len(vs)))
-	for _, v := range vs {
+	for i, v := range vs {
+		w.buf[w.off+i] = 0
 		if v {
-			w.buf = append(w.buf, 1)
-		} else {
-			w.buf = append(w.buf, 0)
+			w.buf[w.off+i] = 1
 		}
 	}
+	w.off += len(vs)
 }
 func (w *wireWriter) bytes(b []byte) {
 	w.u32(uint32(len(b)))
-	w.buf = append(w.buf, b...)
+	w.off += copy(w.buf[w.off:], b)
 }
 
 type wireReader struct {
@@ -292,37 +355,33 @@ func (r *wireReader) u64(what string) uint64 {
 	r.off += 8
 	return v
 }
-func (r *wireReader) f64s(what string) []float64 {
+
+// f64s and bools read an array into dst's storage, regrown only when short.
+func (r *wireReader) f64s(what string, dst []float64) []float64 {
 	n := int(r.u32(what))
 	if r.err != nil || r.off+8*n > len(r.buf) {
 		r.fail(what)
-		return nil
+		return dst
 	}
-	if n == 0 {
-		return nil
-	}
-	vs := make([]float64, n)
-	for i := range vs {
-		vs[i] = math.Float64frombits(binary.BigEndian.Uint64(r.buf[r.off:]))
+	dst = mathx.Resize(dst, n)
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.BigEndian.Uint64(r.buf[r.off:]))
 		r.off += 8
 	}
-	return vs
+	return dst
 }
-func (r *wireReader) bools(what string) []bool {
+func (r *wireReader) bools(what string, dst []bool) []bool {
 	n := int(r.u32(what))
 	if r.err != nil || r.off+n > len(r.buf) {
 		r.fail(what)
-		return nil
+		return dst
 	}
-	if n == 0 {
-		return nil
-	}
-	vs := make([]bool, n)
-	for i := range vs {
-		vs[i] = r.buf[r.off+i] != 0
+	dst = mathx.Resize(dst, n)
+	for i := range dst {
+		dst[i] = r.buf[r.off+i] != 0
 	}
 	r.off += n
-	return vs
+	return dst
 }
 func (r *wireReader) bytesField(what string) []byte {
 	n := int(r.u32(what))
@@ -344,106 +403,116 @@ func (r *wireReader) done(what string) error {
 	return nil
 }
 
-// encodeParams packs a parameter broadcast: version, then the policy and
-// value parameter groups as raw float64 bits.
-func encodeParams(version uint64, policy, value [][]float64) []byte {
-	var w wireWriter
+// putParams builds the sealed parameter broadcast in buf's storage: version,
+// then the policy and value parameter groups as raw float64 bits.
+func putParams(buf []byte, version uint64, policy, value [][]float64) ([]byte, error) {
+	nets := [2][][]float64{policy, value}
+	n := 8
+	for _, groups := range nets {
+		n += 4
+		for _, g := range groups {
+			n += 4 + 8*len(g)
+		}
+	}
+	w := newWireWriter(buf, n)
 	w.u64(version)
-	for _, groups := range [2][][]float64{policy, value} {
+	for _, groups := range nets {
 		w.u32(uint32(len(groups)))
 		for _, g := range groups {
 			w.f64s(g)
 		}
 	}
-	return w.buf
+	return w.seal(MsgParams)
 }
 
-// decodeParams unpacks a parameter broadcast.
-func decodeParams(data []byte) (version uint64, policy, value [][]float64, err error) {
+// decodeParams unpacks a parameter broadcast into the groups policy and
+// value already hold, regrowing only those that are short. It returns
+// version 0, which no broadcast carries, with an error.
+func decodeParams(data []byte, policy, value *[][]float64) (uint64, error) {
 	r := wireReader{buf: data}
-	version = r.u64("params version")
-	out := [2][][]float64{}
-	for k := range out {
+	version := r.u64("params version")
+	for _, groups := range [2]*[][]float64{policy, value} {
 		n := int(r.u32("params group count"))
 		// Every group costs at least its 4-byte length prefix, so a count
 		// the remaining bytes cannot hold is hostile or corrupt; refuse it
 		// before it sizes an allocation.
 		if r.err == nil && n > (len(r.buf)-r.off)/4 {
-			return 0, nil, nil, &FrameError{Op: "decode", Reason: fmt.Sprintf("params group count %d exceeds the %d remaining bytes", n, len(r.buf)-r.off)}
+			return 0, &FrameError{Op: "decode", Reason: fmt.Sprintf("params group count %d exceeds the %d remaining bytes", n, len(r.buf)-r.off)}
 		}
-		if r.err == nil && n > 0 {
-			out[k] = make([][]float64, n)
-			for i := range out[k] {
-				out[k][i] = r.f64s("params group")
-			}
+		*groups = mathx.Resize(*groups, n)
+		for i := range *groups {
+			(*groups)[i] = r.f64s("params group", (*groups)[i])
 		}
 	}
 	if err := r.done("params"); err != nil {
-		return 0, nil, nil, err
+		return 0, err
 	}
-	return version, out[0], out[1], nil
+	return version, nil
 }
 
-// encodeBatch packs a rollout batch. The End lane state rides as JSON: it
-// is small, and its fields (RNG words, env state) already have exact JSON
-// round-trips — Go renders float64 shortest-round-trip.
-func encodeBatch(b *rl.RolloutBatch) ([]byte, error) {
+// putBatch builds the sealed frame of a rollout batch in buf's storage. The
+// End lane state rides as JSON: it is small, and its fields (RNG words, env
+// state) already have exact JSON round-trips — Go renders float64
+// shortest-round-trip.
+func putBatch(buf []byte, b *rl.RolloutBatch) ([]byte, error) {
 	end, err := json.Marshal(b.End)
 	if err != nil {
-		return nil, err
+		return buf, err
 	}
-	var w wireWriter
+	rows := [...][]float64{b.Obs, b.Act, b.Rewards, b.Values, b.LogProbs, b.Advs, b.Rets}
+	n := 4*4 + 4 + len(b.Dones) + 4 + 3*8 + 4 + len(end)
+	for _, vs := range rows {
+		n += 4 + 8*len(vs)
+	}
+	w := newWireWriter(buf, n)
 	w.u32(uint32(b.Lane))
 	w.u32(uint32(b.Steps))
 	w.u32(uint32(b.ObsDim))
 	w.u32(uint32(b.ActDim))
-	w.f64s(b.Obs)
-	w.f64s(b.Act)
-	w.f64s(b.Rewards)
-	w.f64s(b.Values)
-	w.f64s(b.LogProbs)
-	w.f64s(b.Advs)
-	w.f64s(b.Rets)
+	for _, vs := range rows {
+		w.f64s(vs)
+	}
 	w.bools(b.Dones)
 	w.u32(uint32(b.Episodes))
 	w.u64(math.Float64bits(b.EpRewardSum))
 	w.u64(math.Float64bits(b.RewardSum))
 	w.u64(math.Float64bits(b.LastValue))
 	w.bytes(end)
-	return w.buf, nil
+	return w.seal(MsgBatch)
 }
 
-// decodeBatch unpacks a rollout batch and validates its internal
-// consistency, so a decode can never hand partial rows to the trainer.
-func decodeBatch(data []byte) (*rl.RolloutBatch, error) {
+// decodeBatch unpacks a rollout batch into b, reusing its arrays' storage,
+// and validates its internal consistency, so a decode can never hand
+// partial rows to the trainer. End is decoded into fresh storage: the lane
+// state the coordinator holds for the lane may share the previous End's.
+func decodeBatch(data []byte, b *rl.RolloutBatch) error {
 	r := wireReader{buf: data}
-	b := &rl.RolloutBatch{
-		Lane:   int(r.u32("lane")),
-		Steps:  int(r.u32("steps")),
-		ObsDim: int(r.u32("obs dim")),
-		ActDim: int(r.u32("act dim")),
-	}
-	b.Obs = r.f64s("obs")
-	b.Act = r.f64s("act")
-	b.Rewards = r.f64s("rewards")
-	b.Values = r.f64s("values")
-	b.LogProbs = r.f64s("logprobs")
-	b.Advs = r.f64s("advs")
-	b.Rets = r.f64s("rets")
-	b.Dones = r.bools("dones")
+	b.Lane = int(r.u32("lane"))
+	b.Steps = int(r.u32("steps"))
+	b.ObsDim = int(r.u32("obs dim"))
+	b.ActDim = int(r.u32("act dim"))
+	b.Obs = r.f64s("obs", b.Obs)
+	b.Act = r.f64s("act", b.Act)
+	b.Rewards = r.f64s("rewards", b.Rewards)
+	b.Values = r.f64s("values", b.Values)
+	b.LogProbs = r.f64s("logprobs", b.LogProbs)
+	b.Advs = r.f64s("advs", b.Advs)
+	b.Rets = r.f64s("rets", b.Rets)
+	b.Dones = r.bools("dones", b.Dones)
 	b.Episodes = int(r.u32("episodes"))
 	b.EpRewardSum = math.Float64frombits(r.u64("ep reward sum"))
 	b.RewardSum = math.Float64frombits(r.u64("reward sum"))
 	b.LastValue = math.Float64frombits(r.u64("last value"))
 	end := r.bytesField("end state")
 	if err := r.done("batch"); err != nil {
-		return nil, err
+		return err
 	}
+	b.End = rl.LaneState{}
 	if err := json.Unmarshal(end, &b.End); err != nil {
-		return nil, &FrameError{Op: "decode", Reason: fmt.Sprintf("batch end state: %v", err)}
+		return &FrameError{Op: "decode", Reason: fmt.Sprintf("batch end state: %v", err)}
 	}
 	if err := b.Validate(); err != nil {
-		return nil, &FrameError{Op: "decode", Reason: err.Error()}
+		return &FrameError{Op: "decode", Reason: err.Error()}
 	}
-	return b, nil
+	return nil
 }

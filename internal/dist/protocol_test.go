@@ -2,17 +2,35 @@ package dist
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"io"
 	"math"
+	"net"
 	"runtime"
 	"testing"
 
 	"advnet/internal/mathx"
 	"advnet/internal/rl"
 )
+
+// readFrame reads one frame through a fresh frameReader.
+func readFrame(r io.Reader) (MsgType, []byte, int, error) {
+	return (&frameReader{r: r}).read()
+}
+
+// payloadOf reads a sealed frame back, checking its type, and returns the
+// payload.
+func payloadOf(t *testing.T, want MsgType, frame []byte) []byte {
+	t.Helper()
+	typ, payload, n, err := readFrame(bytes.NewReader(frame))
+	if err != nil || typ != want || n != len(frame) {
+		t.Fatalf("frame reads back as %s, %d of %d bytes, %v; want %s", typ, n, len(frame), err, want)
+	}
+	return payload
+}
 
 // TestFrameRoundTrip: frames survive the wire byte-exactly for every
 // message type, including empty payloads.
@@ -121,8 +139,12 @@ func TestFrameLyingLengthAllocatesOneChunk(t *testing.T) {
 func TestParamsCodecExact(t *testing.T) {
 	policy := [][]float64{{1.5, -0.0, math.Inf(1)}, {}, {5e-324, -2.000000000000001}}
 	value := [][]float64{{math.Pi}}
-	data := encodeParams(42, policy, value)
-	version, gotPolicy, gotValue, err := decodeParams(data)
+	frame, err := putParams(nil, 42, policy, value)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gotPolicy, gotValue [][]float64
+	version, err := decodeParams(payloadOf(t, MsgParams, frame), &gotPolicy, &gotValue)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,12 +195,13 @@ func TestBatchCodecRoundTrip(t *testing.T) {
 			},
 		},
 	}
-	data, err := encodeBatch(b)
+	frame, err := putBatch(nil, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := decodeBatch(data)
-	if err != nil {
+	data := payloadOf(t, MsgBatch, frame)
+	got := new(rl.RolloutBatch)
+	if err := decodeBatch(data, got); err != nil {
 		t.Fatal(err)
 	}
 	wantJSON, _ := json.Marshal(b)
@@ -188,19 +211,65 @@ func TestBatchCodecRoundTrip(t *testing.T) {
 	}
 
 	var fe *FrameError
-	if _, err := decodeBatch(data[:len(data)-5]); !errors.As(err, &fe) {
+	if err := decodeBatch(data[:len(data)-5], new(rl.RolloutBatch)); !errors.As(err, &fe) {
 		t.Fatalf("truncated batch: got %v, want *FrameError", err)
 	}
 	// A batch whose arrays disagree with its step count must be refused at
 	// decode, before it can reach the trainer.
 	bad := *b
 	bad.Steps = 7
-	data, err = encodeBatch(&bad)
+	frame, err = putBatch(nil, &bad)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := decodeBatch(data); !errors.As(err, &fe) {
+	if err := decodeBatch(payloadOf(t, MsgBatch, frame), new(rl.RolloutBatch)); !errors.As(err, &fe) {
 		t.Fatalf("inconsistent batch: got %v, want *FrameError", err)
+	}
+}
+
+// TestBatchDecodeReusesStorage: decoding into a batch that held a longer
+// rollout reuses its arrays and still yields exactly the new batch, and the
+// End state never shares storage with the previous one (the coordinator's
+// lane states may alias it).
+func TestBatchDecodeReusesStorage(t *testing.T) {
+	batch := func(steps int, seed uint64) *rl.RolloutBatch {
+		rng := mathx.NewRNG(seed)
+		fill := func(n int) []float64 {
+			vs := make([]float64, n)
+			for i := range vs {
+				vs[i] = rng.Float64()
+			}
+			return vs
+		}
+		return &rl.RolloutBatch{
+			Lane: 1, Steps: steps, ObsDim: 2, ActDim: 1,
+			Obs: fill(2 * steps), Act: fill(steps), Rewards: fill(steps), Values: fill(steps),
+			LogProbs: fill(steps), Advs: fill(steps), Rets: fill(steps), Dones: make([]bool, steps),
+			End: rl.LaneState{RNG: rng.State(), Episode: rl.Episode{PendLive: true, PendObs: fill(2), Env: json.RawMessage(`{"k":1}`)}},
+		}
+	}
+	var got rl.RolloutBatch
+	var frame []byte
+	for _, want := range []*rl.RolloutBatch{batch(9, 1), batch(4, 2)} {
+		before := got
+		var err error
+		if frame, err = putBatch(frame, want); err != nil {
+			t.Fatal(err)
+		}
+		if err := decodeBatch(payloadOf(t, MsgBatch, frame), &got); err != nil {
+			t.Fatal(err)
+		}
+		wantJSON, _ := json.Marshal(want)
+		gotJSON, _ := json.Marshal(&got)
+		if !bytes.Equal(wantJSON, gotJSON) {
+			t.Fatalf("%d-step batch decoded over storage:\nwant %s\ngot  %s", want.Steps, wantJSON, gotJSON)
+		}
+		if before.Obs != nil && &before.Obs[0] != &got.Obs[0] {
+			t.Fatal("decode regrew an array that had the room")
+		}
+		if before.End.PendObs != nil && &before.End.PendObs[0] == &got.End.PendObs[0] {
+			t.Fatal("End.PendObs reuses the previous End's storage")
+		}
 	}
 }
 
@@ -209,17 +278,22 @@ func TestBatchCodecRoundTrip(t *testing.T) {
 // must be refused by the bound on the count, not by an attempt to allocate
 // four billion slice headers.
 func TestDecodeParamsHostileGroupCount(t *testing.T) {
-	var w wireWriter
+	w := wireWriter{buf: make([]byte, 12)}
 	w.u64(1)
 	w.u32(0xFFFFFFFF)
 	var fe *FrameError
-	if _, _, _, err := decodeParams(w.buf); !errors.As(err, &fe) {
+	var policy, value [][]float64
+	if _, err := decodeParams(w.buf, &policy, &value); !errors.As(err, &fe) {
 		t.Fatalf("got %v, want *FrameError", err)
 	}
 	// One past what the remaining bytes can hold is refused as well.
-	data := encodeParams(1, [][]float64{{1}, {2}}, nil)
+	frame, err := putParams(nil, 1, [][]float64{{1}, {2}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := payloadOf(t, MsgParams, frame)
 	data[8+3]++ // policy group count 2 -> 3
-	if _, _, _, err := decodeParams(data); !errors.As(err, &fe) {
+	if _, err := decodeParams(data, &policy, &value); !errors.As(err, &fe) {
 		t.Fatalf("count beyond remaining bytes: got %v, want *FrameError", err)
 	}
 }
@@ -227,14 +301,27 @@ func TestDecodeParamsHostileGroupCount(t *testing.T) {
 // FuzzDecodeParams: arbitrary bytes never panic or over-allocate, and
 // whatever decodes re-encodes to the same bytes (the encoding is canonical).
 func FuzzDecodeParams(f *testing.F) {
-	f.Add(encodeParams(42, [][]float64{{1.5, math.Inf(1)}, {}, {5e-324}}, [][]float64{{math.Pi}}))
-	f.Add(encodeParams(0, nil, nil))
+	for _, p := range []struct {
+		version       uint64
+		policy, value [][]float64
+	}{{42, [][]float64{{1.5, math.Inf(1)}, {}, {5e-324}}, [][]float64{{math.Pi}}}, {0, nil, nil}} {
+		frame, err := putParams(nil, p.version, p.policy, p.value)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(frame[frameHeaderSize : len(frame)-sha256.Size])
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		version, policy, value, err := decodeParams(data)
+		var policy, value [][]float64
+		version, err := decodeParams(data, &policy, &value)
 		if err != nil {
 			return
 		}
-		if again := encodeParams(version, policy, value); !bytes.Equal(again, data) {
+		frame, err := putParams(nil, version, policy, value)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again := payloadOf(t, MsgParams, frame); !bytes.Equal(again, data) {
 			t.Fatalf("decode/encode not canonical: %x -> %x", data, again)
 		}
 	})
@@ -298,7 +385,7 @@ func FuzzReadFrame(f *testing.F) {
 // FuzzDecodeBatch: arbitrary bytes never panic, and a batch that decodes is
 // internally consistent — safe to hand to the trainer.
 func FuzzDecodeBatch(f *testing.F) {
-	seed, err := encodeBatch(&rl.RolloutBatch{
+	frame, err := putBatch(nil, &rl.RolloutBatch{
 		Lane: 1, Steps: 2, ObsDim: 2, ActDim: 1,
 		Obs: []float64{1, 2, 3, 4}, Act: []float64{0, 1},
 		Rewards: []float64{1, -1}, Values: []float64{0, 0}, LogProbs: []float64{-1, -1},
@@ -308,15 +395,116 @@ func FuzzDecodeBatch(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	seed := frame[frameHeaderSize : len(frame)-sha256.Size]
 	f.Add(seed)
 	f.Add(seed[:len(seed)/2])
 	f.Fuzz(func(t *testing.T, data []byte) {
-		b, err := decodeBatch(data)
-		if err != nil {
+		b := new(rl.RolloutBatch)
+		if err := decodeBatch(data, b); err != nil {
 			return
 		}
 		if err := b.Validate(); err != nil {
 			t.Fatalf("decoded batch fails validation: %v", err)
+		}
+	})
+}
+
+// hostileCollects are collect requests a worker of a 4-lane run must refuse.
+var hostileCollects = []struct {
+	name  string
+	lanes []int
+}{
+	{"empty list", []int{}},
+	{"more lanes than the run's", []int{0, 1, 2, 3, 0}},
+	{"a lane listed twice", []int{1, 2, 1}},
+	{"a lane out of range", []int{0, 4}},
+	{"a negative lane", []int{-1}},
+}
+
+func collectPayload(t testing.TB, lanes []int) []byte {
+	t.Helper()
+	req := collectMsg{ParamsVersion: 1, Lanes: []laneRequest{}}
+	for _, l := range lanes {
+		req.Lanes = append(req.Lanes, laneRequest{Lane: l, Steps: 8, State: rl.LaneState{Episode: rl.Episode{Env: json.RawMessage(`{}`)}}})
+	}
+	data, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestWorkerRefusesHostileLaneLists: a collect frame whose lane list is
+// empty, longer than the run's lane count, names a lane twice or one out of
+// range is a *FrameError, and the worker drops the connection on it before
+// it builds a lane or starts a goroutine.
+func TestWorkerRefusesHostileLaneLists(t *testing.T) {
+	raw, _ := json.Marshal(miniSpec{Seed: 77, RolloutSteps: 40, PanicAt: -1})
+	if _, err := decodeCollect(collectPayload(t, []int{3, 0, 2}), 4); err != nil {
+		t.Fatalf("a healthy list is refused: %v", err)
+	}
+	for _, hc := range hostileCollects {
+		name, lanes := hc.name, hc.lanes
+		var fe *FrameError
+		if _, err := decodeCollect(collectPayload(t, lanes), 4); !errors.As(err, &fe) {
+			t.Fatalf("%s: decodeCollect returned %v, want *FrameError", name, err)
+		}
+		coord, conn := net.Pipe()
+		sess := &workerSession{lanes: map[int]*workerLane{}}
+		served := make(chan error, 1)
+		go func() {
+			_, err := sess.serveConn(conn)
+			served <- err
+		}()
+		in := frameReader{r: coord}
+		if typ, _, _, err := in.read(); err != nil || typ != MsgHello {
+			t.Fatalf("%s: handshake read %s, %v", name, typ, err)
+		}
+		spec, _ := json.Marshal(specMsg{Domain: "mini", Spec: raw, Lanes: 4})
+		for _, f := range []struct {
+			t       MsgType
+			payload []byte
+		}{{MsgSpec, spec}, {MsgCollect, collectPayload(t, lanes)}} {
+			if _, err := writeFrame(coord, f.t, f.payload); err != nil {
+				t.Fatalf("%s: write %s: %v", name, f.t, err)
+			}
+		}
+		if err := <-served; !errors.As(err, &fe) {
+			t.Fatalf("%s: worker returned %v, want *FrameError", name, err)
+		}
+		if len(sess.lanes) != 0 {
+			t.Fatalf("%s: worker built %d lane slots for a refused frame", name, len(sess.lanes))
+		}
+		coord.Close()
+	}
+}
+
+// FuzzDecodeCollect: arbitrary bytes never panic, and a collect request that
+// decodes lists one to four distinct lanes of a 4-lane run.
+func FuzzDecodeCollect(f *testing.F) {
+	f.Add(collectPayload(f, []int{0, 1, 2, 3}))
+	f.Add(collectPayload(f, []int{2}))
+	for _, hc := range hostileCollects {
+		f.Add(collectPayload(f, hc.lanes))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		req, err := decodeCollect(data, 4)
+		if err != nil {
+			var fe *FrameError
+			if !errors.As(err, &fe) {
+				t.Fatalf("untyped error %T: %v", err, err)
+			}
+			return
+		}
+		if n := len(req.Lanes); n < 1 || n > 4 {
+			t.Fatalf("accepted %d lanes", n)
+		}
+		seen := map[int]bool{}
+		for _, lr := range req.Lanes {
+			if lr.Lane < 0 || lr.Lane >= 4 || seen[lr.Lane] {
+				t.Fatalf("accepted lane list %+v", req.Lanes)
+			}
+			seen[lr.Lane] = true
 		}
 	})
 }

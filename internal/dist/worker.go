@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"advnet/internal/mathx"
+	"advnet/internal/par"
 	"advnet/internal/retry"
 	"advnet/internal/rl"
 )
@@ -51,19 +52,28 @@ func (e *DialError) Error() string {
 func (e *DialError) Unwrap() error { return e.Err }
 
 // workerSession is the state a worker keeps across reconnects: the resolved
-// domain and its lane cache. Lanes are built lazily per lane index — a
-// worker only pays for the lanes actually assigned to it — and survive
-// reconnects (their contents are overwritten from the wire before every
-// collect, so staleness is impossible by construction).
+// domain, its lanes, the last parameter broadcast and the read buffer. Lanes
+// are built lazily per lane index — a worker only pays for the lanes
+// actually assigned to it — and survive reconnects (their contents are
+// overwritten from the wire before every collect, so staleness is
+// impossible by construction).
 type workerSession struct {
 	domainName string
 	dom        Domain
 	spec       json.RawMessage
 	laneCount  int
-	lanes      map[int]*rl.Lane
+	lanes      map[int]*workerLane
 
+	in            frameReader
 	paramsVersion uint64
 	policy, value [][]float64
+}
+
+// workerLane is one lane slot of a worker: the lane, built on its first
+// collect, and its reply frame, rebuilt in place every round.
+type workerLane struct {
+	lane  *rl.Lane
+	frame []byte
 }
 
 // RunWorker connects to the coordinator and serves lane rollout requests
@@ -72,7 +82,7 @@ type workerSession struct {
 // protocol/domain error occurs. Connection losses are absorbed by
 // redialing under the capped backoff schedule.
 func RunWorker(cfg WorkerConfig) error {
-	sess := &workerSession{lanes: map[int]*rl.Lane{}}
+	sess := &workerSession{lanes: map[int]*workerLane{}}
 	jitter := mathx.NewRNG(uint64(os.Getpid()) | 1)
 	dialFailures := 0
 	var lastDialErr error
@@ -132,7 +142,7 @@ func (s *workerSession) handshake(conn net.Conn) error {
 	if _, err := writeFrame(conn, MsgHello, hello); err != nil {
 		return err
 	}
-	t, body, _, err := readFrame(conn)
+	t, body, _, err := s.in.read()
 	if err != nil {
 		return err
 	}
@@ -160,26 +170,14 @@ func (s *workerSession) handshake(conn net.Conn) error {
 	return nil
 }
 
-// lane returns the worker-side lane for an index, building it on first use.
-func (s *workerSession) lane(idx int) (*rl.Lane, error) {
-	if l, ok := s.lanes[idx]; ok {
-		return l, nil
-	}
-	l, err := s.dom.NewLane(s.spec, idx, s.laneCount)
-	if err != nil {
-		return nil, err
-	}
-	s.lanes[idx] = l
-	return l, nil
-}
-
 // serveConn handshakes and serves one connection until shutdown or failure.
 func (s *workerSession) serveConn(conn net.Conn) (shutdown bool, err error) {
+	s.in.r = conn
 	if err := s.handshake(conn); err != nil {
 		return false, err
 	}
 	for {
-		t, body, _, err := readFrame(conn)
+		t, body, _, err := s.in.read()
 		if err != nil {
 			return false, err
 		}
@@ -187,17 +185,15 @@ func (s *workerSession) serveConn(conn net.Conn) (shutdown bool, err error) {
 		case MsgShutdown:
 			return true, nil
 		case MsgParams:
-			version, policy, value, err := decodeParams(body)
+			if s.paramsVersion, err = decodeParams(body, &s.policy, &s.value); err != nil {
+				return false, err
+			}
+		case MsgCollect:
+			req, err := decodeCollect(body, s.laneCount)
 			if err != nil {
 				return false, err
 			}
-			s.paramsVersion, s.policy, s.value = version, policy, value
-		case MsgCollect:
-			var req collectMsg
-			if err := json.Unmarshal(body, &req); err != nil {
-				return false, &FrameError{Op: "decode", Reason: fmt.Sprintf("collect payload: %v", err)}
-			}
-			if err := s.collect(conn, &req); err != nil {
+			if err := s.collect(conn, req); err != nil {
 				return false, err
 			}
 		default:
@@ -206,53 +202,70 @@ func (s *workerSession) serveConn(conn net.Conn) (shutdown bool, err error) {
 	}
 }
 
-// collect runs one lane request and writes the batch (or a lane error)
-// back. Deterministic lane failures — a panic inside the environment or
-// policy, a state that fails to restore — are reported as MsgLaneError
-// and do NOT kill the worker: the coordinator decides (and aborts),
-// while the worker stays available for other runs' lanes.
+// collect runs one round: the listed lanes side by side, one goroutine per
+// lane (distinct, and at most the handshake's lane count: decodeCollect
+// checked), then the replies in list order. A deterministic lane failure is
+// replied as MsgLaneError: the coordinator aborts, the worker lives on.
 func (s *workerSession) collect(conn net.Conn, req *collectMsg) error {
-	reply := func(t MsgType, payload []byte) error {
-		_, err := writeFrame(conn, t, payload)
+	slots := make([]*workerLane, len(req.Lanes))
+	for i, lr := range req.Lanes {
+		if slots[i] = s.lanes[lr.Lane]; slots[i] == nil {
+			slots[i] = &workerLane{}
+			s.lanes[lr.Lane] = slots[i]
+		}
+	}
+	if err := par.Run(len(slots), func(i int) error {
+		lr := &req.Lanes[i]
+		err := slots[i].collect(s, lr, req.ParamsVersion)
+		if err == nil {
+			return nil
+		}
+		payload, _ := json.Marshal(laneErrorMsg{Lane: lr.Lane, Err: err.Error()})
+		slots[i].frame, err = putFrame(slots[i].frame, MsgLaneError, payload)
+		return err
+	}); err != nil {
 		return err
 	}
-	laneFail := func(msg string) error {
-		payload, err := json.Marshal(laneErrorMsg{Lane: req.Lane, Err: msg})
+	for _, w := range slots {
+		if _, err := conn.Write(w.frame); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// collect restores the lane from the request, runs its rollout share under
+// the session's parameters and encodes the batch into the lane's frame. A
+// panic anywhere in it is the lane's failure too.
+func (w *workerLane) collect(s *workerSession, req *laneRequest, version uint64) (err error) {
+	defer par.Contain(req.Lane, &err)
+	if s.policy == nil || version != s.paramsVersion {
+		// The coordinator broadcasts before the first collect on every
+		// connection; a mismatch is a protocol bug, not a race.
+		return fmt.Errorf("collect under params version %d, worker holds %d", version, s.paramsVersion)
+	}
+	if w.lane == nil {
+		l, err := s.dom.NewLane(s.spec, req.Lane, s.laneCount)
 		if err != nil {
 			return err
 		}
-		return reply(MsgLaneError, payload)
+		w.lane = l
 	}
-	if req.Lane < 0 || req.Lane >= s.laneCount {
-		return laneFail(fmt.Sprintf("lane %d out of range [0,%d)", req.Lane, s.laneCount))
-	}
-	if s.policy == nil || req.ParamsVersion != s.paramsVersion {
-		// The coordinator broadcasts before the first collect on every
-		// connection; a mismatch is a protocol bug, not a race.
-		return laneFail(fmt.Sprintf("collect under params version %d, worker holds %d", req.ParamsVersion, s.paramsVersion))
-	}
-	l, err := s.lane(req.Lane)
-	if err != nil {
-		return laneFail(err.Error())
-	}
-	if err := l.SetParams(s.policy, s.value); err != nil {
-		return laneFail(err.Error())
+	if err := w.lane.SetParams(s.policy, s.value); err != nil {
+		return err
 	}
 	if len(req.State.Env) == 0 {
 		// rl.Lane.Restore would start a fresh episode; a remote lane's
 		// episode must continue exactly where the last collect left it.
-		return laneFail("collect request without env state")
+		return fmt.Errorf("collect request without env state")
 	}
-	if err := l.Restore(req.State); err != nil {
-		return laneFail(err.Error())
+	if err := w.lane.Restore(req.State); err != nil {
+		return err
 	}
-	b, err := l.Collect(req.Lane, req.Steps)
+	b, err := w.lane.Collect(req.Lane, req.Steps)
 	if err != nil {
-		return laneFail(err.Error())
+		return err
 	}
-	payload, err := encodeBatch(b)
-	if err != nil {
-		return laneFail(err.Error())
-	}
-	return reply(MsgBatch, payload)
+	w.frame, err = putBatch(w.frame, b)
+	return err
 }

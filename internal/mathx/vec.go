@@ -210,3 +210,13 @@ func (w *WindowedMin) Value() float64 {
 
 // Reset discards all samples.
 func (w *WindowedMin) Reset() { w.samples = w.samples[:0] }
+
+// Resize returns s with length n, reusing its storage when its capacity
+// holds n and allocating only when it does not. The contents are
+// unspecified: the caller overwrites all n elements.
+func Resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}

@@ -46,6 +46,8 @@ type Lane struct {
 	// The last collect's outcome, read after join.
 	cs        collectStats
 	lastValue float64 // GAE bootstrap value
+
+	batch RolloutBatch // what Collect returns, refilled by every Collect
 }
 
 // collectStats aggregates what one collect call observed.
@@ -276,46 +278,42 @@ type RolloutBatch struct {
 }
 
 // Collect runs the lane's rollout share (see collect) and returns it as a
-// batch together with the lane's post-collect state. A panic inside comes
-// back as a *par.PanicError naming the lane — the serving process survives
-// and reports the failure instead of dying.
+// batch together with the lane's post-collect state. The batch is the
+// lane's own, refilled in place and valid until its next Collect (End is
+// fresh each time). A panic inside comes back as a *par.PanicError naming
+// the lane — the serving process survives and reports it instead of dying.
 func (l *Lane) Collect(lane, steps int) (_ *RolloutBatch, err error) {
 	defer par.Contain(lane, &err) // the export and the env's EnvState, too
 	l.collect(steps)
-	b := &RolloutBatch{
-		Lane:        lane,
-		Episodes:    l.cs.episodes,
-		EpRewardSum: l.cs.epRewardSum,
-		RewardSum:   l.cs.rewardSum,
-		LastValue:   l.lastValue,
-	}
+	b := &l.batch
+	b.Lane = lane
+	b.Episodes = l.cs.episodes
+	b.EpRewardSum = l.cs.epRewardSum
+	b.RewardSum = l.cs.rewardSum
+	b.LastValue = l.lastValue
 	exportBuffer(l.buf, b)
-	end, err := l.State()
-	if err != nil {
+	if b.End, err = l.State(); err != nil {
 		return nil, err
 	}
-	b.End = end
 	l.buf.reset()
 	return b, nil
 }
 
-// exportBuffer flattens a lane buffer into the batch's row-major arrays.
+// exportBuffer flattens a lane buffer into the batch's row-major arrays,
+// reusing their storage.
 func exportBuffer(buf *rolloutBuffer, b *RolloutBatch) {
 	n := buf.len()
-	b.Steps = n
-	if n == 0 {
-		return
+	b.Steps, b.ObsDim, b.ActDim = n, 0, 0
+	if n > 0 {
+		b.ObsDim = len(buf.steps[0].obs)
+		b.ActDim = len(buf.steps[0].action)
 	}
-	b.ObsDim = len(buf.steps[0].obs)
-	b.ActDim = len(buf.steps[0].action)
-	b.Obs = make([]float64, n*b.ObsDim)
-	b.Act = make([]float64, n*b.ActDim)
-	b.Rewards = make([]float64, n)
-	b.Values = make([]float64, n)
-	b.LogProbs = make([]float64, n)
-	b.Advs = make([]float64, n)
-	b.Rets = make([]float64, n)
-	b.Dones = make([]bool, n)
+	b.Obs = mathx.Resize(b.Obs, n*b.ObsDim)
+	b.Act = mathx.Resize(b.Act, n*b.ActDim)
+	for _, col := range [...]*[]float64{&b.Rewards, &b.Values, &b.LogProbs, &b.Advs, &b.Rets} {
+		*col = mathx.Resize(*col, n)
+	}
+	b.Dones = mathx.Resize(b.Dones, n)
 	for i := range buf.steps {
 		s := &buf.steps[i]
 		copy(b.Obs[i*b.ObsDim:(i+1)*b.ObsDim], s.obs)
@@ -361,12 +359,8 @@ func (b *RolloutBatch) Validate() error {
 
 // importBatch appends a batch's transitions (with their precomputed
 // advantages and returns) to the trainer buffer, exactly as pushFrom merges
-// an in-process lane's buffer.
+// an in-process lane's buffer. The caller has reserved the buffer's room.
 func importBatch(buf *rolloutBuffer, b *RolloutBatch) {
-	if b.Steps == 0 {
-		return
-	}
-	buf.ensureCap(buf.len()+b.Steps, b.ObsDim, b.ActDim)
 	for i := 0; i < b.Steps; i++ {
 		buf.steps = append(buf.steps, transition{
 			obs:       arenaSlot(buf.obsArena, &buf.obsUsed, b.Obs[i*b.ObsDim:(i+1)*b.ObsDim]),

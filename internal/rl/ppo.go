@@ -203,7 +203,7 @@ func (p *PPO) ApplyRemoteRollouts(batches []*RolloutBatch) (IterStats, error) {
 	if len(batches) == 0 {
 		return stats, fmt.Errorf("rl: ApplyRemoteRollouts with no batches")
 	}
-	actDim := 0
+	actDim, rows := 0, 0
 	for i, b := range batches {
 		if b == nil {
 			return stats, fmt.Errorf("rl: ApplyRemoteRollouts missing batch for lane %d", i)
@@ -223,8 +223,10 @@ func (p *PPO) ApplyRemoteRollouts(batches []*RolloutBatch) (IterStats, error) {
 		if b.ObsDim != p.Value.InputSize() || b.ActDim != actDim {
 			return stats, fmt.Errorf("rl: batch lane %d has dims %dx%d, trainer expects %dx%d", i, b.ObsDim, b.ActDim, p.Value.InputSize(), actDim)
 		}
+		rows += b.Steps
 	}
 	p.buf.reset()
+	p.buf.ensureCap(rows, p.Value.InputSize(), actDim) // once, for the whole round
 	var cs collectStats
 	for _, b := range batches {
 		importBatch(&p.buf, b)
