@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-nofma vet race cpus bench-check bench-ab seam-check verify
+.PHONY: all build test test-nofma vet race cpus bench-check bench-ab seam-check size-check verify
 
 all: verify
 
@@ -140,7 +140,11 @@ bench-ab:
 # gather runs on a caller of Select, so a go statement in non-test Go under
 # internal/serve is a worker coming back. Likewise a dist worker's lanes fan
 # out through par.Run only, so a go statement in internal/dist/worker.go is a
-# second fan-out.
+# second fan-out. And one word for how a lane gets its traces: an
+# abr.TrainEnv holds its lane, the lane count and a trace.Cursor, so
+# ShardedDataset, ShardTraceSampler, NewTrainEnvSharded, TrainPensieveSharded
+# or a Dataset.Shard method in any .go file under internal/ or cmd/ is the
+# deleted shard layer coming back between the lane and its data.
 seam-check:
 	@n=$$(grep -rn 'NewPPO(' --include='*.go' --exclude-dir=.bench_build . | grep -v '_test\.go:' | grep -vc '^\./bench/e2e/'); \
 	if [ $$n -gt 2 ]; then echo "seam-check: NewPPO( on $$n non-test lines, want <= 2 (build trainers with rl.NewTrainer)"; exit 1; fi
@@ -182,8 +186,26 @@ seam-check:
 	if [ -n "$$f" ]; then echo "seam-check: a go statement in $$f (the engine serves on its callers)"; exit 1; fi
 	@f=$$(grep -lE '(^|[;{}])[[:space:]]*go[[:space:]]+(func|[[:alnum:]_.]+\()' internal/dist/worker.go); \
 	if [ -n "$$f" ]; then echo "seam-check: a go statement in $$f (a worker's lanes fan out through par.Run only)"; exit 1; fi
+	@f=$$(grep -rlwE 'ShardedDataset|ShardTraceSampler|NewTrainEnvSharded|TrainPensieveSharded|func \(d \*Dataset\) Shard' --include='*.go' internal cmd); \
+	if [ -n "$$f" ]; then echo "seam-check: the shard layer in $$f (lane w of W streams traces w, w+W, … through abr.TrainEnv's own cursor)"; exit 1; fi
+
+# "Is the tree still as small as it was?" Counts the lines of non-test Go
+# under internal/, cmd/ and bench/, and of internal/nn's assembly, and fails
+# when either exceeds its number in bench/size.json. A change that lowers a
+# count lowers the number with it; one that raises a count raises the number
+# in the same change and says by how much and why in CHANGES.md.
+size-check:
+	@goref=$$(sed -n 's/.*"go_lines": *\([0-9]*\).*/\1/p' bench/size.json); \
+	asmref=$$(sed -n 's/.*"nn_asm_lines": *\([0-9]*\).*/\1/p' bench/size.json); \
+	lines=$$(find internal cmd bench -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); \
+	asm=$$(cat internal/nn/*.s | wc -l); \
+	echo "size-check: non-test Go $$lines lines (bench/size.json $$goref), internal/nn assembly $$asm lines ($$asmref)"; \
+	if [ -z "$$goref" ] || [ -z "$$asmref" ]; then echo "size-check: bench/size.json lacks go_lines or nn_asm_lines"; exit 1; fi; \
+	if [ $$lines -gt $$goref ] || [ $$asm -gt $$asmref ]; then echo "size-check: the tree grew past bench/size.json (raise the number in the same change and say why in CHANGES.md)"; exit 1; fi; \
+	if [ $$lines -lt $$goref ] || [ $$asm -lt $$asmref ]; then echo "size-check: the tree is smaller than bench/size.json: lower the number to the count above"; fi
 
 # Tier-1 verification: build + tests, plus vet, the FMA-off rerun, the race
 # detector, serve, rl and dist at several core counts, the benchmark's
-# correctness and allocation check, and the structural seam check.
-verify: build vet test test-nofma race cpus bench-check seam-check
+# correctness and allocation check, the structural seam check and the size
+# check.
+verify: build vet test test-nofma race cpus bench-check seam-check size-check

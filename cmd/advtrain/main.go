@@ -8,8 +8,8 @@
 //	advtrain -domain cc  -target bbr|cubic|reno|copa|vivace|htcp -o adversary.json
 //
 // The pensieve target is trained from scratch on a synthetic FCC-like corpus
-// before the adversary attacks it; with -workers > 1 worker w streams shard w
-// of that corpus. The adversary environments themselves are dataset-free (the
+// before the adversary attacks it; with -workers W > 1, lane w streams traces
+// w, w+W, … of that corpus. The adversary environments themselves are dataset-free (the
 // adversary emits the bandwidths).
 package main
 
@@ -24,6 +24,7 @@ import (
 	"advnet/internal/core"
 	"advnet/internal/mathx"
 	"advnet/internal/netem"
+	"advnet/internal/rl"
 	"advnet/internal/trace"
 )
 
@@ -36,7 +37,7 @@ func main() {
 	n := flag.Int("n", 50, "number of traces to generate with -traces-out")
 	iters := flag.Int("iters", 0, "PPO iterations (0 = domain default)")
 	seed := flag.Uint64("seed", 1, "training seed")
-	workers := flag.Int("workers", 1, "parallel rollout workers (1 = one lane, the historical path); each worker is one rollout lane, so the trained adversary depends on the worker count")
+	workers := flag.Int("workers", 1, "parallel rollout workers, one rollout lane each (1 = one lane); with W workers the pensieve target's lane w streams traces w, w+W, … of its corpus. The trained models depend on the worker count")
 	pretrainIters := flag.Int("pretrain-iters", 20, "PPO iterations for pretraining the pensieve target")
 	ckptDir := flag.String("checkpoint-dir", "", "directory for periodic crash-safe training checkpoints (empty = disabled)")
 	ckptEvery := flag.Int("checkpoint-every", 1, "save a checkpoint every N training iterations")
@@ -68,11 +69,11 @@ func main() {
 			corpus := trace.GenerateFCCLikeDataset(rng.Split(), trace.DefaultFCCLike(), 40, "fcc")
 			log.Printf("pretraining pensieve target on %d traces (%d workers, %d iterations)...",
 				len(corpus.Traces), *workers, *pretrainIters)
-			agent, _, err := abr.TrainPensieveSharded(video, corpus, *pretrainIters, *workers, rng.Split())
+			ppo, _, err := rl.Train(abr.PensieveProblem(video, corpus, 0.08), rl.TrainOptions{Iterations: *pretrainIters, Workers: *workers}, rng.Split())
 			if err != nil {
 				log.Fatal(err)
 			}
-			proto = agent
+			proto = abr.NewPensieve(ppo.Policy.(*rl.CategoricalPolicy))
 		} else if proto, err = abr.New(*target); err != nil {
 			log.Fatal(err)
 		}

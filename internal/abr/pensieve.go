@@ -118,12 +118,13 @@ type TrainEnv struct {
 	Cfg        SessionConfig
 	RTTSeconds float64
 
-	rng      *mathx.RNG
-	sampler  *ShardTraceSampler // nil on the identity shard: uniform rng draw
-	session  *Session
-	traceIdx int         // dataset index of the current session's trace; -1 when none
-	obs      Observation // the session's view, refilled each chunk
-	feat     []float64   // the observation Reset and Step return
+	rng         *mathx.RNG
+	lane, lanes int           // a lane env's lane of a lanes-wide run
+	cursor      *trace.Cursor // a lane env's traces; nil on a one-lane env
+	session     *Session
+	traceIdx    int         // dataset index of the current session's trace; -1 when none
+	obs         Observation // the session's view, refilled each chunk
+	feat        []float64   // the observation Reset and Step return
 }
 
 // NewTrainEnv builds a training environment that samples traces uniformly
@@ -135,12 +136,25 @@ func NewTrainEnv(video *Video, dataset *trace.Dataset, cfg SessionConfig, rttS f
 	return &TrainEnv{Video: video, Dataset: dataset, Cfg: cfg, RTTSeconds: rttS, rng: rng, traceIdx: -1}
 }
 
-// Reset implements rl.Env. An env streaming a shard takes the next trace from
-// its sampler; the identity-shard env draws uniformly from the whole dataset
-// with its own RNG — the one-lane path, preserved bit-for-bit.
+// newLaneEnv is the env of lane `lane` of a lanes-wide run (DESIGN.md §8.3):
+// it streams traces lane, lane+lanes, lane+2·lanes, … in epoch-reshuffled
+// order, its cursor seeded from one draw of rng. A one-lane env draws nothing
+// here and samples the whole dataset uniformly, as NewTrainEnv's does.
+func newLaneEnv(video *Video, dataset *trace.Dataset, cfg SessionConfig, rttS float64, rng *mathx.RNG, lane, lanes int) *TrainEnv {
+	e := NewTrainEnv(video, dataset, cfg, rttS, rng)
+	if lanes > 1 {
+		e.lane, e.lanes = lane, lanes
+		e.cursor = trace.NewCursor(trace.LaneLen(len(dataset.Traces), lane, lanes), rng.Uint64())
+	}
+	return e
+}
+
+// Reset implements rl.Env. A lane env takes the next trace of its lane from
+// its cursor; a one-lane env draws uniformly from the whole dataset with its
+// own RNG.
 func (e *TrainEnv) Reset() []float64 {
-	if e.sampler != nil {
-		e.traceIdx = e.sampler.NextTrace()
+	if e.cursor != nil {
+		e.traceIdx = e.lane + e.cursor.Next()*e.lanes
 	} else {
 		e.traceIdx = e.rng.Intn(len(e.Dataset.Traces))
 	}
@@ -161,22 +175,32 @@ func (e *TrainEnv) features() []float64 {
 }
 
 // trainEnvState is the serialized form of a TrainEnv for checkpointing: the
-// trace-sampling RNG plus, when an episode is in flight, which trace it runs
-// on and the mid-stream session state.
+// trace-sampling RNG, a lane env's lane and cursor, and, when an episode is
+// in flight, which trace it runs on and the mid-stream session state.
 type trainEnvState struct {
-	RNG      mathx.RNGState     `json:"rng"`
-	TraceIdx int                `json:"trace_idx"`
-	Session  *SessionState      `json:"session,omitempty"`
-	Shard    *shardSamplerState `json:"shard,omitempty"`
+	RNG      mathx.RNGState `json:"rng"`
+	TraceIdx int            `json:"trace_idx"`
+	Session  *SessionState  `json:"session,omitempty"`
+	Lane     *laneState     `json:"shard,omitempty"`
+}
+
+// laneState is a lane env's lane (validated against the restoring env's own)
+// and its cursor. The in-flight permutation is a pure function of the cursor
+// state, so a mid-epoch restore is exact. Its key and field names are those
+// of every checkpoint written so far.
+type laneState struct {
+	Index  int               `json:"index"`
+	Count  int               `json:"count"`
+	Cursor trace.CursorState `json:"cursor"`
 }
 
 // EnvState implements rl.EnvCheckpointer: it serializes the trace-sampling
-// RNG, the shard cursor when the env streams a shard, and any in-flight
-// session so a resumed trainer replays bit-for-bit.
+// RNG, a lane env's cursor, and any in-flight session so a resumed trainer
+// replays bit-for-bit.
 func (e *TrainEnv) EnvState() ([]byte, error) {
 	st := trainEnvState{RNG: e.rng.State(), TraceIdx: -1}
-	if s := e.sampler; s != nil {
-		st.Shard = &shardSamplerState{Index: s.shard.Index(), Count: s.shard.Count(), Cursor: s.cursor.State()}
+	if e.cursor != nil {
+		st.Lane = &laneState{Index: e.lane, Count: e.lanes, Cursor: e.cursor.State()}
 	}
 	if e.session != nil && !e.session.Done() {
 		ss := e.session.State()
@@ -187,35 +211,33 @@ func (e *TrainEnv) EnvState() ([]byte, error) {
 }
 
 // SetEnvState implements rl.EnvCheckpointer. The env must be built over the
-// same video, dataset, and shard assignment the state was captured against;
+// same video, dataset, lane and lane count the state was captured against;
 // the trace index is validated against the dataset, the session state against
-// the video, and the shard cursor against the env's own shard. Validation
-// happens before any mutation, so a failed restore leaves the env untouched.
+// the video, and the cursor against the env's own lane. Validation happens
+// before any mutation, so a failed restore leaves the env untouched.
 func (e *TrainEnv) SetEnvState(data []byte) error {
 	var st trainEnvState
 	if err := json.Unmarshal(data, &st); err != nil {
 		return fmt.Errorf("abr: decode env state: %w", err)
 	}
-	sampler, isSharded := e.sampler, e.sampler != nil
 	var restored *trace.Cursor
-	if st.Shard != nil {
-		if !isSharded {
-			return fmt.Errorf("abr: checkpoint carries shard %d/%d cursor but env is not sharded", st.Shard.Index, st.Shard.Count)
+	if l := st.Lane; l != nil {
+		if e.cursor == nil {
+			return fmt.Errorf("abr: checkpoint carries lane %d/%d cursor but env runs one lane", l.Index, l.Count)
 		}
-		if sampler.shard.Index() != st.Shard.Index || sampler.shard.Count() != st.Shard.Count {
-			return fmt.Errorf("abr: checkpoint shard %d/%d does not match env shard %d/%d",
-				st.Shard.Index, st.Shard.Count, sampler.shard.Index(), sampler.shard.Count())
+		if e.lane != l.Index || e.lanes != l.Count {
+			return fmt.Errorf("abr: checkpoint lane %d/%d does not match env lane %d/%d", l.Index, l.Count, e.lane, e.lanes)
 		}
-		c, err := trace.RestoreCursor(st.Shard.Cursor)
+		c, err := trace.RestoreCursor(l.Cursor)
 		if err != nil {
 			return err
 		}
-		if c.Len() != sampler.shard.Len() {
-			return fmt.Errorf("abr: checkpoint cursor spans %d traces, env shard has %d", c.Len(), sampler.shard.Len())
+		if c.Len() != e.cursor.Len() {
+			return fmt.Errorf("abr: checkpoint cursor spans %d traces, env lane has %d", c.Len(), e.cursor.Len())
 		}
 		restored = c
-	} else if isSharded {
-		return fmt.Errorf("abr: env streams shard %d/%d but checkpoint carries no shard cursor", sampler.shard.Index(), sampler.shard.Count())
+	} else if e.cursor != nil {
+		return fmt.Errorf("abr: env streams lane %d/%d but checkpoint carries no lane cursor", e.lane, e.lanes)
 	}
 	if st.Session != nil {
 		if st.TraceIdx < 0 || st.TraceIdx >= len(e.Dataset.Traces) {
@@ -233,7 +255,7 @@ func (e *TrainEnv) SetEnvState(data []byte) error {
 		e.traceIdx = -1
 	}
 	if restored != nil {
-		sampler.cursor = restored
+		e.cursor = restored
 	}
 	e.rng.SetState(st.RNG)
 	return nil
@@ -257,12 +279,11 @@ func (e *TrainEnv) ActionSpec() rl.ActionSpec {
 // PensieveProblem is the one Pensieve training problem: a categorical policy
 // over the bitrate ladder, PPO at the canonical rollout size and learning
 // rate, and one TrainEnv per lane with its own sampling stream, lane w of W
-// streaming shard w of the dataset's W-way round-robin partition in
-// deterministic epoch-reshuffled order (a one-lane partition is the whole
-// dataset, sampled uniformly). TrainPensieve, both phases of
-// core.TrainRobustPensieve and internal/dist's "pensieve" domain are all
-// built from it. Envs fails when lanes exceeds the dataset size (every
-// shard must own a trace).
+// streaming traces w, w+W, … in deterministic epoch-reshuffled order (one
+// lane samples the whole dataset uniformly). TrainPensieve, both phases of
+// core.TrainRobustPensieve, cmd/advtrain's pensieve target and
+// internal/dist's "pensieve" domain are all built from it. Envs fails when
+// lanes exceeds the dataset size (every lane must own a trace).
 func PensieveProblem(video *Video, dataset *trace.Dataset, rttS float64) rl.Problem {
 	cfg := rl.DefaultPPOConfig()
 	cfg.RolloutSteps = 1024
@@ -274,34 +295,26 @@ func PensieveProblem(video *Video, dataset *trace.Dataset, rttS float64) rl.Prob
 		},
 		Config: cfg,
 		Envs: func(lanes int, rng *mathx.RNG) (rl.EnvFactory, error) {
-			shards, err := trace.NewShardedDataset(dataset, lanes)
-			if err != nil {
-				return nil, err
+			if lanes > len(dataset.Traces) {
+				return nil, fmt.Errorf("abr: %d lanes exceed dataset size %d (every lane must own a trace)", lanes, len(dataset.Traces))
 			}
 			rngs := make([]*mathx.RNG, lanes)
 			for i := range rngs {
 				rngs[i] = rng.Split()
 			}
 			return func(lane int) rl.Env {
-				return NewTrainEnvSharded(video, dataset, DefaultSessionConfig(), rttS, rngs[lane], shards.Shard(lane))
+				return newLaneEnv(video, dataset, DefaultSessionConfig(), rttS, rngs[lane], lane, lanes)
 			}, nil
 		},
 	}
 }
 
 // TrainPensieve trains a fresh Pensieve agent on the dataset for the given
-// number of PPO iterations and returns the protocol together with the
-// trainer (so training can be resumed, e.g. to inject adversarial traces as
-// in §2.3 of the paper).
+// number of PPO iterations on one lane and returns the protocol together
+// with the trainer (so training can be resumed, e.g. to inject adversarial
+// traces as in §2.3 of the paper).
 func TrainPensieve(video *Video, dataset *trace.Dataset, iterations int, rng *mathx.RNG) (*Pensieve, *rl.PPO, error) {
-	return TrainPensieveSharded(video, dataset, iterations, 1, rng)
-}
-
-// TrainPensieveSharded is TrainPensieve on `workers` rollout lanes (see
-// PensieveProblem for what each lane streams). For a fixed worker count the
-// run is reproducible run-to-run; workers ≤ 1 is TrainPensieve.
-func TrainPensieveSharded(video *Video, dataset *trace.Dataset, iterations, workers int, rng *mathx.RNG) (*Pensieve, *rl.PPO, error) {
-	ppo, _, err := rl.Train(PensieveProblem(video, dataset, 0.08), rl.TrainOptions{Iterations: iterations, Workers: workers}, rng)
+	ppo, _, err := rl.Train(PensieveProblem(video, dataset, 0.08), rl.TrainOptions{Iterations: iterations}, rng)
 	if err != nil {
 		return nil, nil, err
 	}

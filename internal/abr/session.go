@@ -289,9 +289,18 @@ func RestoreSession(video *Video, link Link, cfg SessionConfig, st SessionState)
 	s.timeS = st.TimeS
 	s.totalQoE = st.TotalQoE
 	s.totalRebufS = st.TotalRebufS
-	s.results = append([]StepResult(nil), st.Results...)
-	s.throughputHist = mathx.CopyOf(st.ThroughputHist)
-	s.downloadHist = mathx.CopyOf(st.DownloadHist)
+	if cfg.HistoryCap > 0 {
+		s.results = append([]StepResult(nil), st.Results...)
+		s.throughputHist = mathx.CopyOf(st.ThroughputHist)
+		s.downloadHist = mathx.CopyOf(st.DownloadHist)
+		return s, nil
+	}
+	// A full session appends one result and one sample of each history per
+	// chunk: reserve the whole video once, so those appends never regrow.
+	n := video.NumChunks()
+	s.results = append(make([]StepResult, 0, n), st.Results...)
+	s.throughputHist = append(make([]float64, 0, n), st.ThroughputHist...)
+	s.downloadHist = append(make([]float64, 0, n), st.DownloadHist...)
 	return s, nil
 }
 

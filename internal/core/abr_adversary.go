@@ -275,8 +275,8 @@ func cloneTargets(target abr.Protocol, lanes int) ([]abr.Protocol, error) {
 // ABREnvFactory returns an rl.EnvFactory producing one independent adversary
 // environment per rollout worker, each over its own protocol instance (see
 // cloneTargets). ABREnv streams no trace dataset — the adversary emits the
-// bandwidths itself — so the lane ↔ shard rule of DESIGN.md §8.3 has nothing
-// to shard here.
+// bandwidths itself — so DESIGN.md §8.3's rule for a lane's traces has
+// nothing to split here.
 func ABREnvFactory(video *abr.Video, target abr.Protocol, cfg ABRAdversaryConfig, workers int) (rl.EnvFactory, error) {
 	targets, err := cloneTargets(target, workers)
 	if err != nil {

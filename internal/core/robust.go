@@ -32,10 +32,10 @@ type RobustTrainConfig struct {
 	LR           float64
 	RTTSeconds   float64
 	// Workers is the number of rollout lanes collecting the protocol's
-	// training rollouts (phases 1 and 4); lane w streams shard w of the
-	// phase's dataset (abr.PensieveProblem), and shard cursors ride along
-	// in checkpoints (DESIGN.md §8.3), so Workers must not exceed
-	// len(dataset.Traces). The adversary of step (2) parallelizes
+	// training rollouts (phases 1 and 4); lane w of W streams traces w,
+	// w+W, … of the phase's dataset (abr.PensieveProblem), and the lanes'
+	// cursors ride along in checkpoints (DESIGN.md §8.3), so Workers must
+	// not exceed len(dataset.Traces). The adversary of step (2) parallelizes
 	// separately via AdvOpt.Workers. Workers ≤ 1 is one lane on the calling
 	// goroutine over the whole dataset.
 	Workers int

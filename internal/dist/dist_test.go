@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -71,8 +72,8 @@ func localRun(t *testing.T, spec PensieveSpec, lanes, iters int) (*rl.PPO, []rl.
 }
 
 // TestDistPensieveDomainMatchesInProcessTrainer: the "pensieve" domain's
-// trainer is the trainer abr.TrainPensieveSharded builds over the video and
-// corpus the spec describes — not a look-alike of it. Every other identity
+// trainer is the trainer rl.Train builds from abr.PensieveProblem over the
+// video and corpus the spec describes — not a look-alike of it. Every other identity
 // test in this package compares the coordinator against dom.NewTrainer, so
 // this is the one that fails if the domain and the in-process entry point
 // are ever assembled separately again.
@@ -81,13 +82,13 @@ func TestDistPensieveDomainMatchesInProcessTrainer(t *testing.T) {
 	video := abr.NewVideo(mathx.NewRNG(1), abr.DefaultVideoConfig())
 	ds := trace.GenerateFCCLikeDataset(mathx.NewRNG(spec.DatasetSeed), trace.DefaultFCCLike(), spec.Traces, "fcc-like")
 	for _, W := range []int{1, 4} {
-		_, inProcess, err := abr.TrainPensieveSharded(video, ds, 2, W, mathx.NewRNG(spec.Seed))
+		inProcess, _, err := rl.Train(abr.PensieveProblem(video, ds, 0.08), rl.TrainOptions{Iterations: 2, Workers: W}, mathx.NewRNG(spec.Seed))
 		if err != nil {
 			t.Fatal(err)
 		}
 		domain, _ := localRun(t, spec, W, 2)
 		if got, want := paramsFingerprint(domain), paramsFingerprint(inProcess); got != want {
-			t.Errorf("W=%d: domain trainer fingerprint %#x, abr.TrainPensieveSharded %#x", W, got, want)
+			t.Errorf("W=%d: domain trainer fingerprint %#x, rl.Train %#x", W, got, want)
 		}
 	}
 }
@@ -408,6 +409,42 @@ func TestWorkerCollectsLanesSideBySide(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitWorkerExit(t, worker)
+}
+
+// decodes counts the spec decodes of the test-only "counting" domain, which
+// is "mini" otherwise.
+var decodes atomic.Int32
+
+func init() {
+	domains["counting"] = func(raw json.RawMessage) (rl.Problem, uint64, error) {
+		decodes.Add(1)
+		return miniProblem(raw)
+	}
+}
+
+// TestWorkerDecodesSpecOnce: a worker serving four lanes decodes its spec
+// once, at the handshake, and builds every lane from that one problem, so
+// the lanes share the problem's inputs instead of regenerating them.
+func TestWorkerDecodesSpecOnce(t *testing.T) {
+	const W = 4
+	decodes.Store(0)
+	raw, _ := json.Marshal(miniSpec{Seed: 77, RolloutSteps: 40, PanicAt: -1})
+	c, err := NewCoordinator(Config{
+		Domain: "counting", Spec: raw, Lanes: W, Iterations: 2, Backoff: testBackoff(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	coordinator := decodes.Load()
+	worker := startWorker(t, c.Addr())
+	if _, err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	waitWorkerExit(t, worker)
+	if got := decodes.Load() - coordinator; got != 1 {
+		t.Fatalf("the worker decoded its spec %d times for %d lanes, want 1", got, W)
+	}
 }
 
 // TestDistMiniDomainGolden: the registry's second domain trains bitwise

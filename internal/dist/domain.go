@@ -30,7 +30,9 @@ func (d Domain) NewTrainer(spec json.RawMessage, lanes int) (*rl.PPO, rl.EnvFact
 	return rl.NewTrainer(pr, lanes, mathx.NewRNG(seed))
 }
 
-// NewLane builds the worker-side lane for one lane slot.
+// NewLane decodes the spec and builds the lane for one slot of a lanes-wide
+// run, on its own. A worker decodes its spec once and builds all its lanes
+// from that one rl.Problem instead.
 func (d Domain) NewLane(spec json.RawMessage, lane, lanes int) (*rl.Lane, error) {
 	pr, _, err := d(spec)
 	if err != nil {

@@ -12,9 +12,10 @@ import (
 
 // PensieveSpec parameterizes the "pensieve" domain: PPO training of the
 // Pensieve ABR agent on a synthetic FCC-like corpus (abr.PensieveProblem, the
-// problem abr.TrainPensieveSharded trains in process). The corpus is
-// regenerated deterministically from DatasetSeed on every process — a few
-// thousand floats of config crosses the wire instead of the corpus itself.
+// problem rl.Train trains in process). The corpus is regenerated
+// deterministically from DatasetSeed once per process — a few numbers of
+// config cross the wire instead of the corpus itself — and a worker's lanes
+// share it read-only.
 type PensieveSpec struct {
 	Seed        uint64 `json:"seed"`         // model/trainer seed
 	DatasetSeed uint64 `json:"dataset_seed"` // corpus generation seed

@@ -51,17 +51,19 @@ func (e *DialError) Error() string {
 
 func (e *DialError) Unwrap() error { return e.Err }
 
-// workerSession is the state a worker keeps across reconnects: the resolved
-// domain, its lanes, the last parameter broadcast and the read buffer. Lanes
-// are built lazily per lane index — a worker only pays for the lanes
-// actually assigned to it — and survive reconnects (their contents are
-// overwritten from the wire before every collect, so staleness is
-// impossible by construction).
+// workerSession is the state a worker keeps across reconnects: the problem
+// its spec decodes to (decoded once, at the first handshake), its lanes, the
+// last parameter broadcast and the read buffer. Lanes are built lazily per
+// lane index from the one problem — a worker only pays for the lanes
+// actually assigned to it, and they share the problem's video and corpus
+// read-only — and survive reconnects (their contents are overwritten from
+// the wire before every collect, so staleness is impossible by
+// construction).
 type workerSession struct {
 	domainName string
-	dom        Domain
 	spec       json.RawMessage
-	laneCount  int
+	problem    rl.Problem
+	laneCount  int // 0 until the first handshake
 	lanes      map[int]*workerLane
 
 	in            frameReader
@@ -124,9 +126,10 @@ func isFatalWorkerError(err error) bool {
 	return false
 }
 
-// sessionMismatchError reports a coordinator whose spec changed between
-// reconnects — a different run took over the address; continuing would mix
-// two training runs' state.
+// sessionMismatchError reports a session this worker cannot serve: a spec it
+// cannot adopt (a lane count below one, a spec its domain does not decode),
+// or one that changed between reconnects — a different run took over the
+// address; continuing would mix two training runs' state.
 type sessionMismatchError struct{ reason string }
 
 func (e *sessionMismatchError) Error() string {
@@ -153,7 +156,7 @@ func (s *workerSession) handshake(conn net.Conn) error {
 	if err := json.Unmarshal(body, &spec); err != nil {
 		return &FrameError{Op: "handshake", Reason: fmt.Sprintf("spec payload: %v", err)}
 	}
-	if s.dom == nil {
+	if s.laneCount == 0 {
 		dom, err := LookupDomain(spec.Domain)
 		if err != nil {
 			return err
@@ -161,7 +164,11 @@ func (s *workerSession) handshake(conn net.Conn) error {
 		if spec.Lanes <= 0 {
 			return &sessionMismatchError{reason: fmt.Sprintf("lane count %d", spec.Lanes)}
 		}
-		s.domainName, s.dom, s.spec, s.laneCount = spec.Domain, dom, spec.Spec, spec.Lanes
+		pr, _, err := dom(spec.Spec)
+		if err != nil {
+			return &sessionMismatchError{reason: fmt.Sprintf("spec does not decode: %v", err)}
+		}
+		s.domainName, s.spec, s.problem, s.laneCount = spec.Domain, spec.Spec, pr, spec.Lanes
 		return nil
 	}
 	if spec.Domain != s.domainName || spec.Lanes != s.laneCount || string(spec.Spec) != string(s.spec) {
@@ -245,7 +252,7 @@ func (w *workerLane) collect(s *workerSession, req *laneRequest, version uint64)
 		return fmt.Errorf("collect under params version %d, worker holds %d", version, s.paramsVersion)
 	}
 	if w.lane == nil {
-		l, err := s.dom.NewLane(s.spec, req.Lane, s.laneCount)
+		l, err := s.problem.Lane(req.Lane, s.laneCount)
 		if err != nil {
 			return err
 		}

@@ -22,8 +22,8 @@ type Problem struct {
 	Config PPOConfig
 	// Envs prepares a run's environments: it draws whatever per-lane
 	// streams they need from rng, in lane order, and returns the factory
-	// that builds lane i's environment (lane w of a dataset-backed problem
-	// streams shard w of the lanes-way partition).
+	// that builds lane i's environment (lane w of W of a dataset-backed
+	// problem streams traces w, w+W, …).
 	Envs func(lanes int, rng *mathx.RNG) (EnvFactory, error)
 }
 
