@@ -45,9 +45,13 @@ race:
 # policy and the value net on two goroutines, and a dist worker runs the
 # lanes of one collect frame on a goroutine each; both run one after the
 # other on one core and side by side on more, and the rl and dist goldens
-# must hold either way.
+# must hold either way. The lane count, not the core count, is part of a
+# run's identity: TestTrainersOneLanePath pins the robust pipeline and the
+# four adversary trainers at lanes 0, 1 and 4 to fixed fingerprints, and
+# must hold at every core count.
 cpus:
 	$(GO) test -count=1 -cpu 1,2,4 ./internal/serve ./internal/rl ./internal/dist
+	$(GO) test -count=1 -cpu 1,2,4 -run 'TestTrainersOneLanePath' ./internal/core
 
 # "Is it still correct and allocation-neutral?" The repository benchmark
 # (bench/e2e, BENCHMARK.json) is a module of its own that
@@ -144,7 +148,13 @@ bench-ab:
 # abr.TrainEnv holds its lane, the lane count and a trace.Cursor, so
 # ShardedDataset, ShardTraceSampler, NewTrainEnvSharded, TrainPensieveSharded
 # or a Dataset.Shard method in any .go file under internal/ or cmd/ is the
-# deleted shard layer coming back between the lane and its data.
+# deleted shard layer coming back between the lane and its data. And lanes
+# decide results, GOMAXPROCS decides speed: the lane count is rl.TrainOptions'
+# and experiments.Config's Lanes, so the word Workers in non-test Go under
+# internal/rl or internal/experiments is the old name of the lane count
+# coming back, and a "workers" flag in advtrain, robustify, experiments,
+# abreval, regress or swarm is a goroutine count that cannot change a result
+# or a lane count under a hardware name.
 seam-check:
 	@n=$$(grep -rn 'NewPPO(' --include='*.go' --exclude-dir=.bench_build . | grep -v '_test\.go:' | grep -vc '^\./bench/e2e/'); \
 	if [ $$n -gt 2 ]; then echo "seam-check: NewPPO( on $$n non-test lines, want <= 2 (build trainers with rl.NewTrainer)"; exit 1; fi
@@ -188,6 +198,9 @@ seam-check:
 	if [ -n "$$f" ]; then echo "seam-check: a go statement in $$f (a worker's lanes fan out through par.Run only)"; exit 1; fi
 	@f=$$(grep -rlwE 'ShardedDataset|ShardTraceSampler|NewTrainEnvSharded|TrainPensieveSharded|func \(d \*Dataset\) Shard' --include='*.go' internal cmd); \
 	if [ -n "$$f" ]; then echo "seam-check: the shard layer in $$f (lane w of W streams traces w, w+W, … through abr.TrainEnv's own cursor)"; exit 1; fi
+	@f=$$( (grep -rlw 'Workers' --include='*.go' internal/rl internal/experiments | grep -v '_test\.go$$'; \
+		grep -rlE '(^|[^[:alnum:]_])(flag|fs)\.[[:alnum:]]+\([^)]*"workers"' --include='*.go' cmd/advtrain cmd/robustify cmd/experiments cmd/abreval cmd/regress cmd/swarm) | sort -u); \
+	if [ -n "$$f" ]; then echo "seam-check: a workers knob in $$f (the lane count is Lanes and -lanes; evaluation and swarm groups fan out over GOMAXPROCS)"; exit 1; fi
 
 # "Is the tree still as small as it was?" Counts the lines of non-test Go
 # under internal/, cmd/ and bench/, and of internal/nn's assembly, and fails

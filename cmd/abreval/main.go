@@ -14,6 +14,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"runtime"
 	"strings"
 
 	"advnet/internal/abr"
@@ -31,7 +32,6 @@ func main() {
 	protos := flag.String("protocols", "bb,mpc,rate,bola", "comma-separated protocols: "+abr.Names())
 	replay := flag.String("replay", "chunk", "replay semantic: chunk (per-chunk bandwidth) or wall (wall-time)")
 	seed := flag.Uint64("seed", 1, "seed for generation")
-	workers := flag.Int("workers", 1, "parallel evaluation sessions (>1 fans traces out across goroutines; results are identical for any value)")
 	flag.Parse()
 
 	var ds *trace.Dataset
@@ -69,9 +69,9 @@ func main() {
 		}
 		var q []float64
 		if *replay == "chunk" {
-			q, err = core.EvaluateABRChunked(video, ds, p, 0.08, *workers)
+			q, err = core.EvaluateABRChunked(video, ds, p, 0.08, runtime.GOMAXPROCS(0))
 		} else {
-			q, err = core.EvaluateABR(video, ds, p, 0.08, *workers)
+			q, err = core.EvaluateABR(video, ds, p, 0.08, runtime.GOMAXPROCS(0))
 		}
 		if err != nil {
 			log.Fatal(err)

@@ -4,13 +4,14 @@
 // Usage:
 //
 //	advtrain -domain abr -target bb|mpc|rate|bola -o adversary.json [-traces-out traces.json -n 50]
-//	advtrain -domain abr -target pensieve -pretrain-iters 20 -workers 4 -o adversary.json
+//	advtrain -domain abr -target pensieve -pretrain-iters 20 -lanes 4 -o adversary.json
 //	advtrain -domain cc  -target bbr|cubic|reno|copa|vivace|htcp -o adversary.json
 //
 // The pensieve target is trained from scratch on a synthetic FCC-like corpus
-// before the adversary attacks it; with -workers W > 1, lane w streams traces
-// w, w+W, … of that corpus. The adversary environments themselves are dataset-free (the
-// adversary emits the bandwidths).
+// before the adversary attacks it; with -lanes L > 1, lane l streams traces
+// l, l+L, … of that corpus. The adversary environments themselves are
+// dataset-free (the adversary emits the bandwidths). The lane count is part
+// of a run's identity; GOMAXPROCS changes only its speed.
 package main
 
 import (
@@ -37,7 +38,7 @@ func main() {
 	n := flag.Int("n", 50, "number of traces to generate with -traces-out")
 	iters := flag.Int("iters", 0, "PPO iterations (0 = domain default)")
 	seed := flag.Uint64("seed", 1, "training seed")
-	workers := flag.Int("workers", 1, "parallel rollout workers, one rollout lane each (1 = one lane); with W workers the pensieve target's lane w streams traces w, w+W, … of its corpus. The trained models depend on the worker count")
+	lanes := flag.Int("lanes", 1, "rollout lanes of every training (1 = one lane); with L lanes the pensieve target's lane l streams traces l, l+L, … of its corpus. The trained models depend on the lane count, not on GOMAXPROCS")
 	pretrainIters := flag.Int("pretrain-iters", 20, "PPO iterations for pretraining the pensieve target")
 	ckptDir := flag.String("checkpoint-dir", "", "directory for periodic crash-safe training checkpoints (empty = disabled)")
 	ckptEvery := flag.Int("checkpoint-every", 1, "save a checkpoint every N training iterations")
@@ -57,7 +58,7 @@ func main() {
 	if *iters > 0 {
 		opt.Iterations = *iters
 	}
-	opt.Workers = *workers
+	opt.Lanes = *lanes
 	opt.Checkpoint = ckpt
 
 	rng := mathx.NewRNG(*seed)
@@ -67,9 +68,9 @@ func main() {
 		var proto abr.Protocol
 		if *target == "pensieve" {
 			corpus := trace.GenerateFCCLikeDataset(rng.Split(), trace.DefaultFCCLike(), 40, "fcc")
-			log.Printf("pretraining pensieve target on %d traces (%d workers, %d iterations)...",
-				len(corpus.Traces), *workers, *pretrainIters)
-			ppo, _, err := rl.Train(abr.PensieveProblem(video, corpus, 0.08), rl.TrainOptions{Iterations: *pretrainIters, Workers: *workers}, rng.Split())
+			log.Printf("pretraining pensieve target on %d traces (%d lanes, %d iterations)...",
+				len(corpus.Traces), *lanes, *pretrainIters)
+			ppo, _, err := rl.Train(abr.PensieveProblem(video, corpus, 0.08), rl.TrainOptions{Iterations: *pretrainIters, Lanes: *lanes}, rng.Split())
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -77,7 +78,7 @@ func main() {
 		} else if proto, err = abr.New(*target); err != nil {
 			log.Fatal(err)
 		}
-		log.Printf("training ABR adversary against %s for %d iterations (%d workers)...", proto.Name(), opt.Iterations, *workers)
+		log.Printf("training ABR adversary against %s for %d iterations (%d lanes)...", proto.Name(), opt.Iterations, *lanes)
 		adv, stats, err := core.TrainABRAdversary(video, proto, core.DefaultABRAdversaryConfig(), opt, rng)
 		if err != nil {
 			log.Fatal(err)
@@ -100,7 +101,7 @@ func main() {
 			log.Fatal(err)
 		}
 		newCC := func() netem.CongestionController { c, _ := cc.New(*target); return c }
-		log.Printf("training CC adversary against %s for %d iterations (%d workers)...", *target, opt.Iterations, *workers)
+		log.Printf("training CC adversary against %s for %d iterations (%d lanes)...", *target, opt.Iterations, *lanes)
 		adv, stats, err := core.TrainCCAdversary(newCC, core.DefaultCCAdversaryConfig(), opt, rng)
 		if err != nil {
 			log.Fatal(err)

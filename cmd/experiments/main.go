@@ -2,14 +2,15 @@
 //
 // Usage:
 //
-//	experiments [-full] [-seed N] [-workers N] [artifact|all]
+//	experiments [-full] [-seed N] [-lanes N] [artifact|all]
 //
 // where artifact is one of table1, fig1, fig2, fig3, fig4, fig5, fig6,
 // ablations, routing or regression (fig1/fig2 and fig5/fig6 each name one
 // shared run). By default it runs with the reduced Fast budgets (a few
 // minutes for everything); -full uses budgets comparable to the paper's
 // (600k adversary steps, 200 evaluation traces) and takes correspondingly
-// longer.
+// longer. -lanes (every training's lane count) changes results; GOMAXPROCS
+// does not.
 package main
 
 import (
@@ -78,7 +79,7 @@ func main() {
 	log.SetFlags(0)
 	full := flag.Bool("full", false, "use paper-scale budgets")
 	seed := flag.Uint64("seed", 1, "experiment seed")
-	workers := flag.Int("workers", 1, "parallel workers for training rollouts and evaluation sweeps (evaluation results are identical for any value; trained results depend on it, one rollout lane per worker)")
+	lanes := flag.Int("lanes", 1, "rollout lanes of every training (trained results depend on it, not on GOMAXPROCS)")
 	var names []string
 	for _, a := range artifacts {
 		names = append(names, a.names...)
@@ -94,7 +95,7 @@ func main() {
 		cfg = experiments.Full()
 	}
 	cfg.Seed = *seed
-	cfg.Workers = *workers
+	cfg.Lanes = *lanes
 
 	which := "all"
 	if flag.NArg() > 0 {

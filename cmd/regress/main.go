@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"runtime"
 
 	"advnet/internal/abr"
 	"advnet/internal/core"
@@ -46,7 +47,6 @@ func main() {
 		protoName := fs.String("protocol", "bb", "protocol to record: "+abr.Names())
 		out := fs.String("o", "suite.json", "output suite path")
 		rtt := fs.Float64("rtt", 0.08, "round-trip seconds")
-		workers := fs.Int("workers", 1, "parallel evaluation sessions (baseline is identical for any value)")
 		_ = fs.Parse(os.Args[2:])
 		if *tracesPath == "" {
 			log.Fatal("need -traces FILE (generate one with advtrain -traces-out)")
@@ -55,7 +55,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		suite, err := core.NewABRRegressionSuite(video, protocolByName(*protoName), ds, *rtt, *workers)
+		suite, err := core.NewABRRegressionSuite(video, protocolByName(*protoName), ds, *rtt, runtime.GOMAXPROCS(0))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -70,13 +70,12 @@ func main() {
 		suitePath := fs.String("suite", "suite.json", "suite recorded by `regress record`")
 		protoName := fs.String("protocol", "bb", "protocol to check: "+abr.Names())
 		tolerance := fs.Float64("tolerance", 0.1, "allowed mean-QoE drop before failing")
-		workers := fs.Int("workers", 1, "parallel evaluation sessions (measurements are identical for any value)")
 		_ = fs.Parse(os.Args[2:])
 		suite, err := core.LoadABRRegressionSuite(*suitePath)
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := suite.Check(video, protocolByName(*protoName), *tolerance, *workers)
+		res, err := suite.Check(video, protocolByName(*protoName), *tolerance, runtime.GOMAXPROCS(0))
 		if err != nil {
 			log.Fatal(err)
 		}

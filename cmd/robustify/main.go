@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"log"
+	"runtime"
 
 	"advnet/internal/abr"
 	"advnet/internal/core"
@@ -31,7 +32,7 @@ func main() {
 	advIters := flag.Int("adv-iters", 80, "adversary PPO iterations")
 	nTraces := flag.Int("n", 25, "adversarial traces to inject")
 	seed := flag.Uint64("seed", 1, "training seed")
-	workers := flag.Int("workers", 1, "parallel rollout workers for both the protocol and the adversary, one rollout lane each (1 = one lane); with W workers the protocol's lane w streams traces w, w+W, … of the training dataset in deterministic epoch-reshuffled order. The trained policy depends on the worker count")
+	lanes := flag.Int("lanes", 1, "rollout lanes for both the protocol and the adversary (1 = one lane); with L lanes the protocol's lane l streams traces l, l+L, … of the training dataset in deterministic epoch-reshuffled order. The trained policy depends on the lane count, not on GOMAXPROCS")
 	ckptDir := flag.String("checkpoint-dir", "", "directory for periodic crash-safe training checkpoints (empty = disabled)")
 	ckptEvery := flag.Int("checkpoint-every", 1, "save a checkpoint every N protocol-training iterations")
 	resume := flag.Bool("resume", false, "continue from the checkpoints in -checkpoint-dir (required when it is not empty)")
@@ -63,11 +64,11 @@ func main() {
 	cfg.TotalIterations = *iters
 	cfg.InjectAtFrac = *inject
 	cfg.AdversarialTraces = *nTraces
-	cfg.AdvOpt = core.TrainOptions{Iterations: *advIters, RolloutSteps: 1536, LR: 1e-3, Workers: *workers}
-	cfg.Workers = *workers
+	cfg.AdvOpt = core.TrainOptions{Iterations: *advIters, RolloutSteps: 1536, LR: 1e-3, Lanes: *lanes}
+	cfg.Workers = *lanes
 	cfg.Checkpoint = ckpt
 
-	log.Printf("training on %q (%d traces), injecting at %.0f%%, %d workers...", ds.Name, len(ds.Traces), 100**inject, *workers)
+	log.Printf("training on %q (%d traces), injecting at %.0f%%, %d lanes...", ds.Name, len(ds.Traces), 100**inject, *lanes)
 	res, err := core.TrainRobustPensieve(video, ds, cfg, rng.Split())
 	if err != nil {
 		log.Fatal(err)
@@ -86,7 +87,7 @@ func main() {
 	}
 
 	// Quick self-evaluation on the training distribution.
-	q, err := core.EvaluateABR(video, ds, res.Protocol, cfg.RTTSeconds, *workers)
+	q, err := core.EvaluateABR(video, ds, res.Protocol, cfg.RTTSeconds, runtime.GOMAXPROCS(0))
 	if err != nil {
 		log.Fatal(err)
 	}

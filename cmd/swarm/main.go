@@ -1,8 +1,8 @@
 // Command swarm simulates a swarm of concurrent ABR clients sharing
 // bottleneck links on one virtual clock and reports machine-readable QoE,
 // fairness, and throughput telemetry. It is the scale harness: 100k+
-// concurrent sessions on one machine with a deterministic,
-// worker-count-independent outcome.
+// concurrent sessions on one machine with a deterministic outcome: groups
+// fan out over GOMAXPROCS goroutines, which changes no result.
 //
 // Usage:
 //
@@ -53,7 +53,6 @@ func main() {
 	log.SetFlags(0)
 	clients := flag.Int("clients", 100_000, "total simulated viewers")
 	groups := flag.Int("groups", 1024, "independent shared bottlenecks")
-	workers := flag.Int("workers", 0, "OS parallelism (0 = GOMAXPROCS); never changes results")
 	seed := flag.Uint64("seed", 1, "master seed; same seed = bitwise-identical report")
 	protocol := flag.String("protocol", "mixed", "ABR protocol per client: "+abr.Names()+", comma-separable, mixed, or serve (all clients share one policy-serving engine)")
 	policyPath := flag.String("policy", "", "policy file for -protocol serve (empty = fresh random Pensieve net from -seed)")
@@ -107,7 +106,6 @@ func main() {
 	cfg := swarm.Config{
 		Clients:      *clients,
 		Groups:       *groups,
-		Workers:      *workers,
 		Seed:         *seed,
 		Video:        videoCfg,
 		NewProtocol:  newProto,
@@ -158,11 +156,7 @@ func main() {
 	reg := metrics.NewRegistry("swarm")
 	reg.SetConfig("clients", *clients)
 	reg.SetConfig("groups", *groups)
-	if *workers > 0 {
-		reg.SetConfig("workers", *workers)
-	} else {
-		reg.SetConfig("workers", runtime.GOMAXPROCS(0))
-	}
+	reg.SetConfig("workers", runtime.GOMAXPROCS(0))
 	reg.SetConfig("seed", *seed)
 	reg.SetConfig("protocol", *protocol)
 	reg.SetConfig("backend", *backend)

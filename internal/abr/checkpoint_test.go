@@ -1,6 +1,7 @@
 package abr
 
 import (
+	"reflect"
 	"testing"
 
 	"advnet/internal/mathx"
@@ -36,6 +37,38 @@ func TestSessionStateRoundTrip(t *testing.T) {
 	if !r.Done() || s.TotalQoE() != r.TotalQoE() || s.timeS != r.timeS {
 		t.Fatalf("final state diverged: QoE %v vs %v, time %v vs %v",
 			s.TotalQoE(), r.TotalQoE(), s.timeS, r.timeS)
+	}
+}
+
+// TestLeanSessionRestoresMidHistory: a lean session (HistoryCap > 0)
+// captured before its history reached HistoryCap samples restores into the
+// history capacity the uninterrupted session has, so both stream the rest
+// of the video with the same observations and bitwise-equal StepResults.
+func TestLeanSessionRestoresMidHistory(t *testing.T) {
+	video := testVideo(0.1)
+	ds := trace.GenerateFCCLikeDataset(mathx.NewRNG(3), trace.DefaultFCCLike(), 1, "fcc")
+	link := &TraceLink{Trace: ds.Traces[0], RTTSeconds: 0.08}
+	cfg := DefaultSessionConfig()
+	cfg.HistoryCap = 8
+
+	s := NewSession(video, link, cfg)
+	s.Step(0)
+	s.Step(1)
+	r, err := RestoreSession(video, link, cfg, s.State())
+	if err != nil {
+		t.Fatalf("RestoreSession: %v", err)
+	}
+	for !s.Done() {
+		if a, b := s.Observation(), r.Observation(); !reflect.DeepEqual(a, b) {
+			t.Fatalf("chunk %d observations diverged:\noriginal %+v\nrestored %+v", s.NextChunk(), a, b)
+		}
+		lvl := s.NextChunk() % video.Levels()
+		if a, b := s.Step(lvl), r.Step(lvl); a != b {
+			t.Fatalf("chunk %d diverged:\noriginal %+v\nrestored %+v", a.ChunkIndex, a, b)
+		}
+	}
+	if !r.Done() || s.TotalQoE() != r.TotalQoE() {
+		t.Fatalf("final state diverged: QoE %v vs %v", s.TotalQoE(), r.TotalQoE())
 	}
 }
 

@@ -291,7 +291,7 @@ func TestShardedVecResumeBitwise(t *testing.T) {
 }
 
 // TestTrainPensieveShardedSingleWorkerBitwise: rl.Train of PensieveProblem
-// at Workers 1 is TrainPensieve, bit for bit — the one-lane path.
+// at Lanes 1 is TrainPensieve, bit for bit — the one-lane path.
 func TestTrainPensieveShardedSingleWorkerBitwise(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training test")
@@ -307,7 +307,7 @@ func TestTrainPensieveShardedSingleWorkerBitwise(t *testing.T) {
 			}
 			return agent.Policy.Params()[0]
 		}
-		ppo, _, err := rl.Train(PensieveProblem(v, ds, 0.08), rl.TrainOptions{Iterations: 2, Workers: 1}, rng)
+		ppo, _, err := rl.Train(PensieveProblem(v, ds, 0.08), rl.TrainOptions{Iterations: 2, Lanes: 1}, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -328,8 +328,8 @@ func TestTrainPensieveShardedReproducible(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training test")
 	}
-	train := func(v *Video, ds *trace.Dataset, iters, workers int, rng *mathx.RNG) (*rl.PPO, error) {
-		ppo, _, err := rl.Train(PensieveProblem(v, ds, 0.08), rl.TrainOptions{Iterations: iters, Workers: workers}, rng)
+	train := func(v *Video, ds *trace.Dataset, iters, lanes int, rng *mathx.RNG) (*rl.PPO, error) {
+		ppo, _, err := rl.Train(PensieveProblem(v, ds, 0.08), rl.TrainOptions{Iterations: iters, Lanes: lanes}, rng)
 		return ppo, err
 	}
 	run := func() []float64 {

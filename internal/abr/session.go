@@ -289,10 +289,13 @@ func RestoreSession(video *Video, link Link, cfg SessionConfig, st SessionState)
 	s.timeS = st.TimeS
 	s.totalQoE = st.TotalQoE
 	s.totalRebufS = st.TotalRebufS
-	if cfg.HistoryCap > 0 {
+	if h := cfg.HistoryCap; h > 0 {
+		// pushLeanHist compacts when the histories are full, so they get the
+		// capacity an uninterrupted session's have, whatever their length.
+		c := max(2*h, len(st.ThroughputHist))
 		s.results = append([]StepResult(nil), st.Results...)
-		s.throughputHist = mathx.CopyOf(st.ThroughputHist)
-		s.downloadHist = mathx.CopyOf(st.DownloadHist)
+		s.throughputHist = append(make([]float64, 0, c), st.ThroughputHist...)
+		s.downloadHist = append(make([]float64, 0, c), st.DownloadHist...)
 		return s, nil
 	}
 	// A full session appends one result and one sample of each history per

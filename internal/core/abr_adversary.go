@@ -273,17 +273,17 @@ func cloneTargets(target abr.Protocol, lanes int) ([]abr.Protocol, error) {
 }
 
 // ABREnvFactory returns an rl.EnvFactory producing one independent adversary
-// environment per rollout worker, each over its own protocol instance (see
+// environment per rollout lane, each over its own protocol instance (see
 // cloneTargets). ABREnv streams no trace dataset — the adversary emits the
 // bandwidths itself — so DESIGN.md §8.3's rule for a lane's traces has
 // nothing to split here.
-func ABREnvFactory(video *abr.Video, target abr.Protocol, cfg ABRAdversaryConfig, workers int) (rl.EnvFactory, error) {
-	targets, err := cloneTargets(target, workers)
+func ABREnvFactory(video *abr.Video, target abr.Protocol, cfg ABRAdversaryConfig, lanes int) (rl.EnvFactory, error) {
+	targets, err := cloneTargets(target, lanes)
 	if err != nil {
 		return nil, err
 	}
-	return func(worker int) rl.Env {
-		return NewABREnv(video, targets[worker], cfg)
+	return func(lane int) rl.Env {
+		return NewABREnv(video, targets[lane], cfg)
 	}, nil
 }
 

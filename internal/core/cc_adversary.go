@@ -266,7 +266,7 @@ func DefaultCCTrainOptions() TrainOptions {
 // draws from its own stream, split from the training RNG in lane order. The
 // value net is deliberately larger than the paper's tiny policy: it only
 // aids training and does not constrain the learned adversary. With
-// opt.Workers > 1 newCC must be safe to call from multiple goroutines.
+// opt.Lanes > 1 newCC must be safe to call from multiple goroutines.
 // CCEnv does not checkpoint its emulator state, so a resumed run abandons
 // any half-collected episode.
 func TrainCCAdversary(newCC func() netem.CongestionController, cfg CCAdversaryConfig, opt TrainOptions, rng *mathx.RNG) (*CCAdversary, []rl.IterStats, error) {

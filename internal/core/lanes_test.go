@@ -85,14 +85,15 @@ func adversaryTrainers() []advTrainer {
 	}
 }
 
-// TestTrainersOneLanePath: the training entry points do not fork on Workers —
-// every worker count goes through the one lane runner. The fingerprints of
+// TestTrainersOneLanePath: the training entry points do not fork on the lane
+// count — every lane count goes through the one lane runner. The fingerprints of
 // the ABR, CC and trace adversary trainers and of the robust pipeline were
 // captured at the last commit that still had the forks: sequential is its
 // `Workers ≤ 1` branch (PPO.Train / PPO.TrainCheckpointed), w4 its VecRunner
 // branch. The routing trainer's were captured at the last commit before it
-// moved onto the rl seam, where it already ran Workers lanes. Workers 0 and
-// 1 must land on sequential, 4 on w4, bitwise.
+// moved onto the rl seam, where it already ran Workers lanes. Lanes 0 and 1
+// must land on sequential, 4 on w4, bitwise, at any GOMAXPROCS (`make cpus`
+// runs it at -cpu 1,2,4).
 func TestTrainersOneLanePath(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training test")
@@ -107,13 +108,13 @@ func TestTrainersOneLanePath(t *testing.T) {
 	}
 	type row struct {
 		name  string
-		train func(workers int) (uint64, error)
+		train func(lanes int) (uint64, error)
 	}
 	trainers := []row{
-		{"TrainRobustPensieve", func(workers int) (uint64, error) {
+		{"TrainRobustPensieve", func(lanes int) (uint64, error) {
 			v, ds := resumeTestData()
 			cfg := resumeTestCfg()
-			cfg.Workers = workers
+			cfg.Workers = lanes
 			res, err := TrainRobustPensieve(v, ds, cfg, mathx.NewRNG(77))
 			if err != nil {
 				return 0, err
@@ -123,9 +124,9 @@ func TestTrainersOneLanePath(t *testing.T) {
 	}
 	for _, tr := range adversaryTrainers() {
 		tr := tr
-		trainers = append(trainers, row{tr.name, func(workers int) (uint64, error) {
+		trainers = append(trainers, row{tr.name, func(lanes int) (uint64, error) {
 			opt := tr.opt
-			opt.Workers = workers
+			opt.Lanes = lanes
 			params, stats, err := tr.train(opt)
 			return trainFingerprint(params, stats), err
 		}})
@@ -133,15 +134,15 @@ func TestTrainersOneLanePath(t *testing.T) {
 	for _, tr := range trainers {
 		g := goldens[tr.name]
 		for _, c := range []struct {
-			workers int
-			want    uint64
+			lanes int
+			want  uint64
 		}{{0, g.sequential}, {1, g.sequential}, {4, g.w4}} {
-			got, err := tr.train(c.workers)
+			got, err := tr.train(c.lanes)
 			if err != nil {
-				t.Fatalf("%s Workers=%d: %v", tr.name, c.workers, err)
+				t.Fatalf("%s Lanes=%d: %v", tr.name, c.lanes, err)
 			}
 			if got != c.want {
-				t.Errorf("%s Workers=%d: fingerprint %#016x, want %#016x", tr.name, c.workers, got, c.want)
+				t.Errorf("%s Lanes=%d: fingerprint %#016x, want %#016x", tr.name, c.lanes, got, c.want)
 			}
 		}
 	}
@@ -164,12 +165,12 @@ func TestAdversaryTrainersHonourEveryOption(t *testing.T) {
 			}
 			return trainFingerprint(params, stats)
 		}
-		w1, w4 := tr.opt, tr.opt
-		w1.Workers, w4.Workers = 1, 4
-		if a, b := fingerprint(w4), fingerprint(w4); a != b {
-			t.Errorf("%s: Workers=4 is not reproducible (%#x vs %#x)", tr.name, a, b)
-		} else if a == fingerprint(w1) {
-			t.Errorf("%s: Workers=4 trained exactly as Workers=1 — Workers ignored", tr.name)
+		l1, l4 := tr.opt, tr.opt
+		l1.Lanes, l4.Lanes = 1, 4
+		if a, b := fingerprint(l4), fingerprint(l4); a != b {
+			t.Errorf("%s: Lanes=4 is not reproducible (%#x vs %#x)", tr.name, a, b)
+		} else if a == fingerprint(l1) {
+			t.Errorf("%s: Lanes=4 trained exactly as Lanes=1 — Lanes ignored", tr.name)
 		}
 
 		// One iteration, then a second call resuming towards two: it must

@@ -176,7 +176,7 @@ func TestRobustResumeOverBareAdversary(t *testing.T) {
 	})
 }
 
-// TestRobustResumeAtPhaseBoundaryParallel is the Workers=2 variant, crashing
+// TestRobustResumeAtPhaseBoundaryParallel is the two-lane variant, crashing
 // in phase 2's first iteration (artifacts saved, phase-2 checkpoint
 // directory still empty). The resumed VecRunner loads phase 1's
 // boundary checkpoint into the shared trainer collector and runs zero

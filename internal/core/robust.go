@@ -31,13 +31,13 @@ type RobustTrainConfig struct {
 	RolloutSteps int
 	LR           float64
 	RTTSeconds   float64
-	// Workers is the number of rollout lanes collecting the protocol's
-	// training rollouts (phases 1 and 4); lane w of W streams traces w,
-	// w+W, … of the phase's dataset (abr.PensieveProblem), and the lanes'
-	// cursors ride along in checkpoints (DESIGN.md §8.3), so Workers must
-	// not exceed len(dataset.Traces). The adversary of step (2) parallelizes
-	// separately via AdvOpt.Workers. Workers ≤ 1 is one lane on the calling
-	// goroutine over the whole dataset.
+	// Workers is the protocol phases' lane count (phases 1 and 4): like
+	// rl.TrainOptions.Lanes, part of the run's identity. It becomes Lanes,
+	// with its one setter, in the benchmark's next change. Lane l of L
+	// streams traces l, l+L, … of the phase's dataset and the lanes' cursors
+	// ride along in checkpoints (DESIGN.md §8.3), so it must not exceed
+	// len(dataset.Traces). The adversary has its own AdvOpt.Lanes. Workers
+	// ≤ 1 is one lane on the calling goroutine over the whole dataset.
 	Workers int
 	// Checkpoint enables crash-safe training: the protocol phases save
 	// periodic atomic checkpoints under Checkpoint.Dir (in phase1/ and
@@ -89,14 +89,14 @@ func TrainRobustPensieve(video *abr.Video, dataset *trace.Dataset, cfg RobustTra
 	}
 	// Both protocol phases are the one Pensieve problem, over the original
 	// dataset and then the merged one, trained by the same trainer.
-	workers := max(1, cfg.Workers)
+	lanes := max(1, cfg.Workers)
 	problem := func(ds *trace.Dataset) rl.Problem {
 		pr := abr.PensieveProblem(video, ds, cfg.RTTSeconds)
 		pr.Config.RolloutSteps = cfg.RolloutSteps
 		pr.Config.LR = cfg.LR
 		return pr
 	}
-	ppo, envs, err := rl.NewTrainer(problem(dataset), workers, rng)
+	ppo, envs, err := rl.NewTrainer(problem(dataset), lanes, rng)
 	if err != nil {
 		return nil, err
 	}
@@ -129,7 +129,7 @@ func TrainRobustPensieve(video *abr.Video, dataset *trace.Dataset, cfg RobustTra
 	// every stream the problem split off for them is overwritten by the
 	// state restored from the checkpoint.
 	trainPhase := func(envs rl.EnvFactory, target int, pck rl.CheckpointConfig) ([]rl.IterStats, error) {
-		v, err := rl.NewVecRunner(ppo, envs, workers)
+		v, err := rl.NewVecRunner(ppo, envs, lanes)
 		if err != nil {
 			return nil, err
 		}
@@ -203,7 +203,7 @@ func TrainRobustPensieve(video *abr.Video, dataset *trace.Dataset, cfg RobustTra
 
 	// Step 4: continue training with the adversarial traces in the
 	// training dataset.
-	envs, err = problem(dataset.Merge(advTraces)).Envs(workers, rng)
+	envs, err = problem(dataset.Merge(advTraces)).Envs(lanes, rng)
 	if err != nil {
 		return nil, err
 	}

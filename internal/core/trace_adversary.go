@@ -119,7 +119,7 @@ func (e *traceEnv) ActionSpec() rl.ActionSpec {
 // DefaultTraceTrainOptions returns defaults; RolloutSteps counts whole traces
 // evaluated per iteration, and each costs a full video simulation plus an
 // offline-optimal solve, which is why §2.1 calls this approach slow — and
-// why it parallelizes well over opt.Workers.
+// why it parallelizes well over opt.Lanes.
 func DefaultTraceTrainOptions() TrainOptions {
 	return TrainOptions{Iterations: 40, RolloutSteps: 64, LR: 3e-3}
 }

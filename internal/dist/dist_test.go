@@ -82,7 +82,7 @@ func TestDistPensieveDomainMatchesInProcessTrainer(t *testing.T) {
 	video := abr.NewVideo(mathx.NewRNG(1), abr.DefaultVideoConfig())
 	ds := trace.GenerateFCCLikeDataset(mathx.NewRNG(spec.DatasetSeed), trace.DefaultFCCLike(), spec.Traces, "fcc-like")
 	for _, W := range []int{1, 4} {
-		inProcess, _, err := rl.Train(abr.PensieveProblem(video, ds, 0.08), rl.TrainOptions{Iterations: 2, Workers: W}, mathx.NewRNG(spec.Seed))
+		inProcess, _, err := rl.Train(abr.PensieveProblem(video, ds, 0.08), rl.TrainOptions{Iterations: 2, Lanes: W}, mathx.NewRNG(spec.Seed))
 		if err != nil {
 			t.Fatal(err)
 		}

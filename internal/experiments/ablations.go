@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 
 	"advnet/internal/abr"
@@ -113,7 +114,7 @@ func AblationOptBaseline(cfg Config) (*OptBaselineAblation, error) {
 		d := adv.GenerateTraces(video, target, mathx.NewRNG(cfg.Seed+811), cfg.Traces/2+1, "abl")
 		oracle := abr.NewOfflineOptimal()
 		oracle.RTTSeconds = cfg.RTTSeconds
-		targetQoE, err := core.EvaluateABRChunked(video, d, abr.NewMPC(), cfg.RTTSeconds, cfg.evalWorkers())
+		targetQoE, err := core.EvaluateABRChunked(video, d, abr.NewMPC(), cfg.RTTSeconds, runtime.GOMAXPROCS(0))
 		if err != nil {
 			return 0, 0, err
 		}

@@ -15,7 +15,7 @@ import (
 // The paper's claims, one row each. Every row runs its artifact once per
 // seed for seeds 1–5 at claimBudget, logs each seed's value, and requires
 // its predicate to hold on exactly `holds` of the five seeds. Each
-// (seed, Workers) pair is deterministic (DESIGN.md §8.1), so the count is a
+// (seed, Lanes) pair is deterministic (DESIGN.md §8.1), so the count is a
 // regression surface: it was measured at this budget, and a change that
 // moves it — either way — changes the count here and the "holds on k/5
 // seeds" line of EXPERIMENTS.md. A seed is never dropped and a margin never
@@ -28,7 +28,7 @@ import (
 
 // claimBudget is the one budget every claim is asserted at: Fast with fewer
 // protocol and adversary iterations, one restart and 20 evaluation traces,
-// with Workers pinned at 2 (results differ between 1 and 2 workers, and the
+// with Lanes pinned at 2 (results differ between 1 and 2 lanes, and the
 // hold counts below were measured at 2).
 func claimBudget(seed uint64) Config {
 	cfg := Fast()
@@ -38,7 +38,7 @@ func claimBudget(seed uint64) Config {
 	cfg.ABRAdvIters = 20
 	cfg.CCAdvIters = 30
 	cfg.Restarts = 1
-	cfg.Workers = 2
+	cfg.Lanes = 2
 	return cfg
 }
 

@@ -9,6 +9,7 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 
 	"advnet/internal/abr"
@@ -37,29 +38,19 @@ type Config struct {
 	Restarts      int // independent adversary trainings to pick the best of
 	Fig4Seeds     int // independent training seeds averaged in Figure 4
 	RTTSeconds    float64
-	// Workers > 1 parallelizes adversary training rollouts (rl.VecRunner)
-	// and every trace/episode evaluation sweep in the figure pipelines
-	// (core.EvaluateABR*); ≤ 1 keeps one lane and one evaluation worker
-	// (each PPO update still runs its two halves side by side). Evaluation
-	// results are identical for any worker count. Trained results are not:
-	// each worker is one rollout lane and the lanes partition the
-	// trajectory, so a trained adversary or protocol depends on Workers
-	// until lanes are split from workers.
-	Workers int
+	// Lanes is every adversary training's rollout lane count
+	// (rl.TrainOptions.Lanes; ≤ 1 is one lane). It is part of a run's
+	// identity: trained results are bitwise the same at any GOMAXPROCS for
+	// a fixed Lanes and differ between lane counts. Evaluation sweeps
+	// (core.EvaluateABR*) fan out over GOMAXPROCS goroutines, because their
+	// results are identical for any goroutine count (DESIGN.md §8.1).
+	Lanes int
 }
 
-// evalWorkers returns the worker count for evaluation fan-outs (≥ 1).
-func (c Config) evalWorkers() int {
-	if c.Workers > 1 {
-		return c.Workers
-	}
-	return 1
-}
-
-// evalChunkedMean evaluates a protocol over a dataset (chunk-indexed replay,
-// parallelized per c.Workers) and returns the mean QoE.
+// evalChunkedMean evaluates a protocol over a dataset (chunk-indexed replay)
+// and returns the mean QoE.
 func (c Config) evalChunkedMean(video *abr.Video, d *trace.Dataset, p abr.Protocol) (float64, error) {
-	q, err := core.EvaluateABRChunked(video, d, p, c.RTTSeconds, c.evalWorkers())
+	q, err := core.EvaluateABRChunked(video, d, p, c.RTTSeconds, runtime.GOMAXPROCS(0))
 	if err != nil {
 		return 0, err
 	}
@@ -229,7 +220,7 @@ func Figure1And2(cfg Config) (*Fig12Result, error) {
 	bb := abr.NewBB()
 	protocols := []abr.Protocol{pensieve, mpc, bb}
 
-	advOpt := core.TrainOptions{Iterations: cfg.ABRAdvIters, RolloutSteps: 1536, LR: 1e-3, Restarts: cfg.Restarts, Workers: cfg.Workers}
+	advOpt := core.TrainOptions{Iterations: cfg.ABRAdvIters, RolloutSteps: 1536, LR: 1e-3, Restarts: cfg.Restarts, Lanes: cfg.Lanes}
 	acfg := core.DefaultABRAdversaryConfig()
 
 	gen := func(target abr.Protocol, seed uint64, name string) (*trace.Dataset, error) {
@@ -253,7 +244,7 @@ func Figure1And2(cfg Config) (*Fig12Result, error) {
 	eval := func(name string, d *trace.Dataset) (QoESet, error) {
 		set := QoESet{TraceSet: name, QoE: map[string][]float64{}}
 		for _, p := range protocols {
-			q, err := core.EvaluateABRChunked(video, d, p, cfg.RTTSeconds, cfg.evalWorkers())
+			q, err := core.EvaluateABRChunked(video, d, p, cfg.RTTSeconds, runtime.GOMAXPROCS(0))
 			if err != nil {
 				return QoESet{}, err
 			}

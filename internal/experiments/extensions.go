@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 
 	"advnet/internal/abr"
@@ -32,7 +33,7 @@ func ExtensionRouting(cfg Config) (*RoutingExtensionResult, error) {
 	if iters < 10 {
 		iters = 10
 	}
-	opt := core.TrainOptions{Iterations: iters, RolloutSteps: 512, LR: 1e-3, Workers: cfg.Workers}
+	opt := core.TrainOptions{Iterations: iters, RolloutSteps: 512, LR: 1e-3, Lanes: cfg.Lanes}
 	adv, stats, err := core.TrainRoutingAdversary(top, routing.SPF{}, acfg, opt, mathx.NewRNG(cfg.Seed+900))
 	if err != nil {
 		return nil, err
@@ -90,7 +91,7 @@ func ExtensionRegression(cfg Config) (*RegressionExtensionResult, error) {
 		traces = append(traces, tr)
 	}
 	suite, err := core.NewABRRegressionSuite(video, abr.NewBB(),
-		&trace.Dataset{Name: "bb-attacks", Traces: traces}, cfg.RTTSeconds, cfg.evalWorkers())
+		&trace.Dataset{Name: "bb-attacks", Traces: traces}, cfg.RTTSeconds, runtime.GOMAXPROCS(0))
 	if err != nil {
 		return nil, err
 	}
@@ -101,10 +102,10 @@ func ExtensionRegression(cfg Config) (*RegressionExtensionResult, error) {
 	}
 	fixA := &abr.BB{ReservoirS: 8, CushionS: 14} // band 8-22 s
 	fixB := &abr.BB{ReservoirS: 11, CushionS: 1} // band 11-12 s
-	if res.FixA, err = suite.Check(video, fixA, 0.05, cfg.evalWorkers()); err != nil {
+	if res.FixA, err = suite.Check(video, fixA, 0.05, runtime.GOMAXPROCS(0)); err != nil {
 		return nil, err
 	}
-	if res.FixB, err = suite.Check(video, fixB, 0.05, cfg.evalWorkers()); err != nil {
+	if res.FixB, err = suite.Check(video, fixB, 0.05, runtime.GOMAXPROCS(0)); err != nil {
 		return nil, err
 	}
 	rerun := core.NewBBBufferPinner()

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 
 	"advnet/internal/abr"
@@ -50,7 +51,7 @@ func Figure4(cfg Config) (*Fig4Result, error) {
 		rcfg.TotalIterations = cfg.RobustIters
 		rcfg.InjectAtFrac = frac
 		rcfg.AdversarialTraces = cfg.RobustTraces
-		rcfg.AdvOpt = core.TrainOptions{Iterations: cfg.ABRAdvIters, RolloutSteps: 1536, LR: 1e-3, Restarts: cfg.Restarts, Workers: cfg.Workers}
+		rcfg.AdvOpt = core.TrainOptions{Iterations: cfg.ABRAdvIters, RolloutSteps: 1536, LR: 1e-3, Restarts: cfg.Restarts, Lanes: cfg.Lanes}
 		rcfg.RTTSeconds = cfg.RTTSeconds
 		res, err := core.TrainRobustPensieve(video, ds, rcfg, mathx.NewRNG(seed))
 		if err != nil {
@@ -96,7 +97,7 @@ func Figure4(cfg Config) (*Fig4Result, error) {
 			for _, es := range testSets {
 				cell := cellAt[es.name]
 				q := func(a *abr.Pensieve) ([]float64, error) {
-					return core.EvaluateABR(video, es.ds, a, cfg.RTTSeconds, cfg.evalWorkers())
+					return core.EvaluateABR(video, es.ds, a, cfg.RTTSeconds, runtime.GOMAXPROCS(0))
 				}
 				no, err := q(agents["noadv"])
 				if err != nil {
@@ -169,7 +170,7 @@ func Figure5And6(cfg Config) (*Fig56Result, error) {
 	acfg := core.DefaultCCAdversaryConfig()
 	opt := core.DefaultCCTrainOptions()
 	opt.Iterations = cfg.CCAdvIters
-	opt.Workers = cfg.Workers
+	opt.Lanes = cfg.Lanes
 	newBBR := func() netem.CongestionController { return cc.NewBBR() }
 
 	adv, _, err := core.TrainCCAdversary(newBBR, acfg, opt, mathx.NewRNG(cfg.Seed+700))

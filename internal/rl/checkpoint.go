@@ -62,18 +62,19 @@ const trainerKind = "ppo-vec"
 const legacyKind = "ppo"
 
 // ppoSnapshot is the trainer checkpoint payload. Lane 0's RNG is the trainer
-// RNG: RNG is authoritative and Workers[0].RNG a copy of it (absent from
-// files written before the layouts were unified).
+// RNG: RNG is authoritative and Lanes[0].RNG a copy of it (absent from
+// files written before the layouts were unified). Lanes keeps the key
+// "workers" of every older checkpoint.
 type ppoSnapshot struct {
-	Cfg     PPOConfig       `json:"cfg"`
-	Iter    int             `json:"iter"`
-	Policy  json.RawMessage `json:"policy"` // the policy's MarshalJSON
-	Value   json.RawMessage `json:"value"`
-	PolOpt  nn.AdamState    `json:"pol_opt"`
-	ValOpt  nn.AdamState    `json:"val_opt"`
-	RNG     mathx.RNGState  `json:"rng"`
-	Col     Episode         `json:"collector"` // always zero; the legacy kind's one lane
-	Workers []LaneState     `json:"workers,omitempty"`
+	Cfg    PPOConfig       `json:"cfg"`
+	Iter   int             `json:"iter"`
+	Policy json.RawMessage `json:"policy"` // the policy's MarshalJSON
+	Value  json.RawMessage `json:"value"`
+	PolOpt nn.AdamState    `json:"pol_opt"`
+	ValOpt nn.AdamState    `json:"val_opt"`
+	RNG    mathx.RNGState  `json:"rng"`
+	Col    Episode         `json:"collector"` // always zero; the legacy kind's one lane
+	Lanes  []LaneState     `json:"workers,omitempty"`
 }
 
 // restorePolicy loads an encoded policy into an existing policy in place
@@ -157,17 +158,17 @@ func (p *PPO) SaveLaneCheckpoint(path string, lanes []LaneState) error {
 		return err
 	}
 	rng := p.rng.State()
-	workers := append([]LaneState(nil), lanes...)
-	workers[0].RNG = rng
+	lanes = append([]LaneState(nil), lanes...)
+	lanes[0].RNG = rng
 	return WriteEnvelope(path, trainerKind, &ppoSnapshot{
-		Cfg:     p.cfg,
-		Iter:    p.iter,
-		Policy:  pol,
-		Value:   val,
-		PolOpt:  p.polOpt.State(),
-		ValOpt:  p.valOpt.State(),
-		RNG:     rng,
-		Workers: workers,
+		Cfg:    p.cfg,
+		Iter:   p.iter,
+		Policy: pol,
+		Value:  val,
+		PolOpt: p.polOpt.State(),
+		ValOpt: p.valOpt.State(),
+		RNG:    rng,
+		Lanes:  lanes,
 	})
 }
 
@@ -187,12 +188,12 @@ func (p *PPO) LoadLaneCheckpoint(path string) ([]LaneState, error) {
 		return nil, fmt.Errorf("rl: checkpoint %s: %w", path, err)
 	}
 	if kind == legacyKind {
-		snap.Workers = []LaneState{{Episode: snap.Col}}
+		snap.Lanes = []LaneState{{Episode: snap.Col}}
 	}
-	if len(snap.Workers) == 0 {
+	if len(snap.Lanes) == 0 {
 		return nil, fmt.Errorf("rl: checkpoint %s carries no lane states", path)
 	}
-	for i, ls := range snap.Workers[1:] {
+	for i, ls := range snap.Lanes[1:] {
 		if ls.RNG == (mathx.RNGState{}) {
 			return nil, fmt.Errorf("rl: checkpoint %s lane %d missing RNG state", path, i+1)
 		}
@@ -200,8 +201,8 @@ func (p *PPO) LoadLaneCheckpoint(path string) ([]LaneState, error) {
 	if err := p.restore(&snap); err != nil {
 		return nil, err
 	}
-	snap.Workers[0].RNG = snap.RNG
-	return snap.Workers, nil
+	snap.Lanes[0].RNG = snap.RNG
+	return snap.Lanes, nil
 }
 
 // restore loads a payload's trainer state into the trainer in place.

@@ -6,6 +6,8 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 
 	"advnet/internal/mathx"
@@ -253,6 +255,82 @@ func TestVecResumeBitwise(t *testing.T) {
 				t.Fatalf("resumed W=%d fingerprint %#x, uninterrupted %#x", workers, resFP, fullFP)
 			}
 		})
+	}
+}
+
+// TestResumeRefusesOtherLaneCount: the lane count is part of a run's
+// identity, so a checkpoint directory written at two lanes refuses a resume
+// at three with an error naming both counts and leaves every file as it was,
+// while a resume at two lanes under another GOMAXPROCS succeeds and trains
+// exactly the uninterrupted run.
+func TestResumeRefusesOtherLaneCount(t *testing.T) {
+	problem := Problem{
+		Nets: func(rng *mathx.RNG) (Policy, *nn.MLP) {
+			return NewGaussianPolicy(nn.NewMLP(rng, []int{1, 8, 1}, nn.Tanh), -0.5), nn.NewMLP(rng, []int{1, 8, 1}, nn.Tanh)
+		},
+		Config: DefaultPPOConfig(),
+		Envs: func(int, *mathx.RNG) (EnvFactory, error) {
+			return func(int) Env { return newCkptEnv() }, nil
+		},
+	}
+	train := func(dir string, lanes, iters int) (*PPO, error) {
+		opt := TrainOptions{Iterations: iters, RolloutSteps: 50, LR: 0.005, Lanes: lanes}
+		if dir != "" {
+			opt.Checkpoint = CheckpointConfig{Dir: dir, Every: 1}
+		}
+		p, _, err := Train(problem, opt, mathx.NewRNG(61))
+		return p, err
+	}
+	snapshot := func(dir string) map[string]string {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files := map[string]string{}
+		for _, e := range entries {
+			b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			files[e.Name()] = string(b)
+		}
+		return files
+	}
+
+	dir := t.TempDir()
+	if _, err := train(dir, 2, 2); err != nil {
+		t.Fatal(err)
+	}
+	before := snapshot(dir)
+	_, err := train(dir, 3, 3)
+	if err == nil || !strings.Contains(err.Error(), "has 2 lanes, runner has 3") {
+		t.Fatalf("resume at 3 lanes from a 2-lane checkpoint: err %v, want one naming 2 and 3 lanes", err)
+	}
+	after := snapshot(dir)
+	if len(after) != len(before) {
+		t.Fatalf("refused resume changed the directory: %d files, was %d", len(after), len(before))
+	}
+	for name, b := range before {
+		if after[name] != b {
+			t.Errorf("refused resume changed %s", name)
+		}
+	}
+
+	full, err := train("", 2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	procs := 1
+	if runtime.GOMAXPROCS(0) == 1 {
+		procs = 2
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	resumed, err := train(dir, 2, 3)
+	if err != nil {
+		t.Fatalf("resume at 2 lanes under GOMAXPROCS %d: %v", runtime.GOMAXPROCS(0), err)
+	}
+	if a, b := fingerprint(append(full.Policy.Params(), full.Value.Params()...), nil), fingerprint(append(resumed.Policy.Params(), resumed.Value.Params()...), nil); a != b {
+		t.Errorf("resumed at GOMAXPROCS %d: fingerprint %#x, uninterrupted %#x", runtime.GOMAXPROCS(0), b, a)
 	}
 }
 

@@ -70,8 +70,8 @@ func TestEnvOwnsObservation(t *testing.T) {
 		}
 	}
 	const iters = 3
-	train := func(reuse bool, workers int) uint64 {
-		p, stats, err := Train(problem(reuse), TrainOptions{Iterations: iters, Workers: workers}, mathx.NewRNG(91))
+	train := func(reuse bool, lanes int) uint64 {
+		p, stats, err := Train(problem(reuse), TrainOptions{Iterations: iters, Lanes: lanes}, mathx.NewRNG(91))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,9 +108,9 @@ func TestEnvOwnsObservation(t *testing.T) {
 		return [2]float64{total, float64(n)}
 	}
 
-	for _, w := range []int{1, 4} {
-		if fresh, reused := train(false, w), train(true, w); fresh != reused {
-			t.Errorf("Train Workers=%d: reused buffer %#x, fresh slices %#x", w, reused, fresh)
+	for _, l := range []int{1, 4} {
+		if fresh, reused := train(false, l), train(true, l); fresh != reused {
+			t.Errorf("Train Lanes=%d: reused buffer %#x, fresh slices %#x", l, reused, fresh)
 		}
 	}
 	if fresh, reused := collect(false), collect(true); fresh != reused {

@@ -8,10 +8,10 @@ import (
 // attached (SetMetrics): an iteration counter plus rollout/update phase
 // timers (bench/e2e's rl.rollout_s / rl.update_s probes attach one).
 // The rollout timer covers environment interaction (collection across all
-// workers for a VecRunner); the update timer covers advantage computation
+// lanes for a VecRunner); the update timer covers advantage computation
 // and the gradient steps. Timers are single-goroutine state — both phases
 // are observed from the training loop's goroutine, never from rollout
-// workers — so attaching metrics is allocation-free on the hot path and
+// lanes — so attaching metrics is allocation-free on the hot path and
 // cannot perturb determinism (no RNG draws, no shared state with the
 // collectors).
 type TrainMetrics struct {

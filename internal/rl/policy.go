@@ -17,7 +17,7 @@ import (
 // Policies keep internal scratch buffers so the Sample hot path allocates
 // nothing: the action slice returned by Sample is reused by the next Sample
 // call and must be copied by callers that need it to survive. A Policy is
-// therefore not safe for concurrent use; parallel rollout workers each hold
+// therefore not safe for concurrent use; parallel rollout lanes each hold
 // their own clone (see ClonePolicy).
 type Policy interface {
 	// Sample draws an action and returns it with its log-probability. The

@@ -82,14 +82,14 @@ type TrainOptions struct {
 	// reliably strong. Incompatible with Checkpoint (one directory cannot
 	// hold several independent runs).
 	Restarts int
-	// Workers is the number of rollout lanes (see VecRunner), each with its
+	// Lanes is the number of rollout lanes (see VecRunner), each with its
 	// own environment instance; RolloutSteps are split across them, so the
-	// data volume per iteration is unchanged. Workers ≤ 1 is one lane on the
-	// calling goroutine; the update's policy and value halves run side by
-	// side whatever Workers is. Results are reproducible for a fixed Workers
-	// and differ between worker counts (same seed, different trajectory
-	// partition).
-	Workers int
+	// data volume per iteration is unchanged. Lanes ≤ 1 is one lane on the
+	// calling goroutine. Lanes are part of the run's identity: results are
+	// bitwise the same at any GOMAXPROCS for a fixed Lanes and differ
+	// between lane counts (same seed, different trajectory partition), and
+	// a checkpoint refuses to resume at another lane count.
+	Lanes int
 	// Checkpoint enables crash-safe training: periodic atomic trainer
 	// checkpoints under Checkpoint.Dir with automatic resume (see
 	// CheckpointConfig). An environment that does not implement
@@ -140,7 +140,7 @@ func Train(pr Problem, opt TrainOptions, rng *mathx.RNG) (*PPO, []IterStats, err
 }
 
 func trainOnce(pr Problem, opt TrainOptions, rng *mathx.RNG) (*PPO, []IterStats, error) {
-	lanes := max(1, opt.Workers)
+	lanes := max(1, opt.Lanes)
 	ppo, factory, err := NewTrainer(pr, lanes, rng)
 	if err != nil {
 		return nil, nil, err

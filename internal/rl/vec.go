@@ -11,7 +11,7 @@ import (
 // called once per lane, in lane order, at VecRunner construction time.
 // Lane 0 always exists; factories that need per-lane randomness should
 // derive it deterministically from the lane index so runs are reproducible.
-type EnvFactory func(worker int) Env
+type EnvFactory func(lane int) Env
 
 // VecRunner drives W in-process lanes to collect one PPO rollout per
 // iteration, then performs the synchronized PPO update on the merged data.
@@ -59,18 +59,18 @@ func (p *PPO) LaneSteps(lanes int) ([]int, error) {
 // NewVecRunner builds W lanes around an existing PPO trainer. The factory is
 // invoked once per lane, in order, and the trainer RNG is split once per
 // lane beyond the first.
-func NewVecRunner(p *PPO, factory EnvFactory, workers int) (*VecRunner, error) {
-	if workers <= 0 {
-		return nil, fmt.Errorf("rl: NewVecRunner workers=%d", workers)
+func NewVecRunner(p *PPO, factory EnvFactory, lanes int) (*VecRunner, error) {
+	if lanes <= 0 {
+		return nil, fmt.Errorf("rl: NewVecRunner lanes=%d", lanes)
 	}
 	if factory == nil {
 		return nil, fmt.Errorf("rl: NewVecRunner nil factory")
 	}
 	v := &VecRunner{ppo: p}
-	for i, steps := range p.laneSteps(workers) {
+	for i, steps := range p.laneSteps(lanes) {
 		env := factory(i)
 		if env == nil {
-			return nil, fmt.Errorf("rl: EnvFactory returned nil env for worker %d", i)
+			return nil, fmt.Errorf("rl: EnvFactory returned nil env for lane %d", i)
 		}
 		l := p.seq.lanes[0]
 		if i > 0 {
@@ -91,8 +91,8 @@ func NewVecRunner(p *PPO, factory EnvFactory, workers int) (*VecRunner, error) {
 // (one Split per lane beyond the first, in lane order) so that the two are
 // bitwise interchangeable — without NewVecRunner's network clones, which a
 // coordinator has no use for. The factory's environments must implement
-// EnvCheckpointer and are used only to capture initial state — worker
-// processes rebuild their own from the domain configuration.
+// EnvCheckpointer and are used only to capture initial state — the
+// processes running the lanes rebuild their own from the domain configuration.
 func (p *PPO) NewLaneStates(factory EnvFactory, lanes int) ([]LaneState, error) {
 	if lanes <= 0 {
 		return nil, fmt.Errorf("rl: NewLaneStates lanes=%d", lanes)
@@ -134,8 +134,8 @@ func (v *VecRunner) TrainIteration() (IterStats, error) {
 	if p.met != nil {
 		t0 = time.Now()
 	}
-	// One lane per worker; lane 0 runs inline, so with W=1 the rollout
-	// starts no goroutine (the update's value half always runs on one).
+	// One goroutine per lane; lane 0 runs inline, so with one lane the
+	// rollout starts no goroutine (the update's value half always runs on one).
 	if err := par.Run(len(v.lanes), func(w int) error {
 		v.lanes[w].collect(v.lanes[w].steps)
 		return nil
@@ -176,7 +176,7 @@ func (v *VecRunner) syncParams() error {
 	policy, value := v.ppo.Policy.Params(), v.ppo.Value.Params()
 	for i, l := range v.lanes[1:] {
 		if err := l.SetParams(policy, value); err != nil {
-			return fmt.Errorf("rl: weight sync worker %d: %w", i+1, err)
+			return fmt.Errorf("rl: weight sync lane %d: %w", i+1, err)
 		}
 	}
 	return nil
@@ -221,7 +221,7 @@ func (v *VecRunner) laneStates() ([]LaneState, error) {
 	for i, l := range v.lanes {
 		var err error
 		if states[i], err = l.State(); err != nil {
-			return nil, fmt.Errorf("rl: checkpoint worker %d: %w", i, err)
+			return nil, fmt.Errorf("rl: checkpoint lane %d: %w", i, err)
 		}
 	}
 	return states, nil
@@ -259,17 +259,17 @@ func (v *VecRunner) LoadCheckpoint(path string) error {
 	}
 	for i, l := range v.lanes {
 		if err := l.Restore(states[i]); err != nil {
-			return fmt.Errorf("rl: checkpoint worker %d: %w", i, err)
+			return fmt.Errorf("rl: checkpoint lane %d: %w", i, err)
 		}
 	}
 	return nil
 }
 
 // TrainParallel builds a VecRunner with the given lane count and runs it for
-// the given iterations. With workers=1 the result is bit-for-bit identical
+// the given iterations. With one lane the result is bit-for-bit identical
 // to Train against factory(0).
-func (p *PPO) TrainParallel(factory EnvFactory, workers, iterations int) ([]IterStats, error) {
-	v, err := NewVecRunner(p, factory, workers)
+func (p *PPO) TrainParallel(factory EnvFactory, lanes, iterations int) ([]IterStats, error) {
+	v, err := NewVecRunner(p, factory, lanes)
 	if err != nil {
 		return nil, err
 	}
