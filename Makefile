@@ -154,7 +154,11 @@ bench-ab:
 # internal/rl or internal/experiments is the old name of the lane count
 # coming back, and a "workers" flag in advtrain, robustify, experiments,
 # abreval, regress or swarm is a goroutine count that cannot change a result
-# or a lane count under a hardware name.
+# or a lane count under a hardware name. And a decision allocates per
+# session, not per chunk: every ABR decision path observes through one
+# Observation it refills with Session.ObservationInto, so a .Observation()
+# call in non-test Go under internal/ or cmd/ is a fresh Observation per
+# chunk coming back.
 seam-check:
 	@n=$$(grep -rn 'NewPPO(' --include='*.go' --exclude-dir=.bench_build . | grep -v '_test\.go:' | grep -vc '^\./bench/e2e/'); \
 	if [ $$n -gt 2 ]; then echo "seam-check: NewPPO( on $$n non-test lines, want <= 2 (build trainers with rl.NewTrainer)"; exit 1; fi
@@ -201,6 +205,8 @@ seam-check:
 	@f=$$( (grep -rlw 'Workers' --include='*.go' internal/rl internal/experiments | grep -v '_test\.go$$'; \
 		grep -rlE '(^|[^[:alnum:]_])(flag|fs)\.[[:alnum:]]+\([^)]*"workers"' --include='*.go' cmd/advtrain cmd/robustify cmd/experiments cmd/abreval cmd/regress cmd/swarm) | sort -u); \
 	if [ -n "$$f" ]; then echo "seam-check: a workers knob in $$f (the lane count is Lanes and -lanes; evaluation and swarm groups fan out over GOMAXPROCS)"; exit 1; fi
+	@f=$$(grep -rl '\.Observation()' --include='*.go' internal cmd | grep -v '_test\.go$$'); \
+	if [ -n "$$f" ]; then echo "seam-check: .Observation() in $$f (a decision path refills one Observation through Session.ObservationInto)"; exit 1; fi
 
 # "Is the tree still as small as it was?" Counts the lines of non-test Go
 # under internal/, cmd/ and bench/, and of internal/nn's assembly, and fails

@@ -481,9 +481,8 @@ func TestTrainEnvEpisodeShape(t *testing.T) {
 }
 
 // TestTrainEnvStepAllocs: TrainEnv observes through ObservationInto and
-// FeaturesInto into buffers it owns, so a step allocates nothing of its own
-// (the session's per-episode records grow by doubling, which AllocsPerRun's
-// integer average rounds away).
+// FeaturesInto into buffers it owns, and the session reserved its records at
+// its first chunk, so a step allocates nothing.
 func TestTrainEnvStepAllocs(t *testing.T) {
 	rng := mathx.NewRNG(23)
 	v := testVideo(0.1)

@@ -41,7 +41,9 @@ func (m *MPC) SelectLevel(o *Observation) int {
 		err := math.Abs(m.lastPred-o.LastThroughput) / o.LastThroughput
 		m.pastErrors = append(m.pastErrors, err)
 		if len(m.pastErrors) > m.HistoryLen {
-			m.pastErrors = m.pastErrors[1:]
+			// Slide the window down in place, so it never regrows.
+			n := copy(m.pastErrors, m.pastErrors[1:])
+			m.pastErrors = m.pastErrors[:n]
 		}
 	}
 	pred := HarmonicMean(o.ThroughputHist, m.HistoryLen)

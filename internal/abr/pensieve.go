@@ -78,6 +78,7 @@ func FeaturesInto(dst []float64, o *Observation) []float64 {
 type Pensieve struct {
 	Policy *rl.CategoricalPolicy
 	label  string
+	feat   []float64 // the features SelectLevel encodes, reused every chunk
 }
 
 // NewPensieveNet builds a fresh policy network for a ladder with the given
@@ -104,7 +105,8 @@ func (p *Pensieve) Reset() {}
 
 // SelectLevel implements Protocol.
 func (p *Pensieve) SelectLevel(o *Observation) int {
-	a := p.Policy.Mode(Features(o))
+	p.feat = FeaturesInto(p.feat, o)
+	a := p.Policy.Mode(p.feat)
 	return clampLevel(int(a[0]), o.Levels)
 }
 

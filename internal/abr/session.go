@@ -71,12 +71,14 @@ func NewSession(video *Video, link Link, cfg SessionConfig) *Session {
 	if cfg.BufferCapS <= 0 {
 		cfg.BufferCapS = 60
 	}
-	return &Session{
-		video:     video,
-		link:      link,
-		cfg:       cfg,
-		lastLevel: -1,
+	s := &Session{video: video, link: link, cfg: cfg, lastLevel: -1}
+	if cfg.HistoryCap <= 0 {
+		// A full session appends one result and one sample of each history
+		// per chunk: reserve the whole video once, so they never regrow.
+		s.results = make([]StepResult, 0, video.NumChunks())
+		s.reserveHist(video.NumChunks())
 	}
+	return s
 }
 
 // Done reports whether the whole video has been downloaded.
@@ -217,8 +219,7 @@ func (s *Session) ApplyChunk(level int, downloadS, bandwidthMbps float64) StepRe
 // last HistoryCap samples.
 func (s *Session) pushLeanHist(throughputMbps, downloadS float64) {
 	if s.throughputHist == nil {
-		s.throughputHist = make([]float64, 0, 2*s.cfg.HistoryCap)
-		s.downloadHist = make([]float64, 0, 2*s.cfg.HistoryCap)
+		s.reserveHist(2 * s.cfg.HistoryCap)
 	}
 	if len(s.throughputHist) == cap(s.throughputHist) {
 		keep := s.cfg.HistoryCap
@@ -229,6 +230,14 @@ func (s *Session) pushLeanHist(throughputMbps, downloadS float64) {
 	}
 	s.throughputHist = append(s.throughputHist, throughputMbps)
 	s.downloadHist = append(s.downloadHist, downloadS)
+}
+
+// reserveHist gives both histories capacity c, carved from one array; each
+// is capped at c, so an append past it cannot run into the other.
+func (s *Session) reserveHist(c int) {
+	h := make([]float64, 2*c)
+	s.throughputHist = h[:0:c]
+	s.downloadHist = h[c:c]
 }
 
 // SessionState is the serializable mid-stream state of a Session: everything
@@ -292,18 +301,11 @@ func RestoreSession(video *Video, link Link, cfg SessionConfig, st SessionState)
 	if h := cfg.HistoryCap; h > 0 {
 		// pushLeanHist compacts when the histories are full, so they get the
 		// capacity an uninterrupted session's have, whatever their length.
-		c := max(2*h, len(st.ThroughputHist))
-		s.results = append([]StepResult(nil), st.Results...)
-		s.throughputHist = append(make([]float64, 0, c), st.ThroughputHist...)
-		s.downloadHist = append(make([]float64, 0, c), st.DownloadHist...)
-		return s, nil
+		s.reserveHist(max(2*h, len(st.ThroughputHist)))
 	}
-	// A full session appends one result and one sample of each history per
-	// chunk: reserve the whole video once, so those appends never regrow.
-	n := video.NumChunks()
-	s.results = append(make([]StepResult, 0, n), st.Results...)
-	s.throughputHist = append(make([]float64, 0, n), st.ThroughputHist...)
-	s.downloadHist = append(make([]float64, 0, n), st.DownloadHist...)
+	s.results = append(s.results, st.Results...)
+	s.throughputHist = append(s.throughputHist, st.ThroughputHist...)
+	s.downloadHist = append(s.downloadHist, st.DownloadHist...)
 	return s, nil
 }
 
@@ -325,8 +327,8 @@ type Observation struct {
 	DownloadHist   []float64 // all past download times, oldest first
 }
 
-// Observation builds the current protocol-visible state. It returns nil when
-// the session is done.
+// Observation builds the current protocol-visible state in a fresh
+// Observation, or returns nil when the session is done.
 func (s *Session) Observation() *Observation {
 	o := &Observation{}
 	if !s.ObservationInto(o) {
@@ -337,10 +339,10 @@ func (s *Session) Observation() *Observation {
 
 // ObservationInto fills o with the current protocol-visible state, reusing
 // o's slice capacity so a caller that recycles one Observation per clock
-// (the swarm hot loop) observes with zero allocations. History and bitrate
-// slices alias session/video state — valid until the next chunk is applied,
-// and not to be mutated. It reports false (leaving o untouched) when the
-// session is done.
+// (RunSession, the envs, the swarm) observes with zero allocations. History
+// and bitrate slices alias session/video state — valid until the next chunk
+// is applied, and not to be mutated. It reports false (leaving o untouched)
+// when the session is done.
 func (s *Session) ObservationInto(o *Observation) bool {
 	if s.Done() {
 		return false
@@ -378,12 +380,13 @@ type Protocol interface {
 }
 
 // RunSession plays an entire video with the given protocol and returns the
-// finished session.
+// finished session. The protocol sees one Observation, refilled every chunk.
 func RunSession(video *Video, link Link, cfg SessionConfig, p Protocol) *Session {
 	p.Reset()
 	s := NewSession(video, link, cfg)
-	for !s.Done() {
-		s.Step(p.SelectLevel(s.Observation()))
+	var o Observation
+	for s.ObservationInto(&o) {
+		s.Step(p.SelectLevel(&o))
 	}
 	return s
 }

@@ -92,10 +92,13 @@ type ABREnv struct {
 	last       Eq1       // the last step's reward terms
 }
 
-// NewABREnv builds an adversary environment against the given target.
+// NewABREnv builds an adversary environment against the given target; its
+// per-chunk records hold a whole video, so no episode regrows them.
 func NewABREnv(video *abr.Video, target abr.Protocol, cfg ABRAdversaryConfig) *ABREnv {
 	ses := abr.DefaultSessionConfig()
-	return &ABREnv{cfg: cfg, video: video, target: target, ses: &ses, history: make([]float64, cfg.stateSize(video.Levels()))}
+	n := video.NumChunks()
+	return &ABREnv{cfg: cfg, video: video, target: target, ses: &ses, history: make([]float64, cfg.stateSize(video.Levels())),
+		bwHist: make([]float64, 0, n), bufBefore: make([]float64, 0, n), prevBefore: make([]int, 0, n)}
 }
 
 // MapAction converts a raw policy action (nominally in [−1, 1], possibly

@@ -39,7 +39,8 @@ type BBBufferPinner struct {
 	MinMbps float64
 	MaxMbps float64
 
-	bb *abr.BB // model of the target used to predict its next request
+	bb  *abr.BB         // model of the target used to predict its next request
+	obs abr.Observation // the session's view, refilled every chunk
 }
 
 // NewBBBufferPinner returns a pinner for the paper's 0.8–4.8 Mbps range and
@@ -59,7 +60,7 @@ func (p *BBBufferPinner) Name() string { return "bb-buffer-pinner" }
 
 // ChooseBandwidth implements ScriptedABRAdversary.
 func (p *BBBufferPinner) ChooseBandwidth(s *abr.Session, _ float64) float64 {
-	obs := s.Observation()
+	s.ObservationInto(&p.obs)
 	target := p.BandLoS
 	if s.NextChunk()%2 == 1 {
 		target = p.BandHiS
@@ -68,8 +69,8 @@ func (p *BBBufferPinner) ChooseBandwidth(s *abr.Session, _ float64) float64 {
 	if s.Buffer() < p.BandLoS-s.Video().ChunkSeconds {
 		return p.MaxMbps
 	}
-	level := p.bb.SelectLevel(obs)
-	size := obs.NextSizesBits[level]
+	level := p.bb.SelectLevel(&p.obs)
+	size := p.obs.NextSizesBits[level]
 	// buffer' = buffer − download + chunkSeconds; aim buffer' = target.
 	desiredDL := s.Buffer() + s.Video().ChunkSeconds - target
 	rtt := 0.08
@@ -88,7 +89,8 @@ func RunScriptedABR(video *abr.Video, target abr.Protocol, adv ScriptedABRAdvers
 	target.Reset()
 	tr := &trace.Trace{Name: name}
 	lastBw := 0.0
-	for !session.Done() {
+	var obs abr.Observation
+	for session.ObservationInto(&obs) {
 		bw := adv.ChooseBandwidth(session, lastBw)
 		lastBw = bw
 		link.BandwidthMbps = bw
@@ -97,7 +99,7 @@ func RunScriptedABR(video *abr.Video, target abr.Protocol, adv ScriptedABRAdvers
 			BandwidthMbps: bw,
 			LatencyMs:     rttS * 1000 / 2,
 		})
-		session.Step(target.SelectLevel(session.Observation()))
+		session.Step(target.SelectLevel(&obs))
 	}
 	return session, tr
 }

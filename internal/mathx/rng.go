@@ -7,6 +7,7 @@ package mathx
 import (
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // RNG is a deterministic pseudo-random number generator based on the
@@ -163,9 +164,10 @@ func (r *RNG) Bernoulli(p float64) bool {
 	return r.Float64() < p
 }
 
-// Perm returns a pseudo-random permutation of [0, n) (Fisher-Yates).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
+// Perm writes a pseudo-random permutation of [0, n) (Fisher-Yates) over
+// dst[:0], growing it only when its capacity is short, and returns it.
+func (r *RNG) Perm(dst []int, n int) []int {
+	p := slices.Grow(dst[:0], n)[:n]
 	for i := range p {
 		p[i] = i
 	}

@@ -169,7 +169,7 @@ func TestPermIsPermutation(t *testing.T) {
 	r := NewRNG(31)
 	f := func(nRaw uint8) bool {
 		n := int(nRaw%32) + 1
-		p := r.Perm(n)
+		p := r.Perm(nil, n)
 		seen := make([]bool, n)
 		for _, v := range p {
 			if v < 0 || v >= n || seen[v] {

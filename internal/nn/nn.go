@@ -280,7 +280,7 @@ func (m *MLP) Grads() [][]float64 { return m.grads }
 // ZeroGrad clears all accumulated gradients.
 func (m *MLP) ZeroGrad() {
 	for _, g := range m.Grads() {
-		mathx.Fill(g, 0)
+		clear(g)
 	}
 }
 

@@ -14,17 +14,18 @@ import (
 // policy parameters, treating the expression as a loss term — callers that
 // want to *maximize* log-probability or entropy pass negative weights.
 //
-// Policies keep internal scratch buffers so the Sample hot path allocates
-// nothing: the action slice returned by Sample is reused by the next Sample
-// call and must be copied by callers that need it to survive. A Policy is
-// therefore not safe for concurrent use; parallel rollout lanes each hold
+// Policies keep internal scratch buffers so Sample and Mode allocate
+// nothing: the action slice either returns is reused by the next Sample or
+// Mode call and must be copied by callers that need it to survive. A Policy
+// is therefore not safe for concurrent use; parallel rollout lanes each hold
 // their own clone (see ClonePolicy).
 type Policy interface {
 	// Sample draws an action and returns it with its log-probability. The
-	// returned action aliases internal scratch, valid until the next call.
+	// returned action aliases internal scratch, valid until the next Sample
+	// or Mode.
 	Sample(rng *mathx.RNG, obs []float64) (action []float64, logp float64)
-	// Mode returns the deterministic (highest-probability) action as a
-	// freshly allocated slice.
+	// Mode returns the deterministic (highest-probability) action, in the
+	// same scratch as Sample's, valid until the next Sample or Mode.
 	Mode(obs []float64) []float64
 	// LogProb returns log π(action|obs) under the current parameters.
 	LogProb(obs, action []float64) float64
@@ -89,6 +90,7 @@ type CategoricalPolicy struct {
 	// Batched-update scratch, sized lazily to the largest minibatch seen.
 	bcache *nn.BatchCache
 	bprobs []float64 // batch×n softmax probabilities
+	blogq  []float64 // batch×n log of each positive probability
 	bacts  []int     // batch action indices
 	bents  []float64 // batch entropies
 	bdlog  []float64 // batch×n logit gradients
@@ -173,7 +175,8 @@ func (p *CategoricalPolicy) Sample(rng *mathx.RNG, obs []float64) ([]float64, fl
 
 // Mode returns the argmax action.
 func (p *CategoricalPolicy) Mode(obs []float64) []float64 {
-	return []float64{float64(mathx.ArgMax(p.net.ForwardInto(p.cache, obs)))}
+	p.actBuf[0] = float64(mathx.ArgMax(p.net.ForwardInto(p.cache, obs)))
+	return p.actBuf
 }
 
 // LogProb returns the log-probability of the given action index.
@@ -236,6 +239,7 @@ func (p *CategoricalPolicy) ensureBatch(n int) {
 	}
 	p.bcache = p.net.NewBatchCache(n)
 	p.bprobs = make([]float64, n*p.n)
+	p.blogq = make([]float64, n*p.n)
 	p.bacts = make([]int, n)
 	p.bents = make([]float64, n)
 	p.bdlog = make([]float64, n*p.n)
@@ -247,13 +251,15 @@ func (p *CategoricalPolicy) BatchEval(obs, actions []float64, n int, logp, ent [
 	logits := p.net.ForwardBatch(p.bcache, obs, n)
 	for r := 0; r < n; r++ {
 		probs := mathx.Softmax(logits[r*p.n:(r+1)*p.n], p.bprobs[r*p.n:(r+1)*p.n])
+		logq := p.blogq[r*p.n : (r+1)*p.n]
 		a := int(actions[r])
 		p.bacts[r] = a
 		logp[r] = math.Log(probs[a] + 1e-12)
 		var h float64
-		for _, q := range probs {
+		for j, q := range probs {
 			if q > 0 {
-				h -= q * math.Log(q)
+				logq[j] = math.Log(q)
+				h -= q * logq[j]
 			}
 		}
 		p.bents[r] = h
@@ -266,6 +272,7 @@ func (p *CategoricalPolicy) BatchGrad(wLogp []float64, wEnt float64) {
 	n := len(wLogp)
 	for r := 0; r < n; r++ {
 		probs := p.bprobs[r*p.n : (r+1)*p.n]
+		logq := p.blogq[r*p.n : (r+1)*p.n]
 		a := p.bacts[r]
 		h := p.bents[r]
 		dLogits := p.bdlog[r*p.n : (r+1)*p.n]
@@ -278,7 +285,7 @@ func (p *CategoricalPolicy) BatchGrad(wLogp []float64, wEnt float64) {
 			}
 			dEnt := 0.0
 			if q > 0 {
-				dEnt = -q * (math.Log(q) + h)
+				dEnt = -q * (logq[j] + h)
 			}
 			dLogits[j] = wLogp[r]*dLogp + wEnt*dEnt
 		}
@@ -437,7 +444,8 @@ func (p *GaussianPolicy) Sample(rng *mathx.RNG, obs []float64) ([]float64, float
 // Mode returns the distribution mean (the noise-free action the paper plots
 // in Figure 6).
 func (p *GaussianPolicy) Mode(obs []float64) []float64 {
-	return mathx.CopyOf(p.net.ForwardInto(p.cache, obs))
+	copy(p.actBuf, p.net.ForwardInto(p.cache, obs))
+	return p.actBuf
 }
 
 // LogProb returns the log-density of action under the current parameters.
@@ -577,7 +585,7 @@ func sameSlice(a, b []float64) bool {
 // ZeroGrad implements Policy.
 func (p *GaussianPolicy) ZeroGrad() {
 	p.net.ZeroGrad()
-	mathx.Fill(p.gLogStd, 0)
+	clear(p.gLogStd)
 }
 
 // ScaleGrads implements Policy.

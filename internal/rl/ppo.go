@@ -278,7 +278,7 @@ func (p *PPO) update(stats *IterStats) {
 	}
 	p.ensureUpdateScratch(min(p.cfg.MinibatchSize, n), len(p.buf.steps[0].obs), len(p.buf.steps[0].action))
 	for e := range p.perms {
-		p.perms[e] = p.rng.Perm(n)
+		p.perms[e] = p.rng.Perm(p.perms[e], n)
 	}
 	var (
 		ps        policySums

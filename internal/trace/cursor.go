@@ -71,7 +71,7 @@ const epochPermSalt = 0x9e3779b97f4a7c15
 // here, so restores and uninterrupted runs see identical orders.
 func (c *Cursor) reshuffle() {
 	rng := mathx.NewRNG(c.seed ^ (uint64(c.epoch+1) * epochPermSalt))
-	c.perm = rng.Perm(c.n)
+	c.perm = rng.Perm(c.perm, c.n)
 }
 
 // Next returns the next index of the stream and advances the cursor,
