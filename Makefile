@@ -207,6 +207,8 @@ seam-check:
 	if [ -n "$$f" ]; then echo "seam-check: a workers knob in $$f (the lane count is Lanes and -lanes; evaluation and swarm groups fan out over GOMAXPROCS)"; exit 1; fi
 	@f=$$(grep -rl '\.Observation()' --include='*.go' internal cmd | grep -v '_test\.go$$'); \
 	if [ -n "$$f" ]; then echo "seam-check: .Observation() in $$f (a decision path refills one Observation through Session.ObservationInto)"; exit 1; fi
+	@f=$$(grep -rlwE 'SessionState|RestoreSession|trainEnvState|legacyKind' --include='*.go' internal cmd | grep -v '_test\.go$$'); \
+	if [ -n "$$f" ]; then echo "seam-check: hand-written env state in $$f (an env checkpoints by its reset seed plus the lane's recorded actions)"; exit 1; fi
 
 # "Is the tree still as small as it was?" Counts the lines of non-test Go
 # under internal/, cmd/ and bench/, and of internal/nn's assembly, and fails

@@ -2,7 +2,7 @@
 // one coordinator owns the trainer and checkpoints; workers own rollout
 // compute and connect over TCP (DESIGN.md §8.8). The lane count — not the
 // process count — is the determinism unit, so a run with any number of
-// workers is bitwise identical to `advtrain -workers <lanes>` on one machine.
+// workers is bitwise identical to `advtrain -lanes <lanes>` on one machine.
 //
 // Usage:
 //
@@ -36,7 +36,7 @@ func main() {
 	worker := flag.Bool("worker", false, "run a rollout worker against -addr")
 	addr := flag.String("addr", "", "coordinator listen address / worker dial address (coordinator default 127.0.0.1:0)")
 	workers := flag.Int("workers", 2, "worker processes the coordinator spawns (0 = external workers)")
-	lanes := flag.Int("lanes", 4, "rollout lanes: the determinism unit, = advtrain -workers")
+	lanes := flag.Int("lanes", 4, "rollout lanes: the determinism unit, = advtrain -lanes")
 	iters := flag.Int("iters", 10, "training iterations")
 	seed := flag.Uint64("seed", 5, "pensieve training seed")
 	datasetSeed := flag.Uint64("dataset-seed", 21, "synthetic trace corpus seed")

@@ -17,7 +17,7 @@ func TestTrainEnvShardedIdentityBitwise(t *testing.T) {
 	v := testVideo(0)
 	ds := trace.GenerateFCCLikeDataset(mathx.NewRNG(5), trace.DefaultFCCLike(), 6, "fcc")
 	plain := NewTrainEnv(v, ds, DefaultSessionConfig(), 0.08, mathx.NewRNG(42))
-	identity := newLaneEnv(v, ds, DefaultSessionConfig(), 0.08, mathx.NewRNG(42), 0, 1)
+	identity := newLaneEnv(v, ds, indexTraces(ds), DefaultSessionConfig(), 0.08, mathx.NewRNG(42), 0, 1)
 	if identity.cursor != nil {
 		t.Fatal("one-lane env installed a cursor; uniform path lost")
 	}
@@ -41,7 +41,7 @@ func TestShardedTrainEnvEpochCoverage(t *testing.T) {
 		seen := make(map[int]int)
 		minLen, maxLen := tc.n, 0
 		for w := 0; w < tc.w; w++ {
-			env := newLaneEnv(v, ds, DefaultSessionConfig(), 0.08, mathx.NewRNG(uint64(100+w)), w, tc.w)
+			env := newLaneEnv(v, ds, indexTraces(ds), DefaultSessionConfig(), 0.08, mathx.NewRNG(uint64(100+w)), w, tc.w)
 			if env.cursor == nil {
 				t.Fatalf("n=%d w=%d: lane env has no cursor", tc.n, tc.w)
 			}
@@ -66,15 +66,16 @@ func TestShardedTrainEnvEpochCoverage(t *testing.T) {
 	}
 }
 
-// TestLaneEnvStateBytes: a lane env's checkpoint is byte for byte the one
-// every earlier build wrote — the lane and its cursor under "shard", keys in
-// this order — so env states, dist collect frames and checkpoint files keep
-// their bytes, and a state written before loads.
+// TestLaneEnvStateBytes: a lane env's reset seed is byte for byte this —
+// its RNG, then its lane and cursor under "lane", keys in this order — which
+// is what dist collect frames and checkpoint files carry for it. The cursor
+// is the one the last Reset drew from (epoch 1, position 1), not the one a
+// step later, and a seed set is reported back unchanged.
 func TestLaneEnvStateBytes(t *testing.T) {
-	const want = `{"rng":{"state":11400714819323198527},"trace_idx":4,"session":{"chunk":1,"last_level":2,"buffer_s":4,"time_s":1.5405614659899924,"total_qoe":-5.424414303756967,"total_rebuf_s":1.5405614659899924,"results":[{"ChunkIndex":0,"Level":2,"BitrateMbps":1.2,"SizeBits":5006137.058584323,"DownloadS":1.5405614659899924,"ThroughputMbps":3.249553600490253,"RebufferS":1.5405614659899924,"BufferS":4,"WaitS":0,"QoE":-5.424414303756967,"BandwidthMbps":3.427542883442486}],"throughput_hist":[3.249553600490253],"download_hist":[1.5405614659899924]},"shard":{"index":1,"count":3,"cursor":{"n":2,"seed":13679457532755275413,"epoch":2,"pos":0}}}`
+	const want = `{"rng":{"state":11400714819323198527},"lane":{"index":1,"count":3,"cursor":{"n":2,"seed":13679457532755275413,"epoch":1,"pos":1}}}`
 	video := testVideo(0.1)
 	ds := trace.GenerateFCCLikeDataset(mathx.NewRNG(5), trace.DefaultFCCLike(), 7, "fcc")
-	e := newLaneEnv(video, ds, DefaultSessionConfig(), 0.08, mathx.NewRNG(42), 1, 3)
+	e := newLaneEnv(video, ds, indexTraces(ds), DefaultSessionConfig(), 0.08, mathx.NewRNG(42), 1, 3)
 	for ep := 0; ep < 3; ep++ { // three episodes over a two-trace lane: epoch 2
 		e.Reset()
 		for i := 0; ; i++ {
@@ -85,80 +86,46 @@ func TestLaneEnvStateBytes(t *testing.T) {
 	}
 	e.Reset()
 	e.Step([]float64{2})
-	got, err := e.EnvState()
+	got, err := e.ResetSeed()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(got) != want {
-		t.Fatalf("lane env state\n got %s\nwant %s", got, want)
+		t.Fatalf("lane env seed\n got %s\nwant %s", got, want)
 	}
-	r := newLaneEnv(video, ds, DefaultSessionConfig(), 0.08, mathx.NewRNG(9), 1, 3)
-	if err := r.SetEnvState([]byte(want)); err != nil {
+	r := newLaneEnv(video, ds, indexTraces(ds), DefaultSessionConfig(), 0.08, mathx.NewRNG(9), 1, 3)
+	if err := r.SetResetSeed([]byte(want)); err != nil {
 		t.Fatal(err)
 	}
-	if again, _ := r.EnvState(); string(again) != want {
-		t.Fatalf("restored lane env state\n got %s\nwant %s", again, want)
+	if again, _ := r.ResetSeed(); string(again) != want {
+		t.Fatalf("restored lane env seed\n got %s\nwant %s", again, want)
 	}
 }
 
 // TestShardedTrainEnvStateRoundTrip mirrors TestTrainEnvStateRoundTrip for a
-// lane env: the checkpoint carries the lane's cursor, and a restored env —
-// built with a different RNG seed, so its fresh cursor disagrees — replays the
+// lane env: the seed carries the lane's cursor, and a restored env — built
+// with a different RNG seed, so its fresh cursor disagrees — replays the
 // original's trace stream exactly, across the lane's epoch boundary.
 func TestShardedTrainEnvStateRoundTrip(t *testing.T) {
 	video := testVideo(0.1)
 	ds := trace.GenerateFCCLikeDataset(mathx.NewRNG(5), trace.DefaultFCCLike(), 6, "fcc")
 	cfg := DefaultSessionConfig()
 	// Lane 1 of 2 streams 3 traces: 4 episodes cross the epoch boundary.
-	a := newLaneEnv(video, ds, cfg, 0.08, mathx.NewRNG(42), 1, 2)
+	a := newLaneEnv(video, ds, indexTraces(ds), cfg, 0.08, mathx.NewRNG(42), 1, 2)
 	a.Reset()
+	var acts [][]float64
 	for i := 0; i < 10; i++ {
-		a.Step([]float64{float64(i % video.Levels())})
+		acts = append(acts, []float64{float64(i % video.Levels())})
+		a.Step(acts[i])
 	}
-	state, err := a.EnvState()
-	if err != nil {
-		t.Fatalf("EnvState: %v", err)
+	if seed, _ := a.ResetSeed(); !strings.Contains(string(seed), `"lane"`) {
+		t.Fatalf("lane env seed %s carries no cursor", seed)
 	}
-	if !strings.Contains(string(state), `"shard"`) {
-		t.Fatalf("lane env state %s carries no cursor", state)
-	}
-
-	b := newLaneEnv(video, ds, cfg, 0.08, mathx.NewRNG(999), 1, 2)
-	if err := b.SetEnvState(state); err != nil {
-		t.Fatalf("SetEnvState: %v", err)
-	}
-
-	episodes := 0
-	for step := 0; episodes < 4 && step < 10_000; step++ {
-		act := []float64{float64(step % video.Levels())}
-		ao, ar, ad := a.Step(act)
-		bo, br, bd := b.Step(act)
-		if ar != br || ad != bd {
-			t.Fatalf("step %d diverged: reward %v vs %v, done %v vs %v", step, ar, br, ad, bd)
-		}
-		for j := range ao {
-			if ao[j] != bo[j] {
-				t.Fatalf("step %d obs[%d] diverged: %v vs %v", step, j, ao[j], bo[j])
-			}
-		}
-		if ad {
-			episodes++
-			ra, rb := a.Reset(), b.Reset()
-			if a.traceIdx != b.traceIdx {
-				t.Fatalf("episode %d sampled different traces: %d vs %d", episodes, a.traceIdx, b.traceIdx)
-			}
-			if a.traceIdx%2 != 1 {
-				t.Fatalf("episode %d: lane 1/2 env streamed trace %d", episodes, a.traceIdx)
-			}
-			for j := range ra {
-				if ra[j] != rb[j] {
-					t.Fatalf("reset obs[%d] diverged", j)
-				}
-			}
-		}
-	}
-	if episodes != 4 {
-		t.Fatalf("only %d episodes completed", episodes)
+	b := newLaneEnv(video, ds, indexTraces(ds), cfg, 0.08, mathx.NewRNG(999), 1, 2)
+	replayOnto(t, a, b, acts)
+	stepInLockstep(t, a, b, 4)
+	if a.traceIdx%2 != 1 {
+		t.Fatalf("lane 1/2 env streamed trace %d", a.traceIdx)
 	}
 }
 
@@ -169,10 +136,10 @@ func TestShardedEnvStateRejects(t *testing.T) {
 	ds := trace.GenerateFCCLikeDataset(mathx.NewRNG(5), trace.DefaultFCCLike(), 6, "fcc")
 	cfg := DefaultSessionConfig()
 	mk := func(lane, lanes int) *TrainEnv {
-		return newLaneEnv(video, ds, cfg, 0.08, mathx.NewRNG(7), lane, lanes)
+		return newLaneEnv(video, ds, indexTraces(ds), cfg, 0.08, mathx.NewRNG(7), lane, lanes)
 	}
 	stateOf := func(e *TrainEnv) []byte {
-		st, err := e.EnvState()
+		st, err := e.ResetSeed()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,28 +148,28 @@ func TestShardedEnvStateRejects(t *testing.T) {
 	sharded := stateOf(mk(0, 2))
 	plain := stateOf(mk(0, 1))
 
-	if err := mk(0, 1).SetEnvState(sharded); err == nil {
+	if err := mk(0, 1).SetResetSeed(sharded); err == nil {
 		t.Fatal("one-lane env accepted a lane-cursor checkpoint")
 	}
-	if err := mk(0, 2).SetEnvState(plain); err == nil {
+	if err := mk(0, 2).SetResetSeed(plain); err == nil {
 		t.Fatal("lane env accepted a checkpoint without a lane cursor")
 	}
-	if err := mk(1, 2).SetEnvState(sharded); err == nil {
+	if err := mk(1, 2).SetResetSeed(sharded); err == nil {
 		t.Fatal("lane 1/2 env accepted a lane 0/2 checkpoint")
 	}
-	if err := mk(0, 3).SetEnvState(sharded); err == nil {
+	if err := mk(0, 3).SetResetSeed(sharded); err == nil {
 		t.Fatal("lane 0/3 env accepted a lane 0/2 checkpoint")
 	}
 	// Same lane over a differently-sized dataset: cursor span lies.
 	big := trace.GenerateFCCLikeDataset(mathx.NewRNG(5), trace.DefaultFCCLike(), 8, "fcc")
-	other := newLaneEnv(video, big, cfg, 0.08, mathx.NewRNG(7), 0, 2)
-	if err := other.SetEnvState(sharded); err == nil {
+	other := newLaneEnv(video, big, indexTraces(big), cfg, 0.08, mathx.NewRNG(7), 0, 2)
+	if err := other.SetResetSeed(sharded); err == nil {
 		t.Fatal("lane over 8-trace dataset accepted a cursor spanning 3 traces")
 	}
 	// A failed restore must leave the env's cursor untouched.
 	victim := mk(1, 2)
 	before := victim.cursor.State()
-	if err := victim.SetEnvState(sharded); err == nil {
+	if err := victim.SetResetSeed(sharded); err == nil {
 		t.Fatal("mismatched restore accepted")
 	}
 	if victim.cursor.State() != before {
@@ -230,7 +197,7 @@ func shardedVecFixture(t *testing.T, seed uint64) (*rl.VecRunner, *rl.Categorica
 	}
 	rngs := []*mathx.RNG{rng.Split(), rng.Split()}
 	runner, err := rl.NewVecRunner(ppo, func(w int) rl.Env {
-		return newLaneEnv(v, ds, DefaultSessionConfig(), 0.08, rngs[w], w, 2)
+		return newLaneEnv(v, ds, indexTraces(ds), DefaultSessionConfig(), 0.08, rngs[w], w, 2)
 	}, 2)
 	if err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"advnet/internal/trace"
 )
@@ -43,43 +44,67 @@ func (l *ConstantLink) BandwidthAt(_ float64) float64 { return l.BandwidthMbps }
 // trace's intervals at their respective rates (the Pensieve simulator's
 // download model), plus one round trip of latency per chunk.
 //
-// The link keeps a lazily-built cumulative-duration index over the trace's
-// points so each interval lookup is O(log points) instead of O(points) — one
-// chunk download over a trace with many intervals used to be quadratic. The
-// index is rebuilt whenever the Trace pointer or its length changes; traces
-// are otherwise treated as immutable while a link replays them, matching how
-// every caller in this repository uses them.
+// The link reads a cumulative-duration index over the trace's points so each
+// interval lookup is O(log points) instead of O(points) — one chunk download
+// over a trace with many intervals used to be quadratic. A TrainEnv hands its
+// links the index its problem builds once per trace (traceIndexes); any other
+// link builds its own on its first download, and again whenever the Trace
+// pointer or its length changes. Traces are otherwise treated as immutable
+// while a link replays them, matching how every caller in this repository
+// uses them.
 type TraceLink struct {
 	Trace      *trace.Trace
 	RTTSeconds float64
 
-	idxTrace *trace.Trace // trace the index below was built for
-	idxLen   int
-	cum      []float64 // cum[i] = sum of Points[:i] durations, len(Points)+1
-	hasBW    bool      // any point with positive bandwidth
+	idx traceIndex
 }
 
-// ensureIndex (re)builds the cumulative-duration prefix sums. The partial
-// sums are accumulated left to right, exactly like Trace.TotalDuration and
-// the interval scan the index replaces, so every boundary value is bitwise
-// the number the historical per-interval rescan computed.
-func (l *TraceLink) ensureIndex() {
-	if l.idxTrace == l.Trace && l.idxLen == len(l.Trace.Points) {
-		return
-	}
-	pts := l.Trace.Points
-	l.cum = make([]float64, len(pts)+1)
-	l.hasBW = false
+// traceIndex is a trace's cumulative-duration prefix sums. Its sums are
+// never written once built, so links on other goroutines may share them.
+type traceIndex struct {
+	trace *trace.Trace
+	cum   []float64 // cum[i] = sum of Points[:i] durations, len(Points)+1
+	hasBW bool      // any point with positive bandwidth
+}
+
+// indexTrace builds tr's index. The partial sums are accumulated left to
+// right, exactly like Trace.TotalDuration and the interval scan the index
+// replaces, so every boundary value is bitwise the number the historical
+// per-interval rescan computed.
+func indexTrace(tr *trace.Trace) traceIndex {
+	ix := traceIndex{trace: tr, cum: make([]float64, len(tr.Points)+1)}
 	var acc float64
-	for i, p := range pts {
+	for i, p := range tr.Points {
 		acc += p.Duration
-		l.cum[i+1] = acc
+		ix.cum[i+1] = acc
 		if p.BandwidthMbps > 0 {
-			l.hasBW = true
+			ix.hasBW = true
 		}
 	}
-	l.idxTrace = l.Trace
-	l.idxLen = len(pts)
+	return ix
+}
+
+// traceIndexes holds the index of every trace of a dataset, each built on
+// its first use and at most once, so the lanes of one problem, on their
+// goroutines, share them.
+type traceIndexes []struct {
+	once sync.Once
+	ix   traceIndex
+}
+
+func indexTraces(d *trace.Dataset) traceIndexes { return make(traceIndexes, len(d.Traces)) }
+
+// of returns the index of tr, the dataset's trace i.
+func (t traceIndexes) of(i int, tr *trace.Trace) traceIndex {
+	t[i].once.Do(func() { t[i].ix = indexTrace(tr) })
+	return t[i].ix
+}
+
+// ensureIndex (re)builds the link's index unless it is its trace's.
+func (l *TraceLink) ensureIndex() {
+	if l.idx.trace != l.Trace || len(l.idx.cum) != len(l.Trace.Points)+1 {
+		l.idx = indexTrace(l.Trace)
+	}
 }
 
 // Download implements Link by integrating the trace's bandwidth from start
@@ -93,13 +118,15 @@ func (l *TraceLink) Download(sizeBits, start float64) float64 {
 		return (t - start) + l.RTTSeconds
 	}
 	l.ensureIndex()
-	if l.idxLen == 0 {
+	cum := l.idx.cum
+	n := len(cum) - 1
+	if n == 0 {
 		panic("abr: TraceLink.Download on empty trace")
 	}
-	if !l.hasBW {
+	if !l.idx.hasBW {
 		panic(fmt.Sprintf("abr: TraceLink.Download on trace %q: every point has zero bandwidth, the transfer can never complete", l.Trace.Name))
 	}
-	total := l.cum[l.idxLen]
+	total := cum[n]
 	if !(total > 0) {
 		panic(fmt.Sprintf("abr: TraceLink.Download on trace %q: non-positive total duration %v", l.Trace.Name, total))
 	}
@@ -108,16 +135,16 @@ func (l *TraceLink) Download(sizeBits, start float64) float64 {
 		// reproduce the historical linear scan's arithmetic exactly; only
 		// the search is logarithmic.
 		intoTrace := mod(t, total)
-		i := sort.Search(l.idxLen, func(k int) bool { return intoTrace < l.cum[k+1] })
+		i := sort.Search(n, func(k int) bool { return intoTrace < cum[k+1] })
 		var left float64
-		if i == l.idxLen {
+		if i == n {
 			// mod landed exactly on (or, through rounding, past) the trace
 			// end: treat it as the start of the last interval, the
 			// historical fallback for a scan that found nothing.
-			i = l.idxLen - 1
+			i = n - 1
 			left = l.Trace.Points[i].Duration
 		} else {
-			left = l.cum[i+1] - intoTrace
+			left = cum[i+1] - intoTrace
 			if left <= 0 {
 				left = l.Trace.Points[i].Duration
 			}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"advnet/internal/mathx"
+	"advnet/internal/par"
 	"advnet/internal/trace"
 )
 
@@ -223,5 +224,36 @@ func BenchmarkTraceLinkDownload(b *testing.B) {
 				referenceTraceLinkDownload(link, 8e6, start+float64(i%7))
 			}
 		})
+	}
+}
+
+// TestTrainEnvIndexesEachTraceOnce: the lanes of one Pensieve problem share
+// one index per trace, built at the trace's first Reset on whichever lane's
+// goroutine gets there first (the race detector checks the hand-over), and
+// every later link over the trace reads that index instead of building its
+// own.
+func TestTrainEnvIndexesEachTraceOnce(t *testing.T) {
+	video := testVideo(0)
+	ds := trace.GenerateFCCLikeDataset(mathx.NewRNG(5), trace.DefaultFCCLike(), 7, "fcc")
+	factory, err := PensieveProblem(video, ds, 0.08).Envs(3, mathx.NewRNG(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	envs := []*TrainEnv{factory(0).(*TrainEnv), factory(1).(*TrainEnv), factory(2).(*TrainEnv)}
+	if err := par.Run(len(envs), func(w int) error {
+		for i := 0; i < 6; i++ {
+			envs[w].Reset()
+			envs[w].Step([]float64{0})
+			link := envs[w].session.link.(*TraceLink)
+			if shared := envs[w].index[envs[w].traceIdx].ix.cum; &link.idx.cum[0] != &shared[0] {
+				return fmt.Errorf("lane %d reset %d: trace %d's link indexed the trace again", w, i, envs[w].traceIdx)
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if &envs[0].index[0] != &envs[1].index[0] || &envs[1].index[0] != &envs[2].index[0] {
+		t.Fatal("the lanes of one problem hold different trace indexes")
 	}
 }

@@ -123,6 +123,9 @@ type TrainEnv struct {
 	rng         *mathx.RNG
 	lane, lanes int           // a lane env's lane of a lanes-wide run
 	cursor      *trace.Cursor // a lane env's traces; nil on a one-lane env
+	seedRNG     mathx.RNGState
+	seedCursor  trace.CursorState // with seedRNG, the state the last Reset drew from
+	index       traceIndexes      // the dataset's trace indexes, shared by a problem's lanes
 	session     *Session
 	traceIdx    int         // dataset index of the current session's trace; -1 when none
 	obs         Observation // the session's view, refilled each chunk
@@ -132,35 +135,50 @@ type TrainEnv struct {
 // NewTrainEnv builds a training environment that samples traces uniformly
 // from dataset.
 func NewTrainEnv(video *Video, dataset *trace.Dataset, cfg SessionConfig, rttS float64, rng *mathx.RNG) *TrainEnv {
-	if len(dataset.Traces) == 0 {
-		panic("abr: TrainEnv with empty dataset")
-	}
-	return &TrainEnv{Video: video, Dataset: dataset, Cfg: cfg, RTTSeconds: rttS, rng: rng, traceIdx: -1}
+	return newLaneEnv(video, dataset, indexTraces(dataset), cfg, rttS, rng, 0, 1)
 }
 
 // newLaneEnv is the env of lane `lane` of a lanes-wide run (DESIGN.md §8.3):
 // it streams traces lane, lane+lanes, lane+2·lanes, … in epoch-reshuffled
 // order, its cursor seeded from one draw of rng. A one-lane env draws nothing
-// here and samples the whole dataset uniformly, as NewTrainEnv's does.
-func newLaneEnv(video *Video, dataset *trace.Dataset, cfg SessionConfig, rttS float64, rng *mathx.RNG, lane, lanes int) *TrainEnv {
-	e := NewTrainEnv(video, dataset, cfg, rttS, rng)
+// here and samples the whole dataset uniformly. index holds the dataset's
+// trace indexes (indexTraces).
+func newLaneEnv(video *Video, dataset *trace.Dataset, index traceIndexes, cfg SessionConfig, rttS float64, rng *mathx.RNG, lane, lanes int) *TrainEnv {
+	if len(dataset.Traces) == 0 {
+		panic("abr: TrainEnv with empty dataset")
+	}
+	e := &TrainEnv{Video: video, Dataset: dataset, Cfg: cfg, RTTSeconds: rttS, rng: rng, index: index, traceIdx: -1}
 	if lanes > 1 {
 		e.lane, e.lanes = lane, lanes
 		e.cursor = trace.NewCursor(trace.LaneLen(len(dataset.Traces), lane, lanes), rng.Uint64())
 	}
+	e.markSeed()
 	return e
+}
+
+// markSeed records what the next Reset draws from, as values.
+func (e *TrainEnv) markSeed() {
+	e.seedRNG = e.rng.State()
+	if e.cursor != nil {
+		e.seedCursor = e.cursor.State()
+	}
 }
 
 // Reset implements rl.Env. A lane env takes the next trace of its lane from
 // its cursor; a one-lane env draws uniformly from the whole dataset with its
 // own RNG.
 func (e *TrainEnv) Reset() []float64 {
+	e.markSeed()
 	if e.cursor != nil {
 		e.traceIdx = e.lane + e.cursor.Next()*e.lanes
 	} else {
 		e.traceIdx = e.rng.Intn(len(e.Dataset.Traces))
 	}
-	link := &TraceLink{Trace: e.Dataset.Traces[e.traceIdx], RTTSeconds: e.RTTSeconds}
+	tr := e.Dataset.Traces[e.traceIdx]
+	link := &TraceLink{Trace: tr, RTTSeconds: e.RTTSeconds}
+	if e.traceIdx < len(e.index) {
+		link.idx = e.index.of(e.traceIdx, tr)
+	}
 	e.session = NewSession(e.Video, link, e.Cfg)
 	return e.features()
 }
@@ -176,90 +194,59 @@ func (e *TrainEnv) features() []float64 {
 	return e.feat
 }
 
-// trainEnvState is the serialized form of a TrainEnv for checkpointing: the
-// trace-sampling RNG, a lane env's lane and cursor, and, when an episode is
-// in flight, which trace it runs on and the mid-stream session state.
-type trainEnvState struct {
-	RNG      mathx.RNGState `json:"rng"`
-	TraceIdx int            `json:"trace_idx"`
-	Session  *SessionState  `json:"session,omitempty"`
-	Lane     *laneState     `json:"shard,omitempty"`
+// trainEnvSeed is a TrainEnv's reset seed: the RNG a one-lane env draws its
+// trace from, and a lane env's lane (validated against the restoring env's
+// own) and cursor. The in-flight permutation is a pure function of the
+// cursor state, so a mid-epoch restore is exact.
+type trainEnvSeed struct {
+	RNG  mathx.RNGState `json:"rng"`
+	Lane *laneSeed      `json:"lane,omitempty"`
 }
 
-// laneState is a lane env's lane (validated against the restoring env's own)
-// and its cursor. The in-flight permutation is a pure function of the cursor
-// state, so a mid-epoch restore is exact. Its key and field names are those
-// of every checkpoint written so far.
-type laneState struct {
+type laneSeed struct {
 	Index  int               `json:"index"`
 	Count  int               `json:"count"`
 	Cursor trace.CursorState `json:"cursor"`
 }
 
-// EnvState implements rl.EnvCheckpointer: it serializes the trace-sampling
-// RNG, a lane env's cursor, and any in-flight session so a resumed trainer
-// replays bit-for-bit.
-func (e *TrainEnv) EnvState() ([]byte, error) {
-	st := trainEnvState{RNG: e.rng.State(), TraceIdx: -1}
+// ResetSeed implements rl.SeededEnv.
+func (e *TrainEnv) ResetSeed() ([]byte, error) {
+	st := trainEnvSeed{RNG: e.seedRNG}
 	if e.cursor != nil {
-		st.Lane = &laneState{Index: e.lane, Count: e.lanes, Cursor: e.cursor.State()}
-	}
-	if e.session != nil && !e.session.Done() {
-		ss := e.session.State()
-		st.TraceIdx = e.traceIdx
-		st.Session = &ss
+		st.Lane = &laneSeed{Index: e.lane, Count: e.lanes, Cursor: e.seedCursor}
 	}
 	return json.Marshal(st)
 }
 
-// SetEnvState implements rl.EnvCheckpointer. The env must be built over the
-// same video, dataset, lane and lane count the state was captured against;
-// the trace index is validated against the dataset, the session state against
-// the video, and the cursor against the env's own lane. Validation happens
-// before any mutation, so a failed restore leaves the env untouched.
-func (e *TrainEnv) SetEnvState(data []byte) error {
-	var st trainEnvState
+// SetResetSeed implements rl.SeededEnv. The env must be built over the same
+// dataset, lane and lane count the seed was taken from: the cursor is
+// validated against the env's own lane before anything changes, so a refused
+// seed leaves the env untouched.
+func (e *TrainEnv) SetResetSeed(data []byte) error {
+	var st trainEnvSeed
 	if err := json.Unmarshal(data, &st); err != nil {
-		return fmt.Errorf("abr: decode env state: %w", err)
+		return fmt.Errorf("abr: decode reset seed: %w", err)
 	}
-	var restored *trace.Cursor
 	if l := st.Lane; l != nil {
 		if e.cursor == nil {
-			return fmt.Errorf("abr: checkpoint carries lane %d/%d cursor but env runs one lane", l.Index, l.Count)
+			return fmt.Errorf("abr: reset seed carries lane %d/%d cursor but env runs one lane", l.Index, l.Count)
 		}
 		if e.lane != l.Index || e.lanes != l.Count {
-			return fmt.Errorf("abr: checkpoint lane %d/%d does not match env lane %d/%d", l.Index, l.Count, e.lane, e.lanes)
+			return fmt.Errorf("abr: reset seed lane %d/%d does not match env lane %d/%d", l.Index, l.Count, e.lane, e.lanes)
+		}
+		if l.Cursor.N != e.cursor.Len() {
+			return fmt.Errorf("abr: reset seed cursor spans %d traces, env lane has %d", l.Cursor.N, e.cursor.Len())
 		}
 		c, err := trace.RestoreCursor(l.Cursor)
 		if err != nil {
 			return err
 		}
-		if c.Len() != e.cursor.Len() {
-			return fmt.Errorf("abr: checkpoint cursor spans %d traces, env lane has %d", c.Len(), e.cursor.Len())
-		}
-		restored = c
+		e.cursor = c
 	} else if e.cursor != nil {
-		return fmt.Errorf("abr: env streams lane %d/%d but checkpoint carries no lane cursor", e.lane, e.lanes)
-	}
-	if st.Session != nil {
-		if st.TraceIdx < 0 || st.TraceIdx >= len(e.Dataset.Traces) {
-			return fmt.Errorf("abr: restored trace index %d out of range [0,%d)", st.TraceIdx, len(e.Dataset.Traces))
-		}
-		link := &TraceLink{Trace: e.Dataset.Traces[st.TraceIdx], RTTSeconds: e.RTTSeconds}
-		s, err := RestoreSession(e.Video, link, e.Cfg, *st.Session)
-		if err != nil {
-			return err
-		}
-		e.session = s
-		e.traceIdx = st.TraceIdx
-	} else {
-		e.session = nil
-		e.traceIdx = -1
-	}
-	if restored != nil {
-		e.cursor = restored
+		return fmt.Errorf("abr: env streams lane %d/%d but reset seed carries no lane cursor", e.lane, e.lanes)
 	}
 	e.rng.SetState(st.RNG)
+	e.markSeed()
 	return nil
 }
 
@@ -282,7 +269,8 @@ func (e *TrainEnv) ActionSpec() rl.ActionSpec {
 // over the bitrate ladder, PPO at the canonical rollout size and learning
 // rate, and one TrainEnv per lane with its own sampling stream, lane w of W
 // streaming traces w, w+W, … in deterministic epoch-reshuffled order (one
-// lane samples the whole dataset uniformly). TrainPensieve, both phases of
+// lane samples the whole dataset uniformly), every lane reading the one
+// index of the dataset's traces. TrainPensieve, both phases of
 // core.TrainRobustPensieve, cmd/advtrain's pensieve target and
 // internal/dist's "pensieve" domain are all built from it. Envs fails when
 // lanes exceeds the dataset size (every lane must own a trace).
@@ -291,6 +279,7 @@ func PensieveProblem(video *Video, dataset *trace.Dataset, rttS float64) rl.Prob
 	cfg.RolloutSteps = 1024
 	cfg.LR = 1e-3
 	levels := video.Levels()
+	index := indexTraces(dataset)
 	return rl.Problem{
 		Nets: func(rng *mathx.RNG) (rl.Policy, *nn.MLP) {
 			return rl.NewCategoricalPolicy(NewPensieveNet(rng, levels)), NewPensieveValueNet(rng, levels)
@@ -305,7 +294,7 @@ func PensieveProblem(video *Video, dataset *trace.Dataset, rttS float64) rl.Prob
 				rngs[i] = rng.Split()
 			}
 			return func(lane int) rl.Env {
-				return newLaneEnv(video, dataset, DefaultSessionConfig(), rttS, rngs[lane], lane, lanes)
+				return newLaneEnv(video, dataset, index, DefaultSessionConfig(), rttS, rngs[lane], lane, lanes)
 			}, nil
 		},
 	}

@@ -20,8 +20,7 @@ type SessionConfig struct {
 	// a fixed buffer compacted amortized O(1) with no steady-state
 	// allocations). HistoryCap must be at least the longest lookback of
 	// the protocol driving the session (8 covers every protocol in this
-	// repository). Lean sessions are for simulation at scale, not
-	// checkpointing: State omits the dropped records.
+	// repository). Lean sessions are for simulation at scale.
 	HistoryCap int
 }
 
@@ -238,75 +237,6 @@ func (s *Session) reserveHist(c int) {
 	h := make([]float64, 2*c)
 	s.throughputHist = h[:0:c]
 	s.downloadHist = h[c:c]
-}
-
-// SessionState is the serializable mid-stream state of a Session: everything
-// Step mutates. Together with the (immutable) video, link, and config it
-// reconstructs the session exactly, which is what lets a training checkpoint
-// resume a half-streamed video bit-for-bit.
-type SessionState struct {
-	Chunk          int          `json:"chunk"`
-	LastLevel      int          `json:"last_level"`
-	BufferS        float64      `json:"buffer_s"`
-	TimeS          float64      `json:"time_s"`
-	TotalQoE       float64      `json:"total_qoe"`
-	TotalRebufS    float64      `json:"total_rebuf_s,omitempty"`
-	Results        []StepResult `json:"results,omitempty"`
-	ThroughputHist []float64    `json:"throughput_hist,omitempty"`
-	DownloadHist   []float64    `json:"download_hist,omitempty"`
-}
-
-// State captures a deep copy of the session's mutable state.
-func (s *Session) State() SessionState {
-	return SessionState{
-		Chunk:          s.chunk,
-		LastLevel:      s.lastLevel,
-		BufferS:        s.bufferS,
-		TimeS:          s.timeS,
-		TotalQoE:       s.totalQoE,
-		TotalRebufS:    s.totalRebufS,
-		Results:        append([]StepResult(nil), s.results...),
-		ThroughputHist: mathx.CopyOf(s.throughputHist),
-		DownloadHist:   mathx.CopyOf(s.downloadHist),
-	}
-}
-
-// RestoreSession rebuilds a session from a captured state over the given
-// video, link, and config (which must match the originals — the state only
-// carries what Step mutates). It validates the state against the video.
-func RestoreSession(video *Video, link Link, cfg SessionConfig, st SessionState) (*Session, error) {
-	if st.Chunk < 0 || st.Chunk > video.NumChunks() {
-		return nil, fmt.Errorf("abr: restored chunk index %d out of range [0,%d]", st.Chunk, video.NumChunks())
-	}
-	if st.LastLevel < -1 || st.LastLevel >= video.Levels() {
-		return nil, fmt.Errorf("abr: restored last level %d out of range [-1,%d)", st.LastLevel, video.Levels())
-	}
-	if len(st.ThroughputHist) != len(st.DownloadHist) {
-		return nil, fmt.Errorf("abr: restored history lengths inconsistent: %d throughputs, %d downloads",
-			len(st.ThroughputHist), len(st.DownloadHist))
-	}
-	// Lean sessions (HistoryCap > 0) legitimately retain a bounded history
-	// and no per-chunk results; full sessions must be internally consistent.
-	if cfg.HistoryCap <= 0 && len(st.Results) != len(st.ThroughputHist) {
-		return nil, fmt.Errorf("abr: restored history lengths inconsistent: %d results, %d throughputs, %d downloads",
-			len(st.Results), len(st.ThroughputHist), len(st.DownloadHist))
-	}
-	s := NewSession(video, link, cfg)
-	s.chunk = st.Chunk
-	s.lastLevel = st.LastLevel
-	s.bufferS = st.BufferS
-	s.timeS = st.TimeS
-	s.totalQoE = st.TotalQoE
-	s.totalRebufS = st.TotalRebufS
-	if h := cfg.HistoryCap; h > 0 {
-		// pushLeanHist compacts when the histories are full, so they get the
-		// capacity an uninterrupted session's have, whatever their length.
-		s.reserveHist(max(2*h, len(st.ThroughputHist)))
-	}
-	s.results = append(s.results, st.Results...)
-	s.throughputHist = append(s.throughputHist, st.ThroughputHist...)
-	s.downloadHist = append(s.downloadHist, st.DownloadHist...)
-	return s, nil
 }
 
 // Observation is the protocol-visible state of the session, sufficient for

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"encoding/json"
+	"fmt"
+
 	"advnet/internal/mathx"
 	"advnet/internal/netem"
 	"advnet/internal/nn"
@@ -120,6 +123,7 @@ type CCEnv struct {
 	cfg    CCAdversaryConfig
 	newCC  func() netem.CongestionController
 	rng    *mathx.RNG
+	seed   mathx.RNGState // rng as it stood at the last Reset
 	target netem.CongestionController
 	em     *netem.Emulator
 
@@ -140,7 +144,22 @@ func NewCCEnv(newCC func() netem.CongestionController, cfg CCAdversaryConfig, rn
 	if err := cfg.validate(); err != nil {
 		panic("core: NewCCEnv: " + err.Error())
 	}
-	return &CCEnv{cfg: cfg, newCC: newCC, rng: rng, records: make([]CCStepRecord, 0, cfg.EpisodeSteps)}
+	return &CCEnv{cfg: cfg, newCC: newCC, rng: rng, seed: rng.State(), records: make([]CCStepRecord, 0, cfg.EpisodeSteps)}
+}
+
+// ResetSeed implements rl.SeededEnv: the RNG whose split drives an
+// episode's random loss.
+func (e *CCEnv) ResetSeed() ([]byte, error) { return json.Marshal(e.seed) }
+
+// SetResetSeed implements rl.SeededEnv.
+func (e *CCEnv) SetResetSeed(data []byte) error {
+	var st mathx.RNGState
+	if err := json.Unmarshal(data, &st); err != nil {
+		return fmt.Errorf("core: decode CC env reset seed: %w", err)
+	}
+	e.rng.SetState(st)
+	e.seed = st
+	return nil
 }
 
 // DecodeAction maps raw policy outputs (nominally [−1,1] per dimension) to
@@ -149,6 +168,7 @@ func (e *CCEnv) DecodeAction(raw []float64) CCAction { return e.cfg.decode(raw) 
 
 // Reset implements rl.Env.
 func (e *CCEnv) Reset() []float64 {
+	e.seed = e.rng.State()
 	e.target = e.newCC()
 	mid := netem.Conditions{
 		BandwidthMbps: (e.cfg.BandwidthLo + e.cfg.BandwidthHi) / 2,

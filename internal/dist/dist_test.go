@@ -238,11 +238,12 @@ func TestDistNoWorkersTypedError(t *testing.T) {
 // miniEnv is a trivial continuous-control environment whose whole state is
 // two counters; panicAt >= 0 makes Step panic at that step index, modelling
 // a deterministic environment bug, and nanAt > 0 makes the reward of that
-// lifetime step NaN, modelling a numerically broken one.
+// lifetime step NaN, modelling a numerically broken one. The lifetime count
+// at the last Reset is its reset seed: an episode does not determine it.
 type miniEnv struct {
 	step    int
 	total   int // lifetime steps, across episodes
-	live    bool
+	seed    int // total at the last Reset
 	horizon int
 	panicAt int
 	nanAt   int
@@ -252,7 +253,7 @@ func (e *miniEnv) obs() []float64 { return []float64{float64(e.step) / float64(e
 
 func (e *miniEnv) Reset() []float64 {
 	e.step = 0
-	e.live = true
+	e.seed = e.total
 	return e.obs()
 }
 
@@ -272,22 +273,13 @@ func (e *miniEnv) Step(action []float64) ([]float64, float64, bool) {
 func (e *miniEnv) ObservationSize() int      { return 1 }
 func (e *miniEnv) ActionSpec() rl.ActionSpec { return rl.ActionSpec{Dim: 1} }
 
-type miniEnvState struct {
-	Step  int  `json:"step"`
-	Total int  `json:"total"`
-	Live  bool `json:"live"`
-}
+func (e *miniEnv) ResetSeed() ([]byte, error) { return json.Marshal(e.seed) }
 
-func (e *miniEnv) EnvState() ([]byte, error) {
-	return json.Marshal(miniEnvState{Step: e.step, Total: e.total, Live: e.live})
-}
-
-func (e *miniEnv) SetEnvState(data []byte) error {
-	var st miniEnvState
-	if err := json.Unmarshal(data, &st); err != nil {
+func (e *miniEnv) SetResetSeed(data []byte) error {
+	if err := json.Unmarshal(data, &e.seed); err != nil {
 		return err
 	}
-	e.step, e.total, e.live = st.Step, st.Total, st.Live
+	e.total = e.seed
 	return nil
 }
 

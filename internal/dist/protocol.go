@@ -33,8 +33,9 @@ import (
 )
 
 // ProtocolVersion is the wire protocol version carried in the worker hello;
-// the coordinator refuses mismatched workers.
-const ProtocolVersion = 2
+// the coordinator refuses mismatched workers. Version 3 carries a lane's
+// pending episode as its env's reset seed plus its actions (rl.Episode).
+const ProtocolVersion = 3
 
 // frameMagic guards against a stray client speaking something else entirely.
 const frameMagic uint32 = 0xAD7E51D1
@@ -451,9 +452,9 @@ func decodeParams(data []byte, policy, value *[][]float64) (uint64, error) {
 }
 
 // putBatch builds the sealed frame of a rollout batch in buf's storage. The
-// End lane state rides as JSON: it is small, and its fields (RNG words, env
-// state) already have exact JSON round-trips — Go renders float64
-// shortest-round-trip.
+// End lane state rides as JSON: it is small, and its fields (RNG words,
+// reset seed, actions) already have exact JSON round-trips — Go renders
+// float64 shortest-round-trip.
 func putBatch(buf []byte, b *rl.RolloutBatch) ([]byte, error) {
 	end, err := json.Marshal(b.End)
 	if err != nil {

@@ -188,10 +188,9 @@ func TestBatchCodecRoundTrip(t *testing.T) {
 		End: rl.LaneState{
 			RNG: mathx.NewRNG(9).State(),
 			Episode: rl.Episode{
-				PendLive: true,
-				PendObs:  []float64{0.7, -0.7},
-				EpReward: 2.5,
-				Env:      json.RawMessage(`{"k":1}`),
+				Live:    true,
+				Actions: []float64{1, 0, 2},
+				Seed:    json.RawMessage(`{"k":1}`),
 			},
 		},
 	}
@@ -245,7 +244,7 @@ func TestBatchDecodeReusesStorage(t *testing.T) {
 			Lane: 1, Steps: steps, ObsDim: 2, ActDim: 1,
 			Obs: fill(2 * steps), Act: fill(steps), Rewards: fill(steps), Values: fill(steps),
 			LogProbs: fill(steps), Advs: fill(steps), Rets: fill(steps), Dones: make([]bool, steps),
-			End: rl.LaneState{RNG: rng.State(), Episode: rl.Episode{PendLive: true, PendObs: fill(2), Env: json.RawMessage(`{"k":1}`)}},
+			End: rl.LaneState{RNG: rng.State(), Episode: rl.Episode{Live: true, Actions: fill(2), Seed: json.RawMessage(`{"k":1}`)}},
 		}
 	}
 	var got rl.RolloutBatch
@@ -267,8 +266,8 @@ func TestBatchDecodeReusesStorage(t *testing.T) {
 		if before.Obs != nil && &before.Obs[0] != &got.Obs[0] {
 			t.Fatal("decode regrew an array that had the room")
 		}
-		if before.End.PendObs != nil && &before.End.PendObs[0] == &got.End.PendObs[0] {
-			t.Fatal("End.PendObs reuses the previous End's storage")
+		if before.End.Actions != nil && &before.End.Actions[0] == &got.End.Actions[0] {
+			t.Fatal("End.Actions reuses the previous End's storage")
 		}
 	}
 }
@@ -390,7 +389,7 @@ func FuzzDecodeBatch(f *testing.F) {
 		Obs: []float64{1, 2, 3, 4}, Act: []float64{0, 1},
 		Rewards: []float64{1, -1}, Values: []float64{0, 0}, LogProbs: []float64{-1, -1},
 		Advs: []float64{0.5, -0.5}, Rets: []float64{1, 2}, Dones: []bool{false, true},
-		Episodes: 1, End: rl.LaneState{RNG: mathx.NewRNG(3).State(), Episode: rl.Episode{Env: json.RawMessage(`{"k":1}`)}},
+		Episodes: 1, End: rl.LaneState{RNG: mathx.NewRNG(3).State(), Episode: rl.Episode{Seed: json.RawMessage(`{"k":1}`)}},
 	})
 	if err != nil {
 		f.Fatal(err)
@@ -425,7 +424,7 @@ func collectPayload(t testing.TB, lanes []int) []byte {
 	t.Helper()
 	req := collectMsg{ParamsVersion: 1, Lanes: []laneRequest{}}
 	for _, l := range lanes {
-		req.Lanes = append(req.Lanes, laneRequest{Lane: l, Steps: 8, State: rl.LaneState{Episode: rl.Episode{Env: json.RawMessage(`{}`)}}})
+		req.Lanes = append(req.Lanes, laneRequest{Lane: l, Steps: 8, State: rl.LaneState{Episode: rl.Episode{Seed: json.RawMessage(`{}`)}}})
 	}
 	data, err := json.Marshal(req)
 	if err != nil {

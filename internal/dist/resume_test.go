@@ -10,7 +10,7 @@ import (
 
 // TestDistCoordinatorKillAndResume: a coordinator that dies mid-run is
 // replaced by a fresh process resuming from the checkpoint directory (the
-// PR-4 checkpoint layer with the dist lane states riding in the "ppo-vec"
+// trainer checkpoint, with the dist lane states riding in the "ppo-replay"
 // format). The head run (3 iterations, then gone) plus the resumed tail
 // (through iteration 6) must be bitwise identical to an uninterrupted
 // 6-iteration VecRunner run — stats stream and final parameters.

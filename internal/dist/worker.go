@@ -241,9 +241,10 @@ func (s *workerSession) collect(conn net.Conn, req *collectMsg) error {
 	return nil
 }
 
-// collect restores the lane from the request, runs its rollout share under
-// the session's parameters and encodes the batch into the lane's frame. A
-// panic anywhere in it is the lane's failure too.
+// collect restores the lane from the request (its env's reset seed, then a
+// replay of the pending episode's actions), runs its rollout share under the
+// session's parameters and encodes the batch into the lane's frame. A panic
+// anywhere in it is the lane's failure too.
 func (w *workerLane) collect(s *workerSession, req *laneRequest, version uint64) (err error) {
 	defer par.Contain(req.Lane, &err)
 	if s.policy == nil || version != s.paramsVersion {
@@ -260,11 +261,6 @@ func (w *workerLane) collect(s *workerSession, req *laneRequest, version uint64)
 	}
 	if err := w.lane.SetParams(s.policy, s.value); err != nil {
 		return err
-	}
-	if len(req.State.Env) == 0 {
-		// rl.Lane.Restore would start a fresh episode; a remote lane's
-		// episode must continue exactly where the last collect left it.
-		return fmt.Errorf("collect request without env state")
 	}
 	if err := w.lane.Restore(req.State); err != nil {
 		return err

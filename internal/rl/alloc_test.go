@@ -64,3 +64,44 @@ func TestUpdateAllocsOnlyFanOut(t *testing.T) {
 		t.Errorf("second update: %v allocs, want at most the fork's %v", got, fork)
 	}
 }
+
+// stillEnv is an environment that allocates nothing: a constant
+// observation in one buffer, and episodes of five steps.
+type stillEnv struct {
+	obs  [1]float64
+	step int
+}
+
+func (e *stillEnv) Reset() []float64 { e.step = 0; return e.obs[:] }
+func (e *stillEnv) Step(a []float64) ([]float64, float64, bool) {
+	e.step++
+	return e.obs[:], -a[0] * a[0], e.step >= 5
+}
+func (e *stillEnv) ObservationSize() int   { return 1 }
+func (e *stillEnv) ActionSpec() ActionSpec { return ActionSpec{Dim: 1} }
+
+// TestLaneCollectAllocFree: once its buffer and its record of the pending
+// episode's actions have grown, a lane's rollout and GAE allocate nothing —
+// recording an episode for a checkpoint costs the hot path no allocation.
+func TestLaneCollectAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are enforced in the uninstrumented build")
+	}
+	rng := mathx.NewRNG(8)
+	p, err := NewPPO(NewGaussianPolicy(nn.NewMLP(rng, []int{1, 4, 1}, nn.Tanh), -0.5), nn.NewMLP(rng, []int{1, 4, 1}, nn.Tanh), DefaultPPOConfig(), rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lane := p.sequential(&stillEnv{}).lanes[0]
+	collect := func() {
+		lane.collect(63) // ends mid-episode
+		lane.buf.reset()
+	}
+	collect()
+	if n := testing.AllocsPerRun(20, collect); n != 0 {
+		t.Fatalf("a warm collect allocates %v times, want 0", n)
+	}
+	if env := lane.env.(*stillEnv); len(lane.acts) != env.step {
+		t.Fatalf("the lane recorded %d actions of its pending episode, want %d", len(lane.acts), env.step)
+	}
+}

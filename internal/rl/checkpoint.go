@@ -16,55 +16,49 @@ import (
 // This file implements full trainer checkpoints: everything a PPO run needs
 // to resume bit-for-bit after a crash — policy and value parameters, Adam
 // moments and step counters, the trainer RNG (including the Box-Muller
-// spare), the iteration counter, and every lane's state (RNG stream,
-// pending episode, environment). There is one writer and one reader; the
-// sequential trainer, VecRunner and the dist coordinator all save
+// spare), the iteration counter, and every lane's state (RNG stream and
+// pending episode). There is one writer and one reader; the sequential
+// trainer, VecRunner and the dist coordinator all save
 // "trainer + []LaneState".
 //
 // Determinism-on-resume contract: a run that is checkpointed at iteration k,
 // reloaded into a fresh process, and continued produces the same IterStats
 // stream and bitwise-identical final parameters as the uninterrupted run,
-// provided the environments either implement EnvCheckpointer (mid-episode
-// state round-trips) or are stateless between resets. Checkpoints are taken
-// only at iteration boundaries, where the rollout buffer is empty.
+// for every environment, mid-episode included. An environment is
+// deterministic given what its Reset draws from, so a lane saves its env's
+// reset seed (SeededEnv) plus the raw actions since that Reset, and a resume
+// resets the env from the seed and replays the actions. Checkpoints are
+// taken only at iteration boundaries, where the rollout buffer is empty.
 //
-// On-disk format: the model envelope of envelope.go, kind "ppo-vec", so a
+// On-disk format: the model envelope of envelope.go, kind "ppo-replay", so a
 // corrupt or truncated checkpoint yields an error instead of silently-wrong
-// trainer state.
+// trainer state, and a checkpoint of an older layout is refused by its kind.
 // CheckpointDir layers keep-last-K retention and a manifest on top, and
 // LoadLatest falls back to the previous checkpoint when the newest one is
 // damaged.
 
-// EnvCheckpointer is implemented by environments whose mid-episode state can
-// round-trip through a checkpoint. Trainers save the state of envs that
-// implement it and restore it on load, which is what extends the bitwise
-// determinism-on-resume guarantee across a pending (unfinished) episode.
-// Environments that do not implement it can still be used with checkpointed
-// training, but the pending episode is abandoned on resume: the first
-// post-resume rollout resets the environment, so the resumed run is valid
-// but not bit-identical to the uninterrupted one.
-type EnvCheckpointer interface {
-	// EnvState serializes the environment's current state.
-	EnvState() ([]byte, error)
-	// SetEnvState restores a state captured by EnvState.
-	SetEnvState([]byte) error
+// SeededEnv is implemented by an environment whose Reset draws from hidden
+// state that its actions do not determine — an RNG, a trace cursor.
+// ResetSeed returns that state as it stood when the env last reset, before
+// Reset drew from it (or as it stands now, before the first Reset after
+// construction or SetResetSeed); SetResetSeed puts a seed back, so that the
+// env's next Reset draws exactly what that one drew, and validates it before
+// it changes anything. An environment whose episode is a pure function of
+// its actions since Reset needs neither. An implementation copies the state
+// into a value at Reset, so that a rollout allocates nothing for it.
+type SeededEnv interface {
+	ResetSeed() ([]byte, error)
+	SetResetSeed([]byte) error
 }
 
-// trainerKind is the envelope kind of a trainer checkpoint. The name is
-// historical: it was VecRunner's, and its layout — trainer state plus one
-// entry per lane — is now the only one written.
-const trainerKind = "ppo-vec"
-
-// legacyKind is the envelope kind the sequential trainer wrote before the
-// layouts were unified: the same payload with its one lane's state inline
-// ("collector" at top level, its RNG being the trainer's "rng") instead of
-// under "workers". Still readable.
-const legacyKind = "ppo"
+// trainerKind is the envelope kind of a trainer checkpoint: trainer state
+// plus one LaneState per lane. Files of the layouts before it — "ppo-vec",
+// whose lanes carried hand-serialized env states, and the sequential "ppo" —
+// are refused by kind.
+const trainerKind = "ppo-replay"
 
 // ppoSnapshot is the trainer checkpoint payload. Lane 0's RNG is the trainer
-// RNG: RNG is authoritative and Lanes[0].RNG a copy of it (absent from
-// files written before the layouts were unified). Lanes keeps the key
-// "workers" of every older checkpoint.
+// RNG: RNG is authoritative and Lanes[0].RNG a copy of it.
 type ppoSnapshot struct {
 	Cfg    PPOConfig       `json:"cfg"`
 	Iter   int             `json:"iter"`
@@ -73,8 +67,7 @@ type ppoSnapshot struct {
 	PolOpt nn.AdamState    `json:"pol_opt"`
 	ValOpt nn.AdamState    `json:"val_opt"`
 	RNG    mathx.RNGState  `json:"rng"`
-	Col    Episode         `json:"collector"` // always zero; the legacy kind's one lane
-	Lanes  []LaneState     `json:"workers,omitempty"`
+	Lanes  []LaneState     `json:"lanes"`
 }
 
 // restorePolicy loads an encoded policy into an existing policy in place
@@ -176,19 +169,15 @@ func (p *PPO) SaveLaneCheckpoint(path string, lanes []LaneState) error {
 // and returns the per-lane states for the caller to hand to its lanes
 // (lanes[0].RNG is the restored trainer RNG). The trainer must have been
 // constructed with the same configuration and architectures; everything
-// stochastic is overwritten from the checkpoint. This is the one reader; it
-// also accepts the legacy sequential kind as a one-lane checkpoint.
+// stochastic is overwritten from the checkpoint. This is the one reader.
 func (p *PPO) LoadLaneCheckpoint(path string) ([]LaneState, error) {
-	payload, kind, err := ReadEnvelope(path, trainerKind, legacyKind)
+	payload, _, err := ReadEnvelope(path, trainerKind)
 	if err != nil {
 		return nil, err
 	}
 	var snap ppoSnapshot
 	if err := json.Unmarshal(payload, &snap); err != nil {
 		return nil, fmt.Errorf("rl: checkpoint %s: %w", path, err)
-	}
-	if kind == legacyKind {
-		snap.Lanes = []LaneState{{Episode: snap.Col}}
 	}
 	if len(snap.Lanes) == 0 {
 		return nil, fmt.Errorf("rl: checkpoint %s carries no lane states", path)
@@ -239,8 +228,8 @@ func (p *PPO) restore(snap *ppoSnapshot) error {
 }
 
 // SaveCheckpoint writes the sequential trainer's checkpoint: the trainer plus
-// its one lane. env is the training environment; pass nil when no
-// environment state should be captured. Call only at iteration boundaries.
+// its one lane. env is the training environment; pass nil when no episode
+// should be captured. Call only at iteration boundaries.
 func (p *PPO) SaveCheckpoint(path string, env Env) error {
 	st, err := p.seq.lanes[0].stateWith(env)
 	if err != nil {
@@ -251,8 +240,7 @@ func (p *PPO) SaveCheckpoint(path string, env Env) error {
 
 // LoadCheckpoint restores a one-lane checkpoint into the sequential trainer
 // (see VecRunner.LoadCheckpoint). env must be the reconstructed training
-// environment; its mid-episode state is restored when the checkpoint carries
-// one.
+// environment; a pending episode the checkpoint carries is replayed on it.
 func (p *PPO) LoadCheckpoint(path string, env Env) error {
 	return p.sequential(env).LoadCheckpoint(path)
 }

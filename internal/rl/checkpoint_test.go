@@ -15,32 +15,11 @@ import (
 	"advnet/internal/par"
 )
 
-// ckptTargetEnv is targetEnv with mid-episode checkpoint support: episodes
-// span multiple steps, so resuming a pending episode bitwise requires the
-// env's step counter to round-trip.
-type ckptTargetEnv struct {
-	targetEnv
-}
-
-type ckptTargetEnvState struct {
-	Step int `json:"step"`
-}
-
-func (e *ckptTargetEnv) EnvState() ([]byte, error) {
-	return json.Marshal(ckptTargetEnvState{Step: e.step})
-}
-
-func (e *ckptTargetEnv) SetEnvState(data []byte) error {
-	var st ckptTargetEnvState
-	if err := json.Unmarshal(data, &st); err != nil {
-		return err
-	}
-	e.step = st.Step
-	return nil
-}
-
-func newCkptEnv() *ckptTargetEnv {
-	return &ckptTargetEnv{targetEnv{target: 1.5, horizon: 8}}
+// newCkptEnv is the resume tests' environment: horizon-8 episodes, so an
+// iteration boundary usually falls mid-episode, and a resume must replay the
+// pending episode's actions to continue bitwise.
+func newCkptEnv() *targetEnv {
+	return &targetEnv{target: 1.5, horizon: 8}
 }
 
 // newCkptFixture builds a Gaussian-policy PPO trainer. The seed matters only
@@ -69,7 +48,7 @@ func newCkptFixture(t *testing.T, seed uint64, steps int) (*PPO, *GaussianPolicy
 // a DIFFERENT seed, continue — stats and final parameters must be bitwise
 // identical to the uninterrupted 6-iteration run. RolloutSteps=50 with
 // horizon-8 episodes guarantees a live mid-episode pending state at the
-// checkpoint, exercising the EnvCheckpointer path.
+// checkpoint, which the resume replays.
 func TestPPOResumeBitwise(t *testing.T) {
 	full, fullPol, fullVal := newCkptFixture(t, 50, 50)
 	fullStats := full.Train(newCkptEnv(), 6)
@@ -112,19 +91,25 @@ func TestPPOResumeBitwise(t *testing.T) {
 }
 
 // legacyGoldenFP is the uninterrupted 6-iteration fingerprint of
-// newCkptFixture(seed 50, 50 steps) on newCkptEnv, captured — like
-// testdata/legacy_ppo_iter3.json, that run's iteration-3 checkpoint — at the
-// last commit whose sequential trainer wrote envelope kind "ppo".
+// newCkptFixture(seed 50, 50 steps) on newCkptEnv, captured at the last
+// commit whose sequential trainer wrote envelope kind "ppo".
+// testdata/ppo_replay_w1_iter3.json is that run's iteration-3 checkpoint and
+// testdata/ppo_replay_w4_iter3.json the four-lane run's, both recorded in the
+// "ppo-replay" layout; testdata/ppo_vec_w4_iter3.json is the four-lane
+// one as the "ppo-vec" layout wrote it.
 const legacyGoldenFP = 0x21edd5e8653139b9
 
-// TestLegacyPPOCheckpointResumes: files outlive processes. A kind-"ppo"
-// checkpoint written before the layouts were unified loads through the one
-// reader as a one-lane checkpoint — into the sequential trainer, into a
-// one-lane VecRunner, and into the policy loader — and the resumed run lands
-// on the golden of the run that wrote it. So does a four-lane "ppo-vec"
-// file of that vintage.
+// TestLegacyPPOCheckpointResumes: the recorded checkpoints of the legacy
+// golden run resume onto its fingerprint — into the sequential trainer, a
+// one-lane VecRunner and the policy loader, and at four lanes — replaying
+// each lane's pending episode to the episode reward the "ppo-vec" file
+// carried. The "ppo-vec" file itself is refused by its kind.
 func TestLegacyPPOCheckpointResumes(t *testing.T) {
-	const path = "testdata/legacy_ppo_iter3.json"
+	const (
+		path    = "testdata/ppo_replay_w1_iter3.json"
+		path4   = "testdata/ppo_replay_w4_iter3.json"
+		oldPath = "testdata/ppo_vec_w4_iter3.json"
+	)
 	full, fullPol, fullVal := newCkptFixture(t, 50, 50)
 	fullStats := full.Train(newCkptEnv(), 6)
 	if got := fingerprint(append(fullPol.Params(), fullVal.Params()...), fullStats); got != legacyGoldenFP {
@@ -161,7 +146,7 @@ func TestLegacyPPOCheckpointResumes(t *testing.T) {
 		}
 	}
 	if _, err := LoadPolicyNet(path); err != nil {
-		t.Fatalf("LoadPolicyNet on the legacy kind: %v", err)
+		t.Fatalf("LoadPolicyNet: %v", err)
 	}
 	c, _, _ := newCkptFixture(t, 50, 50)
 	v2, err := NewVecRunner(c, func(int) Env { return newCkptEnv() }, 2)
@@ -169,11 +154,9 @@ func TestLegacyPPOCheckpointResumes(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := v2.LoadCheckpoint(path); err == nil {
-		t.Fatal("two-lane runner loaded a one-lane legacy checkpoint")
+		t.Fatal("two-lane runner loaded a one-lane checkpoint")
 	}
 
-	// A four-lane "ppo-vec" file from the same commit: its workers[0] has
-	// no rng entry (lane 0's stream was stored only as the trainer RNG).
 	factory := func(int) Env { return newCkptEnv() }
 	full4, full4Pol, full4Val := newCkptFixture(t, 50, 50)
 	full4Stats, err := full4.TrainParallel(factory, 4, 6)
@@ -185,8 +168,29 @@ func TestLegacyPPOCheckpointResumes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := v4.LoadCheckpoint("testdata/ppo_vec_w4_iter3_pr14.json"); err != nil {
+	if err := v4.LoadCheckpoint(path4); err != nil {
 		t.Fatal(err)
+	}
+	var old struct {
+		Payload struct {
+			Workers []struct {
+				Collector struct {
+					EpReward float64 `json:"ep_reward"`
+				} `json:"collector"`
+			} `json:"workers"`
+		} `json:"payload"`
+	}
+	data, err := os.ReadFile(oldPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data, &old); err != nil || len(old.Payload.Workers) != 4 {
+		t.Fatalf("decode %s: %v (%d lanes)", oldPath, err, len(old.Payload.Workers))
+	}
+	for i, l := range v4.lanes {
+		if want := old.Payload.Workers[i].Collector.EpReward; !l.pendLive || l.curEpReward != want {
+			t.Fatalf("lane %d replayed to live %v, episode reward %v; the ppo-vec file carried %v", i, l.pendLive, l.curEpReward, want)
+		}
 	}
 	tail4, err := v4.Train(3)
 	if err != nil {
@@ -194,7 +198,22 @@ func TestLegacyPPOCheckpointResumes(t *testing.T) {
 	}
 	combined4 := append(append([]IterStats(nil), full4Stats[:3]...), tail4...)
 	if got, want := fingerprint(append(dPol.Params(), dVal.Params()...), combined4), fingerprint(append(full4Pol.Params(), full4Val.Params()...), full4Stats); got != want {
-		t.Fatalf("resumed from the older four-lane file: fingerprint %#x, uninterrupted %#x", got, want)
+		t.Fatalf("resumed from the four-lane file: fingerprint %#x, uninterrupted %#x", got, want)
+	}
+
+	e, _, _ := newCkptFixture(t, 999, 50)
+	v4old, err := NewVecRunner(e, factory, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := v4old.LoadCheckpoint(oldPath); err == nil || !strings.Contains(err.Error(), `kind "ppo-vec"`) {
+		t.Fatalf("LoadCheckpoint of the ppo-vec layout: err %v, want a refusal naming its kind", err)
+	}
+	if e.Iteration() != 0 {
+		t.Fatalf("refused checkpoint advanced the trainer to iteration %d", e.Iteration())
+	}
+	if _, err := LoadPolicyNet(oldPath); err == nil || !strings.Contains(err.Error(), `kind "ppo-vec"`) {
+		t.Fatalf("LoadPolicyNet of the ppo-vec layout: err %v, want a refusal naming its kind", err)
 	}
 }
 
@@ -766,5 +785,107 @@ func TestCheckpointDirStaleLockStolen(t *testing.T) {
 	}
 	if _, err := os.Stat(lock); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("dead claim not cleared: %v", err)
+	}
+}
+
+// planeEnv is targetEnv over two-value action rows, with a reset seed: the
+// count of resets so far, which its observation shows.
+type planeEnv struct {
+	targetEnv
+	resets, seed int
+}
+
+func (e *planeEnv) Reset() []float64 {
+	e.seed = e.resets
+	e.resets++
+	e.targetEnv.Reset()
+	return []float64{float64(e.seed)}
+}
+
+func (e *planeEnv) Step(a []float64) ([]float64, float64, bool) {
+	_, r, done := e.targetEnv.Step(a[:1])
+	return []float64{float64(e.seed)}, r - a[1]*a[1], done
+}
+
+func (e *planeEnv) ActionSpec() ActionSpec { return ActionSpec{Dim: 2} }
+
+func (e *planeEnv) ResetSeed() ([]byte, error) { return json.Marshal(e.seed) }
+
+func (e *planeEnv) SetResetSeed(data []byte) error {
+	var n int
+	if err := json.Unmarshal(data, &n); err != nil {
+		return err
+	}
+	e.seed, e.resets = n, n
+	return nil
+}
+
+// TestLaneRestoreRejects: Restore refuses a state that does not fit its
+// lane's env — an action row of another width, a non-finite action, more
+// actions than the episode takes, actions without a pending episode, a seed
+// the env has no use for or lacks, an episode for a lane without an env —
+// and a valid Restore after any of them resumes exactly as a lane that
+// never saw one.
+func TestLaneRestoreRejects(t *testing.T) {
+	newLane := func(env Env) *Lane {
+		rng := mathx.NewRNG(4)
+		l, err := NewLane(NewGaussianPolicy(nn.NewMLP(rng, []int{1, 4, 2}, nn.Tanh), -0.5), nn.NewMLP(rng, []int{1, 4, 1}, nn.Tanh), env, 0.99, 0.95)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return l
+	}
+	newEnv := func() *planeEnv { return &planeEnv{targetEnv: targetEnv{target: 1, horizon: 4}} }
+	ref := newLane(newEnv())
+	cut, err := ref.Collect(0, 6) // two steps into the second episode
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := cut.End
+	if string(good.Seed) != "1" || len(good.Actions) != 4 {
+		t.Fatalf("cut state seed %s with %d action values, want 1 and 4", good.Seed, len(good.Actions))
+	}
+	want, err := ref.Collect(0, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantJSON, _ := json.Marshal(want)
+
+	with := func(edit func(*Episode)) LaneState {
+		st := good
+		st.Actions = append([]float64(nil), good.Actions...)
+		edit(&st.Episode)
+		return st
+	}
+	for name, st := range map[string]LaneState{
+		"row of another width":    with(func(e *Episode) { e.Actions = e.Actions[:3] }),
+		"NaN action":              with(func(e *Episode) { e.Actions[1] = math.NaN() }),
+		"Inf action":              with(func(e *Episode) { e.Actions[2] = math.Inf(-1) }),
+		"past the episode's end":  with(func(e *Episode) { e.Actions = make([]float64, 8) }),
+		"actions with no episode": with(func(e *Episode) { e.Live = false }),
+		"no seed":                 with(func(e *Episode) { e.Seed = nil }),
+		"seed the env refuses":    with(func(e *Episode) { e.Seed = json.RawMessage(`"x"`) }),
+	} {
+		l := newLane(newEnv())
+		if err := l.Restore(st); err == nil {
+			t.Errorf("%s: Restore accepted the state", name)
+		}
+		if err := l.Restore(good); err != nil {
+			t.Fatalf("%s: valid Restore after a refused one: %v", name, err)
+		}
+		got, err := l.Collect(0, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotJSON, _ := json.Marshal(got); string(gotJSON) != string(wantJSON) {
+			t.Errorf("%s: the resumed lane diverged after a refused Restore", name)
+		}
+	}
+	if err := newLane(newCkptEnv()).Restore(good); err == nil || !strings.Contains(err.Error(), "has none") {
+		t.Errorf("an env without a reset seed accepted one: %v", err)
+	}
+	p, _, _ := newCkptFixture(t, 50, 50)
+	if err := p.sequential(nil).lanes[0].Restore(LaneState{Episode: Episode{Live: true}}); err == nil {
+		t.Error("a lane without an env accepted a pending episode")
 	}
 }

@@ -109,7 +109,7 @@ func TestDistLanesMatchVecRunnerBitwise(t *testing.T) {
 }
 
 // TestDistCheckpointBytesMatchVecRunner: a distributed checkpoint saved at
-// an iteration boundary is byte-identical to the "ppo-vec" checkpoint an
+// an iteration boundary is byte-identical to the "ppo-replay" checkpoint an
 // in-process VecRunner writes at the same boundary — the two training paths
 // are interchangeable mid-run, which is what lets a distributed coordinator
 // resume a VecRunner run and vice versa.

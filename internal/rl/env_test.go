@@ -8,19 +8,19 @@ import (
 	"advnet/internal/nn"
 )
 
-// reusedObsEnv is ckptTargetEnv observing its step count. With reuse set it
+// reusedObsEnv is targetEnv observing its step count. With reuse set it
 // returns one buffer and NaN-fills the slice it returned last at the start
 // of every Reset and Step, so a caller that reads an observation after the
 // env's next call — which the Env contract forbids — reads NaN or a later
 // step's value.
 type reusedObsEnv struct {
-	ckptTargetEnv
+	targetEnv
 	reuse bool
 	buf   []float64
 }
 
 func newReusedObsEnv(reuse bool) *reusedObsEnv {
-	return &reusedObsEnv{ckptTargetEnv: *newCkptEnv(), reuse: reuse}
+	return &reusedObsEnv{targetEnv: *newCkptEnv(), reuse: reuse}
 }
 
 func (e *reusedObsEnv) poison() {
@@ -40,13 +40,13 @@ func (e *reusedObsEnv) observe() []float64 {
 
 func (e *reusedObsEnv) Reset() []float64 {
 	e.poison()
-	e.ckptTargetEnv.Reset()
+	e.targetEnv.Reset()
 	return e.observe()
 }
 
 func (e *reusedObsEnv) Step(a []float64) ([]float64, float64, bool) {
 	e.poison()
-	_, r, done := e.ckptTargetEnv.Step(a)
+	_, r, done := e.targetEnv.Step(a)
 	return e.observe(), r, done
 }
 

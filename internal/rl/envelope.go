@@ -23,14 +23,11 @@ import (
 // whose payload does not match its digest — before anything decodes the
 // payload. The kinds and their writers:
 //
-//	ppo-vec               PPO.SaveLaneCheckpoint (and the SaveCheckpoint family)
+//	ppo-replay            PPO.SaveLaneCheckpoint (and the SaveCheckpoint family)
 //	policy                SavePolicyNet
 //	abr-adversary         core.ABRAdversary.Save
 //	cc-adversary          core.CCAdversary.Save
 //	abr-regression-suite  core.ABRRegressionSuite.Save
-//
-// The legacy sequential trainer kind "ppo" is still read, because
-// crash-resume files outlive the processes that wrote them.
 
 // EnvelopeVersion identifies the envelope format.
 const EnvelopeVersion = 1
@@ -101,12 +98,12 @@ func SavePolicyNet(path string, net *nn.MLP) error {
 }
 
 // LoadPolicyNet loads a policy network from a "policy" envelope
-// (SavePolicyNet) or a trainer checkpoint ("ppo-vec", or the legacy "ppo"),
-// whose policy net it extracts, ignoring optimizer and lane state. The
+// (SavePolicyNet) or a trainer checkpoint ("ppo-replay"), whose policy net
+// it extracts, ignoring optimizer and lane state. The
 // serving layer (internal/serve) hot-reloads snapshots through it, so a
 // model server can point at a live CheckpointDir.
 func LoadPolicyNet(path string) (*nn.MLP, error) {
-	payload, kind, err := ReadEnvelope(path, PolicyKind, trainerKind, legacyKind)
+	payload, kind, err := ReadEnvelope(path, PolicyKind, trainerKind)
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package rl
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 
 	"advnet/internal/mathx"
 	"advnet/internal/nn"
@@ -11,8 +12,8 @@ import (
 
 // Lane is the one rollout unit: a policy/value pair, an RNG stream, an
 // environment, a rollout buffer, and the episode state carried across
-// iterations (the pending observation and the running episode reward). A
-// lane is a pure function
+// iterations (the pending observation, the running episode reward and the
+// raw actions since the env's last Reset). A lane is a pure function
 //
 //	(LaneState, parameters, steps) -> (rollout with GAE applied, next LaneState)
 //
@@ -42,6 +43,7 @@ type Lane struct {
 	pendLive    bool
 	pendEnv     Env // the env pendObs came from
 	curEpReward float64
+	acts        []float64 // raw actions since pendEnv's last Reset, row-major
 
 	// The last collect's outcome, read after join.
 	cs        collectStats
@@ -68,16 +70,12 @@ func newLane(policy Policy, value *nn.MLP, rng *mathx.RNG, buf *rolloutBuffer, g
 }
 
 // NewLane builds a lane for another process to serve (internal/dist): its
-// state is overwritten from a LaneState before every collect, so the
-// environment must implement EnvCheckpointer — lane hand-off is state
-// hand-off. gamma/lambda must match the trainer's PPOConfig (they
-// parameterize the lane-side GAE).
+// state is overwritten from a LaneState before every collect — lane hand-off
+// is a reset seed plus a replay (see Restore). gamma/lambda must match the
+// trainer's PPOConfig (they parameterize the lane-side GAE).
 func NewLane(policy Policy, value *nn.MLP, env Env, gamma, lambda float64) (*Lane, error) {
 	if env == nil {
 		return nil, fmt.Errorf("rl: NewLane with nil env")
-	}
-	if _, ok := env.(EnvCheckpointer); !ok {
-		return nil, fmt.Errorf("rl: lane env type %T does not implement EnvCheckpointer (required for lane hand-off)", env)
 	}
 	// The RNG seed is irrelevant: Restore overwrites it before every collect.
 	l := newLane(policy, value, mathx.NewRNG(1), &rolloutBuffer{}, gamma, lambda)
@@ -89,7 +87,9 @@ func NewLane(policy Policy, value *nn.MLP, env Env, gamma, lambda float64) (*Lan
 // appending transitions to the buffer. It resumes a partial episode when the
 // environment is unchanged since the last call and starts fresh otherwise
 // (e.g. after injecting adversarial traces swaps the env out). All
-// stochasticity flows through the lane's RNG.
+// stochasticity flows through the lane's RNG. The pending episode's
+// actions are recorded at the end, from the buffer, so that State can
+// describe the episode by them.
 func (l *Lane) rollout(steps int) collectStats {
 	var st collectStats
 	if steps <= 0 {
@@ -100,9 +100,11 @@ func (l *Lane) rollout(steps int) collectStats {
 	if !l.pendLive || l.pendEnv != env {
 		obs = env.Reset()
 		l.curEpReward = 0
+		l.acts = l.acts[:0]
 	}
 	l.pendEnv = env
 	l.buf.ensureCap(l.buf.len()+steps, env.ObservationSize(), env.ActionSpec().ActionSize())
+	pend := 0 // steps of the pending episode taken in this call
 	for step := 0; step < steps; step++ {
 		action, logp := l.policy.Sample(l.rng, obs)
 		value := l.value.ForwardInto(l.vcache, obs)[0]
@@ -117,10 +119,16 @@ func (l *Lane) rollout(steps int) collectStats {
 			st.episodes++
 			st.epRewardSum += l.curEpReward
 			l.curEpReward = 0
+			l.acts = l.acts[:0]
+			pend = 0
 			obs = env.Reset()
 		} else {
 			obs = next
+			pend++
 		}
+	}
+	for _, t := range l.buf.steps[l.buf.len()-pend:] {
+		l.acts = append(l.acts, t.action...)
 	}
 	// Copy the next-step observation out of the env's buffer, without
 	// allocating in steady state.
@@ -151,6 +159,7 @@ func (l *Lane) abandon() {
 	l.pendLive = false
 	l.pendEnv = nil
 	l.curEpReward = 0
+	l.acts = l.acts[:0]
 }
 
 // SetParams overwrites the lane's policy and value parameters with the
@@ -176,35 +185,44 @@ func copyParams(dst, src [][]float64, which string) error {
 }
 
 // LaneState is the complete state of one lane at an iteration boundary: its
-// pending episode with the serialized environment, and its RNG stream. It is
-// what a collect request carries to another process, what a batch carries
-// back, and — in the same JSON form — what a checkpoint persists per lane.
+// pending episode and its RNG stream. It is what a collect request carries
+// to another process, what a batch carries back, and — in the same JSON
+// form — what a checkpoint persists per lane.
 type LaneState struct {
-	Episode `json:"collector"`
+	Episode `json:"episode"`
 	RNG     mathx.RNGState `json:"rng"`
 }
 
-// Episode is the pending-episode part of a LaneState.
+// Episode is the pending-episode part of a LaneState. Every environment is
+// deterministic, so an episode is its env's reset seed plus the raw actions
+// taken since that Reset: Restore resets the env from the seed and replays
+// the actions, which rebuilds the env, the pending observation and the
+// episode reward bitwise.
 type Episode struct {
-	PendLive bool            `json:"pend_live"`
-	PendObs  []float64       `json:"pend_obs,omitempty"`
-	EpReward float64         `json:"ep_reward"`
-	Env      json.RawMessage `json:"env,omitempty"` // empty when the env is not an EnvCheckpointer
+	Live    bool            `json:"live"`              // an episode is pending
+	Actions []float64       `json:"actions,omitempty"` // its raw actions so far, row-major
+	Seed    json.RawMessage `json:"seed,omitempty"`    // the env's ResetSeed; empty when the env is not a SeededEnv
 }
 
-// stateWith captures the lane's state, taking the environment state from env
-// when it implements EnvCheckpointer.
-func (l *Lane) stateWith(env Env) (LaneState, error) {
-	st := LaneState{RNG: l.rng.State(), Episode: Episode{PendLive: l.pendLive, EpReward: l.curEpReward}}
-	if l.pendLive {
-		st.PendObs = append([]float64(nil), l.pendObs...)
+// resetSeed returns env's reset seed, or nil when env has none.
+func resetSeed(env Env) (json.RawMessage, error) {
+	if s, ok := env.(SeededEnv); ok {
+		return s.ResetSeed()
 	}
-	if ec, ok := env.(EnvCheckpointer); ok {
-		data, err := ec.EnvState()
-		if err != nil {
-			return LaneState{}, fmt.Errorf("rl: checkpoint env state: %w", err)
-		}
-		st.Env = data
+	return nil, nil
+}
+
+// stateWith captures the lane's state against env: its reset seed, and the
+// pending episode when that episode is env's.
+func (l *Lane) stateWith(env Env) (LaneState, error) {
+	st := LaneState{RNG: l.rng.State()}
+	if l.pendLive && l.pendEnv == env {
+		st.Live = true
+		st.Actions = mathx.CopyOf(l.acts)
+	}
+	var err error
+	if st.Seed, err = resetSeed(env); err != nil {
+		return LaneState{}, err
 	}
 	return st, nil
 }
@@ -212,37 +230,70 @@ func (l *Lane) stateWith(env Env) (LaneState, error) {
 // State captures the lane's current state, the inverse of Restore.
 func (l *Lane) State() (LaneState, error) { return l.stateWith(l.env) }
 
-// Restore loads a lane state: environment first (EnvCheckpointer
-// implementations validate before they mutate), then the RNG and the pending
-// episode, bound to this lane's env — now, not lazily at the next collect: a
-// resumed phase may run zero iterations, and the next collect can then be
-// against a different environment entirely, which must abandon the episode
-// rather than adopt the wrong env. A state without env state (the env was
-// not checkpointable at save time) cannot resume a pending episode
-// faithfully, so the episode is dropped and the next rollout starts from a
-// fresh reset.
+// Restore loads a lane state: the env's reset seed (SeededEnv
+// implementations validate before they mutate), then, for a pending
+// episode, a Reset and a replay of its actions, then the RNG. The episode is
+// bound to this lane's env now, not lazily at the next collect: a resumed
+// phase may run zero iterations, and the next collect can then be against a
+// different environment entirely, which must start its own episode rather
+// than adopt this one. A state that does not fit the env — a seed it lacks
+// or refuses, an action row of another width, a non-finite action, more
+// actions than the episode takes — is an error and leaves the lane with no
+// pending episode, which the next Restore overwrites whole.
 func (l *Lane) Restore(st LaneState) error {
-	var bound Env
-	if len(st.Env) > 0 {
-		ec, ok := l.env.(EnvCheckpointer)
-		if !ok {
-			return fmt.Errorf("rl: lane state has env state but env type %T does not implement EnvCheckpointer", l.env)
-		}
-		if err := ec.SetEnvState(st.Env); err != nil {
-			return fmt.Errorf("rl: restore env state: %w", err)
-		}
-		bound = l.env
-	} else {
-		st.PendLive = false
+	l.abandon()
+	if err := l.replay(st.Episode); err != nil {
+		return err
 	}
-	l.pendEnv = bound
 	l.rng.SetState(st.RNG)
-	l.pendLive = st.PendLive
-	l.curEpReward = st.EpReward
-	if st.PendLive {
-		l.pendObs = append(l.pendObs[:0], st.PendObs...)
+	return nil
+}
+
+// replay puts ep into the lane's env and the lane's pending episode.
+func (l *Lane) replay(ep Episode) error {
+	env := l.env
+	s, seeded := env.(SeededEnv)
+	switch {
+	case seeded && len(ep.Seed) == 0:
+		return fmt.Errorf("rl: lane state carries no reset seed for env type %T", env)
+	case !seeded && len(ep.Seed) > 0:
+		return fmt.Errorf("rl: lane state carries a reset seed but env type %T has none", env)
+	case seeded:
+		if err := s.SetResetSeed(ep.Seed); err != nil {
+			return fmt.Errorf("rl: restore reset seed: %w", err)
+		}
 	}
-	l.buf.reset()
+	if !ep.Live {
+		if len(ep.Actions) > 0 {
+			return fmt.Errorf("rl: lane state carries %d action values but no pending episode", len(ep.Actions))
+		}
+		return nil
+	}
+	if env == nil {
+		return fmt.Errorf("rl: lane state carries an episode but the lane has no env")
+	}
+	width := env.ActionSpec().ActionSize()
+	if len(ep.Actions)%width != 0 {
+		return fmt.Errorf("rl: lane state carries %d action values, not whole rows of %d", len(ep.Actions), width)
+	}
+	for i, a := range ep.Actions {
+		if math.IsNaN(a) || math.IsInf(a, 0) {
+			return fmt.Errorf("rl: lane state action value %d is %v", i, a)
+		}
+	}
+	l.acts = append(l.acts[:0], ep.Actions...)
+	obs := env.Reset()
+	var epReward float64
+	for i := 0; i < len(l.acts); i += width {
+		next, reward, done := env.Step(l.acts[i : i+width])
+		epReward += reward
+		if done {
+			return fmt.Errorf("rl: lane state replays %d actions, but the episode ends after %d", len(ep.Actions)/width, i/width+1)
+		}
+		obs = next
+	}
+	l.pendObs = append(l.pendObs[:0], obs...)
+	l.pendLive, l.pendEnv, l.curEpReward = true, env, epReward
 	return nil
 }
 
@@ -283,7 +334,7 @@ type RolloutBatch struct {
 // fresh each time). A panic inside comes back as a *par.PanicError naming
 // the lane — the serving process survives and reports it instead of dying.
 func (l *Lane) Collect(lane, steps int) (_ *RolloutBatch, err error) {
-	defer par.Contain(lane, &err) // the export and the env's EnvState, too
+	defer par.Contain(lane, &err) // the export and the env's ResetSeed, too
 	l.collect(steps)
 	b := &l.batch
 	b.Lane = lane

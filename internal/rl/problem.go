@@ -50,8 +50,8 @@ func NewTrainer(pr Problem, lanes int, rng *mathx.RNG) (*PPO, EnvFactory, error)
 
 // Lane builds the lane a worker process serves for one slot of a lanes-wide
 // run of the problem. Construction randomness is arbitrary: parameters are
-// overwritten by every broadcast, and the lane's RNG and environment state
-// by every Restore. Only the architecture, the hyperparameters and the
+// overwritten by every broadcast, and the lane's RNG and environment by
+// every Restore. Only the architecture, the hyperparameters and the
 // lane's share of the inputs must match the trainer's, which they do because
 // both come from the same Problem.
 func (pr Problem) Lane(lane, lanes int) (*Lane, error) {
@@ -92,9 +92,9 @@ type TrainOptions struct {
 	Lanes int
 	// Checkpoint enables crash-safe training: periodic atomic trainer
 	// checkpoints under Checkpoint.Dir with automatic resume (see
-	// CheckpointConfig). An environment that does not implement
-	// EnvCheckpointer abandons its half-collected episode on resume — valid
-	// training, though not bit-for-bit an uninterrupted run.
+	// CheckpointConfig). A resumed run is bit-for-bit the uninterrupted one,
+	// a half-collected episode included: a lane resumes it by resetting its
+	// env from the saved reset seed and replaying the saved actions.
 	Checkpoint CheckpointConfig
 }
 

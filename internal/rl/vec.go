@@ -90,9 +90,9 @@ func NewVecRunner(p *PPO, factory EnvFactory, lanes int) (*VecRunner, error) {
 // other processes, consuming the trainer RNG exactly as NewVecRunner does
 // (one Split per lane beyond the first, in lane order) so that the two are
 // bitwise interchangeable — without NewVecRunner's network clones, which a
-// coordinator has no use for. The factory's environments must implement
-// EnvCheckpointer and are used only to capture initial state — the
-// processes running the lanes rebuild their own from the domain configuration.
+// coordinator has no use for. The factory's environments are used only for
+// their reset seeds — the processes running the lanes rebuild their own from
+// the domain configuration.
 func (p *PPO) NewLaneStates(factory EnvFactory, lanes int) ([]LaneState, error) {
 	if lanes <= 0 {
 		return nil, fmt.Errorf("rl: NewLaneStates lanes=%d", lanes)
@@ -102,16 +102,10 @@ func (p *PPO) NewLaneStates(factory EnvFactory, lanes int) ([]LaneState, error) 
 	}
 	states := make([]LaneState, lanes)
 	for i := range states {
-		env := factory(i)
-		ec, ok := env.(EnvCheckpointer)
-		if !ok {
-			return nil, fmt.Errorf("rl: lane %d env type %T does not implement EnvCheckpointer (required for distributed training)", i, env)
+		var err error
+		if states[i].Seed, err = resetSeed(factory(i)); err != nil {
+			return nil, fmt.Errorf("rl: lane %d: %w", i, err)
 		}
-		data, err := ec.EnvState()
-		if err != nil {
-			return nil, fmt.Errorf("rl: lane %d initial env state: %w", i, err)
-		}
-		states[i].Env = data
 		if i > 0 {
 			states[i].RNG = p.rng.Split().State()
 		}
@@ -240,7 +234,7 @@ func (v *VecRunner) SaveCheckpoint(path string) error {
 // LoadCheckpoint restores a trainer checkpoint into the runner. The runner
 // must have been constructed with the same lane count, configuration, and
 // environment factory as the one that saved it; every piece of stochastic
-// state (trainer RNG, lane RNGs, env states, Adam moments, parameters) is
+// state (trainer RNG, lane RNGs, env reset seeds, Adam moments, parameters) is
 // then overwritten from the checkpoint, so whatever randomness construction
 // consumed is irrelevant to the resumed run. A corrupt, truncated, or
 // mismatched checkpoint returns an error and leaves no partial state

@@ -125,7 +125,7 @@ func FuzzRegistryReloadFile(f *testing.F) {
 	}
 	f.Add([]byte(`{"sizes":[4,3],"hidden":"tanh","w":[[1,2,3,4,5,6,7,8,9,10,11,12]],"b":[[0,0,0]]}`))
 	f.Add([]byte(`{"version":1,"kind":"policy","sha256":"00","payload":{}}`))
-	f.Add([]byte(`{"version":1,"kind":"ppo-vec","sha256":"","payload":null}`))
+	f.Add([]byte(`{"version":1,"kind":"ppo-replay","sha256":"","payload":null}`))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
